@@ -1,30 +1,21 @@
 """Build script for the compiled search kernel.
 
-The package works without the extension (a pure Python kernel is selected at
-import time), but the compiled kernel is what makes the exhaustive searches
-comfortable at desk scale.  Build in place with:
+The package works without the extension (the pure Python kernel is selected
+at import time), so the build is optional: a missing compiler leaves a
+working pure install.  The compiled kernel is what makes the exhaustive
+searches comfortable at desk scale.  Build in place with:
 
     python setup.py build_ext --inplace
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:  # plain source install without Cython
-    cythonize = None
-
-extensions = []
-if cythonize is not None:
-    extensions = cythonize(
-        [
-            Extension(
-                "cordant._kernel._speed",
-                ["src/cordant/_kernel/_speed.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "cordant._kernel._speed",
+            ["src/cordant/_kernel/_speed.c"],
+            optional=True,
+        )
+    ]
+)

@@ -104,6 +104,7 @@ from .labelings import (
 from .search import (
     DEFAULT_BUDGET,
     HamiltonianCycle,
+    MAX_DEPTH,
     RStarSequence,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,

@@ -1,10 +1,14 @@
 """Search kernel backends.
 
 Two interchangeable implementations of the same four kernels live here:
-``pure`` (plain Python, always available) and ``_speed`` (Cython).  The
-compiled one is picked at import time when present; set the environment
-variable ``CORDANT_BACKEND`` to ``pure`` or ``compiled`` to force a
-choice.  Both return identical results, including node counts.
+``pure`` (plain Python, always available and the reference) and ``_speed``
+(hand-written C against the CPython API, built from ``_speed.c`` by
+``setup.py`` as an optional extension).  The compiled one is picked at
+import time when it was built; nothing is compiled on import.  Set the
+environment variable ``CORDANT_BACKEND`` to ``pure`` or ``compiled`` to
+force a choice.  Both return identical results, including node counts;
+whenever gcc is present, the parity tests build ``_speed.c`` and compare
+the two.
 """
 
 from __future__ import annotations

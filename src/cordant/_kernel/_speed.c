@@ -1,18131 +1,915 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "cordant._kernel._speed",
-        "sources": [
-            "src/cordant/_kernel/_speed.pyx"
-        ]
-    },
-    "module_name": "cordant._kernel._speed"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__cordant___kernel___speed
-#define __PYX_HAVE_API__cordant___kernel___speed
-/* Early includes */
-#include <string.h>
-#include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/cordant/_kernel/_speed.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_defaults;
-struct __pyx_t_7cordant_7_kernel_6_speed_Memo;
-struct __pyx_t_7cordant_7_kernel_6_speed_Chain;
-struct __pyx_t_7cordant_7_kernel_6_speed_Generic;
-struct __pyx_t_7cordant_7_kernel_6_speed_RStar;
-struct __pyx_t_7cordant_7_kernel_6_speed_Sigma;
-
-/* "cordant/_kernel/_speed.pyx":47
- * # dead-state memo: open-addressing hash set of packed uint64 keys
- * 
- * cdef struct Memo:             # <<<<<<<<<<<<<<
- *     unsigned long long* keys
- *     unsigned char* full
-*/
-struct __pyx_t_7cordant_7_kernel_6_speed_Memo {
-  unsigned PY_LONG_LONG *keys;
-  unsigned char *full;
-  size_t mask;
-  size_t entries;
-  size_t limit;
-};
-
-/* "cordant/_kernel/_speed.pyx":124
- * # chain kernel
- * 
- * cdef struct Chain:             # <<<<<<<<<<<<<<
- *     int m
- *     int s
-*/
-struct __pyx_t_7cordant_7_kernel_6_speed_Chain {
-  int m;
-  int s;
-  int *add_t;
-  int *slot_cap;
-  int *slot_floor;
-  int *dcap;
-  int *dfloor;
-  int start_singleton;
-  int end_singleton;
-  int cyclic;
-  int *assign;
-  int *scount;
-  int *dcount;
-  int *ncomp;
-  int *comps;
-  int *remaining_at;
-  int sdef;
-  int ddef;
-  PY_LONG_LONG nodes;
-  PY_LONG_LONG budget;
-  int memo_on;
-  int bits_pos;
-  int bits_lab;
-  int bits_sc;
-  int bits_dc;
-  struct __pyx_t_7cordant_7_kernel_6_speed_Memo memo;
-};
-
-/* "cordant/_kernel/_speed.pyx":376
- * # generic kernel
- * 
- * cdef struct Generic:             # <<<<<<<<<<<<<<
- *     int m
- *     int s
-*/
-struct __pyx_t_7cordant_7_kernel_6_speed_Generic {
-  int m;
-  int s;
-  int num_derived;
-  int *add_t;
-  int *neg_t;
-  int *slot_cap;
-  int *slot_floor;
-  int *dcap;
-  int *dfloor;
-  int *sd_ptr;
-  int *sd_ids;
-  int *comp_ptr;
-  int *comp_ids;
-  int *assign;
-  int *psum;
-  int *scount;
-  int *dcount;
-  int *remaining_at;
-  int sdef;
-  int ddef;
-  PY_LONG_LONG nodes;
-  PY_LONG_LONG budget;
-};
-
-/* "cordant/_kernel/_speed.pyx":565
- * # sequencing kernel
- * 
- * cdef struct RStar:             # <<<<<<<<<<<<<<
- *     int m
- *     int length
-*/
-struct __pyx_t_7cordant_7_kernel_6_speed_RStar {
-  int m;
-  int length;
-  int *add_t;
-  int *neg_t;
-  int *seq;
-  unsigned char *used;
-  unsigned char *dused;
-  PY_LONG_LONG nodes;
-  PY_LONG_LONG budget;
-  int star_at;
-};
-
-/* "cordant/_kernel/_speed.pyx":670
- * # maximum-distinct-sums kernel
- * 
- * cdef struct Sigma:             # <<<<<<<<<<<<<<
- *     int m
- *     int* add_t
-*/
-struct __pyx_t_7cordant_7_kernel_6_speed_Sigma {
-  int m;
-  int *add_t;
-  int *order;
-  int *scount;
-  int *best_cycle;
-  unsigned char *used;
-  int distinct;
-  int best;
-  int have_best;
-  PY_LONG_LONG nodes;
-  PY_LONG_LONG budget;
-};
-
-/* "cordant/_kernel/_speed.pyx":258
- * 
- * 
- * def solve_chain(             # <<<<<<<<<<<<<<
- *     int m,
- *     object add_t,
-*/
-struct __pyx_defaults {
-  PyObject_HEAD
-  PY_LONG_LONG arg0;
-};
-
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* GetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_char(unsigned char value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "cordant._kernel._speed" */
-static int __pyx_v_7cordant_7_kernel_6_speed_C_FOUND;
-static int __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-static int __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET;
-static size_t __pyx_v_7cordant_7_kernel_6_speed_MEMO_MAX_SLOTS;
-static int __pyx_f_7cordant_7_kernel_6_speed__bitlen(PY_LONG_LONG); /*proto*/
-static int *__pyx_f_7cordant_7_kernel_6_speed__copy_ints(PyObject *, Py_ssize_t *); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__memo_init(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *, size_t); /*proto*/
-static void __pyx_f_7cordant_7_kernel_6_speed__memo_free(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *); /*proto*/
-static CYTHON_INLINE size_t __pyx_f_7cordant_7_kernel_6_speed__memo_slot(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *, unsigned PY_LONG_LONG); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__memo_has(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *, unsigned PY_LONG_LONG); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__memo_grow(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__memo_add(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *, unsigned PY_LONG_LONG); /*proto*/
-static CYTHON_INLINE unsigned PY_LONG_LONG __pyx_f_7cordant_7_kernel_6_speed__chain_pack(struct __pyx_t_7cordant_7_kernel_6_speed_Chain *, int, int); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__chain_place(struct __pyx_t_7cordant_7_kernel_6_speed_Chain *, int, int); /*proto*/
-static void __pyx_f_7cordant_7_kernel_6_speed__chain_unplace(struct __pyx_t_7cordant_7_kernel_6_speed_Chain *, int, int); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__chain_dfs(struct __pyx_t_7cordant_7_kernel_6_speed_Chain *, int); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__gen_place(struct __pyx_t_7cordant_7_kernel_6_speed_Generic *, int, int); /*proto*/
-static void __pyx_f_7cordant_7_kernel_6_speed__gen_unplace(struct __pyx_t_7cordant_7_kernel_6_speed_Generic *, int, int); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__gen_dfs(struct __pyx_t_7cordant_7_kernel_6_speed_Generic *, int); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__rstar_dfs(struct __pyx_t_7cordant_7_kernel_6_speed_RStar *, int); /*proto*/
-static int __pyx_f_7cordant_7_kernel_6_speed__sigma_dfs(struct __pyx_t_7cordant_7_kernel_6_speed_Sigma *, int); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "cordant._kernel._speed"
-extern int __pyx_module_is_main_cordant___kernel___speed;
-int __pyx_module_is_main_cordant___kernel___speed = 0;
-
-/* Implementation of "cordant._kernel._speed" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_search_kernels_Exact_mi[] = "Compiled search kernels.\n\nExact mirror of ``pure.py``: same traversal order, pruning rules, memo\npolicy, and node accounting.  Any observable divergence between the two\nbackends is a bug; the parity tests compare them directly.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_8__defaults__(CYTHON_UNUSED PyObject *__pyx_self); /* proto */
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_solve_chain(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_add_t, int __pyx_v_num_slots, PyObject *__pyx_v_slot_cap, PyObject *__pyx_v_slot_floor, PyObject *__pyx_v_dcap, PyObject *__pyx_v_dfloor, int __pyx_v_start_singleton, int __pyx_v_end_singleton, int __pyx_v_cyclic, PyObject *__pyx_v_prefix, PY_LONG_LONG __pyx_v_budget, PY_LONG_LONG __pyx_v_memo_limit); /* proto */
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_2solve_generic(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_add_t, PyObject *__pyx_v_neg_t, int __pyx_v_num_slots, PyObject *__pyx_v_slot_cap, PyObject *__pyx_v_slot_floor, PyObject *__pyx_v_dcap, PyObject *__pyx_v_dfloor, int __pyx_v_num_derived, PyObject *__pyx_v_sd_ptr, PyObject *__pyx_v_sd_ids, PyObject *__pyx_v_comp_ptr, PyObject *__pyx_v_comp_ids, PyObject *__pyx_v_prefix, PY_LONG_LONG __pyx_v_budget); /* proto */
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_4solve_rstar(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_add_t, PyObject *__pyx_v_neg_t, PyObject *__pyx_v_prefix, PY_LONG_LONG __pyx_v_budget); /* proto */
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_6solve_sigma(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_add_t, PY_LONG_LONG __pyx_v_budget); /* proto */
-static PyObject *__pyx_tp_new_7cordant_7_kernel_6_speed___pyx_defaults(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyObject *__pyx_type_7cordant_7_kernel_6_speed___pyx_defaults;
-  PyTypeObject *__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_codeobj_tab[4];
-  PyObject *__pyx_string_tab[77];
-  PyObject *__pyx_number_tab[6];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_chain_instances_need_at_least_on __pyx_string_tab[1]
-#define __pyx_kp_u_cyclic_chains_exclude_singletons __pyx_string_tab[2]
-#define __pyx_kp_u_disable __pyx_string_tab[3]
-#define __pyx_kp_u_enable __pyx_string_tab[4]
-#define __pyx_kp_u_gc __pyx_string_tab[5]
-#define __pyx_kp_u_isenabled __pyx_string_tab[6]
-#define __pyx_kp_u_prefix_longer_than_the_sequence __pyx_string_tab[7]
-#define __pyx_kp_u_prefix_longer_than_the_slot_list __pyx_string_tab[8]
-#define __pyx_kp_u_src_cordant__kernel__speed_pyx __pyx_string_tab[9]
-#define __pyx_n_u_BUDGET __pyx_string_tab[10]
-#define __pyx_n_u_EXHAUSTED __pyx_string_tab[11]
-#define __pyx_n_u_FOUND __pyx_string_tab[12]
-#define __pyx_n_u_MEMO_LIMIT __pyx_string_tab[13]
-#define __pyx_n_u_MEMO_MAX_BITS __pyx_string_tab[14]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[15]
-#define __pyx_n_u_add_t __pyx_string_tab[16]
-#define __pyx_n_u_annotate __pyx_string_tab[17]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[18]
-#define __pyx_n_u_budget __pyx_string_tab[19]
-#define __pyx_n_u_ch __pyx_string_tab[20]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[21]
-#define __pyx_n_u_comp_ids __pyx_string_tab[22]
-#define __pyx_n_u_comp_ptr __pyx_string_tab[23]
-#define __pyx_n_u_cordant__kernel__speed __pyx_string_tab[24]
-#define __pyx_n_u_cycle __pyx_string_tab[25]
-#define __pyx_n_u_cyclic __pyx_string_tab[26]
-#define __pyx_n_u_d __pyx_string_tab[27]
-#define __pyx_n_u_dcap __pyx_string_tab[28]
-#define __pyx_n_u_dcap_max __pyx_string_tab[29]
-#define __pyx_n_u_dfloor __pyx_string_tab[30]
-#define __pyx_n_u_done __pyx_string_tab[31]
-#define __pyx_n_u_end_singleton __pyx_string_tab[32]
-#define __pyx_n_u_final __pyx_string_tab[33]
-#define __pyx_n_u_func __pyx_string_tab[34]
-#define __pyx_n_u_g __pyx_string_tab[35]
-#define __pyx_n_u_i __pyx_string_tab[36]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[37]
-#define __pyx_n_u_items __pyx_string_tab[38]
-#define __pyx_n_u_j __pyx_string_tab[39]
-#define __pyx_n_u_m __pyx_string_tab[40]
-#define __pyx_n_u_main __pyx_string_tab[41]
-#define __pyx_n_u_memo_limit __pyx_string_tab[42]
-#define __pyx_n_u_module __pyx_string_tab[43]
-#define __pyx_n_u_name __pyx_string_tab[44]
-#define __pyx_n_u_neg_t __pyx_string_tab[45]
-#define __pyx_n_u_num_derived __pyx_string_tab[46]
-#define __pyx_n_u_num_slots __pyx_string_tab[47]
-#define __pyx_n_u_p __pyx_string_tab[48]
-#define __pyx_n_u_pop __pyx_string_tab[49]
-#define __pyx_n_u_prefix __pyx_string_tab[50]
-#define __pyx_n_u_qualname __pyx_string_tab[51]
-#define __pyx_n_u_r __pyx_string_tab[52]
-#define __pyx_n_u_scap_max __pyx_string_tab[53]
-#define __pyx_n_u_sd_ids __pyx_string_tab[54]
-#define __pyx_n_u_sd_ptr __pyx_string_tab[55]
-#define __pyx_n_u_set_name __pyx_string_tab[56]
-#define __pyx_n_u_setdefault __pyx_string_tab[57]
-#define __pyx_n_u_sg __pyx_string_tab[58]
-#define __pyx_n_u_slot_cap __pyx_string_tab[59]
-#define __pyx_n_u_slot_floor __pyx_string_tab[60]
-#define __pyx_n_u_solve_chain __pyx_string_tab[61]
-#define __pyx_n_u_solve_generic __pyx_string_tab[62]
-#define __pyx_n_u_solve_rstar __pyx_string_tab[63]
-#define __pyx_n_u_solve_sigma __pyx_string_tab[64]
-#define __pyx_n_u_start_singleton __pyx_string_tab[65]
-#define __pyx_n_u_status __pyx_string_tab[66]
-#define __pyx_n_u_test __pyx_string_tab[67]
-#define __pyx_n_u_tmp __pyx_string_tab[68]
-#define __pyx_n_u_total_bits __pyx_string_tab[69]
-#define __pyx_n_u_total_derived __pyx_string_tab[70]
-#define __pyx_n_u_values __pyx_string_tab[71]
-#define __pyx_n_u_x __pyx_string_tab[72]
-#define __pyx_kp_b_iso88591_1Cs_U_U__A_Zq_Ya_a_1A_r_1_j_Yj __pyx_string_tab[73]
-#define __pyx_kp_b_iso88591_1Cs_U_Zr_1_Zq_Ya_a_1A_r_1A_j_Yj __pyx_string_tab[74]
-#define __pyx_kp_b_iso88591_r_A_s_3d_1D_1_e1_j_iq_ha_l_m1_i __pyx_string_tab[75]
-#define __pyx_kp_b_iso88591_z_1_j_we_3nCz_1_j_1D_1_e1_e1_q __pyx_string_tab[76]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_neg_1 __pyx_number_tab[1]
-#define __pyx_int_1 __pyx_number_tab[2]
-#define __pyx_int_2 __pyx_number_tab[3]
-#define __pyx_int_63 __pyx_number_tab[4]
-#define __pyx_int_4194304 __pyx_number_tab[5]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults);
-  Py_CLEAR(clear_module_state->__pyx_type_7cordant_7_kernel_6_speed___pyx_defaults);
-  for (int i=0; i<4; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<77; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<6; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults);
-  Py_VISIT(traverse_module_state->__pyx_type_7cordant_7_kernel_6_speed___pyx_defaults);
-  for (int i=0; i<4; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<77; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<6; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "cordant/_kernel/_speed.pyx":24
- * 
- * 
- * cdef int _bitlen(long long v) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int n = 0
- *     while v > 0:
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__bitlen(PY_LONG_LONG __pyx_v_v) {
-  int __pyx_v_n;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "cordant/_kernel/_speed.pyx":25
- * 
- * cdef int _bitlen(long long v) noexcept:
- *     cdef int n = 0             # <<<<<<<<<<<<<<
- *     while v > 0:
- *         v >>= 1
-*/
-  __pyx_v_n = 0;
-
-  /* "cordant/_kernel/_speed.pyx":26
- * cdef int _bitlen(long long v) noexcept:
- *     cdef int n = 0
- *     while v > 0:             # <<<<<<<<<<<<<<
- *         v >>= 1
- *         n += 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_v > 0);
-    if (!__pyx_t_1) break;
-
-    /* "cordant/_kernel/_speed.pyx":27
- *     cdef int n = 0
- *     while v > 0:
- *         v >>= 1             # <<<<<<<<<<<<<<
- *         n += 1
- *     return n if n > 0 else 1
-*/
-    __pyx_v_v = (__pyx_v_v >> 1);
-
-    /* "cordant/_kernel/_speed.pyx":28
- *     while v > 0:
- *         v >>= 1
- *         n += 1             # <<<<<<<<<<<<<<
- *     return n if n > 0 else 1
- * 
-*/
-    __pyx_v_n = (__pyx_v_n + 1);
-  }
-
-  /* "cordant/_kernel/_speed.pyx":29
- *         v >>= 1
- *         n += 1
- *     return n if n > 0 else 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = (__pyx_v_n > 0);
-  if (__pyx_t_1) {
-    __pyx_t_2 = __pyx_v_n;
-  } else {
-    __pyx_t_2 = 1;
-  }
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":24
- * 
- * 
- * cdef int _bitlen(long long v) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int n = 0
- *     while v > 0:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":32
- * 
- * 
- * cdef int* _copy_ints(object seq, Py_ssize_t* out_len) except NULL:             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t n = len(seq)
- *     cdef int* buf = <int*> malloc(max(n, 1) * sizeof(int))
-*/
-
-static int *__pyx_f_7cordant_7_kernel_6_speed__copy_ints(PyObject *__pyx_v_seq, Py_ssize_t *__pyx_v_out_len) {
-  Py_ssize_t __pyx_v_n;
-  int *__pyx_v_buf;
-  Py_ssize_t __pyx_v_i;
-  int *__pyx_r;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  long __pyx_t_2;
-  Py_ssize_t __pyx_t_3;
-  int __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  int __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_copy_ints", 0);
-
-  /* "cordant/_kernel/_speed.pyx":33
- * 
- * cdef int* _copy_ints(object seq, Py_ssize_t* out_len) except NULL:
- *     cdef Py_ssize_t n = len(seq)             # <<<<<<<<<<<<<<
- *     cdef int* buf = <int*> malloc(max(n, 1) * sizeof(int))
- *     if buf == NULL:
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_seq); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 33, __pyx_L1_error)
-  __pyx_v_n = __pyx_t_1;
-
-  /* "cordant/_kernel/_speed.pyx":34
- * cdef int* _copy_ints(object seq, Py_ssize_t* out_len) except NULL:
- *     cdef Py_ssize_t n = len(seq)
- *     cdef int* buf = <int*> malloc(max(n, 1) * sizeof(int))             # <<<<<<<<<<<<<<
- *     if buf == NULL:
- *         raise MemoryError()
-*/
-  __pyx_t_2 = 1;
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_4 = (__pyx_t_2 > __pyx_t_1);
-  if (__pyx_t_4) {
-    __pyx_t_3 = __pyx_t_2;
-  } else {
-    __pyx_t_3 = __pyx_t_1;
-  }
-  __pyx_v_buf = ((int *)malloc((__pyx_t_3 * (sizeof(int)))));
-
-  /* "cordant/_kernel/_speed.pyx":35
- *     cdef Py_ssize_t n = len(seq)
- *     cdef int* buf = <int*> malloc(max(n, 1) * sizeof(int))
- *     if buf == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     cdef Py_ssize_t i
-*/
-  __pyx_t_4 = (__pyx_v_buf == NULL);
-  if (unlikely(__pyx_t_4)) {
-
-    /* "cordant/_kernel/_speed.pyx":36
- *     cdef int* buf = <int*> malloc(max(n, 1) * sizeof(int))
- *     if buf == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t i
- *     for i in range(n):
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 36, __pyx_L1_error)
-
-    /* "cordant/_kernel/_speed.pyx":35
- *     cdef Py_ssize_t n = len(seq)
- *     cdef int* buf = <int*> malloc(max(n, 1) * sizeof(int))
- *     if buf == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     cdef Py_ssize_t i
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":38
- *         raise MemoryError()
- *     cdef Py_ssize_t i
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         buf[i] = seq[i]
- *     out_len[0] = n
-*/
-  __pyx_t_3 = __pyx_v_n;
-  __pyx_t_1 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_1; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "cordant/_kernel/_speed.pyx":39
- *     cdef Py_ssize_t i
- *     for i in range(n):
- *         buf[i] = seq[i]             # <<<<<<<<<<<<<<
- *     out_len[0] = n
- *     return buf
-*/
-    __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_seq, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 39, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_6); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 39, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    (__pyx_v_buf[__pyx_v_i]) = __pyx_t_7;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":40
- *     for i in range(n):
- *         buf[i] = seq[i]
- *     out_len[0] = n             # <<<<<<<<<<<<<<
- *     return buf
- * 
-*/
-  (__pyx_v_out_len[0]) = __pyx_v_n;
-
-  /* "cordant/_kernel/_speed.pyx":41
- *         buf[i] = seq[i]
- *     out_len[0] = n
- *     return buf             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_buf;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":32
- * 
- * 
- * cdef int* _copy_ints(object seq, Py_ssize_t* out_len) except NULL:             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t n = len(seq)
- *     cdef int* buf = <int*> malloc(max(n, 1) * sizeof(int))
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("cordant._kernel._speed._copy_ints", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":56
- * cdef size_t MEMO_MAX_SLOTS = (<size_t> 1) << 23
- * 
- * cdef int _memo_init(Memo* mm, size_t limit) except -1:             # <<<<<<<<<<<<<<
- *     cdef size_t size = (<size_t> 1) << 12
- *     mm.keys = <unsigned long long*> malloc(size * sizeof(unsigned long long))
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__memo_init(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *__pyx_v_mm, size_t __pyx_v_limit) {
-  size_t __pyx_v_size;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cordant/_kernel/_speed.pyx":57
- * 
- * cdef int _memo_init(Memo* mm, size_t limit) except -1:
- *     cdef size_t size = (<size_t> 1) << 12             # <<<<<<<<<<<<<<
- *     mm.keys = <unsigned long long*> malloc(size * sizeof(unsigned long long))
- *     mm.full = <unsigned char*> calloc(size, 1)
-*/
-  __pyx_v_size = (((size_t)1) << 12);
-
-  /* "cordant/_kernel/_speed.pyx":58
- * cdef int _memo_init(Memo* mm, size_t limit) except -1:
- *     cdef size_t size = (<size_t> 1) << 12
- *     mm.keys = <unsigned long long*> malloc(size * sizeof(unsigned long long))             # <<<<<<<<<<<<<<
- *     mm.full = <unsigned char*> calloc(size, 1)
- *     if mm.keys == NULL or mm.full == NULL:
-*/
-  __pyx_v_mm->keys = ((unsigned PY_LONG_LONG *)malloc((__pyx_v_size * (sizeof(unsigned PY_LONG_LONG)))));
-
-  /* "cordant/_kernel/_speed.pyx":59
- *     cdef size_t size = (<size_t> 1) << 12
- *     mm.keys = <unsigned long long*> malloc(size * sizeof(unsigned long long))
- *     mm.full = <unsigned char*> calloc(size, 1)             # <<<<<<<<<<<<<<
- *     if mm.keys == NULL or mm.full == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_mm->full = ((unsigned char *)calloc(__pyx_v_size, 1));
-
-  /* "cordant/_kernel/_speed.pyx":60
- *     mm.keys = <unsigned long long*> malloc(size * sizeof(unsigned long long))
- *     mm.full = <unsigned char*> calloc(size, 1)
- *     if mm.keys == NULL or mm.full == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     mm.mask = size - 1
-*/
-  __pyx_t_2 = (__pyx_v_mm->keys == NULL);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_mm->full == NULL);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_1)) {
-
-    /* "cordant/_kernel/_speed.pyx":61
- *     mm.full = <unsigned char*> calloc(size, 1)
- *     if mm.keys == NULL or mm.full == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     mm.mask = size - 1
- *     mm.entries = 0
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 61, __pyx_L1_error)
-
-    /* "cordant/_kernel/_speed.pyx":60
- *     mm.keys = <unsigned long long*> malloc(size * sizeof(unsigned long long))
- *     mm.full = <unsigned char*> calloc(size, 1)
- *     if mm.keys == NULL or mm.full == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     mm.mask = size - 1
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":62
- *     if mm.keys == NULL or mm.full == NULL:
- *         raise MemoryError()
- *     mm.mask = size - 1             # <<<<<<<<<<<<<<
- *     mm.entries = 0
- *     mm.limit = limit
-*/
-  __pyx_v_mm->mask = (__pyx_v_size - 1);
-
-  /* "cordant/_kernel/_speed.pyx":63
- *         raise MemoryError()
- *     mm.mask = size - 1
- *     mm.entries = 0             # <<<<<<<<<<<<<<
- *     mm.limit = limit
- *     return 0
-*/
-  __pyx_v_mm->entries = 0;
-
-  /* "cordant/_kernel/_speed.pyx":64
- *     mm.mask = size - 1
- *     mm.entries = 0
- *     mm.limit = limit             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-  __pyx_v_mm->limit = __pyx_v_limit;
-
-  /* "cordant/_kernel/_speed.pyx":65
- *     mm.entries = 0
- *     mm.limit = limit
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * cdef void _memo_free(Memo* mm) noexcept:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":56
- * cdef size_t MEMO_MAX_SLOTS = (<size_t> 1) << 23
- * 
- * cdef int _memo_init(Memo* mm, size_t limit) except -1:             # <<<<<<<<<<<<<<
- *     cdef size_t size = (<size_t> 1) << 12
- *     mm.keys = <unsigned long long*> malloc(size * sizeof(unsigned long long))
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cordant._kernel._speed._memo_init", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":67
- *     return 0
- * 
- * cdef void _memo_free(Memo* mm) noexcept:             # <<<<<<<<<<<<<<
- *     if mm.keys != NULL:
- *         free(mm.keys)
-*/
-
-static void __pyx_f_7cordant_7_kernel_6_speed__memo_free(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *__pyx_v_mm) {
-  int __pyx_t_1;
-
-  /* "cordant/_kernel/_speed.pyx":68
- * 
- * cdef void _memo_free(Memo* mm) noexcept:
- *     if mm.keys != NULL:             # <<<<<<<<<<<<<<
- *         free(mm.keys)
- *         mm.keys = NULL
-*/
-  __pyx_t_1 = (__pyx_v_mm->keys != NULL);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":69
- * cdef void _memo_free(Memo* mm) noexcept:
- *     if mm.keys != NULL:
- *         free(mm.keys)             # <<<<<<<<<<<<<<
- *         mm.keys = NULL
- *     if mm.full != NULL:
-*/
-    free(__pyx_v_mm->keys);
-
-    /* "cordant/_kernel/_speed.pyx":70
- *     if mm.keys != NULL:
- *         free(mm.keys)
- *         mm.keys = NULL             # <<<<<<<<<<<<<<
- *     if mm.full != NULL:
- *         free(mm.full)
-*/
-    __pyx_v_mm->keys = NULL;
-
-    /* "cordant/_kernel/_speed.pyx":68
- * 
- * cdef void _memo_free(Memo* mm) noexcept:
- *     if mm.keys != NULL:             # <<<<<<<<<<<<<<
- *         free(mm.keys)
- *         mm.keys = NULL
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":71
- *         free(mm.keys)
- *         mm.keys = NULL
- *     if mm.full != NULL:             # <<<<<<<<<<<<<<
- *         free(mm.full)
- *         mm.full = NULL
-*/
-  __pyx_t_1 = (__pyx_v_mm->full != NULL);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":72
- *         mm.keys = NULL
- *     if mm.full != NULL:
- *         free(mm.full)             # <<<<<<<<<<<<<<
- *         mm.full = NULL
- * 
-*/
-    free(__pyx_v_mm->full);
-
-    /* "cordant/_kernel/_speed.pyx":73
- *     if mm.full != NULL:
- *         free(mm.full)
- *         mm.full = NULL             # <<<<<<<<<<<<<<
- * 
- * cdef inline size_t _memo_slot(Memo* mm, unsigned long long key) noexcept:
-*/
-    __pyx_v_mm->full = NULL;
-
-    /* "cordant/_kernel/_speed.pyx":71
- *         free(mm.keys)
- *         mm.keys = NULL
- *     if mm.full != NULL:             # <<<<<<<<<<<<<<
- *         free(mm.full)
- *         mm.full = NULL
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":67
- *     return 0
- * 
- * cdef void _memo_free(Memo* mm) noexcept:             # <<<<<<<<<<<<<<
- *     if mm.keys != NULL:
- *         free(mm.keys)
-*/
-
-  /* function exit code */
-}
-
-/* "cordant/_kernel/_speed.pyx":75
- *         mm.full = NULL
- * 
- * cdef inline size_t _memo_slot(Memo* mm, unsigned long long key) noexcept:             # <<<<<<<<<<<<<<
- *     cdef size_t h = <size_t> (key * <unsigned long long> 0x9E3779B97F4A7C15ULL)
- *     cdef size_t i = (h >> 17) & mm.mask
-*/
-
-static CYTHON_INLINE size_t __pyx_f_7cordant_7_kernel_6_speed__memo_slot(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *__pyx_v_mm, unsigned PY_LONG_LONG __pyx_v_key) {
-  size_t __pyx_v_h;
-  size_t __pyx_v_i;
-  size_t __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "cordant/_kernel/_speed.pyx":76
- * 
- * cdef inline size_t _memo_slot(Memo* mm, unsigned long long key) noexcept:
- *     cdef size_t h = <size_t> (key * <unsigned long long> 0x9E3779B97F4A7C15ULL)             # <<<<<<<<<<<<<<
- *     cdef size_t i = (h >> 17) & mm.mask
- *     while mm.full[i] and mm.keys[i] != key:
-*/
-  __pyx_v_h = ((size_t)(__pyx_v_key * ((unsigned PY_LONG_LONG)0x9E3779B97F4A7C15ULL)));
-
-  /* "cordant/_kernel/_speed.pyx":77
- * cdef inline size_t _memo_slot(Memo* mm, unsigned long long key) noexcept:
- *     cdef size_t h = <size_t> (key * <unsigned long long> 0x9E3779B97F4A7C15ULL)
- *     cdef size_t i = (h >> 17) & mm.mask             # <<<<<<<<<<<<<<
- *     while mm.full[i] and mm.keys[i] != key:
- *         i = (i + 1) & mm.mask
-*/
-  __pyx_v_i = ((__pyx_v_h >> 17) & __pyx_v_mm->mask);
-
-  /* "cordant/_kernel/_speed.pyx":78
- *     cdef size_t h = <size_t> (key * <unsigned long long> 0x9E3779B97F4A7C15ULL)
- *     cdef size_t i = (h >> 17) & mm.mask
- *     while mm.full[i] and mm.keys[i] != key:             # <<<<<<<<<<<<<<
- *         i = (i + 1) & mm.mask
- *     return i
-*/
-  while (1) {
-    __pyx_t_2 = ((__pyx_v_mm->full[__pyx_v_i]) != 0);
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L5_bool_binop_done;
-    }
-    __pyx_t_2 = ((__pyx_v_mm->keys[__pyx_v_i]) != __pyx_v_key);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L5_bool_binop_done:;
-    if (!__pyx_t_1) break;
-
-    /* "cordant/_kernel/_speed.pyx":79
- *     cdef size_t i = (h >> 17) & mm.mask
- *     while mm.full[i] and mm.keys[i] != key:
- *         i = (i + 1) & mm.mask             # <<<<<<<<<<<<<<
- *     return i
- * 
-*/
-    __pyx_v_i = ((__pyx_v_i + 1) & __pyx_v_mm->mask);
-  }
-
-  /* "cordant/_kernel/_speed.pyx":80
- *     while mm.full[i] and mm.keys[i] != key:
- *         i = (i + 1) & mm.mask
- *     return i             # <<<<<<<<<<<<<<
- * 
- * cdef bint _memo_has(Memo* mm, unsigned long long key) noexcept:
-*/
-  __pyx_r = __pyx_v_i;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":75
- *         mm.full = NULL
- * 
- * cdef inline size_t _memo_slot(Memo* mm, unsigned long long key) noexcept:             # <<<<<<<<<<<<<<
- *     cdef size_t h = <size_t> (key * <unsigned long long> 0x9E3779B97F4A7C15ULL)
- *     cdef size_t i = (h >> 17) & mm.mask
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":82
- *     return i
- * 
- * cdef bint _memo_has(Memo* mm, unsigned long long key) noexcept:             # <<<<<<<<<<<<<<
- *     return mm.full[_memo_slot(mm, key)]
- * 
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__memo_has(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *__pyx_v_mm, unsigned PY_LONG_LONG __pyx_v_key) {
-  int __pyx_r;
-
-  /* "cordant/_kernel/_speed.pyx":83
- * 
- * cdef bint _memo_has(Memo* mm, unsigned long long key) noexcept:
- *     return mm.full[_memo_slot(mm, key)]             # <<<<<<<<<<<<<<
- * 
- * cdef int _memo_grow(Memo* mm) except -1:
-*/
-  __pyx_r = (__pyx_v_mm->full[__pyx_f_7cordant_7_kernel_6_speed__memo_slot(__pyx_v_mm, __pyx_v_key)]);
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":82
- *     return i
- * 
- * cdef bint _memo_has(Memo* mm, unsigned long long key) noexcept:             # <<<<<<<<<<<<<<
- *     return mm.full[_memo_slot(mm, key)]
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":85
- *     return mm.full[_memo_slot(mm, key)]
- * 
- * cdef int _memo_grow(Memo* mm) except -1:             # <<<<<<<<<<<<<<
- *     cdef size_t old_size = mm.mask + 1
- *     cdef size_t new_size = old_size << 1
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__memo_grow(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *__pyx_v_mm) {
-  size_t __pyx_v_old_size;
-  size_t __pyx_v_new_size;
-  unsigned PY_LONG_LONG *__pyx_v_old_keys;
-  unsigned char *__pyx_v_old_full;
-  size_t __pyx_v_i;
-  size_t __pyx_v_j;
-  int __pyx_r;
-  unsigned PY_LONG_LONG *__pyx_t_1;
-  unsigned char *__pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  size_t __pyx_t_5;
-  size_t __pyx_t_6;
-  size_t __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cordant/_kernel/_speed.pyx":86
- * 
- * cdef int _memo_grow(Memo* mm) except -1:
- *     cdef size_t old_size = mm.mask + 1             # <<<<<<<<<<<<<<
- *     cdef size_t new_size = old_size << 1
- *     cdef unsigned long long* old_keys = mm.keys
-*/
-  __pyx_v_old_size = (__pyx_v_mm->mask + 1);
-
-  /* "cordant/_kernel/_speed.pyx":87
- * cdef int _memo_grow(Memo* mm) except -1:
- *     cdef size_t old_size = mm.mask + 1
- *     cdef size_t new_size = old_size << 1             # <<<<<<<<<<<<<<
- *     cdef unsigned long long* old_keys = mm.keys
- *     cdef unsigned char* old_full = mm.full
-*/
-  __pyx_v_new_size = (__pyx_v_old_size << 1);
-
-  /* "cordant/_kernel/_speed.pyx":88
- *     cdef size_t old_size = mm.mask + 1
- *     cdef size_t new_size = old_size << 1
- *     cdef unsigned long long* old_keys = mm.keys             # <<<<<<<<<<<<<<
- *     cdef unsigned char* old_full = mm.full
- *     mm.keys = <unsigned long long*> malloc(new_size * sizeof(unsigned long long))
-*/
-  __pyx_t_1 = __pyx_v_mm->keys;
-  __pyx_v_old_keys = __pyx_t_1;
-
-  /* "cordant/_kernel/_speed.pyx":89
- *     cdef size_t new_size = old_size << 1
- *     cdef unsigned long long* old_keys = mm.keys
- *     cdef unsigned char* old_full = mm.full             # <<<<<<<<<<<<<<
- *     mm.keys = <unsigned long long*> malloc(new_size * sizeof(unsigned long long))
- *     mm.full = <unsigned char*> calloc(new_size, 1)
-*/
-  __pyx_t_2 = __pyx_v_mm->full;
-  __pyx_v_old_full = __pyx_t_2;
-
-  /* "cordant/_kernel/_speed.pyx":90
- *     cdef unsigned long long* old_keys = mm.keys
- *     cdef unsigned char* old_full = mm.full
- *     mm.keys = <unsigned long long*> malloc(new_size * sizeof(unsigned long long))             # <<<<<<<<<<<<<<
- *     mm.full = <unsigned char*> calloc(new_size, 1)
- *     if mm.keys == NULL or mm.full == NULL:
-*/
-  __pyx_v_mm->keys = ((unsigned PY_LONG_LONG *)malloc((__pyx_v_new_size * (sizeof(unsigned PY_LONG_LONG)))));
-
-  /* "cordant/_kernel/_speed.pyx":91
- *     cdef unsigned char* old_full = mm.full
- *     mm.keys = <unsigned long long*> malloc(new_size * sizeof(unsigned long long))
- *     mm.full = <unsigned char*> calloc(new_size, 1)             # <<<<<<<<<<<<<<
- *     if mm.keys == NULL or mm.full == NULL:
- *         mm.keys = old_keys
-*/
-  __pyx_v_mm->full = ((unsigned char *)calloc(__pyx_v_new_size, 1));
-
-  /* "cordant/_kernel/_speed.pyx":92
- *     mm.keys = <unsigned long long*> malloc(new_size * sizeof(unsigned long long))
- *     mm.full = <unsigned char*> calloc(new_size, 1)
- *     if mm.keys == NULL or mm.full == NULL:             # <<<<<<<<<<<<<<
- *         mm.keys = old_keys
- *         mm.full = old_full
-*/
-  __pyx_t_4 = (__pyx_v_mm->keys == NULL);
-  if (!__pyx_t_4) {
-  } else {
-    __pyx_t_3 = __pyx_t_4;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_4 = (__pyx_v_mm->full == NULL);
-  __pyx_t_3 = __pyx_t_4;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_3)) {
-
-    /* "cordant/_kernel/_speed.pyx":93
- *     mm.full = <unsigned char*> calloc(new_size, 1)
- *     if mm.keys == NULL or mm.full == NULL:
- *         mm.keys = old_keys             # <<<<<<<<<<<<<<
- *         mm.full = old_full
- *         raise MemoryError()
-*/
-    __pyx_v_mm->keys = __pyx_v_old_keys;
-
-    /* "cordant/_kernel/_speed.pyx":94
- *     if mm.keys == NULL or mm.full == NULL:
- *         mm.keys = old_keys
- *         mm.full = old_full             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     mm.mask = new_size - 1
-*/
-    __pyx_v_mm->full = __pyx_v_old_full;
-
-    /* "cordant/_kernel/_speed.pyx":95
- *         mm.keys = old_keys
- *         mm.full = old_full
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     mm.mask = new_size - 1
- *     cdef size_t i, j
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 95, __pyx_L1_error)
-
-    /* "cordant/_kernel/_speed.pyx":92
- *     mm.keys = <unsigned long long*> malloc(new_size * sizeof(unsigned long long))
- *     mm.full = <unsigned char*> calloc(new_size, 1)
- *     if mm.keys == NULL or mm.full == NULL:             # <<<<<<<<<<<<<<
- *         mm.keys = old_keys
- *         mm.full = old_full
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":96
- *         mm.full = old_full
- *         raise MemoryError()
- *     mm.mask = new_size - 1             # <<<<<<<<<<<<<<
- *     cdef size_t i, j
- *     for i in range(old_size):
-*/
-  __pyx_v_mm->mask = (__pyx_v_new_size - 1);
-
-  /* "cordant/_kernel/_speed.pyx":98
- *     mm.mask = new_size - 1
- *     cdef size_t i, j
- *     for i in range(old_size):             # <<<<<<<<<<<<<<
- *         if old_full[i]:
- *             j = _memo_slot(mm, old_keys[i])
-*/
-  __pyx_t_5 = __pyx_v_old_size;
-  __pyx_t_6 = __pyx_t_5;
-  for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-    __pyx_v_i = __pyx_t_7;
-
-    /* "cordant/_kernel/_speed.pyx":99
- *     cdef size_t i, j
- *     for i in range(old_size):
- *         if old_full[i]:             # <<<<<<<<<<<<<<
- *             j = _memo_slot(mm, old_keys[i])
- *             mm.keys[j] = old_keys[i]
-*/
-    __pyx_t_3 = ((__pyx_v_old_full[__pyx_v_i]) != 0);
-    if (__pyx_t_3) {
-
-      /* "cordant/_kernel/_speed.pyx":100
- *     for i in range(old_size):
- *         if old_full[i]:
- *             j = _memo_slot(mm, old_keys[i])             # <<<<<<<<<<<<<<
- *             mm.keys[j] = old_keys[i]
- *             mm.full[j] = 1
-*/
-      __pyx_v_j = __pyx_f_7cordant_7_kernel_6_speed__memo_slot(__pyx_v_mm, (__pyx_v_old_keys[__pyx_v_i]));
-
-      /* "cordant/_kernel/_speed.pyx":101
- *         if old_full[i]:
- *             j = _memo_slot(mm, old_keys[i])
- *             mm.keys[j] = old_keys[i]             # <<<<<<<<<<<<<<
- *             mm.full[j] = 1
- *     free(old_keys)
-*/
-      (__pyx_v_mm->keys[__pyx_v_j]) = (__pyx_v_old_keys[__pyx_v_i]);
-
-      /* "cordant/_kernel/_speed.pyx":102
- *             j = _memo_slot(mm, old_keys[i])
- *             mm.keys[j] = old_keys[i]
- *             mm.full[j] = 1             # <<<<<<<<<<<<<<
- *     free(old_keys)
- *     free(old_full)
-*/
-      (__pyx_v_mm->full[__pyx_v_j]) = 1;
-
-      /* "cordant/_kernel/_speed.pyx":99
- *     cdef size_t i, j
- *     for i in range(old_size):
- *         if old_full[i]:             # <<<<<<<<<<<<<<
- *             j = _memo_slot(mm, old_keys[i])
- *             mm.keys[j] = old_keys[i]
-*/
-    }
-  }
-
-  /* "cordant/_kernel/_speed.pyx":103
- *             mm.keys[j] = old_keys[i]
- *             mm.full[j] = 1
- *     free(old_keys)             # <<<<<<<<<<<<<<
- *     free(old_full)
- *     return 0
-*/
-  free(__pyx_v_old_keys);
-
-  /* "cordant/_kernel/_speed.pyx":104
- *             mm.full[j] = 1
- *     free(old_keys)
- *     free(old_full)             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-  free(__pyx_v_old_full);
-
-  /* "cordant/_kernel/_speed.pyx":105
- *     free(old_keys)
- *     free(old_full)
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * cdef int _memo_add(Memo* mm, unsigned long long key) except -1:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":85
- *     return mm.full[_memo_slot(mm, key)]
- * 
- * cdef int _memo_grow(Memo* mm) except -1:             # <<<<<<<<<<<<<<
- *     cdef size_t old_size = mm.mask + 1
- *     cdef size_t new_size = old_size << 1
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cordant._kernel._speed._memo_grow", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":107
- *     return 0
- * 
- * cdef int _memo_add(Memo* mm, unsigned long long key) except -1:             # <<<<<<<<<<<<<<
- *     if mm.entries >= mm.limit:
- *         return 0
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__memo_add(struct __pyx_t_7cordant_7_kernel_6_speed_Memo *__pyx_v_mm, unsigned PY_LONG_LONG __pyx_v_key) {
-  size_t __pyx_v_size;
-  size_t __pyx_v_i;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cordant/_kernel/_speed.pyx":108
- * 
- * cdef int _memo_add(Memo* mm, unsigned long long key) except -1:
- *     if mm.entries >= mm.limit:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef size_t size = mm.mask + 1
-*/
-  __pyx_t_1 = (__pyx_v_mm->entries >= __pyx_v_mm->limit);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":109
- * cdef int _memo_add(Memo* mm, unsigned long long key) except -1:
- *     if mm.entries >= mm.limit:
- *         return 0             # <<<<<<<<<<<<<<
- *     cdef size_t size = mm.mask + 1
- *     if (mm.entries + 1) * 2 > size and size < MEMO_MAX_SLOTS:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":108
- * 
- * cdef int _memo_add(Memo* mm, unsigned long long key) except -1:
- *     if mm.entries >= mm.limit:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef size_t size = mm.mask + 1
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":110
- *     if mm.entries >= mm.limit:
- *         return 0
- *     cdef size_t size = mm.mask + 1             # <<<<<<<<<<<<<<
- *     if (mm.entries + 1) * 2 > size and size < MEMO_MAX_SLOTS:
- *         _memo_grow(mm)
-*/
-  __pyx_v_size = (__pyx_v_mm->mask + 1);
-
-  /* "cordant/_kernel/_speed.pyx":111
- *         return 0
- *     cdef size_t size = mm.mask + 1
- *     if (mm.entries + 1) * 2 > size and size < MEMO_MAX_SLOTS:             # <<<<<<<<<<<<<<
- *         _memo_grow(mm)
- *     cdef size_t i = _memo_slot(mm, key)
-*/
-  __pyx_t_2 = (((__pyx_v_mm->entries + 1) * 2) > __pyx_v_size);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_size < __pyx_v_7cordant_7_kernel_6_speed_MEMO_MAX_SLOTS);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L5_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":112
- *     cdef size_t size = mm.mask + 1
- *     if (mm.entries + 1) * 2 > size and size < MEMO_MAX_SLOTS:
- *         _memo_grow(mm)             # <<<<<<<<<<<<<<
- *     cdef size_t i = _memo_slot(mm, key)
- *     if not mm.full[i]:
-*/
-    __pyx_t_3 = __pyx_f_7cordant_7_kernel_6_speed__memo_grow(__pyx_v_mm); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 112, __pyx_L1_error)
-
-    /* "cordant/_kernel/_speed.pyx":111
- *         return 0
- *     cdef size_t size = mm.mask + 1
- *     if (mm.entries + 1) * 2 > size and size < MEMO_MAX_SLOTS:             # <<<<<<<<<<<<<<
- *         _memo_grow(mm)
- *     cdef size_t i = _memo_slot(mm, key)
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":113
- *     if (mm.entries + 1) * 2 > size and size < MEMO_MAX_SLOTS:
- *         _memo_grow(mm)
- *     cdef size_t i = _memo_slot(mm, key)             # <<<<<<<<<<<<<<
- *     if not mm.full[i]:
- *         mm.keys[i] = key
-*/
-  __pyx_v_i = __pyx_f_7cordant_7_kernel_6_speed__memo_slot(__pyx_v_mm, __pyx_v_key);
-
-  /* "cordant/_kernel/_speed.pyx":114
- *         _memo_grow(mm)
- *     cdef size_t i = _memo_slot(mm, key)
- *     if not mm.full[i]:             # <<<<<<<<<<<<<<
- *         mm.keys[i] = key
- *         mm.full[i] = 1
-*/
-  __pyx_t_1 = (!((__pyx_v_mm->full[__pyx_v_i]) != 0));
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":115
- *     cdef size_t i = _memo_slot(mm, key)
- *     if not mm.full[i]:
- *         mm.keys[i] = key             # <<<<<<<<<<<<<<
- *         mm.full[i] = 1
- *         mm.entries += 1
-*/
-    (__pyx_v_mm->keys[__pyx_v_i]) = __pyx_v_key;
-
-    /* "cordant/_kernel/_speed.pyx":116
- *     if not mm.full[i]:
- *         mm.keys[i] = key
- *         mm.full[i] = 1             # <<<<<<<<<<<<<<
- *         mm.entries += 1
- *     return 0
-*/
-    (__pyx_v_mm->full[__pyx_v_i]) = 1;
-
-    /* "cordant/_kernel/_speed.pyx":117
- *         mm.keys[i] = key
- *         mm.full[i] = 1
- *         mm.entries += 1             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-    __pyx_v_mm->entries = (__pyx_v_mm->entries + 1);
-
-    /* "cordant/_kernel/_speed.pyx":114
- *         _memo_grow(mm)
- *     cdef size_t i = _memo_slot(mm, key)
- *     if not mm.full[i]:             # <<<<<<<<<<<<<<
- *         mm.keys[i] = key
- *         mm.full[i] = 1
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":118
- *         mm.full[i] = 1
- *         mm.entries += 1
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":107
- *     return 0
- * 
- * cdef int _memo_add(Memo* mm, unsigned long long key) except -1:             # <<<<<<<<<<<<<<
- *     if mm.entries >= mm.limit:
- *         return 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cordant._kernel._speed._memo_add", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":153
- * 
- * 
- * cdef inline unsigned long long _chain_pack(Chain* ch, int j, int prev) noexcept:             # <<<<<<<<<<<<<<
- *     cdef unsigned long long key = <unsigned long long> j
- *     key = (key << ch.bits_lab) | <unsigned long long> prev
-*/
-
-static CYTHON_INLINE unsigned PY_LONG_LONG __pyx_f_7cordant_7_kernel_6_speed__chain_pack(struct __pyx_t_7cordant_7_kernel_6_speed_Chain *__pyx_v_ch, int __pyx_v_j, int __pyx_v_prev) {
-  unsigned PY_LONG_LONG __pyx_v_key;
-  int __pyx_v_a;
-  unsigned PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "cordant/_kernel/_speed.pyx":154
- * 
- * cdef inline unsigned long long _chain_pack(Chain* ch, int j, int prev) noexcept:
- *     cdef unsigned long long key = <unsigned long long> j             # <<<<<<<<<<<<<<
- *     key = (key << ch.bits_lab) | <unsigned long long> prev
- *     if ch.cyclic:
-*/
-  __pyx_v_key = ((unsigned PY_LONG_LONG)__pyx_v_j);
-
-  /* "cordant/_kernel/_speed.pyx":155
- * cdef inline unsigned long long _chain_pack(Chain* ch, int j, int prev) noexcept:
- *     cdef unsigned long long key = <unsigned long long> j
- *     key = (key << ch.bits_lab) | <unsigned long long> prev             # <<<<<<<<<<<<<<
- *     if ch.cyclic:
- *         key = (key << ch.bits_lab) | <unsigned long long> ch.assign[0]
-*/
-  __pyx_v_key = ((__pyx_v_key << __pyx_v_ch->bits_lab) | ((unsigned PY_LONG_LONG)__pyx_v_prev));
-
-  /* "cordant/_kernel/_speed.pyx":156
- *     cdef unsigned long long key = <unsigned long long> j
- *     key = (key << ch.bits_lab) | <unsigned long long> prev
- *     if ch.cyclic:             # <<<<<<<<<<<<<<
- *         key = (key << ch.bits_lab) | <unsigned long long> ch.assign[0]
- *     cdef int a
-*/
-  if (__pyx_v_ch->cyclic) {
-
-    /* "cordant/_kernel/_speed.pyx":157
- *     key = (key << ch.bits_lab) | <unsigned long long> prev
- *     if ch.cyclic:
- *         key = (key << ch.bits_lab) | <unsigned long long> ch.assign[0]             # <<<<<<<<<<<<<<
- *     cdef int a
- *     for a in range(ch.m):
-*/
-    __pyx_v_key = ((__pyx_v_key << __pyx_v_ch->bits_lab) | ((unsigned PY_LONG_LONG)(__pyx_v_ch->assign[0])));
-
-    /* "cordant/_kernel/_speed.pyx":156
- *     cdef unsigned long long key = <unsigned long long> j
- *     key = (key << ch.bits_lab) | <unsigned long long> prev
- *     if ch.cyclic:             # <<<<<<<<<<<<<<
- *         key = (key << ch.bits_lab) | <unsigned long long> ch.assign[0]
- *     cdef int a
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":159
- *         key = (key << ch.bits_lab) | <unsigned long long> ch.assign[0]
- *     cdef int a
- *     for a in range(ch.m):             # <<<<<<<<<<<<<<
- *         key = (key << ch.bits_sc) | <unsigned long long> ch.scount[a]
- *     for a in range(ch.m):
-*/
-  __pyx_t_1 = __pyx_v_ch->m;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_a = __pyx_t_3;
-
-    /* "cordant/_kernel/_speed.pyx":160
- *     cdef int a
- *     for a in range(ch.m):
- *         key = (key << ch.bits_sc) | <unsigned long long> ch.scount[a]             # <<<<<<<<<<<<<<
- *     for a in range(ch.m):
- *         key = (key << ch.bits_dc) | <unsigned long long> ch.dcount[a]
-*/
-    __pyx_v_key = ((__pyx_v_key << __pyx_v_ch->bits_sc) | ((unsigned PY_LONG_LONG)(__pyx_v_ch->scount[__pyx_v_a])));
-  }
-
-  /* "cordant/_kernel/_speed.pyx":161
- *     for a in range(ch.m):
- *         key = (key << ch.bits_sc) | <unsigned long long> ch.scount[a]
- *     for a in range(ch.m):             # <<<<<<<<<<<<<<
- *         key = (key << ch.bits_dc) | <unsigned long long> ch.dcount[a]
- *     return key
-*/
-  __pyx_t_1 = __pyx_v_ch->m;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_a = __pyx_t_3;
-
-    /* "cordant/_kernel/_speed.pyx":162
- *         key = (key << ch.bits_sc) | <unsigned long long> ch.scount[a]
- *     for a in range(ch.m):
- *         key = (key << ch.bits_dc) | <unsigned long long> ch.dcount[a]             # <<<<<<<<<<<<<<
- *     return key
- * 
-*/
-    __pyx_v_key = ((__pyx_v_key << __pyx_v_ch->bits_dc) | ((unsigned PY_LONG_LONG)(__pyx_v_ch->dcount[__pyx_v_a])));
-  }
-
-  /* "cordant/_kernel/_speed.pyx":163
- *     for a in range(ch.m):
- *         key = (key << ch.bits_dc) | <unsigned long long> ch.dcount[a]
- *     return key             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_key;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":153
- * 
- * 
- * cdef inline unsigned long long _chain_pack(Chain* ch, int j, int prev) noexcept:             # <<<<<<<<<<<<<<
- *     cdef unsigned long long key = <unsigned long long> j
- *     key = (key << ch.bits_lab) | <unsigned long long> prev
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":166
- * 
- * 
- * cdef int _chain_place(Chain* ch, int i, int x) noexcept:             # <<<<<<<<<<<<<<
- *     if ch.scount[x] >= ch.slot_cap[x]:
- *         return -1
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__chain_place(struct __pyx_t_7cordant_7_kernel_6_speed_Chain *__pyx_v_ch, int __pyx_v_i, int __pyx_v_x) {
-  int *__pyx_v_comps;
-  int __pyx_v_n;
-  int __pyx_v_applied;
-  int __pyx_v_t;
-  int __pyx_v_c;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-
-  /* "cordant/_kernel/_speed.pyx":167
- * 
- * cdef int _chain_place(Chain* ch, int i, int x) noexcept:
- *     if ch.scount[x] >= ch.slot_cap[x]:             # <<<<<<<<<<<<<<
- *         return -1
- *     cdef int* comps = ch.comps + 2 * i
-*/
-  __pyx_t_1 = ((__pyx_v_ch->scount[__pyx_v_x]) >= (__pyx_v_ch->slot_cap[__pyx_v_x]));
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":168
- * cdef int _chain_place(Chain* ch, int i, int x) noexcept:
- *     if ch.scount[x] >= ch.slot_cap[x]:
- *         return -1             # <<<<<<<<<<<<<<
- *     cdef int* comps = ch.comps + 2 * i
- *     cdef int n = 0
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":167
- * 
- * cdef int _chain_place(Chain* ch, int i, int x) noexcept:
- *     if ch.scount[x] >= ch.slot_cap[x]:             # <<<<<<<<<<<<<<
- *         return -1
- *     cdef int* comps = ch.comps + 2 * i
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":169
- *     if ch.scount[x] >= ch.slot_cap[x]:
- *         return -1
- *     cdef int* comps = ch.comps + 2 * i             # <<<<<<<<<<<<<<
- *     cdef int n = 0
- *     if i == 0:
-*/
-  __pyx_v_comps = (__pyx_v_ch->comps + (2 * __pyx_v_i));
-
-  /* "cordant/_kernel/_speed.pyx":170
- *         return -1
- *     cdef int* comps = ch.comps + 2 * i
- *     cdef int n = 0             # <<<<<<<<<<<<<<
- *     if i == 0:
- *         if ch.start_singleton:
-*/
-  __pyx_v_n = 0;
-
-  /* "cordant/_kernel/_speed.pyx":171
- *     cdef int* comps = ch.comps + 2 * i
- *     cdef int n = 0
- *     if i == 0:             # <<<<<<<<<<<<<<
- *         if ch.start_singleton:
- *             comps[0] = x
-*/
-  __pyx_t_1 = (__pyx_v_i == 0);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":172
- *     cdef int n = 0
- *     if i == 0:
- *         if ch.start_singleton:             # <<<<<<<<<<<<<<
- *             comps[0] = x
- *             n = 1
-*/
-    if (__pyx_v_ch->start_singleton) {
-
-      /* "cordant/_kernel/_speed.pyx":173
- *     if i == 0:
- *         if ch.start_singleton:
- *             comps[0] = x             # <<<<<<<<<<<<<<
- *             n = 1
- *     else:
-*/
-      (__pyx_v_comps[0]) = __pyx_v_x;
-
-      /* "cordant/_kernel/_speed.pyx":174
- *         if ch.start_singleton:
- *             comps[0] = x
- *             n = 1             # <<<<<<<<<<<<<<
- *     else:
- *         comps[0] = ch.add_t[ch.assign[i - 1] * ch.m + x]
-*/
-      __pyx_v_n = 1;
-
-      /* "cordant/_kernel/_speed.pyx":172
- *     cdef int n = 0
- *     if i == 0:
- *         if ch.start_singleton:             # <<<<<<<<<<<<<<
- *             comps[0] = x
- *             n = 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":171
- *     cdef int* comps = ch.comps + 2 * i
- *     cdef int n = 0
- *     if i == 0:             # <<<<<<<<<<<<<<
- *         if ch.start_singleton:
- *             comps[0] = x
-*/
-    goto __pyx_L4;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":176
- *             n = 1
- *     else:
- *         comps[0] = ch.add_t[ch.assign[i - 1] * ch.m + x]             # <<<<<<<<<<<<<<
- *         n = 1
- *     if i == ch.s - 1:
-*/
-  /*else*/ {
-    (__pyx_v_comps[0]) = (__pyx_v_ch->add_t[(((__pyx_v_ch->assign[(__pyx_v_i - 1)]) * __pyx_v_ch->m) + __pyx_v_x)]);
-
-    /* "cordant/_kernel/_speed.pyx":177
- *     else:
- *         comps[0] = ch.add_t[ch.assign[i - 1] * ch.m + x]
- *         n = 1             # <<<<<<<<<<<<<<
- *     if i == ch.s - 1:
- *         if ch.cyclic:
-*/
-    __pyx_v_n = 1;
-  }
-  __pyx_L4:;
-
-  /* "cordant/_kernel/_speed.pyx":178
- *         comps[0] = ch.add_t[ch.assign[i - 1] * ch.m + x]
- *         n = 1
- *     if i == ch.s - 1:             # <<<<<<<<<<<<<<
- *         if ch.cyclic:
- *             comps[n] = ch.add_t[x * ch.m + ch.assign[0]]
-*/
-  __pyx_t_1 = (__pyx_v_i == (__pyx_v_ch->s - 1));
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":179
- *         n = 1
- *     if i == ch.s - 1:
- *         if ch.cyclic:             # <<<<<<<<<<<<<<
- *             comps[n] = ch.add_t[x * ch.m + ch.assign[0]]
- *             n += 1
-*/
-    if (__pyx_v_ch->cyclic) {
-
-      /* "cordant/_kernel/_speed.pyx":180
- *     if i == ch.s - 1:
- *         if ch.cyclic:
- *             comps[n] = ch.add_t[x * ch.m + ch.assign[0]]             # <<<<<<<<<<<<<<
- *             n += 1
- *         if ch.end_singleton:
-*/
-      (__pyx_v_comps[__pyx_v_n]) = (__pyx_v_ch->add_t[((__pyx_v_x * __pyx_v_ch->m) + (__pyx_v_ch->assign[0]))]);
-
-      /* "cordant/_kernel/_speed.pyx":181
- *         if ch.cyclic:
- *             comps[n] = ch.add_t[x * ch.m + ch.assign[0]]
- *             n += 1             # <<<<<<<<<<<<<<
- *         if ch.end_singleton:
- *             comps[n] = x
-*/
-      __pyx_v_n = (__pyx_v_n + 1);
-
-      /* "cordant/_kernel/_speed.pyx":179
- *         n = 1
- *     if i == ch.s - 1:
- *         if ch.cyclic:             # <<<<<<<<<<<<<<
- *             comps[n] = ch.add_t[x * ch.m + ch.assign[0]]
- *             n += 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":182
- *             comps[n] = ch.add_t[x * ch.m + ch.assign[0]]
- *             n += 1
- *         if ch.end_singleton:             # <<<<<<<<<<<<<<
- *             comps[n] = x
- *             n += 1
-*/
-    if (__pyx_v_ch->end_singleton) {
-
-      /* "cordant/_kernel/_speed.pyx":183
- *             n += 1
- *         if ch.end_singleton:
- *             comps[n] = x             # <<<<<<<<<<<<<<
- *             n += 1
- *     cdef int applied = 0
-*/
-      (__pyx_v_comps[__pyx_v_n]) = __pyx_v_x;
-
-      /* "cordant/_kernel/_speed.pyx":184
- *         if ch.end_singleton:
- *             comps[n] = x
- *             n += 1             # <<<<<<<<<<<<<<
- *     cdef int applied = 0
- *     cdef int t, c
-*/
-      __pyx_v_n = (__pyx_v_n + 1);
-
-      /* "cordant/_kernel/_speed.pyx":182
- *             comps[n] = ch.add_t[x * ch.m + ch.assign[0]]
- *             n += 1
- *         if ch.end_singleton:             # <<<<<<<<<<<<<<
- *             comps[n] = x
- *             n += 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":178
- *         comps[0] = ch.add_t[ch.assign[i - 1] * ch.m + x]
- *         n = 1
- *     if i == ch.s - 1:             # <<<<<<<<<<<<<<
- *         if ch.cyclic:
- *             comps[n] = ch.add_t[x * ch.m + ch.assign[0]]
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":185
- *             comps[n] = x
- *             n += 1
- *     cdef int applied = 0             # <<<<<<<<<<<<<<
- *     cdef int t, c
- *     for t in range(n):
-*/
-  __pyx_v_applied = 0;
-
-  /* "cordant/_kernel/_speed.pyx":187
- *     cdef int applied = 0
- *     cdef int t, c
- *     for t in range(n):             # <<<<<<<<<<<<<<
- *         c = comps[t]
- *         if ch.dcount[c] >= ch.dcap[c]:
-*/
-  __pyx_t_2 = __pyx_v_n;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_t = __pyx_t_4;
-
-    /* "cordant/_kernel/_speed.pyx":188
- *     cdef int t, c
- *     for t in range(n):
- *         c = comps[t]             # <<<<<<<<<<<<<<
- *         if ch.dcount[c] >= ch.dcap[c]:
- *             break
-*/
-    __pyx_v_c = (__pyx_v_comps[__pyx_v_t]);
-
-    /* "cordant/_kernel/_speed.pyx":189
- *     for t in range(n):
- *         c = comps[t]
- *         if ch.dcount[c] >= ch.dcap[c]:             # <<<<<<<<<<<<<<
- *             break
- *         ch.dcount[c] += 1
-*/
-    __pyx_t_1 = ((__pyx_v_ch->dcount[__pyx_v_c]) >= (__pyx_v_ch->dcap[__pyx_v_c]));
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":190
- *         c = comps[t]
- *         if ch.dcount[c] >= ch.dcap[c]:
- *             break             # <<<<<<<<<<<<<<
- *         ch.dcount[c] += 1
- *         if ch.dcount[c] <= ch.dfloor[c]:
-*/
-      goto __pyx_L10_break;
-
-      /* "cordant/_kernel/_speed.pyx":189
- *     for t in range(n):
- *         c = comps[t]
- *         if ch.dcount[c] >= ch.dcap[c]:             # <<<<<<<<<<<<<<
- *             break
- *         ch.dcount[c] += 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":191
- *         if ch.dcount[c] >= ch.dcap[c]:
- *             break
- *         ch.dcount[c] += 1             # <<<<<<<<<<<<<<
- *         if ch.dcount[c] <= ch.dfloor[c]:
- *             ch.ddef -= 1
-*/
-    __pyx_t_5 = __pyx_v_c;
-    (__pyx_v_ch->dcount[__pyx_t_5]) = ((__pyx_v_ch->dcount[__pyx_t_5]) + 1);
-
-    /* "cordant/_kernel/_speed.pyx":192
- *             break
- *         ch.dcount[c] += 1
- *         if ch.dcount[c] <= ch.dfloor[c]:             # <<<<<<<<<<<<<<
- *             ch.ddef -= 1
- *         applied += 1
-*/
-    __pyx_t_1 = ((__pyx_v_ch->dcount[__pyx_v_c]) <= (__pyx_v_ch->dfloor[__pyx_v_c]));
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":193
- *         ch.dcount[c] += 1
- *         if ch.dcount[c] <= ch.dfloor[c]:
- *             ch.ddef -= 1             # <<<<<<<<<<<<<<
- *         applied += 1
- *     if applied < n:
-*/
-      __pyx_v_ch->ddef = (__pyx_v_ch->ddef - 1);
-
-      /* "cordant/_kernel/_speed.pyx":192
- *             break
- *         ch.dcount[c] += 1
- *         if ch.dcount[c] <= ch.dfloor[c]:             # <<<<<<<<<<<<<<
- *             ch.ddef -= 1
- *         applied += 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":194
- *         if ch.dcount[c] <= ch.dfloor[c]:
- *             ch.ddef -= 1
- *         applied += 1             # <<<<<<<<<<<<<<
- *     if applied < n:
- *         for t in range(applied - 1, -1, -1):
-*/
-    __pyx_v_applied = (__pyx_v_applied + 1);
-  }
-  __pyx_L10_break:;
-
-  /* "cordant/_kernel/_speed.pyx":195
- *             ch.ddef -= 1
- *         applied += 1
- *     if applied < n:             # <<<<<<<<<<<<<<
- *         for t in range(applied - 1, -1, -1):
- *             c = comps[t]
-*/
-  __pyx_t_1 = (__pyx_v_applied < __pyx_v_n);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":196
- *         applied += 1
- *     if applied < n:
- *         for t in range(applied - 1, -1, -1):             # <<<<<<<<<<<<<<
- *             c = comps[t]
- *             if ch.dcount[c] <= ch.dfloor[c]:
-*/
-    for (__pyx_t_2 = (__pyx_v_applied - 1); __pyx_t_2 > -1; __pyx_t_2-=1) {
-      __pyx_v_t = __pyx_t_2;
-
-      /* "cordant/_kernel/_speed.pyx":197
- *     if applied < n:
- *         for t in range(applied - 1, -1, -1):
- *             c = comps[t]             # <<<<<<<<<<<<<<
- *             if ch.dcount[c] <= ch.dfloor[c]:
- *                 ch.ddef += 1
-*/
-      __pyx_v_c = (__pyx_v_comps[__pyx_v_t]);
-
-      /* "cordant/_kernel/_speed.pyx":198
- *         for t in range(applied - 1, -1, -1):
- *             c = comps[t]
- *             if ch.dcount[c] <= ch.dfloor[c]:             # <<<<<<<<<<<<<<
- *                 ch.ddef += 1
- *             ch.dcount[c] -= 1
-*/
-      __pyx_t_1 = ((__pyx_v_ch->dcount[__pyx_v_c]) <= (__pyx_v_ch->dfloor[__pyx_v_c]));
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":199
- *             c = comps[t]
- *             if ch.dcount[c] <= ch.dfloor[c]:
- *                 ch.ddef += 1             # <<<<<<<<<<<<<<
- *             ch.dcount[c] -= 1
- *         return -1
-*/
-        __pyx_v_ch->ddef = (__pyx_v_ch->ddef + 1);
-
-        /* "cordant/_kernel/_speed.pyx":198
- *         for t in range(applied - 1, -1, -1):
- *             c = comps[t]
- *             if ch.dcount[c] <= ch.dfloor[c]:             # <<<<<<<<<<<<<<
- *                 ch.ddef += 1
- *             ch.dcount[c] -= 1
-*/
-      }
-
-      /* "cordant/_kernel/_speed.pyx":200
- *             if ch.dcount[c] <= ch.dfloor[c]:
- *                 ch.ddef += 1
- *             ch.dcount[c] -= 1             # <<<<<<<<<<<<<<
- *         return -1
- *     ch.scount[x] += 1
-*/
-      __pyx_t_3 = __pyx_v_c;
-      (__pyx_v_ch->dcount[__pyx_t_3]) = ((__pyx_v_ch->dcount[__pyx_t_3]) - 1);
-    }
-
-    /* "cordant/_kernel/_speed.pyx":201
- *                 ch.ddef += 1
- *             ch.dcount[c] -= 1
- *         return -1             # <<<<<<<<<<<<<<
- *     ch.scount[x] += 1
- *     if ch.scount[x] <= ch.slot_floor[x]:
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":195
- *             ch.ddef -= 1
- *         applied += 1
- *     if applied < n:             # <<<<<<<<<<<<<<
- *         for t in range(applied - 1, -1, -1):
- *             c = comps[t]
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":202
- *             ch.dcount[c] -= 1
- *         return -1
- *     ch.scount[x] += 1             # <<<<<<<<<<<<<<
- *     if ch.scount[x] <= ch.slot_floor[x]:
- *         ch.sdef -= 1
-*/
-  __pyx_t_2 = __pyx_v_x;
-  (__pyx_v_ch->scount[__pyx_t_2]) = ((__pyx_v_ch->scount[__pyx_t_2]) + 1);
-
-  /* "cordant/_kernel/_speed.pyx":203
- *         return -1
- *     ch.scount[x] += 1
- *     if ch.scount[x] <= ch.slot_floor[x]:             # <<<<<<<<<<<<<<
- *         ch.sdef -= 1
- *     ch.assign[i] = x
-*/
-  __pyx_t_1 = ((__pyx_v_ch->scount[__pyx_v_x]) <= (__pyx_v_ch->slot_floor[__pyx_v_x]));
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":204
- *     ch.scount[x] += 1
- *     if ch.scount[x] <= ch.slot_floor[x]:
- *         ch.sdef -= 1             # <<<<<<<<<<<<<<
- *     ch.assign[i] = x
- *     ch.ncomp[i] = n
-*/
-    __pyx_v_ch->sdef = (__pyx_v_ch->sdef - 1);
-
-    /* "cordant/_kernel/_speed.pyx":203
- *         return -1
- *     ch.scount[x] += 1
- *     if ch.scount[x] <= ch.slot_floor[x]:             # <<<<<<<<<<<<<<
- *         ch.sdef -= 1
- *     ch.assign[i] = x
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":205
- *     if ch.scount[x] <= ch.slot_floor[x]:
- *         ch.sdef -= 1
- *     ch.assign[i] = x             # <<<<<<<<<<<<<<
- *     ch.ncomp[i] = n
- *     if ch.sdef > ch.s - i - 1 or ch.ddef > ch.remaining_at[i + 1]:
-*/
-  (__pyx_v_ch->assign[__pyx_v_i]) = __pyx_v_x;
-
-  /* "cordant/_kernel/_speed.pyx":206
- *         ch.sdef -= 1
- *     ch.assign[i] = x
- *     ch.ncomp[i] = n             # <<<<<<<<<<<<<<
- *     if ch.sdef > ch.s - i - 1 or ch.ddef > ch.remaining_at[i + 1]:
- *         _chain_unplace(ch, i, x)
-*/
-  (__pyx_v_ch->ncomp[__pyx_v_i]) = __pyx_v_n;
-
-  /* "cordant/_kernel/_speed.pyx":207
- *     ch.assign[i] = x
- *     ch.ncomp[i] = n
- *     if ch.sdef > ch.s - i - 1 or ch.ddef > ch.remaining_at[i + 1]:             # <<<<<<<<<<<<<<
- *         _chain_unplace(ch, i, x)
- *         return -1
-*/
-  __pyx_t_6 = (__pyx_v_ch->sdef > ((__pyx_v_ch->s - __pyx_v_i) - 1));
-  if (!__pyx_t_6) {
-  } else {
-    __pyx_t_1 = __pyx_t_6;
-    goto __pyx_L19_bool_binop_done;
-  }
-  __pyx_t_6 = (__pyx_v_ch->ddef > (__pyx_v_ch->remaining_at[(__pyx_v_i + 1)]));
-  __pyx_t_1 = __pyx_t_6;
-  __pyx_L19_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":208
- *     ch.ncomp[i] = n
- *     if ch.sdef > ch.s - i - 1 or ch.ddef > ch.remaining_at[i + 1]:
- *         _chain_unplace(ch, i, x)             # <<<<<<<<<<<<<<
- *         return -1
- *     return n
-*/
-    __pyx_f_7cordant_7_kernel_6_speed__chain_unplace(__pyx_v_ch, __pyx_v_i, __pyx_v_x);
-
-    /* "cordant/_kernel/_speed.pyx":209
- *     if ch.sdef > ch.s - i - 1 or ch.ddef > ch.remaining_at[i + 1]:
- *         _chain_unplace(ch, i, x)
- *         return -1             # <<<<<<<<<<<<<<
- *     return n
- * 
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":207
- *     ch.assign[i] = x
- *     ch.ncomp[i] = n
- *     if ch.sdef > ch.s - i - 1 or ch.ddef > ch.remaining_at[i + 1]:             # <<<<<<<<<<<<<<
- *         _chain_unplace(ch, i, x)
- *         return -1
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":210
- *         _chain_unplace(ch, i, x)
- *         return -1
- *     return n             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_n;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":166
- * 
- * 
- * cdef int _chain_place(Chain* ch, int i, int x) noexcept:             # <<<<<<<<<<<<<<
- *     if ch.scount[x] >= ch.slot_cap[x]:
- *         return -1
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":213
- * 
- * 
- * cdef void _chain_unplace(Chain* ch, int i, int x) noexcept:             # <<<<<<<<<<<<<<
- *     if ch.scount[x] <= ch.slot_floor[x]:
- *         ch.sdef += 1
-*/
-
-static void __pyx_f_7cordant_7_kernel_6_speed__chain_unplace(struct __pyx_t_7cordant_7_kernel_6_speed_Chain *__pyx_v_ch, int __pyx_v_i, int __pyx_v_x) {
-  int *__pyx_v_comps;
-  int __pyx_v_t;
-  int __pyx_v_c;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "cordant/_kernel/_speed.pyx":214
- * 
- * cdef void _chain_unplace(Chain* ch, int i, int x) noexcept:
- *     if ch.scount[x] <= ch.slot_floor[x]:             # <<<<<<<<<<<<<<
- *         ch.sdef += 1
- *     ch.scount[x] -= 1
-*/
-  __pyx_t_1 = ((__pyx_v_ch->scount[__pyx_v_x]) <= (__pyx_v_ch->slot_floor[__pyx_v_x]));
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":215
- * cdef void _chain_unplace(Chain* ch, int i, int x) noexcept:
- *     if ch.scount[x] <= ch.slot_floor[x]:
- *         ch.sdef += 1             # <<<<<<<<<<<<<<
- *     ch.scount[x] -= 1
- *     ch.assign[i] = -1
-*/
-    __pyx_v_ch->sdef = (__pyx_v_ch->sdef + 1);
-
-    /* "cordant/_kernel/_speed.pyx":214
- * 
- * cdef void _chain_unplace(Chain* ch, int i, int x) noexcept:
- *     if ch.scount[x] <= ch.slot_floor[x]:             # <<<<<<<<<<<<<<
- *         ch.sdef += 1
- *     ch.scount[x] -= 1
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":216
- *     if ch.scount[x] <= ch.slot_floor[x]:
- *         ch.sdef += 1
- *     ch.scount[x] -= 1             # <<<<<<<<<<<<<<
- *     ch.assign[i] = -1
- *     cdef int* comps = ch.comps + 2 * i
-*/
-  __pyx_t_2 = __pyx_v_x;
-  (__pyx_v_ch->scount[__pyx_t_2]) = ((__pyx_v_ch->scount[__pyx_t_2]) - 1);
-
-  /* "cordant/_kernel/_speed.pyx":217
- *         ch.sdef += 1
- *     ch.scount[x] -= 1
- *     ch.assign[i] = -1             # <<<<<<<<<<<<<<
- *     cdef int* comps = ch.comps + 2 * i
- *     cdef int t, c
-*/
-  (__pyx_v_ch->assign[__pyx_v_i]) = -1;
-
-  /* "cordant/_kernel/_speed.pyx":218
- *     ch.scount[x] -= 1
- *     ch.assign[i] = -1
- *     cdef int* comps = ch.comps + 2 * i             # <<<<<<<<<<<<<<
- *     cdef int t, c
- *     for t in range(ch.ncomp[i] - 1, -1, -1):
-*/
-  __pyx_v_comps = (__pyx_v_ch->comps + (2 * __pyx_v_i));
-
-  /* "cordant/_kernel/_speed.pyx":220
- *     cdef int* comps = ch.comps + 2 * i
- *     cdef int t, c
- *     for t in range(ch.ncomp[i] - 1, -1, -1):             # <<<<<<<<<<<<<<
- *         c = comps[t]
- *         if ch.dcount[c] <= ch.dfloor[c]:
-*/
-  for (__pyx_t_2 = ((__pyx_v_ch->ncomp[__pyx_v_i]) - 1); __pyx_t_2 > -1; __pyx_t_2-=1) {
-    __pyx_v_t = __pyx_t_2;
-
-    /* "cordant/_kernel/_speed.pyx":221
- *     cdef int t, c
- *     for t in range(ch.ncomp[i] - 1, -1, -1):
- *         c = comps[t]             # <<<<<<<<<<<<<<
- *         if ch.dcount[c] <= ch.dfloor[c]:
- *             ch.ddef += 1
-*/
-    __pyx_v_c = (__pyx_v_comps[__pyx_v_t]);
-
-    /* "cordant/_kernel/_speed.pyx":222
- *     for t in range(ch.ncomp[i] - 1, -1, -1):
- *         c = comps[t]
- *         if ch.dcount[c] <= ch.dfloor[c]:             # <<<<<<<<<<<<<<
- *             ch.ddef += 1
- *         ch.dcount[c] -= 1
-*/
-    __pyx_t_1 = ((__pyx_v_ch->dcount[__pyx_v_c]) <= (__pyx_v_ch->dfloor[__pyx_v_c]));
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":223
- *         c = comps[t]
- *         if ch.dcount[c] <= ch.dfloor[c]:
- *             ch.ddef += 1             # <<<<<<<<<<<<<<
- *         ch.dcount[c] -= 1
- * 
-*/
-      __pyx_v_ch->ddef = (__pyx_v_ch->ddef + 1);
-
-      /* "cordant/_kernel/_speed.pyx":222
- *     for t in range(ch.ncomp[i] - 1, -1, -1):
- *         c = comps[t]
- *         if ch.dcount[c] <= ch.dfloor[c]:             # <<<<<<<<<<<<<<
- *             ch.ddef += 1
- *         ch.dcount[c] -= 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":224
- *         if ch.dcount[c] <= ch.dfloor[c]:
- *             ch.ddef += 1
- *         ch.dcount[c] -= 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_t_3 = __pyx_v_c;
-    (__pyx_v_ch->dcount[__pyx_t_3]) = ((__pyx_v_ch->dcount[__pyx_t_3]) - 1);
-  }
-
-  /* "cordant/_kernel/_speed.pyx":213
- * 
- * 
- * cdef void _chain_unplace(Chain* ch, int i, int x) noexcept:             # <<<<<<<<<<<<<<
- *     if ch.scount[x] <= ch.slot_floor[x]:
- *         ch.sdef += 1
-*/
-
-  /* function exit code */
-}
-
-/* "cordant/_kernel/_speed.pyx":227
- * 
- * 
- * cdef int _chain_dfs(Chain* ch, int i) except -2:             # <<<<<<<<<<<<<<
- *     if i == ch.s:
- *         return C_FOUND
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__chain_dfs(struct __pyx_t_7cordant_7_kernel_6_speed_Chain *__pyx_v_ch, int __pyx_v_i) {
-  int __pyx_v_x;
-  int __pyx_v_r;
-  unsigned PY_LONG_LONG __pyx_v_key;
-  int __pyx_v_have_key;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cordant/_kernel/_speed.pyx":228
- * 
- * cdef int _chain_dfs(Chain* ch, int i) except -2:
- *     if i == ch.s:             # <<<<<<<<<<<<<<
- *         return C_FOUND
- *     cdef int x, r
-*/
-  __pyx_t_1 = (__pyx_v_i == __pyx_v_ch->s);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":229
- * cdef int _chain_dfs(Chain* ch, int i) except -2:
- *     if i == ch.s:
- *         return C_FOUND             # <<<<<<<<<<<<<<
- *     cdef int x, r
- *     cdef unsigned long long key
-*/
-    __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_FOUND;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":228
- * 
- * cdef int _chain_dfs(Chain* ch, int i) except -2:
- *     if i == ch.s:             # <<<<<<<<<<<<<<
- *         return C_FOUND
- *     cdef int x, r
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":233
- *     cdef unsigned long long key
- *     cdef bint have_key
- *     for x in range(ch.m):             # <<<<<<<<<<<<<<
- *         if ch.budget >= 0 and ch.nodes >= ch.budget:
- *             return C_BUDGET
-*/
-  __pyx_t_2 = __pyx_v_ch->m;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_x = __pyx_t_4;
-
-    /* "cordant/_kernel/_speed.pyx":234
- *     cdef bint have_key
- *     for x in range(ch.m):
- *         if ch.budget >= 0 and ch.nodes >= ch.budget:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         ch.nodes += 1
-*/
-    __pyx_t_5 = (__pyx_v_ch->budget >= 0);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_ch->nodes >= __pyx_v_ch->budget);
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":235
- *     for x in range(ch.m):
- *         if ch.budget >= 0 and ch.nodes >= ch.budget:
- *             return C_BUDGET             # <<<<<<<<<<<<<<
- *         ch.nodes += 1
- *         if _chain_place(ch, i, x) < 0:
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":234
- *     cdef bint have_key
- *     for x in range(ch.m):
- *         if ch.budget >= 0 and ch.nodes >= ch.budget:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         ch.nodes += 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":236
- *         if ch.budget >= 0 and ch.nodes >= ch.budget:
- *             return C_BUDGET
- *         ch.nodes += 1             # <<<<<<<<<<<<<<
- *         if _chain_place(ch, i, x) < 0:
- *             continue
-*/
-    __pyx_v_ch->nodes = (__pyx_v_ch->nodes + 1);
-
-    /* "cordant/_kernel/_speed.pyx":237
- *             return C_BUDGET
- *         ch.nodes += 1
- *         if _chain_place(ch, i, x) < 0:             # <<<<<<<<<<<<<<
- *             continue
- *         have_key = 0
-*/
-    __pyx_t_1 = (__pyx_f_7cordant_7_kernel_6_speed__chain_place(__pyx_v_ch, __pyx_v_i, __pyx_v_x) < 0);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":238
- *         ch.nodes += 1
- *         if _chain_place(ch, i, x) < 0:
- *             continue             # <<<<<<<<<<<<<<
- *         have_key = 0
- *         key = 0
-*/
-      goto __pyx_L4_continue;
-
-      /* "cordant/_kernel/_speed.pyx":237
- *             return C_BUDGET
- *         ch.nodes += 1
- *         if _chain_place(ch, i, x) < 0:             # <<<<<<<<<<<<<<
- *             continue
- *         have_key = 0
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":239
- *         if _chain_place(ch, i, x) < 0:
- *             continue
- *         have_key = 0             # <<<<<<<<<<<<<<
- *         key = 0
- *         if ch.memo_on and i + 1 < ch.s:
-*/
-    __pyx_v_have_key = 0;
-
-    /* "cordant/_kernel/_speed.pyx":240
- *             continue
- *         have_key = 0
- *         key = 0             # <<<<<<<<<<<<<<
- *         if ch.memo_on and i + 1 < ch.s:
- *             key = _chain_pack(ch, i + 1, x)
-*/
-    __pyx_v_key = 0;
-
-    /* "cordant/_kernel/_speed.pyx":241
- *         have_key = 0
- *         key = 0
- *         if ch.memo_on and i + 1 < ch.s:             # <<<<<<<<<<<<<<
- *             key = _chain_pack(ch, i + 1, x)
- *             have_key = 1
-*/
-    if (__pyx_v_ch->memo_on) {
-    } else {
-      __pyx_t_1 = __pyx_v_ch->memo_on;
-      goto __pyx_L11_bool_binop_done;
-    }
-    __pyx_t_5 = ((__pyx_v_i + 1) < __pyx_v_ch->s);
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L11_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":242
- *         key = 0
- *         if ch.memo_on and i + 1 < ch.s:
- *             key = _chain_pack(ch, i + 1, x)             # <<<<<<<<<<<<<<
- *             have_key = 1
- *             if _memo_has(&ch.memo, key):
-*/
-      __pyx_v_key = __pyx_f_7cordant_7_kernel_6_speed__chain_pack(__pyx_v_ch, (__pyx_v_i + 1), __pyx_v_x);
-
-      /* "cordant/_kernel/_speed.pyx":243
- *         if ch.memo_on and i + 1 < ch.s:
- *             key = _chain_pack(ch, i + 1, x)
- *             have_key = 1             # <<<<<<<<<<<<<<
- *             if _memo_has(&ch.memo, key):
- *                 _chain_unplace(ch, i, x)
-*/
-      __pyx_v_have_key = 1;
-
-      /* "cordant/_kernel/_speed.pyx":244
- *             key = _chain_pack(ch, i + 1, x)
- *             have_key = 1
- *             if _memo_has(&ch.memo, key):             # <<<<<<<<<<<<<<
- *                 _chain_unplace(ch, i, x)
- *                 continue
-*/
-      __pyx_t_1 = __pyx_f_7cordant_7_kernel_6_speed__memo_has((&__pyx_v_ch->memo), __pyx_v_key);
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":245
- *             have_key = 1
- *             if _memo_has(&ch.memo, key):
- *                 _chain_unplace(ch, i, x)             # <<<<<<<<<<<<<<
- *                 continue
- *         r = _chain_dfs(ch, i + 1)
-*/
-        __pyx_f_7cordant_7_kernel_6_speed__chain_unplace(__pyx_v_ch, __pyx_v_i, __pyx_v_x);
-
-        /* "cordant/_kernel/_speed.pyx":246
- *             if _memo_has(&ch.memo, key):
- *                 _chain_unplace(ch, i, x)
- *                 continue             # <<<<<<<<<<<<<<
- *         r = _chain_dfs(ch, i + 1)
- *         if r == C_FOUND:
-*/
-        goto __pyx_L4_continue;
-
-        /* "cordant/_kernel/_speed.pyx":244
- *             key = _chain_pack(ch, i + 1, x)
- *             have_key = 1
- *             if _memo_has(&ch.memo, key):             # <<<<<<<<<<<<<<
- *                 _chain_unplace(ch, i, x)
- *                 continue
-*/
-      }
-
-      /* "cordant/_kernel/_speed.pyx":241
- *         have_key = 0
- *         key = 0
- *         if ch.memo_on and i + 1 < ch.s:             # <<<<<<<<<<<<<<
- *             key = _chain_pack(ch, i + 1, x)
- *             have_key = 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":247
- *                 _chain_unplace(ch, i, x)
- *                 continue
- *         r = _chain_dfs(ch, i + 1)             # <<<<<<<<<<<<<<
- *         if r == C_FOUND:
- *             return C_FOUND
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__chain_dfs(__pyx_v_ch, (__pyx_v_i + 1)); if (unlikely(__pyx_t_6 == ((int)-2))) __PYX_ERR(0, 247, __pyx_L1_error)
-    __pyx_v_r = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":248
- *                 continue
- *         r = _chain_dfs(ch, i + 1)
- *         if r == C_FOUND:             # <<<<<<<<<<<<<<
- *             return C_FOUND
- *         _chain_unplace(ch, i, x)
-*/
-    __pyx_t_1 = (__pyx_v_r == __pyx_v_7cordant_7_kernel_6_speed_C_FOUND);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":249
- *         r = _chain_dfs(ch, i + 1)
- *         if r == C_FOUND:
- *             return C_FOUND             # <<<<<<<<<<<<<<
- *         _chain_unplace(ch, i, x)
- *         if r == C_BUDGET:
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_FOUND;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":248
- *                 continue
- *         r = _chain_dfs(ch, i + 1)
- *         if r == C_FOUND:             # <<<<<<<<<<<<<<
- *             return C_FOUND
- *         _chain_unplace(ch, i, x)
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":250
- *         if r == C_FOUND:
- *             return C_FOUND
- *         _chain_unplace(ch, i, x)             # <<<<<<<<<<<<<<
- *         if r == C_BUDGET:
- *             return C_BUDGET
-*/
-    __pyx_f_7cordant_7_kernel_6_speed__chain_unplace(__pyx_v_ch, __pyx_v_i, __pyx_v_x);
-
-    /* "cordant/_kernel/_speed.pyx":251
- *             return C_FOUND
- *         _chain_unplace(ch, i, x)
- *         if r == C_BUDGET:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         if have_key:
-*/
-    __pyx_t_1 = (__pyx_v_r == __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":252
- *         _chain_unplace(ch, i, x)
- *         if r == C_BUDGET:
- *             return C_BUDGET             # <<<<<<<<<<<<<<
- *         if have_key:
- *             _memo_add(&ch.memo, key)
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":251
- *             return C_FOUND
- *         _chain_unplace(ch, i, x)
- *         if r == C_BUDGET:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         if have_key:
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":253
- *         if r == C_BUDGET:
- *             return C_BUDGET
- *         if have_key:             # <<<<<<<<<<<<<<
- *             _memo_add(&ch.memo, key)
- *     return C_EXHAUSTED
-*/
-    if (__pyx_v_have_key) {
-
-      /* "cordant/_kernel/_speed.pyx":254
- *             return C_BUDGET
- *         if have_key:
- *             _memo_add(&ch.memo, key)             # <<<<<<<<<<<<<<
- *     return C_EXHAUSTED
- * 
-*/
-      __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__memo_add((&__pyx_v_ch->memo), __pyx_v_key); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 254, __pyx_L1_error)
-
-      /* "cordant/_kernel/_speed.pyx":253
- *         if r == C_BUDGET:
- *             return C_BUDGET
- *         if have_key:             # <<<<<<<<<<<<<<
- *             _memo_add(&ch.memo, key)
- *     return C_EXHAUSTED
-*/
-    }
-    __pyx_L4_continue:;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":255
- *         if have_key:
- *             _memo_add(&ch.memo, key)
- *     return C_EXHAUSTED             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":227
- * 
- * 
- * cdef int _chain_dfs(Chain* ch, int i) except -2:             # <<<<<<<<<<<<<<
- *     if i == ch.s:
- *         return C_FOUND
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cordant._kernel._speed._chain_dfs", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -2;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":258
- * 
- * 
- * def solve_chain(             # <<<<<<<<<<<<<<
- *     int m,
- *     object add_t,
-*/
-
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_8__defaults__(CYTHON_UNUSED PyObject *__pyx_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__defaults__", 0);
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__Pyx_CyFunction_Defaults(struct __pyx_defaults, __pyx_self)->arg0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 258, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = PyTuple_New(1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 258, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 258, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_t_1 = PyTuple_New(2); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 258, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 258, __pyx_L1_error);
-  __Pyx_INCREF(Py_None);
-  __Pyx_GIVEREF(Py_None);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, Py_None) != (0)) __PYX_ERR(0, 258, __pyx_L1_error);
-  __pyx_t_2 = 0;
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("cordant._kernel._speed.__defaults__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7cordant_7_kernel_6_speed_1solve_chain(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7cordant_7_kernel_6_speed_1solve_chain = {"solve_chain", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7cordant_7_kernel_6_speed_1solve_chain, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7cordant_7_kernel_6_speed_1solve_chain(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_m;
-  PyObject *__pyx_v_add_t = 0;
-  int __pyx_v_num_slots;
-  PyObject *__pyx_v_slot_cap = 0;
-  PyObject *__pyx_v_slot_floor = 0;
-  PyObject *__pyx_v_dcap = 0;
-  PyObject *__pyx_v_dfloor = 0;
-  int __pyx_v_start_singleton;
-  int __pyx_v_end_singleton;
-  int __pyx_v_cyclic;
-  PyObject *__pyx_v_prefix = 0;
-  PY_LONG_LONG __pyx_v_budget;
-  PY_LONG_LONG __pyx_v_memo_limit;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[13] = {0,0,0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("solve_chain (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_m,&__pyx_mstate_global->__pyx_n_u_add_t,&__pyx_mstate_global->__pyx_n_u_num_slots,&__pyx_mstate_global->__pyx_n_u_slot_cap,&__pyx_mstate_global->__pyx_n_u_slot_floor,&__pyx_mstate_global->__pyx_n_u_dcap,&__pyx_mstate_global->__pyx_n_u_dfloor,&__pyx_mstate_global->__pyx_n_u_start_singleton,&__pyx_mstate_global->__pyx_n_u_end_singleton,&__pyx_mstate_global->__pyx_n_u_cyclic,&__pyx_mstate_global->__pyx_n_u_prefix,&__pyx_mstate_global->__pyx_n_u_budget,&__pyx_mstate_global->__pyx_n_u_memo_limit,0};
-    struct __pyx_defaults *__pyx_dynamic_args = __Pyx_CyFunction_Defaults(struct __pyx_defaults, __pyx_self);
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 258, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 13:
-        values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 12:
-        values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "solve_chain", 0) < (0)) __PYX_ERR(0, 258, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 12; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("solve_chain", 0, 12, 13, i); __PYX_ERR(0, 258, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case 13:
-        values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 258, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 12:
-        values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 258, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 258, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-    }
-    __pyx_v_m = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_m == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 259, __pyx_L3_error)
-    __pyx_v_add_t = values[1];
-    __pyx_v_num_slots = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_num_slots == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 261, __pyx_L3_error)
-    __pyx_v_slot_cap = values[3];
-    __pyx_v_slot_floor = values[4];
-    __pyx_v_dcap = values[5];
-    __pyx_v_dfloor = values[6];
-    __pyx_v_start_singleton = __Pyx_PyObject_IsTrue(values[7]); if (unlikely((__pyx_v_start_singleton == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 266, __pyx_L3_error)
-    __pyx_v_end_singleton = __Pyx_PyObject_IsTrue(values[8]); if (unlikely((__pyx_v_end_singleton == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 267, __pyx_L3_error)
-    __pyx_v_cyclic = __Pyx_PyObject_IsTrue(values[9]); if (unlikely((__pyx_v_cyclic == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 268, __pyx_L3_error)
-    __pyx_v_prefix = values[10];
-    __pyx_v_budget = __Pyx_PyLong_As_PY_LONG_LONG(values[11]); if (unlikely((__pyx_v_budget == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 270, __pyx_L3_error)
-    if (values[12]) {
-      __pyx_v_memo_limit = __Pyx_PyLong_As_PY_LONG_LONG(values[12]); if (unlikely((__pyx_v_memo_limit == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 271, __pyx_L3_error)
-    } else {
-      __pyx_v_memo_limit = __pyx_dynamic_args->arg0;
-    }
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("solve_chain", 0, 12, 13, __pyx_nargs); __PYX_ERR(0, 258, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("cordant._kernel._speed.solve_chain", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7cordant_7_kernel_6_speed_solve_chain(__pyx_self, __pyx_v_m, __pyx_v_add_t, __pyx_v_num_slots, __pyx_v_slot_cap, __pyx_v_slot_floor, __pyx_v_dcap, __pyx_v_dfloor, __pyx_v_start_singleton, __pyx_v_end_singleton, __pyx_v_cyclic, __pyx_v_prefix, __pyx_v_budget, __pyx_v_memo_limit);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_solve_chain(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_add_t, int __pyx_v_num_slots, PyObject *__pyx_v_slot_cap, PyObject *__pyx_v_slot_floor, PyObject *__pyx_v_dcap, PyObject *__pyx_v_dfloor, int __pyx_v_start_singleton, int __pyx_v_end_singleton, int __pyx_v_cyclic, PyObject *__pyx_v_prefix, PY_LONG_LONG __pyx_v_budget, PY_LONG_LONG __pyx_v_memo_limit) {
-  struct __pyx_t_7cordant_7_kernel_6_speed_Chain __pyx_v_ch;
-  Py_ssize_t __pyx_v_tmp;
-  int __pyx_v_j;
-  int __pyx_v_done;
-  int __pyx_v_scap_max;
-  int __pyx_v_dcap_max;
-  int __pyx_v_total_bits;
-  int __pyx_v_total_derived;
-  int __pyx_v_status;
-  Py_ssize_t __pyx_v_p;
-  int __pyx_7genexpr__pyx_v_j;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  int __pyx_t_5;
-  Py_ssize_t __pyx_t_6;
-  int *__pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  long __pyx_t_11;
-  long __pyx_t_12;
-  long __pyx_t_13;
-  long __pyx_t_14;
-  PyObject *__pyx_t_15 = NULL;
-  Py_ssize_t __pyx_t_16;
-  PyObject *__pyx_t_17 = NULL;
-  char const *__pyx_t_18;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("solve_chain", 0);
-
-  /* "cordant/_kernel/_speed.pyx":273
- *     long long memo_limit=MEMO_LIMIT,
- * ):
- *     if num_slots < 1:             # <<<<<<<<<<<<<<
- *         raise ValueError("chain instances need at least one slot")
- *     if cyclic and (start_singleton or end_singleton or num_slots < 3):
-*/
-  __pyx_t_1 = (__pyx_v_num_slots < 1);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "cordant/_kernel/_speed.pyx":274
- * ):
- *     if num_slots < 1:
- *         raise ValueError("chain instances need at least one slot")             # <<<<<<<<<<<<<<
- *     if cyclic and (start_singleton or end_singleton or num_slots < 3):
- *         raise ValueError("cyclic chains exclude singletons and need 3+ slots")
-*/
-    __pyx_t_3 = NULL;
-    __pyx_t_4 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_mstate_global->__pyx_kp_u_chain_instances_need_at_least_on};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 274, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 274, __pyx_L1_error)
-
-    /* "cordant/_kernel/_speed.pyx":273
- *     long long memo_limit=MEMO_LIMIT,
- * ):
- *     if num_slots < 1:             # <<<<<<<<<<<<<<
- *         raise ValueError("chain instances need at least one slot")
- *     if cyclic and (start_singleton or end_singleton or num_slots < 3):
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":275
- *     if num_slots < 1:
- *         raise ValueError("chain instances need at least one slot")
- *     if cyclic and (start_singleton or end_singleton or num_slots < 3):             # <<<<<<<<<<<<<<
- *         raise ValueError("cyclic chains exclude singletons and need 3+ slots")
- * 
-*/
-  if (__pyx_v_cyclic) {
-  } else {
-    __pyx_t_1 = __pyx_v_cyclic;
-    goto __pyx_L5_bool_binop_done;
-  }
-  if (!__pyx_v_start_singleton) {
-  } else {
-    __pyx_t_1 = __pyx_v_start_singleton;
-    goto __pyx_L5_bool_binop_done;
-  }
-  if (!__pyx_v_end_singleton) {
-  } else {
-    __pyx_t_1 = __pyx_v_end_singleton;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_num_slots < 3);
-  __pyx_t_1 = __pyx_t_5;
-  __pyx_L5_bool_binop_done:;
-  if (unlikely(__pyx_t_1)) {
-
-    /* "cordant/_kernel/_speed.pyx":276
- *         raise ValueError("chain instances need at least one slot")
- *     if cyclic and (start_singleton or end_singleton or num_slots < 3):
- *         raise ValueError("cyclic chains exclude singletons and need 3+ slots")             # <<<<<<<<<<<<<<
- * 
- *     cdef Chain ch
-*/
-    __pyx_t_3 = NULL;
-    __pyx_t_4 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_mstate_global->__pyx_kp_u_cyclic_chains_exclude_singletons};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 276, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 276, __pyx_L1_error)
-
-    /* "cordant/_kernel/_speed.pyx":275
- *     if num_slots < 1:
- *         raise ValueError("chain instances need at least one slot")
- *     if cyclic and (start_singleton or end_singleton or num_slots < 3):             # <<<<<<<<<<<<<<
- *         raise ValueError("cyclic chains exclude singletons and need 3+ slots")
- * 
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":279
- * 
- *     cdef Chain ch
- *     memset(&ch, 0, sizeof(Chain))             # <<<<<<<<<<<<<<
- *     ch.m = m
- *     ch.s = num_slots
-*/
-  (void)(memset((&__pyx_v_ch), 0, (sizeof(struct __pyx_t_7cordant_7_kernel_6_speed_Chain))));
-
-  /* "cordant/_kernel/_speed.pyx":280
- *     cdef Chain ch
- *     memset(&ch, 0, sizeof(Chain))
- *     ch.m = m             # <<<<<<<<<<<<<<
- *     ch.s = num_slots
- *     ch.start_singleton = start_singleton
-*/
-  __pyx_v_ch.m = __pyx_v_m;
-
-  /* "cordant/_kernel/_speed.pyx":281
- *     memset(&ch, 0, sizeof(Chain))
- *     ch.m = m
- *     ch.s = num_slots             # <<<<<<<<<<<<<<
- *     ch.start_singleton = start_singleton
- *     ch.end_singleton = end_singleton
-*/
-  __pyx_v_ch.s = __pyx_v_num_slots;
-
-  /* "cordant/_kernel/_speed.pyx":282
- *     ch.m = m
- *     ch.s = num_slots
- *     ch.start_singleton = start_singleton             # <<<<<<<<<<<<<<
- *     ch.end_singleton = end_singleton
- *     ch.cyclic = cyclic
-*/
-  __pyx_v_ch.start_singleton = __pyx_v_start_singleton;
-
-  /* "cordant/_kernel/_speed.pyx":283
- *     ch.s = num_slots
- *     ch.start_singleton = start_singleton
- *     ch.end_singleton = end_singleton             # <<<<<<<<<<<<<<
- *     ch.cyclic = cyclic
- *     ch.budget = budget
-*/
-  __pyx_v_ch.end_singleton = __pyx_v_end_singleton;
-
-  /* "cordant/_kernel/_speed.pyx":284
- *     ch.start_singleton = start_singleton
- *     ch.end_singleton = end_singleton
- *     ch.cyclic = cyclic             # <<<<<<<<<<<<<<
- *     ch.budget = budget
- *     ch.nodes = 0
-*/
-  __pyx_v_ch.cyclic = __pyx_v_cyclic;
-
-  /* "cordant/_kernel/_speed.pyx":285
- *     ch.end_singleton = end_singleton
- *     ch.cyclic = cyclic
- *     ch.budget = budget             # <<<<<<<<<<<<<<
- *     ch.nodes = 0
- * 
-*/
-  __pyx_v_ch.budget = __pyx_v_budget;
-
-  /* "cordant/_kernel/_speed.pyx":286
- *     ch.cyclic = cyclic
- *     ch.budget = budget
- *     ch.nodes = 0             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t tmp
-*/
-  __pyx_v_ch.nodes = 0;
-
-  /* "cordant/_kernel/_speed.pyx":290
- *     cdef Py_ssize_t tmp
- *     cdef int j, done, scap_max, dcap_max, total_bits, total_derived
- *     cdef int status = C_EXHAUSTED             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > num_slots:
-*/
-  __pyx_v_status = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-
-  /* "cordant/_kernel/_speed.pyx":291
- *     cdef int j, done, scap_max, dcap_max, total_bits, total_derived
- *     cdef int status = C_EXHAUSTED
- *     cdef Py_ssize_t p = len(prefix)             # <<<<<<<<<<<<<<
- *     if p > num_slots:
- *         raise ValueError("prefix longer than the slot list")
-*/
-  __pyx_t_6 = PyObject_Length(__pyx_v_prefix); if (unlikely(__pyx_t_6 == ((Py_ssize_t)-1))) __PYX_ERR(0, 291, __pyx_L1_error)
-  __pyx_v_p = __pyx_t_6;
-
-  /* "cordant/_kernel/_speed.pyx":292
- *     cdef int status = C_EXHAUSTED
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > num_slots:             # <<<<<<<<<<<<<<
- *         raise ValueError("prefix longer than the slot list")
- * 
-*/
-  __pyx_t_1 = (__pyx_v_p > __pyx_v_num_slots);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "cordant/_kernel/_speed.pyx":293
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > num_slots:
- *         raise ValueError("prefix longer than the slot list")             # <<<<<<<<<<<<<<
- * 
- *     ch.add_t = _copy_ints(add_t, &tmp)
-*/
-    __pyx_t_3 = NULL;
-    __pyx_t_4 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_mstate_global->__pyx_kp_u_prefix_longer_than_the_slot_list};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 293, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 293, __pyx_L1_error)
-
-    /* "cordant/_kernel/_speed.pyx":292
- *     cdef int status = C_EXHAUSTED
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > num_slots:             # <<<<<<<<<<<<<<
- *         raise ValueError("prefix longer than the slot list")
- * 
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":295
- *         raise ValueError("prefix longer than the slot list")
- * 
- *     ch.add_t = _copy_ints(add_t, &tmp)             # <<<<<<<<<<<<<<
- *     try:
- *         ch.slot_cap = _copy_ints(slot_cap, &tmp)
-*/
-  __pyx_t_7 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_add_t, (&__pyx_v_tmp)); if (unlikely(__pyx_t_7 == ((void *)NULL))) __PYX_ERR(0, 295, __pyx_L1_error)
-  __pyx_v_ch.add_t = __pyx_t_7;
-
-  /* "cordant/_kernel/_speed.pyx":296
- * 
- *     ch.add_t = _copy_ints(add_t, &tmp)
- *     try:             # <<<<<<<<<<<<<<
- *         ch.slot_cap = _copy_ints(slot_cap, &tmp)
- *         ch.slot_floor = _copy_ints(slot_floor, &tmp)
-*/
-  /*try:*/ {
-
-    /* "cordant/_kernel/_speed.pyx":297
- *     ch.add_t = _copy_ints(add_t, &tmp)
- *     try:
- *         ch.slot_cap = _copy_ints(slot_cap, &tmp)             # <<<<<<<<<<<<<<
- *         ch.slot_floor = _copy_ints(slot_floor, &tmp)
- *         ch.dcap = _copy_ints(dcap, &tmp)
-*/
-    __pyx_t_7 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_slot_cap, (&__pyx_v_tmp)); if (unlikely(__pyx_t_7 == ((void *)NULL))) __PYX_ERR(0, 297, __pyx_L11_error)
-    __pyx_v_ch.slot_cap = __pyx_t_7;
-
-    /* "cordant/_kernel/_speed.pyx":298
- *     try:
- *         ch.slot_cap = _copy_ints(slot_cap, &tmp)
- *         ch.slot_floor = _copy_ints(slot_floor, &tmp)             # <<<<<<<<<<<<<<
- *         ch.dcap = _copy_ints(dcap, &tmp)
- *         ch.dfloor = _copy_ints(dfloor, &tmp)
-*/
-    __pyx_t_7 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_slot_floor, (&__pyx_v_tmp)); if (unlikely(__pyx_t_7 == ((void *)NULL))) __PYX_ERR(0, 298, __pyx_L11_error)
-    __pyx_v_ch.slot_floor = __pyx_t_7;
-
-    /* "cordant/_kernel/_speed.pyx":299
- *         ch.slot_cap = _copy_ints(slot_cap, &tmp)
- *         ch.slot_floor = _copy_ints(slot_floor, &tmp)
- *         ch.dcap = _copy_ints(dcap, &tmp)             # <<<<<<<<<<<<<<
- *         ch.dfloor = _copy_ints(dfloor, &tmp)
- *         ch.assign = <int*> malloc(num_slots * sizeof(int))
-*/
-    __pyx_t_7 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_dcap, (&__pyx_v_tmp)); if (unlikely(__pyx_t_7 == ((void *)NULL))) __PYX_ERR(0, 299, __pyx_L11_error)
-    __pyx_v_ch.dcap = __pyx_t_7;
-
-    /* "cordant/_kernel/_speed.pyx":300
- *         ch.slot_floor = _copy_ints(slot_floor, &tmp)
- *         ch.dcap = _copy_ints(dcap, &tmp)
- *         ch.dfloor = _copy_ints(dfloor, &tmp)             # <<<<<<<<<<<<<<
- *         ch.assign = <int*> malloc(num_slots * sizeof(int))
- *         ch.scount = <int*> calloc(m, sizeof(int))
-*/
-    __pyx_t_7 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_dfloor, (&__pyx_v_tmp)); if (unlikely(__pyx_t_7 == ((void *)NULL))) __PYX_ERR(0, 300, __pyx_L11_error)
-    __pyx_v_ch.dfloor = __pyx_t_7;
-
-    /* "cordant/_kernel/_speed.pyx":301
- *         ch.dcap = _copy_ints(dcap, &tmp)
- *         ch.dfloor = _copy_ints(dfloor, &tmp)
- *         ch.assign = <int*> malloc(num_slots * sizeof(int))             # <<<<<<<<<<<<<<
- *         ch.scount = <int*> calloc(m, sizeof(int))
- *         ch.dcount = <int*> calloc(m, sizeof(int))
-*/
-    __pyx_v_ch.assign = ((int *)malloc((__pyx_v_num_slots * (sizeof(int)))));
-
-    /* "cordant/_kernel/_speed.pyx":302
- *         ch.dfloor = _copy_ints(dfloor, &tmp)
- *         ch.assign = <int*> malloc(num_slots * sizeof(int))
- *         ch.scount = <int*> calloc(m, sizeof(int))             # <<<<<<<<<<<<<<
- *         ch.dcount = <int*> calloc(m, sizeof(int))
- *         ch.ncomp = <int*> calloc(num_slots, sizeof(int))
-*/
-    __pyx_v_ch.scount = ((int *)calloc(__pyx_v_m, (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":303
- *         ch.assign = <int*> malloc(num_slots * sizeof(int))
- *         ch.scount = <int*> calloc(m, sizeof(int))
- *         ch.dcount = <int*> calloc(m, sizeof(int))             # <<<<<<<<<<<<<<
- *         ch.ncomp = <int*> calloc(num_slots, sizeof(int))
- *         ch.comps = <int*> calloc(2 * num_slots, sizeof(int))
-*/
-    __pyx_v_ch.dcount = ((int *)calloc(__pyx_v_m, (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":304
- *         ch.scount = <int*> calloc(m, sizeof(int))
- *         ch.dcount = <int*> calloc(m, sizeof(int))
- *         ch.ncomp = <int*> calloc(num_slots, sizeof(int))             # <<<<<<<<<<<<<<
- *         ch.comps = <int*> calloc(2 * num_slots, sizeof(int))
- *         ch.remaining_at = <int*> malloc((num_slots + 1) * sizeof(int))
-*/
-    __pyx_v_ch.ncomp = ((int *)calloc(__pyx_v_num_slots, (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":305
- *         ch.dcount = <int*> calloc(m, sizeof(int))
- *         ch.ncomp = <int*> calloc(num_slots, sizeof(int))
- *         ch.comps = <int*> calloc(2 * num_slots, sizeof(int))             # <<<<<<<<<<<<<<
- *         ch.remaining_at = <int*> malloc((num_slots + 1) * sizeof(int))
- *         if (ch.assign == NULL or ch.scount == NULL or ch.dcount == NULL
-*/
-    __pyx_v_ch.comps = ((int *)calloc((2 * __pyx_v_num_slots), (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":306
- *         ch.ncomp = <int*> calloc(num_slots, sizeof(int))
- *         ch.comps = <int*> calloc(2 * num_slots, sizeof(int))
- *         ch.remaining_at = <int*> malloc((num_slots + 1) * sizeof(int))             # <<<<<<<<<<<<<<
- *         if (ch.assign == NULL or ch.scount == NULL or ch.dcount == NULL
- *                 or ch.ncomp == NULL or ch.comps == NULL or ch.remaining_at == NULL):
-*/
-    __pyx_v_ch.remaining_at = ((int *)malloc(((__pyx_v_num_slots + 1) * (sizeof(int)))));
-
-    /* "cordant/_kernel/_speed.pyx":307
- *         ch.comps = <int*> calloc(2 * num_slots, sizeof(int))
- *         ch.remaining_at = <int*> malloc((num_slots + 1) * sizeof(int))
- *         if (ch.assign == NULL or ch.scount == NULL or ch.dcount == NULL             # <<<<<<<<<<<<<<
- *                 or ch.ncomp == NULL or ch.comps == NULL or ch.remaining_at == NULL):
- *             raise MemoryError()
-*/
-    __pyx_t_5 = (__pyx_v_ch.assign == NULL);
-    if (!__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L14_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_ch.scount == NULL);
-    if (!__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L14_bool_binop_done;
-    }
-
-    /* "cordant/_kernel/_speed.pyx":308
- *         ch.remaining_at = <int*> malloc((num_slots + 1) * sizeof(int))
- *         if (ch.assign == NULL or ch.scount == NULL or ch.dcount == NULL
- *                 or ch.ncomp == NULL or ch.comps == NULL or ch.remaining_at == NULL):             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for j in range(num_slots):
-*/
-    __pyx_t_5 = (__pyx_v_ch.dcount == NULL);
-    if (!__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L14_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_ch.ncomp == NULL);
-    if (!__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L14_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_ch.comps == NULL);
-    if (!__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L14_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_ch.remaining_at == NULL);
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L14_bool_binop_done:;
-
-    /* "cordant/_kernel/_speed.pyx":307
- *         ch.comps = <int*> calloc(2 * num_slots, sizeof(int))
- *         ch.remaining_at = <int*> malloc((num_slots + 1) * sizeof(int))
- *         if (ch.assign == NULL or ch.scount == NULL or ch.dcount == NULL             # <<<<<<<<<<<<<<
- *                 or ch.ncomp == NULL or ch.comps == NULL or ch.remaining_at == NULL):
- *             raise MemoryError()
-*/
-    if (unlikely(__pyx_t_1)) {
-
-      /* "cordant/_kernel/_speed.pyx":309
- *         if (ch.assign == NULL or ch.scount == NULL or ch.dcount == NULL
- *                 or ch.ncomp == NULL or ch.comps == NULL or ch.remaining_at == NULL):
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for j in range(num_slots):
- *             ch.assign[j] = -1
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 309, __pyx_L11_error)
-
-      /* "cordant/_kernel/_speed.pyx":307
- *         ch.comps = <int*> calloc(2 * num_slots, sizeof(int))
- *         ch.remaining_at = <int*> malloc((num_slots + 1) * sizeof(int))
- *         if (ch.assign == NULL or ch.scount == NULL or ch.dcount == NULL             # <<<<<<<<<<<<<<
- *                 or ch.ncomp == NULL or ch.comps == NULL or ch.remaining_at == NULL):
- *             raise MemoryError()
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":310
- *                 or ch.ncomp == NULL or ch.comps == NULL or ch.remaining_at == NULL):
- *             raise MemoryError()
- *         for j in range(num_slots):             # <<<<<<<<<<<<<<
- *             ch.assign[j] = -1
- * 
-*/
-    __pyx_t_8 = __pyx_v_num_slots;
-    __pyx_t_9 = __pyx_t_8;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_j = __pyx_t_10;
-
-      /* "cordant/_kernel/_speed.pyx":311
- *             raise MemoryError()
- *         for j in range(num_slots):
- *             ch.assign[j] = -1             # <<<<<<<<<<<<<<
- * 
- *         ch.sdef = 0
-*/
-      (__pyx_v_ch.assign[__pyx_v_j]) = -1;
-    }
-
-    /* "cordant/_kernel/_speed.pyx":313
- *             ch.assign[j] = -1
- * 
- *         ch.sdef = 0             # <<<<<<<<<<<<<<
- *         ch.ddef = 0
- *         for j in range(m):
-*/
-    __pyx_v_ch.sdef = 0;
-
-    /* "cordant/_kernel/_speed.pyx":314
- * 
- *         ch.sdef = 0
- *         ch.ddef = 0             # <<<<<<<<<<<<<<
- *         for j in range(m):
- *             ch.sdef += ch.slot_floor[j]
-*/
-    __pyx_v_ch.ddef = 0;
-
-    /* "cordant/_kernel/_speed.pyx":315
- *         ch.sdef = 0
- *         ch.ddef = 0
- *         for j in range(m):             # <<<<<<<<<<<<<<
- *             ch.sdef += ch.slot_floor[j]
- *             ch.ddef += ch.dfloor[j]
-*/
-    __pyx_t_8 = __pyx_v_m;
-    __pyx_t_9 = __pyx_t_8;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_j = __pyx_t_10;
-
-      /* "cordant/_kernel/_speed.pyx":316
- *         ch.ddef = 0
- *         for j in range(m):
- *             ch.sdef += ch.slot_floor[j]             # <<<<<<<<<<<<<<
- *             ch.ddef += ch.dfloor[j]
- * 
-*/
-      __pyx_v_ch.sdef = (__pyx_v_ch.sdef + (__pyx_v_ch.slot_floor[__pyx_v_j]));
-
-      /* "cordant/_kernel/_speed.pyx":317
- *         for j in range(m):
- *             ch.sdef += ch.slot_floor[j]
- *             ch.ddef += ch.dfloor[j]             # <<<<<<<<<<<<<<
- * 
- *         total_derived = (num_slots - 1)
-*/
-      __pyx_v_ch.ddef = (__pyx_v_ch.ddef + (__pyx_v_ch.dfloor[__pyx_v_j]));
-    }
-
-    /* "cordant/_kernel/_speed.pyx":319
- *             ch.ddef += ch.dfloor[j]
- * 
- *         total_derived = (num_slots - 1)             # <<<<<<<<<<<<<<
- *         if start_singleton:
- *             total_derived += 1
-*/
-    __pyx_v_total_derived = (__pyx_v_num_slots - 1);
-
-    /* "cordant/_kernel/_speed.pyx":320
- * 
- *         total_derived = (num_slots - 1)
- *         if start_singleton:             # <<<<<<<<<<<<<<
- *             total_derived += 1
- *         if end_singleton:
-*/
-    if (__pyx_v_start_singleton) {
-
-      /* "cordant/_kernel/_speed.pyx":321
- *         total_derived = (num_slots - 1)
- *         if start_singleton:
- *             total_derived += 1             # <<<<<<<<<<<<<<
- *         if end_singleton:
- *             total_derived += 1
-*/
-      __pyx_v_total_derived = (__pyx_v_total_derived + 1);
-
-      /* "cordant/_kernel/_speed.pyx":320
- * 
- *         total_derived = (num_slots - 1)
- *         if start_singleton:             # <<<<<<<<<<<<<<
- *             total_derived += 1
- *         if end_singleton:
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":322
- *         if start_singleton:
- *             total_derived += 1
- *         if end_singleton:             # <<<<<<<<<<<<<<
- *             total_derived += 1
- *         if cyclic:
-*/
-    if (__pyx_v_end_singleton) {
-
-      /* "cordant/_kernel/_speed.pyx":323
- *             total_derived += 1
- *         if end_singleton:
- *             total_derived += 1             # <<<<<<<<<<<<<<
- *         if cyclic:
- *             total_derived += 1
-*/
-      __pyx_v_total_derived = (__pyx_v_total_derived + 1);
-
-      /* "cordant/_kernel/_speed.pyx":322
- *         if start_singleton:
- *             total_derived += 1
- *         if end_singleton:             # <<<<<<<<<<<<<<
- *             total_derived += 1
- *         if cyclic:
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":324
- *         if end_singleton:
- *             total_derived += 1
- *         if cyclic:             # <<<<<<<<<<<<<<
- *             total_derived += 1
- *         for j in range(num_slots + 1):
-*/
-    if (__pyx_v_cyclic) {
-
-      /* "cordant/_kernel/_speed.pyx":325
- *             total_derived += 1
- *         if cyclic:
- *             total_derived += 1             # <<<<<<<<<<<<<<
- *         for j in range(num_slots + 1):
- *             done = j - 1 if j >= 1 else 0
-*/
-      __pyx_v_total_derived = (__pyx_v_total_derived + 1);
-
-      /* "cordant/_kernel/_speed.pyx":324
- *         if end_singleton:
- *             total_derived += 1
- *         if cyclic:             # <<<<<<<<<<<<<<
- *             total_derived += 1
- *         for j in range(num_slots + 1):
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":326
- *         if cyclic:
- *             total_derived += 1
- *         for j in range(num_slots + 1):             # <<<<<<<<<<<<<<
- *             done = j - 1 if j >= 1 else 0
- *             if start_singleton and j >= 1:
-*/
-    __pyx_t_11 = (__pyx_v_num_slots + 1);
-    __pyx_t_12 = __pyx_t_11;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_12; __pyx_t_8+=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "cordant/_kernel/_speed.pyx":327
- *             total_derived += 1
- *         for j in range(num_slots + 1):
- *             done = j - 1 if j >= 1 else 0             # <<<<<<<<<<<<<<
- *             if start_singleton and j >= 1:
- *                 done += 1
-*/
-      __pyx_t_1 = (__pyx_v_j >= 1);
-      if (__pyx_t_1) {
-        __pyx_t_13 = (__pyx_v_j - 1);
-      } else {
-        __pyx_t_13 = 0;
-      }
-      __pyx_v_done = __pyx_t_13;
-
-      /* "cordant/_kernel/_speed.pyx":328
- *         for j in range(num_slots + 1):
- *             done = j - 1 if j >= 1 else 0
- *             if start_singleton and j >= 1:             # <<<<<<<<<<<<<<
- *                 done += 1
- *             if j == num_slots:
-*/
-      if (__pyx_v_start_singleton) {
-      } else {
-        __pyx_t_1 = __pyx_v_start_singleton;
-        goto __pyx_L30_bool_binop_done;
-      }
-      __pyx_t_5 = (__pyx_v_j >= 1);
-      __pyx_t_1 = __pyx_t_5;
-      __pyx_L30_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":329
- *             done = j - 1 if j >= 1 else 0
- *             if start_singleton and j >= 1:
- *                 done += 1             # <<<<<<<<<<<<<<
- *             if j == num_slots:
- *                 done += (1 if end_singleton else 0) + (1 if cyclic else 0)
-*/
-        __pyx_v_done = (__pyx_v_done + 1);
-
-        /* "cordant/_kernel/_speed.pyx":328
- *         for j in range(num_slots + 1):
- *             done = j - 1 if j >= 1 else 0
- *             if start_singleton and j >= 1:             # <<<<<<<<<<<<<<
- *                 done += 1
- *             if j == num_slots:
-*/
-      }
-
-      /* "cordant/_kernel/_speed.pyx":330
- *             if start_singleton and j >= 1:
- *                 done += 1
- *             if j == num_slots:             # <<<<<<<<<<<<<<
- *                 done += (1 if end_singleton else 0) + (1 if cyclic else 0)
- *             ch.remaining_at[j] = total_derived - done
-*/
-      __pyx_t_1 = (__pyx_v_j == __pyx_v_num_slots);
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":331
- *                 done += 1
- *             if j == num_slots:
- *                 done += (1 if end_singleton else 0) + (1 if cyclic else 0)             # <<<<<<<<<<<<<<
- *             ch.remaining_at[j] = total_derived - done
- * 
-*/
-        if (__pyx_v_end_singleton) {
-          __pyx_t_13 = 1;
-        } else {
-          __pyx_t_13 = 0;
-        }
-        if (__pyx_v_cyclic) {
-          __pyx_t_14 = 1;
-        } else {
-          __pyx_t_14 = 0;
-        }
-        __pyx_v_done = (__pyx_v_done + (__pyx_t_13 + __pyx_t_14));
-
-        /* "cordant/_kernel/_speed.pyx":330
- *             if start_singleton and j >= 1:
- *                 done += 1
- *             if j == num_slots:             # <<<<<<<<<<<<<<
- *                 done += (1 if end_singleton else 0) + (1 if cyclic else 0)
- *             ch.remaining_at[j] = total_derived - done
-*/
-      }
-
-      /* "cordant/_kernel/_speed.pyx":332
- *             if j == num_slots:
- *                 done += (1 if end_singleton else 0) + (1 if cyclic else 0)
- *             ch.remaining_at[j] = total_derived - done             # <<<<<<<<<<<<<<
- * 
- *         scap_max = 0
-*/
-      (__pyx_v_ch.remaining_at[__pyx_v_j]) = (__pyx_v_total_derived - __pyx_v_done);
-    }
-
-    /* "cordant/_kernel/_speed.pyx":334
- *             ch.remaining_at[j] = total_derived - done
- * 
- *         scap_max = 0             # <<<<<<<<<<<<<<
- *         dcap_max = 0
- *         for j in range(m):
-*/
-    __pyx_v_scap_max = 0;
-
-    /* "cordant/_kernel/_speed.pyx":335
- * 
- *         scap_max = 0
- *         dcap_max = 0             # <<<<<<<<<<<<<<
- *         for j in range(m):
- *             if ch.slot_cap[j] > scap_max:
-*/
-    __pyx_v_dcap_max = 0;
-
-    /* "cordant/_kernel/_speed.pyx":336
- *         scap_max = 0
- *         dcap_max = 0
- *         for j in range(m):             # <<<<<<<<<<<<<<
- *             if ch.slot_cap[j] > scap_max:
- *                 scap_max = ch.slot_cap[j]
-*/
-    __pyx_t_8 = __pyx_v_m;
-    __pyx_t_9 = __pyx_t_8;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_j = __pyx_t_10;
-
-      /* "cordant/_kernel/_speed.pyx":337
- *         dcap_max = 0
- *         for j in range(m):
- *             if ch.slot_cap[j] > scap_max:             # <<<<<<<<<<<<<<
- *                 scap_max = ch.slot_cap[j]
- *             if ch.dcap[j] > dcap_max:
-*/
-      __pyx_t_1 = ((__pyx_v_ch.slot_cap[__pyx_v_j]) > __pyx_v_scap_max);
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":338
- *         for j in range(m):
- *             if ch.slot_cap[j] > scap_max:
- *                 scap_max = ch.slot_cap[j]             # <<<<<<<<<<<<<<
- *             if ch.dcap[j] > dcap_max:
- *                 dcap_max = ch.dcap[j]
-*/
-        __pyx_v_scap_max = (__pyx_v_ch.slot_cap[__pyx_v_j]);
-
-        /* "cordant/_kernel/_speed.pyx":337
- *         dcap_max = 0
- *         for j in range(m):
- *             if ch.slot_cap[j] > scap_max:             # <<<<<<<<<<<<<<
- *                 scap_max = ch.slot_cap[j]
- *             if ch.dcap[j] > dcap_max:
-*/
-      }
-
-      /* "cordant/_kernel/_speed.pyx":339
- *             if ch.slot_cap[j] > scap_max:
- *                 scap_max = ch.slot_cap[j]
- *             if ch.dcap[j] > dcap_max:             # <<<<<<<<<<<<<<
- *                 dcap_max = ch.dcap[j]
- *         ch.bits_pos = _bitlen(num_slots)
-*/
-      __pyx_t_1 = ((__pyx_v_ch.dcap[__pyx_v_j]) > __pyx_v_dcap_max);
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":340
- *                 scap_max = ch.slot_cap[j]
- *             if ch.dcap[j] > dcap_max:
- *                 dcap_max = ch.dcap[j]             # <<<<<<<<<<<<<<
- *         ch.bits_pos = _bitlen(num_slots)
- *         ch.bits_lab = _bitlen(m - 1)
-*/
-        __pyx_v_dcap_max = (__pyx_v_ch.dcap[__pyx_v_j]);
-
-        /* "cordant/_kernel/_speed.pyx":339
- *             if ch.slot_cap[j] > scap_max:
- *                 scap_max = ch.slot_cap[j]
- *             if ch.dcap[j] > dcap_max:             # <<<<<<<<<<<<<<
- *                 dcap_max = ch.dcap[j]
- *         ch.bits_pos = _bitlen(num_slots)
-*/
-      }
-    }
-
-    /* "cordant/_kernel/_speed.pyx":341
- *             if ch.dcap[j] > dcap_max:
- *                 dcap_max = ch.dcap[j]
- *         ch.bits_pos = _bitlen(num_slots)             # <<<<<<<<<<<<<<
- *         ch.bits_lab = _bitlen(m - 1)
- *         ch.bits_sc = _bitlen(scap_max)
-*/
-    __pyx_v_ch.bits_pos = __pyx_f_7cordant_7_kernel_6_speed__bitlen(__pyx_v_num_slots);
-
-    /* "cordant/_kernel/_speed.pyx":342
- *                 dcap_max = ch.dcap[j]
- *         ch.bits_pos = _bitlen(num_slots)
- *         ch.bits_lab = _bitlen(m - 1)             # <<<<<<<<<<<<<<
- *         ch.bits_sc = _bitlen(scap_max)
- *         ch.bits_dc = _bitlen(dcap_max)
-*/
-    __pyx_v_ch.bits_lab = __pyx_f_7cordant_7_kernel_6_speed__bitlen((__pyx_v_m - 1));
-
-    /* "cordant/_kernel/_speed.pyx":343
- *         ch.bits_pos = _bitlen(num_slots)
- *         ch.bits_lab = _bitlen(m - 1)
- *         ch.bits_sc = _bitlen(scap_max)             # <<<<<<<<<<<<<<
- *         ch.bits_dc = _bitlen(dcap_max)
- *         total_bits = (ch.bits_pos + ch.bits_lab
-*/
-    __pyx_v_ch.bits_sc = __pyx_f_7cordant_7_kernel_6_speed__bitlen(__pyx_v_scap_max);
-
-    /* "cordant/_kernel/_speed.pyx":344
- *         ch.bits_lab = _bitlen(m - 1)
- *         ch.bits_sc = _bitlen(scap_max)
- *         ch.bits_dc = _bitlen(dcap_max)             # <<<<<<<<<<<<<<
- *         total_bits = (ch.bits_pos + ch.bits_lab
- *                       + (ch.bits_lab if cyclic else 0)
-*/
-    __pyx_v_ch.bits_dc = __pyx_f_7cordant_7_kernel_6_speed__bitlen(__pyx_v_dcap_max);
-
-    /* "cordant/_kernel/_speed.pyx":346
- *         ch.bits_dc = _bitlen(dcap_max)
- *         total_bits = (ch.bits_pos + ch.bits_lab
- *                       + (ch.bits_lab if cyclic else 0)             # <<<<<<<<<<<<<<
- *                       + m * (ch.bits_sc + ch.bits_dc))
- *         ch.memo_on = total_bits <= MEMO_MAX_BITS
-*/
-    if (__pyx_v_cyclic) {
-      __pyx_t_11 = __pyx_v_ch.bits_lab;
-    } else {
-      __pyx_t_11 = 0;
-    }
-
-    /* "cordant/_kernel/_speed.pyx":347
- *         total_bits = (ch.bits_pos + ch.bits_lab
- *                       + (ch.bits_lab if cyclic else 0)
- *                       + m * (ch.bits_sc + ch.bits_dc))             # <<<<<<<<<<<<<<
- *         ch.memo_on = total_bits <= MEMO_MAX_BITS
- *         _memo_init(&ch.memo, <size_t> memo_limit)
-*/
-    __pyx_v_total_bits = (((__pyx_v_ch.bits_pos + __pyx_v_ch.bits_lab) + __pyx_t_11) + (__pyx_v_m * (__pyx_v_ch.bits_sc + __pyx_v_ch.bits_dc)));
-
-    /* "cordant/_kernel/_speed.pyx":348
- *                       + (ch.bits_lab if cyclic else 0)
- *                       + m * (ch.bits_sc + ch.bits_dc))
- *         ch.memo_on = total_bits <= MEMO_MAX_BITS             # <<<<<<<<<<<<<<
- *         _memo_init(&ch.memo, <size_t> memo_limit)
- * 
-*/
-    __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_total_bits); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 348, __pyx_L11_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_MEMO_MAX_BITS); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 348, __pyx_L11_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_15 = PyObject_RichCompare(__pyx_t_2, __pyx_t_3, Py_LE); __Pyx_XGOTREF(__pyx_t_15); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 348, __pyx_L11_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_1 = __Pyx_PyObject_IsTrue(__pyx_t_15); if (unlikely((__pyx_t_1 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 348, __pyx_L11_error)
-    __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-    __pyx_v_ch.memo_on = __pyx_t_1;
-
-    /* "cordant/_kernel/_speed.pyx":349
- *                       + m * (ch.bits_sc + ch.bits_dc))
- *         ch.memo_on = total_bits <= MEMO_MAX_BITS
- *         _memo_init(&ch.memo, <size_t> memo_limit)             # <<<<<<<<<<<<<<
- * 
- *         for j in range(p):
-*/
-    __pyx_t_8 = __pyx_f_7cordant_7_kernel_6_speed__memo_init((&__pyx_v_ch.memo), ((size_t)__pyx_v_memo_limit)); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 349, __pyx_L11_error)
-
-    /* "cordant/_kernel/_speed.pyx":351
- *         _memo_init(&ch.memo, <size_t> memo_limit)
- * 
- *         for j in range(p):             # <<<<<<<<<<<<<<
- *             if _chain_place(&ch, j, prefix[j]) < 0:
- *                 return (EXHAUSTED, None, 0)
-*/
-    __pyx_t_6 = __pyx_v_p;
-    __pyx_t_16 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_16; __pyx_t_8+=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "cordant/_kernel/_speed.pyx":352
- * 
- *         for j in range(p):
- *             if _chain_place(&ch, j, prefix[j]) < 0:             # <<<<<<<<<<<<<<
- *                 return (EXHAUSTED, None, 0)
- *         status = _chain_dfs(&ch, <int> p)
-*/
-      __pyx_t_15 = __Pyx_GetItemInt(__pyx_v_prefix, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 352, __pyx_L11_error)
-      __Pyx_GOTREF(__pyx_t_15);
-      __pyx_t_9 = __Pyx_PyLong_As_int(__pyx_t_15); if (unlikely((__pyx_t_9 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 352, __pyx_L11_error)
-      __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-      __pyx_t_1 = (__pyx_f_7cordant_7_kernel_6_speed__chain_place((&__pyx_v_ch), __pyx_v_j, __pyx_t_9) < 0);
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":353
- *         for j in range(p):
- *             if _chain_place(&ch, j, prefix[j]) < 0:
- *                 return (EXHAUSTED, None, 0)             # <<<<<<<<<<<<<<
- *         status = _chain_dfs(&ch, <int> p)
- *         if status == C_FOUND:
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __Pyx_GetModuleGlobalName(__pyx_t_15, __pyx_mstate_global->__pyx_n_u_EXHAUSTED); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 353, __pyx_L11_error)
-        __Pyx_GOTREF(__pyx_t_15);
-        __pyx_t_3 = PyTuple_New(3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 353, __pyx_L11_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __Pyx_GIVEREF(__pyx_t_15);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_15) != (0)) __PYX_ERR(0, 353, __pyx_L11_error);
-        __Pyx_INCREF(Py_None);
-        __Pyx_GIVEREF(Py_None);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, Py_None) != (0)) __PYX_ERR(0, 353, __pyx_L11_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 2, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 353, __pyx_L11_error);
-        __pyx_t_15 = 0;
-        __pyx_r = __pyx_t_3;
-        __pyx_t_3 = 0;
-        goto __pyx_L10_return;
-
-        /* "cordant/_kernel/_speed.pyx":352
- * 
- *         for j in range(p):
- *             if _chain_place(&ch, j, prefix[j]) < 0:             # <<<<<<<<<<<<<<
- *                 return (EXHAUSTED, None, 0)
- *         status = _chain_dfs(&ch, <int> p)
-*/
-      }
-    }
-
-    /* "cordant/_kernel/_speed.pyx":354
- *             if _chain_place(&ch, j, prefix[j]) < 0:
- *                 return (EXHAUSTED, None, 0)
- *         status = _chain_dfs(&ch, <int> p)             # <<<<<<<<<<<<<<
- *         if status == C_FOUND:
- *             return (FOUND, [ch.assign[j] for j in range(num_slots)], ch.nodes)
-*/
-    __pyx_t_8 = __pyx_f_7cordant_7_kernel_6_speed__chain_dfs((&__pyx_v_ch), ((int)__pyx_v_p)); if (unlikely(__pyx_t_8 == ((int)-2))) __PYX_ERR(0, 354, __pyx_L11_error)
-    __pyx_v_status = __pyx_t_8;
-
-    /* "cordant/_kernel/_speed.pyx":355
- *                 return (EXHAUSTED, None, 0)
- *         status = _chain_dfs(&ch, <int> p)
- *         if status == C_FOUND:             # <<<<<<<<<<<<<<
- *             return (FOUND, [ch.assign[j] for j in range(num_slots)], ch.nodes)
- *         return (status, None, ch.nodes)
-*/
-    __pyx_t_1 = (__pyx_v_status == __pyx_v_7cordant_7_kernel_6_speed_C_FOUND);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":356
- *         status = _chain_dfs(&ch, <int> p)
- *         if status == C_FOUND:
- *             return (FOUND, [ch.assign[j] for j in range(num_slots)], ch.nodes)             # <<<<<<<<<<<<<<
- *         return (status, None, ch.nodes)
- *     finally:
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_FOUND); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 356, __pyx_L11_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      { /* enter inner scope */
-        __pyx_t_15 = PyList_New(0); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 356, __pyx_L11_error)
-        __Pyx_GOTREF(__pyx_t_15);
-        __pyx_t_8 = __pyx_v_num_slots;
-        __pyx_t_9 = __pyx_t_8;
-        for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-          __pyx_7genexpr__pyx_v_j = __pyx_t_10;
-          __pyx_t_2 = __Pyx_PyLong_From_int((__pyx_v_ch.assign[__pyx_7genexpr__pyx_v_j])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 356, __pyx_L11_error)
-          __Pyx_GOTREF(__pyx_t_2);
-          if (unlikely(__Pyx_ListComp_Append(__pyx_t_15, (PyObject*)__pyx_t_2))) __PYX_ERR(0, 356, __pyx_L11_error)
-          __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-        }
-      } /* exit inner scope */
-      __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_ch.nodes); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 356, __pyx_L11_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_17 = PyTuple_New(3); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 356, __pyx_L11_error)
-      __Pyx_GOTREF(__pyx_t_17);
-      __Pyx_GIVEREF(__pyx_t_3);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_17, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 356, __pyx_L11_error);
-      __Pyx_GIVEREF(__pyx_t_15);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_17, 1, __pyx_t_15) != (0)) __PYX_ERR(0, 356, __pyx_L11_error);
-      __Pyx_GIVEREF(__pyx_t_2);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_17, 2, __pyx_t_2) != (0)) __PYX_ERR(0, 356, __pyx_L11_error);
-      __pyx_t_3 = 0;
-      __pyx_t_15 = 0;
-      __pyx_t_2 = 0;
-      __pyx_r = __pyx_t_17;
-      __pyx_t_17 = 0;
-      goto __pyx_L10_return;
-
-      /* "cordant/_kernel/_speed.pyx":355
- *                 return (EXHAUSTED, None, 0)
- *         status = _chain_dfs(&ch, <int> p)
- *         if status == C_FOUND:             # <<<<<<<<<<<<<<
- *             return (FOUND, [ch.assign[j] for j in range(num_slots)], ch.nodes)
- *         return (status, None, ch.nodes)
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":357
- *         if status == C_FOUND:
- *             return (FOUND, [ch.assign[j] for j in range(num_slots)], ch.nodes)
- *         return (status, None, ch.nodes)             # <<<<<<<<<<<<<<
- *     finally:
- *         _memo_free(&ch.memo)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_17 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 357, __pyx_L11_error)
-    __Pyx_GOTREF(__pyx_t_17);
-    __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_ch.nodes); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 357, __pyx_L11_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_15 = PyTuple_New(3); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 357, __pyx_L11_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __Pyx_GIVEREF(__pyx_t_17);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 0, __pyx_t_17) != (0)) __PYX_ERR(0, 357, __pyx_L11_error);
-    __Pyx_INCREF(Py_None);
-    __Pyx_GIVEREF(Py_None);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 1, Py_None) != (0)) __PYX_ERR(0, 357, __pyx_L11_error);
-    __Pyx_GIVEREF(__pyx_t_2);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 2, __pyx_t_2) != (0)) __PYX_ERR(0, 357, __pyx_L11_error);
-    __pyx_t_17 = 0;
-    __pyx_t_2 = 0;
-    __pyx_r = __pyx_t_15;
-    __pyx_t_15 = 0;
-    goto __pyx_L10_return;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":359
- *         return (status, None, ch.nodes)
- *     finally:
- *         _memo_free(&ch.memo)             # <<<<<<<<<<<<<<
- *         free(ch.add_t)
- *         free(ch.slot_cap)
-*/
-  /*finally:*/ {
-    __pyx_L11_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0;
-      __Pyx_XDECREF(__pyx_t_15); __pyx_t_15 = 0;
-      __Pyx_XDECREF(__pyx_t_17); __pyx_t_17 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_22, &__pyx_t_23, &__pyx_t_24);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_19, &__pyx_t_20, &__pyx_t_21) < 0)) __Pyx_ErrFetch(&__pyx_t_19, &__pyx_t_20, &__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __pyx_t_8 = __pyx_lineno; __pyx_t_9 = __pyx_clineno; __pyx_t_18 = __pyx_filename;
-      {
-        __pyx_f_7cordant_7_kernel_6_speed__memo_free((&__pyx_v_ch.memo));
-
-        /* "cordant/_kernel/_speed.pyx":360
- *     finally:
- *         _memo_free(&ch.memo)
- *         free(ch.add_t)             # <<<<<<<<<<<<<<
- *         free(ch.slot_cap)
- *         free(ch.slot_floor)
-*/
-        free(__pyx_v_ch.add_t);
-
-        /* "cordant/_kernel/_speed.pyx":361
- *         _memo_free(&ch.memo)
- *         free(ch.add_t)
- *         free(ch.slot_cap)             # <<<<<<<<<<<<<<
- *         free(ch.slot_floor)
- *         free(ch.dcap)
-*/
-        free(__pyx_v_ch.slot_cap);
-
-        /* "cordant/_kernel/_speed.pyx":362
- *         free(ch.add_t)
- *         free(ch.slot_cap)
- *         free(ch.slot_floor)             # <<<<<<<<<<<<<<
- *         free(ch.dcap)
- *         free(ch.dfloor)
-*/
-        free(__pyx_v_ch.slot_floor);
-
-        /* "cordant/_kernel/_speed.pyx":363
- *         free(ch.slot_cap)
- *         free(ch.slot_floor)
- *         free(ch.dcap)             # <<<<<<<<<<<<<<
- *         free(ch.dfloor)
- *         free(ch.assign)
-*/
-        free(__pyx_v_ch.dcap);
-
-        /* "cordant/_kernel/_speed.pyx":364
- *         free(ch.slot_floor)
- *         free(ch.dcap)
- *         free(ch.dfloor)             # <<<<<<<<<<<<<<
- *         free(ch.assign)
- *         free(ch.scount)
-*/
-        free(__pyx_v_ch.dfloor);
-
-        /* "cordant/_kernel/_speed.pyx":365
- *         free(ch.dcap)
- *         free(ch.dfloor)
- *         free(ch.assign)             # <<<<<<<<<<<<<<
- *         free(ch.scount)
- *         free(ch.dcount)
-*/
-        free(__pyx_v_ch.assign);
-
-        /* "cordant/_kernel/_speed.pyx":366
- *         free(ch.dfloor)
- *         free(ch.assign)
- *         free(ch.scount)             # <<<<<<<<<<<<<<
- *         free(ch.dcount)
- *         free(ch.ncomp)
-*/
-        free(__pyx_v_ch.scount);
-
-        /* "cordant/_kernel/_speed.pyx":367
- *         free(ch.assign)
- *         free(ch.scount)
- *         free(ch.dcount)             # <<<<<<<<<<<<<<
- *         free(ch.ncomp)
- *         free(ch.comps)
-*/
-        free(__pyx_v_ch.dcount);
-
-        /* "cordant/_kernel/_speed.pyx":368
- *         free(ch.scount)
- *         free(ch.dcount)
- *         free(ch.ncomp)             # <<<<<<<<<<<<<<
- *         free(ch.comps)
- *         free(ch.remaining_at)
-*/
-        free(__pyx_v_ch.ncomp);
-
-        /* "cordant/_kernel/_speed.pyx":369
- *         free(ch.dcount)
- *         free(ch.ncomp)
- *         free(ch.comps)             # <<<<<<<<<<<<<<
- *         free(ch.remaining_at)
- * 
-*/
-        free(__pyx_v_ch.comps);
-
-        /* "cordant/_kernel/_speed.pyx":370
- *         free(ch.ncomp)
- *         free(ch.comps)
- *         free(ch.remaining_at)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_ch.remaining_at);
-      }
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_ExceptionReset(__pyx_t_22, __pyx_t_23, __pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_ErrRestore(__pyx_t_19, __pyx_t_20, __pyx_t_21);
-      __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0;
-      __pyx_lineno = __pyx_t_8; __pyx_clineno = __pyx_t_9; __pyx_filename = __pyx_t_18;
-      goto __pyx_L1_error;
-    }
-    __pyx_L10_return: {
-      __pyx_t_24 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "cordant/_kernel/_speed.pyx":359
- *         return (status, None, ch.nodes)
- *     finally:
- *         _memo_free(&ch.memo)             # <<<<<<<<<<<<<<
- *         free(ch.add_t)
- *         free(ch.slot_cap)
-*/
-      __pyx_f_7cordant_7_kernel_6_speed__memo_free((&__pyx_v_ch.memo));
-
-      /* "cordant/_kernel/_speed.pyx":360
- *     finally:
- *         _memo_free(&ch.memo)
- *         free(ch.add_t)             # <<<<<<<<<<<<<<
- *         free(ch.slot_cap)
- *         free(ch.slot_floor)
-*/
-      free(__pyx_v_ch.add_t);
-
-      /* "cordant/_kernel/_speed.pyx":361
- *         _memo_free(&ch.memo)
- *         free(ch.add_t)
- *         free(ch.slot_cap)             # <<<<<<<<<<<<<<
- *         free(ch.slot_floor)
- *         free(ch.dcap)
-*/
-      free(__pyx_v_ch.slot_cap);
-
-      /* "cordant/_kernel/_speed.pyx":362
- *         free(ch.add_t)
- *         free(ch.slot_cap)
- *         free(ch.slot_floor)             # <<<<<<<<<<<<<<
- *         free(ch.dcap)
- *         free(ch.dfloor)
-*/
-      free(__pyx_v_ch.slot_floor);
-
-      /* "cordant/_kernel/_speed.pyx":363
- *         free(ch.slot_cap)
- *         free(ch.slot_floor)
- *         free(ch.dcap)             # <<<<<<<<<<<<<<
- *         free(ch.dfloor)
- *         free(ch.assign)
-*/
-      free(__pyx_v_ch.dcap);
-
-      /* "cordant/_kernel/_speed.pyx":364
- *         free(ch.slot_floor)
- *         free(ch.dcap)
- *         free(ch.dfloor)             # <<<<<<<<<<<<<<
- *         free(ch.assign)
- *         free(ch.scount)
-*/
-      free(__pyx_v_ch.dfloor);
-
-      /* "cordant/_kernel/_speed.pyx":365
- *         free(ch.dcap)
- *         free(ch.dfloor)
- *         free(ch.assign)             # <<<<<<<<<<<<<<
- *         free(ch.scount)
- *         free(ch.dcount)
-*/
-      free(__pyx_v_ch.assign);
-
-      /* "cordant/_kernel/_speed.pyx":366
- *         free(ch.dfloor)
- *         free(ch.assign)
- *         free(ch.scount)             # <<<<<<<<<<<<<<
- *         free(ch.dcount)
- *         free(ch.ncomp)
-*/
-      free(__pyx_v_ch.scount);
-
-      /* "cordant/_kernel/_speed.pyx":367
- *         free(ch.assign)
- *         free(ch.scount)
- *         free(ch.dcount)             # <<<<<<<<<<<<<<
- *         free(ch.ncomp)
- *         free(ch.comps)
-*/
-      free(__pyx_v_ch.dcount);
-
-      /* "cordant/_kernel/_speed.pyx":368
- *         free(ch.scount)
- *         free(ch.dcount)
- *         free(ch.ncomp)             # <<<<<<<<<<<<<<
- *         free(ch.comps)
- *         free(ch.remaining_at)
-*/
-      free(__pyx_v_ch.ncomp);
-
-      /* "cordant/_kernel/_speed.pyx":369
- *         free(ch.dcount)
- *         free(ch.ncomp)
- *         free(ch.comps)             # <<<<<<<<<<<<<<
- *         free(ch.remaining_at)
- * 
-*/
-      free(__pyx_v_ch.comps);
-
-      /* "cordant/_kernel/_speed.pyx":370
- *         free(ch.ncomp)
- *         free(ch.comps)
- *         free(ch.remaining_at)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_ch.remaining_at);
-      __pyx_r = __pyx_t_24;
-      __pyx_t_24 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "cordant/_kernel/_speed.pyx":258
- * 
- * 
- * def solve_chain(             # <<<<<<<<<<<<<<
- *     int m,
- *     object add_t,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_15);
-  __Pyx_XDECREF(__pyx_t_17);
-  __Pyx_AddTraceback("cordant._kernel._speed.solve_chain", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":401
- * 
- * 
- * cdef bint _gen_place(Generic* g, int i, int x) noexcept:             # <<<<<<<<<<<<<<
- *     if g.scount[x] >= g.slot_cap[x]:
- *         return 0
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__gen_place(struct __pyx_t_7cordant_7_kernel_6_speed_Generic *__pyx_v_g, int __pyx_v_i, int __pyx_v_x) {
-  int __pyx_v_t;
-  int __pyx_v_d;
-  int __pyx_v_v;
-  int __pyx_v_applied;
-  int __pyx_v_ok;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  long __pyx_t_6;
-  long __pyx_t_7;
-  int __pyx_t_8;
-
-  /* "cordant/_kernel/_speed.pyx":402
- * 
- * cdef bint _gen_place(Generic* g, int i, int x) noexcept:
- *     if g.scount[x] >= g.slot_cap[x]:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef int t, d, v
-*/
-  __pyx_t_1 = ((__pyx_v_g->scount[__pyx_v_x]) >= (__pyx_v_g->slot_cap[__pyx_v_x]));
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":403
- * cdef bint _gen_place(Generic* g, int i, int x) noexcept:
- *     if g.scount[x] >= g.slot_cap[x]:
- *         return 0             # <<<<<<<<<<<<<<
- *     cdef int t, d, v
- *     for t in range(g.sd_ptr[i], g.sd_ptr[i + 1]):
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":402
- * 
- * cdef bint _gen_place(Generic* g, int i, int x) noexcept:
- *     if g.scount[x] >= g.slot_cap[x]:             # <<<<<<<<<<<<<<
- *         return 0
- *     cdef int t, d, v
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":405
- *         return 0
- *     cdef int t, d, v
- *     for t in range(g.sd_ptr[i], g.sd_ptr[i + 1]):             # <<<<<<<<<<<<<<
- *         d = g.sd_ids[t]
- *         g.psum[d] = g.add_t[g.psum[d] * g.m + x]
-*/
-  __pyx_t_2 = (__pyx_v_g->sd_ptr[(__pyx_v_i + 1)]);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = (__pyx_v_g->sd_ptr[__pyx_v_i]); __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_t = __pyx_t_4;
-
-    /* "cordant/_kernel/_speed.pyx":406
- *     cdef int t, d, v
- *     for t in range(g.sd_ptr[i], g.sd_ptr[i + 1]):
- *         d = g.sd_ids[t]             # <<<<<<<<<<<<<<
- *         g.psum[d] = g.add_t[g.psum[d] * g.m + x]
- *     cdef int applied = g.comp_ptr[i]
-*/
-    __pyx_v_d = (__pyx_v_g->sd_ids[__pyx_v_t]);
-
-    /* "cordant/_kernel/_speed.pyx":407
- *     for t in range(g.sd_ptr[i], g.sd_ptr[i + 1]):
- *         d = g.sd_ids[t]
- *         g.psum[d] = g.add_t[g.psum[d] * g.m + x]             # <<<<<<<<<<<<<<
- *     cdef int applied = g.comp_ptr[i]
- *     cdef bint ok = 1
-*/
-    (__pyx_v_g->psum[__pyx_v_d]) = (__pyx_v_g->add_t[(((__pyx_v_g->psum[__pyx_v_d]) * __pyx_v_g->m) + __pyx_v_x)]);
-  }
-
-  /* "cordant/_kernel/_speed.pyx":408
- *         d = g.sd_ids[t]
- *         g.psum[d] = g.add_t[g.psum[d] * g.m + x]
- *     cdef int applied = g.comp_ptr[i]             # <<<<<<<<<<<<<<
- *     cdef bint ok = 1
- *     for t in range(g.comp_ptr[i], g.comp_ptr[i + 1]):
-*/
-  __pyx_v_applied = (__pyx_v_g->comp_ptr[__pyx_v_i]);
-
-  /* "cordant/_kernel/_speed.pyx":409
- *         g.psum[d] = g.add_t[g.psum[d] * g.m + x]
- *     cdef int applied = g.comp_ptr[i]
- *     cdef bint ok = 1             # <<<<<<<<<<<<<<
- *     for t in range(g.comp_ptr[i], g.comp_ptr[i + 1]):
- *         v = g.psum[g.comp_ids[t]]
-*/
-  __pyx_v_ok = 1;
-
-  /* "cordant/_kernel/_speed.pyx":410
- *     cdef int applied = g.comp_ptr[i]
- *     cdef bint ok = 1
- *     for t in range(g.comp_ptr[i], g.comp_ptr[i + 1]):             # <<<<<<<<<<<<<<
- *         v = g.psum[g.comp_ids[t]]
- *         if g.dcount[v] >= g.dcap[v]:
-*/
-  __pyx_t_2 = (__pyx_v_g->comp_ptr[(__pyx_v_i + 1)]);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = (__pyx_v_g->comp_ptr[__pyx_v_i]); __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_t = __pyx_t_4;
-
-    /* "cordant/_kernel/_speed.pyx":411
- *     cdef bint ok = 1
- *     for t in range(g.comp_ptr[i], g.comp_ptr[i + 1]):
- *         v = g.psum[g.comp_ids[t]]             # <<<<<<<<<<<<<<
- *         if g.dcount[v] >= g.dcap[v]:
- *             ok = 0
-*/
-    __pyx_v_v = (__pyx_v_g->psum[(__pyx_v_g->comp_ids[__pyx_v_t])]);
-
-    /* "cordant/_kernel/_speed.pyx":412
- *     for t in range(g.comp_ptr[i], g.comp_ptr[i + 1]):
- *         v = g.psum[g.comp_ids[t]]
- *         if g.dcount[v] >= g.dcap[v]:             # <<<<<<<<<<<<<<
- *             ok = 0
- *             break
-*/
-    __pyx_t_1 = ((__pyx_v_g->dcount[__pyx_v_v]) >= (__pyx_v_g->dcap[__pyx_v_v]));
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":413
- *         v = g.psum[g.comp_ids[t]]
- *         if g.dcount[v] >= g.dcap[v]:
- *             ok = 0             # <<<<<<<<<<<<<<
- *             break
- *         g.dcount[v] += 1
-*/
-      __pyx_v_ok = 0;
-
-      /* "cordant/_kernel/_speed.pyx":414
- *         if g.dcount[v] >= g.dcap[v]:
- *             ok = 0
- *             break             # <<<<<<<<<<<<<<
- *         g.dcount[v] += 1
- *         if g.dcount[v] <= g.dfloor[v]:
-*/
-      goto __pyx_L7_break;
-
-      /* "cordant/_kernel/_speed.pyx":412
- *     for t in range(g.comp_ptr[i], g.comp_ptr[i + 1]):
- *         v = g.psum[g.comp_ids[t]]
- *         if g.dcount[v] >= g.dcap[v]:             # <<<<<<<<<<<<<<
- *             ok = 0
- *             break
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":415
- *             ok = 0
- *             break
- *         g.dcount[v] += 1             # <<<<<<<<<<<<<<
- *         if g.dcount[v] <= g.dfloor[v]:
- *             g.ddef -= 1
-*/
-    __pyx_t_5 = __pyx_v_v;
-    (__pyx_v_g->dcount[__pyx_t_5]) = ((__pyx_v_g->dcount[__pyx_t_5]) + 1);
-
-    /* "cordant/_kernel/_speed.pyx":416
- *             break
- *         g.dcount[v] += 1
- *         if g.dcount[v] <= g.dfloor[v]:             # <<<<<<<<<<<<<<
- *             g.ddef -= 1
- *         applied = t + 1
-*/
-    __pyx_t_1 = ((__pyx_v_g->dcount[__pyx_v_v]) <= (__pyx_v_g->dfloor[__pyx_v_v]));
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":417
- *         g.dcount[v] += 1
- *         if g.dcount[v] <= g.dfloor[v]:
- *             g.ddef -= 1             # <<<<<<<<<<<<<<
- *         applied = t + 1
- *     if not ok:
-*/
-      __pyx_v_g->ddef = (__pyx_v_g->ddef - 1);
-
-      /* "cordant/_kernel/_speed.pyx":416
- *             break
- *         g.dcount[v] += 1
- *         if g.dcount[v] <= g.dfloor[v]:             # <<<<<<<<<<<<<<
- *             g.ddef -= 1
- *         applied = t + 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":418
- *         if g.dcount[v] <= g.dfloor[v]:
- *             g.ddef -= 1
- *         applied = t + 1             # <<<<<<<<<<<<<<
- *     if not ok:
- *         for t in range(applied - 1, g.comp_ptr[i] - 1, -1):
-*/
-    __pyx_v_applied = (__pyx_v_t + 1);
-  }
-  __pyx_L7_break:;
-
-  /* "cordant/_kernel/_speed.pyx":419
- *             g.ddef -= 1
- *         applied = t + 1
- *     if not ok:             # <<<<<<<<<<<<<<
- *         for t in range(applied - 1, g.comp_ptr[i] - 1, -1):
- *             v = g.psum[g.comp_ids[t]]
-*/
-  __pyx_t_1 = (!__pyx_v_ok);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":420
- *         applied = t + 1
- *     if not ok:
- *         for t in range(applied - 1, g.comp_ptr[i] - 1, -1):             # <<<<<<<<<<<<<<
- *             v = g.psum[g.comp_ids[t]]
- *             if g.dcount[v] <= g.dfloor[v]:
-*/
-    __pyx_t_6 = ((__pyx_v_g->comp_ptr[__pyx_v_i]) - 1);
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_2 = (__pyx_v_applied - 1); __pyx_t_2 > __pyx_t_7; __pyx_t_2-=1) {
-      __pyx_v_t = __pyx_t_2;
-
-      /* "cordant/_kernel/_speed.pyx":421
- *     if not ok:
- *         for t in range(applied - 1, g.comp_ptr[i] - 1, -1):
- *             v = g.psum[g.comp_ids[t]]             # <<<<<<<<<<<<<<
- *             if g.dcount[v] <= g.dfloor[v]:
- *                 g.ddef += 1
-*/
-      __pyx_v_v = (__pyx_v_g->psum[(__pyx_v_g->comp_ids[__pyx_v_t])]);
-
-      /* "cordant/_kernel/_speed.pyx":422
- *         for t in range(applied - 1, g.comp_ptr[i] - 1, -1):
- *             v = g.psum[g.comp_ids[t]]
- *             if g.dcount[v] <= g.dfloor[v]:             # <<<<<<<<<<<<<<
- *                 g.ddef += 1
- *             g.dcount[v] -= 1
-*/
-      __pyx_t_1 = ((__pyx_v_g->dcount[__pyx_v_v]) <= (__pyx_v_g->dfloor[__pyx_v_v]));
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":423
- *             v = g.psum[g.comp_ids[t]]
- *             if g.dcount[v] <= g.dfloor[v]:
- *                 g.ddef += 1             # <<<<<<<<<<<<<<
- *             g.dcount[v] -= 1
- *         for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):
-*/
-        __pyx_v_g->ddef = (__pyx_v_g->ddef + 1);
-
-        /* "cordant/_kernel/_speed.pyx":422
- *         for t in range(applied - 1, g.comp_ptr[i] - 1, -1):
- *             v = g.psum[g.comp_ids[t]]
- *             if g.dcount[v] <= g.dfloor[v]:             # <<<<<<<<<<<<<<
- *                 g.ddef += 1
- *             g.dcount[v] -= 1
-*/
-      }
-
-      /* "cordant/_kernel/_speed.pyx":424
- *             if g.dcount[v] <= g.dfloor[v]:
- *                 g.ddef += 1
- *             g.dcount[v] -= 1             # <<<<<<<<<<<<<<
- *         for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):
- *             d = g.sd_ids[t]
-*/
-      __pyx_t_3 = __pyx_v_v;
-      (__pyx_v_g->dcount[__pyx_t_3]) = ((__pyx_v_g->dcount[__pyx_t_3]) - 1);
-    }
-
-    /* "cordant/_kernel/_speed.pyx":425
- *                 g.ddef += 1
- *             g.dcount[v] -= 1
- *         for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):             # <<<<<<<<<<<<<<
- *             d = g.sd_ids[t]
- *             g.psum[d] = g.add_t[g.psum[d] * g.m + g.neg_t[x]]
-*/
-    __pyx_t_6 = ((__pyx_v_g->sd_ptr[__pyx_v_i]) - 1);
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_2 = ((__pyx_v_g->sd_ptr[(__pyx_v_i + 1)]) - 1); __pyx_t_2 > __pyx_t_7; __pyx_t_2-=1) {
-      __pyx_v_t = __pyx_t_2;
-
-      /* "cordant/_kernel/_speed.pyx":426
- *             g.dcount[v] -= 1
- *         for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):
- *             d = g.sd_ids[t]             # <<<<<<<<<<<<<<
- *             g.psum[d] = g.add_t[g.psum[d] * g.m + g.neg_t[x]]
- *         return 0
-*/
-      __pyx_v_d = (__pyx_v_g->sd_ids[__pyx_v_t]);
-
-      /* "cordant/_kernel/_speed.pyx":427
- *         for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):
- *             d = g.sd_ids[t]
- *             g.psum[d] = g.add_t[g.psum[d] * g.m + g.neg_t[x]]             # <<<<<<<<<<<<<<
- *         return 0
- *     g.scount[x] += 1
-*/
-      (__pyx_v_g->psum[__pyx_v_d]) = (__pyx_v_g->add_t[(((__pyx_v_g->psum[__pyx_v_d]) * __pyx_v_g->m) + (__pyx_v_g->neg_t[__pyx_v_x]))]);
-    }
-
-    /* "cordant/_kernel/_speed.pyx":428
- *             d = g.sd_ids[t]
- *             g.psum[d] = g.add_t[g.psum[d] * g.m + g.neg_t[x]]
- *         return 0             # <<<<<<<<<<<<<<
- *     g.scount[x] += 1
- *     if g.scount[x] <= g.slot_floor[x]:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":419
- *             g.ddef -= 1
- *         applied = t + 1
- *     if not ok:             # <<<<<<<<<<<<<<
- *         for t in range(applied - 1, g.comp_ptr[i] - 1, -1):
- *             v = g.psum[g.comp_ids[t]]
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":429
- *             g.psum[d] = g.add_t[g.psum[d] * g.m + g.neg_t[x]]
- *         return 0
- *     g.scount[x] += 1             # <<<<<<<<<<<<<<
- *     if g.scount[x] <= g.slot_floor[x]:
- *         g.sdef -= 1
-*/
-  __pyx_t_2 = __pyx_v_x;
-  (__pyx_v_g->scount[__pyx_t_2]) = ((__pyx_v_g->scount[__pyx_t_2]) + 1);
-
-  /* "cordant/_kernel/_speed.pyx":430
- *         return 0
- *     g.scount[x] += 1
- *     if g.scount[x] <= g.slot_floor[x]:             # <<<<<<<<<<<<<<
- *         g.sdef -= 1
- *     g.assign[i] = x
-*/
-  __pyx_t_1 = ((__pyx_v_g->scount[__pyx_v_x]) <= (__pyx_v_g->slot_floor[__pyx_v_x]));
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":431
- *     g.scount[x] += 1
- *     if g.scount[x] <= g.slot_floor[x]:
- *         g.sdef -= 1             # <<<<<<<<<<<<<<
- *     g.assign[i] = x
- *     if g.sdef > g.s - i - 1 or g.ddef > g.remaining_at[i + 1]:
-*/
-    __pyx_v_g->sdef = (__pyx_v_g->sdef - 1);
-
-    /* "cordant/_kernel/_speed.pyx":430
- *         return 0
- *     g.scount[x] += 1
- *     if g.scount[x] <= g.slot_floor[x]:             # <<<<<<<<<<<<<<
- *         g.sdef -= 1
- *     g.assign[i] = x
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":432
- *     if g.scount[x] <= g.slot_floor[x]:
- *         g.sdef -= 1
- *     g.assign[i] = x             # <<<<<<<<<<<<<<
- *     if g.sdef > g.s - i - 1 or g.ddef > g.remaining_at[i + 1]:
- *         _gen_unplace(g, i, x)
-*/
-  (__pyx_v_g->assign[__pyx_v_i]) = __pyx_v_x;
-
-  /* "cordant/_kernel/_speed.pyx":433
- *         g.sdef -= 1
- *     g.assign[i] = x
- *     if g.sdef > g.s - i - 1 or g.ddef > g.remaining_at[i + 1]:             # <<<<<<<<<<<<<<
- *         _gen_unplace(g, i, x)
- *         return 0
-*/
-  __pyx_t_8 = (__pyx_v_g->sdef > ((__pyx_v_g->s - __pyx_v_i) - 1));
-  if (!__pyx_t_8) {
-  } else {
-    __pyx_t_1 = __pyx_t_8;
-    goto __pyx_L18_bool_binop_done;
-  }
-  __pyx_t_8 = (__pyx_v_g->ddef > (__pyx_v_g->remaining_at[(__pyx_v_i + 1)]));
-  __pyx_t_1 = __pyx_t_8;
-  __pyx_L18_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":434
- *     g.assign[i] = x
- *     if g.sdef > g.s - i - 1 or g.ddef > g.remaining_at[i + 1]:
- *         _gen_unplace(g, i, x)             # <<<<<<<<<<<<<<
- *         return 0
- *     return 1
-*/
-    __pyx_f_7cordant_7_kernel_6_speed__gen_unplace(__pyx_v_g, __pyx_v_i, __pyx_v_x);
-
-    /* "cordant/_kernel/_speed.pyx":435
- *     if g.sdef > g.s - i - 1 or g.ddef > g.remaining_at[i + 1]:
- *         _gen_unplace(g, i, x)
- *         return 0             # <<<<<<<<<<<<<<
- *     return 1
- * 
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":433
- *         g.sdef -= 1
- *     g.assign[i] = x
- *     if g.sdef > g.s - i - 1 or g.ddef > g.remaining_at[i + 1]:             # <<<<<<<<<<<<<<
- *         _gen_unplace(g, i, x)
- *         return 0
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":436
- *         _gen_unplace(g, i, x)
- *         return 0
- *     return 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":401
- * 
- * 
- * cdef bint _gen_place(Generic* g, int i, int x) noexcept:             # <<<<<<<<<<<<<<
- *     if g.scount[x] >= g.slot_cap[x]:
- *         return 0
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":439
- * 
- * 
- * cdef void _gen_unplace(Generic* g, int i, int x) noexcept:             # <<<<<<<<<<<<<<
- *     if g.scount[x] <= g.slot_floor[x]:
- *         g.sdef += 1
-*/
-
-static void __pyx_f_7cordant_7_kernel_6_speed__gen_unplace(struct __pyx_t_7cordant_7_kernel_6_speed_Generic *__pyx_v_g, int __pyx_v_i, int __pyx_v_x) {
-  int __pyx_v_t;
-  int __pyx_v_d;
-  int __pyx_v_v;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  long __pyx_t_3;
-  long __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "cordant/_kernel/_speed.pyx":440
- * 
- * cdef void _gen_unplace(Generic* g, int i, int x) noexcept:
- *     if g.scount[x] <= g.slot_floor[x]:             # <<<<<<<<<<<<<<
- *         g.sdef += 1
- *     g.scount[x] -= 1
-*/
-  __pyx_t_1 = ((__pyx_v_g->scount[__pyx_v_x]) <= (__pyx_v_g->slot_floor[__pyx_v_x]));
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":441
- * cdef void _gen_unplace(Generic* g, int i, int x) noexcept:
- *     if g.scount[x] <= g.slot_floor[x]:
- *         g.sdef += 1             # <<<<<<<<<<<<<<
- *     g.scount[x] -= 1
- *     g.assign[i] = -1
-*/
-    __pyx_v_g->sdef = (__pyx_v_g->sdef + 1);
-
-    /* "cordant/_kernel/_speed.pyx":440
- * 
- * cdef void _gen_unplace(Generic* g, int i, int x) noexcept:
- *     if g.scount[x] <= g.slot_floor[x]:             # <<<<<<<<<<<<<<
- *         g.sdef += 1
- *     g.scount[x] -= 1
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":442
- *     if g.scount[x] <= g.slot_floor[x]:
- *         g.sdef += 1
- *     g.scount[x] -= 1             # <<<<<<<<<<<<<<
- *     g.assign[i] = -1
- *     cdef int t, d, v
-*/
-  __pyx_t_2 = __pyx_v_x;
-  (__pyx_v_g->scount[__pyx_t_2]) = ((__pyx_v_g->scount[__pyx_t_2]) - 1);
-
-  /* "cordant/_kernel/_speed.pyx":443
- *         g.sdef += 1
- *     g.scount[x] -= 1
- *     g.assign[i] = -1             # <<<<<<<<<<<<<<
- *     cdef int t, d, v
- *     for t in range(g.comp_ptr[i + 1] - 1, g.comp_ptr[i] - 1, -1):
-*/
-  (__pyx_v_g->assign[__pyx_v_i]) = -1;
-
-  /* "cordant/_kernel/_speed.pyx":445
- *     g.assign[i] = -1
- *     cdef int t, d, v
- *     for t in range(g.comp_ptr[i + 1] - 1, g.comp_ptr[i] - 1, -1):             # <<<<<<<<<<<<<<
- *         v = g.psum[g.comp_ids[t]]
- *         if g.dcount[v] <= g.dfloor[v]:
-*/
-  __pyx_t_3 = ((__pyx_v_g->comp_ptr[__pyx_v_i]) - 1);
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_2 = ((__pyx_v_g->comp_ptr[(__pyx_v_i + 1)]) - 1); __pyx_t_2 > __pyx_t_4; __pyx_t_2-=1) {
-    __pyx_v_t = __pyx_t_2;
-
-    /* "cordant/_kernel/_speed.pyx":446
- *     cdef int t, d, v
- *     for t in range(g.comp_ptr[i + 1] - 1, g.comp_ptr[i] - 1, -1):
- *         v = g.psum[g.comp_ids[t]]             # <<<<<<<<<<<<<<
- *         if g.dcount[v] <= g.dfloor[v]:
- *             g.ddef += 1
-*/
-    __pyx_v_v = (__pyx_v_g->psum[(__pyx_v_g->comp_ids[__pyx_v_t])]);
-
-    /* "cordant/_kernel/_speed.pyx":447
- *     for t in range(g.comp_ptr[i + 1] - 1, g.comp_ptr[i] - 1, -1):
- *         v = g.psum[g.comp_ids[t]]
- *         if g.dcount[v] <= g.dfloor[v]:             # <<<<<<<<<<<<<<
- *             g.ddef += 1
- *         g.dcount[v] -= 1
-*/
-    __pyx_t_1 = ((__pyx_v_g->dcount[__pyx_v_v]) <= (__pyx_v_g->dfloor[__pyx_v_v]));
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":448
- *         v = g.psum[g.comp_ids[t]]
- *         if g.dcount[v] <= g.dfloor[v]:
- *             g.ddef += 1             # <<<<<<<<<<<<<<
- *         g.dcount[v] -= 1
- *     for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):
-*/
-      __pyx_v_g->ddef = (__pyx_v_g->ddef + 1);
-
-      /* "cordant/_kernel/_speed.pyx":447
- *     for t in range(g.comp_ptr[i + 1] - 1, g.comp_ptr[i] - 1, -1):
- *         v = g.psum[g.comp_ids[t]]
- *         if g.dcount[v] <= g.dfloor[v]:             # <<<<<<<<<<<<<<
- *             g.ddef += 1
- *         g.dcount[v] -= 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":449
- *         if g.dcount[v] <= g.dfloor[v]:
- *             g.ddef += 1
- *         g.dcount[v] -= 1             # <<<<<<<<<<<<<<
- *     for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):
- *         d = g.sd_ids[t]
-*/
-    __pyx_t_5 = __pyx_v_v;
-    (__pyx_v_g->dcount[__pyx_t_5]) = ((__pyx_v_g->dcount[__pyx_t_5]) - 1);
-  }
-
-  /* "cordant/_kernel/_speed.pyx":450
- *             g.ddef += 1
- *         g.dcount[v] -= 1
- *     for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):             # <<<<<<<<<<<<<<
- *         d = g.sd_ids[t]
- *         g.psum[d] = g.add_t[g.psum[d] * g.m + g.neg_t[x]]
-*/
-  __pyx_t_3 = ((__pyx_v_g->sd_ptr[__pyx_v_i]) - 1);
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_2 = ((__pyx_v_g->sd_ptr[(__pyx_v_i + 1)]) - 1); __pyx_t_2 > __pyx_t_4; __pyx_t_2-=1) {
-    __pyx_v_t = __pyx_t_2;
-
-    /* "cordant/_kernel/_speed.pyx":451
- *         g.dcount[v] -= 1
- *     for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):
- *         d = g.sd_ids[t]             # <<<<<<<<<<<<<<
- *         g.psum[d] = g.add_t[g.psum[d] * g.m + g.neg_t[x]]
- * 
-*/
-    __pyx_v_d = (__pyx_v_g->sd_ids[__pyx_v_t]);
-
-    /* "cordant/_kernel/_speed.pyx":452
- *     for t in range(g.sd_ptr[i + 1] - 1, g.sd_ptr[i] - 1, -1):
- *         d = g.sd_ids[t]
- *         g.psum[d] = g.add_t[g.psum[d] * g.m + g.neg_t[x]]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    (__pyx_v_g->psum[__pyx_v_d]) = (__pyx_v_g->add_t[(((__pyx_v_g->psum[__pyx_v_d]) * __pyx_v_g->m) + (__pyx_v_g->neg_t[__pyx_v_x]))]);
-  }
-
-  /* "cordant/_kernel/_speed.pyx":439
- * 
- * 
- * cdef void _gen_unplace(Generic* g, int i, int x) noexcept:             # <<<<<<<<<<<<<<
- *     if g.scount[x] <= g.slot_floor[x]:
- *         g.sdef += 1
-*/
-
-  /* function exit code */
-}
-
-/* "cordant/_kernel/_speed.pyx":455
- * 
- * 
- * cdef int _gen_dfs(Generic* g, int i) except -2:             # <<<<<<<<<<<<<<
- *     if i == g.s:
- *         return C_FOUND
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__gen_dfs(struct __pyx_t_7cordant_7_kernel_6_speed_Generic *__pyx_v_g, int __pyx_v_i) {
-  int __pyx_v_x;
-  int __pyx_v_r;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cordant/_kernel/_speed.pyx":456
- * 
- * cdef int _gen_dfs(Generic* g, int i) except -2:
- *     if i == g.s:             # <<<<<<<<<<<<<<
- *         return C_FOUND
- *     cdef int x, r
-*/
-  __pyx_t_1 = (__pyx_v_i == __pyx_v_g->s);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":457
- * cdef int _gen_dfs(Generic* g, int i) except -2:
- *     if i == g.s:
- *         return C_FOUND             # <<<<<<<<<<<<<<
- *     cdef int x, r
- *     for x in range(g.m):
-*/
-    __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_FOUND;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":456
- * 
- * cdef int _gen_dfs(Generic* g, int i) except -2:
- *     if i == g.s:             # <<<<<<<<<<<<<<
- *         return C_FOUND
- *     cdef int x, r
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":459
- *         return C_FOUND
- *     cdef int x, r
- *     for x in range(g.m):             # <<<<<<<<<<<<<<
- *         if g.budget >= 0 and g.nodes >= g.budget:
- *             return C_BUDGET
-*/
-  __pyx_t_2 = __pyx_v_g->m;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_x = __pyx_t_4;
-
-    /* "cordant/_kernel/_speed.pyx":460
- *     cdef int x, r
- *     for x in range(g.m):
- *         if g.budget >= 0 and g.nodes >= g.budget:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         g.nodes += 1
-*/
-    __pyx_t_5 = (__pyx_v_g->budget >= 0);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_g->nodes >= __pyx_v_g->budget);
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":461
- *     for x in range(g.m):
- *         if g.budget >= 0 and g.nodes >= g.budget:
- *             return C_BUDGET             # <<<<<<<<<<<<<<
- *         g.nodes += 1
- *         if not _gen_place(g, i, x):
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":460
- *     cdef int x, r
- *     for x in range(g.m):
- *         if g.budget >= 0 and g.nodes >= g.budget:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         g.nodes += 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":462
- *         if g.budget >= 0 and g.nodes >= g.budget:
- *             return C_BUDGET
- *         g.nodes += 1             # <<<<<<<<<<<<<<
- *         if not _gen_place(g, i, x):
- *             continue
-*/
-    __pyx_v_g->nodes = (__pyx_v_g->nodes + 1);
-
-    /* "cordant/_kernel/_speed.pyx":463
- *             return C_BUDGET
- *         g.nodes += 1
- *         if not _gen_place(g, i, x):             # <<<<<<<<<<<<<<
- *             continue
- *         r = _gen_dfs(g, i + 1)
-*/
-    __pyx_t_1 = (!__pyx_f_7cordant_7_kernel_6_speed__gen_place(__pyx_v_g, __pyx_v_i, __pyx_v_x));
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":464
- *         g.nodes += 1
- *         if not _gen_place(g, i, x):
- *             continue             # <<<<<<<<<<<<<<
- *         r = _gen_dfs(g, i + 1)
- *         if r == C_FOUND:
-*/
-      goto __pyx_L4_continue;
-
-      /* "cordant/_kernel/_speed.pyx":463
- *             return C_BUDGET
- *         g.nodes += 1
- *         if not _gen_place(g, i, x):             # <<<<<<<<<<<<<<
- *             continue
- *         r = _gen_dfs(g, i + 1)
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":465
- *         if not _gen_place(g, i, x):
- *             continue
- *         r = _gen_dfs(g, i + 1)             # <<<<<<<<<<<<<<
- *         if r == C_FOUND:
- *             return C_FOUND
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__gen_dfs(__pyx_v_g, (__pyx_v_i + 1)); if (unlikely(__pyx_t_6 == ((int)-2))) __PYX_ERR(0, 465, __pyx_L1_error)
-    __pyx_v_r = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":466
- *             continue
- *         r = _gen_dfs(g, i + 1)
- *         if r == C_FOUND:             # <<<<<<<<<<<<<<
- *             return C_FOUND
- *         _gen_unplace(g, i, x)
-*/
-    __pyx_t_1 = (__pyx_v_r == __pyx_v_7cordant_7_kernel_6_speed_C_FOUND);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":467
- *         r = _gen_dfs(g, i + 1)
- *         if r == C_FOUND:
- *             return C_FOUND             # <<<<<<<<<<<<<<
- *         _gen_unplace(g, i, x)
- *         if r == C_BUDGET:
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_FOUND;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":466
- *             continue
- *         r = _gen_dfs(g, i + 1)
- *         if r == C_FOUND:             # <<<<<<<<<<<<<<
- *             return C_FOUND
- *         _gen_unplace(g, i, x)
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":468
- *         if r == C_FOUND:
- *             return C_FOUND
- *         _gen_unplace(g, i, x)             # <<<<<<<<<<<<<<
- *         if r == C_BUDGET:
- *             return C_BUDGET
-*/
-    __pyx_f_7cordant_7_kernel_6_speed__gen_unplace(__pyx_v_g, __pyx_v_i, __pyx_v_x);
-
-    /* "cordant/_kernel/_speed.pyx":469
- *             return C_FOUND
- *         _gen_unplace(g, i, x)
- *         if r == C_BUDGET:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *     return C_EXHAUSTED
-*/
-    __pyx_t_1 = (__pyx_v_r == __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":470
- *         _gen_unplace(g, i, x)
- *         if r == C_BUDGET:
- *             return C_BUDGET             # <<<<<<<<<<<<<<
- *     return C_EXHAUSTED
- * 
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":469
- *             return C_FOUND
- *         _gen_unplace(g, i, x)
- *         if r == C_BUDGET:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *     return C_EXHAUSTED
-*/
-    }
-    __pyx_L4_continue:;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":471
- *         if r == C_BUDGET:
- *             return C_BUDGET
- *     return C_EXHAUSTED             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":455
- * 
- * 
- * cdef int _gen_dfs(Generic* g, int i) except -2:             # <<<<<<<<<<<<<<
- *     if i == g.s:
- *         return C_FOUND
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cordant._kernel._speed._gen_dfs", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -2;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":474
- * 
- * 
- * def solve_generic(             # <<<<<<<<<<<<<<
- *     int m,
- *     object add_t,
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7cordant_7_kernel_6_speed_3solve_generic(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7cordant_7_kernel_6_speed_3solve_generic = {"solve_generic", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7cordant_7_kernel_6_speed_3solve_generic, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7cordant_7_kernel_6_speed_3solve_generic(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_m;
-  PyObject *__pyx_v_add_t = 0;
-  PyObject *__pyx_v_neg_t = 0;
-  int __pyx_v_num_slots;
-  PyObject *__pyx_v_slot_cap = 0;
-  PyObject *__pyx_v_slot_floor = 0;
-  PyObject *__pyx_v_dcap = 0;
-  PyObject *__pyx_v_dfloor = 0;
-  int __pyx_v_num_derived;
-  PyObject *__pyx_v_sd_ptr = 0;
-  PyObject *__pyx_v_sd_ids = 0;
-  PyObject *__pyx_v_comp_ptr = 0;
-  PyObject *__pyx_v_comp_ids = 0;
-  PyObject *__pyx_v_prefix = 0;
-  PY_LONG_LONG __pyx_v_budget;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[15] = {0,0,0,0,0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("solve_generic (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_m,&__pyx_mstate_global->__pyx_n_u_add_t,&__pyx_mstate_global->__pyx_n_u_neg_t,&__pyx_mstate_global->__pyx_n_u_num_slots,&__pyx_mstate_global->__pyx_n_u_slot_cap,&__pyx_mstate_global->__pyx_n_u_slot_floor,&__pyx_mstate_global->__pyx_n_u_dcap,&__pyx_mstate_global->__pyx_n_u_dfloor,&__pyx_mstate_global->__pyx_n_u_num_derived,&__pyx_mstate_global->__pyx_n_u_sd_ptr,&__pyx_mstate_global->__pyx_n_u_sd_ids,&__pyx_mstate_global->__pyx_n_u_comp_ptr,&__pyx_mstate_global->__pyx_n_u_comp_ids,&__pyx_mstate_global->__pyx_n_u_prefix,&__pyx_mstate_global->__pyx_n_u_budget,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 474, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 15:
-        values[14] = __Pyx_ArgRef_FASTCALL(__pyx_args, 14);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[14])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 14:
-        values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 13:
-        values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 12:
-        values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 474, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "solve_generic", 0) < (0)) __PYX_ERR(0, 474, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 15; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("solve_generic", 1, 15, 15, i); __PYX_ERR(0, 474, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 15)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 474, __pyx_L3_error)
-      values[14] = __Pyx_ArgRef_FASTCALL(__pyx_args, 14);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[14])) __PYX_ERR(0, 474, __pyx_L3_error)
-    }
-    __pyx_v_m = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_m == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 475, __pyx_L3_error)
-    __pyx_v_add_t = values[1];
-    __pyx_v_neg_t = values[2];
-    __pyx_v_num_slots = __Pyx_PyLong_As_int(values[3]); if (unlikely((__pyx_v_num_slots == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 478, __pyx_L3_error)
-    __pyx_v_slot_cap = values[4];
-    __pyx_v_slot_floor = values[5];
-    __pyx_v_dcap = values[6];
-    __pyx_v_dfloor = values[7];
-    __pyx_v_num_derived = __Pyx_PyLong_As_int(values[8]); if (unlikely((__pyx_v_num_derived == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 483, __pyx_L3_error)
-    __pyx_v_sd_ptr = values[9];
-    __pyx_v_sd_ids = values[10];
-    __pyx_v_comp_ptr = values[11];
-    __pyx_v_comp_ids = values[12];
-    __pyx_v_prefix = values[13];
-    __pyx_v_budget = __Pyx_PyLong_As_PY_LONG_LONG(values[14]); if (unlikely((__pyx_v_budget == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 489, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("solve_generic", 1, 15, 15, __pyx_nargs); __PYX_ERR(0, 474, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("cordant._kernel._speed.solve_generic", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7cordant_7_kernel_6_speed_2solve_generic(__pyx_self, __pyx_v_m, __pyx_v_add_t, __pyx_v_neg_t, __pyx_v_num_slots, __pyx_v_slot_cap, __pyx_v_slot_floor, __pyx_v_dcap, __pyx_v_dfloor, __pyx_v_num_derived, __pyx_v_sd_ptr, __pyx_v_sd_ids, __pyx_v_comp_ptr, __pyx_v_comp_ids, __pyx_v_prefix, __pyx_v_budget);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_2solve_generic(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_add_t, PyObject *__pyx_v_neg_t, int __pyx_v_num_slots, PyObject *__pyx_v_slot_cap, PyObject *__pyx_v_slot_floor, PyObject *__pyx_v_dcap, PyObject *__pyx_v_dfloor, int __pyx_v_num_derived, PyObject *__pyx_v_sd_ptr, PyObject *__pyx_v_sd_ids, PyObject *__pyx_v_comp_ptr, PyObject *__pyx_v_comp_ids, PyObject *__pyx_v_prefix, PY_LONG_LONG __pyx_v_budget) {
-  struct __pyx_t_7cordant_7_kernel_6_speed_Generic __pyx_v_g;
-  Py_ssize_t __pyx_v_tmp;
-  int __pyx_v_j;
-  int __pyx_v_status;
-  Py_ssize_t __pyx_v_p;
-  int __pyx_8genexpr1__pyx_v_j;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int *__pyx_t_6;
-  long __pyx_t_7;
-  int __pyx_t_8;
-  long __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  Py_ssize_t __pyx_t_13;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  char const *__pyx_t_16;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("solve_generic", 0);
-
-  /* "cordant/_kernel/_speed.pyx":492
- * ):
- *     cdef Generic g
- *     memset(&g, 0, sizeof(Generic))             # <<<<<<<<<<<<<<
- *     g.m = m
- *     g.s = num_slots
-*/
-  (void)(memset((&__pyx_v_g), 0, (sizeof(struct __pyx_t_7cordant_7_kernel_6_speed_Generic))));
-
-  /* "cordant/_kernel/_speed.pyx":493
- *     cdef Generic g
- *     memset(&g, 0, sizeof(Generic))
- *     g.m = m             # <<<<<<<<<<<<<<
- *     g.s = num_slots
- *     g.num_derived = num_derived
-*/
-  __pyx_v_g.m = __pyx_v_m;
-
-  /* "cordant/_kernel/_speed.pyx":494
- *     memset(&g, 0, sizeof(Generic))
- *     g.m = m
- *     g.s = num_slots             # <<<<<<<<<<<<<<
- *     g.num_derived = num_derived
- *     g.budget = budget
-*/
-  __pyx_v_g.s = __pyx_v_num_slots;
-
-  /* "cordant/_kernel/_speed.pyx":495
- *     g.m = m
- *     g.s = num_slots
- *     g.num_derived = num_derived             # <<<<<<<<<<<<<<
- *     g.budget = budget
- *     g.nodes = 0
-*/
-  __pyx_v_g.num_derived = __pyx_v_num_derived;
-
-  /* "cordant/_kernel/_speed.pyx":496
- *     g.s = num_slots
- *     g.num_derived = num_derived
- *     g.budget = budget             # <<<<<<<<<<<<<<
- *     g.nodes = 0
- * 
-*/
-  __pyx_v_g.budget = __pyx_v_budget;
-
-  /* "cordant/_kernel/_speed.pyx":497
- *     g.num_derived = num_derived
- *     g.budget = budget
- *     g.nodes = 0             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t tmp
-*/
-  __pyx_v_g.nodes = 0;
-
-  /* "cordant/_kernel/_speed.pyx":501
- *     cdef Py_ssize_t tmp
- *     cdef int j
- *     cdef int status = C_EXHAUSTED             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > num_slots:
-*/
-  __pyx_v_status = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-
-  /* "cordant/_kernel/_speed.pyx":502
- *     cdef int j
- *     cdef int status = C_EXHAUSTED
- *     cdef Py_ssize_t p = len(prefix)             # <<<<<<<<<<<<<<
- *     if p > num_slots:
- *         raise ValueError("prefix longer than the slot list")
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_prefix); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 502, __pyx_L1_error)
-  __pyx_v_p = __pyx_t_1;
-
-  /* "cordant/_kernel/_speed.pyx":503
- *     cdef int status = C_EXHAUSTED
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > num_slots:             # <<<<<<<<<<<<<<
- *         raise ValueError("prefix longer than the slot list")
- * 
-*/
-  __pyx_t_2 = (__pyx_v_p > __pyx_v_num_slots);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "cordant/_kernel/_speed.pyx":504
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > num_slots:
- *         raise ValueError("prefix longer than the slot list")             # <<<<<<<<<<<<<<
- * 
- *     g.add_t = _copy_ints(add_t, &tmp)
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_prefix_longer_than_the_slot_list};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 504, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 504, __pyx_L1_error)
-
-    /* "cordant/_kernel/_speed.pyx":503
- *     cdef int status = C_EXHAUSTED
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > num_slots:             # <<<<<<<<<<<<<<
- *         raise ValueError("prefix longer than the slot list")
- * 
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":506
- *         raise ValueError("prefix longer than the slot list")
- * 
- *     g.add_t = _copy_ints(add_t, &tmp)             # <<<<<<<<<<<<<<
- *     try:
- *         g.neg_t = _copy_ints(neg_t, &tmp)
-*/
-  __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_add_t, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 506, __pyx_L1_error)
-  __pyx_v_g.add_t = __pyx_t_6;
-
-  /* "cordant/_kernel/_speed.pyx":507
- * 
- *     g.add_t = _copy_ints(add_t, &tmp)
- *     try:             # <<<<<<<<<<<<<<
- *         g.neg_t = _copy_ints(neg_t, &tmp)
- *         g.slot_cap = _copy_ints(slot_cap, &tmp)
-*/
-  /*try:*/ {
-
-    /* "cordant/_kernel/_speed.pyx":508
- *     g.add_t = _copy_ints(add_t, &tmp)
- *     try:
- *         g.neg_t = _copy_ints(neg_t, &tmp)             # <<<<<<<<<<<<<<
- *         g.slot_cap = _copy_ints(slot_cap, &tmp)
- *         g.slot_floor = _copy_ints(slot_floor, &tmp)
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_neg_t, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 508, __pyx_L5_error)
-    __pyx_v_g.neg_t = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":509
- *     try:
- *         g.neg_t = _copy_ints(neg_t, &tmp)
- *         g.slot_cap = _copy_ints(slot_cap, &tmp)             # <<<<<<<<<<<<<<
- *         g.slot_floor = _copy_ints(slot_floor, &tmp)
- *         g.dcap = _copy_ints(dcap, &tmp)
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_slot_cap, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 509, __pyx_L5_error)
-    __pyx_v_g.slot_cap = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":510
- *         g.neg_t = _copy_ints(neg_t, &tmp)
- *         g.slot_cap = _copy_ints(slot_cap, &tmp)
- *         g.slot_floor = _copy_ints(slot_floor, &tmp)             # <<<<<<<<<<<<<<
- *         g.dcap = _copy_ints(dcap, &tmp)
- *         g.dfloor = _copy_ints(dfloor, &tmp)
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_slot_floor, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 510, __pyx_L5_error)
-    __pyx_v_g.slot_floor = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":511
- *         g.slot_cap = _copy_ints(slot_cap, &tmp)
- *         g.slot_floor = _copy_ints(slot_floor, &tmp)
- *         g.dcap = _copy_ints(dcap, &tmp)             # <<<<<<<<<<<<<<
- *         g.dfloor = _copy_ints(dfloor, &tmp)
- *         g.sd_ptr = _copy_ints(sd_ptr, &tmp)
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_dcap, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 511, __pyx_L5_error)
-    __pyx_v_g.dcap = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":512
- *         g.slot_floor = _copy_ints(slot_floor, &tmp)
- *         g.dcap = _copy_ints(dcap, &tmp)
- *         g.dfloor = _copy_ints(dfloor, &tmp)             # <<<<<<<<<<<<<<
- *         g.sd_ptr = _copy_ints(sd_ptr, &tmp)
- *         g.sd_ids = _copy_ints(sd_ids, &tmp)
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_dfloor, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 512, __pyx_L5_error)
-    __pyx_v_g.dfloor = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":513
- *         g.dcap = _copy_ints(dcap, &tmp)
- *         g.dfloor = _copy_ints(dfloor, &tmp)
- *         g.sd_ptr = _copy_ints(sd_ptr, &tmp)             # <<<<<<<<<<<<<<
- *         g.sd_ids = _copy_ints(sd_ids, &tmp)
- *         g.comp_ptr = _copy_ints(comp_ptr, &tmp)
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_sd_ptr, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 513, __pyx_L5_error)
-    __pyx_v_g.sd_ptr = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":514
- *         g.dfloor = _copy_ints(dfloor, &tmp)
- *         g.sd_ptr = _copy_ints(sd_ptr, &tmp)
- *         g.sd_ids = _copy_ints(sd_ids, &tmp)             # <<<<<<<<<<<<<<
- *         g.comp_ptr = _copy_ints(comp_ptr, &tmp)
- *         g.comp_ids = _copy_ints(comp_ids, &tmp)
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_sd_ids, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 514, __pyx_L5_error)
-    __pyx_v_g.sd_ids = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":515
- *         g.sd_ptr = _copy_ints(sd_ptr, &tmp)
- *         g.sd_ids = _copy_ints(sd_ids, &tmp)
- *         g.comp_ptr = _copy_ints(comp_ptr, &tmp)             # <<<<<<<<<<<<<<
- *         g.comp_ids = _copy_ints(comp_ids, &tmp)
- *         g.assign = <int*> malloc(max(num_slots, 1) * sizeof(int))
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_comp_ptr, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 515, __pyx_L5_error)
-    __pyx_v_g.comp_ptr = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":516
- *         g.sd_ids = _copy_ints(sd_ids, &tmp)
- *         g.comp_ptr = _copy_ints(comp_ptr, &tmp)
- *         g.comp_ids = _copy_ints(comp_ids, &tmp)             # <<<<<<<<<<<<<<
- *         g.assign = <int*> malloc(max(num_slots, 1) * sizeof(int))
- *         g.psum = <int*> calloc(max(num_derived, 1), sizeof(int))
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_comp_ids, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 516, __pyx_L5_error)
-    __pyx_v_g.comp_ids = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":517
- *         g.comp_ptr = _copy_ints(comp_ptr, &tmp)
- *         g.comp_ids = _copy_ints(comp_ids, &tmp)
- *         g.assign = <int*> malloc(max(num_slots, 1) * sizeof(int))             # <<<<<<<<<<<<<<
- *         g.psum = <int*> calloc(max(num_derived, 1), sizeof(int))
- *         g.scount = <int*> calloc(m, sizeof(int))
-*/
-    __pyx_t_7 = 1;
-    __pyx_t_8 = __pyx_v_num_slots;
-    __pyx_t_2 = (__pyx_t_7 > __pyx_t_8);
-    if (__pyx_t_2) {
-      __pyx_t_9 = __pyx_t_7;
-    } else {
-      __pyx_t_9 = __pyx_t_8;
-    }
-    __pyx_v_g.assign = ((int *)malloc((__pyx_t_9 * (sizeof(int)))));
-
-    /* "cordant/_kernel/_speed.pyx":518
- *         g.comp_ids = _copy_ints(comp_ids, &tmp)
- *         g.assign = <int*> malloc(max(num_slots, 1) * sizeof(int))
- *         g.psum = <int*> calloc(max(num_derived, 1), sizeof(int))             # <<<<<<<<<<<<<<
- *         g.scount = <int*> calloc(m, sizeof(int))
- *         g.dcount = <int*> calloc(m, sizeof(int))
-*/
-    __pyx_t_9 = 1;
-    __pyx_t_8 = __pyx_v_num_derived;
-    __pyx_t_2 = (__pyx_t_9 > __pyx_t_8);
-    if (__pyx_t_2) {
-      __pyx_t_7 = __pyx_t_9;
-    } else {
-      __pyx_t_7 = __pyx_t_8;
-    }
-    __pyx_v_g.psum = ((int *)calloc(__pyx_t_7, (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":519
- *         g.assign = <int*> malloc(max(num_slots, 1) * sizeof(int))
- *         g.psum = <int*> calloc(max(num_derived, 1), sizeof(int))
- *         g.scount = <int*> calloc(m, sizeof(int))             # <<<<<<<<<<<<<<
- *         g.dcount = <int*> calloc(m, sizeof(int))
- *         g.remaining_at = <int*> calloc(num_slots + 1, sizeof(int))
-*/
-    __pyx_v_g.scount = ((int *)calloc(__pyx_v_m, (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":520
- *         g.psum = <int*> calloc(max(num_derived, 1), sizeof(int))
- *         g.scount = <int*> calloc(m, sizeof(int))
- *         g.dcount = <int*> calloc(m, sizeof(int))             # <<<<<<<<<<<<<<
- *         g.remaining_at = <int*> calloc(num_slots + 1, sizeof(int))
- *         if (g.assign == NULL or g.psum == NULL or g.scount == NULL
-*/
-    __pyx_v_g.dcount = ((int *)calloc(__pyx_v_m, (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":521
- *         g.scount = <int*> calloc(m, sizeof(int))
- *         g.dcount = <int*> calloc(m, sizeof(int))
- *         g.remaining_at = <int*> calloc(num_slots + 1, sizeof(int))             # <<<<<<<<<<<<<<
- *         if (g.assign == NULL or g.psum == NULL or g.scount == NULL
- *                 or g.dcount == NULL or g.remaining_at == NULL):
-*/
-    __pyx_v_g.remaining_at = ((int *)calloc((__pyx_v_num_slots + 1), (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":522
- *         g.dcount = <int*> calloc(m, sizeof(int))
- *         g.remaining_at = <int*> calloc(num_slots + 1, sizeof(int))
- *         if (g.assign == NULL or g.psum == NULL or g.scount == NULL             # <<<<<<<<<<<<<<
- *                 or g.dcount == NULL or g.remaining_at == NULL):
- *             raise MemoryError()
-*/
-    __pyx_t_10 = (__pyx_v_g.assign == NULL);
-    if (!__pyx_t_10) {
-    } else {
-      __pyx_t_2 = __pyx_t_10;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_10 = (__pyx_v_g.psum == NULL);
-    if (!__pyx_t_10) {
-    } else {
-      __pyx_t_2 = __pyx_t_10;
-      goto __pyx_L8_bool_binop_done;
-    }
-
-    /* "cordant/_kernel/_speed.pyx":523
- *         g.remaining_at = <int*> calloc(num_slots + 1, sizeof(int))
- *         if (g.assign == NULL or g.psum == NULL or g.scount == NULL
- *                 or g.dcount == NULL or g.remaining_at == NULL):             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for j in range(num_slots):
-*/
-    __pyx_t_10 = (__pyx_v_g.scount == NULL);
-    if (!__pyx_t_10) {
-    } else {
-      __pyx_t_2 = __pyx_t_10;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_10 = (__pyx_v_g.dcount == NULL);
-    if (!__pyx_t_10) {
-    } else {
-      __pyx_t_2 = __pyx_t_10;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_10 = (__pyx_v_g.remaining_at == NULL);
-    __pyx_t_2 = __pyx_t_10;
-    __pyx_L8_bool_binop_done:;
-
-    /* "cordant/_kernel/_speed.pyx":522
- *         g.dcount = <int*> calloc(m, sizeof(int))
- *         g.remaining_at = <int*> calloc(num_slots + 1, sizeof(int))
- *         if (g.assign == NULL or g.psum == NULL or g.scount == NULL             # <<<<<<<<<<<<<<
- *                 or g.dcount == NULL or g.remaining_at == NULL):
- *             raise MemoryError()
-*/
-    if (unlikely(__pyx_t_2)) {
-
-      /* "cordant/_kernel/_speed.pyx":524
- *         if (g.assign == NULL or g.psum == NULL or g.scount == NULL
- *                 or g.dcount == NULL or g.remaining_at == NULL):
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for j in range(num_slots):
- *             g.assign[j] = -1
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 524, __pyx_L5_error)
-
-      /* "cordant/_kernel/_speed.pyx":522
- *         g.dcount = <int*> calloc(m, sizeof(int))
- *         g.remaining_at = <int*> calloc(num_slots + 1, sizeof(int))
- *         if (g.assign == NULL or g.psum == NULL or g.scount == NULL             # <<<<<<<<<<<<<<
- *                 or g.dcount == NULL or g.remaining_at == NULL):
- *             raise MemoryError()
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":525
- *                 or g.dcount == NULL or g.remaining_at == NULL):
- *             raise MemoryError()
- *         for j in range(num_slots):             # <<<<<<<<<<<<<<
- *             g.assign[j] = -1
- * 
-*/
-    __pyx_t_8 = __pyx_v_num_slots;
-    __pyx_t_11 = __pyx_t_8;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_j = __pyx_t_12;
-
-      /* "cordant/_kernel/_speed.pyx":526
- *             raise MemoryError()
- *         for j in range(num_slots):
- *             g.assign[j] = -1             # <<<<<<<<<<<<<<
- * 
- *         g.sdef = 0
-*/
-      (__pyx_v_g.assign[__pyx_v_j]) = -1;
-    }
-
-    /* "cordant/_kernel/_speed.pyx":528
- *             g.assign[j] = -1
- * 
- *         g.sdef = 0             # <<<<<<<<<<<<<<
- *         g.ddef = 0
- *         for j in range(m):
-*/
-    __pyx_v_g.sdef = 0;
-
-    /* "cordant/_kernel/_speed.pyx":529
- * 
- *         g.sdef = 0
- *         g.ddef = 0             # <<<<<<<<<<<<<<
- *         for j in range(m):
- *             g.sdef += g.slot_floor[j]
-*/
-    __pyx_v_g.ddef = 0;
-
-    /* "cordant/_kernel/_speed.pyx":530
- *         g.sdef = 0
- *         g.ddef = 0
- *         for j in range(m):             # <<<<<<<<<<<<<<
- *             g.sdef += g.slot_floor[j]
- *             g.ddef += g.dfloor[j]
-*/
-    __pyx_t_8 = __pyx_v_m;
-    __pyx_t_11 = __pyx_t_8;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_j = __pyx_t_12;
-
-      /* "cordant/_kernel/_speed.pyx":531
- *         g.ddef = 0
- *         for j in range(m):
- *             g.sdef += g.slot_floor[j]             # <<<<<<<<<<<<<<
- *             g.ddef += g.dfloor[j]
- *         g.remaining_at[num_slots] = 0
-*/
-      __pyx_v_g.sdef = (__pyx_v_g.sdef + (__pyx_v_g.slot_floor[__pyx_v_j]));
-
-      /* "cordant/_kernel/_speed.pyx":532
- *         for j in range(m):
- *             g.sdef += g.slot_floor[j]
- *             g.ddef += g.dfloor[j]             # <<<<<<<<<<<<<<
- *         g.remaining_at[num_slots] = 0
- *         for j in range(num_slots - 1, -1, -1):
-*/
-      __pyx_v_g.ddef = (__pyx_v_g.ddef + (__pyx_v_g.dfloor[__pyx_v_j]));
-    }
-
-    /* "cordant/_kernel/_speed.pyx":533
- *             g.sdef += g.slot_floor[j]
- *             g.ddef += g.dfloor[j]
- *         g.remaining_at[num_slots] = 0             # <<<<<<<<<<<<<<
- *         for j in range(num_slots - 1, -1, -1):
- *             g.remaining_at[j] = g.remaining_at[j + 1] + (g.comp_ptr[j + 1] - g.comp_ptr[j])
-*/
-    (__pyx_v_g.remaining_at[__pyx_v_num_slots]) = 0;
-
-    /* "cordant/_kernel/_speed.pyx":534
- *             g.ddef += g.dfloor[j]
- *         g.remaining_at[num_slots] = 0
- *         for j in range(num_slots - 1, -1, -1):             # <<<<<<<<<<<<<<
- *             g.remaining_at[j] = g.remaining_at[j + 1] + (g.comp_ptr[j + 1] - g.comp_ptr[j])
- * 
-*/
-    for (__pyx_t_8 = (__pyx_v_num_slots - 1); __pyx_t_8 > -1; __pyx_t_8-=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "cordant/_kernel/_speed.pyx":535
- *         g.remaining_at[num_slots] = 0
- *         for j in range(num_slots - 1, -1, -1):
- *             g.remaining_at[j] = g.remaining_at[j + 1] + (g.comp_ptr[j + 1] - g.comp_ptr[j])             # <<<<<<<<<<<<<<
- * 
- *         for j in range(p):
-*/
-      (__pyx_v_g.remaining_at[__pyx_v_j]) = ((__pyx_v_g.remaining_at[(__pyx_v_j + 1)]) + ((__pyx_v_g.comp_ptr[(__pyx_v_j + 1)]) - (__pyx_v_g.comp_ptr[__pyx_v_j])));
-    }
-
-    /* "cordant/_kernel/_speed.pyx":537
- *             g.remaining_at[j] = g.remaining_at[j + 1] + (g.comp_ptr[j + 1] - g.comp_ptr[j])
- * 
- *         for j in range(p):             # <<<<<<<<<<<<<<
- *             if not _gen_place(&g, j, prefix[j]):
- *                 return (EXHAUSTED, None, 0)
-*/
-    __pyx_t_1 = __pyx_v_p;
-    __pyx_t_13 = __pyx_t_1;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_13; __pyx_t_8+=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "cordant/_kernel/_speed.pyx":538
- * 
- *         for j in range(p):
- *             if not _gen_place(&g, j, prefix[j]):             # <<<<<<<<<<<<<<
- *                 return (EXHAUSTED, None, 0)
- *         status = _gen_dfs(&g, <int> p)
-*/
-      __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_prefix, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 538, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_11 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_11 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 538, __pyx_L5_error)
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __pyx_t_2 = (!__pyx_f_7cordant_7_kernel_6_speed__gen_place((&__pyx_v_g), __pyx_v_j, __pyx_t_11));
-      if (__pyx_t_2) {
-
-        /* "cordant/_kernel/_speed.pyx":539
- *         for j in range(p):
- *             if not _gen_place(&g, j, prefix[j]):
- *                 return (EXHAUSTED, None, 0)             # <<<<<<<<<<<<<<
- *         status = _gen_dfs(&g, <int> p)
- *         if status == C_FOUND:
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_EXHAUSTED); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 539, __pyx_L5_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_4 = PyTuple_New(3); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 539, __pyx_L5_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __Pyx_GIVEREF(__pyx_t_3);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 539, __pyx_L5_error);
-        __Pyx_INCREF(Py_None);
-        __Pyx_GIVEREF(Py_None);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, Py_None) != (0)) __PYX_ERR(0, 539, __pyx_L5_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 539, __pyx_L5_error);
-        __pyx_t_3 = 0;
-        __pyx_r = __pyx_t_4;
-        __pyx_t_4 = 0;
-        goto __pyx_L4_return;
-
-        /* "cordant/_kernel/_speed.pyx":538
- * 
- *         for j in range(p):
- *             if not _gen_place(&g, j, prefix[j]):             # <<<<<<<<<<<<<<
- *                 return (EXHAUSTED, None, 0)
- *         status = _gen_dfs(&g, <int> p)
-*/
-      }
-    }
-
-    /* "cordant/_kernel/_speed.pyx":540
- *             if not _gen_place(&g, j, prefix[j]):
- *                 return (EXHAUSTED, None, 0)
- *         status = _gen_dfs(&g, <int> p)             # <<<<<<<<<<<<<<
- *         if status == C_FOUND:
- *             return (FOUND, [g.assign[j] for j in range(num_slots)], g.nodes)
-*/
-    __pyx_t_8 = __pyx_f_7cordant_7_kernel_6_speed__gen_dfs((&__pyx_v_g), ((int)__pyx_v_p)); if (unlikely(__pyx_t_8 == ((int)-2))) __PYX_ERR(0, 540, __pyx_L5_error)
-    __pyx_v_status = __pyx_t_8;
-
-    /* "cordant/_kernel/_speed.pyx":541
- *                 return (EXHAUSTED, None, 0)
- *         status = _gen_dfs(&g, <int> p)
- *         if status == C_FOUND:             # <<<<<<<<<<<<<<
- *             return (FOUND, [g.assign[j] for j in range(num_slots)], g.nodes)
- *         return (status, None, g.nodes)
-*/
-    __pyx_t_2 = (__pyx_v_status == __pyx_v_7cordant_7_kernel_6_speed_C_FOUND);
-    if (__pyx_t_2) {
-
-      /* "cordant/_kernel/_speed.pyx":542
- *         status = _gen_dfs(&g, <int> p)
- *         if status == C_FOUND:
- *             return (FOUND, [g.assign[j] for j in range(num_slots)], g.nodes)             # <<<<<<<<<<<<<<
- *         return (status, None, g.nodes)
- *     finally:
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_FOUND); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 542, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      { /* enter inner scope */
-        __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 542, __pyx_L5_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_8 = __pyx_v_num_slots;
-        __pyx_t_11 = __pyx_t_8;
-        for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-          __pyx_8genexpr1__pyx_v_j = __pyx_t_12;
-          __pyx_t_14 = __Pyx_PyLong_From_int((__pyx_v_g.assign[__pyx_8genexpr1__pyx_v_j])); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 542, __pyx_L5_error)
-          __Pyx_GOTREF(__pyx_t_14);
-          if (unlikely(__Pyx_ListComp_Append(__pyx_t_3, (PyObject*)__pyx_t_14))) __PYX_ERR(0, 542, __pyx_L5_error)
-          __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-        }
-      } /* exit inner scope */
-      __pyx_t_14 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_g.nodes); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 542, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_14);
-      __pyx_t_15 = PyTuple_New(3); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 542, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_15);
-      __Pyx_GIVEREF(__pyx_t_4);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 542, __pyx_L5_error);
-      __Pyx_GIVEREF(__pyx_t_3);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 542, __pyx_L5_error);
-      __Pyx_GIVEREF(__pyx_t_14);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 2, __pyx_t_14) != (0)) __PYX_ERR(0, 542, __pyx_L5_error);
-      __pyx_t_4 = 0;
-      __pyx_t_3 = 0;
-      __pyx_t_14 = 0;
-      __pyx_r = __pyx_t_15;
-      __pyx_t_15 = 0;
-      goto __pyx_L4_return;
-
-      /* "cordant/_kernel/_speed.pyx":541
- *                 return (EXHAUSTED, None, 0)
- *         status = _gen_dfs(&g, <int> p)
- *         if status == C_FOUND:             # <<<<<<<<<<<<<<
- *             return (FOUND, [g.assign[j] for j in range(num_slots)], g.nodes)
- *         return (status, None, g.nodes)
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":543
- *         if status == C_FOUND:
- *             return (FOUND, [g.assign[j] for j in range(num_slots)], g.nodes)
- *         return (status, None, g.nodes)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(g.add_t)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_15 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 543, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __pyx_t_14 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_g.nodes); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 543, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_14);
-    __pyx_t_3 = PyTuple_New(3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 543, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_GIVEREF(__pyx_t_15);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_15) != (0)) __PYX_ERR(0, 543, __pyx_L5_error);
-    __Pyx_INCREF(Py_None);
-    __Pyx_GIVEREF(Py_None);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, Py_None) != (0)) __PYX_ERR(0, 543, __pyx_L5_error);
-    __Pyx_GIVEREF(__pyx_t_14);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 2, __pyx_t_14) != (0)) __PYX_ERR(0, 543, __pyx_L5_error);
-    __pyx_t_15 = 0;
-    __pyx_t_14 = 0;
-    __pyx_r = __pyx_t_3;
-    __pyx_t_3 = 0;
-    goto __pyx_L4_return;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":545
- *         return (status, None, g.nodes)
- *     finally:
- *         free(g.add_t)             # <<<<<<<<<<<<<<
- *         free(g.neg_t)
- *         free(g.slot_cap)
-*/
-  /*finally:*/ {
-    __pyx_L5_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0;
-      __Pyx_XDECREF(__pyx_t_14); __pyx_t_14 = 0;
-      __Pyx_XDECREF(__pyx_t_15); __pyx_t_15 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_17, &__pyx_t_18, &__pyx_t_19) < 0)) __Pyx_ErrFetch(&__pyx_t_17, &__pyx_t_18, &__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __pyx_t_8 = __pyx_lineno; __pyx_t_11 = __pyx_clineno; __pyx_t_16 = __pyx_filename;
-      {
-        free(__pyx_v_g.add_t);
-
-        /* "cordant/_kernel/_speed.pyx":546
- *     finally:
- *         free(g.add_t)
- *         free(g.neg_t)             # <<<<<<<<<<<<<<
- *         free(g.slot_cap)
- *         free(g.slot_floor)
-*/
-        free(__pyx_v_g.neg_t);
-
-        /* "cordant/_kernel/_speed.pyx":547
- *         free(g.add_t)
- *         free(g.neg_t)
- *         free(g.slot_cap)             # <<<<<<<<<<<<<<
- *         free(g.slot_floor)
- *         free(g.dcap)
-*/
-        free(__pyx_v_g.slot_cap);
-
-        /* "cordant/_kernel/_speed.pyx":548
- *         free(g.neg_t)
- *         free(g.slot_cap)
- *         free(g.slot_floor)             # <<<<<<<<<<<<<<
- *         free(g.dcap)
- *         free(g.dfloor)
-*/
-        free(__pyx_v_g.slot_floor);
-
-        /* "cordant/_kernel/_speed.pyx":549
- *         free(g.slot_cap)
- *         free(g.slot_floor)
- *         free(g.dcap)             # <<<<<<<<<<<<<<
- *         free(g.dfloor)
- *         free(g.sd_ptr)
-*/
-        free(__pyx_v_g.dcap);
-
-        /* "cordant/_kernel/_speed.pyx":550
- *         free(g.slot_floor)
- *         free(g.dcap)
- *         free(g.dfloor)             # <<<<<<<<<<<<<<
- *         free(g.sd_ptr)
- *         free(g.sd_ids)
-*/
-        free(__pyx_v_g.dfloor);
-
-        /* "cordant/_kernel/_speed.pyx":551
- *         free(g.dcap)
- *         free(g.dfloor)
- *         free(g.sd_ptr)             # <<<<<<<<<<<<<<
- *         free(g.sd_ids)
- *         free(g.comp_ptr)
-*/
-        free(__pyx_v_g.sd_ptr);
-
-        /* "cordant/_kernel/_speed.pyx":552
- *         free(g.dfloor)
- *         free(g.sd_ptr)
- *         free(g.sd_ids)             # <<<<<<<<<<<<<<
- *         free(g.comp_ptr)
- *         free(g.comp_ids)
-*/
-        free(__pyx_v_g.sd_ids);
-
-        /* "cordant/_kernel/_speed.pyx":553
- *         free(g.sd_ptr)
- *         free(g.sd_ids)
- *         free(g.comp_ptr)             # <<<<<<<<<<<<<<
- *         free(g.comp_ids)
- *         free(g.assign)
-*/
-        free(__pyx_v_g.comp_ptr);
-
-        /* "cordant/_kernel/_speed.pyx":554
- *         free(g.sd_ids)
- *         free(g.comp_ptr)
- *         free(g.comp_ids)             # <<<<<<<<<<<<<<
- *         free(g.assign)
- *         free(g.psum)
-*/
-        free(__pyx_v_g.comp_ids);
-
-        /* "cordant/_kernel/_speed.pyx":555
- *         free(g.comp_ptr)
- *         free(g.comp_ids)
- *         free(g.assign)             # <<<<<<<<<<<<<<
- *         free(g.psum)
- *         free(g.scount)
-*/
-        free(__pyx_v_g.assign);
-
-        /* "cordant/_kernel/_speed.pyx":556
- *         free(g.comp_ids)
- *         free(g.assign)
- *         free(g.psum)             # <<<<<<<<<<<<<<
- *         free(g.scount)
- *         free(g.dcount)
-*/
-        free(__pyx_v_g.psum);
-
-        /* "cordant/_kernel/_speed.pyx":557
- *         free(g.assign)
- *         free(g.psum)
- *         free(g.scount)             # <<<<<<<<<<<<<<
- *         free(g.dcount)
- *         free(g.remaining_at)
-*/
-        free(__pyx_v_g.scount);
-
-        /* "cordant/_kernel/_speed.pyx":558
- *         free(g.psum)
- *         free(g.scount)
- *         free(g.dcount)             # <<<<<<<<<<<<<<
- *         free(g.remaining_at)
- * 
-*/
-        free(__pyx_v_g.dcount);
-
-        /* "cordant/_kernel/_speed.pyx":559
- *         free(g.scount)
- *         free(g.dcount)
- *         free(g.remaining_at)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_g.remaining_at);
-      }
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_ExceptionReset(__pyx_t_20, __pyx_t_21, __pyx_t_22);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_ErrRestore(__pyx_t_17, __pyx_t_18, __pyx_t_19);
-      __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0;
-      __pyx_lineno = __pyx_t_8; __pyx_clineno = __pyx_t_11; __pyx_filename = __pyx_t_16;
-      goto __pyx_L1_error;
-    }
-    __pyx_L4_return: {
-      __pyx_t_22 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "cordant/_kernel/_speed.pyx":545
- *         return (status, None, g.nodes)
- *     finally:
- *         free(g.add_t)             # <<<<<<<<<<<<<<
- *         free(g.neg_t)
- *         free(g.slot_cap)
-*/
-      free(__pyx_v_g.add_t);
-
-      /* "cordant/_kernel/_speed.pyx":546
- *     finally:
- *         free(g.add_t)
- *         free(g.neg_t)             # <<<<<<<<<<<<<<
- *         free(g.slot_cap)
- *         free(g.slot_floor)
-*/
-      free(__pyx_v_g.neg_t);
-
-      /* "cordant/_kernel/_speed.pyx":547
- *         free(g.add_t)
- *         free(g.neg_t)
- *         free(g.slot_cap)             # <<<<<<<<<<<<<<
- *         free(g.slot_floor)
- *         free(g.dcap)
-*/
-      free(__pyx_v_g.slot_cap);
-
-      /* "cordant/_kernel/_speed.pyx":548
- *         free(g.neg_t)
- *         free(g.slot_cap)
- *         free(g.slot_floor)             # <<<<<<<<<<<<<<
- *         free(g.dcap)
- *         free(g.dfloor)
-*/
-      free(__pyx_v_g.slot_floor);
-
-      /* "cordant/_kernel/_speed.pyx":549
- *         free(g.slot_cap)
- *         free(g.slot_floor)
- *         free(g.dcap)             # <<<<<<<<<<<<<<
- *         free(g.dfloor)
- *         free(g.sd_ptr)
-*/
-      free(__pyx_v_g.dcap);
-
-      /* "cordant/_kernel/_speed.pyx":550
- *         free(g.slot_floor)
- *         free(g.dcap)
- *         free(g.dfloor)             # <<<<<<<<<<<<<<
- *         free(g.sd_ptr)
- *         free(g.sd_ids)
-*/
-      free(__pyx_v_g.dfloor);
-
-      /* "cordant/_kernel/_speed.pyx":551
- *         free(g.dcap)
- *         free(g.dfloor)
- *         free(g.sd_ptr)             # <<<<<<<<<<<<<<
- *         free(g.sd_ids)
- *         free(g.comp_ptr)
-*/
-      free(__pyx_v_g.sd_ptr);
-
-      /* "cordant/_kernel/_speed.pyx":552
- *         free(g.dfloor)
- *         free(g.sd_ptr)
- *         free(g.sd_ids)             # <<<<<<<<<<<<<<
- *         free(g.comp_ptr)
- *         free(g.comp_ids)
-*/
-      free(__pyx_v_g.sd_ids);
-
-      /* "cordant/_kernel/_speed.pyx":553
- *         free(g.sd_ptr)
- *         free(g.sd_ids)
- *         free(g.comp_ptr)             # <<<<<<<<<<<<<<
- *         free(g.comp_ids)
- *         free(g.assign)
-*/
-      free(__pyx_v_g.comp_ptr);
-
-      /* "cordant/_kernel/_speed.pyx":554
- *         free(g.sd_ids)
- *         free(g.comp_ptr)
- *         free(g.comp_ids)             # <<<<<<<<<<<<<<
- *         free(g.assign)
- *         free(g.psum)
-*/
-      free(__pyx_v_g.comp_ids);
-
-      /* "cordant/_kernel/_speed.pyx":555
- *         free(g.comp_ptr)
- *         free(g.comp_ids)
- *         free(g.assign)             # <<<<<<<<<<<<<<
- *         free(g.psum)
- *         free(g.scount)
-*/
-      free(__pyx_v_g.assign);
-
-      /* "cordant/_kernel/_speed.pyx":556
- *         free(g.comp_ids)
- *         free(g.assign)
- *         free(g.psum)             # <<<<<<<<<<<<<<
- *         free(g.scount)
- *         free(g.dcount)
-*/
-      free(__pyx_v_g.psum);
-
-      /* "cordant/_kernel/_speed.pyx":557
- *         free(g.assign)
- *         free(g.psum)
- *         free(g.scount)             # <<<<<<<<<<<<<<
- *         free(g.dcount)
- *         free(g.remaining_at)
-*/
-      free(__pyx_v_g.scount);
-
-      /* "cordant/_kernel/_speed.pyx":558
- *         free(g.psum)
- *         free(g.scount)
- *         free(g.dcount)             # <<<<<<<<<<<<<<
- *         free(g.remaining_at)
- * 
-*/
-      free(__pyx_v_g.dcount);
-
-      /* "cordant/_kernel/_speed.pyx":559
- *         free(g.scount)
- *         free(g.dcount)
- *         free(g.remaining_at)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_g.remaining_at);
-      __pyx_r = __pyx_t_22;
-      __pyx_t_22 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "cordant/_kernel/_speed.pyx":474
- * 
- * 
- * def solve_generic(             # <<<<<<<<<<<<<<
- *     int m,
- *     object add_t,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_XDECREF(__pyx_t_15);
-  __Pyx_AddTraceback("cordant._kernel._speed.solve_generic", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":578
- * 
- * 
- * cdef int _rstar_dfs(RStar* r, int i) except -2:             # <<<<<<<<<<<<<<
- *     cdef int x, d, idx, a, b, res, d0
- *     if i == r.length:
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__rstar_dfs(struct __pyx_t_7cordant_7_kernel_6_speed_RStar *__pyx_v_r, int __pyx_v_i) {
-  int __pyx_v_x;
-  int __pyx_v_d;
-  int __pyx_v_idx;
-  int __pyx_v_a;
-  int __pyx_v_b;
-  int __pyx_v_res;
-  int __pyx_v_d0;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cordant/_kernel/_speed.pyx":580
- * cdef int _rstar_dfs(RStar* r, int i) except -2:
- *     cdef int x, d, idx, a, b, res, d0
- *     if i == r.length:             # <<<<<<<<<<<<<<
- *         d0 = r.add_t[r.seq[0] * r.m + r.neg_t[r.seq[r.length - 1]]]
- *         if r.dused[d0]:
-*/
-  __pyx_t_1 = (__pyx_v_i == __pyx_v_r->length);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":581
- *     cdef int x, d, idx, a, b, res, d0
- *     if i == r.length:
- *         d0 = r.add_t[r.seq[0] * r.m + r.neg_t[r.seq[r.length - 1]]]             # <<<<<<<<<<<<<<
- *         if r.dused[d0]:
- *             return C_EXHAUSTED
-*/
-    __pyx_v_d0 = (__pyx_v_r->add_t[(((__pyx_v_r->seq[0]) * __pyx_v_r->m) + (__pyx_v_r->neg_t[(__pyx_v_r->seq[(__pyx_v_r->length - 1)])]))]);
-
-    /* "cordant/_kernel/_speed.pyx":582
- *     if i == r.length:
- *         d0 = r.add_t[r.seq[0] * r.m + r.neg_t[r.seq[r.length - 1]]]
- *         if r.dused[d0]:             # <<<<<<<<<<<<<<
- *             return C_EXHAUSTED
- *         for idx in range(r.length):
-*/
-    __pyx_t_1 = ((__pyx_v_r->dused[__pyx_v_d0]) != 0);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":583
- *         d0 = r.add_t[r.seq[0] * r.m + r.neg_t[r.seq[r.length - 1]]]
- *         if r.dused[d0]:
- *             return C_EXHAUSTED             # <<<<<<<<<<<<<<
- *         for idx in range(r.length):
- *             a = r.seq[(idx - 1 + r.length) % r.length]
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":582
- *     if i == r.length:
- *         d0 = r.add_t[r.seq[0] * r.m + r.neg_t[r.seq[r.length - 1]]]
- *         if r.dused[d0]:             # <<<<<<<<<<<<<<
- *             return C_EXHAUSTED
- *         for idx in range(r.length):
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":584
- *         if r.dused[d0]:
- *             return C_EXHAUSTED
- *         for idx in range(r.length):             # <<<<<<<<<<<<<<
- *             a = r.seq[(idx - 1 + r.length) % r.length]
- *             b = r.seq[(idx + 1) % r.length]
-*/
-    __pyx_t_2 = __pyx_v_r->length;
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_idx = __pyx_t_4;
-
-      /* "cordant/_kernel/_speed.pyx":585
- *             return C_EXHAUSTED
- *         for idx in range(r.length):
- *             a = r.seq[(idx - 1 + r.length) % r.length]             # <<<<<<<<<<<<<<
- *             b = r.seq[(idx + 1) % r.length]
- *             if r.add_t[a * r.m + b] == r.seq[idx]:
-*/
-      __pyx_v_a = (__pyx_v_r->seq[(((__pyx_v_idx - 1) + __pyx_v_r->length) % __pyx_v_r->length)]);
-
-      /* "cordant/_kernel/_speed.pyx":586
- *         for idx in range(r.length):
- *             a = r.seq[(idx - 1 + r.length) % r.length]
- *             b = r.seq[(idx + 1) % r.length]             # <<<<<<<<<<<<<<
- *             if r.add_t[a * r.m + b] == r.seq[idx]:
- *                 r.star_at = idx
-*/
-      __pyx_v_b = (__pyx_v_r->seq[((__pyx_v_idx + 1) % __pyx_v_r->length)]);
-
-      /* "cordant/_kernel/_speed.pyx":587
- *             a = r.seq[(idx - 1 + r.length) % r.length]
- *             b = r.seq[(idx + 1) % r.length]
- *             if r.add_t[a * r.m + b] == r.seq[idx]:             # <<<<<<<<<<<<<<
- *                 r.star_at = idx
- *                 return C_FOUND
-*/
-      __pyx_t_1 = ((__pyx_v_r->add_t[((__pyx_v_a * __pyx_v_r->m) + __pyx_v_b)]) == (__pyx_v_r->seq[__pyx_v_idx]));
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":588
- *             b = r.seq[(idx + 1) % r.length]
- *             if r.add_t[a * r.m + b] == r.seq[idx]:
- *                 r.star_at = idx             # <<<<<<<<<<<<<<
- *                 return C_FOUND
- *         return C_EXHAUSTED
-*/
-        __pyx_v_r->star_at = __pyx_v_idx;
-
-        /* "cordant/_kernel/_speed.pyx":589
- *             if r.add_t[a * r.m + b] == r.seq[idx]:
- *                 r.star_at = idx
- *                 return C_FOUND             # <<<<<<<<<<<<<<
- *         return C_EXHAUSTED
- *     for x in range(1, r.m):
-*/
-        __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_FOUND;
-        goto __pyx_L0;
-
-        /* "cordant/_kernel/_speed.pyx":587
- *             a = r.seq[(idx - 1 + r.length) % r.length]
- *             b = r.seq[(idx + 1) % r.length]
- *             if r.add_t[a * r.m + b] == r.seq[idx]:             # <<<<<<<<<<<<<<
- *                 r.star_at = idx
- *                 return C_FOUND
-*/
-      }
-    }
-
-    /* "cordant/_kernel/_speed.pyx":590
- *                 r.star_at = idx
- *                 return C_FOUND
- *         return C_EXHAUSTED             # <<<<<<<<<<<<<<
- *     for x in range(1, r.m):
- *         if r.budget >= 0 and r.nodes >= r.budget:
-*/
-    __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":580
- * cdef int _rstar_dfs(RStar* r, int i) except -2:
- *     cdef int x, d, idx, a, b, res, d0
- *     if i == r.length:             # <<<<<<<<<<<<<<
- *         d0 = r.add_t[r.seq[0] * r.m + r.neg_t[r.seq[r.length - 1]]]
- *         if r.dused[d0]:
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":591
- *                 return C_FOUND
- *         return C_EXHAUSTED
- *     for x in range(1, r.m):             # <<<<<<<<<<<<<<
- *         if r.budget >= 0 and r.nodes >= r.budget:
- *             return C_BUDGET
-*/
-  __pyx_t_2 = __pyx_v_r->m;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 1; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_x = __pyx_t_4;
-
-    /* "cordant/_kernel/_speed.pyx":592
- *         return C_EXHAUSTED
- *     for x in range(1, r.m):
- *         if r.budget >= 0 and r.nodes >= r.budget:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         r.nodes += 1
-*/
-    __pyx_t_5 = (__pyx_v_r->budget >= 0);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L11_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_r->nodes >= __pyx_v_r->budget);
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L11_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":593
- *     for x in range(1, r.m):
- *         if r.budget >= 0 and r.nodes >= r.budget:
- *             return C_BUDGET             # <<<<<<<<<<<<<<
- *         r.nodes += 1
- *         if r.used[x]:
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":592
- *         return C_EXHAUSTED
- *     for x in range(1, r.m):
- *         if r.budget >= 0 and r.nodes >= r.budget:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         r.nodes += 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":594
- *         if r.budget >= 0 and r.nodes >= r.budget:
- *             return C_BUDGET
- *         r.nodes += 1             # <<<<<<<<<<<<<<
- *         if r.used[x]:
- *             continue
-*/
-    __pyx_v_r->nodes = (__pyx_v_r->nodes + 1);
-
-    /* "cordant/_kernel/_speed.pyx":595
- *             return C_BUDGET
- *         r.nodes += 1
- *         if r.used[x]:             # <<<<<<<<<<<<<<
- *             continue
- *         d = -1
-*/
-    __pyx_t_1 = ((__pyx_v_r->used[__pyx_v_x]) != 0);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":596
- *         r.nodes += 1
- *         if r.used[x]:
- *             continue             # <<<<<<<<<<<<<<
- *         d = -1
- *         if i >= 1:
-*/
-      goto __pyx_L8_continue;
-
-      /* "cordant/_kernel/_speed.pyx":595
- *             return C_BUDGET
- *         r.nodes += 1
- *         if r.used[x]:             # <<<<<<<<<<<<<<
- *             continue
- *         d = -1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":597
- *         if r.used[x]:
- *             continue
- *         d = -1             # <<<<<<<<<<<<<<
- *         if i >= 1:
- *             d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
-*/
-    __pyx_v_d = -1;
-
-    /* "cordant/_kernel/_speed.pyx":598
- *             continue
- *         d = -1
- *         if i >= 1:             # <<<<<<<<<<<<<<
- *             d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *             if r.dused[d]:
-*/
-    __pyx_t_1 = (__pyx_v_i >= 1);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":599
- *         d = -1
- *         if i >= 1:
- *             d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]             # <<<<<<<<<<<<<<
- *             if r.dused[d]:
- *                 continue
-*/
-      __pyx_v_d = (__pyx_v_r->add_t[((__pyx_v_x * __pyx_v_r->m) + (__pyx_v_r->neg_t[(__pyx_v_r->seq[(__pyx_v_i - 1)])]))]);
-
-      /* "cordant/_kernel/_speed.pyx":600
- *         if i >= 1:
- *             d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *             if r.dused[d]:             # <<<<<<<<<<<<<<
- *                 continue
- *             r.dused[d] = 1
-*/
-      __pyx_t_1 = ((__pyx_v_r->dused[__pyx_v_d]) != 0);
-      if (__pyx_t_1) {
-
-        /* "cordant/_kernel/_speed.pyx":601
- *             d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *             if r.dused[d]:
- *                 continue             # <<<<<<<<<<<<<<
- *             r.dused[d] = 1
- *         r.used[x] = 1
-*/
-        goto __pyx_L8_continue;
-
-        /* "cordant/_kernel/_speed.pyx":600
- *         if i >= 1:
- *             d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *             if r.dused[d]:             # <<<<<<<<<<<<<<
- *                 continue
- *             r.dused[d] = 1
-*/
-      }
-
-      /* "cordant/_kernel/_speed.pyx":602
- *             if r.dused[d]:
- *                 continue
- *             r.dused[d] = 1             # <<<<<<<<<<<<<<
- *         r.used[x] = 1
- *         r.seq[i] = x
-*/
-      (__pyx_v_r->dused[__pyx_v_d]) = 1;
-
-      /* "cordant/_kernel/_speed.pyx":598
- *             continue
- *         d = -1
- *         if i >= 1:             # <<<<<<<<<<<<<<
- *             d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *             if r.dused[d]:
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":603
- *                 continue
- *             r.dused[d] = 1
- *         r.used[x] = 1             # <<<<<<<<<<<<<<
- *         r.seq[i] = x
- *         res = _rstar_dfs(r, i + 1)
-*/
-    (__pyx_v_r->used[__pyx_v_x]) = 1;
-
-    /* "cordant/_kernel/_speed.pyx":604
- *             r.dused[d] = 1
- *         r.used[x] = 1
- *         r.seq[i] = x             # <<<<<<<<<<<<<<
- *         res = _rstar_dfs(r, i + 1)
- *         if res == C_FOUND:
-*/
-    (__pyx_v_r->seq[__pyx_v_i]) = __pyx_v_x;
-
-    /* "cordant/_kernel/_speed.pyx":605
- *         r.used[x] = 1
- *         r.seq[i] = x
- *         res = _rstar_dfs(r, i + 1)             # <<<<<<<<<<<<<<
- *         if res == C_FOUND:
- *             return C_FOUND
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__rstar_dfs(__pyx_v_r, (__pyx_v_i + 1)); if (unlikely(__pyx_t_6 == ((int)-2))) __PYX_ERR(0, 605, __pyx_L1_error)
-    __pyx_v_res = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":606
- *         r.seq[i] = x
- *         res = _rstar_dfs(r, i + 1)
- *         if res == C_FOUND:             # <<<<<<<<<<<<<<
- *             return C_FOUND
- *         r.used[x] = 0
-*/
-    __pyx_t_1 = (__pyx_v_res == __pyx_v_7cordant_7_kernel_6_speed_C_FOUND);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":607
- *         res = _rstar_dfs(r, i + 1)
- *         if res == C_FOUND:
- *             return C_FOUND             # <<<<<<<<<<<<<<
- *         r.used[x] = 0
- *         r.seq[i] = -1
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_FOUND;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":606
- *         r.seq[i] = x
- *         res = _rstar_dfs(r, i + 1)
- *         if res == C_FOUND:             # <<<<<<<<<<<<<<
- *             return C_FOUND
- *         r.used[x] = 0
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":608
- *         if res == C_FOUND:
- *             return C_FOUND
- *         r.used[x] = 0             # <<<<<<<<<<<<<<
- *         r.seq[i] = -1
- *         if d >= 0:
-*/
-    (__pyx_v_r->used[__pyx_v_x]) = 0;
-
-    /* "cordant/_kernel/_speed.pyx":609
- *             return C_FOUND
- *         r.used[x] = 0
- *         r.seq[i] = -1             # <<<<<<<<<<<<<<
- *         if d >= 0:
- *             r.dused[d] = 0
-*/
-    (__pyx_v_r->seq[__pyx_v_i]) = -1;
-
-    /* "cordant/_kernel/_speed.pyx":610
- *         r.used[x] = 0
- *         r.seq[i] = -1
- *         if d >= 0:             # <<<<<<<<<<<<<<
- *             r.dused[d] = 0
- *         if res == C_BUDGET:
-*/
-    __pyx_t_1 = (__pyx_v_d >= 0);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":611
- *         r.seq[i] = -1
- *         if d >= 0:
- *             r.dused[d] = 0             # <<<<<<<<<<<<<<
- *         if res == C_BUDGET:
- *             return C_BUDGET
-*/
-      (__pyx_v_r->dused[__pyx_v_d]) = 0;
-
-      /* "cordant/_kernel/_speed.pyx":610
- *         r.used[x] = 0
- *         r.seq[i] = -1
- *         if d >= 0:             # <<<<<<<<<<<<<<
- *             r.dused[d] = 0
- *         if res == C_BUDGET:
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":612
- *         if d >= 0:
- *             r.dused[d] = 0
- *         if res == C_BUDGET:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *     return C_EXHAUSTED
-*/
-    __pyx_t_1 = (__pyx_v_res == __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":613
- *             r.dused[d] = 0
- *         if res == C_BUDGET:
- *             return C_BUDGET             # <<<<<<<<<<<<<<
- *     return C_EXHAUSTED
- * 
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":612
- *         if d >= 0:
- *             r.dused[d] = 0
- *         if res == C_BUDGET:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *     return C_EXHAUSTED
-*/
-    }
-    __pyx_L8_continue:;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":614
- *         if res == C_BUDGET:
- *             return C_BUDGET
- *     return C_EXHAUSTED             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":578
- * 
- * 
- * cdef int _rstar_dfs(RStar* r, int i) except -2:             # <<<<<<<<<<<<<<
- *     cdef int x, d, idx, a, b, res, d0
- *     if i == r.length:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cordant._kernel._speed._rstar_dfs", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -2;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":617
- * 
- * 
- * def solve_rstar(int m, object add_t, object neg_t, object prefix, long long budget):             # <<<<<<<<<<<<<<
- *     cdef RStar r
- *     memset(&r, 0, sizeof(RStar))
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7cordant_7_kernel_6_speed_5solve_rstar(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7cordant_7_kernel_6_speed_5solve_rstar = {"solve_rstar", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7cordant_7_kernel_6_speed_5solve_rstar, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7cordant_7_kernel_6_speed_5solve_rstar(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_m;
-  PyObject *__pyx_v_add_t = 0;
-  PyObject *__pyx_v_neg_t = 0;
-  PyObject *__pyx_v_prefix = 0;
-  PY_LONG_LONG __pyx_v_budget;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("solve_rstar (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_m,&__pyx_mstate_global->__pyx_n_u_add_t,&__pyx_mstate_global->__pyx_n_u_neg_t,&__pyx_mstate_global->__pyx_n_u_prefix,&__pyx_mstate_global->__pyx_n_u_budget,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 617, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 617, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "solve_rstar", 0) < (0)) __PYX_ERR(0, 617, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("solve_rstar", 1, 5, 5, i); __PYX_ERR(0, 617, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 617, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 617, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 617, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 617, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 617, __pyx_L3_error)
-    }
-    __pyx_v_m = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_m == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 617, __pyx_L3_error)
-    __pyx_v_add_t = values[1];
-    __pyx_v_neg_t = values[2];
-    __pyx_v_prefix = values[3];
-    __pyx_v_budget = __Pyx_PyLong_As_PY_LONG_LONG(values[4]); if (unlikely((__pyx_v_budget == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 617, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("solve_rstar", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 617, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("cordant._kernel._speed.solve_rstar", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7cordant_7_kernel_6_speed_4solve_rstar(__pyx_self, __pyx_v_m, __pyx_v_add_t, __pyx_v_neg_t, __pyx_v_prefix, __pyx_v_budget);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_4solve_rstar(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_add_t, PyObject *__pyx_v_neg_t, PyObject *__pyx_v_prefix, PY_LONG_LONG __pyx_v_budget) {
-  struct __pyx_t_7cordant_7_kernel_6_speed_RStar __pyx_v_r;
-  Py_ssize_t __pyx_v_tmp;
-  int __pyx_v_i;
-  int __pyx_v_x;
-  int __pyx_v_d;
-  int __pyx_v_status;
-  Py_ssize_t __pyx_v_p;
-  int __pyx_8genexpr2__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int *__pyx_t_6;
-  long __pyx_t_7;
-  int __pyx_t_8;
-  long __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  Py_ssize_t __pyx_t_13;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  char const *__pyx_t_17;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("solve_rstar", 0);
-
-  /* "cordant/_kernel/_speed.pyx":619
- * def solve_rstar(int m, object add_t, object neg_t, object prefix, long long budget):
- *     cdef RStar r
- *     memset(&r, 0, sizeof(RStar))             # <<<<<<<<<<<<<<
- *     r.m = m
- *     r.length = m - 1
-*/
-  (void)(memset((&__pyx_v_r), 0, (sizeof(struct __pyx_t_7cordant_7_kernel_6_speed_RStar))));
-
-  /* "cordant/_kernel/_speed.pyx":620
- *     cdef RStar r
- *     memset(&r, 0, sizeof(RStar))
- *     r.m = m             # <<<<<<<<<<<<<<
- *     r.length = m - 1
- *     r.budget = budget
-*/
-  __pyx_v_r.m = __pyx_v_m;
-
-  /* "cordant/_kernel/_speed.pyx":621
- *     memset(&r, 0, sizeof(RStar))
- *     r.m = m
- *     r.length = m - 1             # <<<<<<<<<<<<<<
- *     r.budget = budget
- *     r.nodes = 0
-*/
-  __pyx_v_r.length = (__pyx_v_m - 1);
-
-  /* "cordant/_kernel/_speed.pyx":622
- *     r.m = m
- *     r.length = m - 1
- *     r.budget = budget             # <<<<<<<<<<<<<<
- *     r.nodes = 0
- *     r.star_at = -1
-*/
-  __pyx_v_r.budget = __pyx_v_budget;
-
-  /* "cordant/_kernel/_speed.pyx":623
- *     r.length = m - 1
- *     r.budget = budget
- *     r.nodes = 0             # <<<<<<<<<<<<<<
- *     r.star_at = -1
- * 
-*/
-  __pyx_v_r.nodes = 0;
-
-  /* "cordant/_kernel/_speed.pyx":624
- *     r.budget = budget
- *     r.nodes = 0
- *     r.star_at = -1             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t tmp
-*/
-  __pyx_v_r.star_at = -1;
-
-  /* "cordant/_kernel/_speed.pyx":628
- *     cdef Py_ssize_t tmp
- *     cdef int i, x, d
- *     cdef int status = C_EXHAUSTED             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > r.length:
-*/
-  __pyx_v_status = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-
-  /* "cordant/_kernel/_speed.pyx":629
- *     cdef int i, x, d
- *     cdef int status = C_EXHAUSTED
- *     cdef Py_ssize_t p = len(prefix)             # <<<<<<<<<<<<<<
- *     if p > r.length:
- *         raise ValueError("prefix longer than the sequence")
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_prefix); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 629, __pyx_L1_error)
-  __pyx_v_p = __pyx_t_1;
-
-  /* "cordant/_kernel/_speed.pyx":630
- *     cdef int status = C_EXHAUSTED
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > r.length:             # <<<<<<<<<<<<<<
- *         raise ValueError("prefix longer than the sequence")
- * 
-*/
-  __pyx_t_2 = (__pyx_v_p > __pyx_v_r.length);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "cordant/_kernel/_speed.pyx":631
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > r.length:
- *         raise ValueError("prefix longer than the sequence")             # <<<<<<<<<<<<<<
- * 
- *     r.add_t = _copy_ints(add_t, &tmp)
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_prefix_longer_than_the_sequence};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 631, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 631, __pyx_L1_error)
-
-    /* "cordant/_kernel/_speed.pyx":630
- *     cdef int status = C_EXHAUSTED
- *     cdef Py_ssize_t p = len(prefix)
- *     if p > r.length:             # <<<<<<<<<<<<<<
- *         raise ValueError("prefix longer than the sequence")
- * 
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":633
- *         raise ValueError("prefix longer than the sequence")
- * 
- *     r.add_t = _copy_ints(add_t, &tmp)             # <<<<<<<<<<<<<<
- *     try:
- *         r.neg_t = _copy_ints(neg_t, &tmp)
-*/
-  __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_add_t, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 633, __pyx_L1_error)
-  __pyx_v_r.add_t = __pyx_t_6;
-
-  /* "cordant/_kernel/_speed.pyx":634
- * 
- *     r.add_t = _copy_ints(add_t, &tmp)
- *     try:             # <<<<<<<<<<<<<<
- *         r.neg_t = _copy_ints(neg_t, &tmp)
- *         r.seq = <int*> malloc(max(r.length, 1) * sizeof(int))
-*/
-  /*try:*/ {
-
-    /* "cordant/_kernel/_speed.pyx":635
- *     r.add_t = _copy_ints(add_t, &tmp)
- *     try:
- *         r.neg_t = _copy_ints(neg_t, &tmp)             # <<<<<<<<<<<<<<
- *         r.seq = <int*> malloc(max(r.length, 1) * sizeof(int))
- *         r.used = <unsigned char*> calloc(m, 1)
-*/
-    __pyx_t_6 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_neg_t, (&__pyx_v_tmp)); if (unlikely(__pyx_t_6 == ((void *)NULL))) __PYX_ERR(0, 635, __pyx_L5_error)
-    __pyx_v_r.neg_t = __pyx_t_6;
-
-    /* "cordant/_kernel/_speed.pyx":636
- *     try:
- *         r.neg_t = _copy_ints(neg_t, &tmp)
- *         r.seq = <int*> malloc(max(r.length, 1) * sizeof(int))             # <<<<<<<<<<<<<<
- *         r.used = <unsigned char*> calloc(m, 1)
- *         r.dused = <unsigned char*> calloc(m, 1)
-*/
-    __pyx_t_7 = 1;
-    __pyx_t_8 = __pyx_v_r.length;
-    __pyx_t_2 = (__pyx_t_7 > __pyx_t_8);
-    if (__pyx_t_2) {
-      __pyx_t_9 = __pyx_t_7;
-    } else {
-      __pyx_t_9 = __pyx_t_8;
-    }
-    __pyx_v_r.seq = ((int *)malloc((__pyx_t_9 * (sizeof(int)))));
-
-    /* "cordant/_kernel/_speed.pyx":637
- *         r.neg_t = _copy_ints(neg_t, &tmp)
- *         r.seq = <int*> malloc(max(r.length, 1) * sizeof(int))
- *         r.used = <unsigned char*> calloc(m, 1)             # <<<<<<<<<<<<<<
- *         r.dused = <unsigned char*> calloc(m, 1)
- *         if r.seq == NULL or r.used == NULL or r.dused == NULL:
-*/
-    __pyx_v_r.used = ((unsigned char *)calloc(__pyx_v_m, 1));
-
-    /* "cordant/_kernel/_speed.pyx":638
- *         r.seq = <int*> malloc(max(r.length, 1) * sizeof(int))
- *         r.used = <unsigned char*> calloc(m, 1)
- *         r.dused = <unsigned char*> calloc(m, 1)             # <<<<<<<<<<<<<<
- *         if r.seq == NULL or r.used == NULL or r.dused == NULL:
- *             raise MemoryError()
-*/
-    __pyx_v_r.dused = ((unsigned char *)calloc(__pyx_v_m, 1));
-
-    /* "cordant/_kernel/_speed.pyx":639
- *         r.used = <unsigned char*> calloc(m, 1)
- *         r.dused = <unsigned char*> calloc(m, 1)
- *         if r.seq == NULL or r.used == NULL or r.dused == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(r.length):
-*/
-    __pyx_t_10 = (__pyx_v_r.seq == NULL);
-    if (!__pyx_t_10) {
-    } else {
-      __pyx_t_2 = __pyx_t_10;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_10 = (__pyx_v_r.used == NULL);
-    if (!__pyx_t_10) {
-    } else {
-      __pyx_t_2 = __pyx_t_10;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_10 = (__pyx_v_r.dused == NULL);
-    __pyx_t_2 = __pyx_t_10;
-    __pyx_L8_bool_binop_done:;
-    if (unlikely(__pyx_t_2)) {
-
-      /* "cordant/_kernel/_speed.pyx":640
- *         r.dused = <unsigned char*> calloc(m, 1)
- *         if r.seq == NULL or r.used == NULL or r.dused == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         for i in range(r.length):
- *             r.seq[i] = -1
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 640, __pyx_L5_error)
-
-      /* "cordant/_kernel/_speed.pyx":639
- *         r.used = <unsigned char*> calloc(m, 1)
- *         r.dused = <unsigned char*> calloc(m, 1)
- *         if r.seq == NULL or r.used == NULL or r.dused == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         for i in range(r.length):
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":641
- *         if r.seq == NULL or r.used == NULL or r.dused == NULL:
- *             raise MemoryError()
- *         for i in range(r.length):             # <<<<<<<<<<<<<<
- *             r.seq[i] = -1
- * 
-*/
-    __pyx_t_8 = __pyx_v_r.length;
-    __pyx_t_11 = __pyx_t_8;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "cordant/_kernel/_speed.pyx":642
- *             raise MemoryError()
- *         for i in range(r.length):
- *             r.seq[i] = -1             # <<<<<<<<<<<<<<
- * 
- *         for i in range(p):
-*/
-      (__pyx_v_r.seq[__pyx_v_i]) = -1;
-    }
-
-    /* "cordant/_kernel/_speed.pyx":644
- *             r.seq[i] = -1
- * 
- *         for i in range(p):             # <<<<<<<<<<<<<<
- *             x = prefix[i]
- *             if x < 1 or x >= m or r.used[x]:
-*/
-    __pyx_t_1 = __pyx_v_p;
-    __pyx_t_13 = __pyx_t_1;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_13; __pyx_t_8+=1) {
-      __pyx_v_i = __pyx_t_8;
-
-      /* "cordant/_kernel/_speed.pyx":645
- * 
- *         for i in range(p):
- *             x = prefix[i]             # <<<<<<<<<<<<<<
- *             if x < 1 or x >= m or r.used[x]:
- *                 return (EXHAUSTED, None, -1, 0)
-*/
-      __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_prefix, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 645, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_11 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_11 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 645, __pyx_L5_error)
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __pyx_v_x = __pyx_t_11;
-
-      /* "cordant/_kernel/_speed.pyx":646
- *         for i in range(p):
- *             x = prefix[i]
- *             if x < 1 or x >= m or r.used[x]:             # <<<<<<<<<<<<<<
- *                 return (EXHAUSTED, None, -1, 0)
- *             if i >= 1:
-*/
-      __pyx_t_10 = (__pyx_v_x < 1);
-      if (!__pyx_t_10) {
-      } else {
-        __pyx_t_2 = __pyx_t_10;
-        goto __pyx_L16_bool_binop_done;
-      }
-      __pyx_t_10 = (__pyx_v_x >= __pyx_v_m);
-      if (!__pyx_t_10) {
-      } else {
-        __pyx_t_2 = __pyx_t_10;
-        goto __pyx_L16_bool_binop_done;
-      }
-      __pyx_t_10 = ((__pyx_v_r.used[__pyx_v_x]) != 0);
-      __pyx_t_2 = __pyx_t_10;
-      __pyx_L16_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "cordant/_kernel/_speed.pyx":647
- *             x = prefix[i]
- *             if x < 1 or x >= m or r.used[x]:
- *                 return (EXHAUSTED, None, -1, 0)             # <<<<<<<<<<<<<<
- *             if i >= 1:
- *                 d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_EXHAUSTED); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 647, __pyx_L5_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_4 = PyTuple_New(4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 647, __pyx_L5_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __Pyx_GIVEREF(__pyx_t_3);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 647, __pyx_L5_error);
-        __Pyx_INCREF(Py_None);
-        __Pyx_GIVEREF(Py_None);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, Py_None) != (0)) __PYX_ERR(0, 647, __pyx_L5_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_neg_1);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_neg_1);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_mstate_global->__pyx_int_neg_1) != (0)) __PYX_ERR(0, 647, __pyx_L5_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 647, __pyx_L5_error);
-        __pyx_t_3 = 0;
-        __pyx_r = __pyx_t_4;
-        __pyx_t_4 = 0;
-        goto __pyx_L4_return;
-
-        /* "cordant/_kernel/_speed.pyx":646
- *         for i in range(p):
- *             x = prefix[i]
- *             if x < 1 or x >= m or r.used[x]:             # <<<<<<<<<<<<<<
- *                 return (EXHAUSTED, None, -1, 0)
- *             if i >= 1:
-*/
-      }
-
-      /* "cordant/_kernel/_speed.pyx":648
- *             if x < 1 or x >= m or r.used[x]:
- *                 return (EXHAUSTED, None, -1, 0)
- *             if i >= 1:             # <<<<<<<<<<<<<<
- *                 d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *                 if r.dused[d]:
-*/
-      __pyx_t_2 = (__pyx_v_i >= 1);
-      if (__pyx_t_2) {
-
-        /* "cordant/_kernel/_speed.pyx":649
- *                 return (EXHAUSTED, None, -1, 0)
- *             if i >= 1:
- *                 d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]             # <<<<<<<<<<<<<<
- *                 if r.dused[d]:
- *                     return (EXHAUSTED, None, -1, 0)
-*/
-        __pyx_v_d = (__pyx_v_r.add_t[((__pyx_v_x * __pyx_v_r.m) + (__pyx_v_r.neg_t[(__pyx_v_r.seq[(__pyx_v_i - 1)])]))]);
-
-        /* "cordant/_kernel/_speed.pyx":650
- *             if i >= 1:
- *                 d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *                 if r.dused[d]:             # <<<<<<<<<<<<<<
- *                     return (EXHAUSTED, None, -1, 0)
- *                 r.dused[d] = 1
-*/
-        __pyx_t_2 = ((__pyx_v_r.dused[__pyx_v_d]) != 0);
-        if (__pyx_t_2) {
-
-          /* "cordant/_kernel/_speed.pyx":651
- *                 d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *                 if r.dused[d]:
- *                     return (EXHAUSTED, None, -1, 0)             # <<<<<<<<<<<<<<
- *                 r.dused[d] = 1
- *             r.used[x] = 1
-*/
-          __Pyx_XDECREF(__pyx_r);
-          __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_EXHAUSTED); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 651, __pyx_L5_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __pyx_t_3 = PyTuple_New(4); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 651, __pyx_L5_error)
-          __Pyx_GOTREF(__pyx_t_3);
-          __Pyx_GIVEREF(__pyx_t_4);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 651, __pyx_L5_error);
-          __Pyx_INCREF(Py_None);
-          __Pyx_GIVEREF(Py_None);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, Py_None) != (0)) __PYX_ERR(0, 651, __pyx_L5_error);
-          __Pyx_INCREF(__pyx_mstate_global->__pyx_int_neg_1);
-          __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_neg_1);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 2, __pyx_mstate_global->__pyx_int_neg_1) != (0)) __PYX_ERR(0, 651, __pyx_L5_error);
-          __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-          __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 651, __pyx_L5_error);
-          __pyx_t_4 = 0;
-          __pyx_r = __pyx_t_3;
-          __pyx_t_3 = 0;
-          goto __pyx_L4_return;
-
-          /* "cordant/_kernel/_speed.pyx":650
- *             if i >= 1:
- *                 d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *                 if r.dused[d]:             # <<<<<<<<<<<<<<
- *                     return (EXHAUSTED, None, -1, 0)
- *                 r.dused[d] = 1
-*/
-        }
-
-        /* "cordant/_kernel/_speed.pyx":652
- *                 if r.dused[d]:
- *                     return (EXHAUSTED, None, -1, 0)
- *                 r.dused[d] = 1             # <<<<<<<<<<<<<<
- *             r.used[x] = 1
- *             r.seq[i] = x
-*/
-        (__pyx_v_r.dused[__pyx_v_d]) = 1;
-
-        /* "cordant/_kernel/_speed.pyx":648
- *             if x < 1 or x >= m or r.used[x]:
- *                 return (EXHAUSTED, None, -1, 0)
- *             if i >= 1:             # <<<<<<<<<<<<<<
- *                 d = r.add_t[x * r.m + r.neg_t[r.seq[i - 1]]]
- *                 if r.dused[d]:
-*/
-      }
-
-      /* "cordant/_kernel/_speed.pyx":653
- *                     return (EXHAUSTED, None, -1, 0)
- *                 r.dused[d] = 1
- *             r.used[x] = 1             # <<<<<<<<<<<<<<
- *             r.seq[i] = x
- *         status = _rstar_dfs(&r, <int> p)
-*/
-      (__pyx_v_r.used[__pyx_v_x]) = 1;
-
-      /* "cordant/_kernel/_speed.pyx":654
- *                 r.dused[d] = 1
- *             r.used[x] = 1
- *             r.seq[i] = x             # <<<<<<<<<<<<<<
- *         status = _rstar_dfs(&r, <int> p)
- *         if status == C_FOUND:
-*/
-      (__pyx_v_r.seq[__pyx_v_i]) = __pyx_v_x;
-    }
-
-    /* "cordant/_kernel/_speed.pyx":655
- *             r.used[x] = 1
- *             r.seq[i] = x
- *         status = _rstar_dfs(&r, <int> p)             # <<<<<<<<<<<<<<
- *         if status == C_FOUND:
- *             return (FOUND, [r.seq[i] for i in range(r.length)], r.star_at, r.nodes)
-*/
-    __pyx_t_8 = __pyx_f_7cordant_7_kernel_6_speed__rstar_dfs((&__pyx_v_r), ((int)__pyx_v_p)); if (unlikely(__pyx_t_8 == ((int)-2))) __PYX_ERR(0, 655, __pyx_L5_error)
-    __pyx_v_status = __pyx_t_8;
-
-    /* "cordant/_kernel/_speed.pyx":656
- *             r.seq[i] = x
- *         status = _rstar_dfs(&r, <int> p)
- *         if status == C_FOUND:             # <<<<<<<<<<<<<<
- *             return (FOUND, [r.seq[i] for i in range(r.length)], r.star_at, r.nodes)
- *         return (status, None, -1, r.nodes)
-*/
-    __pyx_t_2 = (__pyx_v_status == __pyx_v_7cordant_7_kernel_6_speed_C_FOUND);
-    if (__pyx_t_2) {
-
-      /* "cordant/_kernel/_speed.pyx":657
- *         status = _rstar_dfs(&r, <int> p)
- *         if status == C_FOUND:
- *             return (FOUND, [r.seq[i] for i in range(r.length)], r.star_at, r.nodes)             # <<<<<<<<<<<<<<
- *         return (status, None, -1, r.nodes)
- *     finally:
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_FOUND); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 657, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      { /* enter inner scope */
-        __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 657, __pyx_L5_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_8 = __pyx_v_r.length;
-        __pyx_t_11 = __pyx_t_8;
-        for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-          __pyx_8genexpr2__pyx_v_i = __pyx_t_12;
-          __pyx_t_14 = __Pyx_PyLong_From_int((__pyx_v_r.seq[__pyx_8genexpr2__pyx_v_i])); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 657, __pyx_L5_error)
-          __Pyx_GOTREF(__pyx_t_14);
-          if (unlikely(__Pyx_ListComp_Append(__pyx_t_4, (PyObject*)__pyx_t_14))) __PYX_ERR(0, 657, __pyx_L5_error)
-          __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-        }
-      } /* exit inner scope */
-      __pyx_t_14 = __Pyx_PyLong_From_int(__pyx_v_r.star_at); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 657, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_14);
-      __pyx_t_15 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_r.nodes); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 657, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_15);
-      __pyx_t_16 = PyTuple_New(4); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 657, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_16);
-      __Pyx_GIVEREF(__pyx_t_3);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_16, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 657, __pyx_L5_error);
-      __Pyx_GIVEREF(__pyx_t_4);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_16, 1, __pyx_t_4) != (0)) __PYX_ERR(0, 657, __pyx_L5_error);
-      __Pyx_GIVEREF(__pyx_t_14);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_16, 2, __pyx_t_14) != (0)) __PYX_ERR(0, 657, __pyx_L5_error);
-      __Pyx_GIVEREF(__pyx_t_15);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_16, 3, __pyx_t_15) != (0)) __PYX_ERR(0, 657, __pyx_L5_error);
-      __pyx_t_3 = 0;
-      __pyx_t_4 = 0;
-      __pyx_t_14 = 0;
-      __pyx_t_15 = 0;
-      __pyx_r = __pyx_t_16;
-      __pyx_t_16 = 0;
-      goto __pyx_L4_return;
-
-      /* "cordant/_kernel/_speed.pyx":656
- *             r.seq[i] = x
- *         status = _rstar_dfs(&r, <int> p)
- *         if status == C_FOUND:             # <<<<<<<<<<<<<<
- *             return (FOUND, [r.seq[i] for i in range(r.length)], r.star_at, r.nodes)
- *         return (status, None, -1, r.nodes)
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":658
- *         if status == C_FOUND:
- *             return (FOUND, [r.seq[i] for i in range(r.length)], r.star_at, r.nodes)
- *         return (status, None, -1, r.nodes)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(r.add_t)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_16 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 658, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_16);
-    __pyx_t_15 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_r.nodes); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 658, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __pyx_t_14 = PyTuple_New(4); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 658, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_14);
-    __Pyx_GIVEREF(__pyx_t_16);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 0, __pyx_t_16) != (0)) __PYX_ERR(0, 658, __pyx_L5_error);
-    __Pyx_INCREF(Py_None);
-    __Pyx_GIVEREF(Py_None);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 1, Py_None) != (0)) __PYX_ERR(0, 658, __pyx_L5_error);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_neg_1);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_neg_1);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 2, __pyx_mstate_global->__pyx_int_neg_1) != (0)) __PYX_ERR(0, 658, __pyx_L5_error);
-    __Pyx_GIVEREF(__pyx_t_15);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 3, __pyx_t_15) != (0)) __PYX_ERR(0, 658, __pyx_L5_error);
-    __pyx_t_16 = 0;
-    __pyx_t_15 = 0;
-    __pyx_r = __pyx_t_14;
-    __pyx_t_14 = 0;
-    goto __pyx_L4_return;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":660
- *         return (status, None, -1, r.nodes)
- *     finally:
- *         free(r.add_t)             # <<<<<<<<<<<<<<
- *         free(r.neg_t)
- *         free(r.seq)
-*/
-  /*finally:*/ {
-    __pyx_L5_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0;
-      __Pyx_XDECREF(__pyx_t_14); __pyx_t_14 = 0;
-      __Pyx_XDECREF(__pyx_t_15); __pyx_t_15 = 0;
-      __Pyx_XDECREF(__pyx_t_16); __pyx_t_16 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_21, &__pyx_t_22, &__pyx_t_23);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20) < 0)) __Pyx_ErrFetch(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __pyx_t_8 = __pyx_lineno; __pyx_t_11 = __pyx_clineno; __pyx_t_17 = __pyx_filename;
-      {
-        free(__pyx_v_r.add_t);
-
-        /* "cordant/_kernel/_speed.pyx":661
- *     finally:
- *         free(r.add_t)
- *         free(r.neg_t)             # <<<<<<<<<<<<<<
- *         free(r.seq)
- *         free(r.used)
-*/
-        free(__pyx_v_r.neg_t);
-
-        /* "cordant/_kernel/_speed.pyx":662
- *         free(r.add_t)
- *         free(r.neg_t)
- *         free(r.seq)             # <<<<<<<<<<<<<<
- *         free(r.used)
- *         free(r.dused)
-*/
-        free(__pyx_v_r.seq);
-
-        /* "cordant/_kernel/_speed.pyx":663
- *         free(r.neg_t)
- *         free(r.seq)
- *         free(r.used)             # <<<<<<<<<<<<<<
- *         free(r.dused)
- * 
-*/
-        free(__pyx_v_r.used);
-
-        /* "cordant/_kernel/_speed.pyx":664
- *         free(r.seq)
- *         free(r.used)
- *         free(r.dused)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_r.dused);
-      }
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_ExceptionReset(__pyx_t_21, __pyx_t_22, __pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_ErrRestore(__pyx_t_18, __pyx_t_19, __pyx_t_20);
-      __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0;
-      __pyx_lineno = __pyx_t_8; __pyx_clineno = __pyx_t_11; __pyx_filename = __pyx_t_17;
-      goto __pyx_L1_error;
-    }
-    __pyx_L4_return: {
-      __pyx_t_23 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "cordant/_kernel/_speed.pyx":660
- *         return (status, None, -1, r.nodes)
- *     finally:
- *         free(r.add_t)             # <<<<<<<<<<<<<<
- *         free(r.neg_t)
- *         free(r.seq)
-*/
-      free(__pyx_v_r.add_t);
-
-      /* "cordant/_kernel/_speed.pyx":661
- *     finally:
- *         free(r.add_t)
- *         free(r.neg_t)             # <<<<<<<<<<<<<<
- *         free(r.seq)
- *         free(r.used)
-*/
-      free(__pyx_v_r.neg_t);
-
-      /* "cordant/_kernel/_speed.pyx":662
- *         free(r.add_t)
- *         free(r.neg_t)
- *         free(r.seq)             # <<<<<<<<<<<<<<
- *         free(r.used)
- *         free(r.dused)
-*/
-      free(__pyx_v_r.seq);
-
-      /* "cordant/_kernel/_speed.pyx":663
- *         free(r.neg_t)
- *         free(r.seq)
- *         free(r.used)             # <<<<<<<<<<<<<<
- *         free(r.dused)
- * 
-*/
-      free(__pyx_v_r.used);
-
-      /* "cordant/_kernel/_speed.pyx":664
- *         free(r.seq)
- *         free(r.used)
- *         free(r.dused)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_r.dused);
-      __pyx_r = __pyx_t_23;
-      __pyx_t_23 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "cordant/_kernel/_speed.pyx":617
- * 
- * 
- * def solve_rstar(int m, object add_t, object neg_t, object prefix, long long budget):             # <<<<<<<<<<<<<<
- *     cdef RStar r
- *     memset(&r, 0, sizeof(RStar))
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_XDECREF(__pyx_t_15);
-  __Pyx_XDECREF(__pyx_t_16);
-  __Pyx_AddTraceback("cordant._kernel._speed.solve_rstar", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":684
- * 
- * 
- * cdef int _sigma_dfs(Sigma* sg, int i) except -2:             # <<<<<<<<<<<<<<
- *     cdef int x, s_new, nd, d, r, j
- *     if i == sg.m:
-*/
-
-static int __pyx_f_7cordant_7_kernel_6_speed__sigma_dfs(struct __pyx_t_7cordant_7_kernel_6_speed_Sigma *__pyx_v_sg, int __pyx_v_i) {
-  int __pyx_v_x;
-  int __pyx_v_s_new;
-  int __pyx_v_nd;
-  int __pyx_v_d;
-  int __pyx_v_r;
-  int __pyx_v_j;
-  int __pyx_r;
-  int __pyx_t_1;
-  long __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "cordant/_kernel/_speed.pyx":686
- * cdef int _sigma_dfs(Sigma* sg, int i) except -2:
- *     cdef int x, s_new, nd, d, r, j
- *     if i == sg.m:             # <<<<<<<<<<<<<<
- *         s_new = sg.add_t[sg.order[sg.m - 1] * sg.m + sg.order[0]]
- *         d = sg.distinct + (0 if sg.scount[s_new] else 1)
-*/
-  __pyx_t_1 = (__pyx_v_i == __pyx_v_sg->m);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":687
- *     cdef int x, s_new, nd, d, r, j
- *     if i == sg.m:
- *         s_new = sg.add_t[sg.order[sg.m - 1] * sg.m + sg.order[0]]             # <<<<<<<<<<<<<<
- *         d = sg.distinct + (0 if sg.scount[s_new] else 1)
- *         if d > sg.best:
-*/
-    __pyx_v_s_new = (__pyx_v_sg->add_t[(((__pyx_v_sg->order[(__pyx_v_sg->m - 1)]) * __pyx_v_sg->m) + (__pyx_v_sg->order[0]))]);
-
-    /* "cordant/_kernel/_speed.pyx":688
- *     if i == sg.m:
- *         s_new = sg.add_t[sg.order[sg.m - 1] * sg.m + sg.order[0]]
- *         d = sg.distinct + (0 if sg.scount[s_new] else 1)             # <<<<<<<<<<<<<<
- *         if d > sg.best:
- *             sg.best = d
-*/
-    __pyx_t_1 = ((__pyx_v_sg->scount[__pyx_v_s_new]) != 0);
-    if (__pyx_t_1) {
-      __pyx_t_2 = 0;
-    } else {
-      __pyx_t_2 = 1;
-    }
-    __pyx_v_d = (__pyx_v_sg->distinct + __pyx_t_2);
-
-    /* "cordant/_kernel/_speed.pyx":689
- *         s_new = sg.add_t[sg.order[sg.m - 1] * sg.m + sg.order[0]]
- *         d = sg.distinct + (0 if sg.scount[s_new] else 1)
- *         if d > sg.best:             # <<<<<<<<<<<<<<
- *             sg.best = d
- *             sg.have_best = 1
-*/
-    __pyx_t_1 = (__pyx_v_d > __pyx_v_sg->best);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":690
- *         d = sg.distinct + (0 if sg.scount[s_new] else 1)
- *         if d > sg.best:
- *             sg.best = d             # <<<<<<<<<<<<<<
- *             sg.have_best = 1
- *             for j in range(sg.m):
-*/
-      __pyx_v_sg->best = __pyx_v_d;
-
-      /* "cordant/_kernel/_speed.pyx":691
- *         if d > sg.best:
- *             sg.best = d
- *             sg.have_best = 1             # <<<<<<<<<<<<<<
- *             for j in range(sg.m):
- *                 sg.best_cycle[j] = sg.order[j]
-*/
-      __pyx_v_sg->have_best = 1;
-
-      /* "cordant/_kernel/_speed.pyx":692
- *             sg.best = d
- *             sg.have_best = 1
- *             for j in range(sg.m):             # <<<<<<<<<<<<<<
- *                 sg.best_cycle[j] = sg.order[j]
- *         return C_EXHAUSTED
-*/
-      __pyx_t_3 = __pyx_v_sg->m;
-      __pyx_t_4 = __pyx_t_3;
-      for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-        __pyx_v_j = __pyx_t_5;
-
-        /* "cordant/_kernel/_speed.pyx":693
- *             sg.have_best = 1
- *             for j in range(sg.m):
- *                 sg.best_cycle[j] = sg.order[j]             # <<<<<<<<<<<<<<
- *         return C_EXHAUSTED
- *     for x in range(1, sg.m):
-*/
-        (__pyx_v_sg->best_cycle[__pyx_v_j]) = (__pyx_v_sg->order[__pyx_v_j]);
-      }
-
-      /* "cordant/_kernel/_speed.pyx":689
- *         s_new = sg.add_t[sg.order[sg.m - 1] * sg.m + sg.order[0]]
- *         d = sg.distinct + (0 if sg.scount[s_new] else 1)
- *         if d > sg.best:             # <<<<<<<<<<<<<<
- *             sg.best = d
- *             sg.have_best = 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":694
- *             for j in range(sg.m):
- *                 sg.best_cycle[j] = sg.order[j]
- *         return C_EXHAUSTED             # <<<<<<<<<<<<<<
- *     for x in range(1, sg.m):
- *         if sg.budget >= 0 and sg.nodes >= sg.budget:
-*/
-    __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":686
- * cdef int _sigma_dfs(Sigma* sg, int i) except -2:
- *     cdef int x, s_new, nd, d, r, j
- *     if i == sg.m:             # <<<<<<<<<<<<<<
- *         s_new = sg.add_t[sg.order[sg.m - 1] * sg.m + sg.order[0]]
- *         d = sg.distinct + (0 if sg.scount[s_new] else 1)
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":695
- *                 sg.best_cycle[j] = sg.order[j]
- *         return C_EXHAUSTED
- *     for x in range(1, sg.m):             # <<<<<<<<<<<<<<
- *         if sg.budget >= 0 and sg.nodes >= sg.budget:
- *             return C_BUDGET
-*/
-  __pyx_t_3 = __pyx_v_sg->m;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 1; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_x = __pyx_t_5;
-
-    /* "cordant/_kernel/_speed.pyx":696
- *         return C_EXHAUSTED
- *     for x in range(1, sg.m):
- *         if sg.budget >= 0 and sg.nodes >= sg.budget:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         sg.nodes += 1
-*/
-    __pyx_t_6 = (__pyx_v_sg->budget >= 0);
-    if (__pyx_t_6) {
-    } else {
-      __pyx_t_1 = __pyx_t_6;
-      goto __pyx_L10_bool_binop_done;
-    }
-    __pyx_t_6 = (__pyx_v_sg->nodes >= __pyx_v_sg->budget);
-    __pyx_t_1 = __pyx_t_6;
-    __pyx_L10_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":697
- *     for x in range(1, sg.m):
- *         if sg.budget >= 0 and sg.nodes >= sg.budget:
- *             return C_BUDGET             # <<<<<<<<<<<<<<
- *         sg.nodes += 1
- *         if sg.used[x]:
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":696
- *         return C_EXHAUSTED
- *     for x in range(1, sg.m):
- *         if sg.budget >= 0 and sg.nodes >= sg.budget:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *         sg.nodes += 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":698
- *         if sg.budget >= 0 and sg.nodes >= sg.budget:
- *             return C_BUDGET
- *         sg.nodes += 1             # <<<<<<<<<<<<<<
- *         if sg.used[x]:
- *             continue
-*/
-    __pyx_v_sg->nodes = (__pyx_v_sg->nodes + 1);
-
-    /* "cordant/_kernel/_speed.pyx":699
- *             return C_BUDGET
- *         sg.nodes += 1
- *         if sg.used[x]:             # <<<<<<<<<<<<<<
- *             continue
- *         if i == sg.m - 1 and x < sg.order[1]:
-*/
-    __pyx_t_1 = ((__pyx_v_sg->used[__pyx_v_x]) != 0);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":700
- *         sg.nodes += 1
- *         if sg.used[x]:
- *             continue             # <<<<<<<<<<<<<<
- *         if i == sg.m - 1 and x < sg.order[1]:
- *             continue
-*/
-      goto __pyx_L7_continue;
-
-      /* "cordant/_kernel/_speed.pyx":699
- *             return C_BUDGET
- *         sg.nodes += 1
- *         if sg.used[x]:             # <<<<<<<<<<<<<<
- *             continue
- *         if i == sg.m - 1 and x < sg.order[1]:
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":701
- *         if sg.used[x]:
- *             continue
- *         if i == sg.m - 1 and x < sg.order[1]:             # <<<<<<<<<<<<<<
- *             continue
- *         s_new = sg.add_t[sg.order[i - 1] * sg.m + x]
-*/
-    __pyx_t_6 = (__pyx_v_i == (__pyx_v_sg->m - 1));
-    if (__pyx_t_6) {
-    } else {
-      __pyx_t_1 = __pyx_t_6;
-      goto __pyx_L14_bool_binop_done;
-    }
-    __pyx_t_6 = (__pyx_v_x < (__pyx_v_sg->order[1]));
-    __pyx_t_1 = __pyx_t_6;
-    __pyx_L14_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":702
- *             continue
- *         if i == sg.m - 1 and x < sg.order[1]:
- *             continue             # <<<<<<<<<<<<<<
- *         s_new = sg.add_t[sg.order[i - 1] * sg.m + x]
- *         nd = sg.distinct + (0 if sg.scount[s_new] else 1)
-*/
-      goto __pyx_L7_continue;
-
-      /* "cordant/_kernel/_speed.pyx":701
- *         if sg.used[x]:
- *             continue
- *         if i == sg.m - 1 and x < sg.order[1]:             # <<<<<<<<<<<<<<
- *             continue
- *         s_new = sg.add_t[sg.order[i - 1] * sg.m + x]
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":703
- *         if i == sg.m - 1 and x < sg.order[1]:
- *             continue
- *         s_new = sg.add_t[sg.order[i - 1] * sg.m + x]             # <<<<<<<<<<<<<<
- *         nd = sg.distinct + (0 if sg.scount[s_new] else 1)
- *         if nd + (sg.m - i) <= sg.best:
-*/
-    __pyx_v_s_new = (__pyx_v_sg->add_t[(((__pyx_v_sg->order[(__pyx_v_i - 1)]) * __pyx_v_sg->m) + __pyx_v_x)]);
-
-    /* "cordant/_kernel/_speed.pyx":704
- *             continue
- *         s_new = sg.add_t[sg.order[i - 1] * sg.m + x]
- *         nd = sg.distinct + (0 if sg.scount[s_new] else 1)             # <<<<<<<<<<<<<<
- *         if nd + (sg.m - i) <= sg.best:
- *             continue
-*/
-    __pyx_t_1 = ((__pyx_v_sg->scount[__pyx_v_s_new]) != 0);
-    if (__pyx_t_1) {
-      __pyx_t_2 = 0;
-    } else {
-      __pyx_t_2 = 1;
-    }
-    __pyx_v_nd = (__pyx_v_sg->distinct + __pyx_t_2);
-
-    /* "cordant/_kernel/_speed.pyx":705
- *         s_new = sg.add_t[sg.order[i - 1] * sg.m + x]
- *         nd = sg.distinct + (0 if sg.scount[s_new] else 1)
- *         if nd + (sg.m - i) <= sg.best:             # <<<<<<<<<<<<<<
- *             continue
- *         sg.used[x] = 1
-*/
-    __pyx_t_1 = ((__pyx_v_nd + (__pyx_v_sg->m - __pyx_v_i)) <= __pyx_v_sg->best);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":706
- *         nd = sg.distinct + (0 if sg.scount[s_new] else 1)
- *         if nd + (sg.m - i) <= sg.best:
- *             continue             # <<<<<<<<<<<<<<
- *         sg.used[x] = 1
- *         sg.order[i] = x
-*/
-      goto __pyx_L7_continue;
-
-      /* "cordant/_kernel/_speed.pyx":705
- *         s_new = sg.add_t[sg.order[i - 1] * sg.m + x]
- *         nd = sg.distinct + (0 if sg.scount[s_new] else 1)
- *         if nd + (sg.m - i) <= sg.best:             # <<<<<<<<<<<<<<
- *             continue
- *         sg.used[x] = 1
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":707
- *         if nd + (sg.m - i) <= sg.best:
- *             continue
- *         sg.used[x] = 1             # <<<<<<<<<<<<<<
- *         sg.order[i] = x
- *         sg.scount[s_new] += 1
-*/
-    (__pyx_v_sg->used[__pyx_v_x]) = 1;
-
-    /* "cordant/_kernel/_speed.pyx":708
- *             continue
- *         sg.used[x] = 1
- *         sg.order[i] = x             # <<<<<<<<<<<<<<
- *         sg.scount[s_new] += 1
- *         d = sg.distinct
-*/
-    (__pyx_v_sg->order[__pyx_v_i]) = __pyx_v_x;
-
-    /* "cordant/_kernel/_speed.pyx":709
- *         sg.used[x] = 1
- *         sg.order[i] = x
- *         sg.scount[s_new] += 1             # <<<<<<<<<<<<<<
- *         d = sg.distinct
- *         sg.distinct = nd
-*/
-    __pyx_t_7 = __pyx_v_s_new;
-    (__pyx_v_sg->scount[__pyx_t_7]) = ((__pyx_v_sg->scount[__pyx_t_7]) + 1);
-
-    /* "cordant/_kernel/_speed.pyx":710
- *         sg.order[i] = x
- *         sg.scount[s_new] += 1
- *         d = sg.distinct             # <<<<<<<<<<<<<<
- *         sg.distinct = nd
- *         r = _sigma_dfs(sg, i + 1)
-*/
-    __pyx_t_7 = __pyx_v_sg->distinct;
-    __pyx_v_d = __pyx_t_7;
-
-    /* "cordant/_kernel/_speed.pyx":711
- *         sg.scount[s_new] += 1
- *         d = sg.distinct
- *         sg.distinct = nd             # <<<<<<<<<<<<<<
- *         r = _sigma_dfs(sg, i + 1)
- *         sg.scount[s_new] -= 1
-*/
-    __pyx_v_sg->distinct = __pyx_v_nd;
-
-    /* "cordant/_kernel/_speed.pyx":712
- *         d = sg.distinct
- *         sg.distinct = nd
- *         r = _sigma_dfs(sg, i + 1)             # <<<<<<<<<<<<<<
- *         sg.scount[s_new] -= 1
- *         sg.distinct = d
-*/
-    __pyx_t_7 = __pyx_f_7cordant_7_kernel_6_speed__sigma_dfs(__pyx_v_sg, (__pyx_v_i + 1)); if (unlikely(__pyx_t_7 == ((int)-2))) __PYX_ERR(0, 712, __pyx_L1_error)
-    __pyx_v_r = __pyx_t_7;
-
-    /* "cordant/_kernel/_speed.pyx":713
- *         sg.distinct = nd
- *         r = _sigma_dfs(sg, i + 1)
- *         sg.scount[s_new] -= 1             # <<<<<<<<<<<<<<
- *         sg.distinct = d
- *         sg.used[x] = 0
-*/
-    __pyx_t_7 = __pyx_v_s_new;
-    (__pyx_v_sg->scount[__pyx_t_7]) = ((__pyx_v_sg->scount[__pyx_t_7]) - 1);
-
-    /* "cordant/_kernel/_speed.pyx":714
- *         r = _sigma_dfs(sg, i + 1)
- *         sg.scount[s_new] -= 1
- *         sg.distinct = d             # <<<<<<<<<<<<<<
- *         sg.used[x] = 0
- *         if r == C_BUDGET:
-*/
-    __pyx_v_sg->distinct = __pyx_v_d;
-
-    /* "cordant/_kernel/_speed.pyx":715
- *         sg.scount[s_new] -= 1
- *         sg.distinct = d
- *         sg.used[x] = 0             # <<<<<<<<<<<<<<
- *         if r == C_BUDGET:
- *             return C_BUDGET
-*/
-    (__pyx_v_sg->used[__pyx_v_x]) = 0;
-
-    /* "cordant/_kernel/_speed.pyx":716
- *         sg.distinct = d
- *         sg.used[x] = 0
- *         if r == C_BUDGET:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *     return C_EXHAUSTED
-*/
-    __pyx_t_1 = (__pyx_v_r == __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET);
-    if (__pyx_t_1) {
-
-      /* "cordant/_kernel/_speed.pyx":717
- *         sg.used[x] = 0
- *         if r == C_BUDGET:
- *             return C_BUDGET             # <<<<<<<<<<<<<<
- *     return C_EXHAUSTED
- * 
-*/
-      __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET;
-      goto __pyx_L0;
-
-      /* "cordant/_kernel/_speed.pyx":716
- *         sg.distinct = d
- *         sg.used[x] = 0
- *         if r == C_BUDGET:             # <<<<<<<<<<<<<<
- *             return C_BUDGET
- *     return C_EXHAUSTED
-*/
-    }
-    __pyx_L7_continue:;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":718
- *         if r == C_BUDGET:
- *             return C_BUDGET
- *     return C_EXHAUSTED             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED;
-  goto __pyx_L0;
-
-  /* "cordant/_kernel/_speed.pyx":684
- * 
- * 
- * cdef int _sigma_dfs(Sigma* sg, int i) except -2:             # <<<<<<<<<<<<<<
- *     cdef int x, s_new, nd, d, r, j
- *     if i == sg.m:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cordant._kernel._speed._sigma_dfs", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -2;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "cordant/_kernel/_speed.pyx":721
- * 
- * 
- * def solve_sigma(int m, object add_t, long long budget):             # <<<<<<<<<<<<<<
- *     if m == 2:
- *         return (FOUND, 1, [0, 1], 0)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7cordant_7_kernel_6_speed_7solve_sigma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7cordant_7_kernel_6_speed_7solve_sigma = {"solve_sigma", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7cordant_7_kernel_6_speed_7solve_sigma, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7cordant_7_kernel_6_speed_7solve_sigma(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_m;
-  PyObject *__pyx_v_add_t = 0;
-  PY_LONG_LONG __pyx_v_budget;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("solve_sigma (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_m,&__pyx_mstate_global->__pyx_n_u_add_t,&__pyx_mstate_global->__pyx_n_u_budget,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 721, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 721, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 721, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 721, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "solve_sigma", 0) < (0)) __PYX_ERR(0, 721, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("solve_sigma", 1, 3, 3, i); __PYX_ERR(0, 721, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 721, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 721, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 721, __pyx_L3_error)
-    }
-    __pyx_v_m = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_m == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 721, __pyx_L3_error)
-    __pyx_v_add_t = values[1];
-    __pyx_v_budget = __Pyx_PyLong_As_PY_LONG_LONG(values[2]); if (unlikely((__pyx_v_budget == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 721, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("solve_sigma", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 721, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("cordant._kernel._speed.solve_sigma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7cordant_7_kernel_6_speed_6solve_sigma(__pyx_self, __pyx_v_m, __pyx_v_add_t, __pyx_v_budget);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7cordant_7_kernel_6_speed_6solve_sigma(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_add_t, PY_LONG_LONG __pyx_v_budget) {
-  struct __pyx_t_7cordant_7_kernel_6_speed_Sigma __pyx_v_sg;
-  Py_ssize_t __pyx_v_tmp;
-  int __pyx_v_status;
-  PyObject *__pyx_v_final = NULL;
-  PyObject *__pyx_v_cycle = NULL;
-  int __pyx_8genexpr3__pyx_v_j;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  int *__pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  char const *__pyx_t_10;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("solve_sigma", 0);
-
-  /* "cordant/_kernel/_speed.pyx":722
- * 
- * def solve_sigma(int m, object add_t, long long budget):
- *     if m == 2:             # <<<<<<<<<<<<<<
- *         return (FOUND, 1, [0, 1], 0)
- *     cdef Sigma sg
-*/
-  __pyx_t_1 = (__pyx_v_m == 2);
-  if (__pyx_t_1) {
-
-    /* "cordant/_kernel/_speed.pyx":723
- * def solve_sigma(int m, object add_t, long long budget):
- *     if m == 2:
- *         return (FOUND, 1, [0, 1], 0)             # <<<<<<<<<<<<<<
- *     cdef Sigma sg
- *     memset(&sg, 0, sizeof(Sigma))
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_FOUND); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 723, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_3 = PyList_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 723, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_3, 0, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 723, __pyx_L1_error);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_3, 1, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 723, __pyx_L1_error);
-    __pyx_t_4 = PyTuple_New(4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 723, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_2);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 723, __pyx_L1_error);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 723, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_3);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 723, __pyx_L1_error);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 723, __pyx_L1_error);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = 0;
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    goto __pyx_L0;
-
-    /* "cordant/_kernel/_speed.pyx":722
- * 
- * def solve_sigma(int m, object add_t, long long budget):
- *     if m == 2:             # <<<<<<<<<<<<<<
- *         return (FOUND, 1, [0, 1], 0)
- *     cdef Sigma sg
-*/
-  }
-
-  /* "cordant/_kernel/_speed.pyx":725
- *         return (FOUND, 1, [0, 1], 0)
- *     cdef Sigma sg
- *     memset(&sg, 0, sizeof(Sigma))             # <<<<<<<<<<<<<<
- *     sg.m = m
- *     sg.budget = budget
-*/
-  (void)(memset((&__pyx_v_sg), 0, (sizeof(struct __pyx_t_7cordant_7_kernel_6_speed_Sigma))));
-
-  /* "cordant/_kernel/_speed.pyx":726
- *     cdef Sigma sg
- *     memset(&sg, 0, sizeof(Sigma))
- *     sg.m = m             # <<<<<<<<<<<<<<
- *     sg.budget = budget
- *     sg.nodes = 0
-*/
-  __pyx_v_sg.m = __pyx_v_m;
-
-  /* "cordant/_kernel/_speed.pyx":727
- *     memset(&sg, 0, sizeof(Sigma))
- *     sg.m = m
- *     sg.budget = budget             # <<<<<<<<<<<<<<
- *     sg.nodes = 0
- *     sg.best = 0
-*/
-  __pyx_v_sg.budget = __pyx_v_budget;
-
-  /* "cordant/_kernel/_speed.pyx":728
- *     sg.m = m
- *     sg.budget = budget
- *     sg.nodes = 0             # <<<<<<<<<<<<<<
- *     sg.best = 0
- *     sg.distinct = 0
-*/
-  __pyx_v_sg.nodes = 0;
-
-  /* "cordant/_kernel/_speed.pyx":729
- *     sg.budget = budget
- *     sg.nodes = 0
- *     sg.best = 0             # <<<<<<<<<<<<<<
- *     sg.distinct = 0
- *     sg.have_best = 0
-*/
-  __pyx_v_sg.best = 0;
-
-  /* "cordant/_kernel/_speed.pyx":730
- *     sg.nodes = 0
- *     sg.best = 0
- *     sg.distinct = 0             # <<<<<<<<<<<<<<
- *     sg.have_best = 0
- * 
-*/
-  __pyx_v_sg.distinct = 0;
-
-  /* "cordant/_kernel/_speed.pyx":731
- *     sg.best = 0
- *     sg.distinct = 0
- *     sg.have_best = 0             # <<<<<<<<<<<<<<
- * 
- *     cdef Py_ssize_t tmp
-*/
-  __pyx_v_sg.have_best = 0;
-
-  /* "cordant/_kernel/_speed.pyx":736
- *     cdef int status
- *     cdef int j
- *     sg.add_t = _copy_ints(add_t, &tmp)             # <<<<<<<<<<<<<<
- *     try:
- *         sg.order = <int*> calloc(m, sizeof(int))
-*/
-  __pyx_t_5 = __pyx_f_7cordant_7_kernel_6_speed__copy_ints(__pyx_v_add_t, (&__pyx_v_tmp)); if (unlikely(__pyx_t_5 == ((void *)NULL))) __PYX_ERR(0, 736, __pyx_L1_error)
-  __pyx_v_sg.add_t = __pyx_t_5;
-
-  /* "cordant/_kernel/_speed.pyx":737
- *     cdef int j
- *     sg.add_t = _copy_ints(add_t, &tmp)
- *     try:             # <<<<<<<<<<<<<<
- *         sg.order = <int*> calloc(m, sizeof(int))
- *         sg.scount = <int*> calloc(m, sizeof(int))
-*/
-  /*try:*/ {
-
-    /* "cordant/_kernel/_speed.pyx":738
- *     sg.add_t = _copy_ints(add_t, &tmp)
- *     try:
- *         sg.order = <int*> calloc(m, sizeof(int))             # <<<<<<<<<<<<<<
- *         sg.scount = <int*> calloc(m, sizeof(int))
- *         sg.best_cycle = <int*> calloc(m, sizeof(int))
-*/
-    __pyx_v_sg.order = ((int *)calloc(__pyx_v_m, (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":739
- *     try:
- *         sg.order = <int*> calloc(m, sizeof(int))
- *         sg.scount = <int*> calloc(m, sizeof(int))             # <<<<<<<<<<<<<<
- *         sg.best_cycle = <int*> calloc(m, sizeof(int))
- *         sg.used = <unsigned char*> calloc(m, 1)
-*/
-    __pyx_v_sg.scount = ((int *)calloc(__pyx_v_m, (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":740
- *         sg.order = <int*> calloc(m, sizeof(int))
- *         sg.scount = <int*> calloc(m, sizeof(int))
- *         sg.best_cycle = <int*> calloc(m, sizeof(int))             # <<<<<<<<<<<<<<
- *         sg.used = <unsigned char*> calloc(m, 1)
- *         if (sg.order == NULL or sg.scount == NULL or sg.best_cycle == NULL
-*/
-    __pyx_v_sg.best_cycle = ((int *)calloc(__pyx_v_m, (sizeof(int))));
-
-    /* "cordant/_kernel/_speed.pyx":741
- *         sg.scount = <int*> calloc(m, sizeof(int))
- *         sg.best_cycle = <int*> calloc(m, sizeof(int))
- *         sg.used = <unsigned char*> calloc(m, 1)             # <<<<<<<<<<<<<<
- *         if (sg.order == NULL or sg.scount == NULL or sg.best_cycle == NULL
- *                 or sg.used == NULL):
-*/
-    __pyx_v_sg.used = ((unsigned char *)calloc(__pyx_v_m, 1));
-
-    /* "cordant/_kernel/_speed.pyx":742
- *         sg.best_cycle = <int*> calloc(m, sizeof(int))
- *         sg.used = <unsigned char*> calloc(m, 1)
- *         if (sg.order == NULL or sg.scount == NULL or sg.best_cycle == NULL             # <<<<<<<<<<<<<<
- *                 or sg.used == NULL):
- *             raise MemoryError()
-*/
-    __pyx_t_6 = (__pyx_v_sg.order == NULL);
-    if (!__pyx_t_6) {
-    } else {
-      __pyx_t_1 = __pyx_t_6;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_6 = (__pyx_v_sg.scount == NULL);
-    if (!__pyx_t_6) {
-    } else {
-      __pyx_t_1 = __pyx_t_6;
-      goto __pyx_L8_bool_binop_done;
-    }
-
-    /* "cordant/_kernel/_speed.pyx":743
- *         sg.used = <unsigned char*> calloc(m, 1)
- *         if (sg.order == NULL or sg.scount == NULL or sg.best_cycle == NULL
- *                 or sg.used == NULL):             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- *         sg.used[0] = 1
-*/
-    __pyx_t_6 = (__pyx_v_sg.best_cycle == NULL);
-    if (!__pyx_t_6) {
-    } else {
-      __pyx_t_1 = __pyx_t_6;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_6 = (__pyx_v_sg.used == NULL);
-    __pyx_t_1 = __pyx_t_6;
-    __pyx_L8_bool_binop_done:;
-
-    /* "cordant/_kernel/_speed.pyx":742
- *         sg.best_cycle = <int*> calloc(m, sizeof(int))
- *         sg.used = <unsigned char*> calloc(m, 1)
- *         if (sg.order == NULL or sg.scount == NULL or sg.best_cycle == NULL             # <<<<<<<<<<<<<<
- *                 or sg.used == NULL):
- *             raise MemoryError()
-*/
-    if (unlikely(__pyx_t_1)) {
-
-      /* "cordant/_kernel/_speed.pyx":744
- *         if (sg.order == NULL or sg.scount == NULL or sg.best_cycle == NULL
- *                 or sg.used == NULL):
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- *         sg.used[0] = 1
- *         status = _sigma_dfs(&sg, 1)
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 744, __pyx_L5_error)
-
-      /* "cordant/_kernel/_speed.pyx":742
- *         sg.best_cycle = <int*> calloc(m, sizeof(int))
- *         sg.used = <unsigned char*> calloc(m, 1)
- *         if (sg.order == NULL or sg.scount == NULL or sg.best_cycle == NULL             # <<<<<<<<<<<<<<
- *                 or sg.used == NULL):
- *             raise MemoryError()
-*/
-    }
-
-    /* "cordant/_kernel/_speed.pyx":745
- *                 or sg.used == NULL):
- *             raise MemoryError()
- *         sg.used[0] = 1             # <<<<<<<<<<<<<<
- *         status = _sigma_dfs(&sg, 1)
- *         final = FOUND if status == C_EXHAUSTED else BUDGET
-*/
-    (__pyx_v_sg.used[0]) = 1;
-
-    /* "cordant/_kernel/_speed.pyx":746
- *             raise MemoryError()
- *         sg.used[0] = 1
- *         status = _sigma_dfs(&sg, 1)             # <<<<<<<<<<<<<<
- *         final = FOUND if status == C_EXHAUSTED else BUDGET
- *         cycle = [sg.best_cycle[j] for j in range(m)] if sg.have_best else None
-*/
-    __pyx_t_7 = __pyx_f_7cordant_7_kernel_6_speed__sigma_dfs((&__pyx_v_sg), 1); if (unlikely(__pyx_t_7 == ((int)-2))) __PYX_ERR(0, 746, __pyx_L5_error)
-    __pyx_v_status = __pyx_t_7;
-
-    /* "cordant/_kernel/_speed.pyx":747
- *         sg.used[0] = 1
- *         status = _sigma_dfs(&sg, 1)
- *         final = FOUND if status == C_EXHAUSTED else BUDGET             # <<<<<<<<<<<<<<
- *         cycle = [sg.best_cycle[j] for j in range(m)] if sg.have_best else None
- *         return (final, sg.best, cycle, sg.nodes)
-*/
-    __pyx_t_1 = (__pyx_v_status == __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED);
-    if (__pyx_t_1) {
-      __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_FOUND); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 747, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_4 = __pyx_t_3;
-      __pyx_t_3 = 0;
-    } else {
-      __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_BUDGET); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 747, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_4 = __pyx_t_3;
-      __pyx_t_3 = 0;
-    }
-    __pyx_v_final = __pyx_t_4;
-    __pyx_t_4 = 0;
-
-    /* "cordant/_kernel/_speed.pyx":748
- *         status = _sigma_dfs(&sg, 1)
- *         final = FOUND if status == C_EXHAUSTED else BUDGET
- *         cycle = [sg.best_cycle[j] for j in range(m)] if sg.have_best else None             # <<<<<<<<<<<<<<
- *         return (final, sg.best, cycle, sg.nodes)
- *     finally:
-*/
-    if (__pyx_v_sg.have_best) {
-      { /* enter inner scope */
-        __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 748, __pyx_L5_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_7 = __pyx_v_m;
-        __pyx_t_8 = __pyx_t_7;
-        for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-          __pyx_8genexpr3__pyx_v_j = __pyx_t_9;
-          __pyx_t_2 = __Pyx_PyLong_From_int((__pyx_v_sg.best_cycle[__pyx_8genexpr3__pyx_v_j])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 748, __pyx_L5_error)
-          __Pyx_GOTREF(__pyx_t_2);
-          if (unlikely(__Pyx_ListComp_Append(__pyx_t_3, (PyObject*)__pyx_t_2))) __PYX_ERR(0, 748, __pyx_L5_error)
-          __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-        }
-      } /* exit inner scope */
-      __pyx_t_4 = __pyx_t_3;
-      __pyx_t_3 = 0;
-    } else {
-      __Pyx_INCREF(Py_None);
-      __pyx_t_4 = Py_None;
-    }
-    __pyx_v_cycle = __pyx_t_4;
-    __pyx_t_4 = 0;
-
-    /* "cordant/_kernel/_speed.pyx":749
- *         final = FOUND if status == C_EXHAUSTED else BUDGET
- *         cycle = [sg.best_cycle[j] for j in range(m)] if sg.have_best else None
- *         return (final, sg.best, cycle, sg.nodes)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(sg.add_t)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_4 = __Pyx_PyLong_From_int(__pyx_v_sg.best); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 749, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_sg.nodes); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 749, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_2 = PyTuple_New(4); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 749, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_INCREF(__pyx_v_final);
-    __Pyx_GIVEREF(__pyx_v_final);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_v_final) != (0)) __PYX_ERR(0, 749, __pyx_L5_error);
-    __Pyx_GIVEREF(__pyx_t_4);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_t_4) != (0)) __PYX_ERR(0, 749, __pyx_L5_error);
-    __Pyx_INCREF(__pyx_v_cycle);
-    __Pyx_GIVEREF(__pyx_v_cycle);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 2, __pyx_v_cycle) != (0)) __PYX_ERR(0, 749, __pyx_L5_error);
-    __Pyx_GIVEREF(__pyx_t_3);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 3, __pyx_t_3) != (0)) __PYX_ERR(0, 749, __pyx_L5_error);
-    __pyx_t_4 = 0;
-    __pyx_t_3 = 0;
-    __pyx_r = __pyx_t_2;
-    __pyx_t_2 = 0;
-    goto __pyx_L4_return;
-  }
-
-  /* "cordant/_kernel/_speed.pyx":751
- *         return (final, sg.best, cycle, sg.nodes)
- *     finally:
- *         free(sg.add_t)             # <<<<<<<<<<<<<<
- *         free(sg.order)
- *         free(sg.scount)
-*/
-  /*finally:*/ {
-    __pyx_L5_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_11 = 0; __pyx_t_12 = 0; __pyx_t_13 = 0; __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_14, &__pyx_t_15, &__pyx_t_16);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_11, &__pyx_t_12, &__pyx_t_13) < 0)) __Pyx_ErrFetch(&__pyx_t_11, &__pyx_t_12, &__pyx_t_13);
-      __Pyx_XGOTREF(__pyx_t_11);
-      __Pyx_XGOTREF(__pyx_t_12);
-      __Pyx_XGOTREF(__pyx_t_13);
-      __Pyx_XGOTREF(__pyx_t_14);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __pyx_t_7 = __pyx_lineno; __pyx_t_8 = __pyx_clineno; __pyx_t_10 = __pyx_filename;
-      {
-        free(__pyx_v_sg.add_t);
-
-        /* "cordant/_kernel/_speed.pyx":752
- *     finally:
- *         free(sg.add_t)
- *         free(sg.order)             # <<<<<<<<<<<<<<
- *         free(sg.scount)
- *         free(sg.best_cycle)
-*/
-        free(__pyx_v_sg.order);
-
-        /* "cordant/_kernel/_speed.pyx":753
- *         free(sg.add_t)
- *         free(sg.order)
- *         free(sg.scount)             # <<<<<<<<<<<<<<
- *         free(sg.best_cycle)
- *         free(sg.used)
-*/
-        free(__pyx_v_sg.scount);
-
-        /* "cordant/_kernel/_speed.pyx":754
- *         free(sg.order)
- *         free(sg.scount)
- *         free(sg.best_cycle)             # <<<<<<<<<<<<<<
- *         free(sg.used)
-*/
-        free(__pyx_v_sg.best_cycle);
-
-        /* "cordant/_kernel/_speed.pyx":755
- *         free(sg.scount)
- *         free(sg.best_cycle)
- *         free(sg.used)             # <<<<<<<<<<<<<<
-*/
-        free(__pyx_v_sg.used);
-      }
-      __Pyx_XGIVEREF(__pyx_t_14);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_ExceptionReset(__pyx_t_14, __pyx_t_15, __pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_11);
-      __Pyx_XGIVEREF(__pyx_t_12);
-      __Pyx_XGIVEREF(__pyx_t_13);
-      __Pyx_ErrRestore(__pyx_t_11, __pyx_t_12, __pyx_t_13);
-      __pyx_t_11 = 0; __pyx_t_12 = 0; __pyx_t_13 = 0; __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0;
-      __pyx_lineno = __pyx_t_7; __pyx_clineno = __pyx_t_8; __pyx_filename = __pyx_t_10;
-      goto __pyx_L1_error;
-    }
-    __pyx_L4_return: {
-      __pyx_t_16 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "cordant/_kernel/_speed.pyx":751
- *         return (final, sg.best, cycle, sg.nodes)
- *     finally:
- *         free(sg.add_t)             # <<<<<<<<<<<<<<
- *         free(sg.order)
- *         free(sg.scount)
-*/
-      free(__pyx_v_sg.add_t);
-
-      /* "cordant/_kernel/_speed.pyx":752
- *     finally:
- *         free(sg.add_t)
- *         free(sg.order)             # <<<<<<<<<<<<<<
- *         free(sg.scount)
- *         free(sg.best_cycle)
-*/
-      free(__pyx_v_sg.order);
-
-      /* "cordant/_kernel/_speed.pyx":753
- *         free(sg.add_t)
- *         free(sg.order)
- *         free(sg.scount)             # <<<<<<<<<<<<<<
- *         free(sg.best_cycle)
- *         free(sg.used)
-*/
-      free(__pyx_v_sg.scount);
-
-      /* "cordant/_kernel/_speed.pyx":754
- *         free(sg.order)
- *         free(sg.scount)
- *         free(sg.best_cycle)             # <<<<<<<<<<<<<<
- *         free(sg.used)
-*/
-      free(__pyx_v_sg.best_cycle);
-
-      /* "cordant/_kernel/_speed.pyx":755
- *         free(sg.scount)
- *         free(sg.best_cycle)
- *         free(sg.used)             # <<<<<<<<<<<<<<
-*/
-      free(__pyx_v_sg.used);
-      __pyx_r = __pyx_t_16;
-      __pyx_t_16 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "cordant/_kernel/_speed.pyx":721
- * 
- * 
- * def solve_sigma(int m, object add_t, long long budget):             # <<<<<<<<<<<<<<
- *     if m == 2:
- *         return (FOUND, 1, [0, 1], 0)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("cordant._kernel._speed.solve_sigma", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_final);
-  __Pyx_XDECREF(__pyx_v_cycle);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyObject *__pyx_tp_new_7cordant_7_kernel_6_speed___pyx_defaults(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 1);
-  if (unlikely(!o)) return 0;
-  return o;
-}
-
-static void __pyx_tp_dealloc_7cordant_7_kernel_6_speed___pyx_defaults(PyObject *o) {
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && (!PyType_IS_GC(Py_TYPE(o)) || !__Pyx_PyObject_GC_IsFinalized(o))) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_7cordant_7_kernel_6_speed___pyx_defaults) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_7cordant_7_kernel_6_speed___pyx_defaults_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_7cordant_7_kernel_6_speed___pyx_defaults},
-  {Py_tp_new, (void *)__pyx_tp_new_7cordant_7_kernel_6_speed___pyx_defaults},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_7cordant_7_kernel_6_speed___pyx_defaults_spec = {
-  "cordant._kernel._speed.__pyx_defaults",
-  sizeof(struct __pyx_defaults),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER,
-  __pyx_type_7cordant_7_kernel_6_speed___pyx_defaults_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_7cordant_7_kernel_6_speed___pyx_defaults = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "cordant._kernel._speed.""__pyx_defaults", /*tp_name*/
-  sizeof(struct __pyx_defaults), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_7cordant_7_kernel_6_speed___pyx_defaults, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER, /*tp_flags*/
-  0, /*tp_doc*/
-  0, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_7cordant_7_kernel_6_speed___pyx_defaults, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_7cordant_7_kernel_6_speed___pyx_defaults_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults)) __PYX_ERR(0, 258, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_7cordant_7_kernel_6_speed___pyx_defaults_spec, __pyx_mstate->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults) < (0)) __PYX_ERR(0, 258, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults = &__pyx_type_7cordant_7_kernel_6_speed___pyx_defaults;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults) < (0)) __PYX_ERR(0, 258, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults->tp_dictoffset && __pyx_mstate->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__speed(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__speed},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_speed",
-      __pyx_k_Compiled_search_kernels_Exact_mi, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__speed(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__speed(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__speed(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PY_LONG_LONG __pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_speed' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_speed" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__speed", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_cordant___kernel___speed) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "cordant._kernel._speed")) {
-      if (unlikely((PyDict_SetItemString(modules, "cordant._kernel._speed", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "cordant/_kernel/_speed.pyx":12
- * from libc.string cimport memset
- * 
- * FOUND = 0             # <<<<<<<<<<<<<<
- * EXHAUSTED = 1
- * BUDGET = 2
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_FOUND, __pyx_mstate_global->__pyx_int_0) < (0)) __PYX_ERR(0, 12, __pyx_L1_error)
-
-  /* "cordant/_kernel/_speed.pyx":13
- * 
- * FOUND = 0
- * EXHAUSTED = 1             # <<<<<<<<<<<<<<
- * BUDGET = 2
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_EXHAUSTED, __pyx_mstate_global->__pyx_int_1) < (0)) __PYX_ERR(0, 13, __pyx_L1_error)
-
-  /* "cordant/_kernel/_speed.pyx":14
- * FOUND = 0
- * EXHAUSTED = 1
- * BUDGET = 2             # <<<<<<<<<<<<<<
- * 
- * MEMO_LIMIT = 1 << 22
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BUDGET, __pyx_mstate_global->__pyx_int_2) < (0)) __PYX_ERR(0, 14, __pyx_L1_error)
-
-  /* "cordant/_kernel/_speed.pyx":16
- * BUDGET = 2
- * 
- * MEMO_LIMIT = 1 << 22             # <<<<<<<<<<<<<<
- * MEMO_MAX_BITS = 63
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_MEMO_LIMIT, __pyx_mstate_global->__pyx_int_4194304) < (0)) __PYX_ERR(0, 16, __pyx_L1_error)
-
-  /* "cordant/_kernel/_speed.pyx":17
- * 
- * MEMO_LIMIT = 1 << 22
- * MEMO_MAX_BITS = 63             # <<<<<<<<<<<<<<
- * 
- * cdef int C_FOUND = 0
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_MEMO_MAX_BITS, __pyx_mstate_global->__pyx_int_63) < (0)) __PYX_ERR(0, 17, __pyx_L1_error)
-
-  /* "cordant/_kernel/_speed.pyx":19
- * MEMO_MAX_BITS = 63
- * 
- * cdef int C_FOUND = 0             # <<<<<<<<<<<<<<
- * cdef int C_EXHAUSTED = 1
- * cdef int C_BUDGET = 2
-*/
-  __pyx_v_7cordant_7_kernel_6_speed_C_FOUND = 0;
-
-  /* "cordant/_kernel/_speed.pyx":20
- * 
- * cdef int C_FOUND = 0
- * cdef int C_EXHAUSTED = 1             # <<<<<<<<<<<<<<
- * cdef int C_BUDGET = 2
- * 
-*/
-  __pyx_v_7cordant_7_kernel_6_speed_C_EXHAUSTED = 1;
-
-  /* "cordant/_kernel/_speed.pyx":21
- * cdef int C_FOUND = 0
- * cdef int C_EXHAUSTED = 1
- * cdef int C_BUDGET = 2             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_7cordant_7_kernel_6_speed_C_BUDGET = 2;
-
-  /* "cordant/_kernel/_speed.pyx":54
- *     size_t limit
- * 
- * cdef size_t MEMO_MAX_SLOTS = (<size_t> 1) << 23             # <<<<<<<<<<<<<<
- * 
- * cdef int _memo_init(Memo* mm, size_t limit) except -1:
-*/
-  __pyx_v_7cordant_7_kernel_6_speed_MEMO_MAX_SLOTS = (((size_t)1) << 23);
-
-  /* "cordant/_kernel/_speed.pyx":258
- * 
- * 
- * def solve_chain(             # <<<<<<<<<<<<<<
- *     int m,
- *     object add_t,
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7cordant_7_kernel_6_speed_1solve_chain, 0, __pyx_mstate_global->__pyx_n_u_solve_chain, NULL, __pyx_mstate_global->__pyx_n_u_cordant__kernel__speed, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 258, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (!__Pyx_CyFunction_InitDefaults(__pyx_t_2, __pyx_mstate_global->__pyx_ptype_7cordant_7_kernel_6_speed___pyx_defaults)) __PYX_ERR(0, 258, __pyx_L1_error)
-
-  /* "cordant/_kernel/_speed.pyx":271
- *     object prefix,
- *     long long budget,
- *     long long memo_limit=MEMO_LIMIT,             # <<<<<<<<<<<<<<
- * ):
- *     if num_slots < 1:
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_MEMO_LIMIT); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 271, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_4 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 271, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __Pyx_CyFunction_Defaults(struct __pyx_defaults, __pyx_t_2)->arg0 = __pyx_t_4;
-  __Pyx_CyFunction_SetDefaultsGetter(__pyx_t_2, __pyx_pf_7cordant_7_kernel_6_speed_8__defaults__);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_solve_chain, __pyx_t_2) < (0)) __PYX_ERR(0, 258, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cordant/_kernel/_speed.pyx":474
- * 
- * 
- * def solve_generic(             # <<<<<<<<<<<<<<
- *     int m,
- *     object add_t,
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7cordant_7_kernel_6_speed_3solve_generic, 0, __pyx_mstate_global->__pyx_n_u_solve_generic, NULL, __pyx_mstate_global->__pyx_n_u_cordant__kernel__speed, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 474, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_solve_generic, __pyx_t_2) < (0)) __PYX_ERR(0, 474, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cordant/_kernel/_speed.pyx":617
- * 
- * 
- * def solve_rstar(int m, object add_t, object neg_t, object prefix, long long budget):             # <<<<<<<<<<<<<<
- *     cdef RStar r
- *     memset(&r, 0, sizeof(RStar))
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7cordant_7_kernel_6_speed_5solve_rstar, 0, __pyx_mstate_global->__pyx_n_u_solve_rstar, NULL, __pyx_mstate_global->__pyx_n_u_cordant__kernel__speed, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 617, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_solve_rstar, __pyx_t_2) < (0)) __PYX_ERR(0, 617, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cordant/_kernel/_speed.pyx":721
- * 
- * 
- * def solve_sigma(int m, object add_t, long long budget):             # <<<<<<<<<<<<<<
- *     if m == 2:
- *         return (FOUND, 1, [0, 1], 0)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7cordant_7_kernel_6_speed_7solve_sigma, 0, __pyx_mstate_global->__pyx_n_u_solve_sigma, NULL, __pyx_mstate_global->__pyx_n_u_cordant__kernel__speed, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 721, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_solve_sigma, __pyx_t_2) < (0)) __PYX_ERR(0, 721, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "cordant/_kernel/_speed.pyx":1
- * # cython: boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled search kernels.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init cordant._kernel._speed", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init cordant._kernel._speed");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{38},{50},{7},{6},{2},{9},{31},{32},{30},{6},{9},{5},{10},{13},{20},{5},{12},{18},{6},{2},{18},{8},{8},{22},{5},{6},{1},{4},{8},{6},{4},{13},{5},{8},{1},{1},{13},{5},{1},{1},{8},{10},{10},{8},{5},{11},{9},{1},{3},{6},{12},{1},{8},{6},{6},{12},{10},{2},{8},{10},{11},{13},{11},{11},{15},{6},{8},{3},{10},{13},{6},{1},{770},{510},{335},{1012}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1775 bytes) */
-const char* const cstring = "BZh91AY&SY\335\227\3006\000\001\335\177\377\377\377\377\377\377\375\277\376\277\377\377\377\277\377\377\376@@@@@@@@@@@@@\000@\000`\006{\341;1\241\260i\242p\001\345\343\341\246\210\244\200\003@\003M\006\201\246\231\350\3020\2444\003&4\201\241\223'\242i\35144i\243@\320\364\236\240hB4'\220\247\232\211\264D\364&\322\000\r\000\000\000\000\000\001\243@\003@\000\000\022\204\304\322S&T\314(hz@z\2006\220\001\240\000\000\000\r\014@\000\000l)\351\000\252\237\252~\251\246\233D4d\310\332M\036\247\352dz\201\251\241\210\323#F&\231\242d\3021\250\r\006\0014\001\221\240\320\0202a0\002d\300\000& `\000\000\004\300\230\004`\000\002`\000\000\004\2224\243\004\247\223CSM2=M\000hh\0004\000\000z\200\000\000\000\000\r2\000\323.\262\262N7\275\317\335D\336\004\33788a8,\353'Am\320Z\227f\030b\316\\tz\343\3153\377Q\376\031$\314\t\223)\353\337\013\004\0254\251\242\031\271\244\001JJDL&\023\247\036\262\242\226\0043$\0030\206d\014\311&L f\031\232K9=\260DZ\264g\"\204NN\241@\311EP\222P\020+\030\211R\311E\r\031\340\004\220\236\014(\335\200TL\250\002bx\021\036\314\231\330\201\306\204V{E\037\362Q`x\t8\227\276E\032\214a1\2042\3134\335\036\340\227ii*)1\2356\036\342F1p\324\333\322\214\224\351\210~\2434\317\023Y\001X\260\036\367\3250Z\356\264\260\235d\270)2\274\337C\363\247\303\352?!\213V\200\033\317\260\214L\014\005|\213\t`\006+\222N@k\260\306\215}d&\277\254\244dd\025\221X)\305\215SJP\230Re%\006\n\231\016\243\305\210\241o+.\344\207|(\212`\241\nj\215\305\203kZ\351I7QlX\213Y]]\036\213B\0142\\\321^\004\004\030%&\257\021\341b\235\352\301`\311 F\035u\354\203B\357\362\371\264\202\004\222\t!Y\235\323'\201\224QI\262\346\230Y\205\344q\356@\351E\357\211 \202 \370>\256\377\351\243\3138\316E\000N\2657uJr\224E\350?\014\271\312\354\266\273\016Gg\324*f}\240\202\220\020\315\250&\223\242\350\333aQ\325\325\206]\231a\336\311\324\320\003A{\346\321\t\t\202~\315\032L\211\t\326\372~o\r&M&db\270\360\350\351\250\365\037v\001\2118\326J\014\032-=&\305\365M}\2478\253\270\353\267\267\277\310\210\245\334^\335\360a\235\351\336!x;Kor\376""\035\313\334R\226\254\305(\266|\257O&\356\215\205\325]\034\375\335\354\312Fs\372\341\2628\375\326}Sd\034\267D\2539K\230\206\204\002\352.\213J\032)\022Q\224\234@\362||lz\344o\177\334\261f\224\t\204\232+\266\340\323\225\222\260hA\220]\370\263J\356W\345\317\310\233\"qC\341\010\013\202\313\204\301Y\274$\217\031(\312\361\360>\221Z\246\216S\244e%6\334s\350\335\200\262B\314.\203\220\005!\254b\005'\306W\222\226e$\263\313A\337r\320G(\274\030\246\2668\316R\306\331a*\257\013\303&\200\343*,\030\315XS\003\021\n\307\2644\233\210X\200\3149\213*i\020\315p\231x\301XU0a0A\321\322\221\342\325\230\341h\251\002\221\230\365\022\210\252\231\302Q9]\241\216.*1uyS9\230J\210\332\014\3740c%%\027g;Q\257li\233\2128\276d$\231\221a4\231\264\204\215P\014E\221\224V)Dj\017\305\276\313\242\000@:(\350\006\014``\230\301\250\226-!<J\340g0\220\333+\326\310\247\031u\244H,\030\305P\307\313aJ.\244\316%\250\220\242\300\357\\\277-5\245e: T\326`\330a0\250T\247\001X\222\356(HC\r4\305v\200\243\010w\022\375h\027+\254E\006\213U\2768\224\214\264\305\324*\026\300\256\266[\252a]\0249\221\007N\201Df\2449\031\025 @ aT\323Q\266\303[d\304\246\232v\322`D\266\332\306\013\217\027-\013\355\220\t\303\030\373\312I\3301\301\302puI\365\303Q\271\027\252\341aX\265\010\302\rI\203\237\346\002\274.\233\t\205\240\013\300\216\245\346l\224\310G\023\276\017\235Q .R\020z9\020 \206H\311\004\035pfYF\\j\020\005\265\350\302\005\021\201\252,\353\216k\004B\276\024\037pX\034\232\3110\272d\316 a\214\361\373\272\3309\304b\204\004\2175\"\305\027\2209X\002\0351\254\227\001tE\340\346\r\235\220\252{\005Hw\306\300 \340\224}\217\027gd/A.M@\024\367a\314MQ\222\354\000\331\340\373\321}\310%(/\310:|\344\203F(\265C\217U\364\242d\002\236\t+\032\257\254\201\n'\322\033\355\\\325\001\224{F\334\371G\216\220\021\213\350\320\030\361\325\204\235\266Rt\026\254v\227PV\010\341Pi\033eeKK3\246w\314\025\001\340K(\221\004\225\210P5\262\3270\374.\024G\247(),Hh\240\020\250'\262\250\026\343\032\211u\377\213\362\240\275\272\316s\212\271+\245Q,\312>\331\001\314\351\022P#\255;N""\344v\305'\2264'\340k\246A\242`\305I\235@`\365b\224M^\334\301r\245\023\331f\001\342\007\260\222A1\220\313]\237~\257Q\224\214\303.1A\235*\315\376m\334\341d\212A\271I\024\225\013W\0311\341\214\025\210G\3729\261\304\225\314\214\303\366\353fH\252C\026\221\266\351\004$C\212ZF\020$P@12\241\251O\001*A\260\313{O\251\000\303\376\332\202\374\014\277>'M\276\214\204\005\372\324\367\010\213\214 =\244P\036\334\215B\010\241/u\303(\200\031\333\204\207\204\0213(kj\210\236\033G\007l\303\006\020\016\251\203\004\221\357=\3204F\217\001\333\262\364\342ed\223\224\214\272FR(\030\302\262\206\013\257\255\341h\243\373ks\264\247\2063z\372V,aA\322\334]\347\350TK\301\274\3427D\336\002\034\217\273\nU\356{\351%&z\\\262\335\275rR\343\212\260\255m\254b\236\250\305\241e\332\242]\345\201\355\206\020\024DR\327\301\205l=\331U\026\313k\264\215f\201\250W\262\255@\266u\205f`U\213\"\244<\026\233+\2125\231\335<\230\251\225\251\365\252\345\201\236\034\354.\344\212p\241!\273/\200l";
-    PyObject *data = __Pyx_DecompressString(cstring, 1775, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1738 bytes) */
-const char* const cstring = "x\332\305VKw\323F\024Fy8\301\244\020\333\344e\n\2651\320\026z\302QL\240\317\323c'\341U\240u\036\020\240\355\234\2614q\004\262lKrHR8'K-g9\313Yj\251\245\227^z\351\245\227\376\t\371\t\2753\262\311\243\341\024\272\351\302\232\271\236\253\231{\277\357\273w\364\263\266\211\r+eX\216\213-\2158)\213\020=\205\335\224I\260\343\246*\026I9f\305\325v4\323\320R\322\331I\221m\315\254\353\260bX%\223\270\025\370\013[z\370j\366\206|\301\321\r\007\027MB,\361,i\206\023\316\364\252M6\214\355\224Y\261J\304N\271\233\330\202\007lEju\002\001|h\031\266L\231\206\343:\266vS\253\330:\266\334\233\3505\261-b\336DN\025N\236\255\356l\347\327\026\357-\255.\255\337\317\255\255\254.-\336\375u\355\311\342\343\245\307\277\242G\017\036?X\225\263\307\271u\224\177\260\272\202\320o;\333\360[44\027=!\333\3562\331\300\272\216\\\204\260eU\\\354\022\2309;\226fTf\341\304J\3355,\342\024\353z\211\270\332&\300a\021dX\310\265\261F\212X{\255U\312Ud\350\216\034\253\256\335\213r\266\027\345l\030\245\000\222\204h\352\272\206\253\342\207\312x[\3370+\360\002\340M,\035\275\007v\303\260\260\211\320F\335\322\020*\031\310p\320\373X\014\227\224\235We\004\257C\034\250L\312\025d\032e\0032(W\364\272\t\361#d\3412\214\026)!\327\252\227\221Nlc\213\350b*Y\252V+\325\020r\204jul\206\356\266\323\213\312\321EF\360\204|\020r\210\333\333\017f:\300U7]\247$\366A\340/G\231\205S1\267\010\n\265\"\247%b\301\271Zh\330\240\264\236\213c\224\312X\230\356A\306`\272u\007!\2278\220\210[\256\272\300\205\211\212\206\353\204\263^\n[\330\254\023g{O\331\277rj\370\214\227\366To\301sh\27234\274\267\346\035\036\020\315\211\341\205W\023\303s\017\357\217\236\032\236\242\27034\315\006\231\312`ud\317\366\342\236\332\031=\353\275b\n\213u\245\243\230Nq\205\307\340\275\316\350io\206^g9\366\214\347xA\230\237\323\027\254\306\243~\332W\205y\211\356\362\030\377\306\307~M\230\3234\t{\337\345i.W\223\364{V`\233\034\363\332\277\233\307v>f&\351\035v\215\017\363\227\301`0\027\024\302\303\246X\204\021\376S0\024\344\016|\024\236\340'\230\355\3233\220W\004N\333\r\342A6\300\235""\3211/\347\255\323\0256\314V\300m\222;\376U\337\t\322\301\267\215l\003w\306\023T\245\367\331\002\253\363\005^\363\317\006Z#\326\031\373L\274\266D'(\2465\260\274g4G\2372\265+\343\211u\372\303\021\237\3470\371Kb\3223\3360\314d\316\027\301x'\302\353\373\357\3628\277\305]_\272\376\301\322l\036\"\273\010\360\3322h\010\241\361uSm\346\233\305\326`k\256Uh\031\355g\353\355\365\347\335\303'\236\363\\\t-f\016\317\360\247\276\352\347:\343\323\354\014\277\355Ch1:\315b\260s\226m\210\223\317xwh\206\026:c\347\351=\241\013I\365\212?\344/\005\023\001\016\3365sM@{\234\216\002\326\020uW\242V\360z\360\375_\223=\245;\024=Q\377/<\233\306\251zT\374b\370\235\306>X\003^\356\323\252`\212\216\320-\266\006\234~\347/\0007!\361\355\330e~\315W\374\204/\3657\323\216g\004\344~\306/\010\234U`(A\227X\002vz\312\263\234\370Y \366\315?u\305\024\301\376*\215\321kL9\302\3548\215\364)\026Y\316\201x\007X\206-\003\321i>\017G\307B\242\357\3103\245W\002\032\301\370\371P\245,\317\212\262 \362P\006[~\001\216w\0035\310\007\305\206\022\352\375.\010C\355\234\377\234\375\302\337\370\032\3445\036\243\223\020\3210+\210\230\326h\232\316\037\204w\025B\001=%\245nVDq\235\240\247Uh\020\031\276\352O\370\004\316\312\005/\233J3\331R[\271PU#2v\265\373i\354\207\314%<\271\311\010u\244\236u\236\356\253b\221\016\n\rD\366\210'\207WT\021\203!\024\021\331\333\024\212\210\354\231B8\221\2752U\367\243\247\206G`u\027*\343K\2107-i\217z_\037n!Q\357:\244t[\246S\020\346,\004\277\305\013\\\023e\025\365\276:\302\367\230\227\367J\275\3462\300\277\202?\327\202L\260\034\274mf\233\262\271\314\001#Y\206%\365Q\357\252W\243\303\000\333{8\0016\221\333i\220\341`;s+\220\231*@\372\017\262\256\257\200|\346\003%\230j\014\264\277\177\330J\2078\330\340=\302m?\026\302\271\014\351~\304\004\256\223\344\251\344\205.`\272+k\247_\013\002\3457\036i'2 W+X\010v\233\361\346\301\362~\244\177\t\035\207;\034\332\221\031\261\007\214S\264v\210\205\0032>\346R\212\234\300\3137\364\025\260\222\224\235M\022\021\005\r\375\350\327\002E\022!\213\365)W\373\254=\004\310\266\241\207+""\207I\274\356\347}|\002\253\307\314\276\004.\204G\365\3158\237\203\273Hl\330\216&!\266I@=\t7\323Jc\240\221\016\331\337\244\032\233`\032\270~\013\225N\240}\027\033\243\315A\000P\262\377\254w\265\330\376\024\334i\363\215\301\306\\\343\317V\266\205\217_2gAG\005\272\301r]\231[\272\323\037\216\370\030@\376\005\331\237z\206l_\335\321\031\226\204P\303\006\324\031\273\310>0;|\001\301\177\"\300eZ\207\206\241\361)\300m\354\\\373\334\027\314\205\235V\300\202\036\243\034\352.3l\242}I\r\022 \220z\343QK\021\021\224\201\316%~I\364\306\356hBhJ>\216\334R6\235\221u\013=\2513~\201\315\261\347\362[@\256\010'\207]\006I\310\225\265\360\223B0_\0227\333\301\264\010\325%!\271\001\210\346X\341\310t\222\026A\032\227E\277\353L\316\2608\373\311\037\203J\232\234\356\265\315\035\177\300\277\034\022{\203\276\344\203\342\2148\3648\225\346as\010\347\330\275\372\266W\232\t~\027>Ln\311\316\177\370f\355\227\356\244\370\2449\326\t\363\254${\305yh\004W\203Z\343\263\346r\263\326\277Y\001\202\356\373\223q\347S\252\367\277M\376\006\317\204\014\317";
-    PyObject *data = __Pyx_DecompressString(cstring, 1738, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (3331 bytes) */
-const char* const bytes = "?chain instances need at least one slotcyclic chains exclude singletons and need 3+ slotsdisableenablegcisenabledprefix longer than the sequenceprefix longer than the slot listsrc/cordant/_kernel/_speed.pyxBUDGETEXHAUSTEDFOUNDMEMO_LIMITMEMO_MAX_BITS__Pyx_PyDict_NextRefadd_t__annotate__asyncio.coroutinesbudgetchcline_in_tracebackcomp_idscomp_ptrcordant._kernel._speedcyclecyclicddcapdcap_maxdfloordoneend_singletonfinal__func__gi_is_coroutineitemsjm__main__memo_limit__module____name__neg_tnum_derivednum_slotsppopprefix__qualname__rscap_maxsd_idssd_ptr__set_name__setdefaultsgslot_capslot_floorsolve_chainsolve_genericsolve_rstarsolve_sigmastart_singletonstatus__test__tmptotal_bitstotal_derivedvaluesx\200\001\360$\000\005\013\210!\2101\210C\210s\220!\330\004\005\200U\210!\330\004\005\200U\210!\330\004\005\200_\220A\330\004\005\200Z\210q\330\004\005\200Y\210a\360\010\000\005\027\220a\330\004\030\230\003\2301\230A\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\230\021\340\004\005\200Y\210j\230\001\230\027\240\001\240\021\330\004\005\330\010\t\210\031\220*\230A\230W\240A\240Q\330\010\t\210\034\220Z\230q\240\n\250!\2501\330\010\t\210\036\220z\240\021\240,\250a\250q\330\010\t\210\030\220\032\2301\230F\240!\2401\330\010\t\210\032\220:\230Q\230h\240a\240q\330\010\t\210\032\220:\230Q\230h\240a\240q\330\010\t\210\032\220:\230Q\230h\240a\240q\330\010\t\210\034\220Z\230q\240\n\250!\2501\330\010\t\210\034\220Z\230q\240\n\250!\2501\330\010\t\210\032\2207\230&\240\005\240[\260\003\2602\260Q\330\010\t\210\030\220\027\230\006\230e\240=\260\004\260A\330\010\t\210\032\2207\230&\240\001\240\023\240A\330\010\t\210\032\2207\230&\240\001\240\023\240A\330\010\t\320\t\031\230\027\240\006\240a\240z\260\022\2603\260a\330\010\014\210A\210X\220S\230\005\230S\240\001\240\026\240s\250%\250s\260!\2608\2703\270a\330\020\023\2201\220H\230C\230u\240C\240q\250\016\260c\270\021\330\014\r\330\010\014\210E\220\025\220a\220q\330\014\r\210W\220A\220V\2301\340\010\t\210\030\220\021\330\010\t\210\030\220""\021\330\010\014\210E\220\025\220a\220q\330\014\r\210Y\220a\220{\240!\2401\330\014\r\210Y\220a\220w\230a\230q\330\010\t\210\035\220a\220}\240A\330\010\014\210E\220\025\220a\220z\240\022\2404\240t\2501\330\014\r\210]\230!\2305\240\001\240\035\250a\250r\260\022\2603\260c\270\021\270)\3001\300B\300b\310\003\3102\310Q\310i\320WX\320XY\340\010\014\210E\220\025\220a\220q\330\014\017\210t\220:\230Q\230a\230s\240#\240V\2501\250A\330\020\030\230\013\2406\250\021\330\010\021\220\030\230\021\230!\2303\230f\240A\330\010\013\2107\220#\220Q\330\014\024\220G\2301\230A\230W\240A\240S\250\004\250E\260\025\260a\260}\300A\300Q\330\010\020\220\010\230\006\230a\230q\340\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\200\001\340\004\n\210!\2101\210C\210s\220!\330\004\005\200U\210!\330\004\005\200Z\210r\220\022\2201\330\004\005\200Z\210q\330\004\005\200Y\210a\330\004\005\200\\\220\021\360\010\000\005\027\220a\330\004\030\230\003\2301\230A\330\004\007\200r\210\022\2101\210A\330\010\016\210j\230\001\230\021\340\004\005\200Y\210j\230\001\230\027\240\001\240\021\330\004\005\330\010\t\210\031\220*\230A\230W\240A\240Q\330\010\t\210\027\220\007\220v\230U\240!\2409\250C\250r\260\021\330\010\t\210\030\320\021\"\240&\250\001\250\023\250A\330\010\t\210\031\320\022#\2406\250\021\250#\250Q\330\010\013\2101\210E\220\023\220E\230\023\230A\230V\2403\240e\2503\250a\250w\260c\270\021\330\014\r\330\010\014\210E\220\025\220a\220q\230\001\330\014\r\210T\220\021\220&\230\001\340\010\014\210E\220\025\220a\220q\330\014\020\220\006\220a\220q\330\014\017\210r\220\022\2202\220S\230\002\230#\230R\230s\240!\2405\250\001\250\021\330\020\030\230\013\2407\250#\250Q\330""\014\017\210r\220\023\220A\330\020\024\220A\220V\2301\230B\230b\240\001\240\023\240B\240a\240v\250Q\250a\250t\2601\260B\260b\270\001\330\020\023\2201\220F\230!\2301\330\024\034\230K\240w\250c\260\021\330\020\021\220\026\220q\230\005\230Q\330\014\r\210U\220!\2205\230\001\330\014\r\210T\220\021\220%\220q\330\010\021\220\032\2301\230A\230S\240\006\240a\330\010\013\2107\220#\220Q\330\014\024\220G\2301\230A\230T\240\021\240#\240T\250\025\250e\2601\260A\260[\300\001\300\032\3101\310A\330\010\020\220\010\230\007\230s\240!\2401\340\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\200\001\330\004\007\200r\210\023\210A\330\010\020\220\007\220s\230!\2303\230d\240!\340\004\n\210!\2101\210D\220\003\2201\330\004\006\200e\2101\330\004\006\200j\220\001\330\004\006\200i\210q\330\004\006\200h\210a\330\004\006\200l\220!\330\004\006\200m\2201\360\n\000\005\007\200i\210z\230\021\230'\240\021\240!\330\004\005\330\010\n\210)\2207\230&\240\001\240\023\240A\330\010\n\210*\220G\2306\240\021\240#\240Q\330\010\n\210.\230\007\230v\240Q\240c\250\021\330\010\n\210(\320\022#\2406\250\021\250#\250Q\330\010\014\210B\210g\220S\230\005\230S\240\002\240(\250#\250U\260#\260R\260|\3003\300a\330\020\023\2202\220V\2303\230a\330\014\r\330\010\n\210%\210q\220\005\220Q\330\010\021\220\032\2301\230A\230T\240\021\330\010\020\220\t\230\027\240\003\320#4\260A\330\010\020\220\001\220\022\220;\230a\230s\240$\240e\2505\260\001\260\027\270\002\320:J\310!\330\010\020\220\007\220r\230\027\240\007\240r\250\021\340\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\200\001\360\032\000\032\033\340\004\007\200z\220\022\2201\330\010\016\210j\230\001\230\021\330\004\007\200w\210e\320\023#\2403\240n\260C\260z\300\022\3001\330\010\016\210j\230\001\230\021\360\006\000\005\013\210!\2101\210D\220\003\2201\330\004\006\200e\2101\330\004\006\200e\2101\330\004\006\320\006""\031\230\021\330\004\006\320\006\027\220q\330\004\006\200j\220\001\330\004\006\200j\220\001\330\004\006\200i\210q\360\010\000\005\027\220a\330\004\030\230\003\2301\230A\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\230\021\340\004\006\200i\210z\230\021\230'\240\021\240!\330\004\005\330\010\n\210,\220j\240\001\240\032\2501\250A\330\010\n\210.\230\n\240!\240<\250q\260\001\330\010\n\210(\220*\230A\230V\2401\240A\330\010\n\210*\220J\230a\230x\240q\250\001\330\010\n\210*\220G\2306\240\021\240*\250B\250a\330\010\n\210*\220G\2306\240\021\240#\240Q\330\010\n\210*\220G\2306\240\021\240#\240Q\330\010\n\210)\2207\230&\240\001\240\033\250A\330\010\n\210)\2207\230&\240\001\240\022\2402\240[\260\001\330\010\n\320\n\032\230'\240\026\240r\250\032\2602\260S\270\002\270!\330\010\014\210B\210h\220c\230\025\230c\240\022\2408\2503\250e\2603\260b\270\010\300\003\3001\330\020\023\2202\220W\230C\230u\240C\240r\250\027\260\003\2605\270\003\2702\270^\3103\310a\330\014\r\330\010\014\210E\220\025\220a\220q\330\014\016\210g\220Q\220f\230A\340\010\n\210(\220!\330\010\n\210(\220!\330\010\014\210E\220\025\220a\220q\330\014\016\210i\220r\230\033\240A\240Q\330\014\016\210i\220r\230\027\240\001\240\021\340\010\031\230\032\2402\240Q\330\010\013\2101\330\014\035\230Q\330\010\013\2101\330\014\035\230Q\330\010\013\2101\330\014\035\230Q\330\010\014\210E\220\025\220a\220z\240\022\2401\330\014\023\2202\220R\220u\230B\230c\240\027\250\001\330\014\017\320\017\037\230t\2402\240S\250\001\330\020\030\230\001\330\014\017\210r\220\023\220A\330\020\031\230\025\320\0361\260\023\260C\260u\270L\310\001\330\014\016\210m\2301\230E\240\036\250r\260\021\340\010\023\2201\330\010\023\2201\330\010\014\210E\220\025\220a\220q\330\014\017\210r\220\031\230!\2303\230b\240\001\330\020\033\2302\230Y\240a\240q\330\014\017\210r\220\025\220a\220s\230\"\230A\330\020\033\2302\230U\240!\2401\330\010\n\210,\220g\230Q\230a\330\010\n\210,\220g\230Q\230b\240\002\240!\330\010\n\210+\220W\230A\230Q\330\010\n\210+\220W\230A\230Q\330""\010\026\220b\230\n\240\"\240B\240a\330\026\031\230\022\230=\250\014\260A\330\026\030\230\002\230#\230R\230y\250\002\250\"\250A\330\010\n\210+\220[\240\003\2401\330\010\022\220!\2201\220B\220g\230Y\240a\340\010\014\210E\220\025\220a\220q\330\014\017\210|\2301\230A\230T\240\023\240F\250!\2504\250r\260\021\330\020\030\230\013\2406\250\021\330\010\021\220\032\2301\230A\230T\240\026\240q\330\010\013\2107\220#\220Q\330\014\024\220G\2301\230B\230g\240Q\240c\250\024\250U\260%\260q\270\r\300R\300q\330\010\020\220\010\230\006\230b\240\001\340\010\022\220!\2201\220B\220a\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q\330\010\014\210A\210R\210q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 73; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 10) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 73; i < 77; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 77; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 73;
-      for (Py_ssize_t i=0; i<4; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,-1,1,2,63};
-    int32_t const cint_constants_4[] = {4194304L};
-    for (int i = 0; i < 6; i++) {
-      numbertab[i] = PyLong_FromLong((i < 5 ? cint_constants_1[i - 0] : cint_constants_4[i - 5]));
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<6; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 4;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 10;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {13, 0, 0, 24, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 258};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_add_t, __pyx_mstate->__pyx_n_u_num_slots, __pyx_mstate->__pyx_n_u_slot_cap, __pyx_mstate->__pyx_n_u_slot_floor, __pyx_mstate->__pyx_n_u_dcap, __pyx_mstate->__pyx_n_u_dfloor, __pyx_mstate->__pyx_n_u_start_singleton, __pyx_mstate->__pyx_n_u_end_singleton, __pyx_mstate->__pyx_n_u_cyclic, __pyx_mstate->__pyx_n_u_prefix, __pyx_mstate->__pyx_n_u_budget, __pyx_mstate->__pyx_n_u_memo_limit, __pyx_mstate->__pyx_n_u_ch, __pyx_mstate->__pyx_n_u_tmp, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_done, __pyx_mstate->__pyx_n_u_scap_max, __pyx_mstate->__pyx_n_u_dcap_max, __pyx_mstate->__pyx_n_u_total_bits, __pyx_mstate->__pyx_n_u_total_derived, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_j};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_cordant__kernel__speed_pyx, __pyx_mstate->__pyx_n_u_solve_chain, __pyx_mstate->__pyx_kp_b_iso88591_z_1_j_we_3nCz_1_j_1D_1_e1_e1_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {15, 0, 0, 21, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 474};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_add_t, __pyx_mstate->__pyx_n_u_neg_t, __pyx_mstate->__pyx_n_u_num_slots, __pyx_mstate->__pyx_n_u_slot_cap, __pyx_mstate->__pyx_n_u_slot_floor, __pyx_mstate->__pyx_n_u_dcap, __pyx_mstate->__pyx_n_u_dfloor, __pyx_mstate->__pyx_n_u_num_derived, __pyx_mstate->__pyx_n_u_sd_ptr, __pyx_mstate->__pyx_n_u_sd_ids, __pyx_mstate->__pyx_n_u_comp_ptr, __pyx_mstate->__pyx_n_u_comp_ids, __pyx_mstate->__pyx_n_u_prefix, __pyx_mstate->__pyx_n_u_budget, __pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_tmp, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_j};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_cordant__kernel__speed_pyx, __pyx_mstate->__pyx_n_u_solve_generic, __pyx_mstate->__pyx_kp_b_iso88591_1Cs_U_U__A_Zq_Ya_a_1A_r_1_j_Yj, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 13, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 617};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_add_t, __pyx_mstate->__pyx_n_u_neg_t, __pyx_mstate->__pyx_n_u_prefix, __pyx_mstate->__pyx_n_u_budget, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_tmp, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_cordant__kernel__speed_pyx, __pyx_mstate->__pyx_n_u_solve_rstar, __pyx_mstate->__pyx_kp_b_iso88591_1Cs_U_Zr_1_Zq_Ya_a_1A_r_1A_j_Yj, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 10, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 721};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_add_t, __pyx_mstate->__pyx_n_u_budget, __pyx_mstate->__pyx_n_u_sg, __pyx_mstate->__pyx_n_u_tmp, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_final, __pyx_mstate->__pyx_n_u_cycle, __pyx_mstate->__pyx_n_u_j};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_cordant__kernel__speed_pyx, __pyx_mstate->__pyx_n_u_solve_sigma, __pyx_mstate->__pyx_kp_b_iso88591_r_A_s_3d_1D_1_e1_j_iq_ha_l_m1_i, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/* Compiled search kernels.
+ *
+ * Twin of pure.py, written once against the CPython API: same traversal
+ * order, pruning rules, dead-state memo policy and node accounting, so the
+ * two backends return identical results, node counts included.  Any
+ * observable divergence on well-formed input is a bug; the parity tests
+ * build this file and compare the backends directly.
+ *
+ * Instances are index-encoded exactly as in pure.py.  Unlike pure.py, a
+ * malformed instance (wrong table length, a label or index out of range)
+ * raises ValueError here instead of reading out of bounds.
+ *
+ * Build in place with `python setup.py build_ext --inplace`; without this
+ * module the package runs on pure.py.
  */
-#pragma warning( disable : 4127 )
-#endif
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
+#include <limits.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
-/* #### Code section: utility_code_def ### */
+enum { ERROR = -1, FOUND = 0, EXHAUSTED = 1, BUDGET = 2 };
 
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
+/* Stop inserting dead states beyond this many entries (lookups continue). */
+#define MEMO_LIMIT (1L << 22)
+/* Dead-state keys must pack into this many bits or memoization is skipped. */
+#define MEMO_MAX_BITS 63
+/* Table size ceiling: twice MEMO_LIMIT keeps the load factor at most 1/2. */
+#define MEMO_MAX_SLOTS ((size_t)1 << 23)
 
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+static int
+bitlen(long v)
 {
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
+    int n = 0;
+    while (v > 0) {
+        v >>= 1;
+        n++;
     }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
+    return n > 0 ? n : 1;
+}
+
+/* Copy a sequence of ints into a new C array.  The sequence must have
+ * `len` entries (any length when len < 0; the length is stored in *out_len
+ * when out_len is given) and every entry must lie in [lo, hi].  Returns
+ * NULL with an exception set on failure. */
+static int *
+copy_ints(PyObject *obj, const char *what, Py_ssize_t len, long lo, long hi,
+          Py_ssize_t *out_len)
+{
+    PyObject *seq = PySequence_Fast(obj, what);
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    int *buf = NULL;
+    if (len >= 0 && n != len) {
+        PyErr_Format(PyExc_ValueError, "%s: expected %zd entries, got %zd",
+                     what, len, n);
+        goto done;
+    }
+    buf = malloc((n > 0 ? (size_t)n : 1) * sizeof(int));
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        long v = PyLong_AsLong(items[i]);
+        if (v == -1 && PyErr_Occurred()) {
+            free(buf);
+            buf = NULL;
+            goto done;
+        }
+        if (v < lo || v > hi) {
+            PyErr_Format(PyExc_ValueError, "%s: entry %zd out of range",
+                         what, i);
+            free(buf);
+            buf = NULL;
+            goto done;
+        }
+        buf[i] = (int)v;
+    }
+    if (out_len != NULL)
+        *out_len = n;
+done:
+    Py_DECREF(seq);
+    return buf;
+}
+
+static PyObject *
+int_list(const int *values, int n)
+{
+    PyObject *list = PyList_New(n);
+    if (list == NULL)
+        return NULL;
+    for (int i = 0; i < n; i++) {
+        PyObject *v = PyLong_FromLong(values[i]);
+        if (v == NULL) {
+            Py_DECREF(list);
             return NULL;
         }
+        PyList_SET_ITEM(list, i, v);
     }
-    return res;
+    return list;
 }
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+
+/* (status, assignment or None, nodes): the chain/generic result shape. */
+static PyObject *
+assignment_result(int status, const int *assign, int s, long long nodes)
 {
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
+    if (status == ERROR)
+        return NULL;
+    if (status != FOUND)
+        return Py_BuildValue("(iOL)", status, Py_None, nodes);
+    PyObject *list = int_list(assign, s);
+    if (list == NULL)
+        return NULL;
+    return Py_BuildValue("(iNL)", status, list, nodes);
 }
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
+
+/* ------------------------------------------------------------------------
+ * dead-state memo: open-addressing hash set of packed keys.  A packed key
+ * starts with a slot position >= 1, so it is never 0 and 0 marks an empty
+ * table slot. */
+
+typedef struct {
+    uint64_t *keys;
+    size_t mask;
+    size_t entries;
+} Memo;
+
+static int
+memo_init(Memo *mm)
 {
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
+    size_t size = (size_t)1 << 12;
+    mm->keys = calloc(size, sizeof(uint64_t));
+    if (mm->keys == NULL) {
+        PyErr_NoMemory();
         return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
     }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
+    mm->mask = size - 1;
+    mm->entries = 0;
     return 0;
 }
 
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
+static inline size_t
+memo_slot(const Memo *mm, uint64_t key)
+{
+    size_t i = (size_t)((key * 0x9E3779B97F4A7C15ULL) >> 17) & mm->mask;
+    while (mm->keys[i] != 0 && mm->keys[i] != key)
+        i = (i + 1) & mm->mask;
+    return i;
 }
 
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
+static inline int
+memo_has(const Memo *mm, uint64_t key)
+{
+    return mm->keys[memo_slot(mm, key)] != 0;
 }
 
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
+static int
+memo_add(Memo *mm, uint64_t key)
+{
+    if (mm->entries >= (size_t)MEMO_LIMIT)
+        return 0;
+    size_t size = mm->mask + 1;
+    if ((mm->entries + 1) * 2 > size && size < MEMO_MAX_SLOTS) {
+        uint64_t *old = mm->keys;
+        mm->keys = calloc(size * 2, sizeof(uint64_t));
+        if (mm->keys == NULL) {
+            mm->keys = old;
+            PyErr_NoMemory();
+            return -1;
         }
-        if (unlikely(!*ppos)) goto bad;
+        mm->mask = size * 2 - 1;
+        for (size_t i = 0; i < size; i++)
+            if (old[i] != 0)
+                mm->keys[memo_slot(mm, old[i])] = old[i];
+        free(old);
     }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
+    size_t i = memo_slot(mm, key);
+    if (mm->keys[i] == 0) {
+        mm->keys[i] = key;
+        mm->entries++;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * chain kernel: slots along a path or around a cycle */
+
+typedef struct {
+    int m, s;
+    int start_singleton, end_singleton, cyclic;
+    int *add_t, *slot_cap, *slot_floor, *dcap, *dfloor;
+    int *assign, *scount, *dcount, *ncomp, *comps, *remaining_at;
+    int sdef, ddef;
+    long long nodes, budget;
+    int memo_on, bits_lab, bits_sc, bits_dc;
+    Memo memo;
+} Chain;
+
+static void
+chain_free(Chain *ch)
+{
+    free(ch->memo.keys);
+    free(ch->add_t);
+    free(ch->slot_cap);
+    free(ch->slot_floor);
+    free(ch->dcap);
+    free(ch->dfloor);
+    free(ch->assign);
+    free(ch->scount);
+    free(ch->dcount);
+    free(ch->ncomp);
+    free(ch->comps);
+    free(ch->remaining_at);
+}
+
+static inline uint64_t
+chain_pack(const Chain *ch, int j, int prev)
+{
+    uint64_t key = ((uint64_t)j << ch->bits_lab) | (uint64_t)prev;
+    if (ch->cyclic)
+        key = (key << ch->bits_lab) | (uint64_t)ch->assign[0];
+    for (int a = 0; a < ch->m; a++)
+        key = (key << ch->bits_sc) | (uint64_t)ch->scount[a];
+    for (int a = 0; a < ch->m; a++)
+        key = (key << ch->bits_dc) | (uint64_t)ch->dcount[a];
+    return key;
+}
+
+static inline void
+chain_unplace(Chain *ch, int i, int x)
+{
+    if (ch->scount[x] <= ch->slot_floor[x])
+        ch->sdef++;
+    ch->scount[x]--;
+    ch->assign[i] = -1;
+    const int *comps = ch->comps + 2 * i;
+    for (int t = ch->ncomp[i] - 1; t >= 0; t--) {
+        int c = comps[t];
+        if (ch->dcount[c] <= ch->dfloor[c])
+            ch->ddef++;
+        ch->dcount[c]--;
+    }
+}
+
+/* Apply label x at slot i; 1 when placed, 0 when rejected (state intact). */
+static inline int
+chain_place(Chain *ch, int i, int x)
+{
+    if (ch->scount[x] >= ch->slot_cap[x])
+        return 0;
+    int *comps = ch->comps + 2 * i;
+    int n = 0;
+    if (i == 0) {
+        if (ch->start_singleton)
+            comps[n++] = x;
+    }
+    else {
+        comps[n++] = ch->add_t[ch->assign[i - 1] * ch->m + x];
+    }
+    if (i == ch->s - 1) {
+        if (ch->cyclic)
+            comps[n++] = ch->add_t[x * ch->m + ch->assign[0]];
+        if (ch->end_singleton)
+            comps[n++] = x;
+    }
+    int applied = 0;
+    for (; applied < n; applied++) {
+        int c = comps[applied];
+        if (ch->dcount[c] >= ch->dcap[c])
+            break;
+        ch->dcount[c]++;
+        if (ch->dcount[c] <= ch->dfloor[c])
+            ch->ddef--;
+    }
+    if (applied < n) {
+        for (int t = applied - 1; t >= 0; t--) {
+            int c = comps[t];
+            if (ch->dcount[c] <= ch->dfloor[c])
+                ch->ddef++;
+            ch->dcount[c]--;
+        }
         return 0;
     }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
+    ch->scount[x]++;
+    if (ch->scount[x] <= ch->slot_floor[x])
+        ch->sdef--;
+    ch->assign[i] = x;
+    ch->ncomp[i] = n;
+    if (ch->sdef > ch->s - i - 1 || ch->ddef > ch->remaining_at[i + 1]) {
+        chain_unplace(ch, i, x);
+        return 0;
     }
     return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
 }
 
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
+static int
+chain_dfs(Chain *ch, int i)
 {
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
+    if (i == ch->s)
+        return FOUND;
+    for (int x = 0; x < ch->m; x++) {
+        if (ch->nodes == ch->budget)  /* budget -1 (unbounded) never matches */
+            return BUDGET;
+        ch->nodes++;
+        if (!chain_place(ch, i, x))
+            continue;
+        uint64_t key = 0;
+        if (ch->memo_on && i + 1 < ch->s) {
+            key = chain_pack(ch, i + 1, x);
+            if (memo_has(&ch->memo, key)) {
+                chain_unplace(ch, i, x);
+                continue;
             }
         }
-        #endif
-        name++;
+        int r = chain_dfs(ch, i + 1);
+        if (r == FOUND)
+            return FOUND;
+        chain_unplace(ch, i, x);
+        if (r != EXHAUSTED)
+            return r;
+        if (key != 0 && memo_add(&ch->memo, key) < 0)
+            return ERROR;
     }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
+    return EXHAUSTED;
 }
 
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
+static PyObject *
+solve_chain(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyErrFetchRestore (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
+    static char *kwlist[] = {
+        "m", "add_t", "num_slots", "slot_cap", "slot_floor", "dcap",
+        "dfloor", "start_singleton", "end_singleton", "cyclic", "prefix",
+        "budget", NULL};
+    Chain ch;
+    memset(&ch, 0, sizeof ch);
+    PyObject *add_t, *slot_cap, *slot_floor, *dcap, *dfloor, *prefix;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "iOiOOOOpppOL:solve_chain", kwlist, &ch.m, &add_t,
+            &ch.s, &slot_cap, &slot_floor, &dcap, &dfloor,
+            &ch.start_singleton, &ch.end_singleton, &ch.cyclic, &prefix,
+            &ch.budget))
+        return NULL;
+    int m = ch.m, s = ch.s;
+    if (s < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "chain instances need at least one slot");
         return NULL;
     }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
+    if (ch.cyclic && (ch.start_singleton || ch.end_singleton || s < 3)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "cyclic chains exclude singletons and need 3+ slots");
+        return NULL;
     }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
+    Py_ssize_t p = PyObject_Length(prefix);
+    if (p < 0)
+        return NULL;
+    if (p > s) {
+        PyErr_SetString(PyExc_ValueError, "prefix longer than the slot list");
+        return NULL;
     }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
 
-/* GetException */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
+    PyObject *result = NULL;
+    int *pfx = NULL;
+    if ((ch.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1,
+                              NULL)) == NULL
+        || (ch.slot_cap = copy_ints(slot_cap, "slot_cap", m, 0, INT_MAX,
+                                    NULL)) == NULL
+        || (ch.slot_floor = copy_ints(slot_floor, "slot_floor", m, 0, INT_MAX,
+                                      NULL)) == NULL
+        || (ch.dcap = copy_ints(dcap, "dcap", m, 0, INT_MAX, NULL)) == NULL
+        || (ch.dfloor = copy_ints(dfloor, "dfloor", m, 0, INT_MAX,
+                                  NULL)) == NULL
+        || (pfx = copy_ints(prefix, "prefix", p, 0, m - 1, NULL)) == NULL)
         goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
+    ch.assign = malloc((size_t)s * sizeof(int));
+    ch.scount = calloc(m > 0 ? m : 1, sizeof(int));
+    ch.dcount = calloc(m > 0 ? m : 1, sizeof(int));
+    ch.ncomp = calloc(s, sizeof(int));
+    ch.comps = calloc(2 * (size_t)s, sizeof(int));
+    ch.remaining_at = malloc(((size_t)s + 1) * sizeof(int));
+    if (!ch.assign || !ch.scount || !ch.dcount || !ch.ncomp || !ch.comps
+        || !ch.remaining_at) {
         PyErr_NoMemory();
-        return NULL;
+        goto done;
     }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
+    for (int j = 0; j < s; j++)
+        ch.assign[j] = -1;
 
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
+    int scap_max = 0, dcap_max = 0;
+    for (int a = 0; a < m; a++) {
+        ch.sdef += ch.slot_floor[a];
+        ch.ddef += ch.dfloor[a];
+        if (ch.slot_cap[a] > scap_max)
+            scap_max = ch.slot_cap[a];
+        if (ch.dcap[a] > dcap_max)
+            dcap_max = ch.dcap[a];
     }
-    return 0;
+    int total_derived = (s - 1) + ch.start_singleton + ch.end_singleton
+                        + ch.cyclic;
+    for (int j = 0; j <= s; j++) {
+        int done = j >= 1 ? j - 1 : 0;
+        if (ch.start_singleton && j >= 1)
+            done++;
+        if (j == s)
+            done += ch.end_singleton + ch.cyclic;
+        ch.remaining_at[j] = total_derived - done;
+    }
+
+    ch.bits_lab = bitlen(m - 1);
+    ch.bits_sc = bitlen(scap_max);
+    ch.bits_dc = bitlen(dcap_max);
+    long total_bits = bitlen(s) + ch.bits_lab + (ch.cyclic ? ch.bits_lab : 0)
+                      + (long)m * (ch.bits_sc + ch.bits_dc);
+    ch.memo_on = total_bits <= MEMO_MAX_BITS;
+    if (ch.memo_on && memo_init(&ch.memo) < 0)
+        goto done;
+
+    for (int j = 0; j < p; j++) {
+        if (!chain_place(&ch, j, pfx[j])) {
+            result = Py_BuildValue("(iOi)", EXHAUSTED, Py_None, 0);
+            goto done;
+        }
+    }
+    int status = chain_dfs(&ch, (int)p);
+    result = assignment_result(status, ch.assign, s, ch.nodes);
+done:
+    free(pfx);
+    chain_free(&ch);
+    return result;
 }
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
+
+/* ------------------------------------------------------------------------
+ * generic kernel: arbitrary slot / derived-sum incidence in CSR form */
+
+typedef struct {
+    int m, s;
+    int *add_t, *neg_t, *slot_cap, *slot_floor, *dcap, *dfloor;
+    int *sd_ptr, *sd_ids, *comp_ptr, *comp_ids;
+    int *assign, *psum, *scount, *dcount, *remaining_at;
+    int sdef, ddef;
+    long long nodes, budget;
+} Generic;
+
+static void
+generic_free(Generic *g)
+{
+    free(g->add_t);
+    free(g->neg_t);
+    free(g->slot_cap);
+    free(g->slot_floor);
+    free(g->dcap);
+    free(g->dfloor);
+    free(g->sd_ptr);
+    free(g->sd_ids);
+    free(g->comp_ptr);
+    free(g->comp_ids);
+    free(g->assign);
+    free(g->psum);
+    free(g->scount);
+    free(g->dcount);
+    free(g->remaining_at);
+}
+
+/* Undo the feed of label x into the partial sums of slot i's items. */
+static inline void
+generic_unfeed(Generic *g, int i, int x)
+{
+    int neg = g->neg_t[x];
+    for (int t = g->sd_ptr[i + 1] - 1; t >= g->sd_ptr[i]; t--) {
+        int d = g->sd_ids[t];
+        g->psum[d] = g->add_t[g->psum[d] * g->m + neg];
+    }
+}
+
+/* Release the completed sums comp_ptr[i] .. end-1, last first. */
+static inline void
+generic_uncount(Generic *g, int i, int end)
+{
+    for (int t = end - 1; t >= g->comp_ptr[i]; t--) {
+        int v = g->psum[g->comp_ids[t]];
+        if (g->dcount[v] <= g->dfloor[v])
+            g->ddef++;
+        g->dcount[v]--;
+    }
+}
+
+static inline void
+generic_unplace(Generic *g, int i, int x)
+{
+    if (g->scount[x] <= g->slot_floor[x])
+        g->sdef++;
+    g->scount[x]--;
+    g->assign[i] = -1;
+    generic_uncount(g, i, g->comp_ptr[i + 1]);
+    generic_unfeed(g, i, x);
+}
+
+static inline int
+generic_place(Generic *g, int i, int x)
+{
+    if (g->scount[x] >= g->slot_cap[x])
+        return 0;
+    for (int t = g->sd_ptr[i]; t < g->sd_ptr[i + 1]; t++) {
+        int d = g->sd_ids[t];
+        g->psum[d] = g->add_t[g->psum[d] * g->m + x];
+    }
+    for (int t = g->comp_ptr[i]; t < g->comp_ptr[i + 1]; t++) {
+        int v = g->psum[g->comp_ids[t]];
+        if (g->dcount[v] >= g->dcap[v]) {
+            generic_uncount(g, i, t);
+            generic_unfeed(g, i, x);
             return 0;
         }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
+        g->dcount[v]++;
+        if (g->dcount[v] <= g->dfloor[v])
+            g->ddef--;
     }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
+    g->scount[x]++;
+    if (g->scount[x] <= g->slot_floor[x])
+        g->sdef--;
+    g->assign[i] = x;
+    if (g->sdef > g->s - i - 1 || g->ddef > g->remaining_at[i + 1]) {
+        generic_unplace(g, i, x);
+        return 0;
     }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
+    return 1;
 }
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
+
 static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+generic_dfs(Generic *g, int i)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
+    if (i == g->s)
+        return FOUND;
+    for (int x = 0; x < g->m; x++) {
+        if (g->nodes == g->budget)  /* budget -1 (unbounded) never matches */
+            return BUDGET;
+        g->nodes++;
+        if (!generic_place(g, i, x))
+            continue;
+        int r = generic_dfs(g, i + 1);
+        if (r == FOUND)
+            return FOUND;
+        generic_unplace(g, i, x);
+        if (r == BUDGET)
+            return BUDGET;
     }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
+    return EXHAUSTED;
 }
+
 static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
+solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
+    static char *kwlist[] = {
+        "m", "add_t", "neg_t", "num_slots", "slot_cap", "slot_floor", "dcap",
+        "dfloor", "num_derived", "sd_ptr", "sd_ids", "comp_ptr", "comp_ids",
+        "prefix", "budget", NULL};
+    Generic g;
+    memset(&g, 0, sizeof g);
+    int nd;
+    PyObject *add_t, *neg_t, *slot_cap, *slot_floor, *dcap, *dfloor;
+    PyObject *sd_ptr, *sd_ids, *comp_ptr, *comp_ids, *prefix;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "iOOiOOOOiOOOOOL:solve_generic", kwlist, &g.m,
+            &add_t, &neg_t, &g.s, &slot_cap, &slot_floor, &dcap, &dfloor, &nd,
+            &sd_ptr, &sd_ids, &comp_ptr, &comp_ids, &prefix, &g.budget))
+        return NULL;
+    int m = g.m, s = g.s;
+    Py_ssize_t p = PyObject_Length(prefix);
+    if (p < 0)
+        return NULL;
+    if (p > s) {
+        PyErr_SetString(PyExc_ValueError, "prefix longer than the slot list");
+        return NULL;
     }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
+
     PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_char(unsigned char value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const unsigned char neg_one = (unsigned char) -1, const_zero = (unsigned char) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(unsigned char) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned char) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(unsigned char) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(unsigned char) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned char) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(unsigned char),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(unsigned char));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const size_t neg_one = (size_t) -1, const_zero = (size_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        size_t val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (size_t) -1;
-        val = __Pyx_PyLong_As_size_t(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 2 * PyLong_SHIFT)) {
-                            return (size_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 3 * PyLong_SHIFT)) {
-                            return (size_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 4 * PyLong_SHIFT)) {
-                            return (size_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (size_t) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(size_t) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(size_t) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) ((((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, long, PyLong_AsLong(x))
-        } else if ((sizeof(size_t) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        size_t val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (size_t) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (size_t) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (size_t) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (size_t) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(size_t) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((size_t) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(size_t) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((size_t) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((size_t) 1) << (sizeof(size_t) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (size_t) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to size_t");
-    return (size_t) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to size_t");
-    return (size_t) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
+    int *pfx = NULL;
+    Py_ssize_t n_sd = 0, n_comp = 0;
+    if ((g.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1,
+                             NULL)) == NULL
+        || (g.neg_t = copy_ints(neg_t, "neg_t", m, 0, m - 1, NULL)) == NULL
+        || (g.slot_cap = copy_ints(slot_cap, "slot_cap", m, 0, INT_MAX,
+                                   NULL)) == NULL
+        || (g.slot_floor = copy_ints(slot_floor, "slot_floor", m, 0, INT_MAX,
+                                     NULL)) == NULL
+        || (g.dcap = copy_ints(dcap, "dcap", m, 0, INT_MAX, NULL)) == NULL
+        || (g.dfloor = copy_ints(dfloor, "dfloor", m, 0, INT_MAX,
+                                 NULL)) == NULL
+        || (g.sd_ids = copy_ints(sd_ids, "sd_ids", -1, 0, nd - 1,
+                                 &n_sd)) == NULL
+        || (g.sd_ptr = copy_ints(sd_ptr, "sd_ptr", (Py_ssize_t)s + 1, 0,
+                                 (long)n_sd, NULL)) == NULL
+        || (g.comp_ids = copy_ints(comp_ids, "comp_ids", -1, 0, nd - 1,
+                                   &n_comp)) == NULL
+        || (g.comp_ptr = copy_ints(comp_ptr, "comp_ptr", (Py_ssize_t)s + 1, 0,
+                                   (long)n_comp, NULL)) == NULL
+        || (pfx = copy_ints(prefix, "prefix", p, 0, m - 1, NULL)) == NULL)
+        goto done;
+    g.assign = malloc((s > 0 ? (size_t)s : 1) * sizeof(int));
+    g.psum = calloc(nd > 0 ? nd : 1, sizeof(int));
+    g.scount = calloc(m > 0 ? m : 1, sizeof(int));
+    g.dcount = calloc(m > 0 ? m : 1, sizeof(int));
+    g.remaining_at = calloc((size_t)s + 1, sizeof(int));
+    if (!g.assign || !g.psum || !g.scount || !g.dcount || !g.remaining_at) {
+        PyErr_NoMemory();
         goto done;
     }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
+    for (int j = 0; j < s; j++)
+        g.assign[j] = -1;
+    for (int a = 0; a < m; a++) {
+        g.sdef += g.slot_floor[a];
+        g.ddef += g.dfloor[a];
+    }
+    for (int j = s - 1; j >= 0; j--)
+        g.remaining_at[j] = g.remaining_at[j + 1]
+                            + (g.comp_ptr[j + 1] - g.comp_ptr[j]);
+
+    for (int j = 0; j < p; j++) {
+        if (!generic_place(&g, j, pfx[j])) {
+            result = Py_BuildValue("(iOi)", EXHAUSTED, Py_None, 0);
+            goto done;
+        }
+    }
+    int status = generic_dfs(&g, (int)p);
+    result = assignment_result(status, g.assign, s, g.nodes);
+done:
+    free(pfx);
+    generic_free(&g);
     return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
+}
+
+/* ------------------------------------------------------------------------
+ * sequencing kernel: nonzero elements with distinct cyclic differences
+ * and a star position */
+
+typedef struct {
+    int m, length;
+    int *add_t, *neg_t, *seq;
+    unsigned char *used, *dused;
+    long long nodes, budget;
+    int star_at;
+} RStar;
+
+static int
+rstar_dfs(RStar *r, int i)
+{
+    int m = r->m, length = r->length;
+    if (i == length) {
+        int d0 = r->add_t[r->seq[0] * m + r->neg_t[r->seq[length - 1]]];
+        if (r->dused[d0])
+            return EXHAUSTED;
+        for (int idx = 0; idx < length; idx++) {
+            int a = r->seq[(idx - 1 + length) % length];
+            int b = r->seq[(idx + 1) % length];
+            if (r->add_t[a * m + b] == r->seq[idx]) {
+                r->star_at = idx;
+                return FOUND;
+            }
+        }
+        return EXHAUSTED;
+    }
+    for (int x = 1; x < m; x++) {
+        if (r->nodes == r->budget)  /* budget -1 (unbounded) never matches */
+            return BUDGET;
+        r->nodes++;
+        if (r->used[x])
+            continue;
+        int d = -1;
+        if (i >= 1) {
+            d = r->add_t[x * m + r->neg_t[r->seq[i - 1]]];
+            if (r->dused[d])
+                continue;
+            r->dused[d] = 1;
+        }
+        r->used[x] = 1;
+        r->seq[i] = x;
+        int res = rstar_dfs(r, i + 1);
+        if (res == FOUND)
+            return FOUND;
+        r->used[x] = 0;
+        r->seq[i] = -1;
+        if (d >= 0)
+            r->dused[d] = 0;
+        if (res == BUDGET)
+            return BUDGET;
+    }
+    return EXHAUSTED;
+}
+
+static PyObject *
+solve_rstar(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"m", "add_t", "neg_t", "prefix", "budget", NULL};
+    RStar r;
+    memset(&r, 0, sizeof r);
+    PyObject *add_t, *neg_t, *prefix;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOOL:solve_rstar", kwlist,
+                                     &r.m, &add_t, &neg_t, &prefix,
+                                     &r.budget))
+        return NULL;
+    int m = r.m;
+    r.length = m - 1;
+    r.star_at = -1;
+    if (m < 2) {
+        PyErr_SetString(PyExc_ValueError, "m must be at least 2");
+        return NULL;
+    }
+    Py_ssize_t p = PyObject_Length(prefix);
+    if (p < 0)
+        return NULL;
+    if (p > r.length) {
+        PyErr_SetString(PyExc_ValueError, "prefix longer than the sequence");
+        return NULL;
+    }
+
+    PyObject *result = NULL;
+    int *pfx = NULL;
+    if ((r.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1,
+                             NULL)) == NULL
+        || (r.neg_t = copy_ints(neg_t, "neg_t", m, 0, m - 1, NULL)) == NULL
+        || (pfx = copy_ints(prefix, "prefix", p, INT_MIN, INT_MAX,
+                            NULL)) == NULL)
+        goto done;
+    r.seq = malloc((size_t)r.length * sizeof(int));
+    r.used = calloc(m, 1);
+    r.dused = calloc(m, 1);
+    if (!r.seq || !r.used || !r.dused) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int i = 0; i < r.length; i++)
+        r.seq[i] = -1;
+
+    for (int i = 0; i < p; i++) {
+        int x = pfx[i];
+        if (x < 1 || x >= m || r.used[x])
+            goto rejected;
+        if (i >= 1) {
+            int d = r.add_t[x * m + r.neg_t[r.seq[i - 1]]];
+            if (r.dused[d])
+                goto rejected;
+            r.dused[d] = 1;
+        }
+        r.used[x] = 1;
+        r.seq[i] = x;
+    }
+    int status = rstar_dfs(&r, (int)p);
+    if (status == FOUND) {
+        PyObject *list = int_list(r.seq, r.length);
+        if (list != NULL)
+            result = Py_BuildValue("(iNiL)", FOUND, list, r.star_at, r.nodes);
+    }
+    else {
+        result = Py_BuildValue("(iOiL)", status, Py_None, -1, r.nodes);
     }
     goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
+rejected:
+    result = Py_BuildValue("(iOii)", EXHAUSTED, Py_None, -1, 0);
 done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
+    free(pfx);
+    free(r.add_t);
+    free(r.neg_t);
+    free(r.seq);
+    free(r.used);
+    free(r.dused);
+    return result;
 }
 
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
+/* ------------------------------------------------------------------------
+ * maximum-distinct-sums kernel: branch and bound over element cycles */
 
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
+typedef struct {
+    int m;
+    int *add_t, *order, *scount, *best_cycle;
+    unsigned char *used;
+    int distinct, best, have_best;
+    long long nodes, budget;
+} Sigma;
+
+static int
+sigma_dfs(Sigma *sg, int i)
+{
+    int m = sg->m;
+    if (i == m) {
+        int s_close = sg->add_t[sg->order[m - 1] * m + sg->order[0]];
+        int d = sg->distinct + (sg->scount[s_close] ? 0 : 1);
+        if (d > sg->best) {
+            sg->best = d;
+            sg->have_best = 1;
+            memcpy(sg->best_cycle, sg->order, (size_t)m * sizeof(int));
         }
-        #endif
-        return result;
+        return EXHAUSTED;
     }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
+    for (int x = 1; x < m; x++) {
+        if (sg->nodes == sg->budget)  /* budget -1 (unbounded) never matches */
+            return BUDGET;
+        sg->nodes++;
+        if (sg->used[x])
+            continue;
+        if (i == m - 1 && x < sg->order[1])
+            continue;
+        int s_new = sg->add_t[sg->order[i - 1] * m + x];
+        int nd = sg->distinct + (sg->scount[s_new] ? 0 : 1);
+        if (nd + (m - i) <= sg->best)
+            continue;
+        sg->used[x] = 1;
+        sg->order[i] = x;
+        sg->scount[s_new]++;
+        int saved = sg->distinct;
+        sg->distinct = nd;
+        int r = sigma_dfs(sg, i + 1);
+        sg->scount[s_new]--;
+        sg->distinct = saved;
+        sg->used[x] = 0;
+        if (r == BUDGET)
+            return BUDGET;
+    }
+    return EXHAUSTED;
+}
+
+static PyObject *
+solve_sigma(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"m", "add_t", "budget", NULL};
+    Sigma sg;
+    memset(&sg, 0, sizeof sg);
+    PyObject *add_t;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOL:solve_sigma", kwlist,
+                                     &sg.m, &add_t, &sg.budget))
+        return NULL;
+    int m = sg.m;
+    if (m == 2)
+        return Py_BuildValue("(ii[ii]i)", FOUND, 1, 0, 1, 0);
+    if (m < 1) {
+        PyErr_SetString(PyExc_ValueError, "m must be positive");
         return NULL;
     }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
 
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
+    PyObject *result = NULL;
+    sg.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1, NULL);
+    if (sg.add_t == NULL)
+        goto done;
+    sg.order = calloc(m, sizeof(int));
+    sg.scount = calloc(m, sizeof(int));
+    sg.best_cycle = calloc(m, sizeof(int));
+    sg.used = calloc(m, 1);
+    if (!sg.order || !sg.scount || !sg.best_cycle || !sg.used) {
+        PyErr_NoMemory();
         goto done;
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+    sg.used[0] = 1;
+    int status = sigma_dfs(&sg, 1) == EXHAUSTED ? FOUND : BUDGET;
+    PyObject *cycle = sg.have_best ? int_list(sg.best_cycle, m)
+                                   : Py_NewRef(Py_None);
+    if (cycle == NULL)
+        goto done;
+    result = Py_BuildValue("(iiNL)", status, sg.best, cycle, sg.nodes);
+done:
+    free(sg.add_t);
+    free(sg.order);
+    free(sg.scount);
+    free(sg.best_cycle);
+    free(sg.used);
+    return result;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+/* ------------------------------------------------------------------------
+ * module */
 
+static PyMethodDef speed_methods[] = {
+    {"solve_chain", (PyCFunction)(void (*)(void))solve_chain,
+     METH_VARARGS | METH_KEYWORDS,
+     "Backtracking search over a path or cycle of slots; see "
+     "pure.solve_chain.  Returns (status, assignment or None, nodes)."},
+    {"solve_generic", (PyCFunction)(void (*)(void))solve_generic,
+     METH_VARARGS | METH_KEYWORDS,
+     "Backtracking search over a CSR slot/derived-sum incidence; see "
+     "pure.solve_generic.  Returns (status, assignment or None, nodes)."},
+    {"solve_rstar", (PyCFunction)(void (*)(void))solve_rstar,
+     METH_VARARGS | METH_KEYWORDS,
+     "Search for a star difference sequence; see pure.solve_rstar.  "
+     "Returns (status, sequence or None, star_index, nodes)."},
+    {"solve_sigma", (PyCFunction)(void (*)(void))solve_sigma,
+     METH_VARARGS | METH_KEYWORDS,
+     "Most distinct cyclic pair sums over element cycles; see "
+     "pure.solve_sigma.  Returns (status, value, cycle or None, nodes)."},
+    {NULL, NULL, 0, NULL},
+};
 
+static struct PyModuleDef speed_module = {
+    PyModuleDef_HEAD_INIT, "_speed",
+    "Compiled search kernels; twin of cordant._kernel.pure.", -1,
+    speed_methods, NULL, NULL, NULL, NULL,
+};
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+PyMODINIT_FUNC
+PyInit__speed(void)
+{
+    PyObject *mod = PyModule_Create(&speed_module);
+    if (mod == NULL)
+        return NULL;
+    if (PyModule_AddIntConstant(mod, "FOUND", FOUND) < 0
+        || PyModule_AddIntConstant(mod, "EXHAUSTED", EXHAUSTED) < 0
+        || PyModule_AddIntConstant(mod, "BUDGET", BUDGET) < 0) {
+        Py_DECREF(mod);
+        return NULL;
+    }
+    return mod;
+}

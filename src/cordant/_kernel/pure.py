@@ -1,6 +1,6 @@
 """Pure Python search kernels.
 
-Reference twin of the compiled kernels in ``_speed.pyx``: identical
+Reference twin of the compiled kernels in ``_speed.c``: identical
 traversal order, pruning rules, memo policy, and node accounting, so the
 two backends return identical results (including node counts) and can be
 cross-checked against each other.
@@ -41,7 +41,6 @@ def solve_chain(
     cyclic,
     prefix,
     budget,
-    memo_limit=MEMO_LIMIT,
 ):
     """Backtracking search over a path or cycle of slots.
 
@@ -186,7 +185,7 @@ def solve_chain(
             unplace(i, x)
             if r == BUDGET:
                 return BUDGET
-            if key >= 0 and memo_entries < memo_limit:
+            if key >= 0 and memo_entries < MEMO_LIMIT:
                 dead.add(key)
                 memo_entries += 1
         return EXHAUSTED

@@ -82,35 +82,29 @@ def _resolve_budget(args) -> int | None:
     return DEFAULT_BUDGET
 
 
-def _emit(args, text_lines: list[str], doc: dict | None) -> None:
-    if args.format == "json" and doc is not None:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-    if getattr(args, "output", None) and doc is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-
-
-def _emit_certificate(args, cert: Certificate, extra: dict | None = None,
-                      lines: list[str] | None = None) -> None:
-    text = certificate_dumps(cert)
-    doc = json.loads(text)
-    if extra:
-        doc.update(extra)
-    shown = lines or []
+def _emit(args, lines: list[str], doc: dict,
+          cert: Certificate | None = None) -> None:
+    """Print ``lines`` (text) or ``doc`` (JSON), and write ``doc`` to
+    ``--output`` when given.  With ``cert``, the document is the
+    certificate's JSON updated with ``doc``, and text output ends with the
+    certificate itself."""
+    if cert is not None:
+        text = certificate_dumps(cert)
+        doc = {**json.loads(text), **doc}
+        lines = lines + [text]
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        for line in shown:
+        for line in lines:
             print(line)
-        print(text)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_elements(spec: GroupSpec, text: str) -> tuple:
@@ -119,10 +113,13 @@ def _parse_elements(spec: GroupSpec, text: str) -> tuple:
         raise CordantError("labels must be a JSON array")
     out = []
     for item in raw:
-        if isinstance(item, int):
+        if _is_int(item):
             out.append((item,))
+        elif isinstance(item, list) and all(_is_int(x) for x in item):
+            out.append(tuple(item))
         else:
-            out.append(tuple(int(x) for x in item))
+            raise CordantError(f"label {json.dumps(item)} is not an integer "
+                               "or a list of integers")
     return tuple(out)
 
 
@@ -159,8 +156,8 @@ def _cmd_construct(args) -> int:
         f = construct_ant_path(spec)
         cert = make_edge_certificate(NOTION_EA_CORDIAL,
                                      path_graph(spec.order), f)
-        _emit_certificate(args, cert, extra={"route": "block"},
-                          lines=["status Found (route block)"])
+        _emit(args, ["status Found (route block)"], {"route": "block"},
+              cert)
         return EXIT_OK
     if result.status == STATUS_IMPOSSIBLE:
         _emit(args, ["impossible"],
@@ -175,12 +172,10 @@ def _cmd_construct(args) -> int:
     cert = make_edge_certificate(notion, graph, result.labeling)
     if not cert.verdict.ok:
         raise CordantError("constructed labeling failed re-verification")
-    _emit_certificate(
-        args, cert,
-        extra={"route": result.route,
-               "nodes_explored": result.nodes_explored},
-        lines=[f"status Found (route {result.route}, "
-               f"{result.nodes_explored} nodes)"])
+    _emit(args, [f"status Found (route {result.route}, "
+                 f"{result.nodes_explored} nodes)"],
+          {"route": result.route, "nodes_explored": result.nodes_explored},
+          cert)
     return EXIT_OK
 
 
@@ -202,7 +197,7 @@ def _cmd_verify(args) -> int:
                                          EdgeLabeling(spec, labels))
     verdict = cert.verdict
     line = "valid" if verdict.ok else f"invalid ({verdict.violation})"
-    _emit_certificate(args, cert, lines=[line])
+    _emit(args, [line], {}, cert)
     return EXIT_OK if verdict.ok else EXIT_NO
 
 
@@ -360,7 +355,7 @@ def _cmd_demo(args) -> int:
             return EXIT_USAGE
         extra["regenerated"] = "match"
         lines.append("regenerated labeling matches the fixture")
-    _emit_certificate(args, cert, extra=extra, lines=lines)
+    _emit(args, lines, extra, cert)
     return EXIT_OK if cert.verdict.ok else EXIT_NO
 
 

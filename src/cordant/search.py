@@ -4,7 +4,9 @@ Every search enumerates labels in group enumeration order at each slot, so
 a Found outcome always carries the lexicographically first solution, a
 NotExists outcome means the pruned space was exhausted, and an Unknown
 outcome means the node budget ran out first.  Node accounting is defined
-by the kernels: one node per placement attempt.
+by the kernels: one node per placement attempt.  Instances deeper than
+``MAX_DEPTH`` levels are refused with ``CapExceededError`` before any
+kernel runs.
 
 Parallelism never changes results: the search is always split into one
 branch per first-slot label with a fixed budget share each, branches are
@@ -14,12 +16,18 @@ concurrently.
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import _kernel
 from ._kernel import BUDGET, EXHAUSTED, FOUND
-from .errors import InternalCheckError, InvalidGraphError, InvalidSpecError
+from .errors import (
+    CapExceededError,
+    InternalCheckError,
+    InvalidGraphError,
+    InvalidSpecError,
+)
 from .graphs import CYCLE, PATH, TREE, SimpleGraph
 from .groups import Element, GroupSpec, element_at, element_index, op_tables
 from .labelings import (
@@ -35,6 +43,17 @@ from .labelings import (
 #: Default node budget for every search entry point.
 DEFAULT_BUDGET = 10_000_000
 
+#: Deepest search any entry point runs: slots for the labeling searches,
+#: group order for R*-sequences and sigma-max.  Both backends refuse deeper
+#: instances before searching, so they answer alike.  The pure kernel
+#: recurses once per level; ``_lift_recursion_limit`` raises Python's frame
+#: limit by this much (plus ``_KERNEL_FRAMES``) for the length of each
+#: kernel call, so the cap holds however deep the caller is.
+MAX_DEPTH = 10_000
+
+#: Frames a pure kernel uses beyond one per level (entry, place/unplace).
+_KERNEL_FRAMES = 50
+
 STATUS_FOUND = "Found"
 STATUS_NOT_EXISTS = "NotExists"
 STATUS_UNKNOWN = "Unknown"
@@ -47,11 +66,6 @@ class SearchOutcome:
     status: str
     certificate: object | None
     nodes_explored: int
-
-    @property
-    def budget_spent(self) -> int:
-        """Spent budget in node units (same scale as ``nodes_explored``)."""
-        return self.nodes_explored
 
 
 @dataclass(frozen=True)
@@ -118,9 +132,6 @@ class HamiltonianCycle:
         elif self.distinct_sum_count != sums:
             raise InvalidSpecError("stored sum count does not match the ordering")
 
-    def distinct_sums(self) -> int:
-        return self.distinct_sum_count
-
 
 @dataclass(frozen=True)
 class SigmaMaxResult:
@@ -157,10 +168,25 @@ def _shares(budget: int, branches: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(branches)]
 
 
+def _lift_recursion_limit() -> int:
+    """Give a pure kernel room to recurse ``MAX_DEPTH`` levels below the
+    caller; returns the old limit, to be restored after the kernel call.
+    The kernel is called in the caller's own frame: an extra Python frame
+    between the search and the pure kernel made the construct benchmark
+    slower."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(old + MAX_DEPTH + _KERNEL_FRAMES)
+    return old
+
+
 def _run_branch(task):
     kind, args = task
     kern = _kernel.active_backend()
-    return getattr(kern, "solve_" + kind)(*args)
+    old = _lift_recursion_limit()
+    try:
+        return getattr(kern, "solve_" + kind)(*args)
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def _orchestrate(tasks: list, workers: int) -> list:
@@ -265,6 +291,7 @@ def _solve_assignment(graph: SimpleGraph, spec: GroupSpec, slots_on_edges: bool,
                       slot_cap, slot_floor, dcap, dfloor,
                       prefix: list, budget: int, workers: int):
     """Dispatch to the chain kernel on paths/cycles, generic otherwise."""
+    _check_depth(len(graph.edges) if slots_on_edges else graph.n)
     m = spec.order
     add_t, neg_t = op_tables(spec)
     if graph.kind in (PATH, CYCLE):
@@ -287,6 +314,12 @@ def _labels_from_indices(spec: GroupSpec, indices) -> tuple[Element, ...]:
 def _check_searchable(spec: GroupSpec) -> None:
     if spec.order < 2:
         raise InvalidSpecError("searches need a group with at least two elements")
+
+
+def _check_depth(levels: int) -> None:
+    if levels > MAX_DEPTH:
+        raise CapExceededError(
+            f"search depth {levels} exceeds the cap of {MAX_DEPTH} levels")
 
 
 def _certify(verdict: Verdict, what: str) -> None:
@@ -395,6 +428,7 @@ def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,
     Degenerate below three nonzero elements: NotExists without a search.
     """
     _check_searchable(spec)
+    _check_depth(spec.order)
     m = spec.order
     if m - 1 < 3:
         return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
@@ -417,14 +451,19 @@ def compute_sigma_max(spec: GroupSpec,
     orderings skipped; unbounded by default (the instances are tiny).
     """
     _check_searchable(spec)
+    _check_depth(spec.order)
     add_t, _ = op_tables(spec)
     kern = _kernel.active_backend()
-    status, value, cycle, nodes = kern.solve_sigma(
-        spec.order, add_t, _norm_budget(budget))
+    old = _lift_recursion_limit()
+    try:
+        status, value, cycle, nodes = kern.solve_sigma(
+            spec.order, add_t, _norm_budget(budget))
+    finally:
+        sys.setrecursionlimit(old)
     witness = None
     if cycle is not None:
         witness = HamiltonianCycle(spec, _labels_from_indices(spec, cycle))
-        if witness.distinct_sums() != value:
+        if witness.distinct_sum_count != value:
             raise InternalCheckError("witness cycle does not attain the reported value")
     name = STATUS_FOUND if status == FOUND else STATUS_UNKNOWN
     return SigmaMaxResult(name, value, witness, nodes)

@@ -283,6 +283,26 @@ def test_bad_group_is_usage_error(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("labels", ["[0, null]", '[0, [1, "x"]]',
+                                    "[true, 1]", "[1.5, 0]", "[[0], {}]"])
+def test_bad_label_is_usage_error(capsys, labels):
+    code, out, err = run(capsys, ["verify", "--notion", "ea-cordial",
+                                  "--group", "Z3", "--kind", "path",
+                                  "--n", "3", "--labels", labels])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: label ") and err.count("\n") == 1
+
+
+def test_search_beyond_depth_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, ["search", "ea-cordial", "--group", "Z3",
+                                  "--kind", "path", "--n", "10002"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == ("error: search depth 10001 exceeds the cap of 10000 "
+                   "levels\n")
+
+
 def test_missing_certificate_file(capsys):
     code, _, err = run(capsys, ["verify", "--certificate",
                                 "/nonexistent/cert.json"])

@@ -248,6 +248,20 @@ def test_path_ek_dispatcher_block_route_at_36():
     assert verify_ea_cordial(path_graph(36), res.labeling).ok
 
 
+def test_routes_with_searches_deeper_than_a_thousand_levels():
+    # the base cycle over Z905 and the cycle over 1200 slots both recurse
+    # deeper than Python's default frame limit on the pure kernel
+    res = construct_path_antimagic(GroupSpec((8, 905)))
+    assert (res.status, res.route) == (STATUS_FOUND, "block")
+    assert verify_a_antimagic(path_graph(7240), res.labeling).ok
+    res = construct_path_ek(7240, 8)
+    assert (res.status, res.route) == (STATUS_FOUND, "block-project")
+    res = construct_path_ek(1200, 3)
+    assert (res.status, res.route, res.nodes_explored) == (
+        STATUS_FOUND, "cycle-search", 2399)
+    assert verify_ea_cordial(path_graph(1200), res.labeling).ok
+
+
 def test_path_ek_dispatcher_impossible_and_unknown():
     for n, k in ((6, 6), (18, 6), (10, 2), (2, 5)):
         res = construct_path_ek(n, k)

@@ -1,17 +1,29 @@
-"""Pure and compiled kernels must agree bit for bit, node counts included."""
+"""Pure and compiled kernels must agree bit for bit, node counts included.
+
+The compiled kernel is built from ``_speed.c`` with gcc into a temporary
+copy of the package, so parity is checked wherever gcc is present, whether
+or not the extension was built in place.
+"""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from cordant import _kernel
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 WORKLOAD = r"""
 import json
 import cordant as c
+from cordant import _kernel
+from cordant.groups import op_tables
 
 spec = c.GroupSpec
 out = []
@@ -22,6 +34,14 @@ def record(name, o):
         cert = getattr(o.certificate, "labels", None) or getattr(
             o.certificate, "seq", None)
     out.append([name, o.status, cert, o.nodes_explored])
+
+def record_error(name, call):
+    try:
+        call()
+    except c.CordantError as exc:
+        out.append([name, type(exc).__name__, str(exc)])
+    else:
+        out.append([name, "no error"])
 
 record("ea-p4-z4", c.search_ea_cordial(c.path_graph(4), spec((4,))))
 record("ea-p6-z6", c.search_ea_cordial(c.path_graph(6), spec((6,))))
@@ -35,31 +55,124 @@ record("rs-e3", c.search_rstar_sequence(spec((2, 2, 2))))
 record("ea-p6-z6-w3", c.search_ea_cordial(c.path_graph(6), spec((6,)), workers=3))
 record("ea-p6-z6-b100", c.search_ea_cordial(c.path_graph(6), spec((6,)), budget=100))
 
-s = c.compute_sigma_max(spec((2, 3)))
-out.append(["sigma-z6", s.status, s.value, list(s.witness.order),
-            s.witness.distinct_sum_count, s.nodes_explored])
-out.append(["backend", __import__("cordant._kernel", fromlist=["x"]).backend_name()])
+# extreme inputs
+record("ea-p6-z6-b0", c.search_ea_cordial(c.path_graph(6), spec((6,)), budget=0))
+record("rs-z7-b0", c.search_rstar_sequence(spec((7,)), budget=0))
+record("ea-c3-z3-rejected-prefix",
+       c.search_ea_cordial(c.cycle_graph(3), spec((3,)), prefix=((1,), (1,))))
+spider = c.tree_graph(8, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (6, 7)))
+record("am-spider8-z8", c.search_a_antimagic(spider, spec((8,))))
+record("as-spider8-e3", c.search_a_star_antimagic(spider, spec((2, 2, 2))))
+record("ac-spider8-z3", c.search_a_cordial(spider, spec((3,))))
+record("ea-spider8-z4-b50", c.search_ea_cordial(spider, spec((4,)), budget=50))
+record("ea-deepest-cycle-z3",
+       c.search_ea_cordial(c.cycle_graph(c.MAX_DEPTH), spec((3,))))
+record("ea-deepest-path-z3",
+       c.search_ea_cordial(c.path_graph(c.MAX_DEPTH + 1), spec((3,)),
+                           budget=30000))
+record_error("ea-too-deep-z3",
+             lambda: c.search_ea_cordial(c.path_graph(c.MAX_DEPTH + 2),
+                                         spec((3,))))
+record_error("rs-too-deep",
+             lambda: c.search_rstar_sequence(spec((c.MAX_DEPTH + 1,))))
+
+kern = _kernel.active_backend()
+# slot caps of 2**20 need 21-bit counters, so the packed key exceeds 63 bits
+# and the memo is off: 47235 nodes where the memo would take 4449
+z3_add, _ = op_tables(spec((3,)))
+out.append(["chain-no-memo",
+            kern.solve_chain(3, z3_add, 12, [1 << 20] * 3, [0] * 3, [3] * 3,
+                             [0] * 3, False, False, False, [], -1)])
+# searches always pin the first slot; here the first slot of a cycle is free
+z4_add, _ = op_tables(spec((4,)))
+out.append(["cycle-open-first-slot",
+            kern.solve_chain(4, z4_add, 12, [3] * 4, [3] * 4, [3] * 4,
+                             [3] * 4, False, False, True, [], -1)])
+
+# prefixes the kernels reject before searching
+add_t, neg_t = op_tables(spec((5,)))
+out.append(["rstar-rejected-prefix", kern.solve_rstar(5, add_t, neg_t, [2, 2], -1),
+            kern.solve_rstar(5, add_t, neg_t, [0], -1)])
+out.append(["chain-rejected-prefix",
+            kern.solve_chain(5, add_t, 3, [1] * 5, [0] * 5, [1] * 5, [0] * 5,
+                             False, False, True, [1, 1], -1)])
+out.append(["generic-rejected-prefix",
+            kern.solve_generic(5, add_t, neg_t, 2, [1] * 5, [0] * 5,
+                               [0, 1, 1, 1, 1], [0] * 5, 1, [0, 1, 2], [0, 0],
+                               [0, 0, 1], [0], [3, 2], -1)])
+
+for factors in ((2, 3), (2,), (4,)):
+    s = c.compute_sigma_max(spec(factors))
+    out.append(["sigma", factors, s.status, s.value, list(s.witness.order),
+                s.witness.distinct_sum_count, s.nodes_explored])
+s = c.compute_sigma_max(spec((7,)), budget=0)
+out.append(["sigma-z7-b0", s.status, s.value, s.witness, s.nodes_explored])
+out.append(["backend", _kernel.backend_name()])
 print(json.dumps(out))
 """
 
 
-def _run_with_backend(name: str) -> list:
-    env = dict(os.environ, CORDANT_BACKEND=name)
+@pytest.fixture(scope="module")
+def built_package(tmp_path_factory):
+    """A copy of the package with the compiled kernel built into it."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc not found; the compiled kernel cannot be built")
+    root = tmp_path_factory.mktemp("kernel")
+    kernel_dir = root / "cordant" / "_kernel"
+    shutil.copytree(SRC / "cordant", root / "cordant",
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    target = kernel_dir / ("_speed" + sysconfig.get_config_var("EXT_SUFFIX"))
     proc = subprocess.run(
-        [sys.executable, "-c", WORKLOAD], capture_output=True, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        [gcc, "-O2", "-shared", "-fPIC",
+         "-I" + sysconfig.get_paths()["include"],
+         str(kernel_dir / "_speed.c"), "-o", str(target)],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return root
 
 
-@pytest.mark.skipif(_kernel.compiled is None,
-                    reason="compiled kernel not built")
-def test_backends_produce_identical_results():
-    pure = _run_with_backend("pure")
-    fast = _run_with_backend("compiled")
+def _run(root: Path, backend: str, code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, CORDANT_BACKEND=backend, PYTHONPATH=str(root))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=root)
+
+
+def test_backends_produce_identical_results(built_package):
+    results = {}
+    for backend in ("pure", "compiled"):
+        proc = _run(built_package, backend, WORKLOAD)
+        assert proc.returncode == 0, proc.stderr
+        results[backend] = json.loads(proc.stdout)
+    pure, fast = results["pure"], results["compiled"]
     assert pure[-1] == ["backend", "pure"]
     assert fast[-1] == ["backend", "compiled"]
     assert pure[:-1] == fast[:-1]
+
+
+def test_compiled_kernel_rejects_malformed_instances(built_package):
+    code = r"""
+from cordant._kernel import _speed
+add_t = [0, 1, 1, 0]
+bad = [
+    lambda: _speed.solve_chain(2, add_t[:3], 2, [1, 1], [0, 0], [2, 2],
+                               [0, 0], False, False, False, [], -1),
+    lambda: _speed.solve_chain(2, add_t, 2, [1, 1], [0, 0], [2, 2],
+                               [0, 0], False, False, False, [2], -1),
+    lambda: _speed.solve_generic(2, add_t, [0, 1], 1, [1, 1], [0, 0],
+                                 [1, 1], [0, 0], 1, [0, 5], [0], [0, 1],
+                                 [0], [], -1),
+    lambda: _speed.solve_sigma(3, [0] * 8 + [3], -1),
+]
+for call in bad:
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit("accepted a malformed instance")
+"""
+    proc = _run(built_package, "compiled", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_backend_is_rejected():

@@ -1,10 +1,14 @@
 """Search oracle: frozen outcomes, determinism, budgets, raw-space audits."""
 
 import itertools
+import sys
 
 import pytest
 
+from cordant import _kernel
 from cordant import (
+    MAX_DEPTH,
+    CapExceededError,
     InvalidSpecError,
     star_graph,
     EdgeLabeling,
@@ -176,3 +180,24 @@ def test_rstar_search_small_groups():
     assert out.status == STATUS_NOT_EXISTS
     out = search_rstar_sequence(GroupSpec((2,)))
     assert out.status == STATUS_NOT_EXISTS
+
+
+def _at_depth(frames, call):
+    """Run ``call`` with ``frames`` extra Python frames below the caller."""
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+def test_pure_kernel_reaches_the_depth_cap_from_a_deep_caller(monkeypatch):
+    monkeypatch.setattr(_kernel, "_active", _kernel.pure)
+    limit = sys.getrecursionlimit()
+    out = _at_depth(500, lambda: search_ea_cordial(cycle_graph(MAX_DEPTH), Z3))
+    assert (out.status, out.nodes_explored) == (STATUS_FOUND, 2 * MAX_DEPTH - 2)
+    assert verify_ea_cordial(cycle_graph(MAX_DEPTH), out.certificate).ok
+    out = _at_depth(500, lambda: search_ea_cordial(
+        path_graph(MAX_DEPTH + 1), Z3, budget=30_000))
+    assert (out.status, out.nodes_explored) == (STATUS_UNKNOWN, 10_000)
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(CapExceededError, match="depth 10001 exceeds"):
+        search_ea_cordial(path_graph(MAX_DEPTH + 2), Z3)
+    with pytest.raises(CapExceededError, match="depth 10001 exceeds"):
+        compute_sigma_max(GroupSpec((MAX_DEPTH + 1,)))
