@@ -4,16 +4,13 @@ Two interchangeable implementations of the same four kernels live here:
 ``pure`` (plain Python, always available and the reference) and ``_speed``
 (hand-written C against the CPython API, built from ``_speed.c`` by
 ``setup.py`` as an optional extension).  The compiled one is picked at
-import time when it was built; nothing is compiled on import.  Set the
-environment variable ``CORDANT_BACKEND`` to ``pure`` or ``compiled`` to
-force a choice.  Both return identical results, including node counts;
-whenever gcc is present, the parity tests build ``_speed.c`` and compare
-the two.
+import time when it was built; nothing is compiled on import.  Tests and
+benchmarks that need one backend set ``_active``.  Both return identical
+results, including node counts; whenever gcc is present, the parity tests
+build ``_speed.c`` and compare the two.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import pure
 
@@ -26,19 +23,7 @@ FOUND = pure.FOUND
 EXHAUSTED = pure.EXHAUSTED
 BUDGET = pure.BUDGET
 
-_forced = os.environ.get("CORDANT_BACKEND", "").strip().lower()
-if _forced == "pure":
-    _active = pure
-elif _forced == "compiled":
-    if compiled is None:
-        raise ImportError(
-            "CORDANT_BACKEND=compiled but the _speed extension is not built"
-        )
-    _active = compiled
-elif _forced:
-    raise ImportError(f"unknown CORDANT_BACKEND value {_forced!r}")
-else:
-    _active = compiled if compiled is not None else pure
+_active = compiled if compiled is not None else pure
 
 
 def active_backend():

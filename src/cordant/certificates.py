@@ -103,9 +103,14 @@ def _graph_to_obj(graph: SimpleGraph) -> dict:
     return obj
 
 
-def _graph_from_obj(obj: dict) -> SimpleGraph:
+def _graph_from_obj(obj: dict, num_vertices: int) -> SimpleGraph:
     kind = obj["kind"]
     n = int(obj["n"])
+    # checked before building, so the graph (and the edge count of a path
+    # or cycle) is no larger than the document's own vertex label list
+    if n != num_vertices:
+        raise InvalidLabelingError(
+            f"graph has {n} vertices but {num_vertices} vertex labels")
     if kind == PATH:
         return path_graph(n)
     if kind == CYCLE:
@@ -124,10 +129,10 @@ def _counts_to_list(spec: GroupSpec, counts: dict[Element, int]) -> list[int]:
 
 
 def _counts_from_list(spec: GroupSpec, values: list[int]) -> dict[Element, int]:
-    elems = enumerate_elements(spec)
-    if len(values) != len(elems):
+    # the list's own length bounds the group order before it is enumerated
+    if len(values) != spec.order:
         raise InvalidLabelingError("class count list does not cover the group")
-    return {a: int(v) for a, v in zip(elems, values)}
+    return {a: int(v) for a, v in zip(enumerate_elements(spec), values)}
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
@@ -163,7 +168,6 @@ def certificate_from_obj(obj: dict) -> Certificate:
     try:
         notion = obj["notion"]
         spec = GroupSpec(tuple(int(d) for d in obj["group"]))
-        graph = _graph_from_obj(obj["graph"])
         edge_labels = tuple(tuple(int(x) for x in a)
                             for a in obj["edge_labels"])
         vertex_labels = tuple(tuple(int(x) for x in a)
@@ -171,6 +175,7 @@ def certificate_from_obj(obj: dict) -> Certificate:
         stored = obj["verdict"]
         stored_edge = _counts_from_list(spec, stored["edge_class_counts"])
         stored_vertex = _counts_from_list(spec, stored["vertex_class_counts"])
+        graph = _graph_from_obj(obj["graph"], len(vertex_labels))
         stored_ok = bool(stored["ok"])
         stored_violation = stored["violation"]
     except (KeyError, TypeError, ValueError) as exc:

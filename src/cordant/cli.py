@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .certificates import (
     Certificate,
@@ -124,6 +125,8 @@ def _parse_elements(spec: GroupSpec, text: str) -> tuple:
 
 
 def _graph_from_args(args) -> SimpleGraph:
+    if args.kind in ("path", "cycle") and args.n is None:
+        raise CordantError(f"{args.kind} graphs need --n")
     if args.kind == "path":
         return path_graph(args.n)
     if args.kind == "cycle":
@@ -248,26 +251,21 @@ def _cmd_search(args) -> int:
                  if cert_obj else []), doc)
     else:
         graph = _graph_from_args(args)
-        runner = {
-            "ea-cordial": search_ea_cordial,
-            "a-cordial": search_a_cordial,
-            "antimagic": search_a_antimagic,
-            "astar-antimagic": search_a_star_antimagic,
+        runner, make_cert = {
+            "ea-cordial": (search_ea_cordial,
+                           partial(make_edge_certificate, NOTION_EA_CORDIAL)),
+            "a-cordial": (search_a_cordial, make_vertex_certificate),
+            "antimagic": (search_a_antimagic,
+                          partial(make_edge_certificate, NOTION_A_ANTIMAGIC)),
+            "astar-antimagic": (search_a_star_antimagic,
+                                partial(make_edge_certificate,
+                                        NOTION_A_STAR_ANTIMAGIC)),
         }[args.notion]
         outcome = runner(graph, spec, budget=budget, workers=args.workers)
         cert_obj = None
         lines = [f"{outcome.status} ({outcome.nodes_explored} nodes)"]
         if outcome.certificate is not None:
-            notion = {
-                "ea-cordial": NOTION_EA_CORDIAL,
-                "antimagic": NOTION_A_ANTIMAGIC,
-                "astar-antimagic": NOTION_A_STAR_ANTIMAGIC,
-            }.get(args.notion)
-            if notion is None:
-                cert = make_vertex_certificate(graph, outcome.certificate)
-            else:
-                cert = make_edge_certificate(notion, graph,
-                                             outcome.certificate)
+            cert = make_cert(graph, outcome.certificate)
             if not cert.verdict.ok:
                 raise CordantError("search certificate failed re-verification")
             cert_obj = json.loads(certificate_dumps(cert))

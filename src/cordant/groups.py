@@ -110,14 +110,15 @@ def sum_elements(spec: GroupSpec, elems: Iterable[Element]) -> Element:
     return acc
 
 
-def enumerate_elements(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list[Element]:
+def enumerate_elements(spec: GroupSpec) -> list[Element]:
     """All elements in mixed-radix lexicographic order, last coordinate fastest.
 
     >>> enumerate_elements(GroupSpec((2, 2)))
     [(0, 0), (0, 1), (1, 0), (1, 1)]
     """
-    if spec.order > cap:
-        raise CapExceededError(f"group of order {spec.order} exceeds cap {cap}")
+    if spec.order > DEFAULT_ENUM_CAP:
+        raise CapExceededError(
+            f"group of order {spec.order} exceeds cap {DEFAULT_ENUM_CAP}")
     return [element_at(spec, i) for i in range(spec.order)]
 
 

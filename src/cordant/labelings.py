@@ -117,22 +117,32 @@ def _require_fit(graph: SimpleGraph, labels: tuple, want: int) -> None:
         )
 
 
-def _counts_both(graph: SimpleGraph, f: EdgeLabeling):
-    ec = class_counts(f.group, f.labels)
-    vc = class_counts(f.group, induce_vertex_labels(graph, f).labels)
-    return ec, vc
+def _counts_both(graph: SimpleGraph, labeling, on_edges: bool):
+    """Edge and vertex class counts of an edge (``on_edges``) or vertex
+    labeling and the labels it induces."""
+    if on_edges:
+        edge, vertex = labeling.labels, induce_vertex_labels(graph, labeling).labels
+    else:
+        edge, vertex = induce_edge_labels(graph, labeling).labels, labeling.labels
+    return class_counts(labeling.group, edge), class_counts(labeling.group, vertex)
 
 
-def verify_ea_cordial(graph: SimpleGraph, f: EdgeLabeling) -> Verdict:
-    """Edge classes equitable and induced vertex-sum classes equitable."""
-    if len(f.labels) != len(graph.edges):
+def _verify_equitable(graph: SimpleGraph, labeling, on_edges: bool) -> Verdict:
+    """Both class families equitable; the edge family is judged first."""
+    want = len(graph.edges) if on_edges else graph.n
+    if len(labeling.labels) != want:
         return Verdict(False, {}, {}, SIZE_MISMATCH)
-    ec, vc = _counts_both(graph, f)
+    ec, vc = _counts_both(graph, labeling, on_edges)
     if not is_equitable(ec):
         return Verdict(False, ec, vc, EDGE_IMBALANCE)
     if not is_equitable(vc):
         return Verdict(False, ec, vc, VERTEX_IMBALANCE)
     return Verdict(True, ec, vc)
+
+
+def verify_ea_cordial(graph: SimpleGraph, f: EdgeLabeling) -> Verdict:
+    """Edge classes equitable and induced vertex-sum classes equitable."""
+    return _verify_equitable(graph, f, True)
 
 
 def verify_a_cordial(graph: SimpleGraph, c: VertexLabeling) -> Verdict:
@@ -141,20 +151,29 @@ def verify_a_cordial(graph: SimpleGraph, c: VertexLabeling) -> Verdict:
     The edge condition is still reported first, mirroring the edge-side
     verifier's fixed order.
     """
-    if len(c.labels) != graph.n:
-        return Verdict(False, {}, {}, SIZE_MISMATCH)
-    ec = class_counts(c.group, induce_edge_labels(graph, c).labels)
-    vc = class_counts(c.group, c.labels)
-    if not is_equitable(ec):
-        return Verdict(False, ec, vc, EDGE_IMBALANCE)
-    if not is_equitable(vc):
-        return Verdict(False, ec, vc, VERTEX_IMBALANCE)
-    return Verdict(True, ec, vc)
+    return _verify_equitable(graph, c, False)
 
 
 def _require_tree(graph: SimpleGraph) -> None:
     if graph.kind not in (PATH, TREE):
         raise InvalidGraphError(f"expected a path or tree, got kind {graph.kind!r}")
+
+
+def _verify_injective(graph: SimpleGraph, f: EdgeLabeling,
+                      zero_free: bool) -> Verdict:
+    """Both sides injective on a tree of group order, after the zero-edge
+    rule when ``zero_free``."""
+    _require_tree(graph)
+    if graph.n != f.group.order or len(f.labels) != len(graph.edges):
+        return Verdict(False, {}, {}, SIZE_MISMATCH)
+    ec, vc = _counts_both(graph, f, True)
+    if zero_free and ec[f.group.zero()] > 0:
+        return Verdict(False, ec, vc, ZERO_EDGE_FORBIDDEN)
+    if max(ec.values()) > 1:
+        return Verdict(False, ec, vc, EDGE_COLLISION)
+    if max(vc.values()) > 1:
+        return Verdict(False, ec, vc, VERTEX_COLLISION)
+    return Verdict(True, ec, vc)
 
 
 def verify_a_antimagic(graph: SimpleGraph, f: EdgeLabeling) -> Verdict:
@@ -163,28 +182,9 @@ def verify_a_antimagic(graph: SimpleGraph, f: EdgeLabeling) -> Verdict:
     The tree has |A| vertices and |A|-1 edges, so injectivity on both sides
     is the same as every class count being at most one.
     """
-    _require_tree(graph)
-    if graph.n != f.group.order or len(f.labels) != len(graph.edges):
-        return Verdict(False, {}, {}, SIZE_MISMATCH)
-    ec, vc = _counts_both(graph, f)
-    if max(ec.values()) > 1:
-        return Verdict(False, ec, vc, EDGE_COLLISION)
-    if max(vc.values()) > 1:
-        return Verdict(False, ec, vc, VERTEX_COLLISION)
-    return Verdict(True, ec, vc)
+    return _verify_injective(graph, f, False)
 
 
 def verify_a_star_antimagic(graph: SimpleGraph, f: EdgeLabeling) -> Verdict:
     """Edge labels a bijection onto the nonzero elements, vertex sums distinct."""
-    _require_tree(graph)
-    if graph.n != f.group.order or len(f.labels) != len(graph.edges):
-        return Verdict(False, {}, {}, SIZE_MISMATCH)
-    ec, vc = _counts_both(graph, f)
-    zero = f.group.zero()
-    if ec.get(zero, 0) > 0:
-        return Verdict(False, ec, vc, ZERO_EDGE_FORBIDDEN)
-    if max(ec.values()) > 1:
-        return Verdict(False, ec, vc, EDGE_COLLISION)
-    if max(vc.values()) > 1:
-        return Verdict(False, ec, vc, VERTEX_COLLISION)
-    return Verdict(True, ec, vc)
+    return _verify_injective(graph, f, True)

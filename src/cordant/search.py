@@ -16,7 +16,9 @@ concurrently.
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +34,6 @@ from .graphs import CYCLE, PATH, TREE, SimpleGraph
 from .groups import Element, GroupSpec, element_at, element_index, op_tables
 from .labelings import (
     EdgeLabeling,
-    Verdict,
     VertexLabeling,
     verify_a_antimagic,
     verify_a_cordial,
@@ -46,13 +47,19 @@ DEFAULT_BUDGET = 10_000_000
 #: Deepest search any entry point runs: slots for the labeling searches,
 #: group order for R*-sequences and sigma-max.  Both backends refuse deeper
 #: instances before searching, so they answer alike.  The pure kernel
-#: recurses once per level; ``_lift_recursion_limit`` raises Python's frame
-#: limit by this much (plus ``_KERNEL_FRAMES``) for the length of each
-#: kernel call, so the cap holds however deep the caller is.
+#: recurses once per level; ``_run_branch`` raises Python's frame
+#: limit by this much (plus ``_KERNEL_FRAMES``) while kernel calls run,
+#: so the cap holds however deep the caller is.
 MAX_DEPTH = 10_000
 
 #: Frames a pure kernel uses beyond one per level (entry, place/unplace).
 _KERNEL_FRAMES = 50
+
+# Kernel calls running in this process, and the frame limit to restore
+# when the last of them returns; guarded by ``_lift_lock``.
+_lift_lock = threading.Lock()
+_lifted_calls = 0
+_unlifted_limit = 0
 
 STATUS_FOUND = "Found"
 STATUS_NOT_EXISTS = "NotExists"
@@ -168,25 +175,29 @@ def _shares(budget: int, branches: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(branches)]
 
 
-def _lift_recursion_limit() -> int:
-    """Give a pure kernel room to recurse ``MAX_DEPTH`` levels below the
-    caller; returns the old limit, to be restored after the kernel call.
-    The kernel is called in the caller's own frame: an extra Python frame
-    between the search and the pure kernel made the construct benchmark
-    slower."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(old + MAX_DEPTH + _KERNEL_FRAMES)
-    return old
-
-
 def _run_branch(task):
+    """Call one kernel; every kernel call goes through here.
+
+    Python's frame limit is interpreter-wide, so concurrent calls share one
+    lift: the first call in raises it and the last call out restores it.
+    The kernel is called in this frame: an extra Python frame between the
+    search and the pure kernel made the construct benchmark slower.
+    """
+    global _lifted_calls, _unlifted_limit
     kind, args = task
     kern = _kernel.active_backend()
-    old = _lift_recursion_limit()
+    with _lift_lock:
+        if _lifted_calls == 0:
+            _unlifted_limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(_unlifted_limit + MAX_DEPTH + _KERNEL_FRAMES)
+        _lifted_calls += 1
     try:
         return getattr(kern, "solve_" + kind)(*args)
     finally:
-        sys.setrecursionlimit(old)
+        with _lift_lock:
+            _lifted_calls -= 1
+            if _lifted_calls == 0:
+                sys.setrecursionlimit(_unlifted_limit)
 
 
 def _orchestrate(tasks: list, workers: int) -> list:
@@ -194,9 +205,11 @@ def _orchestrate(tasks: list, workers: int) -> list:
 
     Stops evaluating at the first branch that is not exhausted; with
     workers > 1 the later branches may still compute, but their results
-    are discarded, so outcomes match the sequential run exactly.
+    are discarded, so outcomes match the sequential run exactly.  The pool
+    never has more processes than branches or CPUs.
     """
     results = []
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         for t in tasks:
             r = _run_branch(t)
@@ -226,20 +239,24 @@ def _merge(results: list, nodes_index: int) -> tuple[int, object, int]:
     return EXHAUSTED, None, nodes
 
 
-def _split_solve(kind: str, fixed_args: tuple, prefix: list, tail_args: tuple,
-                 num_labels: int, first_label: int, budget: int, workers: int,
+def _split_solve(kind: str, fixed_args: tuple, prefix: list, first_label: int,
+                 budget: int, workers: int,
                  slots_left: bool) -> tuple[int, object, int]:
-    """Root-split a kernel call on the labels of the first free slot."""
+    """Root-split a kernel call on the labels of the first free slot.
+
+    ``fixed_args`` starts with the group order, which every kernel takes
+    first; the free slot gets the labels ``first_label`` up to it.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     nodes_index = 2 if kind in ("chain", "generic") else 3
     if not slots_left:
-        r = _run_branch((kind, fixed_args + (prefix, budget) + tail_args))
+        r = _run_branch((kind, fixed_args + (prefix, budget)))
         return (r[0], r if r[0] == FOUND else None, r[nodes_index])
-    labels = list(range(first_label, num_labels))
+    labels = range(first_label, fixed_args[0])
     shares = _shares(budget, len(labels))
-    tasks = [
-        (kind, fixed_args + (prefix + [x], shares[i]) + tail_args)
-        for i, x in enumerate(labels)
-    ]
+    tasks = [(kind, fixed_args + (prefix + [x], shares[i]))
+             for i, x in enumerate(labels)]
     return _merge(_orchestrate(tasks, workers), nodes_index)
 
 
@@ -250,24 +267,11 @@ _STATUS_NAME = {FOUND: STATUS_FOUND, EXHAUSTED: STATUS_NOT_EXISTS, BUDGET: STATU
 # instance builders
 
 
-def _chain_shape(graph: SimpleGraph, slots_on_edges: bool):
-    """(num_slots, start_singleton, end_singleton, cyclic) for path/cycle."""
-    if graph.kind == PATH:
-        if slots_on_edges:
-            return len(graph.edges), True, True, False
-        return graph.n, False, False, False
-    if graph.kind == CYCLE:
-        return (len(graph.edges) if slots_on_edges else graph.n), False, False, True
-    raise InvalidGraphError("chain instances need a path or cycle")
-
-
-def _generic_structures(graph: SimpleGraph, slots_on_edges: bool):
+def _generic_structures(graph: SimpleGraph, num_slots: int, on_edges: bool):
     """CSR structures mapping slots to the derived sums they feed."""
-    if slots_on_edges:
-        num_slots = len(graph.edges)
+    if on_edges:
         members = graph.incidence()  # per vertex: incident edge slots
     else:
-        num_slots = graph.n
         members = [[u, v] for u, v in graph.edges]  # per edge: endpoint slots
     num_derived = len(members)
     by_slot: list[list[int]] = [[] for _ in range(num_slots)]
@@ -284,27 +288,7 @@ def _generic_structures(graph: SimpleGraph, slots_on_edges: bool):
         sd_ptr.append(len(sd_ids))
         comp_ids.extend(comp_at[i])
         comp_ptr.append(len(comp_ids))
-    return num_slots, num_derived, sd_ptr, sd_ids, comp_ptr, comp_ids
-
-
-def _solve_assignment(graph: SimpleGraph, spec: GroupSpec, slots_on_edges: bool,
-                      slot_cap, slot_floor, dcap, dfloor,
-                      prefix: list, budget: int, workers: int):
-    """Dispatch to the chain kernel on paths/cycles, generic otherwise."""
-    _check_depth(len(graph.edges) if slots_on_edges else graph.n)
-    m = spec.order
-    add_t, neg_t = op_tables(spec)
-    if graph.kind in (PATH, CYCLE):
-        s, ss, es, cyc = _chain_shape(graph, slots_on_edges)
-        fixed = (m, add_t, s, slot_cap, slot_floor, dcap, dfloor, ss, es, cyc)
-        return _split_solve("chain", fixed, list(prefix), (), m, 0, budget,
-                            workers, len(prefix) < s)
-    s, nd, sd_ptr, sd_ids, comp_ptr, comp_ids = _generic_structures(
-        graph, slots_on_edges)
-    fixed = (m, add_t, neg_t, s, slot_cap, slot_floor, dcap, dfloor,
-             nd, sd_ptr, sd_ids, comp_ptr, comp_ids)
-    return _split_solve("generic", fixed, list(prefix), (), m, 0, budget,
-                        workers, len(prefix) < s)
+    return num_derived, sd_ptr, sd_ids, comp_ptr, comp_ids
 
 
 def _labels_from_indices(spec: GroupSpec, indices) -> tuple[Element, ...]:
@@ -322,9 +306,46 @@ def _check_depth(levels: int) -> None:
             f"search depth {levels} exceeds the cap of {MAX_DEPTH} levels")
 
 
-def _certify(verdict: Verdict, what: str) -> None:
+def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
+                     slot_cap: list[int], slot_floor: list[int],
+                     dcap: list[int], dfloor: list[int],
+                     prefix: tuple[Element, ...], budget: int | None,
+                     workers: int, verifier) -> SearchOutcome:
+    """Lex-first labeling of the edges (``on_edges``) or vertices whose
+    label classes and derived-sum classes stay within the given bounds,
+    certified by ``verifier``.
+
+    Paths and cycles run on the chain kernel, other graphs on the generic
+    one.
+    """
+    pfx = [element_index(spec, a) for a in prefix]
+    budget = _norm_budget(budget)
+    s = len(graph.edges) if on_edges else graph.n
+    _check_depth(s)
+    m = spec.order
+    add_t, neg_t = op_tables(spec)
+    if graph.kind in (PATH, CYCLE):
+        # each end vertex of an edge-labeled path sums one edge label alone
+        single_ends = on_edges and graph.kind == PATH
+        kind = "chain"
+        fixed = (m, add_t, s, slot_cap, slot_floor, dcap, dfloor,
+                 single_ends, single_ends, graph.kind == CYCLE)
+    else:
+        kind = "generic"
+        fixed = (m, add_t, neg_t, s, slot_cap, slot_floor, dcap, dfloor,
+                 *_generic_structures(graph, s, on_edges))
+    status, payload, nodes = _split_solve(kind, fixed, pfx, 0, budget,
+                                          workers, len(pfx) < s)
+    if status != FOUND:
+        return SearchOutcome(_STATUS_NAME[status], None, nodes)
+    labels = _labels_from_indices(spec, payload[1])
+    labeling = (EdgeLabeling if on_edges else VertexLabeling)(spec, labels)
+    verdict = verifier(graph, labeling)
     if not verdict.ok:
-        raise InternalCheckError(f"search produced an invalid {what}: {verdict.violation}")
+        raise InternalCheckError(
+            f"search produced a labeling that fails {verifier.__name__}: "
+            f"{verdict.violation}")
+    return SearchOutcome(STATUS_FOUND, labeling, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +362,10 @@ def search_ea_cordial(graph: SimpleGraph, spec: GroupSpec,
     extension of it.
     """
     _check_searchable(spec)
-    m = spec.order
-    scap, sfloor = _equitable_bounds(len(graph.edges), m)
-    dcap, dfloor = _equitable_bounds(graph.n, m)
-    pfx = [element_index(spec, a) for a in prefix]
-    status, payload, nodes = _solve_assignment(
-        graph, spec, True, scap, sfloor, dcap, dfloor, pfx,
-        _norm_budget(budget), workers)
-    if status != FOUND:
-        return SearchOutcome(_STATUS_NAME[status], None, nodes)
-    labeling = EdgeLabeling(spec, _labels_from_indices(spec, payload[1]))
-    _certify(verify_ea_cordial(graph, labeling), "edge labeling")
-    return SearchOutcome(STATUS_FOUND, labeling, nodes)
+    scap, sfloor = _equitable_bounds(len(graph.edges), spec.order)
+    dcap, dfloor = _equitable_bounds(graph.n, spec.order)
+    return _search_labeling(graph, spec, True, scap, sfloor, dcap, dfloor,
+                            prefix, budget, workers, verify_ea_cordial)
 
 
 def search_a_cordial(graph: SimpleGraph, spec: GroupSpec,
@@ -360,18 +373,10 @@ def search_a_cordial(graph: SimpleGraph, spec: GroupSpec,
                      prefix: tuple[Element, ...] = ()) -> SearchOutcome:
     """Lex-first vertex labeling with equitable vertex and edge-sum classes."""
     _check_searchable(spec)
-    m = spec.order
-    scap, sfloor = _equitable_bounds(graph.n, m)
-    dcap, dfloor = _equitable_bounds(len(graph.edges), m)
-    pfx = [element_index(spec, a) for a in prefix]
-    status, payload, nodes = _solve_assignment(
-        graph, spec, False, scap, sfloor, dcap, dfloor, pfx,
-        _norm_budget(budget), workers)
-    if status != FOUND:
-        return SearchOutcome(_STATUS_NAME[status], None, nodes)
-    labeling = VertexLabeling(spec, _labels_from_indices(spec, payload[1]))
-    _certify(verify_a_cordial(graph, labeling), "vertex labeling")
-    return SearchOutcome(STATUS_FOUND, labeling, nodes)
+    scap, sfloor = _equitable_bounds(graph.n, spec.order)
+    dcap, dfloor = _equitable_bounds(len(graph.edges), spec.order)
+    return _search_labeling(graph, spec, False, scap, sfloor, dcap, dfloor,
+                            prefix, budget, workers, verify_a_cordial)
 
 
 def _check_tree_order(graph: SimpleGraph, spec: GroupSpec) -> None:
@@ -387,16 +392,17 @@ def search_a_antimagic(graph: SimpleGraph, spec: GroupSpec,
                        workers: int = 1) -> SearchOutcome:
     """Injective edge labels with pairwise distinct vertex sums, |T| = |A|.
 
-    On a tree of group order this coincides with the equitable search (all
-    class bounds collapse to one), so the certificate is still lex-first.
+    On a tree of group order these are the equitable bounds (every class
+    holds at most one label and at most one sum), so the instance, the
+    lex-first certificate and the node count are those of
+    :func:`search_ea_cordial`.
     """
     _check_searchable(spec)
     _check_tree_order(graph, spec)
-    outcome = search_ea_cordial(graph, spec, budget, workers)
-    if outcome.status != STATUS_FOUND:
-        return outcome
-    _certify(verify_a_antimagic(graph, outcome.certificate), "antimagic labeling")
-    return outcome
+    scap, sfloor = _equitable_bounds(len(graph.edges), spec.order)
+    dcap, dfloor = _equitable_bounds(graph.n, spec.order)
+    return _search_labeling(graph, spec, True, scap, sfloor, dcap, dfloor,
+                            (), budget, workers, verify_a_antimagic)
 
 
 def search_a_star_antimagic(graph: SimpleGraph, spec: GroupSpec,
@@ -406,18 +412,10 @@ def search_a_star_antimagic(graph: SimpleGraph, spec: GroupSpec,
     _check_searchable(spec)
     _check_tree_order(graph, spec)
     m = spec.order
-    scap = [0] + [1] * (m - 1)
-    sfloor = [0] + [1] * (m - 1)
-    dcap = [1] * m
-    dfloor = [1] * m
-    status, payload, nodes = _solve_assignment(
-        graph, spec, True, scap, sfloor, dcap, dfloor, [],
-        _norm_budget(budget), workers)
-    if status != FOUND:
-        return SearchOutcome(_STATUS_NAME[status], None, nodes)
-    labeling = EdgeLabeling(spec, _labels_from_indices(spec, payload[1]))
-    _certify(verify_a_star_antimagic(graph, labeling), "nonzero labeling")
-    return SearchOutcome(STATUS_FOUND, labeling, nodes)
+    nonzero_once = [0] + [1] * (m - 1)
+    return _search_labeling(graph, spec, True, nonzero_once, nonzero_once,
+                            [1] * m, [1] * m, (), budget, workers,
+                            verify_a_star_antimagic)
 
 
 def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,
@@ -435,7 +433,7 @@ def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,
     add_t, neg_t = op_tables(spec)
     fixed = (m, add_t, neg_t)
     status, payload, nodes = _split_solve(
-        "rstar", fixed, [], (), m, 1, _norm_budget(budget), workers, True)
+        "rstar", fixed, [], 1, _norm_budget(budget), workers, True)
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     seq = _labels_from_indices(spec, payload[1])
@@ -453,13 +451,8 @@ def compute_sigma_max(spec: GroupSpec,
     _check_searchable(spec)
     _check_depth(spec.order)
     add_t, _ = op_tables(spec)
-    kern = _kernel.active_backend()
-    old = _lift_recursion_limit()
-    try:
-        status, value, cycle, nodes = kern.solve_sigma(
-            spec.order, add_t, _norm_budget(budget))
-    finally:
-        sys.setrecursionlimit(old)
+    status, value, cycle, nodes = _run_branch(
+        ("sigma", (spec.order, add_t, _norm_budget(budget))))
     witness = None
     if cycle is not None:
         witness = HamiltonianCycle(spec, _labels_from_indices(spec, cycle))

@@ -154,3 +154,36 @@ def test_rejects_missing_fields():
     del obj["vertex_labels"]
     with pytest.raises((InvalidLabelingError, KeyError, InvalidSpecError)):
         certificate_loads(json.dumps(obj))
+
+
+def _fail_if_called(*args, **kwargs):
+    pytest.fail("work sized by the document was done before its sizes "
+                "were checked")
+
+
+@pytest.mark.parametrize("graph", [
+    {"kind": "path", "n": 10**12},
+    {"kind": "cycle", "n": 10**12},
+    {"kind": "tree", "n": 10**12, "edges": [[0, 1]]},
+    {"kind": "general", "n": 10**12, "edges": []},
+])
+def test_rejects_declared_sizes_the_document_does_not_hold(monkeypatch, graph):
+    import cordant.certificates as certificates
+    for name in ("path_graph", "cycle_graph", "SimpleGraph"):
+        monkeypatch.setattr(certificates, name, _fail_if_called)
+    obj = {"notion": "ea-cordial", "group": [3], "graph": graph,
+           "edge_labels": [[0]], "vertex_labels": [[0], [0]],
+           "verdict": {"ok": True, "violation": None,
+                       "edge_class_counts": [1, 0, 0],
+                       "vertex_class_counts": [2, 0, 0]}}
+    with pytest.raises(InvalidLabelingError, match="2 vertex labels"):
+        certificate_loads(json.dumps(obj))
+
+
+def test_rejects_a_group_larger_than_its_count_lists(monkeypatch):
+    import cordant.certificates as certificates
+    monkeypatch.setattr(certificates, "enumerate_elements", _fail_if_called)
+    obj = json.loads(_fixture_text(4))
+    obj["group"] = [10**12]
+    with pytest.raises(InvalidLabelingError, match="does not cover the group"):
+        certificate_loads(json.dumps(obj))

@@ -294,6 +294,28 @@ def test_bad_label_is_usage_error(capsys, labels):
     assert err.startswith("error: label ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "ea-cordial", "--group", "Z3", "--kind", "path"],
+    ["verify", "--notion", "ea-cordial", "--group", "Z3", "--kind", "cycle",
+     "--labels", "[0,1,2]"],
+])
+def test_missing_n_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {argv[argv.index('--kind') + 1]} graphs need --n\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_usage_error(capsys, workers):
+    code, out, err = run(capsys, ["search", "ea-cordial", "--group", "Z4",
+                                  "--kind", "path", "--n", "4",
+                                  "--workers", workers])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: workers must be at least 1\n"
+
+
 def test_search_beyond_depth_cap_is_usage_error(capsys):
     code, out, err = run(capsys, ["search", "ea-cordial", "--group", "Z3",
                                   "--kind", "path", "--n", "10002"])

@@ -133,9 +133,11 @@ def built_package(tmp_path_factory):
 
 
 def _run(root: Path, backend: str, code: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, CORDANT_BACKEND=backend, PYTHONPATH=str(root))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, cwd=root)
+    """Run ``code`` in a child process on the named backend."""
+    select = f"from cordant import _kernel\n_kernel._active = _kernel.{backend}\n"
+    env = dict(os.environ, PYTHONPATH=str(root))
+    return subprocess.run([sys.executable, "-c", select + code],
+                          capture_output=True, text=True, env=env, cwd=root)
 
 
 def test_backends_produce_identical_results(built_package):
@@ -173,15 +175,6 @@ for call in bad:
 """
     proc = _run(built_package, "compiled", code)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_unknown_backend_is_rejected():
-    env = dict(os.environ, CORDANT_BACKEND="vectorized")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import cordant"], capture_output=True,
-        text=True, env=env)
-    assert proc.returncode != 0
-    assert "CORDANT_BACKEND" in proc.stderr or "vectorized" in proc.stderr
 
 
 def test_active_backend_exposes_all_kernels():

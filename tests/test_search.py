@@ -1,11 +1,14 @@
 """Search oracle: frozen outcomes, determinism, budgets, raw-space audits."""
 
 import itertools
+import os
 import sys
+import threading
+from concurrent.futures import Future
 
 import pytest
 
-from cordant import _kernel
+from cordant import _kernel, search
 from cordant import (
     MAX_DEPTH,
     CapExceededError,
@@ -14,6 +17,8 @@ from cordant import (
     EdgeLabeling,
     GroupSpec,
     PreconditionError,
+    abelian_groups_of_order,
+    enumerate_trees,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
@@ -201,3 +206,87 @@ def test_pure_kernel_reaches_the_depth_cap_from_a_deep_caller(monkeypatch):
         search_ea_cordial(path_graph(MAX_DEPTH + 2), Z3)
     with pytest.raises(CapExceededError, match="depth 10001 exceeds"):
         compute_sigma_max(GroupSpec((MAX_DEPTH + 1,)))
+
+
+def test_concurrent_pure_searches_share_one_frame_limit_lift(monkeypatch):
+    # each thread recurses thousands of levels deep; a thread that restored
+    # the limit while the other was still deep made the other one fail
+    monkeypatch.setattr(_kernel, "_active", _kernel.pure)
+    limit = sys.getrecursionlimit()
+    errors = []
+
+    def deep_search(n):
+        try:
+            search_ea_cordial(cycle_graph(n), Z3, budget=60_000)
+        except RecursionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            threads = [threading.Thread(target=deep_search, args=(n,))
+                       for n in (3000, 2500)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert sys.getrecursionlimit() == limit
+
+
+def test_workers_below_one_are_rejected():
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            search_ea_cordial(path_graph(4), Z4, workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            search_rstar_sequence(E2, workers=workers)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size it was
+    asked for and runs each task at once in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_pool_is_clamped_to_branches_and_cpus(monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    out = search_ea_cordial(path_graph(6), Z6, workers=10**9)
+    assert (out.status, out.nodes_explored) == (STATUS_NOT_EXISTS, 1458)
+    out = search_ea_cordial(path_graph(4), Z4, workers=3)
+    assert out.certificate.labels == ((0,), (1,), (2,))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    search_ea_cordial(path_graph(6), Z6, workers=10**9)
+    assert _InlinePool.sizes == [4, 3, 6]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    out = search_ea_cordial(path_graph(6), Z6, workers=10**9)
+    assert (out.status, out.nodes_explored) == (STATUS_NOT_EXISTS, 1458)
+    assert _InlinePool.sizes == [4, 3, 6]
+
+
+def test_antimagic_search_is_the_equitable_search_on_trees_of_order_8():
+    for spec in abelian_groups_of_order(8):
+        for tree in enumerate_trees(8):
+            out = search_a_antimagic(tree, spec)
+            assert out.status == STATUS_FOUND
+            assert out == search_ea_cordial(tree, spec)
