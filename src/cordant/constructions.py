@@ -49,6 +49,7 @@ from .search import (
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
+    check_workers,
     search_a_cordial,
     search_ea_cordial,
     search_rstar_sequence,
@@ -395,6 +396,7 @@ def construct_path_ek(n: int, k: int, budget: int | None = DEFAULT_BUDGET,
     multiples of k with k divisible by 4); otherwise search an
     equitable cycle labeling and open it into a path.
     """
+    check_workers(workers)
     if n < 2:
         raise PreconditionError("paths need n >= 2")
     if k < 2:
@@ -497,6 +499,7 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
     groups); the pinned P_8 labeling ((Z2)^3); or the difference
     sequence route (other elementary 2-groups).
     """
+    check_workers(workers)
     spec = group(spec)
     n = spec.order
     if n < 2:

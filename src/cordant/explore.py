@@ -19,6 +19,7 @@ from .search import (
     DEFAULT_BUDGET,
     STATUS_FOUND,
     STATUS_UNKNOWN,
+    check_workers,
     search_a_antimagic,
     search_a_star_antimagic,
 )
@@ -87,6 +88,7 @@ class ExploreReport:
 def explore_conjecture(n_max: int, budget: int | None = DEFAULT_BUDGET,
                        workers: int = 1) -> ExploreReport:
     """Survey all (group, tree) pairs of each order 2..n_max."""
+    check_workers(workers)
     if n_max < 2:
         raise PreconditionError("survey starts at order 2")
     if n_max > TREE_ENUM_CAP:

@@ -341,6 +341,62 @@ def canonical_map(spec: GroupSpec) -> CanonicalMap:
     return CanonicalMap(spec, canon, slots)
 
 
+_orbit_cache: dict[tuple[int, ...], tuple[tuple, ...]] = {}
+
+
+def automorphism_orbit_keys(spec: GroupSpec) -> tuple[tuple, ...]:
+    """Per element index, a key that two elements share exactly when some
+    automorphism of the group maps one onto the other.
+
+    An automorphism acts on each p-primary part on its own, and two
+    elements of a finite Abelian p-group lie in one orbit exactly when
+    x, px, p^2 x, ... have the same heights (their Ulm sequences agree;
+    Kaplansky, "Infinite Abelian Groups").  In canonical coordinates the
+    height of an element is the least p-adic valuation of its nonzero
+    coordinates, so the key holds, per prime, the heights of x_p, p x_p,
+    ... down to zero.  Cached per presentation.
+
+    >>> automorphism_orbit_keys(GroupSpec((4,)))
+    (((),), ((0, 1),), ((1,),), ((0, 1),))
+    """
+    key = spec.factors
+    cached = _orbit_cache.get(key)
+    if cached is not None:
+        return cached
+    by_prime: dict[int, list[tuple[int, int, int]]] = {}
+    for src, mod in canonical_map(spec).slots:
+        ((p, e),) = _prime_power_parts(mod)
+        by_prime.setdefault(p, []).append((src, mod, e))
+    keys = []
+    for idx in range(spec.order):
+        a = element_at(spec, idx)
+        per_prime = []
+        for p, pieces in by_prime.items():
+            # (valuation, exponent) of each nonzero p-primary coordinate
+            vals = []
+            for src, mod, e in pieces:
+                c = a[src] % mod
+                if c:
+                    v = 0
+                    while c % p == 0:
+                        c //= p
+                        v += 1
+                    vals.append((v, e))
+            heights = []
+            k = 0
+            while True:
+                live = [v + k for v, e in vals if v + k < e]
+                if not live:
+                    break
+                heights.append(min(live))
+                k += 1
+            per_prime.append(tuple(heights))
+        keys.append(tuple(per_prime))
+    out = tuple(keys)
+    _orbit_cache[key] = out
+    return out
+
+
 def isomorphism(src: GroupSpec, dst: GroupSpec) -> Callable[[Element], Element]:
     """An explicit isomorphism between two presentations of one group.
 

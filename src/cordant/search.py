@@ -8,10 +8,14 @@ by the kernels: one node per placement attempt.  Instances deeper than
 ``MAX_DEPTH`` levels are refused with ``CapExceededError`` before any
 kernel runs.
 
-Parallelism never changes results: the search is always split into one
-branch per first-slot label with a fixed budget share each, branches are
-merged in label order, and ``workers`` only decides how many branches run
-concurrently.
+Every search is split into one branch per first-slot label, and each
+label gets a fixed share of the budget.  Without a prefix, only the labels
+that are least in their orbit under the instance's symmetries run, each
+with the share it has among all first-slot labels (the lex-first solution
+is the least member of its orbit, so the other branches cannot hold it,
+nor a solution the least branch lacks).  With a prefix every label runs.
+Branches are merged in label order, and ``workers`` only decides how many
+branches run concurrently, so parallelism never changes results.
 """
 
 from __future__ import annotations
@@ -31,7 +35,14 @@ from .errors import (
     InvalidSpecError,
 )
 from .graphs import CYCLE, PATH, TREE, SimpleGraph
-from .groups import Element, GroupSpec, element_at, element_index, op_tables
+from .groups import (
+    Element,
+    GroupSpec,
+    automorphism_orbit_keys,
+    element_at,
+    element_index,
+    op_tables,
+)
 from .labelings import (
     EdgeLabeling,
     VertexLabeling,
@@ -168,6 +179,12 @@ def _norm_budget(budget: int | None) -> int:
     return int(budget)
 
 
+def check_workers(workers: int) -> None:
+    """Reject a worker count below one (ValueError, exit 2 on the CLI)."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+
 def _shares(budget: int, branches: int) -> list[int]:
     if budget < 0:
         return [-1] * branches
@@ -240,24 +257,55 @@ def _merge(results: list, nodes_index: int) -> tuple[int, object, int]:
 
 
 def _split_solve(kind: str, fixed_args: tuple, prefix: list, first_label: int,
-                 budget: int, workers: int,
-                 slots_left: bool) -> tuple[int, object, int]:
+                 kept, budget: int, workers: int) -> tuple[int, object, int]:
     """Root-split a kernel call on the labels of the first free slot.
 
     ``fixed_args`` starts with the group order, which every kernel takes
-    first; the free slot gets the labels ``first_label`` up to it.
+    first; the free slot can take the labels ``first_label`` up to it.
+    Only the labels in ``kept`` run, each with the budget share it has
+    among all of them.  ``kept`` is None when the prefix fills every
+    slot: one call then runs on the whole budget.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     nodes_index = 2 if kind in ("chain", "generic") else 3
-    if not slots_left:
+    if kept is None:
         r = _run_branch((kind, fixed_args + (prefix, budget)))
         return (r[0], r if r[0] == FOUND else None, r[nodes_index])
-    labels = range(first_label, fixed_args[0])
-    shares = _shares(budget, len(labels))
-    tasks = [(kind, fixed_args + (prefix + [x], shares[i]))
-             for i, x in enumerate(labels)]
+    shares = _shares(budget, fixed_args[0] - first_label)
+    tasks = [(kind, fixed_args + (prefix + [x], shares[x - first_label]))
+             for x in kept]
     return _merge(_orchestrate(tasks, workers), nodes_index)
+
+
+def _least_root_labels(spec: GroupSpec, bounds: tuple,
+                       derived_sizes: set[int]) -> list[int]:
+    """First-slot labels an unprefixed labeling search has to run.
+
+    The lex-first solution is the least member of its orbit under every
+    symmetry of the instance (the lex-leader argument of Crawford,
+    Ginsberg, Luks and Roy, KR 1996), so its first label is the least of
+    that label's orbit; and any solution maps to one whose first label is.
+    ``bounds`` are the slot and derived-sum class bounds, per label.
+
+    * Translation c -> c + g of every label shifts a derived sum of k
+      slots by kg.  It is a symmetry when every bound is uniform and every
+      derived item sums the same number of slots (``derived_sizes``); all
+      labels then share the orbit of 0.
+    * An automorphism of the group applied to every label is a symmetry
+      when every bound is constant on each of its orbits.
+
+    Otherwise every label runs.
+    """
+    if len(derived_sizes) <= 1 and all(len(set(b)) == 1 for b in bounds):
+        return [0]
+    keys = automorphism_orbit_keys(spec)
+    bound_of: dict = {}
+    least: dict = {}
+    for x, key in enumerate(keys):
+        column = tuple(b[x] for b in bounds)
+        if bound_of.setdefault(key, column) != column:
+            return list(range(spec.order))
+        least.setdefault(key, x)
+    return list(least.values())
 
 
 _STATUS_NAME = {FOUND: STATUS_FOUND, EXHAUSTED: STATUS_NOT_EXISTS, BUDGET: STATUS_UNKNOWN}
@@ -318,6 +366,7 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
     Paths and cycles run on the chain kernel, other graphs on the generic
     one.
     """
+    check_workers(workers)
     pfx = [element_index(spec, a) for a in prefix]
     budget = _norm_budget(budget)
     s = len(graph.edges) if on_edges else graph.n
@@ -334,8 +383,18 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
         kind = "generic"
         fixed = (m, add_t, neg_t, s, slot_cap, slot_floor, dcap, dfloor,
                  *_generic_structures(graph, s, on_edges))
-    status, payload, nodes = _split_solve(kind, fixed, pfx, 0, budget,
-                                          workers, len(pfx) < s)
+    if len(pfx) >= s:
+        kept = None
+    elif pfx:
+        kept = range(m)
+    else:
+        # a derived item per vertex (its incident edge slots) or per edge
+        # (its two endpoint slots)
+        sizes = {len(x) for x in graph.incidence()} if on_edges else {2}
+        kept = _least_root_labels(spec, (slot_cap, slot_floor, dcap, dfloor),
+                                  sizes)
+    status, payload, nodes = _split_solve(kind, fixed, pfx, 0, kept, budget,
+                                          workers)
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     labels = _labels_from_indices(spec, payload[1])
@@ -424,7 +483,10 @@ def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,
     a star position (one term the sum of its cyclic neighbours).
 
     Degenerate below three nonzero elements: NotExists without a search.
+    Only sequences starting with element 1 are searched: every rotation of
+    a solution is one, so the lex-first sequence starts with it.
     """
+    check_workers(workers)
     _check_searchable(spec)
     _check_depth(spec.order)
     m = spec.order
@@ -433,7 +495,7 @@ def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,
     add_t, neg_t = op_tables(spec)
     fixed = (m, add_t, neg_t)
     status, payload, nodes = _split_solve(
-        "rstar", fixed, [], 1, _norm_budget(budget), workers, True)
+        "rstar", fixed, [], 1, [1], _norm_budget(budget), workers)
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     seq = _labels_from_indices(spec, payload[1])

@@ -173,7 +173,7 @@ def test_search_found_text_and_json(capsys):
 def test_search_not_exists(capsys):
     code, out, _ = run(capsys, ["search", "ea-cordial", "--group", "Z6",
                                 "--kind", "path", "--n", "6"])
-    assert (code, out) == (EXIT_NO, "NotExists (1458 nodes)\n")
+    assert (code, out) == (EXIT_NO, "NotExists (966 nodes)\n")
 
 
 def test_search_rstar(capsys):
@@ -219,7 +219,7 @@ def test_budget_env_and_flag_override(capsys, monkeypatch):
     code, out, _ = run(capsys, ["search", "a-cordial", "--group", "Z4",
                                 "--kind", "cycle", "--n", "12",
                                 "--budget", "-1"])
-    assert (code, out) == (EXIT_NO, "NotExists (49040 nodes)\n")
+    assert (code, out) == (EXIT_NO, "NotExists (12260 nodes)\n")
 
 
 def test_budget_seconds_maps_to_nodes(capsys):
@@ -311,6 +311,21 @@ def test_workers_below_one_is_usage_error(capsys, workers):
     code, out, err = run(capsys, ["search", "ea-cordial", "--group", "Z4",
                                   "--kind", "path", "--n", "4",
                                   "--workers", workers])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: workers must be at least 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "rstar", "--group", "Z2"],
+    ["construct", "antimagic-path", "--group", "Z8"],
+    ["construct", "ek-path", "--n", "4", "--k", "4"],
+    ["explore", "--n-max", "2"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_workers_below_one_is_usage_error_on_every_command(capsys, argv):
+    # none of these reaches a root split: a degenerate search, the block
+    # and pinned routes, and a survey
+    code, out, err = run(capsys, argv + ["--workers", "0"])
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "error: workers must be at least 1\n"

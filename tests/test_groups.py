@@ -1,4 +1,7 @@
-"""Group core: canonical forms, arithmetic, decompositions, isomorphisms."""
+"""Group core: canonical forms, arithmetic, decompositions, isomorphisms,
+automorphism orbits."""
+
+import itertools
 
 import pytest
 
@@ -23,6 +26,7 @@ from cordant import (
     parse_group,
     sylow_split,
 )
+from cordant.groups import automorphism_orbit_keys
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +225,68 @@ def test_group_constructor_accepts_spec_or_factors():
 def test_rank_counts_factors():
     assert GroupSpec((8, 3)).rank == 2
     assert GroupSpec(()).rank == 0
+
+
+# ---------------------------------------------------------------------------
+# automorphism orbits
+
+def _brute_force_orbits(spec):
+    """Aut(A) orbits as a set of frozensets of element indices.
+
+    Every automorphism is fixed by the images of the factor generators:
+    each image g_i needs d_i * g_i = 0, and the induced map must be a
+    bijection.  Element arithmetic is done on residue tuples here.
+    """
+    elems = enumerate_elements(spec)
+    m = len(elems)
+    index = {a: i for i, a in enumerate(elems)}
+    plus = [[index[tuple((x + y) % d for x, y, d in zip(a, b, spec.factors))]
+             for b in elems] for a in elems]
+
+    def times(k, i):
+        acc = 0
+        for _ in range(k):
+            acc = plus[acc][i]
+        return acc
+
+    choices = [[g for g in range(m) if times(d, g) == 0] for d in spec.factors]
+    orbits = [{i} for i in range(m)]
+    for gens in itertools.product(*choices):
+        images = [0]
+        for d, g in zip(spec.factors, gens):
+            multiples = [times(k, g) for k in range(d)]
+            images = [plus[p][q] for p in images for q in multiples]
+        if len(set(images)) == m:
+            for i, image in enumerate(images):
+                orbits[i].add(image)
+    return {frozenset(o) for o in orbits}
+
+
+def _key_orbits(spec):
+    classes = {}
+    for i, key in enumerate(automorphism_orbit_keys(spec)):
+        classes.setdefault(key, set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
+@pytest.mark.parametrize("spec", [
+    *(g for n in range(1, 17) for g in abelian_groups_of_order(n)),
+    *(GroupSpec(f) for f in ((6,), (2, 6), (4, 2), (9, 3), (12,))),
+], ids=str)
+def test_orbit_keys_match_brute_force_automorphisms(spec):
+    assert _key_orbits(spec) == _brute_force_orbits(spec)
+
+
+def test_orbit_keys_examples():
+    # Z6: {0}, {1, 5}, {2, 4}, {3}; Z2xZ4: the two involutions (0,2) and
+    # (1,2) are apart, since only (0,2) is a double
+    def least(spec):
+        first = {}
+        for i, key in enumerate(automorphism_orbit_keys(spec)):
+            first.setdefault(key, i)
+        return sorted(first.values())
+
+    assert least(GroupSpec((6,))) == [0, 1, 2, 3]
+    assert least(GroupSpec((3, 3))) == [0, 1]
+    assert least(GroupSpec((2, 4))) == [0, 1, 2, 4]
+    assert automorphism_orbit_keys(GroupSpec(())) == ((),)

@@ -55,6 +55,17 @@ record("rs-e3", c.search_rstar_sequence(spec((2, 2, 2))))
 record("ea-p6-z6-w3", c.search_ea_cordial(c.path_graph(6), spec((6,)), workers=3))
 record("ea-p6-z6-b100", c.search_ea_cordial(c.path_graph(6), spec((6,)), budget=100))
 
+# searches that skip symmetric root branches, also split over two workers
+tree8 = c.tree_graph(8, ((0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 6), (6, 7)))
+for w in (1, 2):
+    record(f"ac-c10-z10-w{w}",
+           c.search_a_cordial(c.cycle_graph(10), spec((10,)), workers=w))
+    record(f"ea-p10-z10-w{w}",
+           c.search_ea_cordial(c.path_graph(10), spec((10,)), workers=w))
+    record(f"as-tree8-z8-w{w}",
+           c.search_a_star_antimagic(tree8, spec((8,)), workers=w))
+    record(f"rs-z2xz5-w{w}", c.search_rstar_sequence(spec((2, 5)), workers=w))
+
 # extreme inputs
 record("ea-p6-z6-b0", c.search_ea_cordial(c.path_graph(6), spec((6,)), budget=0))
 record("rs-z7-b0", c.search_rstar_sequence(spec((7,)), budget=0))

@@ -9,6 +9,7 @@ from concurrent.futures import Future
 import pytest
 
 from cordant import _kernel, search
+from cordant._kernel import EXHAUSTED, FOUND
 from cordant import (
     MAX_DEPTH,
     CapExceededError,
@@ -23,8 +24,11 @@ from cordant import (
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
     compute_sigma_max,
+    construct_path_antimagic,
+    construct_path_ek,
     cycle_graph,
     enumerate_elements,
+    explore_conjecture,
     path_graph,
     search_a_antimagic,
     search_a_cordial,
@@ -43,8 +47,9 @@ Z6 = GroupSpec((6,))
 E2 = GroupSpec((2, 2))
 E3 = GroupSpec((2, 2, 2))
 
-# node counts below are frozen oracle outputs; a change means the search
-# order or pruning changed and the determinism contract is broken
+# node counts below are frozen oracle outputs: the same on both backends and
+# for every worker count.  Only a deliberate change of the search order or
+# pruning may move them, and then only with certificates and statuses kept.
 
 
 def test_ea_cordial_path_found_lex_first():
@@ -59,27 +64,27 @@ def test_ea_cordial_path6_z6_not_exists():
     out = search_ea_cordial(path_graph(6), Z6)
     assert out.status == STATUS_NOT_EXISTS
     assert out.certificate is None
-    assert out.nodes_explored == 1458
+    assert out.nodes_explored == 966
 
 
 def test_a_cordial_cycle12_z4_not_exists():
     out = search_a_cordial(cycle_graph(12), Z4)
     assert out.status == STATUS_NOT_EXISTS
-    assert out.nodes_explored == 49040
+    assert out.nodes_explored == 12260
 
 
 def test_antimagic_search_frozen_counts():
     out = search_a_antimagic(path_graph(6), GroupSpec((2, 3)))
-    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 1458
+    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 966
     out = search_a_antimagic(path_graph(10), GroupSpec((2, 5)))
-    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 804550
+    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 321100
 
 
 def test_star_variant_search_frozen_counts():
     out = search_a_star_antimagic(path_graph(4), E2)
-    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 36
+    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 12
     out = search_a_star_antimagic(path_graph(8), E3)
-    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 9800
+    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 1400
 
 
 def test_found_certificates_reverify():
@@ -95,7 +100,7 @@ def test_results_identical_across_worker_counts():
     for workers in (2, 3, 8):
         a = search_ea_cordial(path_graph(6), Z6, workers=workers)
         assert (a.status, a.certificate, a.nodes_explored) == (
-            STATUS_NOT_EXISTS, None, 1458)
+            STATUS_NOT_EXISTS, None, 966)
         b = search_ea_cordial(path_graph(4), Z4, workers=workers)
         assert b.certificate.labels == ((0,), (1,), (2,))
         assert b.nodes_explored == 5
@@ -244,6 +249,15 @@ def test_workers_below_one_are_rejected():
             search_ea_cordial(path_graph(4), Z4, workers=workers)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             search_rstar_sequence(E2, workers=workers)
+        # routes and degenerate cases that run no search reject it too
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            search_rstar_sequence(GroupSpec((2,)), workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            construct_path_antimagic(GroupSpec((8,)), workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            construct_path_ek(4, 4, workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            explore_conjecture(2, workers=workers)
 
 
 class _InlinePool:
@@ -270,18 +284,19 @@ class _InlinePool:
 def test_pool_is_clamped_to_branches_and_cpus(monkeypatch):
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # P6/Z6 runs 4 root branches and P4/Z4 runs 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     out = search_ea_cordial(path_graph(6), Z6, workers=10**9)
-    assert (out.status, out.nodes_explored) == (STATUS_NOT_EXISTS, 1458)
-    out = search_ea_cordial(path_graph(4), Z4, workers=3)
+    assert (out.status, out.nodes_explored) == (STATUS_NOT_EXISTS, 966)
+    out = search_ea_cordial(path_graph(4), Z4, workers=2)
     assert out.certificate.labels == ((0,), (1,), (2,))
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     search_ea_cordial(path_graph(6), Z6, workers=10**9)
-    assert _InlinePool.sizes == [4, 3, 6]
+    assert _InlinePool.sizes == [3, 2, 4]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     out = search_ea_cordial(path_graph(6), Z6, workers=10**9)
-    assert (out.status, out.nodes_explored) == (STATUS_NOT_EXISTS, 1458)
-    assert _InlinePool.sizes == [4, 3, 6]
+    assert (out.status, out.nodes_explored) == (STATUS_NOT_EXISTS, 966)
+    assert _InlinePool.sizes == [3, 2, 4]
 
 
 def test_antimagic_search_is_the_equitable_search_on_trees_of_order_8():
@@ -290,3 +305,148 @@ def test_antimagic_search_is_the_equitable_search_on_trees_of_order_8():
             out = search_a_antimagic(tree, spec)
             assert out.status == STATUS_FOUND
             assert out == search_ea_cordial(tree, spec)
+
+
+# ---------------------------------------------------------------------------
+# root symmetry pruning: which first-slot labels run, and that skipping the
+# others changes node counts only
+
+
+_real_run_branch = search._run_branch
+
+
+@pytest.fixture
+def root_splits(monkeypatch):
+    """Record every root split (its arguments, what it returned, and the
+    result of each branch run in this process, by prefix and budget)."""
+    calls = []
+    real_split = search._split_solve
+
+    def split_spy(kind, fixed_args, prefix, first_label, kept, budget,
+                  workers):
+        branches = {}
+        calls.append((kind, fixed_args, prefix, first_label, kept, budget,
+                      branches))
+        result = real_split(kind, fixed_args, prefix, first_label, kept,
+                            budget, workers)
+        calls[-1] += (result,)
+        return result
+
+    def branch_spy(task):
+        result = _real_run_branch(task)
+        *_, prefix, budget = task[1]
+        calls[-1][-1][tuple(prefix), budget] = result
+        return result
+
+    monkeypatch.setattr(search, "_split_solve", split_spy)
+    monkeypatch.setattr(search, "_run_branch", branch_spy)
+    return calls
+
+
+def test_kept_root_labels(root_splits):
+    def kept(call, *args, **kwargs):
+        call(*args, **kwargs)
+        return list(root_splits[-1][4])
+
+    # Aut(Z6) orbits {0}, {1, 5}, {2, 4}, {3}
+    assert kept(search_ea_cordial, path_graph(6), Z6) == [0, 1, 2, 3]
+    # vertex labels: translations carry every first label to 0
+    assert kept(search_a_cordial, cycle_graph(12), Z4) == [0]
+    # edge labels of a cycle: every vertex sums two slots
+    assert kept(search_ea_cordial, cycle_graph(5), GroupSpec((5,))) == [0]
+    # Z3xZ3: 0 is fixed, the nonzero elements form one orbit
+    assert kept(search_a_star_antimagic, path_graph(9),
+                GroupSpec((3, 3))) == [0, 1]
+    assert kept(search_rstar_sequence, E3) == [1]
+    assert kept(search_ea_cordial, cycle_graph(3), Z3,
+                prefix=((1,),)) == [0, 1, 2]
+    assert kept(search_a_cordial, path_graph(8), Z4,
+                prefix=((2,), (3,))) == [0, 1, 2, 3]
+    # bounds that tell apart two labels of one orbit (1 and 5 in Z6) are
+    # no automorphism symmetry, and mixed derived sizes no translation
+    caps = [1, 2, 1, 1, 1, 1]
+    assert search._least_root_labels(
+        Z6, (caps, [0] * 6, [1] * 6, [0] * 6), {1, 2}) == list(range(6))
+
+
+def _unpruned(kind, fixed_args, prefix, first_label, budget, ran):
+    """The root split without pruning: every first-slot label in label
+    order, each with its share of the budget, up to the first branch that
+    is not exhausted.  Returns that branch's result and the nodes spent.
+
+    A branch the pruned search ran with the same prefix and share (in
+    ``ran``) is not run again: the kernels are deterministic."""
+    solve = getattr(_kernel.pure, "solve_" + kind)
+    labels = range(first_label, fixed_args[0])
+    shares = search._shares(budget, len(labels))
+    nodes = 0
+    for x, share in zip(labels, shares):
+        r = ran.get((tuple(prefix) + (x,), share))
+        if r is None:
+            r = solve(*fixed_args, prefix + [x], share)
+        nodes += r[-1]
+        if r[0] != EXHAUSTED:
+            return r, nodes
+    return (EXHAUSTED,), nodes
+
+
+def _assert_pruning_keeps_outcomes(root_splits, calls):
+    """Each call keeps the unpruned status and certificate, spends no more
+    nodes, and returns the same outcome with two workers when it runs more
+    than one branch."""
+    for call in calls:
+        del root_splits[:]
+        outcome = call(1)
+        kind, fixed_args, prefix, first_label, kept, budget, ran, result = \
+            root_splits[0]
+        if len(kept) > 1:
+            # pool workers need the module's own, picklable branch runner
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_run_branch", _real_run_branch)
+                assert call(2) == outcome
+        status, payload, nodes = result
+        ref, ref_nodes = _unpruned(kind, fixed_args, prefix, first_label,
+                                   budget, ran)
+        assert ref[0] == status
+        if status == FOUND:
+            assert ref[:-1] == payload[:-1]
+        assert nodes <= ref_nodes
+        assert outcome.nodes_explored == nodes
+
+
+def _chain_calls(spec):
+    for n in range(2, 11):
+        graphs = [path_graph(n)] + ([cycle_graph(n)] if n >= 3 else [])
+        for graph in graphs:
+            for notion in (search_ea_cordial, search_a_cordial):
+                yield lambda w, f=notion, g=graph: f(g, spec, workers=w)
+    for notion in (search_a_antimagic, search_a_star_antimagic):
+        yield lambda w, f=notion: f(path_graph(spec.order), spec, workers=w)
+
+
+@pytest.mark.parametrize("spec", [
+    g for n in range(2, 11) for g in abelian_groups_of_order(n)], ids=str)
+def test_pruning_keeps_path_and_cycle_outcomes(root_splits, spec):
+    _assert_pruning_keeps_outcomes(root_splits, _chain_calls(spec))
+
+
+def test_pruning_keeps_tree_outcomes(root_splits):
+    calls = []
+    for n in range(2, 8):
+        for tree in enumerate_trees(n):
+            for spec in (g for k in range(2, 8)
+                         for g in abelian_groups_of_order(k)):
+                for notion in (search_ea_cordial, search_a_cordial):
+                    calls.append(lambda w, f=notion, t=tree, g=spec:
+                                 f(t, g, workers=w))
+            for spec in abelian_groups_of_order(n):
+                for notion in (search_a_antimagic, search_a_star_antimagic):
+                    calls.append(lambda w, f=notion, t=tree, g=spec:
+                                 f(t, g, workers=w))
+    _assert_pruning_keeps_outcomes(root_splits, calls)
+
+
+def test_pruning_keeps_rstar_outcomes(root_splits):
+    calls = [lambda w, g=spec: search_rstar_sequence(g, workers=w)
+             for n in range(4, 17) for spec in abelian_groups_of_order(n)]
+    _assert_pruning_keeps_outcomes(root_splits, calls)
