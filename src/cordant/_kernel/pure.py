@@ -13,6 +13,13 @@ Node accounting: every (slot, label) placement attempt costs one node,
 counted before any feasibility check.  A nonnegative ``budget`` makes the
 search give up with BUDGET once that many nodes are spent; ``budget = -1``
 means unbounded.
+
+Most attempts are rejected, so the chain and generic kernels decide a
+label before changing any state: interior chain slots (one derived sum)
+and edge slots of the generic kernel (two fed sums) are tested inline,
+and the floor deficits and the chain's memo key travel down the recursion
+as arguments, the key updated by one unit per count change.  The first
+and last chain slots and other generic slots go through ``place``.
 """
 
 from __future__ import annotations
@@ -61,13 +68,10 @@ def solve_chain(
     if cyclic and (start_singleton or end_singleton or s < 3):
         raise ValueError("cyclic chains exclude singletons and need 3+ slots")
 
+    last = s - 1
     assign = [-1] * s
     scount = [0] * m
     dcount = [0] * m
-    sdef = sum(slot_floor)
-    ddef = sum(dfloor)
-    comp_buf = [[0, 0] for _ in range(s)]
-    ncomp = [0] * s
 
     total_derived = (s - 1) + int(start_singleton) + int(end_singleton) + int(cyclic)
     remaining_at = [0] * (s + 1)
@@ -88,118 +92,162 @@ def solve_chain(
     )
     memo_on = total_bits <= MEMO_MAX_BITS
     dead: set[int] = set()
-    memo_entries = 0
+    # The memo key packs, most significant first: the next position, the
+    # previous label, the first label (cycles), the slot counts and the
+    # derived counts.  No count outgrows its cap's field, so a count change
+    # moves the key by that field's unit and the key is kept up to date
+    # incrementally.  ``t`` below is the key less its position and
+    # previous-label fields.
+    if memo_on:
+        dunit = [1 << (bits_dc * (m - 1 - a)) for a in range(m)]
+        sunit = [1 << (bits_dc * m + bits_sc * (m - 1 - a)) for a in range(m)]
+        first_shift = m * (bits_sc + bits_dc)
+        prev_shift = first_shift + (bits_lab if cyclic else 0)
+        pos_shift = prev_shift + bits_lab
+        prev_part = [x << prev_shift for x in range(m)]
 
-    def pack(j, prev):
-        key = j
-        key = (key << bits_lab) | prev
-        if cyclic:
-            key = (key << bits_lab) | assign[0]
+    def count_key():
+        t = assign[0] << first_shift if cyclic else 0
         for a in range(m):
-            key = (key << bits_sc) | scount[a]
-        for a in range(m):
-            key = (key << bits_dc) | dcount[a]
-        return key
+            t += scount[a] * sunit[a] + dcount[a] * dunit[a]
+        return t
 
-    def place(i, x):
-        """Apply label x at slot i; return completion count, or -1 if rejected."""
-        nonlocal sdef, ddef
-        if scount[x] >= slot_cap[x]:
-            return -1
-        comps = comp_buf[i]
-        n = 0
-        if i == 0:
-            if start_singleton:
-                comps[0] = x
-                n = 1
-        else:
-            comps[0] = add_t[assign[i - 1] * m + x]
-            n = 1
-        if i == s - 1:
+    def derived_sums(i, x, prev):
+        """Derived sums label ``x`` completes at slot ``i``."""
+        comps = []
+        if i:
+            comps.append(add_t[prev * m + x])
+        elif start_singleton:
+            comps.append(x)
+        if i == last:
             if cyclic:
-                comps[n] = add_t[x * m + assign[0]]
-                n += 1
+                comps.append(add_t[x * m + assign[0]])
             if end_singleton:
-                comps[n] = x
-                n += 1
-        applied = 0
-        for t in range(n):
-            c = comps[t]
+                comps.append(x)
+        return comps
+
+    def place(i, x, comps, sdef, ddef):
+        """Apply label ``x`` (within its slot cap) at slot ``i``; return
+        the new (sdef, ddef), or None with the state unchanged."""
+        for k, c in enumerate(comps):
             if dcount[c] >= dcap[c]:
-                break
+                for c in comps[:k]:
+                    dcount[c] -= 1
+                return None
             dcount[c] += 1
             if dcount[c] <= dfloor[c]:
                 ddef -= 1
-            applied += 1
-        if applied < n:
-            for t in range(applied - 1, -1, -1):
-                c = comps[t]
-                if dcount[c] <= dfloor[c]:
-                    ddef += 1
-                dcount[c] -= 1
-            return -1
         scount[x] += 1
         if scount[x] <= slot_floor[x]:
             sdef -= 1
-        assign[i] = x
-        ncomp[i] = n
         if sdef > s - i - 1 or ddef > remaining_at[i + 1]:
-            unplace(i, x)
-            return -1
-        return n
+            unplace(x, comps)
+            return None
+        assign[i] = x
+        return sdef, ddef
 
-    def unplace(i, x):
-        nonlocal sdef, ddef
-        if scount[x] <= slot_floor[x]:
-            sdef += 1
+    def unplace(x, comps):
         scount[x] -= 1
-        assign[i] = -1
-        comps = comp_buf[i]
-        for t in range(ncomp[i] - 1, -1, -1):
-            c = comps[t]
-            if dcount[c] <= dfloor[c]:
-                ddef += 1
+        for c in comps:
             dcount[c] -= 1
 
-    nodes = 0
+    limit = budget if budget >= 0 else 1 << 64  # no search gets that far
+    stop = EXHAUSTED  # FOUND or BUDGET once the search ends
 
-    def dfs(i):
-        nonlocal nodes, memo_entries
+    def dfs(i, prev, sdef, ddef, t, nodes):
+        """Try every label at slot ``i`` after ``prev``; return the node
+        count.  ``sdef``/``ddef`` are the class-floor deficits."""
+        nonlocal stop
         if i == s:
-            return FOUND
-        for x in range(m):
-            if budget >= 0 and nodes >= budget:
-                return BUDGET
-            nodes += 1
-            if place(i, x) < 0:
-                continue
-            key = -1
-            if memo_on and i + 1 < s:
-                key = pack(i + 1, x)
-                if key in dead:
-                    unplace(i, x)
+            stop = FOUND
+            return nodes
+        left = s - i - 1
+        rem = remaining_at[i + 1]
+        if 0 < i < last:
+            # interior slot: one derived sum, tested before any state moves
+            row = prev * m
+            if memo_on:
+                at = (i + 1) << pos_shift
+            for x in range(m):
+                if nodes >= limit:
+                    stop = BUDGET
+                    return nodes
+                nodes += 1
+                sc = scount[x]
+                if sc >= slot_cap[x]:
                     continue
-            r = dfs(i + 1)
-            if r == FOUND:
-                return FOUND
-            unplace(i, x)
-            if r == BUDGET:
-                return BUDGET
-            if key >= 0 and memo_entries < MEMO_LIMIT:
+                c = add_t[row + x]
+                dc = dcount[c]
+                if dc >= dcap[c]:
+                    continue
+                ns = sdef - 1 if sc < slot_floor[x] else sdef
+                nd = ddef - 1 if dc < dfloor[c] else ddef
+                if ns > left or nd > rem:
+                    continue
+                if memo_on:
+                    nt = t + sunit[x] + dunit[c]
+                    key = at + prev_part[x] + nt
+                    if key in dead:
+                        continue
+                else:
+                    nt = 0
+                scount[x] = sc + 1
+                dcount[c] = dc + 1
+                assign[i] = x
+                nodes = dfs(i + 1, x, ns, nd, nt, nodes)
+                if stop != EXHAUSTED:
+                    return nodes
+                scount[x] = sc
+                dcount[c] = dc
+                if memo_on and len(dead) < MEMO_LIMIT:
+                    dead.add(key)
+            return nodes
+        # first or last slot: singletons and the closing pair
+        keyed = memo_on and i < last
+        for x in range(m):
+            if nodes >= limit:
+                stop = BUDGET
+                return nodes
+            nodes += 1
+            if scount[x] >= slot_cap[x]:
+                continue
+            comps = derived_sums(i, x, prev)
+            deficits = place(i, x, comps, sdef, ddef)
+            if deficits is None:
+                continue
+            nt = 0
+            if keyed:
+                nt = count_key()
+                key = ((i + 1) << pos_shift) + prev_part[x] + nt
+                if key in dead:
+                    unplace(x, comps)
+                    continue
+            nodes = dfs(i + 1, x, *deficits, nt, nodes)
+            if stop != EXHAUSTED:
+                return nodes
+            unplace(x, comps)
+            if keyed and len(dead) < MEMO_LIMIT:
                 dead.add(key)
-                memo_entries += 1
-        return EXHAUSTED
+        return nodes
 
     p = len(prefix)
     if p > s:
         raise ValueError("prefix longer than the slot list")
+    deficits = (sum(slot_floor), sum(dfloor))
+    prev = -1
     for i in range(p):
-        if place(i, prefix[i]) < 0:
+        x = prefix[i]
+        if scount[x] >= slot_cap[x]:
             return (EXHAUSTED, None, 0)
-    status = dfs(p)
-    if status == FOUND:
+        deficits = place(i, x, derived_sums(i, x, prev), *deficits)
+        if deficits is None:
+            return (EXHAUSTED, None, 0)
+        prev = x
+    t = count_key() if memo_on and p else 0
+    nodes = dfs(p, prev, *deficits, t, 0)
+    if stop == FOUND:
         return (FOUND, list(assign), nodes)
-    return (status, None, nodes)
+    return (stop, None, nodes)
 
 
 def solve_generic(
@@ -226,102 +274,164 @@ def solve_generic(
     (the derived items each slot feeds into) and ``comp_ptr``/``comp_ids``
     lists, per slot, the derived items whose last member it is.  Caps,
     floors, ordering, and node accounting match :func:`solve_chain`; no
-    memoization is attempted.
+    memoization is attempted.  Partial sums are restored by saving them,
+    which equals adding ``neg_t[x]`` back in a group.
     """
     s = num_slots
     assign = [-1] * s
     psum = [0] * num_derived
     scount = [0] * m
     dcount = [0] * m
-    sdef = sum(slot_floor)
-    ddef = sum(dfloor)
 
     remaining_at = [0] * (s + 1)
     for j in range(s - 1, -1, -1):
         remaining_at[j] = remaining_at[j + 1] + (comp_ptr[j + 1] - comp_ptr[j])
+    feeds = [tuple(sd_ids[sd_ptr[i]:sd_ptr[i + 1]]) for i in range(s)]
+    closes = [tuple(comp_ids[comp_ptr[i]:comp_ptr[i + 1]]) for i in range(s)]
+    # Edge slots feed two distinct derived items and complete none, one or
+    # both: (the item completed first, or either, the other, completions).
+    edges = [None] * s
+    for i, (feed, close) in enumerate(zip(feeds, closes)):
+        if len(set(feed)) == len(feed) == 2 and len(set(close)) == len(close) \
+                and set(close) <= set(feed):
+            d1, d2 = feed if not close or close[0] == feed[0] else feed[::-1]
+            edges[i] = (d1, d2, len(close))
 
-    def place(i, x):
-        nonlocal sdef, ddef
-        if scount[x] >= slot_cap[x]:
-            return False
-        for t in range(sd_ptr[i], sd_ptr[i + 1]):
-            d = sd_ids[t]
+    def place(i, x, sdef, ddef):
+        """Apply label ``x`` (within its slot cap) at slot ``i``; return
+        the new (sdef, ddef), or None with the state unchanged."""
+        saved = [psum[d] for d in feeds[i]]
+        for d in feeds[i]:
             psum[d] = add_t[psum[d] * m + x]
-        applied = comp_ptr[i]
-        ok = True
-        for t in range(comp_ptr[i], comp_ptr[i + 1]):
-            v = psum[comp_ids[t]]
+        done = []
+        for d in closes[i]:
+            v = psum[d]
             if dcount[v] >= dcap[v]:
-                ok = False
                 break
             dcount[v] += 1
             if dcount[v] <= dfloor[v]:
                 ddef -= 1
-            applied = t + 1
-        if not ok:
-            for t in range(applied - 1, comp_ptr[i] - 1, -1):
-                v = psum[comp_ids[t]]
-                if dcount[v] <= dfloor[v]:
-                    ddef += 1
-                dcount[v] -= 1
-            for t in range(sd_ptr[i + 1] - 1, sd_ptr[i] - 1, -1):
-                d = sd_ids[t]
-                psum[d] = add_t[psum[d] * m + neg_t[x]]
-            return False
-        scount[x] += 1
-        if scount[x] <= slot_floor[x]:
-            sdef -= 1
-        assign[i] = x
-        if sdef > s - i - 1 or ddef > remaining_at[i + 1]:
-            unplace(i, x)
-            return False
-        return True
+            done.append(v)
+        else:
+            scount[x] += 1
+            if scount[x] <= slot_floor[x]:
+                sdef -= 1
+            if sdef <= s - i - 1 and ddef <= remaining_at[i + 1]:
+                assign[i] = x
+                return sdef, ddef
+            scount[x] -= 1
+        for v in done:
+            dcount[v] -= 1
+        for d, old in zip(feeds[i], saved):
+            psum[d] = old
+        return None
 
     def unplace(i, x):
-        nonlocal sdef, ddef
-        if scount[x] <= slot_floor[x]:
-            sdef += 1
         scount[x] -= 1
-        assign[i] = -1
-        for t in range(comp_ptr[i + 1] - 1, comp_ptr[i] - 1, -1):
-            v = psum[comp_ids[t]]
-            if dcount[v] <= dfloor[v]:
-                ddef += 1
-            dcount[v] -= 1
-        for t in range(sd_ptr[i + 1] - 1, sd_ptr[i] - 1, -1):
-            d = sd_ids[t]
-            psum[d] = add_t[psum[d] * m + neg_t[x]]
+        for d in closes[i]:
+            dcount[psum[d]] -= 1
 
-    nodes = 0
+    limit = budget if budget >= 0 else 1 << 64  # no search gets that far
+    stop = EXHAUSTED  # FOUND or BUDGET once the search ends
 
-    def dfs(i):
-        nonlocal nodes
+    def dfs(i, sdef, ddef, nodes):
+        """Try every label at slot ``i``; return the node count.
+        ``sdef``/``ddef`` are the class-floor deficits."""
+        nonlocal stop
         if i == s:
-            return FOUND
+            stop = FOUND
+            return nodes
+        edge = edges[i]
+        if edge is None:
+            feed = feeds[i]
+            saved = [psum[d] for d in feed]
+            for x in range(m):
+                if nodes >= limit:
+                    stop = BUDGET
+                    return nodes
+                nodes += 1
+                if scount[x] >= slot_cap[x]:
+                    continue
+                deficits = place(i, x, sdef, ddef)
+                if deficits is None:
+                    continue
+                nodes = dfs(i + 1, *deficits, nodes)
+                if stop != EXHAUSTED:
+                    return nodes
+                unplace(i, x)
+                for d, old in zip(feed, saved):
+                    psum[d] = old
+            return nodes
+        # an edge slot, tested before any state moves
+        d1, d2, nclose = edge
+        left = s - i - 1
+        rem = remaining_at[i + 1]
+        p1 = psum[d1]
+        p2 = psum[d2]
+        row1, row2 = p1 * m, p2 * m
         for x in range(m):
-            if budget >= 0 and nodes >= budget:
-                return BUDGET
+            if nodes >= limit:
+                stop = BUDGET
+                return nodes
             nodes += 1
-            if not place(i, x):
+            sc = scount[x]
+            if sc >= slot_cap[x]:
                 continue
-            r = dfs(i + 1)
-            if r == FOUND:
-                return FOUND
-            unplace(i, x)
-            if r == BUDGET:
-                return BUDGET
-        return EXHAUSTED
+            ns = sdef - 1 if sc < slot_floor[x] else sdef
+            if ns > left:
+                continue
+            v = add_t[row1 + x]
+            w = add_t[row2 + x]
+            nd = ddef
+            if nclose:
+                dv = dcount[v]
+                if dv >= dcap[v]:
+                    continue
+                if dv < dfloor[v]:
+                    nd -= 1
+                if nclose == 2:
+                    dw = dcount[w] + 1 if w == v else dcount[w]
+                    if dw >= dcap[w]:
+                        continue
+                    if dw < dfloor[w]:
+                        nd -= 1
+            if nd > rem:
+                continue
+            if nclose:
+                dcount[v] = dv + 1
+                if nclose == 2:
+                    dcount[w] = dw + 1
+            psum[d1] = v
+            psum[d2] = w
+            scount[x] = sc + 1
+            assign[i] = x
+            nodes = dfs(i + 1, ns, nd, nodes)
+            if stop != EXHAUSTED:
+                return nodes
+            scount[x] = sc
+            if nclose:
+                if nclose == 2:
+                    dcount[w] = dw
+                dcount[v] = dv
+            psum[d1] = p1
+            psum[d2] = p2
+        return nodes
 
     p = len(prefix)
     if p > s:
         raise ValueError("prefix longer than the slot list")
+    deficits = (sum(slot_floor), sum(dfloor))
     for i in range(p):
-        if not place(i, prefix[i]):
+        x = prefix[i]
+        if scount[x] >= slot_cap[x]:
             return (EXHAUSTED, None, 0)
-    status = dfs(p)
-    if status == FOUND:
+        deficits = place(i, x, *deficits)
+        if deficits is None:
+            return (EXHAUSTED, None, 0)
+    nodes = dfs(p, *deficits, 0)
+    if stop == FOUND:
         return (FOUND, list(assign), nodes)
-    return (status, None, nodes)
+    return (stop, None, nodes)
 
 
 def solve_rstar(m, add_t, neg_t, prefix, budget):

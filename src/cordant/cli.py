@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -74,8 +75,12 @@ __all__ = ["main"]
 def _resolve_budget(args) -> int | None:
     if getattr(args, "budget", None) is not None:
         return None if args.budget < 0 else args.budget
-    if getattr(args, "budget_seconds", None) is not None:
-        return max(1, int(args.budget_seconds * NODES_PER_SECOND))
+    seconds = getattr(args, "budget_seconds", None)
+    if seconds is not None:
+        if not math.isfinite(seconds) or seconds < 0:
+            raise CordantError(
+                f"--budget-seconds must be a finite number >= 0, not {seconds}")
+        return max(1, int(seconds * NODES_PER_SECOND))
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
         value = int(env)

@@ -171,12 +171,17 @@ def _equitable_bounds(count: int, m: int) -> tuple[list[int], list[int]]:
     return [cap] * m, [q] * m
 
 
+#: Budgets from here up are unbounded: no search spends that many nodes,
+#: and the compiled kernel takes the budget as a signed 64-bit integer.
+_UNBOUNDED_FROM = 1 << 62
+
+
 def _norm_budget(budget: int | None) -> int:
     if budget is None:
         return -1
     if budget < 0:
         raise ValueError("budget must be nonnegative (or None for unbounded)")
-    return int(budget)
+    return int(budget) if budget < _UNBOUNDED_FROM else -1
 
 
 def check_workers(workers: int) -> None:

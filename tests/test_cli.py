@@ -229,6 +229,30 @@ def test_budget_seconds_maps_to_nodes(capsys):
     assert code == EXIT_UNKNOWN
 
 
+@pytest.mark.parametrize("seconds", ["inf", "nan", "-1"])
+def test_bad_budget_seconds_is_usage_error(capsys, seconds):
+    code, out, err = run(capsys, ["search", "ea-cordial", "--group", "Z4",
+                                  "--kind", "path", "--n", "4",
+                                  "--budget-seconds", seconds])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: --budget-seconds ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "ea-cordial", "--group", "Z4", "--kind", "path", "--n", "4",
+     "--budget", "99999999999999999999999"],
+    ["search", "ea-cordial", "--group", "Z4", "--kind", "path", "--n", "4",
+     "--budget-seconds", "1e300"],
+    ["sigma-max", "--group", "Z6", "--budget", "99999999999999999999999"],
+])
+def test_budgets_beyond_any_search_are_unbounded(capsys, argv):
+    # the compiled kernel takes a 64-bit budget; these run unbounded
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert out.startswith(("Found (5 nodes)\n", "formula 5\nsearch 5\n"))
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "doc.json"
     code, out, _ = run(capsys, ["search", "ea-cordial", "--group", "Z4",

@@ -24,6 +24,7 @@ import json
 import cordant as c
 from cordant import _kernel
 from cordant.groups import op_tables
+from cordant.search import _generic_structures
 
 spec = c.GroupSpec
 out = []
@@ -111,6 +112,82 @@ out.append(["generic-rejected-prefix",
             kern.solve_generic(5, add_t, neg_t, 2, [1] * 5, [0] * 5,
                                [0, 1, 1, 1, 1], [0] * 5, 1, [0, 1, 2], [0, 0],
                                [0, 0, 1], [0], [3, 2], -1)])
+
+# memo-on chains with unequal floors (paths with singleton ends, cycles)
+z5_add, z5_neg = op_tables(spec((5,)))
+out.append(["chain-memo-unequal-floors",
+            kern.solve_chain(4, z4_add, 12, [3, 5, 4, 4], [0, 1, 1, 4],
+                             [5, 3, 3, 3], [5, 0, 3, 1], True, True, False,
+                             [], -1),
+            kern.solve_chain(4, z4_add, 10, [2, 3, 2, 2], [2, 3, 2, 0],
+                             [4, 2, 2, 5], [4, 0, 0, 3], False, False, True,
+                             [], -1),
+            kern.solve_chain(5, z5_add, 12, [2, 4, 3, 4, 4], [0, 1, 2, 4, 4],
+                             [2, 4, 2, 2, 5], [1, 2, 1, 1, 4], False, False,
+                             True, [], -1)])
+# 32 labels need more than 63 key bits: a memo-off search
+record("ac-c32-z4xz8-b20000",
+       c.search_a_cordial(c.cycle_graph(32), spec((4, 8)), budget=20000))
+
+# budget stops on every slot: budgets in steps up to the node count
+z6_add, z6_neg = op_tables(spec((6,)))
+spider6 = c.tree_graph(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5)))
+edge_csr = _generic_structures(spider6, 5, True)
+vertex_csr = _generic_structures(spider6, 6, False)
+sweeps = [
+    ("chain-path", 1176, 7, lambda b: kern.solve_chain(
+        6, z6_add, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6, True, True, False,
+        [], b)),
+    ("chain-cycle", 3750, 7, lambda b: kern.solve_chain(
+        6, z6_add, 6, [1] * 6, [1] * 6, [1] * 6, [1] * 6, False, False, True,
+        [], b)),
+    ("generic-edges", 1566, 7, lambda b: kern.solve_generic(
+        6, z6_add, z6_neg, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
+        *edge_csr, [], b)),
+    ("generic-vertices", 268, 1, lambda b: kern.solve_generic(
+        5, z5_add, z5_neg, 6, [2] * 5, [1] * 5, [1] * 5, [1] * 5,
+        *vertex_csr, [], b)),
+]
+for name, total, step, solve in sweeps:
+    out.append(["budget-sweep-" + name,
+                [solve(b) for b in [*range(0, total, step), total]]])
+
+# prefixes that leave one slot free
+out.append(["chain-one-free-slot",
+            kern.solve_chain(4, z4_add, 4, [1] * 4, [0] * 4, [2] * 4,
+                             [1] * 4, True, True, False, [0, 1, 2], -1),
+            kern.solve_chain(4, z4_add, 4, [1] * 4, [0] * 4, [2] * 4,
+                             [1] * 4, True, True, False, [1, 3, 0], -1),
+            kern.solve_chain(6, z6_add, 6, [1] * 6, [1] * 6, [2] * 6,
+                             [0] * 6, False, False, True, [0, 1, 3, 2, 4], -1)])
+out.append(["generic-one-free-slot",
+            kern.solve_generic(6, z6_add, z6_neg, 5, [1] * 6, [0] * 6,
+                               [1] * 6, [1] * 6,
+                               *edge_csr,
+                               [1, 2, 3, 4], -1),
+            kern.solve_generic(5, z5_add, z5_neg, 6, [2] * 5, [1] * 5,
+                               [1] * 5, [1] * 5,
+                               *vertex_csr,
+                               [0, 1, 2, 3, 4], -1)])
+
+# vertex labelings of trees (slots feed one item per incident edge) and A*
+tree9 = c.tree_graph(9, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6),
+                         (3, 7), (0, 8)))
+record("ac-tree8-z4", c.search_a_cordial(tree8, spec((4,))))
+record("ac-tree9-z3-b10", c.search_a_cordial(tree9, spec((3,)), budget=10))
+record("as-tree9-z3xz3", c.search_a_star_antimagic(tree9, spec((3, 3))))
+record("am-tree9-z3xz3", c.search_a_antimagic(tree9, spec((3, 3))))
+
+# budgets beyond any search run unbounded on both backends
+huge = 10 ** 30
+record("ea-p6-z6-huge", c.search_ea_cordial(c.path_graph(6), spec((6,)),
+                                            budget=huge))
+record("am-spider8-z8-huge", c.search_a_antimagic(spider, spec((8,)),
+                                                  budget=huge))
+record("rs-e3-huge", c.search_rstar_sequence(spec((2, 2, 2)), budget=huge))
+s = c.compute_sigma_max(spec((6,)), budget=huge)
+out.append(["sigma-z6-huge", s.status, s.value, list(s.witness.order),
+            s.nodes_explored])
 
 for factors in ((2, 3), (2,), (4,)):
     s = c.compute_sigma_max(spec(factors))
