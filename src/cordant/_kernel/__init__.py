@@ -1,9 +1,10 @@
 """Search kernel backends.
 
-Two interchangeable implementations of the same four kernels live here:
-``pure`` (plain Python, always available and the reference) and ``_speed``
-(hand-written C against the CPython API, built from ``_speed.c`` by
-``setup.py`` as an optional extension).  The compiled one is picked at
+Two interchangeable implementations of the same three kernels (labeling,
+R*-sequence and sigma-max) live here: ``pure`` (plain Python, always
+available and the reference) and ``_speed`` (hand-written C against the
+CPython API, built from ``_speed.c`` by ``setup.py`` as an optional
+extension).  The compiled one is picked at
 import time when it was built; nothing is compiled on import.  Tests and
 benchmarks that need one backend set ``_active``.  Both return identical
 results, including node counts; whenever gcc is present, the parity tests

@@ -1,14 +1,16 @@
 /* Compiled search kernels.
  *
- * Twin of pure.py, written once against the CPython API: same traversal
+ * Twin of pure.py, written once against the CPython API: the same three
+ * kernels (labeling, R*-sequence, sigma-max) with the same traversal
  * order, pruning rules, dead-state memo policy and node accounting, so the
  * two backends return identical results, node counts included.  Any
  * observable divergence on well-formed input is a bug; the parity tests
  * build this file and compare the backends directly.
  *
  * Instances are index-encoded exactly as in pure.py.  Unlike pure.py, a
- * malformed instance (wrong table length, a label or index out of range)
- * raises ValueError here instead of reading out of bounds.
+ * malformed instance (wrong table length, a label or index out of range,
+ * an incidence the memo key cannot describe) raises ValueError here
+ * instead of reading out of bounds.
  *
  * Build in place with `python setup.py build_ext --inplace`; without this
  * module the package runs on pure.py.
@@ -189,267 +191,36 @@ memo_add(Memo *mm, uint64_t key)
 }
 
 /* ------------------------------------------------------------------------
- * chain kernel: slots along a path or around a cycle */
+ * labeling kernel: slots feed derived sums through a CSR incidence */
 
 typedef struct {
     int m, s;
-    int start_singleton, end_singleton, cyclic;
-    int *add_t, *slot_cap, *slot_floor, *dcap, *dfloor;
-    int *assign, *scount, *dcount, *ncomp, *comps, *remaining_at;
-    int sdef, ddef;
-    long long nodes, budget;
-    int memo_on, bits_lab, bits_sc, bits_dc;
-    Memo memo;
-} Chain;
-
-static void
-chain_free(Chain *ch)
-{
-    free(ch->memo.keys);
-    free(ch->add_t);
-    free(ch->slot_cap);
-    free(ch->slot_floor);
-    free(ch->dcap);
-    free(ch->dfloor);
-    free(ch->assign);
-    free(ch->scount);
-    free(ch->dcount);
-    free(ch->ncomp);
-    free(ch->comps);
-    free(ch->remaining_at);
-}
-
-static inline uint64_t
-chain_pack(const Chain *ch, int j, int prev)
-{
-    uint64_t key = ((uint64_t)j << ch->bits_lab) | (uint64_t)prev;
-    if (ch->cyclic)
-        key = (key << ch->bits_lab) | (uint64_t)ch->assign[0];
-    for (int a = 0; a < ch->m; a++)
-        key = (key << ch->bits_sc) | (uint64_t)ch->scount[a];
-    for (int a = 0; a < ch->m; a++)
-        key = (key << ch->bits_dc) | (uint64_t)ch->dcount[a];
-    return key;
-}
-
-static inline void
-chain_unplace(Chain *ch, int i, int x)
-{
-    if (ch->scount[x] <= ch->slot_floor[x])
-        ch->sdef++;
-    ch->scount[x]--;
-    ch->assign[i] = -1;
-    const int *comps = ch->comps + 2 * i;
-    for (int t = ch->ncomp[i] - 1; t >= 0; t--) {
-        int c = comps[t];
-        if (ch->dcount[c] <= ch->dfloor[c])
-            ch->ddef++;
-        ch->dcount[c]--;
-    }
-}
-
-/* Apply label x at slot i; 1 when placed, 0 when rejected (state intact). */
-static inline int
-chain_place(Chain *ch, int i, int x)
-{
-    if (ch->scount[x] >= ch->slot_cap[x])
-        return 0;
-    int *comps = ch->comps + 2 * i;
-    int n = 0;
-    if (i == 0) {
-        if (ch->start_singleton)
-            comps[n++] = x;
-    }
-    else {
-        comps[n++] = ch->add_t[ch->assign[i - 1] * ch->m + x];
-    }
-    if (i == ch->s - 1) {
-        if (ch->cyclic)
-            comps[n++] = ch->add_t[x * ch->m + ch->assign[0]];
-        if (ch->end_singleton)
-            comps[n++] = x;
-    }
-    int applied = 0;
-    for (; applied < n; applied++) {
-        int c = comps[applied];
-        if (ch->dcount[c] >= ch->dcap[c])
-            break;
-        ch->dcount[c]++;
-        if (ch->dcount[c] <= ch->dfloor[c])
-            ch->ddef--;
-    }
-    if (applied < n) {
-        for (int t = applied - 1; t >= 0; t--) {
-            int c = comps[t];
-            if (ch->dcount[c] <= ch->dfloor[c])
-                ch->ddef++;
-            ch->dcount[c]--;
-        }
-        return 0;
-    }
-    ch->scount[x]++;
-    if (ch->scount[x] <= ch->slot_floor[x])
-        ch->sdef--;
-    ch->assign[i] = x;
-    ch->ncomp[i] = n;
-    if (ch->sdef > ch->s - i - 1 || ch->ddef > ch->remaining_at[i + 1]) {
-        chain_unplace(ch, i, x);
-        return 0;
-    }
-    return 1;
-}
-
-static int
-chain_dfs(Chain *ch, int i)
-{
-    if (i == ch->s)
-        return FOUND;
-    for (int x = 0; x < ch->m; x++) {
-        if (ch->nodes == ch->budget)  /* budget -1 (unbounded) never matches */
-            return BUDGET;
-        ch->nodes++;
-        if (!chain_place(ch, i, x))
-            continue;
-        uint64_t key = 0;
-        if (ch->memo_on && i + 1 < ch->s) {
-            key = chain_pack(ch, i + 1, x);
-            if (memo_has(&ch->memo, key)) {
-                chain_unplace(ch, i, x);
-                continue;
-            }
-        }
-        int r = chain_dfs(ch, i + 1);
-        if (r == FOUND)
-            return FOUND;
-        chain_unplace(ch, i, x);
-        if (r != EXHAUSTED)
-            return r;
-        if (key != 0 && memo_add(&ch->memo, key) < 0)
-            return ERROR;
-    }
-    return EXHAUSTED;
-}
-
-static PyObject *
-solve_chain(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {
-        "m", "add_t", "num_slots", "slot_cap", "slot_floor", "dcap",
-        "dfloor", "start_singleton", "end_singleton", "cyclic", "prefix",
-        "budget", NULL};
-    Chain ch;
-    memset(&ch, 0, sizeof ch);
-    PyObject *add_t, *slot_cap, *slot_floor, *dcap, *dfloor, *prefix;
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iOiOOOOpppOL:solve_chain", kwlist, &ch.m, &add_t,
-            &ch.s, &slot_cap, &slot_floor, &dcap, &dfloor,
-            &ch.start_singleton, &ch.end_singleton, &ch.cyclic, &prefix,
-            &ch.budget))
-        return NULL;
-    int m = ch.m, s = ch.s;
-    if (s < 1) {
-        PyErr_SetString(PyExc_ValueError,
-                        "chain instances need at least one slot");
-        return NULL;
-    }
-    if (ch.cyclic && (ch.start_singleton || ch.end_singleton || s < 3)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "cyclic chains exclude singletons and need 3+ slots");
-        return NULL;
-    }
-    Py_ssize_t p = PyObject_Length(prefix);
-    if (p < 0)
-        return NULL;
-    if (p > s) {
-        PyErr_SetString(PyExc_ValueError, "prefix longer than the slot list");
-        return NULL;
-    }
-
-    PyObject *result = NULL;
-    int *pfx = NULL;
-    if ((ch.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1,
-                              NULL)) == NULL
-        || (ch.slot_cap = copy_ints(slot_cap, "slot_cap", m, 0, INT_MAX,
-                                    NULL)) == NULL
-        || (ch.slot_floor = copy_ints(slot_floor, "slot_floor", m, 0, INT_MAX,
-                                      NULL)) == NULL
-        || (ch.dcap = copy_ints(dcap, "dcap", m, 0, INT_MAX, NULL)) == NULL
-        || (ch.dfloor = copy_ints(dfloor, "dfloor", m, 0, INT_MAX,
-                                  NULL)) == NULL
-        || (pfx = copy_ints(prefix, "prefix", p, 0, m - 1, NULL)) == NULL)
-        goto done;
-    ch.assign = malloc((size_t)s * sizeof(int));
-    ch.scount = calloc(m > 0 ? m : 1, sizeof(int));
-    ch.dcount = calloc(m > 0 ? m : 1, sizeof(int));
-    ch.ncomp = calloc(s, sizeof(int));
-    ch.comps = calloc(2 * (size_t)s, sizeof(int));
-    ch.remaining_at = malloc(((size_t)s + 1) * sizeof(int));
-    if (!ch.assign || !ch.scount || !ch.dcount || !ch.ncomp || !ch.comps
-        || !ch.remaining_at) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (int j = 0; j < s; j++)
-        ch.assign[j] = -1;
-
-    int scap_max = 0, dcap_max = 0;
-    for (int a = 0; a < m; a++) {
-        ch.sdef += ch.slot_floor[a];
-        ch.ddef += ch.dfloor[a];
-        if (ch.slot_cap[a] > scap_max)
-            scap_max = ch.slot_cap[a];
-        if (ch.dcap[a] > dcap_max)
-            dcap_max = ch.dcap[a];
-    }
-    int total_derived = (s - 1) + ch.start_singleton + ch.end_singleton
-                        + ch.cyclic;
-    for (int j = 0; j <= s; j++) {
-        int done = j >= 1 ? j - 1 : 0;
-        if (ch.start_singleton && j >= 1)
-            done++;
-        if (j == s)
-            done += ch.end_singleton + ch.cyclic;
-        ch.remaining_at[j] = total_derived - done;
-    }
-
-    ch.bits_lab = bitlen(m - 1);
-    ch.bits_sc = bitlen(scap_max);
-    ch.bits_dc = bitlen(dcap_max);
-    long total_bits = bitlen(s) + ch.bits_lab + (ch.cyclic ? ch.bits_lab : 0)
-                      + (long)m * (ch.bits_sc + ch.bits_dc);
-    ch.memo_on = total_bits <= MEMO_MAX_BITS;
-    if (ch.memo_on && memo_init(&ch.memo) < 0)
-        goto done;
-
-    for (int j = 0; j < p; j++) {
-        if (!chain_place(&ch, j, pfx[j])) {
-            result = Py_BuildValue("(iOi)", EXHAUSTED, Py_None, 0);
-            goto done;
-        }
-    }
-    int status = chain_dfs(&ch, (int)p);
-    result = assignment_result(status, ch.assign, s, ch.nodes);
-done:
-    free(pfx);
-    chain_free(&ch);
-    return result;
-}
-
-/* ------------------------------------------------------------------------
- * generic kernel: arbitrary slot / derived-sum incidence in CSR form */
-
-typedef struct {
-    int m, s;
+    /* neg_t is checked like every table but not needed: partial sums are
+     * restored from fed[] */
     int *add_t, *neg_t, *slot_cap, *slot_floor, *dcap, *dfloor;
     int *sd_ptr, *sd_ids, *comp_ptr, *comp_ids;
     int *assign, *psum, *scount, *dcount, *remaining_at;
+    /* per feed entry, the partial sum before its slot; per completion
+     * entry, that sum times m (an add_t row) */
+    int *fed, *row;
     int sdef, ddef;
     long long nodes, budget;
+    /* Dead-state memo.  key[i] packs the state before slot i, most
+     * significant first: the position, one field per open item (fed by a
+     * placed slot, completed by a later one), the slot counts and the
+     * derived counts.  shift[d] is the offset of item d's field; an item
+     * that is never open has shift 0, and what it adds at its one slot
+     * cancels.  With the memo off no key is computed. */
+    int memo_on;
+    int *shift;
+    uint64_t *key, *sunit, *dunit, pos_unit;
+    Memo memo;
 } Generic;
 
 static void
 generic_free(Generic *g)
 {
+    free(g->memo.keys);
     free(g->add_t);
     free(g->neg_t);
     free(g->slot_cap);
@@ -465,31 +236,109 @@ generic_free(Generic *g)
     free(g->scount);
     free(g->dcount);
     free(g->remaining_at);
+    free(g->fed);
+    free(g->row);
+    free(g->shift);
+    free(g->key);
+    free(g->sunit);
+    free(g->dunit);
 }
 
-/* Undo the feed of label x into the partial sums of slot i's items. */
-static inline void
-generic_unfeed(Generic *g, int i, int x)
+/* Check that no slot feeds an item twice and that an item is completed at
+ * most once, by the last slot that feeds it: the kernel and its memo key
+ * rely on both.  Then number the fields into shift[]: an item gets one when
+ * a slot feeds it first and a later slot completes it (an item never
+ * completed stays open to the end), and its field is free again once it
+ * completes.  Returns the number of fields, or -1 with an exception set. */
+static int
+plan_fields(Generic *g, int nd)
 {
-    int neg = g->neg_t[x];
-    for (int t = g->sd_ptr[i + 1] - 1; t >= g->sd_ptr[i]; t--) {
-        int d = g->sd_ids[t];
-        g->psum[d] = g->add_t[g->psum[d] * g->m + neg];
+    int width = -1, nfree = 0, s = g->s;
+    size_t size = (nd > 0 ? (size_t)nd : 1) * sizeof(int);
+    int *close_at = malloc(size), *fed_at = malloc(size), *spare = malloc(size);
+    if (!close_at || !fed_at || !spare) {
+        PyErr_NoMemory();
+        goto done;
     }
+    for (int d = 0; d < nd; d++) {
+        close_at[d] = s;
+        fed_at[d] = -1;
+        g->shift[d] = -1;
+    }
+    for (int i = 0; i < s; i++)
+        for (int t = g->comp_ptr[i]; t < g->comp_ptr[i + 1]; t++) {
+            int d = g->comp_ids[t];
+            if (close_at[d] != s)
+                goto malformed;
+            close_at[d] = i;
+        }
+    width = 0;
+    for (int i = 0; i < s; i++) {
+        for (int t = g->sd_ptr[i]; t < g->sd_ptr[i + 1]; t++) {
+            int d = g->sd_ids[t];
+            if (fed_at[d] == i || close_at[d] < i)
+                goto malformed;
+            fed_at[d] = i;
+        }
+        for (int t = g->comp_ptr[i]; t < g->comp_ptr[i + 1]; t++) {
+            int d = g->comp_ids[t];
+            if (fed_at[d] != i)
+                goto malformed;
+            if (g->shift[d] >= 0)
+                spare[nfree++] = g->shift[d];
+        }
+        for (int t = g->sd_ptr[i]; t < g->sd_ptr[i + 1]; t++) {
+            int d = g->sd_ids[t];
+            if (g->shift[d] < 0 && close_at[d] > i)
+                g->shift[d] = nfree > 0 ? spare[--nfree] : width++;
+        }
+    }
+    goto done;
+malformed:
+    PyErr_SetString(PyExc_ValueError,
+                    "a slot feeds an item twice, or an item is completed "
+                    "twice or not by its last slot");
+    width = -1;
+done:
+    free(close_at);
+    free(fed_at);
+    free(spare);
+    return width;
 }
 
-/* Release the completed sums comp_ptr[i] .. end-1, last first. */
+/* Before labels are tried at slot i: save the partial sums it feeds, and
+ * the add_t rows of the items it completes. */
 static inline void
-generic_uncount(Generic *g, int i, int end)
+generic_enter(Generic *g, int i)
 {
-    for (int t = end - 1; t >= g->comp_ptr[i]; t--) {
-        int v = g->psum[g->comp_ids[t]];
+    for (int t = g->sd_ptr[i], f1 = g->sd_ptr[i + 1]; t < f1; t++)
+        g->fed[t] = g->psum[g->sd_ids[t]];
+    for (int t = g->comp_ptr[i], c1 = g->comp_ptr[i + 1]; t < c1; t++)
+        g->row[t] = g->psum[g->comp_ids[t]] * g->m;
+}
+
+/* After the last label at slot i: restore the partial sums it fed. */
+static inline void
+generic_leave(Generic *g, int i)
+{
+    for (int t = g->sd_ptr[i], f1 = g->sd_ptr[i + 1]; t < f1; t++)
+        g->psum[g->sd_ids[t]] = g->fed[t];
+}
+
+/* Release the sums label x completed at slot i, comp_ptr[i] .. end-1,
+ * last first. */
+static inline void
+generic_uncount(Generic *g, int i, int x, int end)
+{
+    for (int t = end - 1, c0 = g->comp_ptr[i]; t >= c0; t--) {
+        int v = g->add_t[g->row[t] + x];
         if (g->dcount[v] <= g->dfloor[v])
             g->ddef++;
         g->dcount[v]--;
     }
 }
 
+/* Take label x off slot i; the partial sums stay until generic_leave. */
 static inline void
 generic_unplace(Generic *g, int i, int x)
 {
@@ -497,59 +346,84 @@ generic_unplace(Generic *g, int i, int x)
         g->sdef++;
     g->scount[x]--;
     g->assign[i] = -1;
-    generic_uncount(g, i, g->comp_ptr[i + 1]);
-    generic_unfeed(g, i, x);
+    generic_uncount(g, i, x, g->comp_ptr[i + 1]);
 }
 
+/* Apply label x at slot i and set key[i + 1]; 1 when placed, 0 when
+ * rejected.  Slot i feeds every item it completes, so the completed sums
+ * are counted and the bounds tested before any partial sum moves. */
 static inline int
 generic_place(Generic *g, int i, int x)
 {
     if (g->scount[x] >= g->slot_cap[x])
         return 0;
-    for (int t = g->sd_ptr[i]; t < g->sd_ptr[i + 1]; t++) {
-        int d = g->sd_ids[t];
-        g->psum[d] = g->add_t[g->psum[d] * g->m + x];
-    }
-    for (int t = g->comp_ptr[i]; t < g->comp_ptr[i + 1]; t++) {
-        int v = g->psum[g->comp_ids[t]];
+    const int c0 = g->comp_ptr[i], c1 = g->comp_ptr[i + 1];
+    for (int t = c0; t < c1; t++) {
+        int v = g->add_t[g->row[t] + x];
         if (g->dcount[v] >= g->dcap[v]) {
-            generic_uncount(g, i, t);
-            generic_unfeed(g, i, x);
+            generic_uncount(g, i, x, t);
             return 0;
         }
         g->dcount[v]++;
         if (g->dcount[v] <= g->dfloor[v])
             g->ddef--;
     }
-    g->scount[x]++;
-    if (g->scount[x] <= g->slot_floor[x])
-        g->sdef--;
-    g->assign[i] = x;
-    if (g->sdef > g->s - i - 1 || g->ddef > g->remaining_at[i + 1]) {
-        generic_unplace(g, i, x);
+    int sdef = g->sdef - (g->scount[x] < g->slot_floor[x]);
+    if (sdef > g->s - i - 1 || g->ddef > g->remaining_at[i + 1]) {
+        generic_uncount(g, i, x, c1);
         return 0;
+    }
+    g->sdef = sdef;
+    g->scount[x]++;
+    g->assign[i] = x;
+    const int f0 = g->sd_ptr[i], f1 = g->sd_ptr[i + 1];
+    for (int t = f0; t < f1; t++)
+        g->psum[g->sd_ids[t]] = g->add_t[g->fed[t] * g->m + x];
+    if (g->memo_on) {
+        uint64_t key = g->key[i] + g->pos_unit + g->sunit[x];
+        for (int t = f0; t < f1; t++) {
+            int d = g->sd_ids[t];
+            key += (uint64_t)(g->psum[d] - g->fed[t]) << g->shift[d];
+        }
+        for (int t = c0; t < c1; t++) {
+            int v = g->add_t[g->row[t] + x];
+            key += g->dunit[v] - ((uint64_t)v << g->shift[g->comp_ids[t]]);
+        }
+        g->key[i + 1] = key;
     }
     return 1;
 }
 
+/* A label is looked up in the memo once it passes every bound, and its key
+ * is added once its subtree is exhausted; the last slot has no key. */
 static int
 generic_dfs(Generic *g, int i)
 {
     if (i == g->s)
         return FOUND;
+    int keyed = g->memo_on && i + 1 < g->s;
+    generic_enter(g, i);
     for (int x = 0; x < g->m; x++) {
         if (g->nodes == g->budget)  /* budget -1 (unbounded) never matches */
             return BUDGET;
         g->nodes++;
         if (!generic_place(g, i, x))
             continue;
+        uint64_t key = keyed ? g->key[i + 1] : 0;
+        if (key != 0 && memo_has(&g->memo, key)) {
+            generic_unplace(g, i, x);
+            continue;
+        }
         int r = generic_dfs(g, i + 1);
         if (r == FOUND)
             return FOUND;
         generic_unplace(g, i, x);
-        if (r == BUDGET)
-            return BUDGET;
+        if (r != EXHAUSTED)
+            return r;
+        if (key != 0 && memo_add(&g->memo, key) < 0)
+            return ERROR;
     }
+    generic_leave(g, i);
     return EXHAUSTED;
 }
 
@@ -602,26 +476,62 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
                                    (long)n_comp, NULL)) == NULL
         || (pfx = copy_ints(prefix, "prefix", p, 0, m - 1, NULL)) == NULL)
         goto done;
+    size_t mm = m > 0 ? (size_t)m : 1;
     g.assign = malloc((s > 0 ? (size_t)s : 1) * sizeof(int));
     g.psum = calloc(nd > 0 ? nd : 1, sizeof(int));
-    g.scount = calloc(m > 0 ? m : 1, sizeof(int));
-    g.dcount = calloc(m > 0 ? m : 1, sizeof(int));
+    g.scount = calloc(mm, sizeof(int));
+    g.dcount = calloc(mm, sizeof(int));
     g.remaining_at = calloc((size_t)s + 1, sizeof(int));
-    if (!g.assign || !g.psum || !g.scount || !g.dcount || !g.remaining_at) {
+    g.fed = calloc(n_sd > 0 ? (size_t)n_sd : 1, sizeof(int));
+    g.row = calloc(n_comp > 0 ? (size_t)n_comp : 1, sizeof(int));
+    g.shift = calloc(nd > 0 ? nd : 1, sizeof(int));
+    g.key = calloc((size_t)s + 1, sizeof(uint64_t));
+    g.sunit = calloc(mm, sizeof(uint64_t));
+    g.dunit = calloc(mm, sizeof(uint64_t));
+    if (!g.assign || !g.psum || !g.scount || !g.dcount || !g.remaining_at
+        || !g.fed || !g.row || !g.shift || !g.key || !g.sunit
+        || !g.dunit) {
         PyErr_NoMemory();
         goto done;
     }
     for (int j = 0; j < s; j++)
         g.assign[j] = -1;
+    int scap_max = 0, dcap_max = 0;
     for (int a = 0; a < m; a++) {
         g.sdef += g.slot_floor[a];
         g.ddef += g.dfloor[a];
+        if (g.slot_cap[a] > scap_max)
+            scap_max = g.slot_cap[a];
+        if (g.dcap[a] > dcap_max)
+            dcap_max = g.dcap[a];
     }
     for (int j = s - 1; j >= 0; j--)
         g.remaining_at[j] = g.remaining_at[j + 1]
                             + (g.comp_ptr[j + 1] - g.comp_ptr[j]);
 
+    int width = plan_fields(&g, nd);
+    if (width < 0)
+        goto done;
+    int bits_lab = bitlen(m - 1), bits_sc = bitlen(scap_max),
+        bits_dc = bitlen(dcap_max);
+    long count_bits = (long)m * (bits_sc + bits_dc);
+    g.memo_on = bitlen(s) + (long)width * bits_lab + count_bits
+                <= MEMO_MAX_BITS;
+    for (int d = 0; d < nd; d++)
+        g.shift[d] = g.memo_on && g.shift[d] >= 0
+                     ? (int)count_bits + g.shift[d] * bits_lab : 0;
+    if (g.memo_on) {
+        for (int a = 0; a < m; a++) {
+            g.dunit[a] = (uint64_t)1 << (bits_dc * (m - 1 - a));
+            g.sunit[a] = (uint64_t)1 << (bits_dc * m + bits_sc * (m - 1 - a));
+        }
+        g.pos_unit = (uint64_t)1 << (count_bits + (long)width * bits_lab);
+        if (memo_init(&g.memo) < 0)
+            goto done;
+    }
+
     for (int j = 0; j < p; j++) {
+        generic_enter(&g, j);
         if (!generic_place(&g, j, pfx[j])) {
             result = Py_BuildValue("(iOi)", EXHAUSTED, Py_None, 0);
             goto done;
@@ -874,14 +784,14 @@ done:
  * module */
 
 static PyMethodDef speed_methods[] = {
-    {"solve_chain", (PyCFunction)(void (*)(void))solve_chain,
-     METH_VARARGS | METH_KEYWORDS,
-     "Backtracking search over a path or cycle of slots; see "
-     "pure.solve_chain.  Returns (status, assignment or None, nodes)."},
     {"solve_generic", (PyCFunction)(void (*)(void))solve_generic,
      METH_VARARGS | METH_KEYWORDS,
      "Backtracking search over a CSR slot/derived-sum incidence; see "
      "pure.solve_generic.  Returns (status, assignment or None, nodes)."},
+    /* perfbench/spans.py wraps the kernels by name, this one included, so
+     * the old name of the path and cycle kernel stays as an alias. */
+    {"solve_chain", (PyCFunction)(void (*)(void))solve_generic,
+     METH_VARARGS | METH_KEYWORDS, "Alias of solve_generic."},
     {"solve_rstar", (PyCFunction)(void (*)(void))solve_rstar,
      METH_VARARGS | METH_KEYWORDS,
      "Search for a star difference sequence; see pure.solve_rstar.  "

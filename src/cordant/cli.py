@@ -83,7 +83,11 @@ def _resolve_budget(args) -> int | None:
         return max(1, int(seconds * NODES_PER_SECOND))
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            raise CordantError(
+                f"{BUDGET_ENV} must be an integer, not {env!r}") from None
         return None if value < 0 else value
     return DEFAULT_BUDGET
 

@@ -4,9 +4,10 @@ Every search enumerates labels in group enumeration order at each slot, so
 a Found outcome always carries the lexicographically first solution, a
 NotExists outcome means the pruned space was exhausted, and an Unknown
 outcome means the node budget ran out first.  Node accounting is defined
-by the kernels: one node per placement attempt.  Instances deeper than
-``MAX_DEPTH`` levels are refused with ``CapExceededError`` before any
-kernel runs.
+by the kernels: one node per placement attempt.  Every labeling search,
+on a path, cycle or tree, runs on the one labeling kernel, built from the
+graph's slot/derived-sum incidence.  Instances deeper than ``MAX_DEPTH``
+levels are refused with ``CapExceededError`` before any kernel runs.
 
 Every search is split into one branch per first-slot label, and each
 label gets a fixed share of the budget.  Without a prefix, only the labels
@@ -15,16 +16,19 @@ with the share it has among all first-slot labels (the lex-first solution
 is the least member of its orbit, so the other branches cannot hold it,
 nor a solution the least branch lacks).  With a prefix every label runs.
 Branches are merged in label order, and ``workers`` only decides how many
-branches run concurrently, so parallelism never changes results.
+branches run concurrently, so parallelism never changes results; branches
+still running when the answer is known are terminated.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from . import _kernel
 from ._kernel import BUDGET, EXHAUSTED, FOUND
@@ -34,7 +38,7 @@ from .errors import (
     InvalidGraphError,
     InvalidSpecError,
 )
-from .graphs import CYCLE, PATH, TREE, SimpleGraph
+from .graphs import PATH, TREE, SimpleGraph
 from .groups import (
     Element,
     GroupSpec,
@@ -222,13 +226,49 @@ def _run_branch(task):
                 sys.setrecursionlimit(_unlifted_limit)
 
 
+def _branch_child(task, conn) -> None:
+    try:
+        conn.send((True, _run_branch(task)))
+    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+        conn.send((False, exc))
+
+
+class _Branch:
+    """One branch task in a process of its own: ``result()`` waits for it
+    and ``stop()`` terminates it.  Each branch has its own pipe, so a
+    branch stopped mid-reply leaves no lock held (terminating
+    ``multiprocessing.Pool`` workers can, and then its shutdown hangs)."""
+
+    def __init__(self, task):
+        self._conn, child = multiprocessing.Pipe(duplex=False)
+        self._proc = multiprocessing.Process(target=_branch_child,
+                                             args=(task, child), daemon=True)
+        self._proc.start()
+        child.close()
+
+    def result(self):
+        try:
+            ok, value = self._conn.recv()
+        finally:
+            self._proc.join()
+            self._conn.close()
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        self._proc.terminate()
+        self._proc.join()
+        self._conn.close()
+
+
 def _orchestrate(tasks: list, workers: int) -> list:
     """Run branch tasks, collecting results in branch order.
 
-    Stops evaluating at the first branch that is not exhausted; with
-    workers > 1 the later branches may still compute, but their results
-    are discarded, so outcomes match the sequential run exactly.  The pool
-    never has more processes than branches or CPUs.
+    Stops at the first branch that is not exhausted.  With workers > 1 the
+    next branches run meanwhile, at most ``workers`` at a time; those still
+    running then are terminated, so outcomes match the sequential run
+    exactly.  Never more processes run than branches or CPUs.
     """
     results = []
     workers = min(workers, len(tasks), os.cpu_count() or 1)
@@ -238,16 +278,19 @@ def _orchestrate(tasks: list, workers: int) -> list:
             results.append(r)
             if r[0] != EXHAUSTED:
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(_run_branch, t) for t in tasks]
-            for f in futures:
-                r = f.result()
-                results.append(r)
-                if r[0] != EXHAUSTED:
-                    for g in futures:
-                        g.cancel()
-                    break
+        return results
+    waiting = iter(tasks)
+    running = deque(_Branch(t) for t in islice(waiting, workers))
+    try:
+        while running:
+            r = running.popleft().result()
+            results.append(r)
+            if r[0] != EXHAUSTED:
+                break
+            running.extend(_Branch(t) for t in islice(waiting, 1))
+    finally:
+        for branch in running:
+            branch.stop()
     return results
 
 
@@ -271,7 +314,7 @@ def _split_solve(kind: str, fixed_args: tuple, prefix: list, first_label: int,
     among all of them.  ``kept`` is None when the prefix fills every
     slot: one call then runs on the whole budget.
     """
-    nodes_index = 2 if kind in ("chain", "generic") else 3
+    nodes_index = 2 if kind == "generic" else 3
     if kept is None:
         r = _run_branch((kind, fixed_args + (prefix, budget)))
         return (r[0], r if r[0] == FOUND else None, r[nodes_index])
@@ -366,10 +409,8 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
                      workers: int, verifier) -> SearchOutcome:
     """Lex-first labeling of the edges (``on_edges``) or vertices whose
     label classes and derived-sum classes stay within the given bounds,
-    certified by ``verifier``.
-
-    Paths and cycles run on the chain kernel, other graphs on the generic
-    one.
+    certified by ``verifier``.  Paths, cycles and trees all run on the
+    one labeling kernel.
     """
     check_workers(workers)
     pfx = [element_index(spec, a) for a in prefix]
@@ -378,16 +419,8 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
     _check_depth(s)
     m = spec.order
     add_t, neg_t = op_tables(spec)
-    if graph.kind in (PATH, CYCLE):
-        # each end vertex of an edge-labeled path sums one edge label alone
-        single_ends = on_edges and graph.kind == PATH
-        kind = "chain"
-        fixed = (m, add_t, s, slot_cap, slot_floor, dcap, dfloor,
-                 single_ends, single_ends, graph.kind == CYCLE)
-    else:
-        kind = "generic"
-        fixed = (m, add_t, neg_t, s, slot_cap, slot_floor, dcap, dfloor,
-                 *_generic_structures(graph, s, on_edges))
+    fixed = (m, add_t, neg_t, s, slot_cap, slot_floor, dcap, dfloor,
+             *_generic_structures(graph, s, on_edges))
     if len(pfx) >= s:
         kept = None
     elif pfx:
@@ -398,8 +431,8 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
         sizes = {len(x) for x in graph.incidence()} if on_edges else {2}
         kept = _least_root_labels(spec, (slot_cap, slot_floor, dcap, dfloor),
                                   sizes)
-    status, payload, nodes = _split_solve(kind, fixed, pfx, 0, kept, budget,
-                                          workers)
+    status, payload, nodes = _split_solve("generic", fixed, pfx, 0, kept,
+                                          budget, workers)
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     labels = _labels_from_indices(spec, payload[1])

@@ -222,6 +222,15 @@ def test_budget_env_and_flag_override(capsys, monkeypatch):
     assert (code, out) == (EXIT_NO, "NotExists (12260 nodes)\n")
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_non_integer_budget_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv(BUDGET_ENV, value)
+    code, out, err = run(capsys, ["search", "ea-cordial", "--group", "Z4",
+                                  "--kind", "path", "--n", "4"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: CORDANT_BUDGET must be an integer, not {value!r}\n"
+
+
 def test_budget_seconds_maps_to_nodes(capsys):
     # 10 nodes per 500k/sec: 2e-5 s
     code, out, _ = run(capsys, ["construct", "ek-path", "--n", "18",

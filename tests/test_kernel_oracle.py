@@ -9,7 +9,7 @@ return.  Runs on the pure kernel alone, so it needs no compiler.
 import itertools
 import random
 
-from cordant import GroupSpec, cycle_graph, path_graph, tree_graph
+from cordant import GroupSpec, cycle_graph, enumerate_trees, path_graph, tree_graph
 from cordant._kernel import pure
 from cordant.groups import op_tables
 from cordant.search import _generic_structures
@@ -61,9 +61,9 @@ def _solve_and_compare(solve, m, s, derived, bounds, case, tally):
     tally[status] += 1
 
 
-def test_chain_kernel_matches_brute_force():
-    """Paths with and without singleton ends, and cycles, all with the
-    first slot free."""
+def test_path_and_cycle_instances_match_brute_force():
+    """Edge-labeled paths (each end vertex sums one slot alone),
+    vertex-labeled paths, and cycles, all with the first slot free."""
     rng = random.Random(11)
     tally = {pure.FOUND: 0, pure.EXHAUSTED: 0}
     for factors in GROUPS:
@@ -74,6 +74,14 @@ def test_chain_kernel_matches_brute_force():
                                     (False, True)):
                 if cyclic and s < 3:
                     continue
+                if singles:
+                    graph, on_edges = path_graph(s + 1), True
+                elif cyclic:
+                    graph, on_edges = cycle_graph(s), False
+                elif s > 1:
+                    graph, on_edges = path_graph(s), False
+                else:  # one vertex slot and no derived sum
+                    graph, on_edges = tree_graph(1, ()), False
 
                 def derived(a):
                     sums = [add_t[a[i - 1] * m + a[i]] for i in range(1, s)]
@@ -84,12 +92,14 @@ def test_chain_kernel_matches_brute_force():
                     return sums
 
                 num_derived = s - 1 + 2 * singles + cyclic
+                structures = _generic_structures(graph, s, on_edges)
+                assert structures[0] == num_derived
                 for _ in range(10):
                     bounds = (*_random_bounds(rng, s, m),
                               *_random_bounds(rng, num_derived, m))
                     _solve_and_compare(
-                        lambda b: pure.solve_chain(m, add_t, s, *b, singles,
-                                                   singles, cyclic, [], -1),
+                        lambda b: pure.solve_generic(m, add_t, neg_t, s, *b,
+                                                     *structures, [], -1),
                         m, s, derived, bounds,
                         (factors, s, singles, cyclic), tally)
     assert min(tally.values()) >= 50, tally
@@ -144,3 +154,45 @@ def test_generic_kernel_matches_brute_force():
                         m, s, derived, bounds,
                         (factors, graph.edges, on_edges), tally)
     assert min(tally.values()) >= 50, tally
+
+
+def _tree_instances():
+    """Edge labelings of every tree of order 8, with its edges in storage
+    order and shuffled (which moves where items open and complete), with
+    the antimagic and A* bounds over every group of order 8; and vertex
+    labelings of every tree of order 9 with the a-cordial bounds over Z3
+    and Z4."""
+    rng = random.Random(13)
+    nonzero_once = [0] + [1] * 7
+    for tree in enumerate_trees(8):
+        shuffled = tree_graph(8, rng.sample(tree.edges, len(tree.edges)))
+        for graph in (tree, shuffled):
+            structures = _generic_structures(graph, 7, True)
+            for factors in ((8,), (2, 4), (2, 2, 2)):
+                for bounds in (([1] * 8, [0] * 8, [1] * 8, [1] * 8),
+                               (nonzero_once, nonzero_once, [1] * 8,
+                                [1] * 8)):
+                    yield factors, 7, bounds, structures
+    for tree in enumerate_trees(9):
+        for m in (3, 4):
+            q, r = divmod(9, m)
+            e, f = divmod(8, m)
+            bounds = ([q + (r > 0)] * m, [q] * m, [e + (f > 0)] * m, [e] * m)
+            yield (m,), 9, bounds, _generic_structures(tree, 9, False)
+
+
+def test_memo_keeps_tree_outcomes(monkeypatch):
+    """The dead-state memo changes node counts only: with it off, every
+    status and lex-first assignment is the same."""
+    calls = []
+    for factors, s, bounds, structures in _tree_instances():
+        add_t, neg_t = op_tables(GroupSpec(factors))
+        calls.append((len(neg_t), add_t, neg_t, s, *bounds, *structures,
+                      [], -1))
+    with_memo = [pure.solve_generic(*call) for call in calls]
+    monkeypatch.setattr(pure, "MEMO_MAX_BITS", 0)
+    without = [pure.solve_generic(*call) for call in calls]
+    assert [r[:2] for r in with_memo] == [r[:2] for r in without]
+    assert all(a[2] <= b[2] for a, b in zip(with_memo, without))
+    assert sum(a[2] < b[2] for a, b in zip(with_memo, without)) > 100
+    assert {r[0] for r in with_memo} == {pure.FOUND, pure.EXHAUSTED}

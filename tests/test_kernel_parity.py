@@ -89,42 +89,58 @@ record_error("rs-too-deep",
              lambda: c.search_rstar_sequence(spec((c.MAX_DEPTH + 1,))))
 
 kern = _kernel.active_backend()
+
+
+# s edge slots along a path (each end vertex sums one slot alone), s
+# vertex slots along a path, and s vertex slots around a cycle
+def path_edges(s):
+    return _generic_structures(c.path_graph(s + 1), s, True)
+
+
+def path_vertices(s):
+    return _generic_structures(c.path_graph(s), s, False)
+
+
+def cycle(s):
+    return _generic_structures(c.cycle_graph(s), s, False)
+
+
 # slot caps of 2**20 need 21-bit counters, so the packed key exceeds 63 bits
 # and the memo is off: 47235 nodes where the memo would take 4449
-z3_add, _ = op_tables(spec((3,)))
-out.append(["chain-no-memo",
-            kern.solve_chain(3, z3_add, 12, [1 << 20] * 3, [0] * 3, [3] * 3,
-                             [0] * 3, False, False, False, [], -1)])
+z3_add, z3_neg = op_tables(spec((3,)))
+out.append(["path-no-memo",
+            kern.solve_generic(3, z3_add, z3_neg, 12, [1 << 20] * 3, [0] * 3,
+                               [3] * 3, [0] * 3, *path_vertices(12), [], -1)])
 # searches always pin the first slot; here the first slot of a cycle is free
-z4_add, _ = op_tables(spec((4,)))
+z4_add, z4_neg = op_tables(spec((4,)))
 out.append(["cycle-open-first-slot",
-            kern.solve_chain(4, z4_add, 12, [3] * 4, [3] * 4, [3] * 4,
-                             [3] * 4, False, False, True, [], -1)])
+            kern.solve_generic(4, z4_add, z4_neg, 12, [3] * 4, [3] * 4,
+                               [3] * 4, [3] * 4, *cycle(12), [], -1)])
 
 # prefixes the kernels reject before searching
 add_t, neg_t = op_tables(spec((5,)))
 out.append(["rstar-rejected-prefix", kern.solve_rstar(5, add_t, neg_t, [2, 2], -1),
             kern.solve_rstar(5, add_t, neg_t, [0], -1)])
-out.append(["chain-rejected-prefix",
-            kern.solve_chain(5, add_t, 3, [1] * 5, [0] * 5, [1] * 5, [0] * 5,
-                             False, False, True, [1, 1], -1)])
+out.append(["cycle-rejected-prefix",
+            kern.solve_generic(5, add_t, neg_t, 3, [1] * 5, [0] * 5, [1] * 5,
+                               [0] * 5, *cycle(3), [1, 1], -1)])
 out.append(["generic-rejected-prefix",
             kern.solve_generic(5, add_t, neg_t, 2, [1] * 5, [0] * 5,
                                [0, 1, 1, 1, 1], [0] * 5, 1, [0, 1, 2], [0, 0],
                                [0, 0, 1], [0], [3, 2], -1)])
 
-# memo-on chains with unequal floors (paths with singleton ends, cycles)
+# memo-on paths and cycles with unequal floors
 z5_add, z5_neg = op_tables(spec((5,)))
-out.append(["chain-memo-unequal-floors",
-            kern.solve_chain(4, z4_add, 12, [3, 5, 4, 4], [0, 1, 1, 4],
-                             [5, 3, 3, 3], [5, 0, 3, 1], True, True, False,
-                             [], -1),
-            kern.solve_chain(4, z4_add, 10, [2, 3, 2, 2], [2, 3, 2, 0],
-                             [4, 2, 2, 5], [4, 0, 0, 3], False, False, True,
-                             [], -1),
-            kern.solve_chain(5, z5_add, 12, [2, 4, 3, 4, 4], [0, 1, 2, 4, 4],
-                             [2, 4, 2, 2, 5], [1, 2, 1, 1, 4], False, False,
-                             True, [], -1)])
+out.append(["memo-unequal-floors",
+            kern.solve_generic(4, z4_add, z4_neg, 12, [3, 5, 4, 4],
+                               [0, 1, 1, 4], [5, 3, 3, 3], [5, 0, 3, 1],
+                               *path_edges(12), [], -1),
+            kern.solve_generic(4, z4_add, z4_neg, 10, [2, 3, 2, 2],
+                               [2, 3, 2, 0], [4, 2, 2, 5], [4, 0, 0, 3],
+                               *cycle(10), [], -1),
+            kern.solve_generic(5, z5_add, z5_neg, 12, [2, 4, 3, 4, 4],
+                               [0, 1, 2, 4, 4], [2, 4, 2, 2, 5],
+                               [1, 2, 1, 1, 4], *cycle(12), [], -1)])
 # 32 labels need more than 63 key bits: a memo-off search
 record("ac-c32-z4xz8-b20000",
        c.search_a_cordial(c.cycle_graph(32), spec((4, 8)), budget=20000))
@@ -135,11 +151,11 @@ spider6 = c.tree_graph(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5)))
 edge_csr = _generic_structures(spider6, 5, True)
 vertex_csr = _generic_structures(spider6, 6, False)
 sweeps = [
-    ("chain-path", 1176, 7, lambda b: kern.solve_chain(
-        6, z6_add, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6, True, True, False,
-        [], b)),
-    ("chain-cycle", 3750, 7, lambda b: kern.solve_chain(
-        6, z6_add, 6, [1] * 6, [1] * 6, [1] * 6, [1] * 6, False, False, True,
+    ("path", 1176, 7, lambda b: kern.solve_generic(
+        6, z6_add, z6_neg, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
+        *path_edges(5), [], b)),
+    ("cycle", 3750, 7, lambda b: kern.solve_generic(
+        6, z6_add, z6_neg, 6, [1] * 6, [1] * 6, [1] * 6, [1] * 6, *cycle(6),
         [], b)),
     ("generic-edges", 1566, 7, lambda b: kern.solve_generic(
         6, z6_add, z6_neg, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
@@ -153,13 +169,16 @@ for name, total, step, solve in sweeps:
                 [solve(b) for b in [*range(0, total, step), total]]])
 
 # prefixes that leave one slot free
-out.append(["chain-one-free-slot",
-            kern.solve_chain(4, z4_add, 4, [1] * 4, [0] * 4, [2] * 4,
-                             [1] * 4, True, True, False, [0, 1, 2], -1),
-            kern.solve_chain(4, z4_add, 4, [1] * 4, [0] * 4, [2] * 4,
-                             [1] * 4, True, True, False, [1, 3, 0], -1),
-            kern.solve_chain(6, z6_add, 6, [1] * 6, [1] * 6, [2] * 6,
-                             [0] * 6, False, False, True, [0, 1, 3, 2, 4], -1)])
+out.append(["path-cycle-one-free-slot",
+            kern.solve_generic(4, z4_add, z4_neg, 4, [1] * 4, [0] * 4,
+                               [2] * 4, [1] * 4, *path_edges(4), [0, 1, 2],
+                               -1),
+            kern.solve_generic(4, z4_add, z4_neg, 4, [1] * 4, [0] * 4,
+                               [2] * 4, [1] * 4, *path_edges(4), [1, 3, 0],
+                               -1),
+            kern.solve_generic(6, z6_add, z6_neg, 6, [1] * 6, [1] * 6,
+                               [2] * 6, [0] * 6, *cycle(6), [0, 1, 3, 2, 4],
+                               -1)])
 out.append(["generic-one-free-slot",
             kern.solve_generic(6, z6_add, z6_neg, 5, [1] * 6, [0] * 6,
                                [1] * 6, [1] * 6,
@@ -177,6 +196,14 @@ record("ac-tree8-z4", c.search_a_cordial(tree8, spec((4,))))
 record("ac-tree9-z3-b10", c.search_a_cordial(tree9, spec((3,)), budget=10))
 record("as-tree9-z3xz3", c.search_a_star_antimagic(tree9, spec((3, 3))))
 record("am-tree9-z3xz3", c.search_a_antimagic(tree9, spec((3, 3))))
+
+# memo-on trees: the three order-10 Z2xZ5 rows the memo settles, and a
+# vertex labeling (359 nodes, 2189 with the memo off)
+trees10 = list(c.enumerate_trees(10))
+for i in (48, 55, 60):
+    record(f"am-tree10-{i}-z2xz5",
+           c.search_a_antimagic(trees10[i], spec((2, 5))))
+record("ac-tree10-29-z5", c.search_a_cordial(trees10[29], spec((5,))))
 
 # budgets beyond any search run unbounded on both backends
 huge = 10 ** 30
@@ -212,7 +239,7 @@ def built_package(tmp_path_factory):
                     ignore=shutil.ignore_patterns("*.so", "__pycache__"))
     target = kernel_dir / ("_speed" + sysconfig.get_config_var("EXT_SUFFIX"))
     proc = subprocess.run(
-        [gcc, "-O2", "-shared", "-fPIC",
+        [gcc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
          "-I" + sysconfig.get_paths()["include"],
          str(kernel_dir / "_speed.c"), "-o", str(target)],
         capture_output=True, text=True)
@@ -244,11 +271,26 @@ def test_compiled_kernel_rejects_malformed_instances(built_package):
     code = r"""
 from cordant._kernel import _speed
 add_t = [0, 1, 1, 0]
+bounds = ([1, 1], [0, 0], [2, 2], [0, 0])
+# a vertex-labeled path of two slots, and incidences the memo cannot key
+pair = (1, [0, 1, 2], [0, 0], [0, 0, 1], [0])
+completed_twice = (1, [0, 1, 2], [0, 0], [0, 1, 2], [0, 0])
+fed_after_completion = (1, [0, 1, 2], [0, 0], [0, 1, 1], [0])
+fed_twice = (1, [0, 2, 2], [0, 0], [0, 0, 1], [0])
+completed_by_another_slot = (1, [0, 1, 1], [0], [0, 0, 1], [0])
 bad = [
-    lambda: _speed.solve_chain(2, add_t[:3], 2, [1, 1], [0, 0], [2, 2],
-                               [0, 0], False, False, False, [], -1),
-    lambda: _speed.solve_chain(2, add_t, 2, [1, 1], [0, 0], [2, 2],
-                               [0, 0], False, False, False, [2], -1),
+    lambda: _speed.solve_generic(2, add_t[:3], [0, 1], 2, *bounds, *pair,
+                                 [], -1),
+    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds, *pair, [2],
+                                 -1),
+    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds,
+                                 *completed_twice, [], -1),
+    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds,
+                                 *fed_after_completion, [], -1),
+    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds, *fed_twice,
+                                 [], -1),
+    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds,
+                                 *completed_by_another_slot, [], -1),
     lambda: _speed.solve_generic(2, add_t, [0, 1], 1, [1, 1], [0, 0],
                                  [1, 1], [0, 0], 1, [0, 5], [0], [0, 1],
                                  [0], [], -1),
@@ -260,6 +302,9 @@ for call in bad:
     except ValueError:
         continue
     raise SystemExit("accepted a malformed instance")
+# the well-formed pair they are built from runs: labels 0, 1 sum to 1
+assert _speed.solve_generic(2, add_t, [0, 1], 2, *bounds, *pair, [],
+                            -1) == (0, [0, 1], 3)
 """
     proc = _run(built_package, "compiled", code)
     assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,6 @@ import itertools
 import os
 import sys
 import threading
-from concurrent.futures import Future
 
 import pytest
 
@@ -78,6 +77,17 @@ def test_antimagic_search_frozen_counts():
     assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 966
     out = search_a_antimagic(path_graph(10), GroupSpec((2, 5)))
     assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 321100
+
+
+def test_order_10_z2xz5_trees_are_settled_at_the_default_budget():
+    # each runs one root branch with a 1,000,000-node share, which the
+    # dead-state memo on trees keeps it well inside
+    trees = list(enumerate_trees(10))
+    outcomes = [search_a_antimagic(trees[i], GroupSpec((2, 5)))
+                for i in (48, 55, 60)]
+    assert [(o.status, o.nodes_explored) for o in outcomes] == [
+        (STATUS_NOT_EXISTS, 85160), (STATUS_NOT_EXISTS, 67100),
+        (STATUS_NOT_EXISTS, 20080)]
 
 
 def test_star_variant_search_frozen_counts():
@@ -260,43 +270,84 @@ def test_workers_below_one_are_rejected():
             explore_conjecture(2, workers=workers)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the pool size it was
-    asked for and runs each task at once in this process."""
+class _InlineBranch:
+    """Stands in for search._Branch: runs its task in this process when
+    its result is taken, logs every start, run and stop, and records the
+    most branches started and not yet finished."""
 
-    sizes: list = []
+    log: list = []
+    live = 0
+    peak = 0
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self, task):
+        self.task = task
+        self.log.append(("start", task[1][-2]))
+        _InlineBranch.live += 1
+        _InlineBranch.peak = max(_InlineBranch.peak, _InlineBranch.live)
 
-    def __enter__(self):
-        return self
+    def result(self):
+        _InlineBranch.live -= 1
+        self.log.append(("ran", self.task[1][-2]))
+        return search._run_branch(self.task)
 
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def stop(self):
+        _InlineBranch.live -= 1
+        self.log.append(("stopped", self.task[1][-2]))
 
 
-def test_pool_is_clamped_to_branches_and_cpus(monkeypatch):
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
+@pytest.fixture
+def inline_branches(monkeypatch):
+    monkeypatch.setattr(search, "_Branch", _InlineBranch)
+    monkeypatch.setattr(_InlineBranch, "log", [])
+
+    def run(call):
+        """The outcome of ``call`` and the most branches it had running."""
+        _InlineBranch.live = _InlineBranch.peak = 0
+        del _InlineBranch.log[:]
+        return call(), _InlineBranch.peak
+    return run
+
+
+def test_pool_is_clamped_to_branches_and_cpus(monkeypatch, inline_branches):
     # P6/Z6 runs 4 root branches and P4/Z4 runs 3
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    out = search_ea_cordial(path_graph(6), Z6, workers=10**9)
-    assert (out.status, out.nodes_explored) == (STATUS_NOT_EXISTS, 966)
-    out = search_ea_cordial(path_graph(4), Z4, workers=2)
-    assert out.certificate.labels == ((0,), (1,), (2,))
+    out, peak = inline_branches(
+        lambda: search_ea_cordial(path_graph(6), Z6, workers=10**9))
+    assert (out.status, out.nodes_explored, peak) == (STATUS_NOT_EXISTS, 966, 3)
+    out, peak = inline_branches(
+        lambda: search_ea_cordial(path_graph(4), Z4, workers=2))
+    assert (out.certificate.labels, peak) == (((0,), (1,), (2,)), 2)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    search_ea_cordial(path_graph(6), Z6, workers=10**9)
-    assert _InlinePool.sizes == [3, 2, 4]
+    _, peak = inline_branches(
+        lambda: search_ea_cordial(path_graph(6), Z6, workers=10**9))
+    assert peak == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    out = search_ea_cordial(path_graph(6), Z6, workers=10**9)
-    assert (out.status, out.nodes_explored) == (STATUS_NOT_EXISTS, 966)
-    assert _InlinePool.sizes == [3, 2, 4]
+    out, peak = inline_branches(
+        lambda: search_ea_cordial(path_graph(6), Z6, workers=10**9))
+    assert (out.status, out.nodes_explored, peak) == (STATUS_NOT_EXISTS, 966, 0)
+
+
+def test_running_branches_stop_at_the_first_unexhausted_branch(monkeypatch,
+                                                              inline_branches):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # P4/Z4 is Found in its first branch: the two running beside it stop
+    out, _ = inline_branches(
+        lambda: search_ea_cordial(path_graph(4), Z4, workers=3))
+    assert out.certificate.labels == ((0,), (1,), (2,))
+    assert _InlineBranch.log == [("start", [0]), ("start", [1]),
+                                 ("start", [2]), ("ran", [0]),
+                                 ("stopped", [1]), ("stopped", [2])]
+    # two at a time: a branch starts when one is taken, all are taken
+    inline_branches(lambda: search_ea_cordial(path_graph(6), Z6, workers=2))
+    assert _InlineBranch.log == [
+        ("start", [0]), ("start", [1]), ("ran", [0]), ("start", [2]),
+        ("ran", [1]), ("start", [3]), ("ran", [2]), ("ran", [3])]
+    # a budget stop ends the search like a Found
+    out, _ = inline_branches(
+        lambda: search_ea_cordial(path_graph(6), Z6, workers=4, budget=40))
+    assert out.status == STATUS_UNKNOWN
+    assert _InlineBranch.log == [("start", [x]) for x in range(4)] + [
+        ("ran", [0])] + [("stopped", [x]) for x in (1, 2, 3)]
 
 
 def test_antimagic_search_is_the_equitable_search_on_trees_of_order_8():
