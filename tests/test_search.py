@@ -1,6 +1,7 @@
 """Search oracle: frozen outcomes, determinism, budgets, raw-space audits."""
 
 import itertools
+import multiprocessing
 import os
 import sys
 import threading
@@ -348,6 +349,12 @@ def test_running_branches_stop_at_the_first_unexhausted_branch(monkeypatch,
     assert out.status == STATUS_UNKNOWN
     assert _InlineBranch.log == [("start", [x]) for x in range(4)] + [
         ("ran", [0])] + [("stopped", [x]) for x in (1, 2, 3)]
+
+
+def test_no_branch_process_outlives_its_search():
+    for graph, spec in ((path_graph(4), Z4), (path_graph(6), Z6)):
+        search_ea_cordial(graph, spec, workers=3)
+        assert multiprocessing.active_children() == []
 
 
 def test_antimagic_search_is_the_equitable_search_on_trees_of_order_8():
