@@ -280,8 +280,9 @@ def _orchestrate(tasks: list, workers: int) -> list:
                 break
         return results
     waiting = iter(tasks)
-    running = deque(_Branch(t) for t in islice(waiting, workers))
+    running: deque = deque()
     try:
+        running.extend(_Branch(t) for t in islice(waiting, workers))
         while running:
             r = running.popleft().result()
             results.append(r)

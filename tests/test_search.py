@@ -357,6 +357,13 @@ def test_no_branch_process_outlives_its_search():
         assert multiprocessing.active_children() == []
 
 
+def test_a_failing_branch_raises_in_the_parent(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(AttributeError, match="solve_missing"):
+        search._orchestrate([("missing", ()), ("missing", ())], workers=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_antimagic_search_is_the_equitable_search_on_trees_of_order_8():
     for spec in abelian_groups_of_order(8):
         for tree in enumerate_trees(8):
