@@ -81,15 +81,22 @@ def _resolve_budget(args) -> int | None:
             raise CordantError(
                 f"--budget-seconds must be a finite number >= 0, not {seconds}")
         return max(1, int(seconds * NODES_PER_SECOND))
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise CordantError(
-                f"{BUDGET_ENV} must be an integer, not {env!r}") from None
-        return None if value < 0 else value
+    if args.env_budget is not None:
+        return None if args.env_budget < 0 else args.env_budget
     return DEFAULT_BUDGET
+
+
+def _env_budget() -> int | None:
+    """``$CORDANT_BUDGET`` as an integer, None when unset.  Every command
+    reads it, so a bad value is an error even where nothing searches."""
+    env = os.environ.get(BUDGET_ENV)
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise CordantError(
+            f"{BUDGET_ENV} must be an integer, not {env!r}") from None
 
 
 def _emit(args, lines: list[str], doc: dict,
@@ -478,6 +485,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.env_budget = _env_budget()
         return args.func(args)
     except CordantError as exc:
         print(f"error: {exc}", file=sys.stderr)

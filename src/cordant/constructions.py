@@ -27,7 +27,6 @@ from .groups import (
     add,
     ant_decomposition,
     check_element,
-    enumerate_elements,
     group,
     involution_count,
     is_elementary_two,
@@ -37,8 +36,6 @@ from .groups import (
 from .labelings import (
     EdgeLabeling,
     VertexLabeling,
-    class_counts,
-    induce_vertex_labels,
     verify_a_antimagic,
     verify_a_cordial,
     verify_ea_cordial,
@@ -146,8 +143,9 @@ def cycle_to_path(cycle: SimpleGraph, f: EdgeLabeling
     spec = f.group
     n = cycle.n
     target = ceil(n / spec.order)
-    counts = class_counts(spec, f.labels)
-    shift = next(g for g in enumerate_elements(spec) if counts[g] == target)
+    # class counts are in enumeration order
+    shift = next(g for g, count in verdict.edge_class_counts.items()
+                 if count == target)
     shifted = shift_labeling(f, shift)
     zero = spec.zero()
     cut = shifted.labels.index(zero)
@@ -378,8 +376,8 @@ def construct_ant_path(spec) -> EdgeLabeling:
     if not verdict.ok:
         raise InternalCheckError(
             f"block construction failed verification ({verdict.violation})")
-    sums = induce_vertex_labels(path, f).labels
-    if len(set(sums)) != len(sums):
+    # the path has |A| vertices: distinct sums fill every class once
+    if max(verdict.vertex_class_counts.values()) > 1:
         raise InternalCheckError("block construction repeated a vertex sum")
     return f
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 from typing import Callable, Iterable
 
@@ -119,7 +120,7 @@ def enumerate_elements(spec: GroupSpec) -> list[Element]:
     if spec.order > DEFAULT_ENUM_CAP:
         raise CapExceededError(
             f"group of order {spec.order} exceeds cap {DEFAULT_ENUM_CAP}")
-    return [element_at(spec, i) for i in range(spec.order)]
+    return list(product(*map(range, spec.factors)))
 
 
 def element_index(spec: GroupSpec, a: Element) -> int:

@@ -6,6 +6,12 @@ an edge labeling induces on every vertex the sum of its incident edge
 labels, and a vertex labeling induces on every edge the sum of its two
 endpoint labels.
 
+Labels are checked once, when a labeling is built.  Everything computed
+from checked labels after that (induced sums, class counts) is plain
+residue arithmetic, coordinate by coordinate, with no further checks.  The
+last induction is kept, keyed by the identity of its graph and labeling,
+so a verifier and the certificate built next to it induce once.
+
 The verifiers return a :class:`Verdict` rather than raising: it carries
 both class-count maps and, when the labeling fails, the first violated
 condition in the fixed order size-mismatch, zero-edge-forbidden, edge
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidGraphError, InvalidLabelingError
 from .graphs import PATH, TREE, SimpleGraph
-from .groups import Element, GroupSpec, check_element, enumerate_elements, sum_elements
+from .groups import Element, GroupSpec, check_element, enumerate_elements
 
 SIZE_MISMATCH = "size-mismatch"
 ZERO_EDGE_FORBIDDEN = "zero-edge-forbidden"
@@ -54,6 +60,14 @@ class VertexLabeling:
             check_element(self.group, a)
 
 
+def _computed(cls, spec: GroupSpec, labels: tuple[Element, ...]):
+    """A labeling of residue tuples computed here, so already elements."""
+    out = object.__new__(cls)
+    object.__setattr__(out, "group", spec)
+    object.__setattr__(out, "labels", labels)
+    return out
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Verifier outcome with the class counts it was judged on.
@@ -68,13 +82,46 @@ class Verdict:
     violation: str | None = None
 
 
+# The last induction, with the graph and labeling objects it was made from
+# (both immutable, and kept alive here, so identity is an exact key): a
+# verifier and the certificate built right after it share one induction.
+_last_induced: tuple = (None, None, False, ())
+
+
+def _induced(graph: SimpleGraph, labeling, on_edges: bool
+             ) -> tuple[Element, ...]:
+    """The labels an edge (``on_edges``) or vertex labeling induces on
+    ``graph``: residues summed coordinate by coordinate, reduced once."""
+    global _last_induced
+    last_graph, last_labeling, last_on_edges, sums = _last_induced
+    if (last_graph is graph and last_labeling is labeling
+            and last_on_edges == on_edges):
+        return sums
+    factors = labeling.group.factors
+    columns = list(zip(*labeling.labels)) or [()] * len(factors)
+    per_coordinate = []
+    for col, d in zip(columns, factors):
+        if on_edges:
+            acc = [0] * graph.n
+            for (u, v), x in zip(graph.edges, col):
+                acc[u] += x
+                acc[v] += x
+            per_coordinate.append([s % d for s in acc])
+        else:
+            per_coordinate.append([(col[u] + col[v]) % d
+                                   for u, v in graph.edges])
+    if factors:
+        sums = tuple(zip(*per_coordinate))
+    else:
+        sums = ((),) * (graph.n if on_edges else len(graph.edges))
+    _last_induced = (graph, labeling, on_edges, sums)
+    return sums
+
+
 def induce_vertex_labels(graph: SimpleGraph, f: EdgeLabeling) -> VertexLabeling:
     """Vertex label = sum of incident edge labels (zero on isolated vertices)."""
     _require_fit(graph, f.labels, len(graph.edges))
-    out = []
-    for ids in graph.incidence():
-        out.append(sum_elements(f.group, (f.labels[i] for i in ids)))
-    return VertexLabeling(f.group, tuple(out))
+    return _computed(VertexLabeling, f.group, _induced(graph, f, True))
 
 
 def induce_edge_labels(graph: SimpleGraph, c: VertexLabeling) -> EdgeLabeling:
@@ -87,19 +134,22 @@ def induce_edge_labels(graph: SimpleGraph, c: VertexLabeling) -> EdgeLabeling:
     ((1,), (3,), (1,), (3,))
     """
     _require_fit(graph, c.labels, graph.n)
-    out = []
-    for u, v in graph.edges:
-        out.append(sum_elements(c.group, (c.labels[u], c.labels[v])))
-    return EdgeLabeling(c.group, tuple(out))
+    return _computed(EdgeLabeling, c.group, _induced(graph, c, False))
+
+
+def _counts(spec: GroupSpec, labels: tuple[Element, ...]) -> dict[Element, int]:
+    # labels are elements already: checked on entry or computed mod d
+    counts = dict.fromkeys(enumerate_elements(spec), 0)
+    for a in labels:
+        counts[a] += 1
+    return counts
 
 
 def class_counts(spec: GroupSpec, labels: tuple[Element, ...]) -> dict[Element, int]:
     """Occurrences of every group element among ``labels``, in enumeration order."""
-    counts = {a: 0 for a in enumerate_elements(spec)}
     for a in labels:
         check_element(spec, a)
-        counts[a] += 1
-    return counts
+    return _counts(spec, labels)
 
 
 def is_equitable(counts: dict[Element, int]) -> bool:
@@ -120,11 +170,10 @@ def _require_fit(graph: SimpleGraph, labels: tuple, want: int) -> None:
 def _counts_both(graph: SimpleGraph, labeling, on_edges: bool):
     """Edge and vertex class counts of an edge (``on_edges``) or vertex
     labeling and the labels it induces."""
-    if on_edges:
-        edge, vertex = labeling.labels, induce_vertex_labels(graph, labeling).labels
-    else:
-        edge, vertex = induce_edge_labels(graph, labeling).labels, labeling.labels
-    return class_counts(labeling.group, edge), class_counts(labeling.group, vertex)
+    induced = _induced(graph, labeling, on_edges)
+    edge, vertex = ((labeling.labels, induced) if on_edges
+                    else (induced, labeling.labels))
+    return _counts(labeling.group, edge), _counts(labeling.group, vertex)
 
 
 def _verify_equitable(graph: SimpleGraph, labeling, on_edges: bool) -> Verdict:

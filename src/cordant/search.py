@@ -364,12 +364,9 @@ _STATUS_NAME = {FOUND: STATUS_FOUND, EXHAUSTED: STATUS_NOT_EXISTS, BUDGET: STATU
 # instance builders
 
 
-def _generic_structures(graph: SimpleGraph, num_slots: int, on_edges: bool):
-    """CSR structures mapping slots to the derived sums they feed."""
-    if on_edges:
-        members = graph.incidence()  # per vertex: incident edge slots
-    else:
-        members = [[u, v] for u, v in graph.edges]  # per edge: endpoint slots
+def _generic_structures(members, num_slots: int):
+    """CSR structures mapping slots to the derived sums they feed;
+    ``members`` lists the slots of each derived item."""
     num_derived = len(members)
     by_slot: list[list[int]] = [[] for _ in range(num_slots)]
     comp_at: list[list[int]] = [[] for _ in range(num_slots)]
@@ -420,18 +417,18 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
     _check_depth(s)
     m = spec.order
     add_t, neg_t = op_tables(spec)
+    # a derived item per vertex (its incident edge slots) or per edge (its
+    # two endpoint slots)
+    members = graph.incidence() if on_edges else graph.edges
     fixed = (m, add_t, neg_t, s, slot_cap, slot_floor, dcap, dfloor,
-             *_generic_structures(graph, s, on_edges))
+             *_generic_structures(members, s))
     if len(pfx) >= s:
         kept = None
     elif pfx:
         kept = range(m)
     else:
-        # a derived item per vertex (its incident edge slots) or per edge
-        # (its two endpoint slots)
-        sizes = {len(x) for x in graph.incidence()} if on_edges else {2}
         kept = _least_root_labels(spec, (slot_cap, slot_floor, dcap, dfloor),
-                                  sizes)
+                                  {len(x) for x in members})
     status, payload, nodes = _split_solve("generic", fixed, pfx, 0, kept,
                                           budget, workers)
     if status != FOUND:

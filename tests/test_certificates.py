@@ -1,5 +1,6 @@
 """Certificate JSON: round trips, byte determinism, bundled fixtures."""
 
+import hashlib
 import importlib.resources as resources
 import json
 
@@ -19,7 +20,10 @@ from cordant import (
     certificate_loads,
     certificate_to_obj,
     construct_ant_path,
+    construct_path_antimagic,
     cycle_graph,
+    induce_edge_labels,
+    induce_vertex_labels,
     load_demo_certificate,
     make_edge_certificate,
     make_vertex_certificate,
@@ -53,6 +57,15 @@ def test_vertex_certificate_round_trip():
     assert cert.verdict.ok
     assert cert.edge_labels == ((1,), (0,), (2,))
     assert certificate_loads(certificate_dumps(cert)) == cert
+
+
+def test_certificates_take_the_labels_their_verifier_induced():
+    graph, f = path_graph(4), EdgeLabeling(Z3, ((0,), (1,), (2,)))
+    cert = make_edge_certificate(NOTION_EA_CORDIAL, graph, f)
+    assert cert.vertex_labels is induce_vertex_labels(graph, f).labels
+    graph, c = cycle_graph(3), VertexLabeling(Z3, ((0,), (1,), (2,)))
+    cert = make_vertex_certificate(graph, c)
+    assert cert.edge_labels is induce_edge_labels(graph, c).labels
 
 
 def test_failing_labelings_still_serialize():
@@ -115,6 +128,28 @@ def test_block_construction_regenerates_fixtures_bit_exactly():
             NOTION_EA_CORDIAL, path_graph(24), construct_ant_path(spec))
         assert certificate_dumps(cert) + "\n" == _fixture_text(number)
         assert cert == load_demo_certificate(number)
+
+
+@pytest.mark.parametrize("notion, factors, digest", [
+    (NOTION_EA_CORDIAL, (4096,),
+     "06fc5a46e705f20f55cb4e84d075d4684e910a9a5cfa86ae5bc743979d5b6cf6"),
+    (NOTION_A_ANTIMAGIC, (5, 1024),
+     "38ad99ac0bad41ac94531c46ba6a472d9e7a68525233f279e010ef10178f6e77"),
+])
+def test_block_certificates_keep_their_bytes(notion, factors, digest):
+    """The certificate JSON of two large block-route labelings, frozen as
+    sha256 digests."""
+    spec = GroupSpec(factors)
+    if notion == NOTION_EA_CORDIAL:
+        f = construct_ant_path(spec)
+    else:
+        result = construct_path_antimagic(spec)
+        assert result.route == "block"
+        f = result.labeling
+    text = certificate_dumps(
+        make_edge_certificate(notion, path_graph(spec.order), f))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert certificate_dumps(certificate_loads(text)) == text
 
 
 def test_fixture_bytes_round_trip():

@@ -231,6 +231,21 @@ def test_non_integer_budget_env_is_usage_error(capsys, monkeypatch, value):
     assert err == f"error: CORDANT_BUDGET must be an integer, not {value!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["decide", "path-ek", "--n", "6", "--k", "6"],
+    ["decide", "tree-2mod4", "--n", "6", "--group", "Z6"],
+    ["verify", "--notion", "ea-cordial", "--group", "Z3", "--kind", "path",
+     "--n", "4", "--labels", "[0, 1, 2]"],
+    ["demo", "1"],
+])
+def test_non_integer_budget_env_fails_commands_that_do_not_search(
+        capsys, monkeypatch, argv):
+    monkeypatch.setenv(BUDGET_ENV, "1e6")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: CORDANT_BUDGET must be an integer, not '1e6'\n"
+
+
 def test_budget_seconds_maps_to_nodes(capsys):
     # 10 nodes per 500k/sec: 2e-5 s
     code, out, _ = run(capsys, ["construct", "ek-path", "--n", "18",

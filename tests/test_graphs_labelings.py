@@ -90,6 +90,91 @@ def test_labeling_validation():
         VertexLabeling(Z3, ((0, 0),))
 
 
+# what labeling validation rejects, with the exception it raises: labels
+# are converted to tuples first, then checked in order
+REJECTED = [
+    (Z3, ((3,),), InvalidElementError, "coordinate 3 out of range for Z3"),
+    (Z3, ((-1,),), InvalidElementError, "coordinate -1 out of range for Z3"),
+    (Z3, ((0, 0),), InvalidElementError, "element (0, 0) does not fit Z3"),
+    (Z3, ((),), InvalidElementError, "element () does not fit Z3"),
+    (E2, ((0, 0), (1,)), InvalidElementError,
+     "element (1,) does not fit Z2xZ2"),
+    (E2, ((0, 2),), InvalidElementError, "coordinate 2 out of range for Z2"),
+    (Z3, ((1.0,),), InvalidElementError, "coordinate 1.0 out of range for Z3"),
+    (Z3, (1.0,), TypeError, "'float' object is not iterable"),
+    (Z3, (("1",),), InvalidElementError, "coordinate '1' out of range for Z3"),
+    (Z3, ("1",), InvalidElementError, "coordinate '1' out of range for Z3"),
+    (Z3, ("ab",), InvalidElementError, "element ('a', 'b') does not fit Z3"),
+    (Z3, ((None,),), InvalidElementError,
+     "coordinate None out of range for Z3"),
+    (Z3, ([[1]],), InvalidElementError, "coordinate [1] out of range for Z3"),
+    (Z3, (5,), TypeError, "'int' object is not iterable"),
+    (Z3, (None,), TypeError, "'NoneType' object is not iterable"),
+    # the first bad label is the one reported
+    (Z3, ((0,), (1,), (5,)), InvalidElementError,
+     "coordinate 5 out of range for Z3"),
+    (Z3, ((4,), (5,)), InvalidElementError, "coordinate 4 out of range for Z3"),
+    (Z3, ((5,), 7), TypeError, "'int' object is not iterable"),
+]
+
+
+@pytest.mark.parametrize("cls", [EdgeLabeling, VertexLabeling])
+@pytest.mark.parametrize("spec, labels, error, message", REJECTED)
+def test_labeling_validation_rejects(cls, spec, labels, error, message):
+    with pytest.raises(error) as info:
+        cls(spec, labels)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("cls", [EdgeLabeling, VertexLabeling])
+@pytest.mark.parametrize("spec, labels, stored", [
+    (Z3, [[0], [2]], ((0,), (2,))),
+    (Z3, ((True,), (False,)), ((True,), (False,))),
+    (E2, ([1, True],), ((1, True),)),
+    (Z3, ((_Int(2),),), ((2,),)),
+    (Z3, (), ()),
+])
+def test_labeling_validation_accepts(cls, spec, labels, stored):
+    got = cls(spec, labels).labels
+    assert got == stored
+    # coordinates are kept as given: bools stay bools
+    assert [type(x) for a in got for x in a] == \
+        [type(x) for a in labels for x in a]
+
+
+def test_bool_labels_count_and_sum_as_ints():
+    f = EdgeLabeling(Z3, ((True,), (True,)))
+    assert class_counts(Z3, f.labels) == {(0,): 0, (1,): 2, (2,): 0}
+    sums = induce_vertex_labels(path_graph(3), f).labels
+    assert sums == ((1,), (2,), (1,))
+    assert all(type(a[0]) is int for a in sums)
+
+
+def test_induced_labels_follow_the_graph_they_are_asked_for():
+    # one labeling judged on two graphs with as many edges
+    f = EdgeLabeling(Z4, ((1,), (2,), (3,)))
+    assert induce_vertex_labels(path_graph(4), f).labels == \
+        ((1,), (3,), (1,), (3,))
+    assert induce_vertex_labels(star_graph(3), f).labels == \
+        ((2,), (1,), (2,), (3,))
+    assert induce_vertex_labels(path_graph(4), f).labels == \
+        ((1,), (3,), (1,), (3,))
+
+
+def test_induction_on_a_cycle_follows_the_direction_asked_for():
+    # a cycle has as many edges as vertices, so one label tuple fits
+    # either direction
+    cycle, f = cycle_graph(4), EdgeLabeling(Z2, ((0,), (0,), (1,), (1,)))
+    assert induce_vertex_labels(cycle, f).labels == ((1,), (0,), (1,), (0,))
+    assert induce_edge_labels(cycle, f).labels == ((0,), (1,), (0,), (1,))
+    assert induce_vertex_labels(cycle, f).labels == ((1,), (0,), (1,), (0,))
+
+
 def test_induced_vertex_labels_sum_incident_edges():
     f = EdgeLabeling(Z4, ((1,), (2,), (3,)))
     iv = induce_vertex_labels(path_graph(4), f)

@@ -92,7 +92,8 @@ def test_path_and_cycle_instances_match_brute_force():
                     return sums
 
                 num_derived = s - 1 + 2 * singles + cyclic
-                structures = _generic_structures(graph, s, on_edges)
+                structures = _generic_structures(
+                    graph.incidence() if on_edges else graph.edges, s)
                 assert structures[0] == num_derived
                 for _ in range(10):
                     bounds = (*_random_bounds(rng, s, m),
@@ -144,7 +145,7 @@ def test_generic_kernel_matches_brute_force():
                         sums.append(total)
                     return sums
 
-                structures = _generic_structures(graph, s, on_edges)
+                structures = _generic_structures(members, s)
                 for _ in range(10):
                     bounds = (*_random_bounds(rng, s, m),
                               *_random_bounds(rng, len(members), m))
@@ -167,7 +168,7 @@ def _tree_instances():
     for tree in enumerate_trees(8):
         shuffled = tree_graph(8, rng.sample(tree.edges, len(tree.edges)))
         for graph in (tree, shuffled):
-            structures = _generic_structures(graph, 7, True)
+            structures = _generic_structures(graph.incidence(), 7)
             for factors in ((8,), (2, 4), (2, 2, 2)):
                 for bounds in (([1] * 8, [0] * 8, [1] * 8, [1] * 8),
                                (nonzero_once, nonzero_once, [1] * 8,
@@ -178,7 +179,7 @@ def _tree_instances():
             q, r = divmod(9, m)
             e, f = divmod(8, m)
             bounds = ([q + (r > 0)] * m, [q] * m, [e + (f > 0)] * m, [e] * m)
-            yield (m,), 9, bounds, _generic_structures(tree, 9, False)
+            yield (m,), 9, bounds, _generic_structures(tree.edges, 9)
 
 
 def test_memo_keeps_tree_outcomes(monkeypatch):

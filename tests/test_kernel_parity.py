@@ -94,15 +94,15 @@ kern = _kernel.active_backend()
 # s edge slots along a path (each end vertex sums one slot alone), s
 # vertex slots along a path, and s vertex slots around a cycle
 def path_edges(s):
-    return _generic_structures(c.path_graph(s + 1), s, True)
+    return _generic_structures(c.path_graph(s + 1).incidence(), s)
 
 
 def path_vertices(s):
-    return _generic_structures(c.path_graph(s), s, False)
+    return _generic_structures(c.path_graph(s).edges, s)
 
 
 def cycle(s):
-    return _generic_structures(c.cycle_graph(s), s, False)
+    return _generic_structures(c.cycle_graph(s).edges, s)
 
 
 # slot caps of 2**20 need 21-bit counters, so the packed key exceeds 63 bits
@@ -148,8 +148,8 @@ record("ac-c32-z4xz8-b20000",
 # budget stops on every slot: budgets in steps up to the node count
 z6_add, z6_neg = op_tables(spec((6,)))
 spider6 = c.tree_graph(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5)))
-edge_csr = _generic_structures(spider6, 5, True)
-vertex_csr = _generic_structures(spider6, 6, False)
+edge_csr = _generic_structures(spider6.incidence(), 5)
+vertex_csr = _generic_structures(spider6.edges, 6)
 sweeps = [
     ("path", 1176, 7, lambda b: kern.solve_generic(
         6, z6_add, z6_neg, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,

@@ -23,7 +23,7 @@ from cordant.constructions import (
     shift_labeling,
 )
 from cordant.explore import explore_conjecture
-from cordant.graphs import cycle_graph, path_graph
+from cordant.graphs import SimpleGraph, cycle_graph, path_graph
 from cordant.groups import (
     GroupSpec,
     add,
@@ -42,7 +42,9 @@ from cordant.groups import (
 )
 from cordant.labelings import (
     EdgeLabeling,
+    VertexLabeling,
     class_counts,
+    induce_edge_labels,
     induce_vertex_labels,
     verify_a_antimagic,
     verify_a_cordial,
@@ -194,6 +196,58 @@ def test_induced_labels_are_linear(pair, data):
     vg = induce_vertex_labels(graph, g).labels
     vboth = induce_vertex_labels(graph, both).labels
     assert vboth == tuple(add(spec, x, y) for x, y in zip(vf, vg))
+
+
+@st.composite
+def any_graphs(draw):
+    """Paths, cycles and trees, and general graphs, isolated vertices and
+    the edgeless graph included."""
+    if draw(st.booleans()):
+        return draw(small_graphs())
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SimpleGraph(n, tuple(edges))
+
+
+@given(any_graphs(), st.one_of(specs, st.just(GroupSpec(()))),
+       st.booleans(), st.data())
+def test_induced_labels_and_counts_match_the_add_reference(graph, spec,
+                                                          on_edges, data):
+    """Induced labels and both class-count maps (order included) equal a
+    reference built from ``add``/``sum_elements`` and ``element_at``."""
+    count = len(graph.edges) if on_edges else graph.n
+    idx = st.integers(0, spec.order - 1)
+    labels = tuple(element_at(spec, data.draw(idx)) for _ in range(count))
+    if on_edges:
+        f = EdgeLabeling(spec, labels)
+        induced = induce_vertex_labels(graph, f).labels
+        want = tuple(sum_elements(spec, (labels[i] for i in ids))
+                     for ids in graph.incidence())
+        edge, vertex = labels, want
+    else:
+        c = VertexLabeling(spec, labels)
+        induced = induce_edge_labels(graph, c).labels
+        want = tuple(add(spec, labels[u], labels[v]) for u, v in graph.edges)
+        edge, vertex = want, labels
+    assert induced == want
+    assert all(type(x) is int for a in induced for x in a)
+
+    def reference_counts(items):
+        counts = {element_at(spec, i): 0 for i in range(spec.order)}
+        for a in items:
+            counts[a] += 1
+        return list(counts.items())
+
+    assert list(class_counts(spec, labels).items()) == reference_counts(labels)
+    if on_edges and graph.kind in ("path", "tree") and spec.order == graph.n:
+        verdict = verify_a_antimagic(graph, f)
+    elif on_edges:
+        verdict = verify_ea_cordial(graph, f)
+    else:
+        verdict = verify_a_cordial(graph, c)
+    assert list(verdict.edge_class_counts.items()) == reference_counts(edge)
+    assert list(verdict.vertex_class_counts.items()) == reference_counts(vertex)
 
 
 @given(graph_and_labeling())
