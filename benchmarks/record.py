@@ -5,9 +5,9 @@ Usage (from the repository root; needs only the standard library):
     python3 benchmarks/record.py --seed 301 --out BENCH_7.json
 
 Runs the unmodified ``perfbench/run.py`` on each of its four workloads,
-once with ``--trace 0`` and once with ``--trace 1``, and writes one JSON
-document with the seed, the Python version and the kernel backend, and
-per workload:
+once with ``--trace 0`` and once with ``--trace 1``, at perfbench's own
+run length, and writes one JSON document with the seed, the run length,
+the Python version and the kernel backend, and per workload:
 
 * the gate's verdict (``correct``, ``attempted``, ``failed``) of both runs;
 * the end-to-end metrics of the untraced run, in perfbench's units;
@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exhaust", "construct", "survey", "cli")
 TRACED = ("kernel.nodes", "kernel.calls", "labelings.verify_s",
           "certificates.make_s")
+# perfbench's default --seconds; not passed, so every point has this length
+SECONDS = 20
 
 # "workload construct  seed 301  backend pure  python 3.11.7  nproc 2 ..."
 HEADER = re.compile(r"backend (\S+)\s+python (\S+)")
@@ -39,12 +41,11 @@ HEADER = re.compile(r"backend (\S+)\s+python (\S+)")
 METRIC = re.compile(r"^\s+(\S+)\s+(-?[0-9.]+(?:e[-+]?[0-9]+)?)\s+\S+$")
 
 
-def run(workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run(workload: str, seed: int, trace: int) -> dict:
     """One perfbench run: its header fields, printed metrics and verdict."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", str(trace)],
+         "--seed", str(seed), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -70,14 +71,13 @@ def run(workload: str, seed: int, seconds: int, trace: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    doc: dict = {"seed": args.seed, "seconds": args.seconds,
+    doc: dict = {"seed": args.seed, "seconds": SECONDS,
                  "python": None, "backend": None, "workloads": {}}
     for workload in WORKLOADS:
-        plain = run(workload, args.seed, args.seconds, 0)
-        traced = run(workload, args.seed, args.seconds, 1)
+        plain = run(workload, args.seed, 0)
+        traced = run(workload, args.seed, 1)
         doc["python"], doc["backend"] = plain["python"], plain["backend"]
         doc["workloads"][workload] = {
             "untraced": plain["verdict"],

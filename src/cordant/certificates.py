@@ -2,12 +2,10 @@
 
 A certificate bundles the group, the graph, both label families (the
 assigned one and the induced one), and the verdict of the matching
-verifier.  Building one runs that verifier and takes the induced labels
-from the same induction (``labelings`` keeps the last one), so each
-certificate induces once.  Serialization is deterministic: same
-certificate, same bytes.  Deserialization re-runs the verifier and
-refuses documents whose stored verdict does not match, so a loaded
-certificate is always a checked one.
+verifier.  Serialization is deterministic: same certificate, same
+bytes.  Deserialization re-runs the verifier and refuses documents
+whose stored verdict does not match, so a loaded certificate is always
+a checked one.
 """
 
 from __future__ import annotations
@@ -82,7 +80,6 @@ def make_edge_certificate(notion: str, graph: SimpleGraph,
     if notion not in _EDGE_VERIFIERS:
         raise InvalidSpecError(f"not an edge-labeling notion: {notion!r}")
     verdict = _EDGE_VERIFIERS[notion](graph, f)
-    # the sums the verifier induced on this graph, unless it stopped early
     vertex = induce_vertex_labels(graph, f).labels
     return Certificate(notion, f.group, graph, f.labels, vertex, verdict)
 
@@ -91,7 +88,6 @@ def make_vertex_certificate(graph: SimpleGraph,
                             c: VertexLabeling) -> Certificate:
     """Certificate for a vertex labeling; edge labels are endpoint sums."""
     verdict = verify_a_cordial(graph, c)
-    # the sums the verifier induced on this graph, unless it stopped early
     edge = induce_edge_labels(graph, c).labels
     return Certificate(NOTION_A_CORDIAL, c.group, graph, edge, c.labels,
                        verdict)

@@ -8,9 +8,7 @@ endpoint labels.
 
 Labels are checked once, when a labeling is built.  Everything computed
 from checked labels after that (induced sums, class counts) is plain
-residue arithmetic, coordinate by coordinate, with no further checks.  The
-last induction is kept, keyed by the identity of its graph and labeling,
-so a verifier and the certificate built next to it induce once.
+residue arithmetic, coordinate by coordinate, with no further checks.
 
 The verifiers return a :class:`Verdict` rather than raising: it carries
 both class-count maps and, when the labeling fails, the first violated
@@ -82,21 +80,10 @@ class Verdict:
     violation: str | None = None
 
 
-# The last induction, with the graph and labeling objects it was made from
-# (both immutable, and kept alive here, so identity is an exact key): a
-# verifier and the certificate built right after it share one induction.
-_last_induced: tuple = (None, None, False, ())
-
-
 def _induced(graph: SimpleGraph, labeling, on_edges: bool
              ) -> tuple[Element, ...]:
     """The labels an edge (``on_edges``) or vertex labeling induces on
     ``graph``: residues summed coordinate by coordinate, reduced once."""
-    global _last_induced
-    last_graph, last_labeling, last_on_edges, sums = _last_induced
-    if (last_graph is graph and last_labeling is labeling
-            and last_on_edges == on_edges):
-        return sums
     factors = labeling.group.factors
     columns = list(zip(*labeling.labels)) or [()] * len(factors)
     per_coordinate = []
@@ -111,11 +98,8 @@ def _induced(graph: SimpleGraph, labeling, on_edges: bool
             per_coordinate.append([(col[u] + col[v]) % d
                                    for u, v in graph.edges])
     if factors:
-        sums = tuple(zip(*per_coordinate))
-    else:
-        sums = ((),) * (graph.n if on_edges else len(graph.edges))
-    _last_induced = (graph, labeling, on_edges, sums)
-    return sums
+        return tuple(zip(*per_coordinate))
+    return ((),) * (graph.n if on_edges else len(graph.edges))
 
 
 def induce_vertex_labels(graph: SimpleGraph, f: EdgeLabeling) -> VertexLabeling:

@@ -22,8 +22,6 @@ from cordant import (
     construct_ant_path,
     construct_path_antimagic,
     cycle_graph,
-    induce_edge_labels,
-    induce_vertex_labels,
     load_demo_certificate,
     make_edge_certificate,
     make_vertex_certificate,
@@ -57,15 +55,6 @@ def test_vertex_certificate_round_trip():
     assert cert.verdict.ok
     assert cert.edge_labels == ((1,), (0,), (2,))
     assert certificate_loads(certificate_dumps(cert)) == cert
-
-
-def test_certificates_take_the_labels_their_verifier_induced():
-    graph, f = path_graph(4), EdgeLabeling(Z3, ((0,), (1,), (2,)))
-    cert = make_edge_certificate(NOTION_EA_CORDIAL, graph, f)
-    assert cert.vertex_labels is induce_vertex_labels(graph, f).labels
-    graph, c = cycle_graph(3), VertexLabeling(Z3, ((0,), (1,), (2,)))
-    cert = make_vertex_certificate(graph, c)
-    assert cert.edge_labels is induce_edge_labels(graph, c).labels
 
 
 def test_failing_labelings_still_serialize():

@@ -155,26 +155,6 @@ def test_bool_labels_count_and_sum_as_ints():
     assert all(type(a[0]) is int for a in sums)
 
 
-def test_induced_labels_follow_the_graph_they_are_asked_for():
-    # one labeling judged on two graphs with as many edges
-    f = EdgeLabeling(Z4, ((1,), (2,), (3,)))
-    assert induce_vertex_labels(path_graph(4), f).labels == \
-        ((1,), (3,), (1,), (3,))
-    assert induce_vertex_labels(star_graph(3), f).labels == \
-        ((2,), (1,), (2,), (3,))
-    assert induce_vertex_labels(path_graph(4), f).labels == \
-        ((1,), (3,), (1,), (3,))
-
-
-def test_induction_on_a_cycle_follows_the_direction_asked_for():
-    # a cycle has as many edges as vertices, so one label tuple fits
-    # either direction
-    cycle, f = cycle_graph(4), EdgeLabeling(Z2, ((0,), (0,), (1,), (1,)))
-    assert induce_vertex_labels(cycle, f).labels == ((1,), (0,), (1,), (0,))
-    assert induce_edge_labels(cycle, f).labels == ((0,), (1,), (0,), (1,))
-    assert induce_vertex_labels(cycle, f).labels == ((1,), (0,), (1,), (0,))
-
-
 def test_induced_vertex_labels_sum_incident_edges():
     f = EdgeLabeling(Z4, ((1,), (2,), (3,)))
     iv = induce_vertex_labels(path_graph(4), f)
