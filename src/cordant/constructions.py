@@ -4,7 +4,8 @@ Everything here either transfers one kind of labeling into another
 (cycle to path, vertex side to edge side, big group to quotient view),
 builds a labeling outright (block construction over a group with a
 cyclic part of order 4m, sequence-based construction for elementary
-2-groups), or answers existence questions by formula.  Every
+2-groups, product of a found core ordering with odd cyclic factors),
+or answers existence questions by formula.  Every
 constructor re-checks its own output through the verifiers and raises
 InternalCheckError on any mismatch, so a returned labeling is always a
 certified one.
@@ -32,6 +33,7 @@ from .groups import (
     is_elementary_two,
     isomorphism,
     negate,
+    sylow_split,
 )
 from .labelings import (
     EdgeLabeling,
@@ -46,8 +48,9 @@ from .search import (
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
+    SearchOutcome,
     check_workers,
-    search_a_cordial,
+    find_equitable_cycle,
     search_ea_cordial,
     search_rstar_sequence,
 )
@@ -347,16 +350,14 @@ def _block_coordinate(j: int, i: int, m: int) -> int:
     return 2 * m + 1 + (i - 1) // 2
 
 
-def construct_ant_path(spec) -> EdgeLabeling:
-    """Equitable edge labeling of P_|A| for groups with a Z_4m piece, m > 1.
+def _ant_path_labels(spec) -> EdgeLabeling:
+    """The block construction's labeling of P_|A|, not yet verified.
 
     Lays the path out as k blocks of 4m vertices joined by connector
     edges.  Within block j every edge carries the block's base-cycle
     element in the odd coordinates; the Z_4m coordinates run through an
     interleaved low/high pattern that makes consecutive sums sweep all
-    residues.  Every vertex sum is distinct, so the output is also an
-    injective-distinct-sum labeling whenever anyone asks: on |A| vertices
-    an ea-cordial verdict already means one sum per class.
+    residues.
     """
     layout = ant_layout(spec)
     m, k = layout.m, layout.k
@@ -371,9 +372,19 @@ def construct_ant_path(spec) -> EdgeLabeling:
             x = 0 if j % 2 == 0 else 2 * m
             labels_work.append((x,) + layout.base_cycle[j + 1])
     carry = isomorphism(layout.work, layout.spec)
-    f = EdgeLabeling(layout.spec, tuple(carry(a) for a in labels_work))
-    path = path_graph(layout.spec.order)
-    verdict = verify_ea_cordial(path, f)
+    return EdgeLabeling(layout.spec, tuple(carry(a) for a in labels_work))
+
+
+def construct_ant_path(spec) -> EdgeLabeling:
+    """Equitable edge labeling of P_|A| for groups with a Z_4m piece, m > 1.
+
+    The block construction (see ``_ant_path_labels``), verified.  Every
+    vertex sum is distinct, so the output is also an injective-distinct-sum
+    labeling whenever anyone asks: on |A| vertices an ea-cordial verdict
+    already means one sum per class.
+    """
+    f = _ant_path_labels(spec)
+    verdict = verify_ea_cordial(path_graph(f.group.order), f)
     if not verdict.ok:
         raise InternalCheckError(
             f"block construction failed verification ({verdict.violation})")
@@ -389,8 +400,9 @@ def construct_path_ek(n: int, k: int, budget: int | None = DEFAULT_BUDGET,
 
     Routes, tried in order: the pinned P_4 base labeling; the block
     construction over Z_k + Z_{n/k} projected back to Z_k (odd
-    multiples of k with k divisible by 4); otherwise search an
-    equitable cycle labeling and open it into a path.
+    multiples of k with k divisible by 4); otherwise find an equitable
+    cycle labeling (``find_equitable_cycle``: some labeling, not the
+    lex-first one) and open it into a path.
     """
     check_workers(workers)
     if n < 2:
@@ -400,27 +412,30 @@ def construct_path_ek(n: int, k: int, budget: int | None = DEFAULT_BUDGET,
     if not decide_path_ek_cordial(n, k):
         return ConstructionResult(STATUS_IMPOSSIBLE, None, "decided-impossible")
     spec = GroupSpec((k,))
-    if n == 4 and k == 4:
-        f = EdgeLabeling(spec, ((0,), (1,), (2,)))
-        route = "base-p4"
-    elif n % k == 0 and (n // k) % 2 == 1 and k % 4 == 0 and n > 4:
-        work = spec if n == k else GroupSpec((k, n // k))
-        big = construct_ant_path(work)
-        f = project_labeling(path_graph(n), big, 1)
-        route = "block-project"
-    else:
-        out = search_ea_cordial(cycle_graph(n), spec, budget=budget,
-                                workers=workers)
+    block = n % k == 0 and (n // k) % 2 == 1 and k % 4 == 0 and n > 4
+    if not block and (n, k) != (4, 4):
+        cycle = cycle_graph(n)
+        out = find_equitable_cycle(cycle, spec, True, budget)
         if out.status == STATUS_UNKNOWN:
             return ConstructionResult(STATUS_UNKNOWN, None, "cycle-search",
                                       out.nodes_explored)
         if out.status == STATUS_NOT_EXISTS:
             raise InternalCheckError(
                 f"decider promised a cycle labeling for C_{n} over Z_{k}")
-        _, f = cycle_to_path(cycle_graph(n), out.certificate)
+        # cycle_to_path verifies the path it returns
+        _, f = cycle_to_path(cycle, out.certificate)
         return ConstructionResult(STATUS_FOUND, f, "cycle-search",
                                   out.nodes_explored)
-    verdict = verify_ea_cordial(path_graph(n), f)
+    path = path_graph(n)
+    if block:
+        work = spec if n == k else GroupSpec((k, n // k))
+        # verified once, below, after the projection
+        f = project_labeling(path, _ant_path_labels(work), 1, permissive=True)
+        route = "block-project"
+    else:
+        f = EdgeLabeling(spec, ((0,), (1,), (2,)))
+        route = "base-p4"
+    verdict = verify_ea_cordial(path, f)
     if not verdict.ok:
         raise InternalCheckError(
             f"route {route} failed verification ({verdict.violation})")
@@ -484,16 +499,54 @@ _E2_CUBE_LABELS: tuple[Element, ...] = (
 )
 
 
+def _harmonious_cycle(cycle: SimpleGraph, spec: GroupSpec,
+                      budget: int | None) -> SearchOutcome:
+    """A cyclic ordering of the elements of ``spec`` with every neighbour
+    sum distinct, as a vertex labeling of ``cycle`` (C_|A|), or the
+    search's outcome.
+
+    The product construction of Beals, Gallian, Headley and Jungreis
+    ("Harmonious groups", JCTA 1991): repeating such an ordering
+    g_0..g_{n-1} of G k times, with Z_k coordinate j in block j, orders
+    G x Z_k for odd k.  The inner sums are (g_i + g_{i+1}, 2j) and the
+    block joins (g_{n-1} + g_0, 2j + 1), all distinct as j runs over Z_k.
+    So only a core is searched: the 2-part, or, when the 2-part is
+    elementary (it has no such ordering), the 2-part times the least odd
+    cyclic factor.  The other odd factors come from the product, and
+    ``isomorphism`` carries the result to ``spec``.  All searching spends
+    at most the budget share of a search over ``spec`` itself.
+    """
+    two, odd = sylow_split(spec)
+    rest = sorted(odd.factors)
+    core = GroupSpec(two.factors + (rest.pop(0),)) \
+        if is_elementary_two(two) else two
+    if not rest:
+        return find_equitable_cycle(cycle, spec, False, budget)
+    out = find_equitable_cycle(cycle_graph(core.order), core, False, budget,
+                               split=spec.order)
+    if out.status != STATUS_FOUND:
+        return out
+    order = out.certificate.labels
+    for k in rest:
+        order = tuple(g + (j,) for j in range(k) for g in order)
+    carry = isomorphism(GroupSpec(core.factors + tuple(rest)), spec)
+    return SearchOutcome(STATUS_FOUND,
+                         VertexLabeling(spec, tuple(map(carry, order))),
+                         out.nodes_explored)
+
+
 def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
                              workers: int = 1) -> ConstructionResult:
     """Injective edge labeling of P_|A| with all vertex sums distinct.
 
     Impossible exactly when |A| is 2 mod 4.  Otherwise one of: open a
-    searched equitable cycle (odd orders); the pinned P_4 labeling
+    found equitable cycle (odd orders); the pinned P_4 labeling
     (Z_4); the block construction (cyclic part of order 4m, m > 1);
-    open a searched all-distinct-sums cycle (remaining non-elementary
-    groups); the pinned P_8 labeling ((Z2)^3); or the difference
-    sequence route (other elementary 2-groups).
+    open an all-distinct-sums cycle, found for a core and extended by a
+    product (remaining non-elementary groups); the pinned P_8 labeling
+    ((Z2)^3); or the difference sequence route (other elementary
+    2-groups).  The cycle routes use ``find_equitable_cycle``: their
+    labeling is a fixed one, not the lex-first one.
     """
     check_workers(workers)
     spec = group(spec)
@@ -504,37 +557,37 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         return ConstructionResult(STATUS_IMPOSSIBLE, None, "order-2-mod-4")
     nodes = 0
     if n % 2 == 1:
-        out = search_ea_cordial(cycle_graph(n), spec, budget=budget,
-                                workers=workers)
+        cycle = cycle_graph(n)
+        out = find_equitable_cycle(cycle, spec, True, budget)
         if out.status == STATUS_UNKNOWN:
             return ConstructionResult(STATUS_UNKNOWN, None, "odd-cycle-search",
                                       out.nodes_explored)
         if out.status == STATUS_NOT_EXISTS:
             raise InternalCheckError(
                 f"odd-order cycle C_{n} over {spec} must be labelable")
-        _, f = cycle_to_path(cycle_graph(n), out.certificate)
+        _, f = cycle_to_path(cycle, out.certificate)
         route = "odd-cycle-search"
         nodes = out.nodes_explored
     elif n == 4 and spec.factors == (4,):
         f = EdgeLabeling(spec, ((0,), (1,), (2,)))
         route = "base-p4"
     elif ant_decomposition(spec) is not None:
-        f = construct_ant_path(spec)
+        # verified once, below
+        f = _ant_path_labels(spec)
         route = "block"
     elif not is_elementary_two(spec):
         # noncyclic 2-part and a non-involution element: a cyclic ordering
         # of A with every neighbour sum distinct exists, and with n = |A|
-        # the equitable vertex search demands exactly that
-        out = search_a_cordial(cycle_graph(n), spec, budget=budget,
-                               workers=workers)
+        # an equitable vertex labeling of C_n is exactly that
+        cycle = cycle_graph(n)
+        out = _harmonious_cycle(cycle, spec, budget)
         if out.status == STATUS_UNKNOWN:
             return ConstructionResult(STATUS_UNKNOWN, None, "rainbow-cycle",
                                       out.nodes_explored)
         if out.status == STATUS_NOT_EXISTS:
             raise InternalCheckError(
                 f"no all-distinct-sums cycle over {spec}; formula says one exists")
-        edge_side = cycle_vertex_to_edge(cycle_graph(n), out.certificate)
-        _, f = cycle_to_path(cycle_graph(n), edge_side)
+        _, f = cycle_to_path(cycle, cycle_vertex_to_edge(cycle, out.certificate))
         route = "rainbow-cycle"
         nodes = out.nodes_explored
     elif n == 8:

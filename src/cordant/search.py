@@ -18,14 +18,21 @@ nor a solution the least branch lacks).  With a prefix every label runs.
 Branches are merged in label order, and ``workers`` only decides how many
 branches run concurrently, so parallelism never changes results; branches
 still running when the answer is known are terminated.
+
+The one exception to lex-first is ``find_equitable_cycle``, the find-any
+search the constructions open cycles with: it restarts on relabeled copies
+of its instance and returns some certified labeling, the same one on every
+run, within the node share its lex-first search would get.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import sys
 import threading
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -38,7 +45,7 @@ from .errors import (
     InvalidGraphError,
     InvalidSpecError,
 )
-from .graphs import PATH, TREE, SimpleGraph
+from .graphs import CYCLE, PATH, TREE, SimpleGraph
 from .groups import (
     Element,
     GroupSpec,
@@ -58,6 +65,12 @@ from .labelings import (
 
 #: Default node budget for every search entry point.
 DEFAULT_BUDGET = 10_000_000
+
+#: Node cutoff of a find-any restart per term of the Luby sequence.
+RESTART_UNIT = 10_000
+
+#: Seed of the label orders that find-any restarts after the first search.
+RESTART_SEED = 4
 
 #: Deepest search any entry point runs: slots for the labeling searches,
 #: group order for R*-sequences and sigma-max.  Both backends refuse deeper
@@ -400,6 +413,19 @@ def _check_depth(levels: int) -> None:
             f"search depth {levels} exceeds the cap of {MAX_DEPTH} levels")
 
 
+def _certified(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
+               indices, verifier) -> EdgeLabeling | VertexLabeling:
+    """The labeling a kernel found, re-checked by ``verifier``."""
+    labels = _labels_from_indices(spec, indices)
+    labeling = (EdgeLabeling if on_edges else VertexLabeling)(spec, labels)
+    verdict = verifier(graph, labeling)
+    if not verdict.ok:
+        raise InternalCheckError(
+            f"search produced a labeling that fails {verifier.__name__}: "
+            f"{verdict.violation}")
+    return labeling
+
+
 def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
                      slot_cap: list[int], slot_floor: list[int],
                      dcap: list[int], dfloor: list[int],
@@ -433,14 +459,85 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
                                           budget, workers)
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
-    labels = _labels_from_indices(spec, payload[1])
-    labeling = (EdgeLabeling if on_edges else VertexLabeling)(spec, labels)
-    verdict = verifier(graph, labeling)
-    if not verdict.ok:
-        raise InternalCheckError(
-            f"search produced a labeling that fails {verifier.__name__}: "
-            f"{verdict.violation}")
-    return SearchOutcome(STATUS_FOUND, labeling, nodes)
+    return SearchOutcome(STATUS_FOUND, _certified(graph, spec, on_edges,
+                                                  payload[1], verifier), nodes)
+
+
+def _luby(i: int) -> int:
+    """Term ``i`` (from 1) of the restart sequence of Luby, Sinclair and
+    Zuckerman (IPL 1993): 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, ..."""
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
+
+
+def _relabeled(add_t, neg_t, m: int, order: list[int]) -> tuple[array, array]:
+    """Cayley tables of the same group with element ``order[x]`` renamed
+    ``x``; ``order[0]`` is 0, so the identity keeps index 0."""
+    new_of = [0] * m
+    for new, old in enumerate(order):
+        new_of[old] = new
+    rows = [old * m for old in order]
+    add_p = array("i", [new_of[add_t[r + b]] for r in rows for b in order])
+    return add_p, array("i", [new_of[neg_t[a]] for a in order])
+
+
+def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec, on_edges: bool,
+                         budget: int | None = DEFAULT_BUDGET,
+                         split: int | None = None) -> SearchOutcome:
+    """Some equitable labeling of the edges (``on_edges``, ea-cordial) or
+    the vertices (a-cordial) of ``cycle`` over ``spec``, with label 0 first.
+
+    A find-any search: any certified labeling will do, not the lex-first
+    one.  On a cycle every class bound is uniform and every derived sum
+    adds two slots, so translating every label is a symmetry and slot 0
+    keeps label 0.  The search restarts with node cutoffs ``RESTART_UNIT``
+    times the Luby sequence; restart 1 searches labels in enumeration
+    order, so an instance the lex-first search solves within one unit
+    gets its labeling and node count, and every later restart searches
+    the labels 1..m-1 in an order drawn from ``RESTART_SEED``, so results
+    are deterministic.  All restarts together spend at most the budget
+    share of one of ``split`` root branches (default: one per element, as
+    the lex-first search gives its one kept branch); ``budget=None`` is
+    unbounded.  A restart that exhausts its instance proves that no
+    labeling exists: NotExists.
+    """
+    _check_searchable(spec)
+    if cycle.kind != CYCLE:
+        raise InvalidGraphError("find-any searches run on cycles")
+    n = cycle.n
+    _check_depth(n)
+    m = spec.order
+    # n slots and n derived sums: the same equitable bounds on both
+    cap_floor = _equitable_bounds(n, m)
+    members = cycle.incidence() if on_edges else cycle.edges
+    fixed = (n, *cap_floor, *cap_floor, *_generic_structures(members, n))
+    cap = _shares(_norm_budget(budget), split or m)[0]
+    add_t, neg_t = tables = op_tables(spec)
+    rng = random.Random(RESTART_SEED)
+    order = list(range(m))
+    spent = 0
+    restart = 1
+    while True:
+        cutoff = _luby(restart) * RESTART_UNIT
+        if cap >= 0:
+            cutoff = min(cutoff, cap - spent)
+        status, found, nodes = _run_branch(
+            ("generic", (m, *tables, *fixed, [0], cutoff)))
+        spent += nodes
+        if status != BUDGET or spent == cap:
+            break
+        restart += 1
+        order[1:] = rng.sample(range(1, m), m - 1)
+        tables = _relabeled(add_t, neg_t, m, order)
+    if status != FOUND:
+        return SearchOutcome(_STATUS_NAME[status], None, spent)
+    verifier = verify_ea_cordial if on_edges else verify_a_cordial
+    labeling = _certified(cycle, spec, on_edges, [order[x] for x in found],
+                          verifier)
+    return SearchOutcome(STATUS_FOUND, labeling, spent)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Deciders, transfer operations, block construction, and dispatchers."""
 
+from math import prod
+
 import pytest
 
 from cordant import (
+    DEFAULT_BUDGET,
     induce_edge_labels,
     ConstructionResult,
     EdgeLabeling,
@@ -40,6 +43,7 @@ from cordant import (
     verify_a_antimagic,
     verify_ea_cordial,
 )
+from cordant.search import _shares, find_equitable_cycle
 
 Z3 = GroupSpec((3,))
 
@@ -211,6 +215,27 @@ def test_block_construction_frozen_outputs():
     assert f.labels == FIG3_LABELS
 
 
+def test_block_routes_verify_their_path_once(monkeypatch):
+    from cordant import constructions
+
+    checks = []
+    for name in ("verify_ea_cordial", "verify_a_antimagic"):
+        def counted(graph, f, real=getattr(constructions, name), name=name):
+            if graph.kind == "path":
+                checks.append(name)
+            return real(graph, f)
+        monkeypatch.setattr(constructions, name, counted)
+    for call, want in ((lambda: construct_ant_path(GroupSpec((8, 3))),
+                        ["verify_ea_cordial"]),
+                       (lambda: construct_path_antimagic(GroupSpec((8, 3))),
+                        ["verify_a_antimagic"]),
+                       (lambda: construct_path_ek(36, 12),
+                        ["verify_ea_cordial"])):
+        checks.clear()
+        call()
+        assert checks == want
+
+
 def test_block_construction_verifies_with_distinct_sums():
     for fac in ((8, 3), (24,), (4, 3), (16,), (12,), (4, 3, 3)):
         spec = GroupSpec(fac)
@@ -320,9 +345,9 @@ DISPATCH_CASES = {
     (13,): ("odd-cycle-search", 90),
     (15,): ("odd-cycle-search", 119),
     (16,): ("block", 0),
-    (2, 8): ("rainbow-cycle", 97127),
+    (2, 8): ("rainbow-cycle", 10615),
     (4, 4): ("rainbow-cycle", 1463),
-    (2, 2, 4): ("rainbow-cycle", 121863),
+    (2, 2, 4): ("rainbow-cycle", 23607),
     (2, 2, 2, 2): ("sequence", 161219),
 }
 
@@ -334,6 +359,54 @@ def test_antimagic_path_dispatcher_routes_and_counts():
         assert res.status == STATUS_FOUND, fac
         assert (res.route, res.nodes_explored) == (route, nodes), fac
         assert verify_a_antimagic(path_graph(spec.order), res.labeling).ok
+
+
+def test_cycle_routes_spend_at_most_the_lex_first_share():
+    # all restarts together stay within one root branch's budget share
+    for budget in (100, DEFAULT_BUDGET):
+        res = construct_path_antimagic(GroupSpec((2, 32)), budget=budget)
+        assert res.route == "rainbow-cycle"
+        assert 0 < res.nodes_explored <= _shares(budget, 64)[0]
+        res = construct_path_ek(39, 10, budget=budget)
+        assert res.route == "cycle-search"
+        assert 0 < res.nodes_explored <= _shares(budget, 10)[0]
+        if res.status == STATUS_UNKNOWN:
+            assert res.nodes_explored == _shares(budget, 10)[0]
+
+
+def test_rainbow_route_builds_products_from_a_searched_core():
+    # the core is the 2-part, or the 2-part times the least odd factor when
+    # the 2-part is elementary; the other odd factors come from the product
+    cases = {
+        (2, 4, 3): (2, 4),
+        (2, 4, 5): (2, 4),
+        (4, 4, 3): (4, 4),
+        (2, 2, 3, 5): (2, 2, 3),
+        (2, 2, 3, 3): (2, 2, 3),
+        (2, 2, 15): (2, 2, 3),
+        (6, 4, 5): (2, 4),
+        (4, 30): (2, 4),
+    }
+    for fac, core in cases.items():
+        spec = GroupSpec(fac)
+        res = construct_path_antimagic(spec)
+        assert (res.status, res.route) == (STATUS_FOUND, "rainbow-cycle"), fac
+        assert res.labeling.group == spec
+        assert verify_a_antimagic(path_graph(spec.order), res.labeling).ok
+        alone = find_equitable_cycle(cycle_graph(prod(core)), GroupSpec(core),
+                                     False, split=spec.order)
+        assert res.nodes_explored == alone.nodes_explored, fac
+
+
+def test_cycle_routes_are_deterministic_at_any_worker_count():
+    for fac in ((2, 2, 4), (2, 8, 3), (2, 4, 4), (13,)):
+        results = [construct_path_antimagic(GroupSpec(fac), workers=w)
+                   for w in (1, 2, 1)]
+        assert len({(r.status, r.labeling, r.nodes_explored)
+                    for r in results}) == 1, fac
+    results = [construct_path_ek(39, 10, workers=w) for w in (1, 2, 1)]
+    assert len({(r.status, r.labeling, r.nodes_explored)
+                for r in results}) == 1
 
 
 def test_antimagic_path_dispatcher_impossible_orders():

@@ -216,6 +216,26 @@ s = c.compute_sigma_max(spec((6,)), budget=huge)
 out.append(["sigma-z6-huge", s.status, s.value, list(s.witness.order),
             s.nodes_explored])
 
+# find-any restarts search relabeled copies of an instance (labels 1..m-1
+# permuted): several restarts each, Found and Unknown
+from cordant.search import _relabeled, find_equitable_cycle
+
+for name, n, factors, on_edges, budget in (
+        ("fa-c16-z2xz2xz4", 16, (2, 2, 4), False, None),
+        ("fa-c16-z2xz8", 16, (2, 8), False, None),
+        ("fa-c32-z4xz8-b4000000", 32, (4, 8), False, 4_000_000),
+        ("fa-c39-z10-b300000", 39, (10,), True, 300_000)):
+    record(name, find_equitable_cycle(c.cycle_graph(n), spec(factors),
+                                      on_edges, budget))
+z2z4_add, z2z4_neg = op_tables(spec((2, 4)))
+for perm in ([0, 5, 2, 7, 1, 3, 6, 4], [0, 7, 6, 5, 4, 3, 2, 1]):
+    tables = _relabeled(z2z4_add, z2z4_neg, 8, perm)
+    out.append(["relabeled-" + "".join(map(str, perm)),
+                kern.solve_generic(8, *tables, 8, [1] * 8, [1] * 8, [1] * 8,
+                                   [1] * 8, *cycle(8), [0], -1),
+                kern.solve_generic(8, *tables, 8, [1] * 8, [1] * 8, [1] * 8,
+                                   [1] * 8, *cycle(8), [0], 20)])
+
 for factors in ((2, 3), (2,), (4,)):
     s = c.compute_sigma_max(spec(factors))
     out.append(["sigma", factors, s.status, s.value, list(s.witness.order),

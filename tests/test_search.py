@@ -13,6 +13,7 @@ from cordant._kernel import EXHAUSTED, FOUND
 from cordant import (
     MAX_DEPTH,
     CapExceededError,
+    InvalidGraphError,
     InvalidSpecError,
     star_graph,
     EdgeLabeling,
@@ -515,3 +516,56 @@ def test_pruning_keeps_rstar_outcomes(root_splits):
     calls = [lambda w, g=spec: search_rstar_sequence(g, workers=w)
              for n in range(4, 17) for spec in abelian_groups_of_order(n)]
     _assert_pruning_keeps_outcomes(root_splits, calls)
+
+
+# ---------------------------------------------------------------------------
+# find-any search on cycles
+
+def test_luby_sequence():
+    assert [search._luby(i) for i in range(1, 16)] == [
+        1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+def test_relabeled_tables_present_the_same_group():
+    spec = GroupSpec((2, 4))
+    add_t, neg_t = search.op_tables(spec)
+    order = [0, 5, 2, 7, 1, 3, 6, 4]
+    add_p, neg_p = search._relabeled(add_t, neg_t, 8, order)
+    for a in range(8):
+        assert order[neg_p[a]] == neg_t[order[a]]
+        for b in range(8):
+            assert order[add_p[a * 8 + b]] == add_t[order[a] * 8 + order[b]]
+
+
+def test_find_any_keeps_lex_first_results_within_one_restart_unit():
+    # restart 1 is the lex-first search on its kept branch, so whatever
+    # that search finds within RESTART_UNIT nodes comes out unchanged
+    checked = 0
+    for n in range(3, 17):
+        for spec in abelian_groups_of_order(n):
+            for on_edges, lex in ((True, search_ea_cordial),
+                                  (False, search_a_cordial)):
+                want = lex(cycle_graph(n), spec, budget=search.RESTART_UNIT * n)
+                got = search.find_equitable_cycle(cycle_graph(n), spec,
+                                                  on_edges)
+                if want.status == STATUS_UNKNOWN:
+                    continue
+                assert (got.status, got.certificate, got.nodes_explored) == (
+                    want.status, want.certificate, want.nodes_explored), spec
+                checked += 1
+    assert checked >= 25
+
+
+def test_find_any_restarts_stop_at_the_branch_share():
+    # Z8xZ8 stays Unknown through several restarts at these budgets
+    cycle = cycle_graph(64)
+    for budget in (0, 1, 100, 6_400_000):
+        out = search.find_equitable_cycle(cycle, GroupSpec((8, 8)), False,
+                                          budget=budget)
+        assert out.status == STATUS_UNKNOWN
+        assert out.nodes_explored == search._shares(budget, 64)[0]
+    out = search.find_equitable_cycle(cycle, GroupSpec((8, 8)), False,
+                                      budget=640_000, split=4)
+    assert (out.status, out.nodes_explored) == (STATUS_UNKNOWN, 160_000)
+    with pytest.raises(InvalidGraphError):
+        search.find_equitable_cycle(path_graph(4), Z4, True)
