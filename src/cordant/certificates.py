@@ -153,43 +153,9 @@ def certificate_to_obj(cert: Certificate) -> dict:
     }
 
 
-def _indented(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` for ``value`` nested at ``pad``, byte
-    for byte, with string dict keys.  ``indent`` makes ``json`` use its
-    pure-Python encoder, so lists of numbers and lists of nonempty lists
-    of numbers (the label and count lists) are encoded compactly by the C
-    encoder and re-spaced instead: without strings, dicts or empty lists
-    in that text, every bracket and comma in it is structure."""
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{\n" + inner + (",\n" + inner).join(
-            json.dumps(k) + ": " + _indented(v, inner)
-            for k, v in value.items()) + "\n" + pad + "}"
-    if not isinstance(value, list) or not value:
-        return json.dumps(value)
-    flat = json.dumps(value, separators=(",", ":"))
-    if '"' not in flat and "{" not in flat and "[]" not in flat:
-        depth = flat.count("[")
-        if depth == 1:
-            return ("[\n" + inner + flat[1:-1].replace(",", ",\n" + inner)
-                    + "\n" + pad + "]")
-        if depth == len(value) + 1 and all(type(x) is list for x in value):
-            deeper = inner + "  "
-            body = flat[2:-2].replace("],[", "\0").replace(
-                ",", ",\n" + deeper).replace(
-                "\0", "\n" + inner + "],\n" + inner + "[\n" + deeper)
-            return ("[\n" + inner + "[\n" + deeper + body + "\n" + inner
-                    + "]\n" + pad + "]")
-    return "[\n" + inner + (",\n" + inner).join(
-        _indented(x, inner) for x in value) + "\n" + pad + "]"
-
-
 def certificate_dumps(cert: Certificate) -> str:
-    """Deterministic JSON text for a certificate: ``json.dumps`` with
-    ``indent=2``."""
-    return _indented(certificate_to_obj(cert), "")
+    """Deterministic JSON text for a certificate."""
+    return json.dumps(certificate_to_obj(cert), indent=2)
 
 
 def certificate_from_obj(obj: dict) -> Certificate:

@@ -400,9 +400,8 @@ def construct_path_ek(n: int, k: int, budget: int | None = DEFAULT_BUDGET,
 
     Routes, tried in order: the pinned P_4 base labeling; the block
     construction over Z_k + Z_{n/k} projected back to Z_k (odd
-    multiples of k with k divisible by 4); otherwise find an equitable
-    cycle labeling (``find_equitable_cycle``: some labeling, not the
-    lex-first one) and open it into a path.
+    multiples of k with k divisible by 4); otherwise search an
+    equitable cycle labeling and open it into a path.
     """
     check_workers(workers)
     if n < 2:
@@ -415,7 +414,7 @@ def construct_path_ek(n: int, k: int, budget: int | None = DEFAULT_BUDGET,
     block = n % k == 0 and (n // k) % 2 == 1 and k % 4 == 0 and n > 4
     if not block and (n, k) != (4, 4):
         cycle = cycle_graph(n)
-        out = find_equitable_cycle(cycle, spec, True, budget)
+        out = search_ea_cordial(cycle, spec, budget=budget, workers=workers)
         if out.status == STATUS_UNKNOWN:
             return ConstructionResult(STATUS_UNKNOWN, None, "cycle-search",
                                       out.nodes_explored)
@@ -521,8 +520,8 @@ def _harmonious_cycle(cycle: SimpleGraph, spec: GroupSpec,
     core = GroupSpec(two.factors + (rest.pop(0),)) \
         if is_elementary_two(two) else two
     if not rest:
-        return find_equitable_cycle(cycle, spec, False, budget)
-    out = find_equitable_cycle(cycle_graph(core.order), core, False, budget,
+        return find_equitable_cycle(cycle, spec, budget)
+    out = find_equitable_cycle(cycle_graph(core.order), core, budget,
                                split=spec.order)
     if out.status != STATUS_FOUND:
         return out
@@ -540,13 +539,14 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
     """Injective edge labeling of P_|A| with all vertex sums distinct.
 
     Impossible exactly when |A| is 2 mod 4.  Otherwise one of: open a
-    found equitable cycle (odd orders); the pinned P_4 labeling
+    searched equitable cycle (odd orders); the pinned P_4 labeling
     (Z_4); the block construction (cyclic part of order 4m, m > 1);
     open an all-distinct-sums cycle, found for a core and extended by a
     product (remaining non-elementary groups); the pinned P_8 labeling
     ((Z2)^3); or the difference sequence route (other elementary
-    2-groups).  The cycle routes use ``find_equitable_cycle``: their
-    labeling is a fixed one, not the lex-first one.
+    2-groups).  The all-distinct-sums cycle comes from
+    ``find_equitable_cycle``: a fixed labeling, not the lex-first one, and
+    ``workers`` does not reach that search.
     """
     check_workers(workers)
     spec = group(spec)
@@ -558,7 +558,7 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
     nodes = 0
     if n % 2 == 1:
         cycle = cycle_graph(n)
-        out = find_equitable_cycle(cycle, spec, True, budget)
+        out = search_ea_cordial(cycle, spec, budget=budget, workers=workers)
         if out.status == STATUS_UNKNOWN:
             return ConstructionResult(STATUS_UNKNOWN, None, "odd-cycle-search",
                                       out.nodes_explored)

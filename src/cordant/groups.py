@@ -401,29 +401,15 @@ def automorphism_orbit_keys(spec: GroupSpec) -> tuple[tuple, ...]:
 def isomorphism(src: GroupSpec, dst: GroupSpec) -> Callable[[Element], Element]:
     """An explicit isomorphism between two presentations of one group.
 
-    It is ``dst``'s ``from_canonical`` after ``src``'s ``to_canonical``,
-    as one linear map: canonical piece p (modulus q) goes from source
-    coordinate s to target coordinate t of order e, where it is the CRT
-    idempotent w = 1 mod q, 0 mod e/q.  Since q w = 0 mod e, w times the
-    source residue is w times its reduction mod q, so target coordinate t
-    is the sum of w a[s] over its pieces, mod e; the weights are computed
-    once per pair.  Raises InvalidSpecError when the canonical forms
-    differ.
+    Raises InvalidSpecError when the canonical forms differ.
     """
     src_map = canonical_map(src)
     dst_map = canonical_map(dst)
     if src_map.canonical != dst_map.canonical:
         raise InvalidSpecError(f"{src} and {dst} are not isomorphic")
-    terms: list[list[tuple[int, int]]] = [[] for _ in dst.factors]
-    for (s, q), (t, _) in zip(src_map.slots, dst_map.slots):
-        e = dst.factors[t]
-        rest = e // q
-        terms[t].append((s, rest * pow(rest, -1, q) % e))
-    rows = tuple(zip(map(tuple, terms), dst.factors))
 
     def apply(a: Element) -> Element:
-        check_element(src, a)
-        return tuple(sum(w * a[s] for s, w in row) % e for row, e in rows)
+        return dst_map.from_canonical(src_map.to_canonical(a))
 
     return apply
 

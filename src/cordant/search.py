@@ -20,9 +20,10 @@ branches run concurrently, so parallelism never changes results; branches
 still running when the answer is known are terminated.
 
 The one exception to lex-first is ``find_equitable_cycle``, the find-any
-search the constructions open cycles with: it restarts on relabeled copies
-of its instance and returns some certified labeling, the same one on every
-run, within the node share its lex-first search would get.
+search behind the construct route ``rainbow-cycle``: it restarts on
+relabeled copies of its instance and returns some certified labeling, the
+same one on every run, within the node share its lex-first search would
+get.
 """
 
 from __future__ import annotations
@@ -484,11 +485,11 @@ def _relabeled(add_t, neg_t, m: int, order: list[int]) -> tuple[array, array]:
     return add_p, array("i", [new_of[neg_t[a]] for a in order])
 
 
-def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec, on_edges: bool,
+def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
                          budget: int | None = DEFAULT_BUDGET,
                          split: int | None = None) -> SearchOutcome:
-    """Some equitable labeling of the edges (``on_edges``, ea-cordial) or
-    the vertices (a-cordial) of ``cycle`` over ``spec``, with label 0 first.
+    """Some equitable (a-cordial) vertex labeling of ``cycle`` over
+    ``spec``, with label 0 first.
 
     A find-any search: any certified labeling will do, not the lex-first
     one.  On a cycle every class bound is uniform and every derived sum
@@ -502,7 +503,9 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec, on_edges: bool,
     share of one of ``split`` root branches (default: one per element, as
     the lex-first search gives its one kept branch); ``budget=None`` is
     unbounded.  A restart that exhausts its instance proves that no
-    labeling exists: NotExists.
+    labeling exists: NotExists.  Nothing bounds it by the lex-first
+    search's node count, only by its share: an instance that search solves
+    after more than one unit may cost more here, or come out Unknown.
     """
     _check_searchable(spec)
     if cycle.kind != CYCLE:
@@ -512,8 +515,7 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec, on_edges: bool,
     m = spec.order
     # n slots and n derived sums: the same equitable bounds on both
     cap_floor = _equitable_bounds(n, m)
-    members = cycle.incidence() if on_edges else cycle.edges
-    fixed = (n, *cap_floor, *cap_floor, *_generic_structures(members, n))
+    fixed = (n, *cap_floor, *cap_floor, *_generic_structures(cycle.edges, n))
     cap = _shares(_norm_budget(budget), split or m)[0]
     add_t, neg_t = tables = op_tables(spec)
     rng = random.Random(RESTART_SEED)
@@ -534,9 +536,8 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec, on_edges: bool,
         tables = _relabeled(add_t, neg_t, m, order)
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, spent)
-    verifier = verify_ea_cordial if on_edges else verify_a_cordial
-    labeling = _certified(cycle, spec, on_edges, [order[x] for x in found],
-                          verifier)
+    labeling = _certified(cycle, spec, False, [order[x] for x in found],
+                          verify_a_cordial)
     return SearchOutcome(STATUS_FOUND, labeling, spent)
 
 

@@ -37,6 +37,7 @@ from cordant import (
     rotate_to_star,
     rstar_to_path_antimagic,
     search_a_antimagic,
+    search_ea_cordial,
     search_rstar_sequence,
     shift_labeling,
     sigma_max_formula,
@@ -394,12 +395,25 @@ def test_rainbow_route_builds_products_from_a_searched_core():
         assert res.labeling.group == spec
         assert verify_a_antimagic(path_graph(spec.order), res.labeling).ok
         alone = find_equitable_cycle(cycle_graph(prod(core)), GroupSpec(core),
-                                     False, split=spec.order)
+                                     split=spec.order)
         assert res.nodes_explored == alone.nodes_explored, fac
 
 
-def test_cycle_routes_are_deterministic_at_any_worker_count():
-    for fac in ((2, 2, 4), (2, 8, 3), (2, 4, 4), (13,)):
+def test_ek_cycle_search_keeps_the_lex_first_labeling():
+    # the ek cycle route stays on the lex-first search: these are Found at
+    # exactly these node counts, some after well over one restart unit
+    for n, k, nodes in ((43, 6, 165291), (31, 6, 26181), (23, 8, 14092)):
+        res = construct_path_ek(n, k)
+        assert (res.status, res.route, res.nodes_explored) == (
+            STATUS_FOUND, "cycle-search", nodes), (n, k)
+        lex = search_ea_cordial(cycle_graph(n), GroupSpec((k,)))
+        assert cycle_to_path(cycle_graph(n), lex.certificate)[1] == res.labeling
+        assert verify_ea_cordial(path_graph(n), res.labeling).ok
+
+
+def test_searched_routes_are_deterministic_at_any_worker_count():
+    # routes that pass workers on to their search
+    for fac in ((13,), (2, 2, 2, 2)):
         results = [construct_path_antimagic(GroupSpec(fac), workers=w)
                    for w in (1, 2, 1)]
         assert len({(r.status, r.labeling, r.nodes_explored)

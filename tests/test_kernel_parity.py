@@ -220,13 +220,13 @@ out.append(["sigma-z6-huge", s.status, s.value, list(s.witness.order),
 # permuted): several restarts each, Found and Unknown
 from cordant.search import _relabeled, find_equitable_cycle
 
-for name, n, factors, on_edges, budget in (
-        ("fa-c16-z2xz2xz4", 16, (2, 2, 4), False, None),
-        ("fa-c16-z2xz8", 16, (2, 8), False, None),
-        ("fa-c32-z4xz8-b4000000", 32, (4, 8), False, 4_000_000),
-        ("fa-c39-z10-b300000", 39, (10,), True, 300_000)):
+for name, n, factors, budget in (
+        ("fa-c16-z2xz2xz4", 16, (2, 2, 4), None),
+        ("fa-c16-z2xz8", 16, (2, 8), None),
+        ("fa-c32-z4xz8-b4000000", 32, (4, 8), 4_000_000),
+        ("fa-c64-z8xz8-b6400000", 64, (8, 8), 6_400_000)):
     record(name, find_equitable_cycle(c.cycle_graph(n), spec(factors),
-                                      on_edges, budget))
+                                      budget))
 z2z4_add, z2z4_neg = op_tables(spec((2, 4)))
 for perm in ([0, 5, 2, 7, 1, 3, 6, 4], [0, 7, 6, 5, 4, 3, 2, 1]):
     tables = _relabeled(z2z4_add, z2z4_neg, 8, perm)

@@ -543,29 +543,27 @@ def test_find_any_keeps_lex_first_results_within_one_restart_unit():
     checked = 0
     for n in range(3, 17):
         for spec in abelian_groups_of_order(n):
-            for on_edges, lex in ((True, search_ea_cordial),
-                                  (False, search_a_cordial)):
-                want = lex(cycle_graph(n), spec, budget=search.RESTART_UNIT * n)
-                got = search.find_equitable_cycle(cycle_graph(n), spec,
-                                                  on_edges)
-                if want.status == STATUS_UNKNOWN:
-                    continue
-                assert (got.status, got.certificate, got.nodes_explored) == (
-                    want.status, want.certificate, want.nodes_explored), spec
-                checked += 1
-    assert checked >= 25
+            want = search_a_cordial(cycle_graph(n), spec,
+                                    budget=search.RESTART_UNIT * n)
+            got = search.find_equitable_cycle(cycle_graph(n), spec)
+            if want.status == STATUS_UNKNOWN:
+                continue
+            assert (got.status, got.certificate, got.nodes_explored) == (
+                want.status, want.certificate, want.nodes_explored), spec
+            checked += 1
+    assert checked >= 12
 
 
 def test_find_any_restarts_stop_at_the_branch_share():
     # Z8xZ8 stays Unknown through several restarts at these budgets
     cycle = cycle_graph(64)
     for budget in (0, 1, 100, 6_400_000):
-        out = search.find_equitable_cycle(cycle, GroupSpec((8, 8)), False,
+        out = search.find_equitable_cycle(cycle, GroupSpec((8, 8)),
                                           budget=budget)
         assert out.status == STATUS_UNKNOWN
         assert out.nodes_explored == search._shares(budget, 64)[0]
-    out = search.find_equitable_cycle(cycle, GroupSpec((8, 8)), False,
+    out = search.find_equitable_cycle(cycle, GroupSpec((8, 8)),
                                       budget=640_000, split=4)
     assert (out.status, out.nodes_explored) == (STATUS_UNKNOWN, 160_000)
     with pytest.raises(InvalidGraphError):
-        search.find_equitable_cycle(path_graph(4), Z4, True)
+        search.find_equitable_cycle(path_graph(4), Z4)
