@@ -108,7 +108,7 @@ int_list(const int *values, int n)
     return list;
 }
 
-/* (status, assignment or None, nodes): the chain/generic result shape. */
+/* (status, assignment or None, nodes): the labeling kernel's result shape. */
 static PyObject *
 assignment_result(int status, const int *assign, int s, long long nodes)
 {

@@ -25,6 +25,7 @@ from .certificates import (
     NOTIONS,
     certificate_dumps,
     certificate_loads,
+    certificate_to_obj,
     load_demo_certificate,
     make_edge_certificate,
     make_vertex_certificate,
@@ -106,14 +107,14 @@ def _emit(args, lines: list[str], doc: dict,
     certificate's JSON updated with ``doc``, and text output ends with the
     certificate itself."""
     if cert is not None:
-        text = certificate_dumps(cert)
-        doc = {**json.loads(text), **doc}
-        lines = lines + [text]
+        doc = {**certificate_to_obj(cert), **doc}
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
         for line in lines:
             print(line)
+        if cert is not None:
+            print(certificate_dumps(cert))
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
@@ -284,8 +285,9 @@ def _cmd_search(args) -> int:
             cert = make_cert(graph, outcome.certificate)
             if not cert.verdict.ok:
                 raise CordantError("search certificate failed re-verification")
-            cert_obj = json.loads(certificate_dumps(cert))
-            lines.append(certificate_dumps(cert))
+            cert_obj = certificate_to_obj(cert)
+            if args.format != "json":
+                lines.append(certificate_dumps(cert))
         doc = _outcome_doc(outcome, cert_obj)
         _emit(args, lines, doc)
     if outcome.status == STATUS_FOUND:

@@ -4,8 +4,9 @@ Everything here either transfers one kind of labeling into another
 (cycle to path, vertex side to edge side, big group to quotient view),
 builds a labeling outright (block construction over a group with a
 cyclic part of order 4m, sequence-based construction for elementary
-2-groups, product of a found core ordering with odd cyclic factors),
-or answers existence questions by formula.  Every
+2-groups, product of a found core ordering with odd cyclic factors,
+element enumeration of an odd-order group), or answers existence
+questions by formula.  Every
 constructor re-checks its own output through the verifiers and raises
 InternalCheckError on any mismatch, so a returned labeling is always a
 certified one.
@@ -28,6 +29,7 @@ from .groups import (
     add,
     ant_decomposition,
     check_element,
+    enumerate_elements,
     group,
     involution_count,
     is_elementary_two,
@@ -98,24 +100,22 @@ class ConstructionResult:
 # ---------------------------------------------------------------------------
 # transfer maps
 
-def cycle_vertex_to_edge(cycle: SimpleGraph, c: VertexLabeling,
-                         permissive: bool = False) -> EdgeLabeling:
+def cycle_vertex_to_edge(cycle: SimpleGraph, c: VertexLabeling) -> EdgeLabeling:
     """Copy cycle vertex labels onto the edges: edge (v_i, v_i+1) gets c(v_i).
 
     For an equitable vertex labeling the result is an equitable edge
     labeling with the same class structure shifted one notch: the new
     induced vertex labels are the old induced edge labels.  Requires the
-    input to pass the vertex-side verifier unless ``permissive``.
+    input to pass the vertex-side verifier.
     """
     if cycle.kind != CYCLE:
         raise PreconditionError("vertex-to-edge transfer is defined on cycles")
     if len(c.labels) != cycle.n:
         raise PreconditionError("vertex labeling does not fit the cycle")
-    if not permissive:
-        verdict = verify_a_cordial(cycle, c)
-        if not verdict.ok:
-            raise PreconditionError(
-                f"input labeling is not equitable ({verdict.violation})")
+    verdict = verify_a_cordial(cycle, c)
+    if not verdict.ok:
+        raise PreconditionError(
+            f"input labeling is not equitable ({verdict.violation})")
     # edge i of a cycle is (i, i+1 mod n), so the label list carries over
     return EdgeLabeling(c.group, c.labels)
 
@@ -270,9 +270,10 @@ class AntLayout:
 
     ``work`` presents the group as Z_4m then the odd factors; labels
     are computed there and carried to ``spec`` by coordinate
-    isomorphism.  ``base_cycle`` is the pinned equitable edge labeling
-    of C_k over the odd part (lexicographically first with leading
-    zero); it is empty when k == 1 and the odd part plays no role.
+    isomorphism.  ``base_cycle`` is an equitable edge labeling of C_k
+    over the odd part: its elements in enumeration order, which is also
+    the lexicographically first such labeling with leading zero.  It is
+    empty when k == 1 and the odd part plays no role.
     """
 
     spec: GroupSpec
@@ -314,16 +315,9 @@ def ant_layout(spec) -> AntLayout:
     odd = dec.odd_part
     k = odd.order
     work = GroupSpec((four_m,) + odd.factors)
-    if k == 1:
-        base: tuple[Element, ...] = ()
-    else:
-        # k = |H| is odd, so the equitable cycle labeling always exists
-        out = search_ea_cordial(cycle_graph(k), odd, budget=None,
-                                prefix=(odd.zero(),))
-        if out.status != STATUS_FOUND:
-            raise InternalCheckError(
-                f"no equitable base cycle over {odd} (status {out.status})")
-        base = out.certificate.labels
+    # k = |H| is odd, so H's enumeration is a harmonious cycle (see
+    # construct_path_antimagic)
+    base = tuple(enumerate_elements(odd)) if k > 1 else ()
     return AntLayout(spec=spec, work=work, m=four_m // 4, k=k,
                      base_cycle=base)
 
@@ -538,15 +532,16 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
                              workers: int = 1) -> ConstructionResult:
     """Injective edge labeling of P_|A| with all vertex sums distinct.
 
-    Impossible exactly when |A| is 2 mod 4.  Otherwise one of: open a
-    searched equitable cycle (odd orders); the pinned P_4 labeling
-    (Z_4); the block construction (cyclic part of order 4m, m > 1);
-    open an all-distinct-sums cycle, found for a core and extended by a
-    product (remaining non-elementary groups); the pinned P_8 labeling
-    ((Z2)^3); or the difference sequence route (other elementary
-    2-groups).  The all-distinct-sums cycle comes from
-    ``find_equitable_cycle``: a fixed labeling, not the lex-first one, and
-    ``workers`` does not reach that search.
+    Impossible exactly when |A| is 2 mod 4.  Otherwise one of: the
+    element enumeration opened at zero (odd orders; the route keeps its
+    historical name ``odd-cycle-search``, though it no longer searches);
+    the pinned P_4 labeling (Z_4); the block construction (cyclic part of
+    order 4m, m > 1); open an all-distinct-sums cycle, found for a core
+    and extended by a product (remaining non-elementary groups); the
+    pinned P_8 labeling ((Z2)^3); or the difference sequence route (other
+    elementary 2-groups).  The all-distinct-sums cycle comes from
+    ``find_equitable_cycle``: a fixed labeling, not the lex-first one.
+    ``workers`` reaches only the difference sequence search.
     """
     check_workers(workers)
     spec = group(spec)
@@ -557,17 +552,16 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         return ConstructionResult(STATUS_IMPOSSIBLE, None, "order-2-mod-4")
     nodes = 0
     if n % 2 == 1:
-        cycle = cycle_graph(n)
-        out = search_ea_cordial(cycle, spec, budget=budget, workers=workers)
-        if out.status == STATUS_UNKNOWN:
-            return ConstructionResult(STATUS_UNKNOWN, None, "odd-cycle-search",
-                                      out.nodes_explored)
-        if out.status == STATUS_NOT_EXISTS:
-            raise InternalCheckError(
-                f"odd-order cycle C_{n} over {spec} must be labelable")
-        _, f = cycle_to_path(cycle, out.certificate)
+        # The enumeration g_0 = 0, g_1, .., g_{n-1} has all n cyclic
+        # neighbour sums distinct; as edge labels g_1..g_{n-1} (the cycle
+        # opened at its zero edge) those sums are the path's vertex sums.
+        # Induction on A = Z_d x B, first coordinate slowest: the inner
+        # sums are (2a, s) with s a linear neighbour sum of B, never B's
+        # closing sum c since B's cyclic sums are distinct; the block joins
+        # and the closing edge give (2a + 1, c) for every a in Z_d; and 2
+        # is invertible mod odd d.
+        f = EdgeLabeling(spec, tuple(enumerate_elements(spec)[1:]))
         route = "odd-cycle-search"
-        nodes = out.nodes_explored
     elif n == 4 and spec.factors == (4,):
         f = EdgeLabeling(spec, ((0,), (1,), (2,)))
         route = "base-p4"

@@ -309,8 +309,9 @@ def _orchestrate(tasks: list, workers: int) -> list:
     return results
 
 
-def _merge(results: list, nodes_index: int) -> tuple[int, object, int]:
-    nodes = sum(r[nodes_index] for r in results)
+def _merge(results: list) -> tuple[int, object, int]:
+    # every kernel, pure and compiled, returns its node count last
+    nodes = sum(r[-1] for r in results)
     last = results[-1] if results else None
     if last is not None and last[0] == FOUND:
         return FOUND, last, nodes
@@ -329,14 +330,13 @@ def _split_solve(kind: str, fixed_args: tuple, prefix: list, first_label: int,
     among all of them.  ``kept`` is None when the prefix fills every
     slot: one call then runs on the whole budget.
     """
-    nodes_index = 2 if kind == "generic" else 3
     if kept is None:
         r = _run_branch((kind, fixed_args + (prefix, budget)))
-        return (r[0], r if r[0] == FOUND else None, r[nodes_index])
+        return (r[0], r if r[0] == FOUND else None, r[-1])
     shares = _shares(budget, fixed_args[0] - first_label)
     tasks = [(kind, fixed_args + (prefix + [x], shares[x - first_label]))
              for x in kept]
-    return _merge(_orchestrate(tasks, workers), nodes_index)
+    return _merge(_orchestrate(tasks, workers))
 
 
 def _least_root_labels(spec: GroupSpec, bounds: tuple,

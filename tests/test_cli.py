@@ -104,6 +104,14 @@ def test_construct_ant_path_json_document(capsys):
     assert len(set(sums)) == 24
 
 
+def test_construct_ant_path_beyond_the_op_table_cap(capsys):
+    # the odd part Z1025 is past the op-table cap; its base cycle is the
+    # enumeration, so nothing searches
+    code, out, _ = run(capsys, ["construct", "ant-path", "--group", "Z8xZ1025"])
+    assert code == EXIT_OK
+    assert out.startswith("status Found (route block)\n")
+
+
 def test_construct_ek_path_route_line(capsys):
     code, out, _ = run(capsys, ["construct", "ek-path", "--n", "9", "--k", "3"])
     assert code == EXIT_OK
@@ -414,4 +422,4 @@ def test_repeated_runs_byte_identical(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["route"] == "odd-cycle-search"
-    assert doc["nodes_explored"] == 90
+    assert doc["nodes_explored"] == 0

@@ -30,6 +30,7 @@ from cordant import (
     decide_path_a_antimagic,
     decide_path_ek_cordial,
     decide_tree_2mod4_obstruction,
+    enumerate_elements,
     induce_vertex_labels,
     load_demo_certificate,
     path_graph,
@@ -125,7 +126,6 @@ def test_cycle_vertex_to_edge_preconditions():
     c = VertexLabeling(Z3, ((0,), (0,), (0,)))
     with pytest.raises(PreconditionError):
         cycle_vertex_to_edge(cycle_graph(3), c)
-    assert cycle_vertex_to_edge(cycle_graph(3), c, permissive=True).labels
     with pytest.raises(PreconditionError):
         cycle_vertex_to_edge(path_graph(3), VertexLabeling(Z3, ((0,), (1,), (2,))))
 
@@ -217,7 +217,8 @@ def test_block_construction_frozen_outputs():
 
 
 def test_block_routes_verify_their_path_once(monkeypatch):
-    from cordant import constructions
+    # ... and neither the odd route nor the block layout searches
+    from cordant import constructions, search
 
     checks = []
     for name in ("verify_ea_cordial", "verify_a_antimagic"):
@@ -226,9 +227,15 @@ def test_block_routes_verify_their_path_once(monkeypatch):
                 checks.append(name)
             return real(graph, f)
         monkeypatch.setattr(constructions, name, counted)
+
+    def no_search(task):
+        raise AssertionError(f"kernel call {task[0]}")
+    monkeypatch.setattr(search, "_run_branch", no_search)
     for call, want in ((lambda: construct_ant_path(GroupSpec((8, 3))),
                         ["verify_ea_cordial"]),
                        (lambda: construct_path_antimagic(GroupSpec((8, 3))),
+                        ["verify_a_antimagic"]),
+                       (lambda: construct_path_antimagic(GroupSpec((13,))),
                         ["verify_a_antimagic"]),
                        (lambda: construct_path_ek(36, 12),
                         ["verify_ea_cordial"])):
@@ -275,8 +282,8 @@ def test_path_ek_dispatcher_block_route_at_36():
 
 
 def test_routes_with_searches_deeper_than_a_thousand_levels():
-    # the base cycle over Z905 and the cycle over 1200 slots both recurse
-    # deeper than Python's default frame limit on the pure kernel
+    # the cycle over 1200 slots recurses deeper than Python's default frame
+    # limit on the pure kernel; the block routes around it search nothing
     res = construct_path_antimagic(GroupSpec((8, 905)))
     assert (res.status, res.route) == (STATUS_FOUND, "block")
     assert verify_a_antimagic(path_graph(7240), res.labeling).ok
@@ -333,18 +340,18 @@ def test_rstar_path_rejects_non_elementary_groups():
 DISPATCH_CASES = {
     (4,): ("base-p4", 0),
     (2, 2): ("sequence", 5),
-    (5,): ("odd-cycle-search", 14),
-    (7,): ("odd-cycle-search", 27),
+    (5,): ("odd-cycle-search", 0),
+    (7,): ("odd-cycle-search", 0),
     (2, 4): ("rainbow-cycle", 67),
     (8,): ("block", 0),
     (2, 2, 2): ("pinned-cube", 0),
-    (9,): ("odd-cycle-search", 44),
-    (3, 3): ("odd-cycle-search", 44),
-    (11,): ("odd-cycle-search", 65),
+    (9,): ("odd-cycle-search", 0),
+    (3, 3): ("odd-cycle-search", 0),
+    (11,): ("odd-cycle-search", 0),
     (4, 3): ("block", 0),
     (2, 2, 3): ("rainbow-cycle", 2657),
-    (13,): ("odd-cycle-search", 90),
-    (15,): ("odd-cycle-search", 119),
+    (13,): ("odd-cycle-search", 0),
+    (15,): ("odd-cycle-search", 0),
     (16,): ("block", 0),
     (2, 8): ("rainbow-cycle", 10615),
     (4, 4): ("rainbow-cycle", 1463),
@@ -413,14 +420,61 @@ def test_ek_cycle_search_keeps_the_lex_first_labeling():
 
 def test_searched_routes_are_deterministic_at_any_worker_count():
     # routes that pass workers on to their search
-    for fac in ((13,), (2, 2, 2, 2)):
-        results = [construct_path_antimagic(GroupSpec(fac), workers=w)
-                   for w in (1, 2, 1)]
-        assert len({(r.status, r.labeling, r.nodes_explored)
-                    for r in results}) == 1, fac
+    results = [construct_path_antimagic(GroupSpec((2, 2, 2, 2)), workers=w)
+               for w in (1, 2, 1)]
+    assert len({(r.status, r.labeling, r.nodes_explored)
+                for r in results}) == 1
     results = [construct_path_ek(39, 10, workers=w) for w in (1, 2, 1)]
     assert len({(r.status, r.labeling, r.nodes_explored)
                 for r in results}) == 1
+
+
+def _presentations(n):
+    """Every factor tuple with product n, in every order."""
+    if n == 1:
+        yield ()
+        return
+    for d in range(2, n + 1):
+        if n % d == 0:
+            for rest in _presentations(n // d):
+                yield (d,) + rest
+
+
+def test_odd_enumeration_is_an_equitable_cycle_labeling():
+    # the lemma behind the odd route and the block layout's base cycle
+    for n in range(3, 300, 2):
+        for fac in _presentations(n):
+            spec = GroupSpec(fac)
+            f = EdgeLabeling(spec, tuple(enumerate_elements(spec)))
+            assert verify_ea_cordial(cycle_graph(n), f).ok, fac
+
+
+def test_odd_route_matches_the_lex_first_search():
+    # the enumeration is the lex-first cycle, so the search agrees with it
+    for n in range(3, 64, 2):
+        for spec in abelian_groups_of_order(n):
+            cycle = cycle_graph(n)
+            lex = search_ea_cordial(cycle, spec)
+            res = construct_path_antimagic(spec)
+            assert cycle_to_path(cycle, lex.certificate)[1] == res.labeling
+            assert res.route == "odd-cycle-search", spec
+
+
+def test_odd_routes_beyond_the_search_caps():
+    # orders past the op-table cap (1024) and the depth cap (10,000), and
+    # block layouts over odd parts past the op-table cap
+    for fac, route in (((1025,), "odd-cycle-search"),
+                       ((10001,), "odd-cycle-search"),
+                       ((8, 1025), "block"),
+                       ((8, 3, 5, 7, 11), "block")):
+        spec = GroupSpec(fac)
+        res = construct_path_antimagic(spec)
+        assert (res.status, res.route, res.nodes_explored) == (
+            STATUS_FOUND, route, 0), fac
+        assert verify_a_antimagic(path_graph(spec.order), res.labeling).ok
+    layout = ant_layout(GroupSpec((8, 1025)))
+    odd = GroupSpec(layout.work.factors[1:])
+    assert layout.base_cycle == tuple(enumerate_elements(odd))
 
 
 def test_antimagic_path_dispatcher_impossible_orders():

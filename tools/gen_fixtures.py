@@ -18,7 +18,7 @@ from cordant.certificates import (
     certificate_dumps,
     make_edge_certificate,
 )
-from cordant.constructions import construct_ant_path
+from cordant.constructions import construct_ant_path, construct_path_antimagic
 from cordant.graphs import path_graph, tree_graph
 from cordant.groups import GroupSpec
 from cordant.labelings import EdgeLabeling
@@ -30,10 +30,6 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "cordant" / 
 DEMO1_EDGES = ((0, 1), (1, 5), (0, 2), (0, 3), (0, 4), (4, 7), (3, 6))
 DEMO1_LABELS = ((1, 1, 1), (1, 0, 0), (1, 0, 1), (0, 1, 1), (0, 0, 1),
                 (1, 1, 0), (0, 1, 0))
-
-# demo 4: the pinned elementary-2 path labeling of order 8
-DEMO4_LABELS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
-                (1, 1, 1), (1, 0, 1))
 
 
 def main() -> None:
@@ -50,9 +46,10 @@ def main() -> None:
         3: make_edge_certificate(
             NOTION_EA_CORDIAL, path_graph(24),
             construct_ant_path(GroupSpec((24,)))),
+        # the pinned elementary-2 path labeling of order 8
         4: make_edge_certificate(
             NOTION_A_ANTIMAGIC, path_graph(8),
-            EdgeLabeling(cube, DEMO4_LABELS)),
+            construct_path_antimagic(cube).labeling),
     }
     for num, cert in certs.items():
         assert cert.verdict.ok, (num, cert.verdict)
