@@ -30,8 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exhaust", "construct", "survey", "cli")
-TRACED = ("kernel.nodes", "kernel.calls", "labelings.verify_s",
-          "certificates.make_s")
+TRACED = ("kernel.nodes", "kernel.calls", "labelings.verify_calls",
+          "labelings.verify_s", "certificates.make_s")
 # perfbench's default --seconds; not passed, so every point has this length
 SECONDS = 20
 

@@ -56,6 +56,7 @@ __all__ = [
     "NOTION_EA_CORDIAL",
     "certificate_dumps",
     "certificate_loads",
+    "is_json_int",
     "load_demo_certificate",
     "make_edge_certificate",
     "make_vertex_certificate",
@@ -96,6 +97,17 @@ def make_vertex_certificate(graph: SimpleGraph,
 # ---------------------------------------------------------------------------
 # JSON form
 
+def is_json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer (not a float, bool or null)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(map(is_json_int, value)):
+        raise InvalidLabelingError(f"{what} must be a list of integers")
+    return tuple(value)
+
+
 def _graph_to_obj(graph: SimpleGraph) -> dict:
     obj: dict = {"kind": graph.kind, "n": graph.n}
     if graph.kind not in (PATH, CYCLE):
@@ -105,7 +117,9 @@ def _graph_to_obj(graph: SimpleGraph) -> dict:
 
 def _graph_from_obj(obj: dict, num_vertices: int) -> SimpleGraph:
     kind = obj["kind"]
-    n = int(obj["n"])
+    n = obj["n"]
+    if not is_json_int(n):
+        raise InvalidLabelingError("graph size n must be an integer")
     # checked before building, so the graph (and the edge count of a path
     # or cycle) is no larger than the document's own vertex label list
     if n != num_vertices:
@@ -115,7 +129,7 @@ def _graph_from_obj(obj: dict, num_vertices: int) -> SimpleGraph:
         return path_graph(n)
     if kind == CYCLE:
         return cycle_graph(n)
-    edges = tuple((int(u), int(v)) for u, v in obj["edges"])
+    edges = tuple(_ints(e, "an edge") for e in obj["edges"])
     if kind == TREE:
         return SimpleGraph(n, edges, TREE)
     if kind == GENERAL:
@@ -132,7 +146,8 @@ def _counts_from_list(spec: GroupSpec, values: list[int]) -> dict[Element, int]:
     # the list's own length bounds the group order before it is enumerated
     if len(values) != spec.order:
         raise InvalidLabelingError("class count list does not cover the group")
-    return {a: int(v) for a, v in zip(enumerate_elements(spec), values)}
+    counts = _ints(values, "a class count list")
+    return dict(zip(enumerate_elements(spec), counts))
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
@@ -167,10 +182,9 @@ def certificate_from_obj(obj: dict) -> Certificate:
     """
     try:
         notion = obj["notion"]
-        spec = GroupSpec(tuple(int(d) for d in obj["group"]))
-        edge_labels = tuple(tuple(int(x) for x in a)
-                            for a in obj["edge_labels"])
-        vertex_labels = tuple(tuple(int(x) for x in a)
+        spec = GroupSpec(_ints(obj["group"], "the group"))
+        edge_labels = tuple(_ints(a, "a label") for a in obj["edge_labels"])
+        vertex_labels = tuple(_ints(a, "a label")
                               for a in obj["vertex_labels"])
         stored = obj["verdict"]
         stored_edge = _counts_from_list(spec, stored["edge_class_counts"])

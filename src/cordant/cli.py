@@ -26,6 +26,7 @@ from .certificates import (
     certificate_dumps,
     certificate_loads,
     certificate_to_obj,
+    is_json_int,
     load_demo_certificate,
     make_edge_certificate,
     make_vertex_certificate,
@@ -121,19 +122,15 @@ def _emit(args, lines: list[str], doc: dict,
             fh.write("\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_elements(spec: GroupSpec, text: str) -> tuple:
     raw = json.loads(text)
     if not isinstance(raw, list):
         raise CordantError("labels must be a JSON array")
     out = []
     for item in raw:
-        if _is_int(item):
+        if is_json_int(item):
             out.append((item,))
-        elif isinstance(item, list) and all(_is_int(x) for x in item):
+        elif isinstance(item, list) and all(map(is_json_int, item)):
             out.append(tuple(item))
         else:
             raise CordantError(f"label {json.dumps(item)} is not an integer "
@@ -150,7 +147,12 @@ def _graph_from_args(args) -> SimpleGraph:
         return cycle_graph(args.n)
     if args.edges is None:
         raise CordantError("tree graphs need --edges")
-    edges = tuple(tuple(int(x) for x in e) for e in json.loads(args.edges))
+    raw = json.loads(args.edges)
+    if not isinstance(raw, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(is_json_int, e))
+            for e in raw):
+        raise CordantError("edges must be a JSON array of [u, v] integer pairs")
+    edges = tuple(map(tuple, raw))
     n = args.n if args.n is not None else 1 + max(max(e) for e in edges)
     return tree_graph(n, edges)
 

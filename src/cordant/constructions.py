@@ -6,10 +6,16 @@ builds a labeling outright (block construction over a group with a
 cyclic part of order 4m, sequence-based construction for elementary
 2-groups, product of a found core ordering with odd cyclic factors,
 element enumeration of an odd-order group), or answers existence
-questions by formula.  Every
-constructor re-checks its own output through the verifiers and raises
-InternalCheckError on any mismatch, so a returned labeling is always a
-certified one.
+questions by formula.
+
+Every constructor verifies the labeling it returns exactly once, at its
+end, and raises InternalCheckError on a mismatch, so a returned labeling
+is always a certified one.  The steps before that point hand on
+unchecked values: the dispatchers build their paths with private
+helpers (``_opened``, ``_ant_path_labels``, ``_rstar_path_labels``), not
+through the public transfer maps, which also check their input because
+it may come from outside.  A searched cycle is certified by the search
+that found it.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .groups import (
 from .labelings import (
     EdgeLabeling,
     VertexLabeling,
+    class_counts,
     verify_a_antimagic,
     verify_a_cordial,
     verify_ea_cordial,
@@ -127,6 +134,25 @@ def shift_labeling(f: EdgeLabeling, g: Element) -> EdgeLabeling:
     return EdgeLabeling(f.group, tuple(add(f.group, a, neg) for a in f.labels))
 
 
+def _opened(f: EdgeLabeling, counts: dict[Element, int]) -> EdgeLabeling:
+    """``cycle_to_path``'s arithmetic on the edge labels ``f`` of a cycle
+    with class counts ``counts`` (in enumeration order), unchecked.
+
+    Shifts by the first full class, cuts at the first zero and renumbers
+    from just past the cut.
+    """
+    spec = f.group
+    n = len(f.labels)
+    target = ceil(n / spec.order)
+    shift = next((g for g, count in counts.items() if count == target), None)
+    if shift is None:
+        raise InternalCheckError("no full label class to open the cycle at")
+    shifted = shift_labeling(f, shift).labels
+    cut = shifted.index(spec.zero())
+    return EdgeLabeling(
+        spec, tuple(shifted[(cut + 1 + j) % n] for j in range(n - 1)))
+
+
 def cycle_to_path(cycle: SimpleGraph, f: EdgeLabeling
                   ) -> tuple[SimpleGraph, EdgeLabeling]:
     """Open an equitably edge-labeled cycle into an equitably labeled path.
@@ -143,18 +169,8 @@ def cycle_to_path(cycle: SimpleGraph, f: EdgeLabeling
     if not verdict.ok:
         raise PreconditionError(
             f"cycle labeling is not equitable ({verdict.violation})")
-    spec = f.group
-    n = cycle.n
-    target = ceil(n / spec.order)
-    # class counts are in enumeration order
-    shift = next(g for g, count in verdict.edge_class_counts.items()
-                 if count == target)
-    shifted = shift_labeling(f, shift)
-    zero = spec.zero()
-    cut = shifted.labels.index(zero)
-    path_labels = tuple(shifted.labels[(cut + 1 + j) % n] for j in range(n - 1))
-    path = path_graph(n)
-    f_path = EdgeLabeling(spec, path_labels)
+    f_path = _opened(f, verdict.edge_class_counts)
+    path = path_graph(cycle.n)
     out = verify_ea_cordial(path, f_path)
     if not out.ok:
         raise InternalCheckError(
@@ -162,34 +178,32 @@ def cycle_to_path(cycle: SimpleGraph, f: EdgeLabeling
     return path, f_path
 
 
-def project_labeling(graph: SimpleGraph, f: EdgeLabeling, keep: int,
-                     permissive: bool = False) -> EdgeLabeling:
+def project_labeling(graph: SimpleGraph, f: EdgeLabeling, keep: int
+                     ) -> EdgeLabeling:
     """Drop all but the first ``keep`` coordinates of every edge label.
 
     Coordinate dropping is a homomorphism, so induced vertex labels
     project the same way.  On a tree whose order equals the group order
-    this keeps both count families equitable; that case is enforced
-    unless ``permissive``, and the output is re-verified.
+    this keeps both count families equitable; that case is enforced, and
+    the output is re-verified.
     """
     spec = f.group
     if not 0 <= keep <= spec.rank:
         raise PreconditionError("keep must select a prefix of the factors")
     sub = GroupSpec(spec.factors[:keep])
-    if not permissive:
-        if len(graph.edges) != graph.n - 1 or not graph.is_connected():
-            raise PreconditionError("projection guarantee needs a tree")
-        if graph.n != spec.order:
-            raise PreconditionError("projection guarantee needs order |A|")
-        verdict = verify_ea_cordial(graph, f)
-        if not verdict.ok:
-            raise PreconditionError(
-                f"input labeling is not equitable ({verdict.violation})")
+    if len(graph.edges) != graph.n - 1 or not graph.is_connected():
+        raise PreconditionError("projection guarantee needs a tree")
+    if graph.n != spec.order:
+        raise PreconditionError("projection guarantee needs order |A|")
+    verdict = verify_ea_cordial(graph, f)
+    if not verdict.ok:
+        raise PreconditionError(
+            f"input labeling is not equitable ({verdict.violation})")
     out = EdgeLabeling(sub, tuple(a[:keep] for a in f.labels))
-    if not permissive:
-        verdict = verify_ea_cordial(graph, out)
-        if not verdict.ok:
-            raise InternalCheckError(
-                f"projection lost equitability ({verdict.violation})")
+    verdict = verify_ea_cordial(graph, out)
+    if not verdict.ok:
+        raise InternalCheckError(
+            f"projection lost equitability ({verdict.violation})")
     return out
 
 
@@ -405,34 +419,35 @@ def construct_path_ek(n: int, k: int, budget: int | None = DEFAULT_BUDGET,
     if not decide_path_ek_cordial(n, k):
         return ConstructionResult(STATUS_IMPOSSIBLE, None, "decided-impossible")
     spec = GroupSpec((k,))
-    block = n % k == 0 and (n // k) % 2 == 1 and k % 4 == 0 and n > 4
-    if not block and (n, k) != (4, 4):
-        cycle = cycle_graph(n)
-        out = search_ea_cordial(cycle, spec, budget=budget, workers=workers)
+    nodes = 0
+    if (n, k) == (4, 4):
+        f = EdgeLabeling(spec, ((0,), (1,), (2,)))
+        route = "base-p4"
+    elif n % k == 0 and (n // k) % 2 == 1 and k % 4 == 0 and n > 4:
+        # on P_|A| dropping coordinates keeps both families equitable
+        # (see project_labeling)
+        work = spec if n == k else GroupSpec((k, n // k))
+        f = EdgeLabeling(spec, tuple(a[:1]
+                                     for a in _ant_path_labels(work).labels))
+        route = "block-project"
+    else:
+        out = search_ea_cordial(cycle_graph(n), spec, budget=budget,
+                                workers=workers)
         if out.status == STATUS_UNKNOWN:
             return ConstructionResult(STATUS_UNKNOWN, None, "cycle-search",
                                       out.nodes_explored)
         if out.status == STATUS_NOT_EXISTS:
             raise InternalCheckError(
                 f"decider promised a cycle labeling for C_{n} over Z_{k}")
-        # cycle_to_path verifies the path it returns
-        _, f = cycle_to_path(cycle, out.certificate)
-        return ConstructionResult(STATUS_FOUND, f, "cycle-search",
-                                  out.nodes_explored)
-    path = path_graph(n)
-    if block:
-        work = spec if n == k else GroupSpec((k, n // k))
-        # verified once, below, after the projection
-        f = project_labeling(path, _ant_path_labels(work), 1, permissive=True)
-        route = "block-project"
-    else:
-        f = EdgeLabeling(spec, ((0,), (1,), (2,)))
-        route = "base-p4"
-    verdict = verify_ea_cordial(path, f)
+        c = out.certificate
+        f = _opened(c, class_counts(spec, c.labels))
+        route = "cycle-search"
+        nodes = out.nodes_explored
+    verdict = verify_ea_cordial(path_graph(n), f)
     if not verdict.ok:
         raise InternalCheckError(
             f"route {route} failed verification ({verdict.violation})")
-    return ConstructionResult(STATUS_FOUND, f, route)
+    return ConstructionResult(STATUS_FOUND, f, route, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -457,24 +472,27 @@ def rotate_to_star(rs: RStarSequence) -> RStarSequence:
     raise PreconditionError("no rotation places the star at the front")
 
 
-def rstar_to_path_antimagic(rs: RStarSequence) -> EdgeLabeling:
-    """Path labeling from a star-fronted difference sequence.
+def _rstar_path_labels(rs: RStarSequence) -> EdgeLabeling:
+    """Edge labels 0 then entries 1..n-2 of ``rs``, not yet verified.
 
-    Edges get 0 then entries 1..n-2 of the sequence.  In an elementary
-    2-group the n vertex sums are 0, the n-2 consecutive-pair sums
-    skipping the first, and the last entry; the star condition routes
-    the last entry to the one unused pair sum, so the sums are exactly
-    the whole group.
+    In an elementary 2-group with ``rs`` star-fronted, the n vertex sums
+    are 0, the n-2 consecutive-pair sums skipping the first, and the last
+    entry; the star condition routes the last entry to the one unused
+    pair sum, so the sums are exactly the whole group.
     """
+    return EdgeLabeling(rs.group, (rs.group.zero(),) + rs.seq[1:])
+
+
+def rstar_to_path_antimagic(rs: RStarSequence) -> EdgeLabeling:
+    """Path labeling from a star-fronted difference sequence over an
+    elementary 2-group (see ``_rstar_path_labels``), verified."""
     spec = rs.group
     if not is_elementary_two(spec):
         raise PreconditionError("sequence route needs an elementary 2-group")
     if rs.seq[1] != add(spec, rs.seq[0], rs.seq[-1]):
         raise PreconditionError("rotate the sequence to star-front form first")
-    labels = (spec.zero(),) + rs.seq[1:]
-    path = path_graph(spec.order)
-    f = EdgeLabeling(spec, labels)
-    verdict = verify_a_antimagic(path, f)
+    f = _rstar_path_labels(rs)
+    verdict = verify_a_antimagic(path_graph(spec.order), f)
     if not verdict.ok:
         raise InternalCheckError(
             f"sequence route failed verification ({verdict.violation})")
@@ -492,10 +510,9 @@ _E2_CUBE_LABELS: tuple[Element, ...] = (
 )
 
 
-def _harmonious_cycle(cycle: SimpleGraph, spec: GroupSpec,
-                      budget: int | None) -> SearchOutcome:
+def _harmonious_cycle(spec: GroupSpec, budget: int | None) -> SearchOutcome:
     """A cyclic ordering of the elements of ``spec`` with every neighbour
-    sum distinct, as a vertex labeling of ``cycle`` (C_|A|), or the
+    sum distinct, as a vertex labeling of C_|A| starting at zero, or the
     search's outcome.
 
     The product construction of Beals, Gallian, Headley and Jungreis
@@ -514,7 +531,7 @@ def _harmonious_cycle(cycle: SimpleGraph, spec: GroupSpec,
     core = GroupSpec(two.factors + (rest.pop(0),)) \
         if is_elementary_two(two) else two
     if not rest:
-        return find_equitable_cycle(cycle, spec, budget)
+        return find_equitable_cycle(cycle_graph(spec.order), spec, budget)
     out = find_equitable_cycle(cycle_graph(core.order), core, budget,
                                split=spec.order)
     if out.status != STATUS_FOUND:
@@ -573,15 +590,17 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         # noncyclic 2-part and a non-involution element: a cyclic ordering
         # of A with every neighbour sum distinct exists, and with n = |A|
         # an equitable vertex labeling of C_n is exactly that
-        cycle = cycle_graph(n)
-        out = _harmonious_cycle(cycle, spec, budget)
+        out = _harmonious_cycle(spec, budget)
         if out.status == STATUS_UNKNOWN:
             return ConstructionResult(STATUS_UNKNOWN, None, "rainbow-cycle",
                                       out.nodes_explored)
         if out.status == STATUS_NOT_EXISTS:
             raise InternalCheckError(
                 f"no all-distinct-sums cycle over {spec}; formula says one exists")
-        _, f = cycle_to_path(cycle, cycle_vertex_to_edge(cycle, out.certificate))
+        # its labels copied onto the edges (as cycle_vertex_to_edge does)
+        # make an equitable edge labeling of C_n, opened here at zero
+        c = EdgeLabeling(spec, out.certificate.labels)
+        f = _opened(c, class_counts(spec, c.labels))
         route = "rainbow-cycle"
         nodes = out.nodes_explored
     elif n == 8:
@@ -595,7 +614,7 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         if out.status == STATUS_NOT_EXISTS:
             raise InternalCheckError(
                 f"no difference sequence over {spec}; one is guaranteed")
-        f = rstar_to_path_antimagic(rotate_to_star(out.certificate))
+        f = _rstar_path_labels(rotate_to_star(out.certificate))
         route = "sequence"
         nodes = out.nodes_explored
     verdict = verify_a_antimagic(path_graph(n), f)

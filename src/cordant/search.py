@@ -35,7 +35,7 @@ import sys
 import threading
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from . import _kernel
@@ -144,11 +144,12 @@ class RStarSequence:
 
 @dataclass(frozen=True)
 class HamiltonianCycle:
-    """A cyclic ordering of all group elements, starting at zero."""
+    """A cyclic ordering of all group elements, starting at zero, and
+    the number of distinct sums of its cyclic neighbours."""
 
     group: GroupSpec
     order: tuple[Element, ...]
-    distinct_sum_count: int = -1
+    distinct_sum_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         from .groups import add, check_element
@@ -163,10 +164,7 @@ class HamiltonianCycle:
         n = len(self.order)
         sums = len({add(self.group, self.order[i - 1], self.order[i])
                     for i in range(n)})
-        if self.distinct_sum_count == -1:
-            object.__setattr__(self, "distinct_sum_count", sums)
-        elif self.distinct_sum_count != sums:
-            raise InvalidSpecError("stored sum count does not match the ordering")
+        object.__setattr__(self, "distinct_sum_count", sums)
 
 
 @dataclass(frozen=True)

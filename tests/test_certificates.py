@@ -173,6 +173,56 @@ def test_rejects_tampered_counts():
         certificate_loads(json.dumps(obj))
 
 
+def _set(path, value):
+    def corrupt(obj):
+        *keys, last = path
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    return corrupt
+
+
+def _tree_graph(obj, last=(6, 7)):
+    obj["graph"] = {"kind": "tree", "n": 8,
+                    "edges": [[i, i + 1] for i in range(6)] + [list(last)]}
+
+
+def test_a_path_written_as_a_tree_loads():
+    # the control for the tree-edge corruption below
+    obj = json.loads(_fixture_text(4))
+    _tree_graph(obj)
+    assert certificate_loads(json.dumps(obj)).verdict.ok
+
+
+_NON_INTEGERS = {
+    # int() would read the first three as the fixture's own numbers
+    "edge-label-floats": _set(("edge_labels", 1), [1.9, 0.2, 0]),
+    "n-float": _set(("graph", "n"), 8.6),
+    "n-integral-float": _set(("graph", "n"), 8.0),
+    "n-null": _set(("graph", "n"), None),
+    "n-string": _set(("graph", "n"), "8"),
+    "group-float": _set(("group",), [2, 2.0, 2]),
+    "group-bool": _set(("group",), [2, True, 2]),
+    "vertex-label-null": _set(("vertex_labels", 0), [0, None, 0]),
+    "vertex-label-bool": _set(("vertex_labels", 1), [True, 0, 0]),
+    "count-list-null": _set(("verdict", "edge_class_counts"), None),
+    "edge-count-float": _set(("verdict", "edge_class_counts", 0), 1.0),
+    "vertex-count-bool": _set(("verdict", "vertex_class_counts", 7), True),
+    "vertex-count-null": _set(("verdict", "vertex_class_counts", 7), None),
+    "tree-edge-float": lambda obj: _tree_graph(obj, (6, 7.0)),
+    "tree-edge-null": lambda obj: _tree_graph(obj, (6, None)),
+}
+
+
+@pytest.mark.parametrize("corrupt", _NON_INTEGERS.values(),
+                         ids=_NON_INTEGERS.keys())
+def test_rejects_numbers_that_are_not_integers(corrupt):
+    obj = json.loads(_fixture_text(4))
+    corrupt(obj)
+    with pytest.raises(InvalidLabelingError):
+        certificate_loads(json.dumps(obj))
+
+
 def test_rejects_missing_fields():
     obj = json.loads(_fixture_text(1))
     del obj["vertex_labels"]

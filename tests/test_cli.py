@@ -21,6 +21,7 @@ from cordant.cli import (
 
 DEMO1 = os.path.join(os.path.dirname(__file__), os.pardir,
                      "src", "cordant", "fixtures", "demo1.json")
+DEMO4 = os.path.join(os.path.dirname(DEMO1), "demo4.json")
 
 
 def run(capsys, argv):
@@ -348,6 +349,37 @@ def test_bad_label_is_usage_error(capsys, labels):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: label ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edges", ["5", "[[0,null]]", "[[0,1.5]]",
+                                   "[[0,true]]", "[[0,1,2]]", "[0,1]",
+                                   '{"0": 1}'])
+def test_bad_edges_are_usage_errors(capsys, edges):
+    # [[0,1.5]] must not be read as [[0,1]]
+    code, out, err = run(capsys, ["verify", "--notion", "a-antimagic",
+                                  "--group", "Z2", "--kind", "tree",
+                                  "--edges", edges, "--labels", "[1]"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: edges ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where, value", [
+    (("edge_labels", 1), [1.9, 0.2, 0]),
+    (("graph", "n"), 8.6),
+    (("group", 2), 2.0),
+])
+def test_certificate_with_non_integers_is_usage_error(capsys, tmp_path,
+                                                      where, value):
+    # int() would read each of these as demo 4's own number: valid, exit 0
+    with open(DEMO4, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[where[0]][where[1]] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["verify", "--certificate", str(path)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: malformed certificate: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Deciders, transfer operations, block construction, and dispatchers."""
 
+import hashlib
 from math import prod
 
 import pytest
@@ -20,6 +21,7 @@ from cordant import (
     VertexLabeling,
     abelian_groups_of_order,
     ant_layout,
+    class_counts,
     construct_ant_path,
     construct_path_antimagic,
     construct_path_ek,
@@ -45,6 +47,7 @@ from cordant import (
     verify_a_antimagic,
     verify_ea_cordial,
 )
+from cordant.constructions import _opened
 from cordant.search import _shares, find_equitable_cycle
 
 Z3 = GroupSpec((3,))
@@ -153,6 +156,12 @@ def test_cycle_to_path_rejects_inequitable_input():
         cycle_to_path(cycle_graph(3), EdgeLabeling(Z3, ((0,), (0,), (0,))))
 
 
+def test_opening_needs_a_full_class():
+    f = EdgeLabeling(Z3, ((0,), (0,), (0,), (1,)))
+    with pytest.raises(InternalCheckError, match="no full label class"):
+        _opened(f, class_counts(Z3, f.labels))
+
+
 def test_projection_examples():
     fig2 = load_demo_certificate(2)
     f = EdgeLabeling(fig2.group, fig2.edge_labels)
@@ -176,7 +185,6 @@ def test_projection_preconditions():
     bad = EdgeLabeling(GroupSpec((2, 2, 2)), ((0, 0, 0),) * 7)
     with pytest.raises(PreconditionError):
         project_labeling(path_graph(8), bad, 1)
-    assert project_labeling(cycle_graph(8), f, 1, permissive=True).group == GroupSpec((2,))
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +225,41 @@ def test_block_construction_frozen_outputs():
 
 
 def test_block_routes_verify_their_path_once(monkeypatch):
-    # ... and neither the odd route nor the block layout searches
+    # ... and neither the odd route nor the block layout searches; the
+    # searching routes verify their path once too, and no cycle: the
+    # search certified it
     from cordant import constructions, search
 
     checks = []
-    for name in ("verify_ea_cordial", "verify_a_antimagic"):
+    for name in ("verify_ea_cordial", "verify_a_cordial",
+                 "verify_a_antimagic"):
         def counted(graph, f, real=getattr(constructions, name), name=name):
-            if graph.kind == "path":
-                checks.append(name)
+            checks.append((name, graph.kind))
             return real(graph, f)
         monkeypatch.setattr(constructions, name, counted)
+
+    ea, ant = [("verify_ea_cordial", "path")], [("verify_a_antimagic", "path")]
+    searching = ((lambda: construct_path_antimagic(GroupSpec((2, 4))), ant),
+                 (lambda: construct_path_antimagic(GroupSpec((2, 4, 3))), ant),
+                 (lambda: construct_path_antimagic(GroupSpec((2, 2))), ant),
+                 (lambda: construct_path_ek(10, 3), ea))
+    for call, want in searching:
+        checks.clear()
+        assert call().status == STATUS_FOUND
+        assert checks == want
 
     def no_search(task):
         raise AssertionError(f"kernel call {task[0]}")
     monkeypatch.setattr(search, "_run_branch", no_search)
+    # AntLayout checks its base cycle over the odd part, an outside input
+    layout = [("verify_ea_cordial", "cycle")]
     for call, want in ((lambda: construct_ant_path(GroupSpec((8, 3))),
-                        ["verify_ea_cordial"]),
+                        layout + ea),
                        (lambda: construct_path_antimagic(GroupSpec((8, 3))),
-                        ["verify_a_antimagic"]),
+                        layout + ant),
                        (lambda: construct_path_antimagic(GroupSpec((13,))),
-                        ["verify_a_antimagic"]),
-                       (lambda: construct_path_ek(36, 12),
-                        ["verify_ea_cordial"])):
+                        ant),
+                       (lambda: construct_path_ek(36, 12), layout + ea)):
         checks.clear()
         call()
         assert checks == want
@@ -337,36 +358,80 @@ def test_rstar_path_rejects_non_elementary_groups():
 # ---------------------------------------------------------------------------
 # antimagic path dispatcher
 
+# route, node count and sha256 of repr(labels); rainbow labelings are
+# find-any, so the digest is what pins them
 DISPATCH_CASES = {
-    (4,): ("base-p4", 0),
-    (2, 2): ("sequence", 5),
-    (5,): ("odd-cycle-search", 0),
-    (7,): ("odd-cycle-search", 0),
-    (2, 4): ("rainbow-cycle", 67),
-    (8,): ("block", 0),
-    (2, 2, 2): ("pinned-cube", 0),
-    (9,): ("odd-cycle-search", 0),
-    (3, 3): ("odd-cycle-search", 0),
-    (11,): ("odd-cycle-search", 0),
-    (4, 3): ("block", 0),
-    (2, 2, 3): ("rainbow-cycle", 2657),
-    (13,): ("odd-cycle-search", 0),
-    (15,): ("odd-cycle-search", 0),
-    (16,): ("block", 0),
-    (2, 8): ("rainbow-cycle", 10615),
-    (4, 4): ("rainbow-cycle", 1463),
-    (2, 2, 4): ("rainbow-cycle", 23607),
-    (2, 2, 2, 2): ("sequence", 161219),
+    (4,): ("base-p4", 0,
+           "4b0ca899f0603aa4054d22797859021a"
+           "230636a23cf04f1077ddd7037605a6d6"),
+    (2, 2): ("sequence", 5,
+             "1122c8111ecffc6a09644acab84cdff0"
+             "26ee8354c118993af021a0b75854de61"),
+    (5,): ("odd-cycle-search", 0,
+           "d02e3616360ccf8e56e02ef4efba79fb"
+           "a9009fdcb9b4c4c97ae0110cb14b99b2"),
+    (7,): ("odd-cycle-search", 0,
+           "d79f8c82f8fdec6194db8386dcf63597"
+           "bca00badafb4b72c039d2ebe5807eb45"),
+    (2, 4): ("rainbow-cycle", 67,
+             "c62407cbc05486a01a9553a7405315d4"
+             "78e470c471a147f64cc0acd07547ea3d"),
+    (8,): ("block", 0,
+           "89a55ba3817d50a72a8da187e6ac6214"
+           "9c365947da3ae9ef92b4c64ff0161d77"),
+    (2, 2, 2): ("pinned-cube", 0,
+                "14ce7c2aa48af1630a234f8e353eeec0"
+                "b5c3ea2e063dc13d39ae1334b495ec77"),
+    (9,): ("odd-cycle-search", 0,
+           "cb7950df26d05971d85f74543383d9e1"
+           "947e9710bee77b210891028357c3927f"),
+    (3, 3): ("odd-cycle-search", 0,
+             "1fceac86512dfe056befa6e7915d2fed"
+             "756eb9e3ea97aa1ec24253649e720297"),
+    (11,): ("odd-cycle-search", 0,
+            "d7ac549fc6c2a303a31d2a4b79d4700b"
+            "b87676e190a39607e0657a59ff73c4d0"),
+    (4, 3): ("block", 0,
+             "7d5a76baec12adcb3e8e562586eb080a"
+             "1167ba341ccdd70128d5d54fb2e1025b"),
+    (2, 2, 3): ("rainbow-cycle", 2657,
+                "d3306681ed186bc660a2b1ebab67457e"
+                "f5b30d4234c99461664d9b03bea01da3"),
+    (13,): ("odd-cycle-search", 0,
+            "10053d2a1ddbde87f2ed258ae484f25d"
+            "bd194e9c51047431e7eb549953d15f9c"),
+    (15,): ("odd-cycle-search", 0,
+            "f87a361206a3ec9618caa80b6c9af137"
+            "b655836e8eb06d21390ded3bbe65c653"),
+    (16,): ("block", 0,
+            "4b2f4372fd3652692b030bde154baed8"
+            "ce5c8301b307d5c5df9ebde5c9cce79c"),
+    (2, 8): ("rainbow-cycle", 10615,
+             "47f58068e52e60ededbb4c1ca3d40741"
+             "8ce4506c566f19f783ba457ee7bc93e1"),
+    (4, 4): ("rainbow-cycle", 1463,
+             "f9a6abe4003153aded3cafb0271004ac"
+             "af036824b1a242b781a9454493808ec7"),
+    (2, 2, 4): ("rainbow-cycle", 23607,
+                "093a5a2bb007c074480de8908e1fc29d"
+                "04d78fcaa65d7963aae3c2d2344b9bb8"),
+    (2, 2, 2, 2): ("sequence", 161219,
+                   "2dcf40683f97935fff4f610731f9241b"
+                   "ddde0f4bfc1a8140da0d917111b79785"),
 }
 
 
 def test_antimagic_path_dispatcher_routes_and_counts():
-    for fac, (route, nodes) in DISPATCH_CASES.items():
+    for fac, (route, nodes, digest) in DISPATCH_CASES.items():
         spec = GroupSpec(fac)
         res = construct_path_antimagic(spec)
         assert res.status == STATUS_FOUND, fac
         assert (res.route, res.nodes_explored) == (route, nodes), fac
+        labels = repr(res.labeling.labels).encode()
+        assert hashlib.sha256(labels).hexdigest() == digest, fac
         assert verify_a_antimagic(path_graph(spec.order), res.labeling).ok
+
+
 
 
 def test_cycle_routes_spend_at_most_the_lex_first_share():
