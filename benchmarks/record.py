@@ -13,6 +13,11 @@ the Python version and the kernel backend, and per workload:
 * the end-to-end metrics of the untraced run, in perfbench's units;
 * from the traced run, the counts and times in ``TRACED``.
 
+It also times direct library calls in this process, on the checkout's
+``src``: the ``construct_path_ek`` sweep over n in 3..60 and k in 2..16
+(870 calls; seconds, nodes and the Found/Impossible/Unknown counts) and
+one long path, P10000 over Z10.
+
 Node counts are exact and repeat run to run, so they double as a
 determinism check; times are for comparison with earlier files only.
 The recorder gates nothing: a run that fails the benchmark's gate is
@@ -26,6 +31,8 @@ import json
 import re
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +75,37 @@ def run(workload: str, seed: int, trace: int) -> dict:
     }
 
 
+def direct_rows() -> dict:
+    """Time the direct library calls (see the module docstring)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from cordant import construct_path_ek
+
+    statuses: Counter = Counter()
+    nodes = 0
+    start = time.perf_counter()
+    for n in range(3, 61):
+        for k in range(2, 17):
+            res = construct_path_ek(n, k)
+            statuses[res.status] += 1
+            nodes += res.nodes_explored
+    sweep_s = time.perf_counter() - start
+    start = time.perf_counter()
+    long_path = construct_path_ek(10000, 10)
+    long_s = time.perf_counter() - start
+    return {
+        "ek_sweep": {"n": [3, 60], "k": [2, 16],
+                     "calls": sum(statuses.values()),
+                     "seconds": round(sweep_s, 4), "nodes": nodes,
+                     "found": statuses["Found"],
+                     "impossible": statuses["Impossible"],
+                     "unknown": statuses["Unknown"]},
+        "ek_P10000_Z10": {"status": long_path.status,
+                          "route": long_path.route,
+                          "nodes": long_path.nodes_explored,
+                          "seconds": round(long_s, 4)},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -88,6 +126,8 @@ def main(argv=None) -> int:
         print(f"{workload}: correct {plain['verdict']['correct']}/"
               f"{traced['verdict']['correct']}  "
               f"wall_s {plain['metrics'].get('wall_s')}", flush=True)
+    doc["direct"] = direct_rows()
+    print(f"direct: {json.dumps(doc['direct'])}", flush=True)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
                               encoding="utf-8")
     return 0

@@ -190,10 +190,13 @@ def certificate_from_obj(obj: dict) -> Certificate:
         stored_edge = _counts_from_list(spec, stored["edge_class_counts"])
         stored_vertex = _counts_from_list(spec, stored["vertex_class_counts"])
         graph = _graph_from_obj(obj["graph"], len(vertex_labels))
-        stored_ok = bool(stored["ok"])
+        stored_ok = stored["ok"]
         stored_violation = stored["violation"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidLabelingError(f"malformed certificate: {exc}") from exc
+    if not isinstance(stored_ok, bool):
+        raise InvalidLabelingError(
+            "malformed certificate: verdict ok must be true or false")
     if notion == NOTION_A_CORDIAL:
         rebuilt = make_vertex_certificate(
             graph, VertexLabeling(spec, vertex_labels))

@@ -153,6 +153,8 @@ def _graph_from_args(args) -> SimpleGraph:
             for e in raw):
         raise CordantError("edges must be a JSON array of [u, v] integer pairs")
     edges = tuple(map(tuple, raw))
+    if args.n is None and not edges:
+        raise CordantError("an empty edge list needs --n")
     n = args.n if args.n is not None else 1 + max(max(e) for e in edges)
     return tree_graph(n, edges)
 
@@ -161,16 +163,14 @@ def _graph_from_args(args) -> SimpleGraph:
 # subcommand handlers
 
 def _cmd_construct(args) -> int:
-    budget = _resolve_budget(args)
     if args.target == "antimagic-path":
         spec = parse_group(args.group)
-        result = construct_path_antimagic(spec, budget=budget,
+        result = construct_path_antimagic(spec, budget=_resolve_budget(args),
                                           workers=args.workers)
         notion = NOTION_A_ANTIMAGIC
         graph = path_graph(spec.order)
     elif args.target == "ek-path":
-        result = construct_path_ek(args.n, args.k, budget=budget,
-                                   workers=args.workers)
+        result = construct_path_ek(args.n, args.k)
         notion = NOTION_EA_CORDIAL
         graph = path_graph(args.n)
     else:  # ant-path
@@ -402,8 +402,16 @@ def _add_common(sub, budget=True, workers=True, graph=False) -> None:
                          help='JSON edge list for --kind tree, e.g. "[[0,1],[1,2]]"')
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as one ``error:`` line, like every other
+    input error; ``--help`` still prints the usage."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cordant",
         description="Equitable and distinct-sum group labelings of paths, "
                     "cycles, and trees: constructions, deciders, searches.")
@@ -420,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="equitable Z_k edge labeling of P_n")
     c2.add_argument("--n", type=int, required=True)
     c2.add_argument("--k", type=int, required=True)
-    _add_common(c2)
+    _add_common(c2, budget=False, workers=False)
     c2.set_defaults(func=_cmd_construct)
     c3 = con_subs.add_parser("ant-path",
                              help="block construction for groups with a "

@@ -5,8 +5,8 @@ Everything here either transfers one kind of labeling into another
 builds a labeling outright (block construction over a group with a
 cyclic part of order 4m, sequence-based construction for elementary
 2-groups, product of a found core ordering with odd cyclic factors,
-element enumeration of an odd-order group), or answers existence
-questions by formula.
+element enumeration of an odd-order group, consecutive vertex sums on a
+path over Z_k), or answers existence questions by formula.
 
 Every constructor verifies the labeling it returns exactly once, at its
 end, and raises InternalCheckError on a mismatch, so a returned labeling
@@ -60,7 +60,6 @@ from .search import (
     SearchOutcome,
     check_workers,
     find_equitable_cycle,
-    search_ea_cordial,
     search_rstar_sequence,
 )
 
@@ -229,7 +228,9 @@ def decide_path_ek_cordial(n: int, k: int) -> bool:
     For n >= 3 this holds exactly when k is not 2 mod 4 or n is not an
     odd multiple of k.  P_2 is a special case: its single edge label is
     both vertex sums, so one class holds every vertex and no k >= 2
-    balances.
+    balances.  ``construct_path_ek`` is the proof of sufficiency: it
+    writes down a labeling for every allowed (n, k), and its docstring
+    shows why each one is equitable.
     """
     if n < 2:
         raise PreconditionError("paths need n >= 2")
@@ -402,52 +403,79 @@ def construct_ant_path(spec) -> EdgeLabeling:
 # ---------------------------------------------------------------------------
 # dispatcher: equitable Z_k edge labelings of paths
 
-def construct_path_ek(n: int, k: int, budget: int | None = DEFAULT_BUDGET,
-                      workers: int = 1) -> ConstructionResult:
-    """Equitable Z_k edge labeling of P_n, or Impossible/Unknown.
+def construct_path_ek(n: int, k: int) -> ConstructionResult:
+    """Equitable Z_k edge labeling of P_n, or Impossible, by formula.
 
-    Routes, tried in order: the pinned P_4 base labeling; the block
-    construction over Z_k + Z_{n/k} projected back to Z_k (odd
-    multiples of k with k divisible by 4); otherwise search an
-    equitable cycle labeling and open it into a path.
+    Impossible exactly when ``decide_path_ek_cordial`` says so; otherwise
+    the ``consecutive-sums`` route writes the labeling down, with no
+    search.  Number the vertices 1..n and let edge i join v_i and v_i+1.
+    With s = n mod 2k and h = floor(s/2), pick (c, d, p):
+
+    ==================  =====  ======  =============================
+    residue             c      d       p (jump after vertex p)
+    ==================  =====  ======  =============================
+    s odd               h + 1  h       none (p = n)
+    s even, s <= k      0      -h - 2  h + 1
+    s even, s > k       0      -h - 1  none (p = n)
+    ==================  =====  ======  =============================
+
+    Then f_1 = c and f_i = (d + i + [i > p]) - f_(i-1) mod k for
+    i = 2..n-1.  So vertex 1 sums to c, interior vertex i to d + i (plus
+    1 past p), and vertex n to f_(n-1).
+
+    Why it is equitable, for every k.  Write n = 2kq + s.  The recurrence
+    gives f_i = f_(i-2) + 1 for i >= 3, plus 1 more at i = p + 1, so the
+    odd- and the even-numbered edges each carry a run of consecutive
+    residues, the run through the jump skipping one value.  The interior
+    sums run through consecutive residues too, with vertex 1's c in the
+    gap the jump leaves.  A run of L consecutive integers covers every
+    residue floor(L/k) times and a window of L mod k residues once more.
+    Over 2q per class, these classes get one more:
+
+    - s odd: edges 1..2h; vertex sums h..3h (they are h..h+n-1);
+    - s even, s > k: edges 1-h..h-1; vertex sums 1-h..h-1, and 0 once
+      more (vertex 1; 0 is not doubled in that window since h < k);
+    - s = 0: edges all but 0 (one less there); vertex sums none;
+    - s even, 0 < s <= k: edges -h..h less -1 and (h+1)/2 (h odd), or
+      -h..h-1 less -h/2 (h even); vertex sums -h..h-2 and f_(n-1),
+      which is h (h odd) or h-1 (h even).
+
+    Every window is shorter than 2k, so no class is two ahead of
+    another, except at s = k with h odd, where h = -h mod k is counted
+    twice: that is k = 2 mod 4 with n an odd multiple of k, which the
+    decider rules out.
+
+    Periodicity.  (c, d, p) depend on n only through s, so the labels
+    for n + 2k start with the labels for n.  Past p they are 2k-periodic,
+    so appending 2k edges adds exactly 2 to every edge class and to
+    every vertex class: once n > p, whether the labeling is equitable
+    depends only on s, and the checks for n < 4k cover every n.
+
+    The labeling is verified once before it is returned.
     """
-    check_workers(workers)
     if n < 2:
         raise PreconditionError("paths need n >= 2")
     if k < 2:
         raise PreconditionError("modulus must be at least 2")
     if not decide_path_ek_cordial(n, k):
         return ConstructionResult(STATUS_IMPOSSIBLE, None, "decided-impossible")
-    spec = GroupSpec((k,))
-    nodes = 0
-    if (n, k) == (4, 4):
-        f = EdgeLabeling(spec, ((0,), (1,), (2,)))
-        route = "base-p4"
-    elif n % k == 0 and (n // k) % 2 == 1 and k % 4 == 0 and n > 4:
-        # on P_|A| dropping coordinates keeps both families equitable
-        # (see project_labeling)
-        work = spec if n == k else GroupSpec((k, n // k))
-        f = EdgeLabeling(spec, tuple(a[:1]
-                                     for a in _ant_path_labels(work).labels))
-        route = "block-project"
+    s = n % (2 * k)
+    h = s // 2
+    if s % 2 == 1:
+        c, d, p = h + 1, h, n
+    elif s <= k:
+        c, d, p = 0, -h - 2, h + 1
     else:
-        out = search_ea_cordial(cycle_graph(n), spec, budget=budget,
-                                workers=workers)
-        if out.status == STATUS_UNKNOWN:
-            return ConstructionResult(STATUS_UNKNOWN, None, "cycle-search",
-                                      out.nodes_explored)
-        if out.status == STATUS_NOT_EXISTS:
-            raise InternalCheckError(
-                f"decider promised a cycle labeling for C_{n} over Z_{k}")
-        c = out.certificate
-        f = _opened(c, class_counts(spec, c.labels))
-        route = "cycle-search"
-        nodes = out.nodes_explored
+        c, d, p = 0, -h - 1, n
+    labels = [c % k]
+    for i in range(2, n):
+        labels.append((d + i + (i > p) - labels[-1]) % k)
+    f = EdgeLabeling(GroupSpec((k,)), tuple((a,) for a in labels))
     verdict = verify_ea_cordial(path_graph(n), f)
     if not verdict.ok:
         raise InternalCheckError(
-            f"route {route} failed verification ({verdict.violation})")
-    return ConstructionResult(STATUS_FOUND, f, route, nodes)
+            f"route consecutive-sums failed verification ({verdict.violation})")
+    return ConstructionResult(STATUS_FOUND, f, "consecutive-sums")
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,15 @@ def test_rejects_tampered_verdict():
         certificate_loads(json.dumps(obj))
 
 
+@pytest.mark.parametrize("flag", [1, 0, "true", None, [True]])
+def test_rejects_a_verdict_flag_that_is_not_a_json_boolean(flag):
+    # bool() would read 1 (or "true", or [True]) as demo 4's own true
+    obj = json.loads(_fixture_text(4))
+    obj["verdict"]["ok"] = flag
+    with pytest.raises(InvalidLabelingError, match="true or false"):
+        certificate_loads(json.dumps(obj))
+
+
 def test_rejects_tampered_counts():
     obj = json.loads(_fixture_text(1))
     counts = obj["verdict"]["vertex_class_counts"]

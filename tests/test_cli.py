@@ -85,10 +85,10 @@ def test_construct_antimagic_path_impossible(capsys):
 
 
 def test_construct_unknown_on_tiny_budget(capsys):
-    code, out, _ = run(capsys, ["construct", "ek-path", "--n", "18",
-                                "--k", "5", "--budget", "10"])
+    code, out, _ = run(capsys, ["construct", "antimagic-path",
+                                "--group", "Z2xZ2xZ2xZ2", "--budget", "10"])
     assert code == EXIT_UNKNOWN
-    assert out == "unknown (budget exhausted after 2 nodes)\n"
+    assert out == "unknown (budget exhausted after 1 nodes)\n"
 
 
 def test_construct_ant_path_json_document(capsys):
@@ -116,7 +116,18 @@ def test_construct_ant_path_beyond_the_op_table_cap(capsys):
 def test_construct_ek_path_route_line(capsys):
     code, out, _ = run(capsys, ["construct", "ek-path", "--n", "9", "--k", "3"])
     assert code == EXIT_OK
-    assert out.startswith("status Found (route cycle-search, 17 nodes)\n")
+    assert out.startswith("status Found (route consecutive-sums, 0 nodes)\n")
+
+
+@pytest.mark.parametrize("option", [["--budget", "5"], ["--workers", "2"],
+                                    ["--budget-seconds", "1"]])
+def test_construct_ek_path_takes_no_search_options(capsys, option):
+    # the route is a formula: a budget or worker count would do nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "ek-path", "--n", "9", "--k", "3"] + option)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_USAGE, "")
+    assert err == f"error: unrecognized arguments: {' '.join(option)}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +267,12 @@ def test_non_integer_budget_env_fails_commands_that_do_not_search(
 
 
 def test_budget_seconds_maps_to_nodes(capsys):
-    # 10 nodes per 500k/sec: 2e-5 s
-    code, out, _ = run(capsys, ["construct", "ek-path", "--n", "18",
-                                "--k", "5", "--budget-seconds", "0.00002"])
+    # 10 nodes per 500k/sec: 2e-5 s, as --budget 10 above
+    code, out, _ = run(capsys, ["construct", "antimagic-path",
+                                "--group", "Z2xZ2xZ2xZ2",
+                                "--budget-seconds", "0.00002"])
     assert code == EXIT_UNKNOWN
+    assert out == "unknown (budget exhausted after 1 nodes)\n"
 
 
 @pytest.mark.parametrize("seconds", ["inf", "nan", "-1"])
@@ -394,6 +407,30 @@ def test_missing_n_is_usage_error(capsys, argv):
     assert err == f"error: {argv[argv.index('--kind') + 1]} graphs need --n\n"
 
 
+def test_empty_edge_list_needs_n(capsys):
+    argv = ["verify", "--notion", "a-antimagic", "--kind", "tree",
+            "--edges", "[]", "--group", "Z1", "--labels", "[]"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: an empty edge list needs --n\n"
+    code, out, _ = run(capsys, argv + ["--n", "1"])
+    assert code == EXIT_OK and out.startswith("valid\n")
+
+
+def test_certificate_verdict_flag_must_be_a_json_boolean(capsys, tmp_path):
+    # bool() would read 1 as true: demo 4 would print valid and exit 0
+    with open(DEMO4, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for flag in (1, "true", None):
+        doc["verdict"]["ok"] = flag
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["verify", "--certificate", str(path)])
+        assert (code, out) == (EXIT_USAGE, ""), flag
+        assert err == ("error: malformed certificate: verdict ok must be "
+                       "true or false\n")
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_is_usage_error(capsys, workers):
     code, out, err = run(capsys, ["search", "ea-cordial", "--group", "Z4",
@@ -407,7 +444,6 @@ def test_workers_below_one_is_usage_error(capsys, workers):
 @pytest.mark.parametrize("argv", [
     ["search", "rstar", "--group", "Z2"],
     ["construct", "antimagic-path", "--group", "Z8"],
-    ["construct", "ek-path", "--n", "4", "--k", "4"],
     ["explore", "--n-max", "2"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_workers_below_one_is_usage_error_on_every_command(capsys, argv):
@@ -439,7 +475,9 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    _, err = capsys.readouterr()
+    assert err.startswith("error: argument command: invalid choice: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Deciders, transfer operations, block construction, and dispatchers."""
 
 import hashlib
+import time
 from math import prod
 
 import pytest
@@ -225,9 +226,9 @@ def test_block_construction_frozen_outputs():
 
 
 def test_block_routes_verify_their_path_once(monkeypatch):
-    # ... and neither the odd route nor the block layout searches; the
-    # searching routes verify their path once too, and no cycle: the
-    # search certified it
+    # ... and neither the odd route, the block layout nor the ek formula
+    # searches; the searching routes verify their path once too, and no
+    # cycle: the search certified it
     from cordant import constructions, search
 
     checks = []
@@ -241,8 +242,7 @@ def test_block_routes_verify_their_path_once(monkeypatch):
     ea, ant = [("verify_ea_cordial", "path")], [("verify_a_antimagic", "path")]
     searching = ((lambda: construct_path_antimagic(GroupSpec((2, 4))), ant),
                  (lambda: construct_path_antimagic(GroupSpec((2, 4, 3))), ant),
-                 (lambda: construct_path_antimagic(GroupSpec((2, 2))), ant),
-                 (lambda: construct_path_ek(10, 3), ea))
+                 (lambda: construct_path_antimagic(GroupSpec((2, 2))), ant))
     for call, want in searching:
         checks.clear()
         assert call().status == STATUS_FOUND
@@ -259,7 +259,8 @@ def test_block_routes_verify_their_path_once(monkeypatch):
                         layout + ant),
                        (lambda: construct_path_antimagic(GroupSpec((13,))),
                         ant),
-                       (lambda: construct_path_ek(36, 12), layout + ea)):
+                       (lambda: construct_path_ek(10, 3), ea),
+                       (lambda: construct_path_ek(36, 12), ea)):
         checks.clear()
         call()
         assert checks == want
@@ -278,51 +279,84 @@ def test_block_construction_verifies_with_distinct_sums():
 # ---------------------------------------------------------------------------
 # equitable path dispatcher
 
+# the formula's labels on a few small paths, frozen
+EK_LABELS = {
+    (4, 4): (0, 2, 1),
+    (9, 3): (2, 1, 0, 2, 1, 0, 2, 1),
+    (12, 12): (0, 6, 1, 7, 2, 8, 3, 10, 4, 11, 5),
+    (18, 5): (0, 2, 1, 3, 2, 4, 3, 0, 4, 1, 0, 2, 1, 3, 2, 4, 3),
+    (3, 6): (2, 1),
+    (12, 2): (0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1),
+    (17, 6): (3, 1, 4, 2, 5, 3, 0, 4, 1, 5, 2, 0, 3, 1, 4, 2),
+}
+
+
 def test_path_ek_dispatcher_routes_and_counts():
-    cases = {
-        (4, 4): ("base-p4", 0),
-        (12, 12): ("block-project", 0),
-        (9, 3): ("cycle-search", 17),
-        (18, 5): ("cycle-search", 50),
-        (3, 6): ("cycle-search", 5),
-        (12, 2): ("cycle-search", 43),
-        (17, 6): ("cycle-search", 57),
-    }
-    for (n, k), (route, nodes) in cases.items():
+    for (n, k), labels in EK_LABELS.items():
         res = construct_path_ek(n, k)
-        assert res.status == STATUS_FOUND, (n, k)
-        assert (res.route, res.nodes_explored) == (route, nodes), (n, k)
+        assert (res.status, res.route, res.nodes_explored) == (
+            STATUS_FOUND, "consecutive-sums", 0), (n, k)
+        assert res.labeling == EdgeLabeling(GroupSpec((k,)),
+                                            tuple((a,) for a in labels))
         assert verify_ea_cordial(path_graph(n), res.labeling).ok
 
 
-def test_path_ek_dispatcher_block_route_at_36():
-    res = construct_path_ek(36, 12)
-    assert res.status == STATUS_FOUND and res.route == "block-project"
-    assert res.labeling.group == GroupSpec((12,))
-    assert verify_ea_cordial(path_graph(36), res.labeling).ok
+def test_path_ek_formula_matches_the_decider_without_searching(monkeypatch):
+    from cordant import search
+
+    def no_search(task):
+        raise AssertionError(f"kernel call {task[0]}")
+    monkeypatch.setattr(search, "_run_branch", no_search)
+    found = 0
+    for k in range(2, 33):
+        for n in range(3, 201):
+            res = construct_path_ek(n, k)
+            assert res.nodes_explored == 0, (n, k)
+            if decide_path_ek_cordial(n, k):
+                assert (res.status, res.route) == (
+                    STATUS_FOUND, "consecutive-sums"), (n, k)
+                assert verify_ea_cordial(path_graph(n), res.labeling).ok
+                found += 1
+            else:
+                assert (res.status, res.labeling) == (STATUS_IMPOSSIBLE, None)
+    assert found == 6037  # of the 6138 pairs; 101 are Impossible
+
+
+def test_path_ek_labels_extend_by_one_period():
+    # the labels depend on n only through n mod 2k
+    for k in (2, 3, 4, 6, 10, 16):
+        for n in range(3, 4 * k):
+            if not decide_path_ek_cordial(n, k):
+                continue
+            short = construct_path_ek(n, k).labeling.labels
+            long = construct_path_ek(n + 2 * k, k).labeling.labels
+            assert long[:n - 1] == short, (n, k)
+
+
+def test_path_ek_formula_reaches_long_paths():
+    # no search, so no depth cap and no budget: P_10000 over Z_10 is
+    # written down and verified in well under a second
+    start = time.perf_counter()
+    res = construct_path_ek(10000, 10)
+    assert time.perf_counter() - start < 1.0
+    assert (res.status, res.route, res.nodes_explored) == (
+        STATUS_FOUND, "consecutive-sums", 0)
+    assert verify_ea_cordial(path_graph(10000), res.labeling).ok
 
 
 def test_routes_with_searches_deeper_than_a_thousand_levels():
-    # the cycle over 1200 slots recurses deeper than Python's default frame
-    # limit on the pure kernel; the block routes around it search nothing
+    # a search over 7240 slots would recurse deeper than Python's default
+    # frame limit on the pure kernel; the block route searches nothing
     res = construct_path_antimagic(GroupSpec((8, 905)))
     assert (res.status, res.route) == (STATUS_FOUND, "block")
     assert verify_a_antimagic(path_graph(7240), res.labeling).ok
-    res = construct_path_ek(7240, 8)
-    assert (res.status, res.route) == (STATUS_FOUND, "block-project")
-    res = construct_path_ek(1200, 3)
-    assert (res.status, res.route, res.nodes_explored) == (
-        STATUS_FOUND, "cycle-search", 2399)
-    assert verify_ea_cordial(path_graph(1200), res.labeling).ok
 
 
-def test_path_ek_dispatcher_impossible_and_unknown():
+def test_path_ek_dispatcher_impossible():
     for n, k in ((6, 6), (18, 6), (10, 2), (2, 5)):
         res = construct_path_ek(n, k)
         assert res.status == STATUS_IMPOSSIBLE
         assert res.route == "decided-impossible" and res.labeling is None
-    res = construct_path_ek(18, 5, budget=10)
-    assert res.status == STATUS_UNKNOWN and res.route == "cycle-search"
     with pytest.raises(PreconditionError):
         construct_path_ek(1, 3)
     with pytest.raises(PreconditionError):
@@ -440,11 +474,6 @@ def test_cycle_routes_spend_at_most_the_lex_first_share():
         res = construct_path_antimagic(GroupSpec((2, 32)), budget=budget)
         assert res.route == "rainbow-cycle"
         assert 0 < res.nodes_explored <= _shares(budget, 64)[0]
-        res = construct_path_ek(39, 10, budget=budget)
-        assert res.route == "cycle-search"
-        assert 0 < res.nodes_explored <= _shares(budget, 10)[0]
-        if res.status == STATUS_UNKNOWN:
-            assert res.nodes_explored == _shares(budget, 10)[0]
 
 
 def test_rainbow_route_builds_products_from_a_searched_core():
@@ -471,25 +500,10 @@ def test_rainbow_route_builds_products_from_a_searched_core():
         assert res.nodes_explored == alone.nodes_explored, fac
 
 
-def test_ek_cycle_search_keeps_the_lex_first_labeling():
-    # the ek cycle route stays on the lex-first search: these are Found at
-    # exactly these node counts, some after well over one restart unit
-    for n, k, nodes in ((43, 6, 165291), (31, 6, 26181), (23, 8, 14092)):
-        res = construct_path_ek(n, k)
-        assert (res.status, res.route, res.nodes_explored) == (
-            STATUS_FOUND, "cycle-search", nodes), (n, k)
-        lex = search_ea_cordial(cycle_graph(n), GroupSpec((k,)))
-        assert cycle_to_path(cycle_graph(n), lex.certificate)[1] == res.labeling
-        assert verify_ea_cordial(path_graph(n), res.labeling).ok
-
-
 def test_searched_routes_are_deterministic_at_any_worker_count():
     # routes that pass workers on to their search
     results = [construct_path_antimagic(GroupSpec((2, 2, 2, 2)), workers=w)
                for w in (1, 2, 1)]
-    assert len({(r.status, r.labeling, r.nodes_explored)
-                for r in results}) == 1
-    results = [construct_path_ek(39, 10, workers=w) for w in (1, 2, 1)]
     assert len({(r.status, r.labeling, r.nodes_explored)
                 for r in results}) == 1
 

@@ -26,7 +26,6 @@ from cordant import (
     STATUS_UNKNOWN,
     compute_sigma_max,
     construct_path_antimagic,
-    construct_path_ek,
     cycle_graph,
     enumerate_elements,
     explore_conjecture,
@@ -266,8 +265,6 @@ def test_workers_below_one_are_rejected():
             search_rstar_sequence(GroupSpec((2,)), workers=workers)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             construct_path_antimagic(GroupSpec((8,)), workers=workers)
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            construct_path_ek(4, 4, workers=workers)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             explore_conjecture(2, workers=workers)
 
