@@ -16,7 +16,10 @@ the Python version and the kernel backend, and per workload:
 It also times direct library calls in this process, on the checkout's
 ``src``: the ``construct_path_ek`` sweep over n in 3..60 and k in 2..16
 (870 calls; seconds, nodes and the Found/Impossible/Unknown counts) and
-one long path, P10000 over Z10.
+one long path, P10000 over Z10.  In fresh interpreters it times
+``import cordant.cli`` (the median of ``IMPORT_RUNS`` runs, import
+statement only) and counts the ``cordant.*`` modules that importing the
+CLI and then running ``decide path-ek`` each leave loaded.
 
 Node counts are exact and repeat run to run, so they double as a
 determinism check; times are for comparison with earlier files only.
@@ -28,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -41,6 +46,7 @@ TRACED = ("kernel.nodes", "kernel.calls", "labelings.verify_calls",
           "labelings.verify_s", "certificates.make_s")
 # perfbench's default --seconds; not passed, so every point has this length
 SECONDS = 20
+IMPORT_RUNS = 9
 
 # "workload construct  seed 301  backend pure  python 3.11.7  nproc 2 ..."
 HEADER = re.compile(r"backend (\S+)\s+python (\S+)")
@@ -106,6 +112,34 @@ def direct_rows() -> dict:
     }
 
 
+def fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def cli_import_row() -> dict:
+    """Import time of ``cordant.cli`` and the modules two steps load."""
+    timed = ("import time; t = time.perf_counter(); import cordant.cli; "
+             "print(time.perf_counter() - t)")
+    seconds = [float(fresh(timed)) for _ in range(IMPORT_RUNS)]
+    count = ("import sys; print(sum(m.startswith('cordant.') "
+             "for m in sys.modules))")
+    decide = ("import contextlib, io, cordant.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    cordant.cli.main(['decide', 'path-ek', '--n', '10', "
+              "'--k', '4'])\n")
+    return {"runs": IMPORT_RUNS,
+            "import_s": round(statistics.median(seconds), 4),
+            "modules": {
+                "import cordant.cli": int(fresh(f"import cordant.cli\n{count}")),
+                "decide path-ek": int(fresh(f"{decide}{count}")),
+            }}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -127,6 +161,7 @@ def main(argv=None) -> int:
               f"{traced['verdict']['correct']}  "
               f"wall_s {plain['metrics'].get('wall_s')}", flush=True)
     doc["direct"] = direct_rows()
+    doc["direct"]["cli_import"] = cli_import_row()
     print(f"direct: {json.dumps(doc['direct'])}", flush=True)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
                               encoding="utf-8")

@@ -12,8 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 
+from ._vocab import (
+    NOTION_A_ANTIMAGIC,
+    NOTION_A_CORDIAL,
+    NOTION_A_STAR_ANTIMAGIC,
+    NOTION_EA_CORDIAL,
+    NOTIONS,
+)
 from .errors import InvalidLabelingError, InvalidSpecError
 from .graphs import CYCLE, GENERAL, PATH, TREE, SimpleGraph, cycle_graph, path_graph
 from .groups import Element, GroupSpec, enumerate_elements
@@ -27,18 +33,6 @@ from .labelings import (
     verify_a_cordial,
     verify_a_star_antimagic,
     verify_ea_cordial,
-)
-
-NOTION_EA_CORDIAL = "ea-cordial"
-NOTION_A_CORDIAL = "a-cordial"
-NOTION_A_ANTIMAGIC = "a-antimagic"
-NOTION_A_STAR_ANTIMAGIC = "a-star-antimagic"
-
-NOTIONS = (
-    NOTION_EA_CORDIAL,
-    NOTION_A_CORDIAL,
-    NOTION_A_ANTIMAGIC,
-    NOTION_A_STAR_ANTIMAGIC,
 )
 
 _EDGE_VERIFIERS = {
@@ -228,6 +222,8 @@ def load_demo_certificate(number: int) -> Certificate:
     """Load one of the four bundled example certificates (1 to 4)."""
     if number not in (1, 2, 3, 4):
         raise InvalidSpecError("demo certificates are numbered 1 to 4")
+    from importlib import resources
+
     text = (resources.files("cordant") / "fixtures" /
             f"demo{number}.json").read_text(encoding="utf-8")
     return certificate_loads(text)

@@ -5,6 +5,11 @@ valid, 1 for not-exists / invalid / impossible, 2 for usage or input
 errors, 3 when a search ran out of budget.  Budgets count explored
 search nodes; a wall-clock budget is mapped to nodes with a deliberately
 conservative constant so a time budget never under-delivers nodes.
+
+Importing this module loads no library layer.  Each handler imports the
+names it calls when it runs, off the package (so a name swapped there is
+the one called), and parses ``--group`` first, so a bad group is
+reported before anything heavier loads.
 """
 
 from __future__ import annotations
@@ -15,50 +20,25 @@ import math
 import os
 import sys
 from functools import partial
+from typing import TYPE_CHECKING
 
-from .certificates import (
-    Certificate,
+from ._vocab import (
+    DEFAULT_BUDGET,
     NOTION_A_ANTIMAGIC,
     NOTION_A_CORDIAL,
     NOTION_A_STAR_ANTIMAGIC,
     NOTION_EA_CORDIAL,
     NOTIONS,
-    certificate_dumps,
-    certificate_loads,
-    certificate_to_obj,
-    is_json_int,
-    load_demo_certificate,
-    make_edge_certificate,
-    make_vertex_certificate,
-)
-from .constructions import (
-    STATUS_IMPOSSIBLE,
-    construct_ant_path,
-    construct_path_antimagic,
-    construct_path_ek,
-    decide_cycle_zk_cordial,
-    decide_path_a_antimagic,
-    decide_path_ek_cordial,
-    decide_tree_2mod4_obstruction,
-    sigma_max_formula,
-)
-from .errors import CordantError
-from .graphs import SimpleGraph, TREE, cycle_graph, path_graph, tree_graph
-from .groups import GroupSpec, format_group, parse_group
-from .labelings import EdgeLabeling, VertexLabeling
-from .search import (
-    DEFAULT_BUDGET,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
-    compute_sigma_max,
-    search_a_antimagic,
-    search_a_cordial,
-    search_a_star_antimagic,
-    search_ea_cordial,
-    search_rstar_sequence,
 )
-from .explore import explore_conjecture
+from .errors import CordantError
+
+if TYPE_CHECKING:
+    from .certificates import Certificate
+    from .graphs import SimpleGraph
+    from .groups import GroupSpec
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -72,6 +52,21 @@ NODES_PER_SECOND = 500_000
 BUDGET_ENV = "CORDANT_BUDGET"
 
 __all__ = ["main"]
+
+
+def __getattr__(name: str):
+    # ``cli.explore_conjecture`` stays readable, as when this module
+    # imported it; perfbench/spans.py swaps it
+    if name == "explore_conjecture":
+        from . import explore_conjecture
+        return explore_conjecture
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _group(args):
+    """The parsed ``--group``."""
+    from . import parse_group
+    return parse_group(args.group)
 
 
 def _resolve_budget(args) -> int | None:
@@ -108,6 +103,7 @@ def _emit(args, lines: list[str], doc: dict,
     certificate's JSON updated with ``doc``, and text output ends with the
     certificate itself."""
     if cert is not None:
+        from . import certificate_dumps, certificate_to_obj
         doc = {**certificate_to_obj(cert), **doc}
     if args.format == "json":
         print(json.dumps(doc, indent=2))
@@ -123,6 +119,7 @@ def _emit(args, lines: list[str], doc: dict,
 
 
 def _parse_elements(spec: GroupSpec, text: str) -> tuple:
+    from .certificates import is_json_int
     raw = json.loads(text)
     if not isinstance(raw, list):
         raise CordantError("labels must be a JSON array")
@@ -139,6 +136,8 @@ def _parse_elements(spec: GroupSpec, text: str) -> tuple:
 
 
 def _graph_from_args(args) -> SimpleGraph:
+    from . import cycle_graph, path_graph, tree_graph
+    from .certificates import is_json_int
     if args.kind in ("path", "cycle") and args.n is None:
         raise CordantError(f"{args.kind} graphs need --n")
     if args.kind == "path":
@@ -163,8 +162,16 @@ def _graph_from_args(args) -> SimpleGraph:
 # subcommand handlers
 
 def _cmd_construct(args) -> int:
+    spec = None if args.target == "ek-path" else _group(args)
+    from . import (
+        STATUS_IMPOSSIBLE,
+        construct_ant_path,
+        construct_path_antimagic,
+        construct_path_ek,
+        make_edge_certificate,
+        path_graph,
+    )
     if args.target == "antimagic-path":
-        spec = parse_group(args.group)
         result = construct_path_antimagic(spec, budget=_resolve_budget(args),
                                           workers=args.workers)
         notion = NOTION_A_ANTIMAGIC
@@ -174,7 +181,6 @@ def _cmd_construct(args) -> int:
         notion = NOTION_EA_CORDIAL
         graph = path_graph(args.n)
     else:  # ant-path
-        spec = parse_group(args.group)
         f = construct_ant_path(spec)
         cert = make_edge_certificate(NOTION_EA_CORDIAL,
                                      path_graph(spec.order), f)
@@ -203,13 +209,20 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.certificate:
+        from . import certificate_loads
         with open(args.certificate, encoding="utf-8") as fh:
             cert = certificate_loads(fh.read())
     else:
         if not (args.notion and args.group and args.kind and args.labels):
             raise CordantError(
                 "inline verification needs --notion, --group, --kind, --labels")
-        spec = parse_group(args.group)
+        spec = _group(args)
+        from . import (
+            EdgeLabeling,
+            VertexLabeling,
+            make_edge_certificate,
+            make_vertex_certificate,
+        )
         graph = _graph_from_args(args)
         labels = _parse_elements(spec, args.labels)
         if args.notion == NOTION_A_CORDIAL:
@@ -224,6 +237,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    spec = (_group(args) if args.question in ("path-antimagic", "tree-2mod4")
+            else None)
+    from . import (
+        decide_cycle_zk_cordial,
+        decide_path_a_antimagic,
+        decide_path_ek_cordial,
+        decide_tree_2mod4_obstruction,
+        format_group,
+    )
     if args.question == "path-ek":
         answer = decide_path_ek_cordial(args.n, args.k)
         subject = f"equitable Z_{args.k} edge labeling of P_{args.n}"
@@ -231,12 +253,10 @@ def _cmd_decide(args) -> int:
         answer = decide_cycle_zk_cordial(args.n, args.k)
         subject = f"equitable Z_{args.k} vertex labeling of C_{args.n}"
     elif args.question == "path-antimagic":
-        spec = parse_group(args.group)
         answer = decide_path_a_antimagic(spec)
         subject = (f"injective distinct-sum labeling of "
                    f"P_{spec.order} over {format_group(spec)}")
     else:  # tree-2mod4
-        spec = parse_group(args.group)
         obstructed = decide_tree_2mod4_obstruction(args.n, spec)
         word = "obstructed" if obstructed else "unobstructed"
         _emit(args, [word], {"question": args.question, "n": args.n,
@@ -256,7 +276,18 @@ def _outcome_doc(outcome, certificate_obj) -> dict:
 
 def _cmd_search(args) -> int:
     budget = _resolve_budget(args)
-    spec = parse_group(args.group)
+    spec = _group(args)
+    from . import (
+        certificate_dumps,
+        certificate_to_obj,
+        make_edge_certificate,
+        make_vertex_certificate,
+        search_a_antimagic,
+        search_a_cordial,
+        search_a_star_antimagic,
+        search_ea_cordial,
+        search_rstar_sequence,
+    )
     if args.notion == "rstar":
         outcome = search_rstar_sequence(spec, budget=budget,
                                         workers=args.workers)
@@ -300,15 +331,17 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sigma_max(args) -> int:
-    spec = parse_group(args.group)
+    spec = _group(args)
     doc: dict = {"group": list(spec.factors), "mode": args.mode}
     lines: list[str] = []
     formula = searched = None
     if args.mode in ("formula", "both"):
+        from . import sigma_max_formula
         formula = sigma_max_formula(spec)
         doc["formula"] = formula
         lines.append(f"formula {formula}")
     if args.mode in ("search", "both"):
+        from . import compute_sigma_max
         result = compute_sigma_max(spec, budget=_resolve_budget(args))
         if result.status == STATUS_UNKNOWN:
             doc["search"] = None
@@ -333,6 +366,7 @@ def _cmd_sigma_max(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    from . import explore_conjecture
     report = explore_conjecture(args.n_max, budget=_resolve_budget(args),
                                 workers=args.workers)
     doc = {
@@ -361,11 +395,13 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from . import format_group, load_demo_certificate
     cert = load_demo_certificate(args.number)
     extra = {}
     lines = [f"demo {args.number}: {cert.notion} on {cert.graph.kind} "
              f"n={cert.graph.n} over {format_group(cert.group)}"]
     if args.number in (2, 3):
+        from . import construct_ant_path
         rebuilt = construct_ant_path(cert.group)
         if rebuilt.labels != cert.edge_labels:
             print("error: fixture does not match the regenerated labeling",

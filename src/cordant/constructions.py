@@ -16,13 +16,27 @@ helpers (``_opened``, ``_ant_path_labels``, ``_rstar_path_labels``), not
 through the public transfer maps, which also check their input because
 it may come from outside.  A searched cycle is certified by the search
 that found it.
+
+Only the ``rainbow-cycle`` and ``sequence`` routes search, and they
+import ``search`` when they run: the deciders and every other route
+never load it.  ``search_rstar_sequence`` is read off the package, so a
+name swapped there (a test double, the benchmark's layer tracer) is the
+one called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil
+from typing import TYPE_CHECKING
 
+from ._vocab import (
+    DEFAULT_BUDGET,
+    STATUS_FOUND,
+    STATUS_NOT_EXISTS,
+    STATUS_UNKNOWN,
+    check_workers,
+)
 from .errors import (
     InapplicableGroupError,
     InternalCheckError,
@@ -51,17 +65,9 @@ from .labelings import (
     verify_a_cordial,
     verify_ea_cordial,
 )
-from .search import (
-    DEFAULT_BUDGET,
-    RStarSequence,
-    STATUS_FOUND,
-    STATUS_NOT_EXISTS,
-    STATUS_UNKNOWN,
-    SearchOutcome,
-    check_workers,
-    find_equitable_cycle,
-    search_rstar_sequence,
-)
+
+if TYPE_CHECKING:
+    from .search import RStarSequence, SearchOutcome
 
 STATUS_IMPOSSIBLE = "Impossible"
 
@@ -248,6 +254,8 @@ def decide_tree_2mod4_obstruction(n: int, spec) -> bool:
     Returns True when the obstruction applies, meaning no tree on n
     vertices has an equitable edge labeling over the group.
     """
+    if n < 1:
+        raise PreconditionError("trees need n >= 1")
     spec = group(spec)
     return n % 4 == 2 and spec.order % 4 == 2
 
@@ -496,7 +504,7 @@ def rotate_to_star(rs: RStarSequence) -> RStarSequence:
             for i in range(length):
                 neighbours = add(spec, turned[i - 1], turned[(i + 1) % length])
                 if neighbours == turned[i]:
-                    return RStarSequence(spec, turned, i)
+                    return replace(rs, seq=turned, star_index=i)
     raise PreconditionError("no rotation places the star at the front")
 
 
@@ -554,6 +562,8 @@ def _harmonious_cycle(spec: GroupSpec, budget: int | None) -> SearchOutcome:
     ``isomorphism`` carries the result to ``spec``.  All searching spends
     at most the budget share of a search over ``spec`` itself.
     """
+    from .search import SearchOutcome, find_equitable_cycle
+
     two, odd = sylow_split(spec)
     rest = sorted(odd.factors)
     core = GroupSpec(two.factors + (rest.pop(0),)) \
@@ -635,6 +645,8 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         f = EdgeLabeling(spec, _E2_CUBE_LABELS)
         route = "pinned-cube"
     else:
+        from . import search_rstar_sequence
+
         out = search_rstar_sequence(spec, budget=budget, workers=workers)
         if out.status == STATUS_UNKNOWN:
             return ConstructionResult(STATUS_UNKNOWN, None, "sequence",

@@ -28,9 +28,7 @@ get.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import random
 import sys
 import threading
 from array import array
@@ -40,6 +38,13 @@ from itertools import islice
 
 from . import _kernel
 from ._kernel import BUDGET, EXHAUSTED, FOUND
+from ._vocab import (
+    DEFAULT_BUDGET,
+    STATUS_FOUND,
+    STATUS_NOT_EXISTS,
+    STATUS_UNKNOWN,
+    check_workers,
+)
 from .errors import (
     CapExceededError,
     InternalCheckError,
@@ -64,9 +69,6 @@ from .labelings import (
     verify_ea_cordial,
 )
 
-#: Default node budget for every search entry point.
-DEFAULT_BUDGET = 10_000_000
-
 #: Node cutoff of a find-any restart per term of the Luby sequence.
 RESTART_UNIT = 10_000
 
@@ -89,10 +91,6 @@ _KERNEL_FRAMES = 50
 _lift_lock = threading.Lock()
 _lifted_calls = 0
 _unlifted_limit = 0
-
-STATUS_FOUND = "Found"
-STATUS_NOT_EXISTS = "NotExists"
-STATUS_UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -200,12 +198,6 @@ def _norm_budget(budget: int | None) -> int:
     return int(budget) if budget < _UNBOUNDED_FROM else -1
 
 
-def check_workers(workers: int) -> None:
-    """Reject a worker count below one (ValueError, exit 2 on the CLI)."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-
-
 def _shares(budget: int, branches: int) -> list[int]:
     if budget < 0:
         return [-1] * branches
@@ -252,6 +244,8 @@ class _Branch:
     ``multiprocessing.Pool`` workers can, and then its shutdown hangs)."""
 
     def __init__(self, task):
+        import multiprocessing
+
         self._conn, child = multiprocessing.Pipe(duplex=False)
         self._proc = multiprocessing.Process(target=_branch_child,
                                              args=(task, child), daemon=True)
@@ -505,6 +499,8 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
     search's node count, only by its share: an instance that search solves
     after more than one unit may cost more here, or come out Unknown.
     """
+    import random
+
     _check_searchable(spec)
     if cycle.kind != CYCLE:
         raise InvalidGraphError("find-any searches run on cycles")

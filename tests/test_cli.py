@@ -6,6 +6,8 @@ codes, stdout text, and the JSON documents the tool emits.
 
 import json
 import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -54,6 +56,14 @@ def test_decide_tree_2mod4(capsys):
     code, out, _ = run(capsys, ["decide", "tree-2mod4",
                                 "--n", "8", "--group", "Z8"])
     assert (code, out) == (EXIT_OK, "unobstructed\n")
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_decide_tree_2mod4_needs_a_vertex(capsys, n):
+    code, out, err = run(capsys, ["decide", "tree-2mod4",
+                                  "--n", n, "--group", "Z2"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_decide_path_antimagic(capsys):
@@ -332,9 +342,10 @@ def test_demo_regeneration_note(capsys):
 
 
 def test_demo_mismatch_is_usage_error(capsys, monkeypatch):
-    import cordant.cli as cli_mod
+    # the handler reads construct_ant_path off the package when it runs
+    import cordant
     monkeypatch.setattr(
-        cli_mod, "construct_ant_path",
+        cordant, "construct_ant_path",
         lambda group: types.SimpleNamespace(labels=()))
     code, _, err = run(capsys, ["demo", "2"])
     assert code == EXIT_USAGE
@@ -493,3 +504,57 @@ def test_repeated_runs_byte_identical(capsys):
     doc = json.loads(out1)
     assert doc["route"] == "odd-cycle-search"
     assert doc["nodes_explored"] == 0
+
+
+# ---------------------------------------------------------------------------
+# what each command imports
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+SEARCH_STACK = ("cordant.search", "cordant._kernel", "cordant.explore",
+                "cordant.trees", "multiprocessing")
+
+
+def loaded_after(*argvs):
+    """Exit codes of ``argvs`` run through ``main`` in a fresh interpreter,
+    and the modules that interpreter has loaded then."""
+    code = ("import contextlib, io, json, sys\n"
+            "import cordant\n"
+            "before = sorted(sys.modules)\n"
+            "from cordant.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {list(argvs)!r}]\n"
+            "print(json.dumps([before, codes, sorted(sys.modules)]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    before, codes, after = json.loads(proc.stdout)
+    return set(before), codes, set(after)
+
+
+def loads(modules, name):
+    return any(m == name or m.startswith(name + ".") for m in modules)
+
+
+def test_import_cordant_loads_no_submodule():
+    before, _, _ = loaded_after()
+    assert sorted(m for m in before if m.startswith("cordant.")) == []
+
+
+def test_deciders_demos_and_verify_never_load_the_search_stack():
+    _, codes, after = loaded_after(
+        ["decide", "path-ek", "--n", "10", "--k", "4"],
+        ["demo", "1"],
+        ["verify", "--certificate", os.path.abspath(DEMO1)])
+    assert codes == [EXIT_OK] * 3
+    assert [m for m in SEARCH_STACK if loads(after, m)] == []
+
+
+def test_single_worker_search_never_loads_multiprocessing():
+    _, codes, after = loaded_after(
+        ["search", "antimagic", "--group", "Z3xZ3", "--kind", "path",
+         "--n", "9", "--workers", "1"])
+    assert codes == [EXIT_OK]
+    assert loads(after, "cordant.search")
+    assert not loads(after, "multiprocessing")

@@ -90,6 +90,11 @@ def test_tree_obstruction_decider():
     assert not decide_tree_2mod4_obstruction(8, GroupSpec((8,)))
     assert not decide_tree_2mod4_obstruction(6, GroupSpec((2, 2, 3)))
     assert not decide_tree_2mod4_obstruction(7, GroupSpec((6,)))
+    # the one-vertex tree is the smallest; 1 is not 2 mod 4
+    assert not decide_tree_2mod4_obstruction(1, GroupSpec((2,)))
+    for n in (0, -5, -2):
+        with pytest.raises(PreconditionError):
+            decide_tree_2mod4_obstruction(n, GroupSpec((2,)))
 
 
 def test_antimagic_path_decider_matches_search_up_to_order_8():
