@@ -195,9 +195,7 @@ memo_add(Memo *mm, uint64_t key)
 
 typedef struct {
     int m, s;
-    /* neg_t is checked like every table but not needed: partial sums are
-     * restored from fed[] */
-    int *add_t, *neg_t, *slot_cap, *slot_floor, *dcap, *dfloor;
+    int *add_t, *slot_cap, *slot_floor, *dcap, *dfloor;
     int *sd_ptr, *sd_ids, *comp_ptr, *comp_ids;
     int *assign, *psum, *scount, *dcount, *remaining_at;
     /* per feed entry, the partial sum before its slot; per completion
@@ -222,7 +220,6 @@ generic_free(Generic *g)
 {
     free(g->memo.keys);
     free(g->add_t);
-    free(g->neg_t);
     free(g->slot_cap);
     free(g->slot_floor);
     free(g->dcap);
@@ -431,17 +428,17 @@ static PyObject *
 solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
-        "m", "add_t", "neg_t", "num_slots", "slot_cap", "slot_floor", "dcap",
+        "m", "add_t", "num_slots", "slot_cap", "slot_floor", "dcap",
         "dfloor", "num_derived", "sd_ptr", "sd_ids", "comp_ptr", "comp_ids",
         "prefix", "budget", NULL};
     Generic g;
     memset(&g, 0, sizeof g);
     int nd;
-    PyObject *add_t, *neg_t, *slot_cap, *slot_floor, *dcap, *dfloor;
+    PyObject *add_t, *slot_cap, *slot_floor, *dcap, *dfloor;
     PyObject *sd_ptr, *sd_ids, *comp_ptr, *comp_ids, *prefix;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iOOiOOOOiOOOOOL:solve_generic", kwlist, &g.m,
-            &add_t, &neg_t, &g.s, &slot_cap, &slot_floor, &dcap, &dfloor, &nd,
+            args, kwds, "iOiOOOOiOOOOOL:solve_generic", kwlist, &g.m,
+            &add_t, &g.s, &slot_cap, &slot_floor, &dcap, &dfloor, &nd,
             &sd_ptr, &sd_ids, &comp_ptr, &comp_ids, &prefix, &g.budget))
         return NULL;
     int m = g.m, s = g.s;
@@ -458,7 +455,6 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     Py_ssize_t n_sd = 0, n_comp = 0;
     if ((g.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1,
                              NULL)) == NULL
-        || (g.neg_t = copy_ints(neg_t, "neg_t", m, 0, m - 1, NULL)) == NULL
         || (g.slot_cap = copy_ints(slot_cap, "slot_cap", m, 0, INT_MAX,
                                    NULL)) == NULL
         || (g.slot_floor = copy_ints(slot_floor, "slot_floor", m, 0, INT_MAX,

@@ -40,7 +40,6 @@ MEMO_MAX_BITS = 63
 def solve_generic(
     m,
     add_t,
-    neg_t,
     num_slots,
     slot_cap,
     slot_floor,
@@ -69,8 +68,6 @@ def solve_generic(
     subtrees are memoized by their state when it packs into 63 bits: the
     next position, the partial sum of every open item (fed by a placed slot
     and completed by a later one), the slot counts and the derived counts.
-    Partial sums are restored by saving them, which equals adding
-    ``neg_t[x]`` back in a group.
     """
     s = num_slots
     last = s - 1

@@ -3,8 +3,7 @@
 Exit codes are uniform across subcommands: 0 for success / exists /
 valid, 1 for not-exists / invalid / impossible, 2 for usage or input
 errors, 3 when a search ran out of budget.  Budgets count explored
-search nodes; a wall-clock budget is mapped to nodes with a deliberately
-conservative constant so a time budget never under-delivers nodes.
+search nodes.
 
 Importing this module loads no library layer.  Each handler imports the
 names it calls when it runs, off the package (so a name swapped there is
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from functools import partial
@@ -32,6 +30,8 @@ from ._vocab import (
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
+    check_searchable,
+    check_workers,
 )
 from .errors import CordantError
 
@@ -44,10 +44,6 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
-
-# node budget granted per second of --budget-seconds; deliberately below
-# the kernel's measured nodes/second so time budgets finish early, not late
-NODES_PER_SECOND = 500_000
 
 BUDGET_ENV = "CORDANT_BUDGET"
 
@@ -72,12 +68,6 @@ def _group(args):
 def _resolve_budget(args) -> int | None:
     if getattr(args, "budget", None) is not None:
         return None if args.budget < 0 else args.budget
-    seconds = getattr(args, "budget_seconds", None)
-    if seconds is not None:
-        if not math.isfinite(seconds) or seconds < 0:
-            raise CordantError(
-                f"--budget-seconds must be a finite number >= 0, not {seconds}")
-        return max(1, int(seconds * NODES_PER_SECOND))
     if args.env_budget is not None:
         return None if args.env_budget < 0 else args.env_budget
     return DEFAULT_BUDGET
@@ -277,6 +267,12 @@ def _outcome_doc(outcome, certificate_obj) -> dict:
 def _cmd_search(args) -> int:
     budget = _resolve_budget(args)
     spec = _group(args)
+    # the searches' own input checks, in their order, before they load
+    if args.notion == "rstar":
+        check_workers(args.workers)
+    else:
+        graph = _graph_from_args(args)
+    check_searchable(spec)
     from . import (
         certificate_dumps,
         certificate_to_obj,
@@ -300,7 +296,6 @@ def _cmd_search(args) -> int:
               + ([f"sequence {cert_obj['seq']} star {cert_obj['star_index']}"]
                  if cert_obj else []), doc)
     else:
-        graph = _graph_from_args(args)
         runner, make_cert = {
             "ea-cordial": (search_ea_cordial,
                            partial(make_edge_certificate, NOTION_EA_CORDIAL)),
@@ -423,9 +418,6 @@ def _add_common(sub, budget=True, workers=True, graph=False) -> None:
         sub.add_argument("--budget", type=int, default=None,
                          help="search node budget; negative for unlimited "
                               f"(default {DEFAULT_BUDGET} or ${BUDGET_ENV})")
-        sub.add_argument("--budget-seconds", type=float, default=None,
-                         help="wall-clock budget, mapped to "
-                              f"{NODES_PER_SECOND} nodes per second")
     if workers:
         sub.add_argument("--workers", type=int, default=1,
                          help="parallel branches; results are identical "

@@ -467,6 +467,7 @@ def construct_path_ek(n: int, k: int) -> ConstructionResult:
         raise PreconditionError("modulus must be at least 2")
     if not decide_path_ek_cordial(n, k):
         return ConstructionResult(STATUS_IMPOSSIBLE, None, "decided-impossible")
+    path = path_graph(n)  # its size cap refuses n before the labels exist
     s = n % (2 * k)
     h = s // 2
     if s % 2 == 1:
@@ -479,7 +480,7 @@ def construct_path_ek(n: int, k: int) -> ConstructionResult:
     for i in range(2, n):
         labels.append((d + i + (i > p) - labels[-1]) % k)
     f = EdgeLabeling(GroupSpec((k,)), tuple((a,) for a in labels))
-    verdict = verify_ea_cordial(path_graph(n), f)
+    verdict = verify_ea_cordial(path, f)
     if not verdict.ok:
         raise InternalCheckError(
             f"route consecutive-sums failed verification ({verdict.violation})")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidGraphError
+from .errors import CapExceededError, InvalidGraphError
+from .groups import DEFAULT_ENUM_CAP
 
 PATH = "path"
 CYCLE = "cycle"
@@ -90,6 +91,8 @@ def path_graph(n: int) -> SimpleGraph:
     """P_n on vertices 0..n-1."""
     if n < 2:
         raise InvalidGraphError("paths need at least two vertices")
+    if n > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"path of {n} vertices exceeds cap {DEFAULT_ENUM_CAP}")
     return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)), PATH)
 
 
@@ -97,6 +100,8 @@ def cycle_graph(n: int) -> SimpleGraph:
     """C_n on vertices 0..n-1."""
     if n < 3:
         raise InvalidGraphError("cycles need at least three vertices")
+    if n > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"cycle of {n} vertices exceeds cap {DEFAULT_ENUM_CAP}")
     edges = tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
     return SimpleGraph(n, edges, CYCLE)
 

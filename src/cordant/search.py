@@ -43,6 +43,7 @@ from ._vocab import (
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
+    check_searchable,
     check_workers,
 )
 from .errors import (
@@ -395,11 +396,6 @@ def _labels_from_indices(spec: GroupSpec, indices) -> tuple[Element, ...]:
     return tuple(element_at(spec, i) for i in indices)
 
 
-def _check_searchable(spec: GroupSpec) -> None:
-    if spec.order < 2:
-        raise InvalidSpecError("searches need a group with at least two elements")
-
-
 def _check_depth(levels: int) -> None:
     if levels > MAX_DEPTH:
         raise CapExceededError(
@@ -435,11 +431,16 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
     s = len(graph.edges) if on_edges else graph.n
     _check_depth(s)
     m = spec.order
-    add_t, neg_t = op_tables(spec)
     # a derived item per vertex (its incident edge slots) or per edge (its
     # two endpoint slots)
     members = graph.incidence() if on_edges else graph.edges
-    fixed = (m, add_t, neg_t, s, slot_cap, slot_floor, dcap, dfloor,
+    # items no slot feeds (isolated vertices) sum to 0 and never complete
+    empty = sum(not x for x in members)
+    dcap = [dcap[0] - empty, *dcap[1:]]
+    dfloor = [max(0, dfloor[0] - empty), *dfloor[1:]]
+    if dcap[0] < 0:
+        return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
+    fixed = (m, op_tables(spec)[0], s, slot_cap, slot_floor, dcap, dfloor,
              *_generic_structures(members, s))
     if len(pfx) >= s:
         kept = None
@@ -466,15 +467,14 @@ def _luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def _relabeled(add_t, neg_t, m: int, order: list[int]) -> tuple[array, array]:
-    """Cayley tables of the same group with element ``order[x]`` renamed
+def _relabeled(add_t, m: int, order: list[int]) -> array:
+    """Addition table of the same group with element ``order[x]`` renamed
     ``x``; ``order[0]`` is 0, so the identity keeps index 0."""
     new_of = [0] * m
     for new, old in enumerate(order):
         new_of[old] = new
     rows = [old * m for old in order]
-    add_p = array("i", [new_of[add_t[r + b]] for r in rows for b in order])
-    return add_p, array("i", [new_of[neg_t[a]] for a in order])
+    return array("i", [new_of[add_t[r + b]] for r in rows for b in order])
 
 
 def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
@@ -501,7 +501,7 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
     """
     import random
 
-    _check_searchable(spec)
+    check_searchable(spec)
     if cycle.kind != CYCLE:
         raise InvalidGraphError("find-any searches run on cycles")
     n = cycle.n
@@ -511,7 +511,7 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
     cap_floor = _equitable_bounds(n, m)
     fixed = (n, *cap_floor, *cap_floor, *_generic_structures(cycle.edges, n))
     cap = _shares(_norm_budget(budget), split or m)[0]
-    add_t, neg_t = tables = op_tables(spec)
+    add_t = table = op_tables(spec)[0]
     rng = random.Random(RESTART_SEED)
     order = list(range(m))
     spent = 0
@@ -521,13 +521,13 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
         if cap >= 0:
             cutoff = min(cutoff, cap - spent)
         status, found, nodes = _run_branch(
-            ("generic", (m, *tables, *fixed, [0], cutoff)))
+            ("generic", (m, table, *fixed, [0], cutoff)))
         spent += nodes
         if status != BUDGET or spent == cap:
             break
         restart += 1
         order[1:] = rng.sample(range(1, m), m - 1)
-        tables = _relabeled(add_t, neg_t, m, order)
+        table = _relabeled(add_t, m, order)
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, spent)
     labeling = _certified(cycle, spec, False, [order[x] for x in found],
@@ -548,7 +548,7 @@ def search_ea_cordial(graph: SimpleGraph, spec: GroupSpec,
     certificate, when Found, is the lexicographically first valid
     extension of it.
     """
-    _check_searchable(spec)
+    check_searchable(spec)
     scap, sfloor = _equitable_bounds(len(graph.edges), spec.order)
     dcap, dfloor = _equitable_bounds(graph.n, spec.order)
     return _search_labeling(graph, spec, True, scap, sfloor, dcap, dfloor,
@@ -559,7 +559,7 @@ def search_a_cordial(graph: SimpleGraph, spec: GroupSpec,
                      budget: int | None = DEFAULT_BUDGET, workers: int = 1,
                      prefix: tuple[Element, ...] = ()) -> SearchOutcome:
     """Lex-first vertex labeling with equitable vertex and edge-sum classes."""
-    _check_searchable(spec)
+    check_searchable(spec)
     scap, sfloor = _equitable_bounds(graph.n, spec.order)
     dcap, dfloor = _equitable_bounds(len(graph.edges), spec.order)
     return _search_labeling(graph, spec, False, scap, sfloor, dcap, dfloor,
@@ -584,7 +584,7 @@ def search_a_antimagic(graph: SimpleGraph, spec: GroupSpec,
     lex-first certificate and the node count are those of
     :func:`search_ea_cordial`.
     """
-    _check_searchable(spec)
+    check_searchable(spec)
     _check_tree_order(graph, spec)
     scap, sfloor = _equitable_bounds(len(graph.edges), spec.order)
     dcap, dfloor = _equitable_bounds(graph.n, spec.order)
@@ -596,7 +596,7 @@ def search_a_star_antimagic(graph: SimpleGraph, spec: GroupSpec,
                             budget: int | None = DEFAULT_BUDGET,
                             workers: int = 1) -> SearchOutcome:
     """Bijective nonzero edge labels with pairwise distinct vertex sums."""
-    _check_searchable(spec)
+    check_searchable(spec)
     _check_tree_order(graph, spec)
     m = spec.order
     nonzero_once = [0] + [1] * (m - 1)
@@ -615,7 +615,7 @@ def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,
     a solution is one, so the lex-first sequence starts with it.
     """
     check_workers(workers)
-    _check_searchable(spec)
+    check_searchable(spec)
     _check_depth(spec.order)
     m = spec.order
     if m - 1 < 3:
@@ -638,7 +638,7 @@ def compute_sigma_max(spec: GroupSpec,
     Exhaustive branch-and-bound with the start pinned at zero and mirror
     orderings skipped; unbounded by default (the instances are tiny).
     """
-    _check_searchable(spec)
+    check_searchable(spec)
     _check_depth(spec.order)
     add_t, _ = op_tables(spec)
     status, value, cycle, nodes = _run_branch(

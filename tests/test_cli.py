@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -276,30 +277,25 @@ def test_non_integer_budget_env_fails_commands_that_do_not_search(
     assert err == "error: CORDANT_BUDGET must be an integer, not '1e6'\n"
 
 
-def test_budget_seconds_maps_to_nodes(capsys):
-    # 10 nodes per 500k/sec: 2e-5 s, as --budget 10 above
-    code, out, _ = run(capsys, ["construct", "antimagic-path",
-                                "--group", "Z2xZ2xZ2xZ2",
-                                "--budget-seconds", "0.00002"])
-    assert code == EXIT_UNKNOWN
-    assert out == "unknown (budget exhausted after 1 nodes)\n"
-
-
-@pytest.mark.parametrize("seconds", ["inf", "nan", "-1"])
-def test_bad_budget_seconds_is_usage_error(capsys, seconds):
-    code, out, err = run(capsys, ["search", "ea-cordial", "--group", "Z4",
-                                  "--kind", "path", "--n", "4",
-                                  "--budget-seconds", seconds])
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err.startswith("error: --budget-seconds ")
-    assert err.count("\n") == 1
+@pytest.mark.parametrize("argv", [
+    ["construct", "antimagic-path", "--group", "Z4"],
+    ["search", "ea-cordial", "--group", "Z4", "--kind", "path", "--n", "4"],
+    ["sigma-max", "--group", "Z6"],
+    ["explore", "--n-max", "4"],
+], ids=lambda argv: argv[0])
+def test_budgets_are_counted_in_nodes_only(capsys, argv):
+    # no wall-clock budget: a time converted at a fixed node rate stopped
+    # searches early or late depending on the machine
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget-seconds", "1"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_USAGE, "")
+    assert err == "error: unrecognized arguments: --budget-seconds 1\n"
 
 
 @pytest.mark.parametrize("argv", [
     ["search", "ea-cordial", "--group", "Z4", "--kind", "path", "--n", "4",
      "--budget", "99999999999999999999999"],
-    ["search", "ea-cordial", "--group", "Z4", "--kind", "path", "--n", "4",
-     "--budget-seconds", "1e300"],
     ["sigma-max", "--group", "Z6", "--budget", "99999999999999999999999"],
 ])
 def test_budgets_beyond_any_search_are_unbounded(capsys, argv):
@@ -475,6 +471,45 @@ def test_search_beyond_depth_cap_is_usage_error(capsys):
                    "levels\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "ek-path", "--k", "10", "--format", "json"],
+    ["search", "ea-cordial", "--group", "Z3", "--kind", "path"],
+    ["search", "a-cordial", "--group", "Z3", "--kind", "cycle"],
+    ["verify", "--notion", "ea-cordial", "--group", "Z3", "--kind", "path",
+     "--labels", "[0]"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_graphs_beyond_the_size_cap_are_refused_before_they_are_built(
+        capsys, argv):
+    # 10**8 vertices would take tens of GB; the cap is 2**20
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + ["--n", "100000000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_USAGE, "")
+    kind = "cycle" if "cycle" in argv else "path"
+    assert err == f"error: {kind} of 100000000 vertices exceeds cap 1048576\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "ea-cordial", "--group", "Z1", "--kind", "path", "--n", "3"],
+     "searches need a group with at least two elements"),
+    (["search", "antimagic", "--group", "Z1", "--kind", "tree",
+      "--edges", "[[0, 1], [2, 3]]"],
+     "tree kind requires a connected graph on n-1 edges"),
+    (["search", "ea-cordial", "--group", "Z1", "--kind", "path", "--n", "3",
+      "--workers", "0"],
+     "searches need a group with at least two elements"),
+    (["search", "rstar", "--group", "Z1", "--workers", "0"],
+     "workers must be at least 1"),
+    (["search", "rstar", "--group", "Z1"],
+     "searches need a group with at least two elements"),
+])
+def test_search_input_errors_keep_their_order(capsys, argv, message):
+    # a bad graph before the trivial group, and on rstar a bad --workers
+    # before it too, as the searches themselves check
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_missing_certificate_file(capsys):
     code, _, err = run(capsys, ["verify", "--certificate",
                                 "/nonexistent/cert.json"])
@@ -548,6 +583,14 @@ def test_deciders_demos_and_verify_never_load_the_search_stack():
         ["demo", "1"],
         ["verify", "--certificate", os.path.abspath(DEMO1)])
     assert codes == [EXIT_OK] * 3
+    assert [m for m in SEARCH_STACK if loads(after, m)] == []
+
+
+def test_search_on_the_trivial_group_never_loads_the_search_stack():
+    _, codes, after = loaded_after(
+        ["search", "ea-cordial", "--group", "Z1", "--kind", "path",
+         "--n", "3"])
+    assert codes == [EXIT_USAGE]
     assert [m for m in SEARCH_STACK if loads(after, m)] == []
 
 

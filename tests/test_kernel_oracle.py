@@ -67,8 +67,8 @@ def test_path_and_cycle_instances_match_brute_force():
     rng = random.Random(11)
     tally = {pure.FOUND: 0, pure.EXHAUSTED: 0}
     for factors in GROUPS:
-        add_t, neg_t = op_tables(GroupSpec(factors))
-        m = len(neg_t)
+        spec = GroupSpec(factors)
+        m, add_t = spec.order, op_tables(spec)[0]
         for s in _sizes(m):
             for singles, cyclic in ((True, False), (False, False),
                                     (False, True)):
@@ -99,7 +99,7 @@ def test_path_and_cycle_instances_match_brute_force():
                     bounds = (*_random_bounds(rng, s, m),
                               *_random_bounds(rng, num_derived, m))
                     _solve_and_compare(
-                        lambda b: pure.solve_generic(m, add_t, neg_t, s, *b,
+                        lambda b: pure.solve_generic(m, add_t, s, *b,
                                                      *structures, [], -1),
                         m, s, derived, bounds,
                         (factors, s, singles, cyclic), tally)
@@ -125,8 +125,8 @@ def test_generic_kernel_matches_brute_force():
     rng = random.Random(12)
     tally = {pure.FOUND: 0, pure.EXHAUSTED: 0}
     for factors in GROUPS:
-        add_t, neg_t = op_tables(GroupSpec(factors))
-        m = len(neg_t)
+        spec = GroupSpec(factors)
+        m, add_t = spec.order, op_tables(spec)[0]
         for graph in _graphs():
             for on_edges in (True, False):
                 if on_edges:
@@ -150,7 +150,7 @@ def test_generic_kernel_matches_brute_force():
                     bounds = (*_random_bounds(rng, s, m),
                               *_random_bounds(rng, len(members), m))
                     _solve_and_compare(
-                        lambda b: pure.solve_generic(m, add_t, neg_t, s, *b,
+                        lambda b: pure.solve_generic(m, add_t, s, *b,
                                                      *structures, [], -1),
                         m, s, derived, bounds,
                         (factors, graph.edges, on_edges), tally)
@@ -187,9 +187,9 @@ def test_memo_keeps_tree_outcomes(monkeypatch):
     status and lex-first assignment is the same."""
     calls = []
     for factors, s, bounds, structures in _tree_instances():
-        add_t, neg_t = op_tables(GroupSpec(factors))
-        calls.append((len(neg_t), add_t, neg_t, s, *bounds, *structures,
-                      [], -1))
+        spec = GroupSpec(factors)
+        calls.append((spec.order, op_tables(spec)[0], s, *bounds,
+                      *structures, [], -1))
     with_memo = [pure.solve_generic(*call) for call in calls]
     monkeypatch.setattr(pure, "MEMO_MAX_BITS", 0)
     without = [pure.solve_generic(*call) for call in calls]

@@ -107,14 +107,14 @@ def cycle(s):
 
 # slot caps of 2**20 need 21-bit counters, so the packed key exceeds 63 bits
 # and the memo is off: 47235 nodes where the memo would take 4449
-z3_add, z3_neg = op_tables(spec((3,)))
+z3_add = op_tables(spec((3,)))[0]
 out.append(["path-no-memo",
-            kern.solve_generic(3, z3_add, z3_neg, 12, [1 << 20] * 3, [0] * 3,
+            kern.solve_generic(3, z3_add, 12, [1 << 20] * 3, [0] * 3,
                                [3] * 3, [0] * 3, *path_vertices(12), [], -1)])
 # searches always pin the first slot; here the first slot of a cycle is free
-z4_add, z4_neg = op_tables(spec((4,)))
+z4_add = op_tables(spec((4,)))[0]
 out.append(["cycle-open-first-slot",
-            kern.solve_generic(4, z4_add, z4_neg, 12, [3] * 4, [3] * 4,
+            kern.solve_generic(4, z4_add, 12, [3] * 4, [3] * 4,
                                [3] * 4, [3] * 4, *cycle(12), [], -1)])
 
 # prefixes the kernels reject before searching
@@ -122,23 +122,23 @@ add_t, neg_t = op_tables(spec((5,)))
 out.append(["rstar-rejected-prefix", kern.solve_rstar(5, add_t, neg_t, [2, 2], -1),
             kern.solve_rstar(5, add_t, neg_t, [0], -1)])
 out.append(["cycle-rejected-prefix",
-            kern.solve_generic(5, add_t, neg_t, 3, [1] * 5, [0] * 5, [1] * 5,
+            kern.solve_generic(5, add_t, 3, [1] * 5, [0] * 5, [1] * 5,
                                [0] * 5, *cycle(3), [1, 1], -1)])
 out.append(["generic-rejected-prefix",
-            kern.solve_generic(5, add_t, neg_t, 2, [1] * 5, [0] * 5,
+            kern.solve_generic(5, add_t, 2, [1] * 5, [0] * 5,
                                [0, 1, 1, 1, 1], [0] * 5, 1, [0, 1, 2], [0, 0],
                                [0, 0, 1], [0], [3, 2], -1)])
 
 # memo-on paths and cycles with unequal floors
-z5_add, z5_neg = op_tables(spec((5,)))
+z5_add = op_tables(spec((5,)))[0]
 out.append(["memo-unequal-floors",
-            kern.solve_generic(4, z4_add, z4_neg, 12, [3, 5, 4, 4],
+            kern.solve_generic(4, z4_add, 12, [3, 5, 4, 4],
                                [0, 1, 1, 4], [5, 3, 3, 3], [5, 0, 3, 1],
                                *path_edges(12), [], -1),
-            kern.solve_generic(4, z4_add, z4_neg, 10, [2, 3, 2, 2],
+            kern.solve_generic(4, z4_add, 10, [2, 3, 2, 2],
                                [2, 3, 2, 0], [4, 2, 2, 5], [4, 0, 0, 3],
                                *cycle(10), [], -1),
-            kern.solve_generic(5, z5_add, z5_neg, 12, [2, 4, 3, 4, 4],
+            kern.solve_generic(5, z5_add, 12, [2, 4, 3, 4, 4],
                                [0, 1, 2, 4, 4], [2, 4, 2, 2, 5],
                                [1, 2, 1, 1, 4], *cycle(12), [], -1)])
 # 32 labels need more than 63 key bits: a memo-off search
@@ -146,22 +146,22 @@ record("ac-c32-z4xz8-b20000",
        c.search_a_cordial(c.cycle_graph(32), spec((4, 8)), budget=20000))
 
 # budget stops on every slot: budgets in steps up to the node count
-z6_add, z6_neg = op_tables(spec((6,)))
+z6_add = op_tables(spec((6,)))[0]
 spider6 = c.tree_graph(6, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5)))
 edge_csr = _generic_structures(spider6.incidence(), 5)
 vertex_csr = _generic_structures(spider6.edges, 6)
 sweeps = [
     ("path", 1176, 7, lambda b: kern.solve_generic(
-        6, z6_add, z6_neg, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
+        6, z6_add, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
         *path_edges(5), [], b)),
     ("cycle", 3750, 7, lambda b: kern.solve_generic(
-        6, z6_add, z6_neg, 6, [1] * 6, [1] * 6, [1] * 6, [1] * 6, *cycle(6),
+        6, z6_add, 6, [1] * 6, [1] * 6, [1] * 6, [1] * 6, *cycle(6),
         [], b)),
     ("generic-edges", 1566, 7, lambda b: kern.solve_generic(
-        6, z6_add, z6_neg, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
+        6, z6_add, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
         *edge_csr, [], b)),
     ("generic-vertices", 268, 1, lambda b: kern.solve_generic(
-        5, z5_add, z5_neg, 6, [2] * 5, [1] * 5, [1] * 5, [1] * 5,
+        5, z5_add, 6, [2] * 5, [1] * 5, [1] * 5, [1] * 5,
         *vertex_csr, [], b)),
 ]
 for name, total, step, solve in sweeps:
@@ -170,21 +170,21 @@ for name, total, step, solve in sweeps:
 
 # prefixes that leave one slot free
 out.append(["path-cycle-one-free-slot",
-            kern.solve_generic(4, z4_add, z4_neg, 4, [1] * 4, [0] * 4,
+            kern.solve_generic(4, z4_add, 4, [1] * 4, [0] * 4,
                                [2] * 4, [1] * 4, *path_edges(4), [0, 1, 2],
                                -1),
-            kern.solve_generic(4, z4_add, z4_neg, 4, [1] * 4, [0] * 4,
+            kern.solve_generic(4, z4_add, 4, [1] * 4, [0] * 4,
                                [2] * 4, [1] * 4, *path_edges(4), [1, 3, 0],
                                -1),
-            kern.solve_generic(6, z6_add, z6_neg, 6, [1] * 6, [1] * 6,
+            kern.solve_generic(6, z6_add, 6, [1] * 6, [1] * 6,
                                [2] * 6, [0] * 6, *cycle(6), [0, 1, 3, 2, 4],
                                -1)])
 out.append(["generic-one-free-slot",
-            kern.solve_generic(6, z6_add, z6_neg, 5, [1] * 6, [0] * 6,
+            kern.solve_generic(6, z6_add, 5, [1] * 6, [0] * 6,
                                [1] * 6, [1] * 6,
                                *edge_csr,
                                [1, 2, 3, 4], -1),
-            kern.solve_generic(5, z5_add, z5_neg, 6, [2] * 5, [1] * 5,
+            kern.solve_generic(5, z5_add, 6, [2] * 5, [1] * 5,
                                [1] * 5, [1] * 5,
                                *vertex_csr,
                                [0, 1, 2, 3, 4], -1)])
@@ -227,13 +227,13 @@ for name, n, factors, budget in (
         ("fa-c64-z8xz8-b6400000", 64, (8, 8), 6_400_000)):
     record(name, find_equitable_cycle(c.cycle_graph(n), spec(factors),
                                       budget))
-z2z4_add, z2z4_neg = op_tables(spec((2, 4)))
+z2z4_add = op_tables(spec((2, 4)))[0]
 for perm in ([0, 5, 2, 7, 1, 3, 6, 4], [0, 7, 6, 5, 4, 3, 2, 1]):
-    tables = _relabeled(z2z4_add, z2z4_neg, 8, perm)
+    table = _relabeled(z2z4_add, 8, perm)
     out.append(["relabeled-" + "".join(map(str, perm)),
-                kern.solve_generic(8, *tables, 8, [1] * 8, [1] * 8, [1] * 8,
+                kern.solve_generic(8, table, 8, [1] * 8, [1] * 8, [1] * 8,
                                    [1] * 8, *cycle(8), [0], -1),
-                kern.solve_generic(8, *tables, 8, [1] * 8, [1] * 8, [1] * 8,
+                kern.solve_generic(8, table, 8, [1] * 8, [1] * 8, [1] * 8,
                                    [1] * 8, *cycle(8), [0], 20)])
 
 for factors in ((2, 3), (2,), (4,)):
@@ -299,19 +299,19 @@ fed_after_completion = (1, [0, 1, 2], [0, 0], [0, 1, 1], [0])
 fed_twice = (1, [0, 2, 2], [0, 0], [0, 0, 1], [0])
 completed_by_another_slot = (1, [0, 1, 1], [0], [0, 0, 1], [0])
 bad = [
-    lambda: _speed.solve_generic(2, add_t[:3], [0, 1], 2, *bounds, *pair,
+    lambda: _speed.solve_generic(2, add_t[:3], 2, *bounds, *pair,
                                  [], -1),
-    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds, *pair, [2],
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [2],
                                  -1),
-    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds,
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds,
                                  *completed_twice, [], -1),
-    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds,
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds,
                                  *fed_after_completion, [], -1),
-    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds, *fed_twice,
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *fed_twice,
                                  [], -1),
-    lambda: _speed.solve_generic(2, add_t, [0, 1], 2, *bounds,
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds,
                                  *completed_by_another_slot, [], -1),
-    lambda: _speed.solve_generic(2, add_t, [0, 1], 1, [1, 1], [0, 0],
+    lambda: _speed.solve_generic(2, add_t, 1, [1, 1], [0, 0],
                                  [1, 1], [0, 0], 1, [0, 5], [0], [0, 1],
                                  [0], [], -1),
     lambda: _speed.solve_sigma(3, [0] * 8 + [3], -1),
@@ -323,7 +323,7 @@ for call in bad:
         continue
     raise SystemExit("accepted a malformed instance")
 # the well-formed pair they are built from runs: labels 0, 1 sum to 1
-assert _speed.solve_generic(2, add_t, [0, 1], 2, *bounds, *pair, [],
+assert _speed.solve_generic(2, add_t, 2, *bounds, *pair, [],
                             -1) == (0, [0, 1], 3)
 """
     proc = _run(built_package, "compiled", code)
