@@ -15,8 +15,10 @@ the Python version and the kernel backend, and per workload:
 
 It also times direct library calls in this process, on the checkout's
 ``src``: the ``construct_path_ek`` sweep over n in 3..60 and k in 2..16
-(870 calls; seconds, nodes and the Found/Impossible/Unknown counts) and
-one long path, P10000 over Z10.  In fresh interpreters it times
+(870 calls; seconds, nodes and the Found/Impossible/Unknown counts), one
+long path, P10000 over Z10, and ``construct_path_antimagic`` on all 116
+groups of order 2..64 (seconds, nodes and the status counts, in all and
+by route).  In fresh interpreters it times
 ``import cordant.cli`` (the median of ``IMPORT_RUNS`` runs, import
 statement only) and counts the ``cordant.*`` modules that importing the
 CLI and then running ``decide path-ek`` each leave loaded.
@@ -84,7 +86,8 @@ def run(workload: str, seed: int, trace: int) -> dict:
 def direct_rows() -> dict:
     """Time the direct library calls (see the module docstring)."""
     sys.path.insert(0, str(ROOT / "src"))
-    from cordant import construct_path_ek
+    from cordant import (abelian_groups_of_order, construct_path_antimagic,
+                         construct_path_ek)
 
     statuses: Counter = Counter()
     nodes = 0
@@ -98,6 +101,16 @@ def direct_rows() -> dict:
     start = time.perf_counter()
     long_path = construct_path_ek(10000, 10)
     long_s = time.perf_counter() - start
+    by_route: dict = {}
+    antimagic_nodes = 0
+    start = time.perf_counter()
+    for order in range(2, 65):
+        for spec in abelian_groups_of_order(order):
+            res = construct_path_antimagic(spec)
+            by_route.setdefault(res.route, Counter())[res.status] += 1
+            antimagic_nodes += res.nodes_explored
+    antimagic_s = time.perf_counter() - start
+    antimagic = sum(by_route.values(), Counter())
     return {
         "ek_sweep": {"n": [3, 60], "k": [2, 16],
                      "calls": sum(statuses.values()),
@@ -109,6 +122,16 @@ def direct_rows() -> dict:
                           "route": long_path.route,
                           "nodes": long_path.nodes_explored,
                           "seconds": round(long_s, 4)},
+        "antimagic_sweep": {"orders": [2, 64],
+                            "groups": sum(antimagic.values()),
+                            "seconds": round(antimagic_s, 4),
+                            "nodes": antimagic_nodes,
+                            "found": antimagic["Found"],
+                            "impossible": antimagic["Impossible"],
+                            "unknown": antimagic["Unknown"],
+                            "by_route": {route: dict(sorted(counts.items()))
+                                         for route, counts
+                                         in sorted(by_route.items())}},
     }
 
 

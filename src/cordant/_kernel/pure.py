@@ -22,6 +22,19 @@ path or cycle and every tree-edge slot), and the floor deficits and the
 memo key travel down the recursion as arguments, the key updated by each
 field's change.  Other slots (the ends of vertex-labeled paths, the
 vertices of trees) go through ``place``.
+
+Each label loop walks a doubly linked list, in index order, of the labels
+that still have room (dancing links): a label leaves it when its count
+reaches its cap and comes back when that placement is undone.  On
+injective instances i labels are full at depth i, and walking past them
+was most of the work.  A label without room still costs its node, as in
+``_speed.c``, so those nodes are added in bulk, with the budget stop at
+the same node as a label-by-label count.
+
+``dfs`` refers to itself, and that reference cycle would keep the
+labeling kernel's memo (tens of thousands of keys) alive until the
+cyclic garbage collector runs, raising peak memory; the kernel breaks
+the cycle before it returns.
 """
 
 from __future__ import annotations
@@ -131,6 +144,20 @@ def solve_generic(
         ftab = [tables[f] for f in field]
     dead: set[int] = set()
 
+    # the labels with room left, in index order, linked through nxt/prv
+    # with sentinel m; place/unplace and the edge loops unlink a label that
+    # fills up and relink it when that placement is undone
+    nxt = [m] * (m + 1)
+    prv = [m] * (m + 1)
+    tail = m
+    for x in range(m):
+        if slot_cap[x] > 0:
+            nxt[tail] = x
+            prv[x] = tail
+            tail = x
+    nxt[tail] = m
+    prv[m] = tail
+
     def place(i, x, sdef, ddef, t):
         """Apply label ``x`` (within its slot cap) at slot ``i``; return
         the new (sdef, ddef, key), or None with the state unchanged."""
@@ -153,6 +180,9 @@ def solve_generic(
                 sdef -= 1
             if sdef <= s - i - 1 and ddef <= remaining_at[i + 1]:
                 assign[i] = x
+                if scount[x] == slot_cap[x]:
+                    nxt[prv[x]] = nxt[x]
+                    prv[nxt[x]] = prv[x]
                 if memo_on:
                     t += pos_unit + sunit[x]
                     for d, old in zip(feed, saved):
@@ -170,6 +200,9 @@ def solve_generic(
         return None
 
     def unplace(i, x, saved):
+        if scount[x] == slot_cap[x]:
+            nxt[prv[x]] = x
+            prv[nxt[x]] = x
         scount[x] -= 1
         for d in closes[i]:
             dcount[psum[d]] -= 1
@@ -184,22 +217,32 @@ def solve_generic(
         ``sdef``/``ddef`` are the class-floor deficits and ``t`` the memo
         key of the state before slot ``i``.  A label is looked up in the
         memo once it passes every bound, and its key is added once its
-        subtree is exhausted; the last slot has no key."""
+        subtree is exhausted; the last slot has no key.
+
+        Each loop walks the labels with room.  Reaching label ``x`` costs
+        the ``x - prev`` nodes from the last one tried, and the loop ends
+        with the ``m - 1 - prev`` after it: a label-by-label count checks
+        the budget before each node, so it stops when the former passes
+        ``limit`` and only when the latter does."""
         nonlocal stop
         if i == s:
             stop = FOUND
             return nodes
         keyed = memo_on and i < last
         edge = edges[i]
+        x = m
+        prev = -1
         if edge is None:
             saved = [psum[d] for d in feeds[i]]
-            for x in range(m):
-                if nodes >= limit:
+            while True:
+                x = nxt[x]
+                if x == m:
+                    break
+                nodes += x - prev
+                if nodes > limit:
                     stop = BUDGET
-                    return nodes
-                nodes += 1
-                if scount[x] >= slot_cap[x]:
-                    continue
+                    return limit
+                prev = x
                 placed = place(i, x, sdef, ddef, t)
                 if placed is None:
                     continue
@@ -214,6 +257,10 @@ def solve_generic(
                 unplace(i, x, saved)
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
+            nodes += m - 1 - prev
+            if nodes > limit:
+                stop = BUDGET
+                return limit
             return nodes
         # an edge slot, tested before any state moves
         d1, d2, nclose = edge
@@ -229,18 +276,20 @@ def solve_generic(
         if nclose == 1:
             # completes d1 and carries d2 on: every interior slot of a path
             # or cycle
-            for x in range(m):
-                if nodes >= limit:
+            while True:
+                x = nxt[x]
+                if x == m:
+                    break
+                nodes += x - prev
+                if nodes > limit:
                     stop = BUDGET
-                    return nodes
-                nodes += 1
-                sc = scount[x]
-                if sc >= slot_cap[x]:
-                    continue
+                    return limit
+                prev = x
                 v = add_t[row1 + x]
                 dv = dcount[v]
                 if dv >= dcap[v]:
                     continue
+                sc = scount[x]
                 ns = sdef - 1 if sc < slot_floor[x] else sdef
                 nd = ddef - 1 if dv < dfloor[v] else ddef
                 if ns > left or nd > rem:
@@ -250,6 +299,10 @@ def solve_generic(
                     key = base + sunit[x] + dunit[v] + tab2[w]
                     if key in dead:
                         continue
+                full = sc + 1 == slot_cap[x]
+                if full:
+                    nxt[prv[x]] = nxt[x]
+                    prv[nxt[x]] = prv[x]
                 scount[x] = sc + 1
                 dcount[v] = dv + 1
                 psum[d1] = v
@@ -258,21 +311,30 @@ def solve_generic(
                 nodes = dfs(i + 1, ns, nd, key, nodes)
                 if stop != EXHAUSTED:
                     return nodes
+                if full:
+                    nxt[prv[x]] = x
+                    prv[nxt[x]] = x
                 scount[x] = sc
                 dcount[v] = dv
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
             psum[d1] = p1
             psum[d2] = p2
-            return nodes
-        for x in range(m):
-            if nodes >= limit:
+            nodes += m - 1 - prev
+            if nodes > limit:
                 stop = BUDGET
-                return nodes
-            nodes += 1
+                return limit
+            return nodes
+        while True:
+            x = nxt[x]
+            if x == m:
+                break
+            nodes += x - prev
+            if nodes > limit:
+                stop = BUDGET
+                return limit
+            prev = x
             sc = scount[x]
-            if sc >= slot_cap[x]:
-                continue
             ns = sdef - 1 if sc < slot_floor[x] else sdef
             if ns > left:
                 continue
@@ -301,6 +363,10 @@ def solve_generic(
             if nclose:
                 dcount[v] = dv + 1
                 dcount[w] = dw + 1
+            full = sc + 1 == slot_cap[x]
+            if full:
+                nxt[prv[x]] = nxt[x]
+                prv[nxt[x]] = prv[x]
             psum[d1] = v
             psum[d2] = w
             scount[x] = sc + 1
@@ -308,6 +374,9 @@ def solve_generic(
             nodes = dfs(i + 1, ns, nd, key, nodes)
             if stop != EXHAUSTED:
                 return nodes
+            if full:
+                nxt[prv[x]] = x
+                prv[nxt[x]] = x
             scount[x] = sc
             if nclose:
                 dcount[w] = dw
@@ -316,6 +385,10 @@ def solve_generic(
                 dead.add(key)
         psum[d1] = p1
         psum[d2] = p2
+        nodes += m - 1 - prev
+        if nodes > limit:
+            stop = BUDGET
+            return limit
         return nodes
 
     p = len(prefix)
@@ -330,6 +403,7 @@ def solve_generic(
         if state is None:
             return (EXHAUSTED, None, 0)
     nodes = dfs(p, *state, 0)
+    dfs = None  # break dfs's cycle through itself: frees the memo now
     if stop == FOUND:
         return (FOUND, list(assign), nodes)
     return (stop, None, nodes)
@@ -352,6 +426,7 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
     seq = [-1] * length
     used = bytearray(m)
     dused = bytearray(m)
+    limit = budget if budget >= 0 else 1 << 64
     nodes = 0
     star_at = -1
 
@@ -368,29 +443,39 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
                     star_at = idx
                     return FOUND
             return EXHAUSTED
-        for x in range(1, m):
-            if budget >= 0 and nodes >= budget:
+        x = prev = 0
+        while True:
+            x = nxt[x]
+            if not x:
+                break
+            nodes += x - prev
+            if nodes > limit:
+                nodes = limit
                 return BUDGET
-            nodes += 1
-            if used[x]:
-                continue
+            prev = x
             d = -1
             if i >= 1:
                 d = add_t[x * m + neg_t[seq[i - 1]]]
                 if dused[d]:
                     continue
                 dused[d] = 1
-            used[x] = 1
+            nxt[prv[x]] = nxt[x]
+            prv[nxt[x]] = prv[x]
             seq[i] = x
             r = dfs(i + 1)
             if r == FOUND:
                 return FOUND
-            used[x] = 0
+            nxt[prv[x]] = x
+            prv[nxt[x]] = x
             seq[i] = -1
             if d >= 0:
                 dused[d] = 0
             if r == BUDGET:
                 return BUDGET
+        nodes += m - 1 - prev
+        if nodes > limit:
+            nodes = limit
+            return BUDGET
         return EXHAUSTED
 
     p = len(prefix)
@@ -407,6 +492,17 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
             dused[d] = 1
         used[x] = 1
         seq[i] = x
+    # the unused labels, linked as in solve_generic; 0 is the sentinel
+    nxt = [0] * m
+    prv = [0] * m
+    tail = 0
+    for x in range(1, m):
+        if not used[x]:
+            nxt[tail] = x
+            prv[x] = tail
+            tail = x
+    nxt[tail] = 0
+    prv[0] = tail
     status = dfs(p)
     if status == FOUND:
         return (FOUND, list(seq), star_at, nodes)
@@ -426,13 +522,15 @@ def solve_sigma(m, add_t, budget):
     if m == 2:
         return (FOUND, 1, [0, 1], 0)
     order = [0] * m
-    used = bytearray(m)
-    used[0] = 1
     scount = [0] * m
+    limit = budget if budget >= 0 else 1 << 64
     nodes = 0
     best = 0
     best_cycle = None
     distinct = 0
+    # the labels not yet in the order, linked as in solve_rstar
+    nxt = [*range(1, m), 0]
+    prv = [m - 1, *range(m - 1)]
 
     def dfs(i):
         nonlocal nodes, best, best_cycle, distinct
@@ -443,19 +541,24 @@ def solve_sigma(m, add_t, budget):
                 best = d
                 best_cycle = list(order)
             return EXHAUSTED
-        for x in range(1, m):
-            if budget >= 0 and nodes >= budget:
+        x = prev = 0
+        while True:
+            x = nxt[x]
+            if not x:
+                break
+            nodes += x - prev
+            if nodes > limit:
+                nodes = limit
                 return BUDGET
-            nodes += 1
-            if used[x]:
-                continue
+            prev = x
             if i == m - 1 and x < order[1]:
                 continue
             s_new = add_t[order[i - 1] * m + x]
             nd = distinct + (0 if scount[s_new] else 1)
             if nd + (m - i) <= best:
                 continue
-            used[x] = 1
+            nxt[prv[x]] = nxt[x]
+            prv[nxt[x]] = prv[x]
             order[i] = x
             scount[s_new] += 1
             saved = distinct
@@ -463,9 +566,14 @@ def solve_sigma(m, add_t, budget):
             r = dfs(i + 1)
             scount[s_new] -= 1
             distinct = saved
-            used[x] = 0
+            nxt[prv[x]] = x
+            prv[nxt[x]] = x
             if r == BUDGET:
                 return BUDGET
+        nodes += m - 1 - prev
+        if nodes > limit:
+            nodes = limit
+            return BUDGET
         return EXHAUSTED
 
     status = dfs(1)

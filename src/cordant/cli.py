@@ -95,17 +95,19 @@ def _emit(args, lines: list[str], doc: dict,
     if cert is not None:
         from . import certificate_dumps, certificate_to_obj
         doc = {**certificate_to_obj(cert), **doc}
+    output = getattr(args, "output", None)
+    text = (json.dumps(doc, indent=2)
+            if args.format == "json" or output else None)
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(text)
     else:
         for line in lines:
             print(line)
         if cert is not None:
             print(certificate_dumps(cert))
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def _parse_elements(spec: GroupSpec, text: str) -> tuple:

@@ -318,6 +318,25 @@ def test_output_file(capsys, tmp_path):
     assert doc["nodes_explored"] == 5
 
 
+def test_json_output_file_is_stdout_encoded_once(capsys, tmp_path,
+                                                 monkeypatch):
+    encodes = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def counted(self, o, *args, **kwargs):
+        encodes.append(o)
+        return iterencode(self, o, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counted)
+    target = tmp_path / "doc.json"
+    code, out, _ = run(capsys, ["construct", "ek-path", "--n", "12",
+                                "--k", "4", "--format", "json",
+                                "--output", str(target)])
+    assert code == EXIT_OK
+    assert target.read_bytes() == out.encode("utf-8")
+    assert len(encodes) == 1
+
+
 # ---------------------------------------------------------------------------
 # demo
 

@@ -1,0 +1,86 @@
+"""Exact budget stops in the three pure kernels.
+
+Every (slot, label) attempt costs one node, including attempts at labels
+that have no room left.  So a search whose unbounded run takes N nodes
+stops with BUDGET after exactly b nodes for every budget b < N, and returns
+the unbounded result for every b >= N: also when its last nodes are
+labels without room after the last one tried.  Runs on the pure kernels
+alone, so it needs no compiler.
+"""
+
+from cordant import GroupSpec, cycle_graph, path_graph, tree_graph
+from cordant._kernel import pure
+from cordant.groups import op_tables
+from cordant.search import _equitable_bounds, _generic_structures
+
+
+def _budgets(total):
+    """Every budget up to 1,500, then a stride to ``total + 1``."""
+    return sorted({*range(1501), *range(1501, total + 2, 37),
+                   total - 1, total, total + 1})
+
+
+def _generic(factors, graph, on_edges, bounds, prefix=()):
+    spec = GroupSpec(factors)
+    if on_edges:
+        s, members = len(graph.edges), graph.incidence()
+    else:
+        s, members = graph.n, graph.edges
+    return (spec.order, op_tables(spec)[0], s, *bounds,
+            *_generic_structures(members, s), list(prefix))
+
+
+def _equitable(num_slots, num_derived, m):
+    return (*_equitable_bounds(num_slots, m),
+            *_equitable_bounds(num_derived, m))
+
+
+def _generic_instances():
+    nonzero_once = [0] + [1] * 5
+    tree = tree_graph(6, ((0, 1), (0, 2), (2, 3), (3, 4), (4, 5)))
+    return [
+        # path edges, exhausted and found
+        _generic((6,), path_graph(6), True, _equitable(5, 6, 6)),
+        _generic((5,), path_graph(10), True, _equitable(9, 10, 5)),
+        # path vertices
+        _generic((5,), path_graph(11), False, _equitable(11, 10, 5)),
+        # cycle vertices
+        _generic((6,), cycle_graph(6), False, _equitable(6, 6, 6)),
+        # a tree with a label no slot may take (A*-antimagic bounds)
+        _generic((6,), tree, True,
+                 (nonzero_once, nonzero_once, [1] * 6, [1] * 6)),
+        # a prefix
+        _generic((5,), path_graph(10), True, _equitable(9, 10, 5), (2, 0)),
+    ]
+
+
+def _check(solve, nodes_at):
+    """``solve(budget)`` stops exactly at every budget below its unbounded
+    node count and returns its unbounded result from there on."""
+    unbounded = solve(-1)
+    total = nodes_at(unbounded)
+    for budget in _budgets(total):
+        result = solve(budget)
+        if budget < total:
+            assert result[0] == pure.BUDGET, (budget, result)
+            assert nodes_at(result) == budget, (budget, result)
+        else:
+            assert result == unbounded, (budget, result)
+    return unbounded[0]
+
+
+def test_generic_kernel_stops_exactly_at_its_budget():
+    statuses = {_check(lambda b: pure.solve_generic(*args, b),
+                       lambda r: r[2])
+                for args in _generic_instances()}
+    assert statuses == {pure.FOUND, pure.EXHAUSTED}
+
+
+def test_rstar_and_sigma_kernels_stop_exactly_at_their_budgets():
+    for factors in ((4,), (2, 2), (5,), (6,)):
+        spec = GroupSpec(factors)
+        m = spec.order
+        add_t, neg_t = op_tables(spec)[:2]
+        _check(lambda b: pure.solve_rstar(m, add_t, neg_t, [], b),
+               lambda r: r[3])
+        _check(lambda b: pure.solve_sigma(m, add_t, b), lambda r: r[3])

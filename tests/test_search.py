@@ -1,5 +1,6 @@
 """Search oracle: frozen outcomes, determinism, budgets, raw-space audits."""
 
+import gc
 import itertools
 import multiprocessing
 import os
@@ -281,6 +282,22 @@ def test_concurrent_pure_searches_share_one_frame_limit_lift(monkeypatch):
         sys.setswitchinterval(interval)
     assert errors == []
     assert sys.getrecursionlimit() == limit
+
+
+def test_pure_kernel_frees_its_memo_on_return(monkeypatch):
+    # the memo of C20/Z4 holds about 65,000 dead states; a reference cycle
+    # through the search closure kept it alive until the cyclic collector ran
+    monkeypatch.setattr(_kernel, "_active", _kernel.pure)
+    gc.collect()
+    gc.disable()
+    try:
+        out = search_a_cordial(cycle_graph(20), Z4)
+        big = [len(o) for o in gc.get_objects()
+               if isinstance(o, set) and len(o) > 1000]
+    finally:
+        gc.enable()
+    assert out.status == STATUS_NOT_EXISTS
+    assert big == []
 
 
 def test_workers_below_one_are_rejected():
