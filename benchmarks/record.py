@@ -18,7 +18,9 @@ It also times direct library calls in this process, on the checkout's
 (870 calls; seconds, nodes and the Found/Impossible/Unknown counts), one
 long path, P10000 over Z10, and ``construct_path_antimagic`` on all 116
 groups of order 2..64 (seconds, nodes and the status counts, in all and
-by route).  In fresh interpreters it times
+by route, and ``labels_sha256``, the sha256 of the sweep's rows
+(factors, status, route, nodes, labels), each row's ``repr`` followed
+by a newline, in sweep order).  In fresh interpreters it times
 ``import cordant.cli`` (the median of ``IMPORT_RUNS`` runs, import
 statement only) and counts the ``cordant.*`` modules that importing the
 CLI and then running ``decide path-ek`` each leave loaded.
@@ -32,6 +34,7 @@ recorded as it is.  It exits 2 only when a run prints no result.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -103,13 +106,20 @@ def direct_rows() -> dict:
     long_s = time.perf_counter() - start
     by_route: dict = {}
     antimagic_nodes = 0
+    results = []
     start = time.perf_counter()
     for order in range(2, 65):
         for spec in abelian_groups_of_order(order):
             res = construct_path_antimagic(spec)
             by_route.setdefault(res.route, Counter())[res.status] += 1
             antimagic_nodes += res.nodes_explored
+            results.append((spec.factors, res))
     antimagic_s = time.perf_counter() - start
+    digest = hashlib.sha256()
+    for factors, res in results:
+        labels = res.labeling.labels if res.labeling else None
+        digest.update(repr((factors, res.status, res.route,
+                            res.nodes_explored, labels)).encode() + b"\n")
     antimagic = sum(by_route.values(), Counter())
     return {
         "ek_sweep": {"n": [3, 60], "k": [2, 16],
@@ -129,6 +139,7 @@ def direct_rows() -> dict:
                             "found": antimagic["Found"],
                             "impossible": antimagic["Impossible"],
                             "unknown": antimagic["Unknown"],
+                            "labels_sha256": digest.hexdigest(),
                             "by_route": {route: dict(sorted(counts.items()))
                                          for route, counts
                                          in sorted(by_route.items())}},

@@ -24,6 +24,7 @@ from .errors import InvalidLabelingError, InvalidSpecError
 from .graphs import CYCLE, GENERAL, PATH, TREE, SimpleGraph, cycle_graph, path_graph
 from .groups import Element, GroupSpec, enumerate_elements
 from .labelings import (
+    SIZE_MISMATCH,
     EdgeLabeling,
     Verdict,
     VertexLabeling,
@@ -71,11 +72,18 @@ class Certificate:
 
 def make_edge_certificate(notion: str, graph: SimpleGraph,
                           f: EdgeLabeling) -> Certificate:
-    """Certificate for an edge labeling; vertex labels are the sums."""
+    """Certificate for an edge labeling; vertex labels are the sums.
+
+    Refuses a labeling that does not fit the graph, and, for the
+    antimagic notions, a tree whose order is not the group order.
+    """
     if notion not in _EDGE_VERIFIERS:
         raise InvalidSpecError(f"not an edge-labeling notion: {notion!r}")
     verdict = _EDGE_VERIFIERS[notion](graph, f)
     vertex = induce_vertex_labels(graph, f).labels
+    if verdict.violation == SIZE_MISMATCH:
+        raise InvalidLabelingError(
+            f"tree order {graph.n} must equal group order {f.group.order}")
     return Certificate(notion, f.group, graph, f.labels, vertex, verdict)
 
 

@@ -529,10 +529,7 @@ def main(argv=None) -> int:
     try:
         args.env_budget = _env_budget()
         return args.func(args)
-    except CordantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (CordantError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

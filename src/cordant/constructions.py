@@ -4,18 +4,19 @@ Everything here either transfers one kind of labeling into another
 (cycle to path, vertex side to edge side, big group to quotient view),
 builds a labeling outright (block construction over a group with a
 cyclic part of order 4m, sequence-based construction for elementary
-2-groups, product of a found core ordering with odd cyclic factors,
-element enumeration of an odd-order group, consecutive vertex sums on a
-path over Z_k), or answers existence questions by formula.
+2-groups, a harmonious ordering opened at zero: the element enumeration
+of an odd-order group, or a found core ordering times odd cyclic
+factors; consecutive vertex sums on a path over Z_k), or answers
+existence questions by formula.
 
 Every constructor verifies the labeling it returns exactly once, at its
 end, and raises InternalCheckError on a mismatch, so a returned labeling
 is always a certified one.  The steps before that point hand on
 unchecked values: the dispatchers build their paths with private
-helpers (``_opened``, ``_ant_path_labels``, ``_rstar_path_labels``), not
-through the public transfer maps, which also check their input because
-it may come from outside.  A searched cycle is certified by the search
-that found it.
+helpers (``_harmonious_order``, ``_ant_path_labels``,
+``_rstar_path_labels``), not through the public transfer maps, which
+also check their input because it may come from outside.  A searched
+cycle is certified by the search that found it.
 
 Only the ``rainbow-cycle`` and ``sequence`` routes search, and they
 import ``search`` when they run: the deciders and every other route
@@ -60,14 +61,13 @@ from .groups import (
 from .labelings import (
     EdgeLabeling,
     VertexLabeling,
-    class_counts,
     verify_a_antimagic,
     verify_a_cordial,
     verify_ea_cordial,
 )
 
 if TYPE_CHECKING:
-    from .search import RStarSequence, SearchOutcome
+    from .search import RStarSequence
 
 STATUS_IMPOSSIBLE = "Impossible"
 
@@ -139,34 +139,16 @@ def shift_labeling(f: EdgeLabeling, g: Element) -> EdgeLabeling:
     return EdgeLabeling(f.group, tuple(add(f.group, a, neg) for a in f.labels))
 
 
-def _opened(f: EdgeLabeling, counts: dict[Element, int]) -> EdgeLabeling:
-    """``cycle_to_path``'s arithmetic on the edge labels ``f`` of a cycle
-    with class counts ``counts`` (in enumeration order), unchecked.
-
-    Shifts by the first full class, cuts at the first zero and renumbers
-    from just past the cut.
-    """
-    spec = f.group
-    n = len(f.labels)
-    target = ceil(n / spec.order)
-    shift = next((g for g, count in counts.items() if count == target), None)
-    if shift is None:
-        raise InternalCheckError("no full label class to open the cycle at")
-    shifted = shift_labeling(f, shift).labels
-    cut = shifted.index(spec.zero())
-    return EdgeLabeling(
-        spec, tuple(shifted[(cut + 1 + j) % n] for j in range(n - 1)))
-
-
 def cycle_to_path(cycle: SimpleGraph, f: EdgeLabeling
                   ) -> tuple[SimpleGraph, EdgeLabeling]:
     """Open an equitably edge-labeled cycle into an equitably labeled path.
 
     Shifts all labels by the first element whose class is full (count
-    equal to ceil(n/|A|)), deletes the first edge now labeled zero, and
-    renumbers vertices starting just past the deleted edge.  Deleting a
-    zero edge changes no vertex sum, and the shrunken zero class stays
-    within the equitable band, so the result verifies again.
+    equal to ceil(n/|A|); an equitable labeling has one), deletes the
+    first edge now labeled zero, and renumbers vertices starting just
+    past the deleted edge.  Deleting a zero edge changes no vertex sum,
+    and the shrunken zero class stays within the equitable band, so the
+    result verifies again.
     """
     if cycle.kind != CYCLE:
         raise PreconditionError("input must be a cycle")
@@ -174,8 +156,16 @@ def cycle_to_path(cycle: SimpleGraph, f: EdgeLabeling
     if not verdict.ok:
         raise PreconditionError(
             f"cycle labeling is not equitable ({verdict.violation})")
-    f_path = _opened(f, verdict.edge_class_counts)
-    path = path_graph(cycle.n)
+    spec = f.group
+    n = cycle.n
+    target = ceil(n / spec.order)
+    shift = next(g for g, count in verdict.edge_class_counts.items()
+                 if count == target)
+    shifted = shift_labeling(f, shift).labels
+    cut = shifted.index(spec.zero())
+    f_path = EdgeLabeling(
+        spec, tuple(shifted[(cut + 1 + j) % n] for j in range(n - 1)))
+    path = path_graph(n)
     out = verify_ea_cordial(path, f_path)
     if not out.ok:
         raise InternalCheckError(
@@ -294,9 +284,10 @@ class AntLayout:
     ``work`` presents the group as Z_4m then the odd factors; labels
     are computed there and carried to ``spec`` by coordinate
     isomorphism.  ``base_cycle`` is an equitable edge labeling of C_k
-    over the odd part: its elements in enumeration order, which is also
-    the lexicographically first such labeling with leading zero.  It is
-    empty when k == 1 and the odd part plays no role.
+    over the odd part: its harmonious ordering, the elements in
+    enumeration order, which is also the lexicographically first such
+    labeling with leading zero.  It is empty when k == 1 and the odd
+    part plays no role.
     """
 
     spec: GroupSpec
@@ -338,9 +329,7 @@ def ant_layout(spec) -> AntLayout:
     odd = dec.odd_part
     k = odd.order
     work = GroupSpec((four_m,) + odd.factors)
-    # k = |H| is odd, so H's enumeration is a harmonious cycle (see
-    # construct_path_antimagic)
-    base = tuple(enumerate_elements(odd)) if k > 1 else ()
+    base = _harmonious_order(odd, None)[1] if k > 1 else ()
     return AntLayout(spec=spec, work=work, m=four_m // 4, k=k,
                      base_cycle=base)
 
@@ -547,41 +536,53 @@ _E2_CUBE_LABELS: tuple[Element, ...] = (
 )
 
 
-def _harmonious_cycle(spec: GroupSpec, budget: int | None) -> SearchOutcome:
-    """A cyclic ordering of the elements of ``spec`` with every neighbour
-    sum distinct, as a vertex labeling of C_|A| starting at zero, or the
-    search's outcome.
+def _harmonious_order(spec: GroupSpec, budget: int | None
+                      ) -> tuple[str, tuple[Element, ...] | None, int]:
+    """A harmonious ordering of ``spec``, as (status, ordering, nodes).
 
-    The product construction of Beals, Gallian, Headley and Jungreis
-    ("Harmonious groups", JCTA 1991): repeating such an ordering
-    g_0..g_{n-1} of G k times, with Z_k coordinate j in block j, orders
-    G x Z_k for odd k.  The inner sums are (g_i + g_{i+1}, 2j) and the
-    block joins (g_{n-1} + g_0, 2j + 1), all distinct as j runs over Z_k.
-    So only a core is searched: the 2-part, or, when the 2-part is
-    elementary (it has no such ordering), the 2-part times the least odd
-    cyclic factor.  The other odd factors come from the product, and
-    ``isomorphism`` carries the result to ``spec``.  All searching spends
-    at most the budget share of a search over ``spec`` itself.
+    The ordering g_0 = 0, g_1, .., g_{n-1} lists every element once with
+    all n cyclic neighbour sums g_i + g_{i+1} distinct; it is None unless
+    the status is Found.  As edge labels g_1..g_{n-1} (the cycle opened
+    at its zero edge) those sums are the vertex sums of P_n.
+
+    Odd order: the element enumeration, with no search.  Induction on
+    A = Z_d x B, first coordinate slowest: the inner sums are (2a, s)
+    with s a linear neighbour sum of B, never B's closing sum c since
+    B's cyclic sums are distinct; the block joins and the closing edge
+    give (2a + 1, c) for every a in Z_d; and 2 is invertible mod odd d.
+
+    Otherwise the product construction of Beals, Gallian, Headley and
+    Jungreis ("Harmonious groups", JCTA 1991): repeating such an ordering
+    of G k times, with Z_k coordinate j in block j, orders G x Z_k for
+    odd k.  The inner sums are (g_i + g_{i+1}, 2j) and the block joins
+    (g_{n-1} + g_0, 2j + 1), all distinct as j runs over Z_k.  So only a
+    core is searched: the 2-part, or, when the 2-part is elementary (it
+    has no such ordering), the 2-part times the least odd cyclic factor.
+    The other odd factors come from the product, and ``isomorphism``
+    carries the result to ``spec``.  All searching spends at most the
+    budget share of a search over ``spec`` itself.
     """
-    from .search import SearchOutcome, find_equitable_cycle
+    if spec.order % 2 == 1:
+        return STATUS_FOUND, tuple(enumerate_elements(spec)), 0
+    from .search import find_equitable_cycle
 
     two, odd = sylow_split(spec)
     rest = sorted(odd.factors)
     core = GroupSpec(two.factors + (rest.pop(0),)) \
         if is_elementary_two(two) else two
     if not rest:
-        return find_equitable_cycle(cycle_graph(spec.order), spec, budget)
+        core = spec  # no product to build: search the presentation asked for
     out = find_equitable_cycle(cycle_graph(core.order), core, budget,
                                split=spec.order)
     if out.status != STATUS_FOUND:
-        return out
+        return out.status, None, out.nodes_explored
     order = out.certificate.labels
-    for k in rest:
-        order = tuple(g + (j,) for j in range(k) for g in order)
-    carry = isomorphism(GroupSpec(core.factors + tuple(rest)), spec)
-    return SearchOutcome(STATUS_FOUND,
-                         VertexLabeling(spec, tuple(map(carry, order))),
-                         out.nodes_explored)
+    if rest:
+        for k in rest:
+            order = tuple(g + (j,) for j in range(k) for g in order)
+        carry = isomorphism(GroupSpec(core.factors + tuple(rest)), spec)
+        order = tuple(map(carry, order))
+    return STATUS_FOUND, order, out.nodes_explored
 
 
 def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
@@ -589,14 +590,15 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
     """Injective edge labeling of P_|A| with all vertex sums distinct.
 
     Impossible exactly when |A| is 2 mod 4.  Otherwise one of: the
-    element enumeration opened at zero (odd orders; the route keeps its
-    historical name ``odd-cycle-search``, though it no longer searches);
-    the pinned P_4 labeling (Z_4); the block construction (cyclic part of
-    order 4m, m > 1); open an all-distinct-sums cycle, found for a core
-    and extended by a product (remaining non-elementary groups); the
-    pinned P_8 labeling ((Z2)^3); or the difference sequence route (other
-    elementary 2-groups).  The all-distinct-sums cycle comes from
-    ``find_equitable_cycle``: a fixed labeling, not the lex-first one.
+    pinned P_4 labeling (Z_4); the block construction (cyclic part of
+    order 4m, m > 1); a harmonious ordering of A opened at zero (every
+    other group but the elementary 2-groups; see ``_harmonious_order``);
+    the pinned P_8 labeling ((Z2)^3); or the difference sequence route
+    (other elementary 2-groups).  The harmonious step is one route under
+    two names: ``odd-cycle-search`` for odd orders, where it writes down
+    the element enumeration and no longer searches despite the historical
+    name, and ``rainbow-cycle`` otherwise, where ``find_equitable_cycle``
+    finds a core ordering: a fixed one, not the lex-first one.
     ``workers`` reaches only the difference sequence search.
     """
     check_workers(workers)
@@ -607,18 +609,7 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
     if not decide_path_a_antimagic(spec):
         return ConstructionResult(STATUS_IMPOSSIBLE, None, "order-2-mod-4")
     nodes = 0
-    if n % 2 == 1:
-        # The enumeration g_0 = 0, g_1, .., g_{n-1} has all n cyclic
-        # neighbour sums distinct; as edge labels g_1..g_{n-1} (the cycle
-        # opened at its zero edge) those sums are the path's vertex sums.
-        # Induction on A = Z_d x B, first coordinate slowest: the inner
-        # sums are (2a, s) with s a linear neighbour sum of B, never B's
-        # closing sum c since B's cyclic sums are distinct; the block joins
-        # and the closing edge give (2a + 1, c) for every a in Z_d; and 2
-        # is invertible mod odd d.
-        f = EdgeLabeling(spec, tuple(enumerate_elements(spec)[1:]))
-        route = "odd-cycle-search"
-    elif n == 4 and spec.factors == (4,):
+    if n == 4 and spec.factors == (4,):
         f = EdgeLabeling(spec, ((0,), (1,), (2,)))
         route = "base-p4"
     elif ant_decomposition(spec) is not None:
@@ -626,22 +617,16 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         f = _ant_path_labels(spec)
         route = "block"
     elif not is_elementary_two(spec):
-        # noncyclic 2-part and a non-involution element: a cyclic ordering
-        # of A with every neighbour sum distinct exists, and with n = |A|
-        # an equitable vertex labeling of C_n is exactly that
-        out = _harmonious_cycle(spec, budget)
-        if out.status == STATUS_UNKNOWN:
-            return ConstructionResult(STATUS_UNKNOWN, None, "rainbow-cycle",
-                                      out.nodes_explored)
-        if out.status == STATUS_NOT_EXISTS:
+        # Sylow 2-subgroup trivial or noncyclic: a harmonious ordering
+        # exists, and opened at zero it labels the path
+        route = "odd-cycle-search" if n % 2 == 1 else "rainbow-cycle"
+        status, order, nodes = _harmonious_order(spec, budget)
+        if status == STATUS_UNKNOWN:
+            return ConstructionResult(STATUS_UNKNOWN, None, route, nodes)
+        if status == STATUS_NOT_EXISTS:
             raise InternalCheckError(
-                f"no all-distinct-sums cycle over {spec}; formula says one exists")
-        # its labels copied onto the edges (as cycle_vertex_to_edge does)
-        # make an equitable edge labeling of C_n, opened here at zero
-        c = EdgeLabeling(spec, out.certificate.labels)
-        f = _opened(c, class_counts(spec, c.labels))
-        route = "rainbow-cycle"
-        nodes = out.nodes_explored
+                f"no harmonious ordering of {spec}; one is guaranteed")
+        f = EdgeLabeling(spec, order[1:])
     elif n == 8:
         f = EdgeLabeling(spec, _E2_CUBE_LABELS)
         route = "pinned-cube"

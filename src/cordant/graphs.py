@@ -28,7 +28,15 @@ class SimpleGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidGraphError("graphs need at least one vertex")
-        if self.kind not in (PATH, CYCLE, TREE, GENERAL):
+        if self.kind in (PATH, CYCLE):
+            closed = self.kind == CYCLE
+            if closed and self.n < 3:
+                raise InvalidGraphError("cycles need at least three vertices")
+            if self.edges != _chain_edges(self.n, closed):
+                raise InvalidGraphError(f"{self.kind} edges must be (0,1), "
+                                        f"(1,2), ...{', (n-1,0)' * closed}")
+            return
+        if self.kind not in (TREE, GENERAL):
             raise InvalidGraphError(f"unknown graph kind {self.kind!r}")
         seen = set()
         for u, v in self.edges:
@@ -40,23 +48,11 @@ class SimpleGraph:
             if key in seen:
                 raise InvalidGraphError(f"duplicate edge ({u},{v})")
             seen.add(key)
-        if self.kind == PATH:
-            want = tuple((i, i + 1) for i in range(self.n - 1))
-            if self.edges != want:
-                raise InvalidGraphError("path edges must be (0,1), (1,2), ...")
-        elif self.kind == CYCLE:
-            if self.n < 3:
-                raise InvalidGraphError("cycles need at least three vertices")
-            want = tuple((i, i + 1) for i in range(self.n - 1)) + ((self.n - 1, 0),)
-            if self.edges != want:
-                raise InvalidGraphError("cycle edges must be the path edges plus (n-1,0)")
-        elif self.kind == TREE:
-            if len(self.edges) != self.n - 1 or not self.is_connected():
-                raise InvalidGraphError("tree kind requires a connected graph on n-1 edges")
+        if self.kind == TREE and (len(self.edges) != self.n - 1
+                                  or not self.is_connected()):
+            raise InvalidGraphError("tree kind requires a connected graph on n-1 edges")
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
         adj = self.adjacency()
         seen = {0}
         stack = [0]
@@ -87,13 +83,18 @@ class SimpleGraph:
         return [len(ids) for ids in self.incidence()]
 
 
+def _chain_edges(n: int, closed: bool) -> tuple[tuple[int, int], ...]:
+    """(0,1), (1,2), .., (n-2,n-1), then (n-1,0) when ``closed``."""
+    return tuple(zip(range(n - 1), range(1, n))) + ((n - 1, 0),) * closed
+
+
 def path_graph(n: int) -> SimpleGraph:
     """P_n on vertices 0..n-1."""
     if n < 2:
         raise InvalidGraphError("paths need at least two vertices")
     if n > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"path of {n} vertices exceeds cap {DEFAULT_ENUM_CAP}")
-    return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)), PATH)
+    return SimpleGraph(n, _chain_edges(n, False), PATH)
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -102,8 +103,7 @@ def cycle_graph(n: int) -> SimpleGraph:
         raise InvalidGraphError("cycles need at least three vertices")
     if n > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"cycle of {n} vertices exceeds cap {DEFAULT_ENUM_CAP}")
-    edges = tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
-    return SimpleGraph(n, edges, CYCLE)
+    return SimpleGraph(n, _chain_edges(n, True), CYCLE)
 
 
 def tree_graph(n: int, edges: tuple[tuple[int, int], ...] | list) -> SimpleGraph:

@@ -65,6 +65,15 @@ def test_failing_labelings_still_serialize():
     assert certificate_loads(certificate_dumps(cert)) == cert
 
 
+@pytest.mark.parametrize("notion", [NOTION_A_ANTIMAGIC,
+                                    NOTION_A_STAR_ANTIMAGIC])
+def test_antimagic_certificates_need_a_tree_of_group_order(notion):
+    f = EdgeLabeling(GroupSpec((4,)), ((1,), (2,)))
+    with pytest.raises(InvalidLabelingError,
+                       match="^tree order 3 must equal group order 4$"):
+        make_edge_certificate(notion, path_graph(3), f)
+
+
 def test_dumps_is_deterministic():
     cert = make_edge_certificate(
         NOTION_EA_CORDIAL, path_graph(4), EdgeLabeling(Z3, ((0,), (1,), (2,))))

@@ -181,6 +181,21 @@ def test_verify_inline_tree_edges(capsys):
     assert out.startswith("invalid (vertex-collision)\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("notion,graph,labels,n", [
+    ("a-star-antimagic", ["--kind", "path", "--n", "3"], "[1,2]", 3),
+    ("a-antimagic", ["--kind", "tree", "--edges", "[[0,1],[1,2],[1,3],[3,4]]"],
+     "[1,2,3,1]", 5),
+])
+def test_verify_antimagic_on_a_tree_of_the_wrong_order(capsys, notion, graph,
+                                                        labels, n, fmt):
+    code, out, err = run(capsys, ["verify", "--notion", notion,
+                                  "--group", "Z4", *graph, "--labels", labels,
+                                  "--format", fmt])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: tree order {n} must equal group order 4\n"
+
+
 # ---------------------------------------------------------------------------
 # search
 

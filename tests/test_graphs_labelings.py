@@ -74,6 +74,20 @@ def test_graph_validation_errors():
         SimpleGraph(3, ((0, 1), (1, 2)), kind=CYCLE)
 
 
+@pytest.mark.parametrize("kind,edges", [
+    (PATH, ((0, 1), (1, 1))),
+    (PATH, ((0, 1), (0, 1))),
+    (PATH, ((0, 1), (1, 3))),
+    (CYCLE, ((0, 1), (1, 2), (2, 2))),
+    (CYCLE, ((0, 1), (1, 2), (2, 0), (2, 0))),
+    (CYCLE, ((0, 1), (1, 2), (2, 3))),
+])
+def test_paths_and_cycles_with_bad_edges_are_refused(kind, edges):
+    # a loop, a duplicate edge or an out-of-range edge
+    with pytest.raises(InvalidGraphError):
+        SimpleGraph(3, edges, kind)
+
+
 def test_incidence_matches_edge_storage_order():
     g = tree_graph(4, [(1, 0), (1, 2), (1, 3)])
     assert g.incidence() == [[0], [0, 1, 2], [1], [2]]
