@@ -20,7 +20,11 @@ long path, P10000 over Z10, and ``construct_path_antimagic`` on all 116
 groups of order 2..64 (seconds, nodes and the status counts, in all and
 by route, and ``labels_sha256``, the sha256 of the sweep's rows
 (factors, status, route, nodes, labels), each row's ``repr`` followed
-by a newline, in sweep order).  In fresh interpreters it times
+by a newline, in sweep order).  It times the certificate round trip
+of the block-route labeling of P5120 over Z5xZ1024 (the median of
+``ROUND_TRIP_RUNS`` runs of make, dumps and loads each, in seconds) and
+records the text's size and sha256, which later files can compare for
+byte identity.  In fresh interpreters it times
 ``import cordant.cli`` (the median of ``IMPORT_RUNS`` runs, import
 statement only) and counts the ``cordant.*`` modules that importing the
 CLI and then running ``decide path-ek`` each leave loaded.
@@ -48,7 +52,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exhaust", "construct", "survey", "cli")
 TRACED = ("kernel.nodes", "kernel.calls", "labelings.verify_calls",
-          "labelings.verify_s", "certificates.make_s")
+          "labelings.verify_s", "certificates.make_s", "certificates.dumps_s",
+          "certificates.loads_s", "groups.isomorphism_s")
+ROUND_TRIP_RUNS = 9
 # perfbench's default --seconds; not passed, so every point has this length
 SECONDS = 20
 IMPORT_RUNS = 9
@@ -146,6 +152,34 @@ def direct_rows() -> dict:
     }
 
 
+def round_trip_row() -> dict:
+    """Make, dumps and loads of the Z5xZ1024 block certificate."""
+    from cordant import (NOTION_A_ANTIMAGIC, GroupSpec, certificate_dumps,
+                         certificate_loads, construct_path_antimagic,
+                         make_edge_certificate, path_graph)
+
+    spec = GroupSpec((5, 1024))
+    f = construct_path_antimagic(spec).labeling
+    graph = path_graph(spec.order)
+    times: dict = {"make": [], "dumps": [], "loads": []}
+    for _ in range(ROUND_TRIP_RUNS):
+        start = time.perf_counter()
+        cert = make_edge_certificate(NOTION_A_ANTIMAGIC, graph, f)
+        times["make"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        text = certificate_dumps(cert)
+        times["dumps"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        loaded = certificate_loads(text)
+        times["loads"].append(time.perf_counter() - start)
+        assert loaded == cert
+    return {"group": list(spec.factors), "runs": ROUND_TRIP_RUNS,
+            **{f"{step}_s": round(statistics.median(ts), 5)
+               for step, ts in times.items()},
+            "bytes": len(text.encode()),
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def fresh(code: str) -> str:
     """Standard output of ``code`` run in a new interpreter on ``src``."""
     env = dict(os.environ)
@@ -195,6 +229,7 @@ def main(argv=None) -> int:
               f"{traced['verdict']['correct']}  "
               f"wall_s {plain['metrics'].get('wall_s')}", flush=True)
     doc["direct"] = direct_rows()
+    doc["direct"]["round_trip_Z5xZ1024"] = round_trip_row()
     doc["direct"]["cli_import"] = cli_import_row()
     print(f"direct: {json.dumps(doc['direct'])}", flush=True)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",

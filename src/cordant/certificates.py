@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from ._vocab import (
     NOTION_A_ANTIMAGIC,
@@ -19,27 +20,30 @@ from ._vocab import (
     NOTION_A_STAR_ANTIMAGIC,
     NOTION_EA_CORDIAL,
     NOTIONS,
+    indented_json,
 )
 from .errors import InvalidLabelingError, InvalidSpecError
 from .graphs import CYCLE, GENERAL, PATH, TREE, SimpleGraph, cycle_graph, path_graph
 from .groups import Element, GroupSpec, enumerate_elements
 from .labelings import (
-    SIZE_MISMATCH,
     EdgeLabeling,
     Verdict,
     VertexLabeling,
-    induce_edge_labels,
-    induce_vertex_labels,
-    verify_a_antimagic,
-    verify_a_cordial,
-    verify_a_star_antimagic,
-    verify_ea_cordial,
+    _computed,
+    _judge_a_antimagic,
+    _judge_a_cordial,
+    _judge_a_star_antimagic,
+    _judge_ea_cordial,
+    _require_fit,
 )
 
+# per edge notion, its judge: (verdict, induced vertex labels), so a
+# certificate induces its partner labels once; perfbench/spans.py wraps
+# these entries to count them as verifier calls
 _EDGE_VERIFIERS = {
-    NOTION_EA_CORDIAL: verify_ea_cordial,
-    NOTION_A_ANTIMAGIC: verify_a_antimagic,
-    NOTION_A_STAR_ANTIMAGIC: verify_a_star_antimagic,
+    NOTION_EA_CORDIAL: _judge_ea_cordial,
+    NOTION_A_ANTIMAGIC: _judge_a_antimagic,
+    NOTION_A_STAR_ANTIMAGIC: _judge_a_star_antimagic,
 }
 
 __all__ = [
@@ -79,21 +83,29 @@ def make_edge_certificate(notion: str, graph: SimpleGraph,
     """
     if notion not in _EDGE_VERIFIERS:
         raise InvalidSpecError(f"not an edge-labeling notion: {notion!r}")
-    verdict = _EDGE_VERIFIERS[notion](graph, f)
-    vertex = induce_vertex_labels(graph, f).labels
-    if verdict.violation == SIZE_MISMATCH:
-        raise InvalidLabelingError(
-            f"tree order {graph.n} must equal group order {f.group.order}")
+    verdict, vertex = _judged(_EDGE_VERIFIERS[notion], graph, f,
+                              len(graph.edges))
     return Certificate(notion, f.group, graph, f.labels, vertex, verdict)
 
 
 def make_vertex_certificate(graph: SimpleGraph,
                             c: VertexLabeling) -> Certificate:
     """Certificate for a vertex labeling; edge labels are endpoint sums."""
-    verdict = verify_a_cordial(graph, c)
-    edge = induce_edge_labels(graph, c).labels
+    verdict, edge = _judged(_judge_a_cordial, graph, c, graph.n)
     return Certificate(NOTION_A_CORDIAL, c.group, graph, edge, c.labels,
                        verdict)
+
+
+def _judged(judge, graph: SimpleGraph, labeling, want: int):
+    """``judge``'s verdict and induced labels; refuses a labeling without
+    ``want`` labels, then a tree whose order is not the group order."""
+    verdict, induced = judge(graph, labeling)
+    if induced is None:
+        _require_fit(graph, labeling.labels, want)
+        raise InvalidLabelingError(
+            f"tree order {graph.n} must equal group order "
+            f"{labeling.group.order}")
+    return verdict, induced
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +117,32 @@ def is_json_int(value) -> bool:
 
 
 def _ints(value, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(map(is_json_int, value)):
+    if not isinstance(value, list) or not (
+            set(map(type, value)) <= {int} or all(map(is_json_int, value))):
         raise InvalidLabelingError(f"{what} must be a list of integers")
     return tuple(value)
+
+
+def _label_rows(value) -> tuple[tuple[int, ...], ...]:
+    """A document's label list as integer tuples.  A list of integer
+    lists passes one bulk type check; anything else is checked label by
+    label, so the first bad label names the error."""
+    if type(value) is list and set(map(type, value)) <= {list} and \
+            set(map(type, chain.from_iterable(value))) <= {int}:
+        return tuple(map(tuple, value))
+    return tuple(_ints(a, "a label") for a in value)
+
+
+def _checked(cls, spec: GroupSpec, labels: tuple[tuple[int, ...], ...]):
+    """``cls(spec, labels)`` for integer tuples.  Arity and range are
+    checked per coordinate column with ``min`` and ``max``; if they fail,
+    ``cls`` checks label by label and raises the first bad one's error."""
+    factors = spec.factors
+    if set(map(len, labels)) <= {len(factors)} and all(
+            min(col) >= 0 and max(col) < d
+            for col, d in zip(zip(*labels), factors)):
+        return _computed(cls, spec, labels)
+    return cls(spec, labels)
 
 
 def _graph_to_obj(graph: SimpleGraph) -> dict:
@@ -139,20 +174,17 @@ def _graph_from_obj(obj: dict, num_vertices: int) -> SimpleGraph:
     raise InvalidLabelingError(f"unknown graph kind {kind!r}")
 
 
-def _counts_to_list(spec: GroupSpec, counts: dict[Element, int]) -> list[int]:
-    # class counts are stored as a list in element enumeration order
-    return [counts[a] for a in enumerate_elements(spec)]
-
-
-def _counts_from_list(spec: GroupSpec, values: list[int]) -> dict[Element, int]:
-    # the list's own length bounds the group order before it is enumerated
+def _count_list(spec: GroupSpec, values: list[int]) -> tuple[int, ...]:
+    # class counts are stored as a list in element enumeration order; the
+    # list's own length bounds the group order before anything is sized by it
     if len(values) != spec.order:
         raise InvalidLabelingError("class count list does not cover the group")
-    counts = _ints(values, "a class count list")
-    return dict(zip(enumerate_elements(spec), counts))
+    return _ints(values, "a class count list")
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
+    elements = enumerate_elements(cert.group)
+    verdict = cert.verdict
     return {
         "notion": cert.notion,
         "group": list(cert.group.factors),
@@ -160,19 +192,20 @@ def certificate_to_obj(cert: Certificate) -> dict:
         "edge_labels": [list(a) for a in cert.edge_labels],
         "vertex_labels": [list(a) for a in cert.vertex_labels],
         "verdict": {
-            "ok": cert.verdict.ok,
-            "violation": cert.verdict.violation,
-            "edge_class_counts": _counts_to_list(
-                cert.group, cert.verdict.edge_class_counts),
-            "vertex_class_counts": _counts_to_list(
-                cert.group, cert.verdict.vertex_class_counts),
+            "ok": verdict.ok,
+            "violation": verdict.violation,
+            "edge_class_counts": list(
+                map(verdict.edge_class_counts.__getitem__, elements)),
+            "vertex_class_counts": list(
+                map(verdict.vertex_class_counts.__getitem__, elements)),
         },
     }
 
 
 def certificate_dumps(cert: Certificate) -> str:
-    """Deterministic JSON text for a certificate."""
-    return json.dumps(certificate_to_obj(cert), indent=2)
+    """Deterministic JSON text for a certificate: byte for byte
+    ``json.dumps(certificate_to_obj(cert), indent=2)``."""
+    return indented_json(certificate_to_obj(cert))
 
 
 def certificate_from_obj(obj: dict) -> Certificate:
@@ -185,12 +218,11 @@ def certificate_from_obj(obj: dict) -> Certificate:
     try:
         notion = obj["notion"]
         spec = GroupSpec(_ints(obj["group"], "the group"))
-        edge_labels = tuple(_ints(a, "a label") for a in obj["edge_labels"])
-        vertex_labels = tuple(_ints(a, "a label")
-                              for a in obj["vertex_labels"])
+        edge_labels = _label_rows(obj["edge_labels"])
+        vertex_labels = _label_rows(obj["vertex_labels"])
         stored = obj["verdict"]
-        stored_edge = _counts_from_list(spec, stored["edge_class_counts"])
-        stored_vertex = _counts_from_list(spec, stored["vertex_class_counts"])
+        stored_edge = _count_list(spec, stored["edge_class_counts"])
+        stored_vertex = _count_list(spec, stored["vertex_class_counts"])
         graph = _graph_from_obj(obj["graph"], len(vertex_labels))
         stored_ok = stored["ok"]
         stored_violation = stored["violation"]
@@ -201,18 +233,20 @@ def certificate_from_obj(obj: dict) -> Certificate:
             "malformed certificate: verdict ok must be true or false")
     if notion == NOTION_A_CORDIAL:
         rebuilt = make_vertex_certificate(
-            graph, VertexLabeling(spec, vertex_labels))
+            graph, _checked(VertexLabeling, spec, vertex_labels))
         if rebuilt.edge_labels != edge_labels:
             raise InvalidLabelingError(
                 "stored edge labels are not the induced endpoint sums")
     else:
         rebuilt = make_edge_certificate(
-            notion, graph, EdgeLabeling(spec, edge_labels))
+            notion, graph, _checked(EdgeLabeling, spec, edge_labels))
         if rebuilt.vertex_labels != vertex_labels:
             raise InvalidLabelingError(
                 "stored vertex labels are not the induced sums")
+    # a verdict's count maps hold every element in enumeration order
     v = rebuilt.verdict
-    if (v.ok, v.violation, v.edge_class_counts, v.vertex_class_counts) != \
+    if (v.ok, v.violation, tuple(v.edge_class_counts.values()),
+            tuple(v.vertex_class_counts.values())) != \
             (stored_ok, stored_violation, stored_edge, stored_vertex):
         raise InvalidLabelingError("stored verdict does not re-verify")
     return rebuilt

@@ -25,6 +25,7 @@ from ._vocab import (
     NOTION_A_ANTIMAGIC,
     NOTION_A_CORDIAL,
     NOTION_A_STAR_ANTIMAGIC,
+    NOTION_ALIASES,
     NOTION_EA_CORDIAL,
     NOTIONS,
     STATUS_FOUND,
@@ -32,6 +33,8 @@ from ._vocab import (
     STATUS_UNKNOWN,
     check_searchable,
     check_workers,
+    indented_json,
+    notion_name,
 )
 from .errors import CordantError
 
@@ -96,7 +99,7 @@ def _emit(args, lines: list[str], doc: dict,
         from . import certificate_dumps, certificate_to_obj
         doc = {**certificate_to_obj(cert), **doc}
     output = getattr(args, "output", None)
-    text = (json.dumps(doc, indent=2)
+    text = (indented_json(doc)
             if args.format == "json" or output else None)
     if args.format == "json":
         print(text)
@@ -299,14 +302,13 @@ def _cmd_search(args) -> int:
                  if cert_obj else []), doc)
     else:
         runner, make_cert = {
-            "ea-cordial": (search_ea_cordial,
-                           partial(make_edge_certificate, NOTION_EA_CORDIAL)),
-            "a-cordial": (search_a_cordial, make_vertex_certificate),
-            "antimagic": (search_a_antimagic,
-                          partial(make_edge_certificate, NOTION_A_ANTIMAGIC)),
-            "astar-antimagic": (search_a_star_antimagic,
-                                partial(make_edge_certificate,
-                                        NOTION_A_STAR_ANTIMAGIC)),
+            NOTION_EA_CORDIAL: (search_ea_cordial, partial(
+                make_edge_certificate, NOTION_EA_CORDIAL)),
+            NOTION_A_CORDIAL: (search_a_cordial, make_vertex_certificate),
+            NOTION_A_ANTIMAGIC: (search_a_antimagic, partial(
+                make_edge_certificate, NOTION_A_ANTIMAGIC)),
+            NOTION_A_STAR_ANTIMAGIC: (search_a_star_antimagic, partial(
+                make_edge_certificate, NOTION_A_STAR_ANTIMAGIC)),
         }[args.notion]
         outcome = runner(graph, spec, budget=budget, workers=args.workers)
         cert_obj = None
@@ -432,6 +434,10 @@ def _add_common(sub, budget=True, workers=True, graph=False) -> None:
                          help='JSON edge list for --kind tree, e.g. "[[0,1],[1,2]]"')
 
 
+_NOTION_HELP = "older spellings still accepted: " + ", ".join(
+    f"{old} ({new})" for old, new in NOTION_ALIASES.items())
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as one ``error:`` line, like every other
     input error; ``--help`` still prints the usage."""
@@ -469,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = subs.add_parser("verify", help="check a labeling or a certificate")
     ver.add_argument("--certificate", help="certificate JSON file")
-    ver.add_argument("--notion", choices=NOTIONS)
+    ver.add_argument("--notion", type=notion_name, choices=NOTIONS,
+                     help=_NOTION_HELP)
     ver.add_argument("--group")
     ver.add_argument("--labels", help="JSON label array")
     _add_common(ver, budget=False, workers=False, graph=True)
@@ -493,9 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
         d.set_defaults(func=_cmd_decide)
 
     sea = subs.add_parser("search", help="exhaustive backtracking searches")
-    sea.add_argument("notion", choices=("ea-cordial", "a-cordial",
-                                        "antimagic", "astar-antimagic",
-                                        "rstar"))
+    sea.add_argument("notion", type=notion_name, choices=NOTIONS + ("rstar",),
+                     help=_NOTION_HELP)
     sea.add_argument("--group", required=True)
     _add_common(sea, graph=True)
     sea.set_defaults(func=_cmd_search)

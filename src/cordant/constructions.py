@@ -61,6 +61,7 @@ from .groups import (
 from .labelings import (
     EdgeLabeling,
     VertexLabeling,
+    _computed,
     verify_a_antimagic,
     verify_a_cordial,
     verify_ea_cordial,
@@ -334,26 +335,24 @@ def ant_layout(spec) -> AntLayout:
                      base_cycle=base)
 
 
-def _block_coordinate(j: int, i: int, m: int) -> int:
-    """Z_4m coordinate of edge i (0-based) inside block j.
+def _block_column(j: int, m: int) -> list[int]:
+    """Z_4m coordinates of the 4m - 1 edges inside block j.
 
-    Each block alternates a low run with a high run, skipping one value
-    so that exactly one residue is missing overall: 3m in block 0, 0 in
-    odd blocks, 2m in later even blocks.
+    Each block alternates a low run (even edges) with a high run (odd
+    edges), skipping one value so that exactly one residue is missing
+    overall: 3m in block 0, 0 in odd blocks, 2m in later even blocks.
     """
+    col = [0] * (4 * m - 1)
     if j == 0:
-        if i % 2 == 0:
-            return i // 2
-        if i <= 2 * m - 1:
-            return 2 * m + (i - 1) // 2
-        return 2 * m + 1 + (i - 1) // 2
-    if j % 2 == 1:
-        if i % 2 == 0:
-            return 2 * m + i // 2
-        return 1 + (i - 1) // 2
-    if i % 2 == 0:
-        return i // 2
-    return 2 * m + 1 + (i - 1) // 2
+        col[0::2] = range(2 * m)
+        col[1::2] = [*range(2 * m, 3 * m), *range(3 * m + 1, 4 * m)]
+    elif j % 2 == 1:
+        col[0::2] = range(2 * m, 4 * m)
+        col[1::2] = range(1, 2 * m)
+    else:
+        col[0::2] = range(2 * m)
+        col[1::2] = range(2 * m + 1, 4 * m)
+    return col
 
 
 def _ant_path_labels(spec) -> EdgeLabeling:
@@ -363,22 +362,29 @@ def _ant_path_labels(spec) -> EdgeLabeling:
     edges.  Within block j every edge carries the block's base-cycle
     element in the odd coordinates; the Z_4m coordinates run through an
     interleaved low/high pattern that makes consecutive sums sweep all
-    residues.
+    residues.  The labels are built coordinate column by column and
+    carried to ``spec`` by the linear ``isomorphism``, so they are
+    elements without a check.
     """
     layout = ant_layout(spec)
     m, k = layout.m, layout.k
-    four_m = 4 * m
-    zero_odd = GroupSpec(layout.work.factors[1:]).zero()
-    labels_work: list[Element] = []
+    run = 4 * m - 1
+    base = layout.base_cycle or (GroupSpec(layout.work.factors[1:]).zero(),)
+    blocks = [_block_column(j, m) for j in range(min(k, 3))]
+    first: list[int] = []
+    odd_cols: list[list[int]] = [[] for _ in layout.work.factors[1:]]
     for j in range(k):
-        h = layout.base_cycle[j] if k > 1 else zero_odd
-        for i in range(four_m - 1):
-            labels_work.append((_block_coordinate(j, i, m),) + h)
+        # block 0, then odd blocks alike and later even blocks alike
+        first += blocks[2 - j % 2 if j else 0]
+        for col, x in zip(odd_cols, base[j]):
+            col += [x] * run
         if j < k - 1:
-            x = 0 if j % 2 == 0 else 2 * m
-            labels_work.append((x,) + layout.base_cycle[j + 1])
+            first.append(0 if j % 2 == 0 else 2 * m)
+            for col, x in zip(odd_cols, base[j + 1]):
+                col.append(x)
     carry = isomorphism(layout.work, layout.spec)
-    return EdgeLabeling(layout.spec, tuple(carry(a) for a in labels_work))
+    labels = tuple(zip(*carry.columns([first, *odd_cols])))
+    return _computed(EdgeLabeling, layout.spec, labels)
 
 
 def construct_ant_path(spec) -> EdgeLabeling:
@@ -581,7 +587,7 @@ def _harmonious_order(spec: GroupSpec, budget: int | None
         for k in rest:
             order = tuple(g + (j,) for j in range(k) for g in order)
         carry = isomorphism(GroupSpec(core.factors + tuple(rest)), spec)
-        order = tuple(map(carry, order))
+        order = tuple(zip(*carry.columns(list(zip(*order)))))
     return STATUS_FOUND, order, out.nodes_explored
 
 
@@ -626,7 +632,7 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         if status == STATUS_NOT_EXISTS:
             raise InternalCheckError(
                 f"no harmonious ordering of {spec}; one is guaranteed")
-        f = EdgeLabeling(spec, order[1:])
+        f = _computed(EdgeLabeling, spec, order[1:])
     elif n == 8:
         f = EdgeLabeling(spec, _E2_CUBE_LABELS)
         route = "pinned-cube"

@@ -7,8 +7,8 @@ all arithmetic is exact integer arithmetic.
 
 Two presentations with the same multiset of prime-power pieces are the same
 group; :func:`canonicalize_spec` computes the shared normal form (prime
-powers sorted by prime, then exponent) and :func:`isomorphism` converts
-elements between presentations through it.
+powers sorted by prime, then exponent), and :func:`isomorphism` maps
+elements linearly between presentations that share it.
 
 The element enumeration order used everywhere (searches, class-count maps,
 "first certificate" promises) is mixed-radix lexicographic with the last
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import prod
-from typing import Callable, Iterable
+from operator import add as add_int, mod, mul
+from typing import Iterable
 
 from .errors import CapExceededError, InvalidElementError, InvalidSpecError
 
@@ -330,14 +331,16 @@ class CanonicalMap:
         return tuple(coords)
 
 
+def _pieces(spec: GroupSpec) -> list[tuple[int, int, int]]:
+    """(prime, exponent, factor index) of each prime-power piece of the
+    factors, in canonical order."""
+    return sorted((p, e, src) for src, d in enumerate(spec.factors)
+                  for p, e in _prime_power_parts(d))
+
+
 def canonical_map(spec: GroupSpec) -> CanonicalMap:
     """Build the coordinate change onto :func:`canonicalize_spec` order."""
-    parts = []
-    for src, d in enumerate(spec.factors):
-        for p, e in _prime_power_parts(d):
-            parts.append((p, e, src))
-    parts.sort()
-    slots = tuple((src, p**e) for p, e, src in parts)
+    slots = tuple((src, p**e) for p, e, src in _pieces(spec))
     canon = GroupSpec(tuple(m for _, m in slots))
     return CanonicalMap(spec, canon, slots)
 
@@ -398,20 +401,57 @@ def automorphism_orbit_keys(spec: GroupSpec) -> tuple[tuple, ...]:
     return out
 
 
-def isomorphism(src: GroupSpec, dst: GroupSpec) -> Callable[[Element], Element]:
+@dataclass(frozen=True)
+class LinearMap:
+    """A homomorphism between presentations, given by the images of the
+    unit vectors: coordinate i of the image of ``a`` is
+    ``sum(a[j] * weights[i][j]) mod dst.factors[i]``."""
+
+    src: GroupSpec
+    dst: GroupSpec
+    weights: tuple[tuple[int, ...], ...]
+
+    def __call__(self, a: Element) -> Element:
+        check_element(self.src, a)
+        return tuple(sum(map(mul, a, w)) % d
+                     for w, d in zip(self.weights, self.dst.factors))
+
+    def columns(self, cols: list) -> list:
+        """Images of elements given as coordinate columns (one sequence
+        per ``src`` factor, all of one length), as columns of ``dst``.
+        Nothing is checked: the columns must hold elements already."""
+        out = []
+        for w, d in zip(self.weights, self.dst.factors):
+            # every factor of an isomorphic image has a nonzero weight
+            terms = [col if x == 1 else map(mul, col, repeat(x))
+                     for col, x in zip(cols, w) if x]
+            acc = terms[0]
+            for t in terms[1:]:
+                acc = map(add_int, acc, t)
+            out.append(list(map(mod, acc, repeat(d))))
+        return out
+
+
+def isomorphism(src: GroupSpec, dst: GroupSpec) -> LinearMap:
     """An explicit isomorphism between two presentations of one group.
 
-    Raises InvalidSpecError when the canonical forms differ.
+    Both presentations split into the same prime-power pieces, matched
+    in canonical order.  The map is linear: the image of unit vector j
+    has, in factor i of ``dst``, the sum of the CRT idempotents (1 on
+    the piece, 0 on the rest of factor i) of the pieces that factor j
+    contributes to factor i.  Raises InvalidSpecError when the canonical
+    forms differ.
     """
-    src_map = canonical_map(src)
-    dst_map = canonical_map(dst)
-    if src_map.canonical != dst_map.canonical:
+    src_pieces, dst_pieces = _pieces(src), _pieces(dst)
+    if [pe[:2] for pe in src_pieces] != [pe[:2] for pe in dst_pieces]:
         raise InvalidSpecError(f"{src} and {dst} are not isomorphic")
-
-    def apply(a: Element) -> Element:
-        return dst_map.from_canonical(src_map.to_canonical(a))
-
-    return apply
+    # the idempotent of piece q of d = dst factor i: 1 mod q, 0 mod d / q
+    weights = [[0] * src.rank for _ in dst.factors]
+    for (p, e, j), (_, _, i) in zip(src_pieces, dst_pieces):
+        q, d = p**e, dst.factors[i]
+        rest = d // q
+        weights[i][j] = (weights[i][j] + rest * pow(rest, -1, q)) % d
+    return LinearMap(src, dst, tuple(map(tuple, weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ conditions, vertex conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mod
 
 from .errors import InvalidGraphError, InvalidLabelingError
-from .graphs import PATH, TREE, SimpleGraph
+from .graphs import CYCLE, PATH, TREE, SimpleGraph
 from .groups import Element, GroupSpec, check_element, enumerate_elements
 
 SIZE_MISMATCH = "size-mismatch"
@@ -86,20 +88,32 @@ def _induced(graph: SimpleGraph, labeling, on_edges: bool
     ``graph``: residues summed coordinate by coordinate, reduced once."""
     factors = labeling.group.factors
     columns = list(zip(*labeling.labels)) or [()] * len(factors)
-    per_coordinate = []
-    for col, d in zip(columns, factors):
-        if on_edges:
-            acc = [0] * graph.n
-            for (u, v), x in zip(graph.edges, col):
-                acc[u] += x
-                acc[v] += x
-            per_coordinate.append([s % d for s in acc])
-        else:
-            per_coordinate.append([(col[u] + col[v]) % d
-                                   for u, v in graph.edges])
+    per_coordinate = [list(map(mod, _sums(graph, col, on_edges), repeat(d)))
+                      for col, d in zip(columns, factors)]
     if factors:
         return tuple(zip(*per_coordinate))
     return ((),) * (graph.n if on_edges else len(graph.edges))
+
+
+def _sums(graph: SimpleGraph, col: tuple[int, ...], on_edges: bool) -> list:
+    """One coordinate column summed, unreduced: per vertex over its edges
+    (``on_edges``) or per edge over its two endpoints.  Path and cycle
+    edges are (i, i+1) in order, so there the sums are shifted ``map``s."""
+    if graph.kind == PATH:
+        if on_edges:
+            return [col[0], *map(add, col, col[1:]), col[-1]]
+        return list(map(add, col, col[1:]))
+    if graph.kind == CYCLE:
+        if on_edges:
+            return list(map(add, col[-1:] + col[:-1], col))
+        return list(map(add, col, col[1:] + col[:1]))
+    if on_edges:
+        acc = [0] * graph.n
+        for (u, v), x in zip(graph.edges, col):
+            acc[u] += x
+            acc[v] += x
+        return acc
+    return [col[u] + col[v] for u, v in graph.edges]
 
 
 def induce_vertex_labels(graph: SimpleGraph, f: EdgeLabeling) -> VertexLabeling:
@@ -121,9 +135,10 @@ def induce_edge_labels(graph: SimpleGraph, c: VertexLabeling) -> EdgeLabeling:
     return _computed(EdgeLabeling, c.group, _induced(graph, c, False))
 
 
-def _counts(spec: GroupSpec, labels: tuple[Element, ...]) -> dict[Element, int]:
+def _counts(elements: list[Element], labels: tuple[Element, ...]
+            ) -> dict[Element, int]:
     # labels are elements already: checked on entry or computed mod d
-    counts = dict.fromkeys(enumerate_elements(spec), 0)
+    counts = dict.fromkeys(elements, 0)
     for a in labels:
         counts[a] += 1
     return counts
@@ -133,7 +148,7 @@ def class_counts(spec: GroupSpec, labels: tuple[Element, ...]) -> dict[Element, 
     """Occurrences of every group element among ``labels``, in enumeration order."""
     for a in labels:
         check_element(spec, a)
-    return _counts(spec, labels)
+    return _counts(enumerate_elements(spec), labels)
 
 
 def is_equitable(counts: dict[Element, int]) -> bool:
@@ -151,31 +166,43 @@ def _require_fit(graph: SimpleGraph, labels: tuple, want: int) -> None:
         )
 
 
-def _counts_both(graph: SimpleGraph, labeling, on_edges: bool):
+def _counts_both(labeling, induced: tuple[Element, ...], on_edges: bool):
     """Edge and vertex class counts of an edge (``on_edges``) or vertex
     labeling and the labels it induces."""
-    induced = _induced(graph, labeling, on_edges)
     edge, vertex = ((labeling.labels, induced) if on_edges
                     else (induced, labeling.labels))
-    return _counts(labeling.group, edge), _counts(labeling.group, vertex)
+    elements = enumerate_elements(labeling.group)
+    return _counts(elements, edge), _counts(elements, vertex)
 
 
-def _verify_equitable(graph: SimpleGraph, labeling, on_edges: bool) -> Verdict:
+# A judge returns a verdict and the labels the labeling induces, None
+# when it does not fit the graph, so a certificate induces them once.
+
+def _judge_equitable(graph: SimpleGraph, labeling, on_edges: bool):
     """Both class families equitable; the edge family is judged first."""
     want = len(graph.edges) if on_edges else graph.n
     if len(labeling.labels) != want:
-        return Verdict(False, {}, {}, SIZE_MISMATCH)
-    ec, vc = _counts_both(graph, labeling, on_edges)
+        return Verdict(False, {}, {}, SIZE_MISMATCH), None
+    induced = _induced(graph, labeling, on_edges)
+    ec, vc = _counts_both(labeling, induced, on_edges)
     if not is_equitable(ec):
-        return Verdict(False, ec, vc, EDGE_IMBALANCE)
+        return Verdict(False, ec, vc, EDGE_IMBALANCE), induced
     if not is_equitable(vc):
-        return Verdict(False, ec, vc, VERTEX_IMBALANCE)
-    return Verdict(True, ec, vc)
+        return Verdict(False, ec, vc, VERTEX_IMBALANCE), induced
+    return Verdict(True, ec, vc), induced
+
+
+def _judge_ea_cordial(graph: SimpleGraph, f: EdgeLabeling):
+    return _judge_equitable(graph, f, True)
+
+
+def _judge_a_cordial(graph: SimpleGraph, c: VertexLabeling):
+    return _judge_equitable(graph, c, False)
 
 
 def verify_ea_cordial(graph: SimpleGraph, f: EdgeLabeling) -> Verdict:
     """Edge classes equitable and induced vertex-sum classes equitable."""
-    return _verify_equitable(graph, f, True)
+    return _judge_ea_cordial(graph, f)[0]
 
 
 def verify_a_cordial(graph: SimpleGraph, c: VertexLabeling) -> Verdict:
@@ -184,7 +211,7 @@ def verify_a_cordial(graph: SimpleGraph, c: VertexLabeling) -> Verdict:
     The edge condition is still reported first, mirroring the edge-side
     verifier's fixed order.
     """
-    return _verify_equitable(graph, c, False)
+    return _judge_a_cordial(graph, c)[0]
 
 
 def _require_tree(graph: SimpleGraph) -> None:
@@ -192,21 +219,29 @@ def _require_tree(graph: SimpleGraph) -> None:
         raise InvalidGraphError(f"expected a path or tree, got kind {graph.kind!r}")
 
 
-def _verify_injective(graph: SimpleGraph, f: EdgeLabeling,
-                      zero_free: bool) -> Verdict:
+def _judge_injective(graph: SimpleGraph, f: EdgeLabeling, zero_free: bool):
     """Both sides injective on a tree of group order, after the zero-edge
     rule when ``zero_free``."""
     _require_tree(graph)
     if graph.n != f.group.order or len(f.labels) != len(graph.edges):
-        return Verdict(False, {}, {}, SIZE_MISMATCH)
-    ec, vc = _counts_both(graph, f, True)
+        return Verdict(False, {}, {}, SIZE_MISMATCH), None
+    induced = _induced(graph, f, True)
+    ec, vc = _counts_both(f, induced, True)
     if zero_free and ec[f.group.zero()] > 0:
-        return Verdict(False, ec, vc, ZERO_EDGE_FORBIDDEN)
+        return Verdict(False, ec, vc, ZERO_EDGE_FORBIDDEN), induced
     if max(ec.values()) > 1:
-        return Verdict(False, ec, vc, EDGE_COLLISION)
+        return Verdict(False, ec, vc, EDGE_COLLISION), induced
     if max(vc.values()) > 1:
-        return Verdict(False, ec, vc, VERTEX_COLLISION)
-    return Verdict(True, ec, vc)
+        return Verdict(False, ec, vc, VERTEX_COLLISION), induced
+    return Verdict(True, ec, vc), induced
+
+
+def _judge_a_antimagic(graph: SimpleGraph, f: EdgeLabeling):
+    return _judge_injective(graph, f, False)
+
+
+def _judge_a_star_antimagic(graph: SimpleGraph, f: EdgeLabeling):
+    return _judge_injective(graph, f, True)
 
 
 def verify_a_antimagic(graph: SimpleGraph, f: EdgeLabeling) -> Verdict:
@@ -215,9 +250,9 @@ def verify_a_antimagic(graph: SimpleGraph, f: EdgeLabeling) -> Verdict:
     The tree has |A| vertices and |A|-1 edges, so injectivity on both sides
     is the same as every class count being at most one.
     """
-    return _verify_injective(graph, f, False)
+    return _judge_a_antimagic(graph, f)[0]
 
 
 def verify_a_star_antimagic(graph: SimpleGraph, f: EdgeLabeling) -> Verdict:
     """Edge labels a bijection onto the nonzero elements, vertex sums distinct."""
-    return _verify_injective(graph, f, True)
+    return _judge_a_star_antimagic(graph, f)[0]

@@ -35,6 +35,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 
 from . import _kernel
 from ._kernel import BUDGET, EXHAUSTED, FOUND
@@ -469,12 +470,16 @@ def _luby(i: int) -> int:
 
 def _relabeled(add_t, m: int, order: list[int]) -> array:
     """Addition table of the same group with element ``order[x]`` renamed
-    ``x``; ``order[0]`` is 0, so the identity keeps index 0."""
+    ``x``; ``order[0]`` is 0, so the identity keeps index 0.  Rows and
+    columns are gathered by ``itemgetter`` and renamed in one pass."""
     new_of = [0] * m
     for new, old in enumerate(order):
         new_of[old] = new
-    rows = [old * m for old in order]
-    return array("i", [new_of[add_t[r + b]] for r in rows for b in order])
+    columns = itemgetter(*order)
+    sums: list[int] = []
+    for old in order:
+        sums += columns(add_t[old * m:(old + 1) * m])
+    return array("i", itemgetter(*sums)(new_of))
 
 
 def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,

@@ -7,8 +7,10 @@ import json
 import pytest
 
 from cordant import (
+    CordantError,
     EdgeLabeling,
     GroupSpec,
+    InvalidElementError,
     InvalidLabelingError,
     InvalidSpecError,
     NOTION_A_ANTIMAGIC,
@@ -278,4 +280,100 @@ def test_rejects_a_group_larger_than_its_count_lists(monkeypatch):
     obj = json.loads(_fixture_text(4))
     obj["group"] = [10**12]
     with pytest.raises(InvalidLabelingError, match="does not cover the group"):
+        certificate_loads(json.dumps(obj))
+
+
+# ---------------------------------------------------------------------------
+# malformed labels: the bulk checks raise what the label-by-label checks
+# raise, for the document's first bad label
+
+def _a_cordial_obj():
+    return certificate_to_obj(make_vertex_certificate(
+        cycle_graph(3), VertexLabeling(Z3, ((0,), (1,), (2,)))))
+
+
+_ROW_TYPE = "malformed certificate: a label must be a list of integers"
+_MALFORMED = {
+    "float-coordinate": (4, ("edge_labels", 1, 0), 1.0,
+                         InvalidLabelingError, _ROW_TYPE),
+    "bool-coordinate": (4, ("edge_labels", 1, 2), True,
+                        InvalidLabelingError, _ROW_TYPE),
+    "null-coordinate": (4, ("edge_labels", 6, 1), None,
+                        InvalidLabelingError, _ROW_TYPE),
+    "string-coordinate": (4, ("edge_labels", 0, 0), "0",
+                          InvalidLabelingError, _ROW_TYPE),
+    "short-label": (4, ("edge_labels", 2), [0, 1], InvalidElementError,
+                    "element (0, 1) does not fit Z2xZ2xZ2"),
+    "long-label": (4, ("edge_labels", 3), [0, 0, 1, 0], InvalidElementError,
+                   "element (0, 0, 1, 0) does not fit Z2xZ2xZ2"),
+    "empty-label": (4, ("edge_labels", 0), [], InvalidElementError,
+                    "element () does not fit Z2xZ2xZ2"),
+    "out-of-range": (4, ("edge_labels", 4, 1), 2, InvalidElementError,
+                     "coordinate 2 out of range for Z2"),
+    "negative": (4, ("edge_labels", 5, 2), -1, InvalidElementError,
+                 "coordinate -1 out of range for Z2"),
+    "row-int": (4, ("edge_labels", 1), 5, InvalidLabelingError, _ROW_TYPE),
+    "row-string": (4, ("edge_labels", 1), "101",
+                   InvalidLabelingError, _ROW_TYPE),
+    "row-object": (4, ("edge_labels", 1), {"a": 1},
+                   InvalidLabelingError, _ROW_TYPE),
+    "row-null": (4, ("edge_labels", 1), None, InvalidLabelingError, _ROW_TYPE),
+    "edge-labels-int": (4, ("edge_labels",), 7, InvalidLabelingError,
+                        "malformed certificate: 'int' object is not iterable"),
+    "edge-labels-null": (4, ("edge_labels",), None, InvalidLabelingError,
+                         "malformed certificate: 'NoneType' object is not "
+                         "iterable"),
+    "edge-labels-string": (4, ("edge_labels",), "abc",
+                           InvalidLabelingError, _ROW_TYPE),
+    "edge-labels-empty-string": (4, ("edge_labels",), "", InvalidLabelingError,
+                                 "labeling has 0 labels, graph needs 7"),
+    "edge-labels-object": (4, ("edge_labels",), {}, InvalidLabelingError,
+                           "labeling has 0 labels, graph needs 7"),
+    "vertex-out-of-range": (4, ("vertex_labels", 3, 0), 2,
+                            InvalidLabelingError,
+                            "stored vertex labels are not the induced sums"),
+    "vertex-float": (4, ("vertex_labels", 3, 0), 0.5,
+                     InvalidLabelingError, _ROW_TYPE),
+    "vertex-labels-int": (4, ("vertex_labels",), 3, InvalidLabelingError,
+                          "malformed certificate: 'int' object is not "
+                          "iterable"),
+    "a-cordial-vertex-out-of-range": (
+        "a", ("vertex_labels", 1, 0), 3, InvalidElementError,
+        "coordinate 3 out of range for Z3"),
+    "a-cordial-vertex-negative": (
+        "a", ("vertex_labels", 2, 0), -3, InvalidElementError,
+        "coordinate -3 out of range for Z3"),
+    "a-cordial-vertex-arity": (
+        "a", ("vertex_labels", 0), [0, 0], InvalidElementError,
+        "element (0, 0) does not fit Z3"),
+    "a-cordial-edge-out-of-range": (
+        "a", ("edge_labels", 1, 0), 3, InvalidLabelingError,
+        "stored edge labels are not the induced endpoint sums"),
+}
+
+
+@pytest.mark.parametrize("source, path, value, error, message",
+                         _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_labels_raise_the_label_by_label_error(source, path, value,
+                                                         error, message):
+    obj = (_a_cordial_obj() if source == "a"
+           else json.loads(_fixture_text(source)))
+    _set(path, value)(obj)
+    with pytest.raises(CordantError) as caught:
+        certificate_loads(json.dumps(obj))
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_the_first_bad_label_names_the_error():
+    obj = json.loads(_fixture_text(4))
+    obj["edge_labels"][5][0] = 9
+    obj["edge_labels"][6] = [0]
+    with pytest.raises(InvalidElementError,
+                       match="^coordinate 9 out of range for Z2$"):
+        certificate_loads(json.dumps(obj))
+    # every label's type is checked before any label's range
+    obj = json.loads(_fixture_text(4))
+    obj["edge_labels"][0][0] = 9
+    obj["vertex_labels"][7][0] = "x"
+    with pytest.raises(InvalidLabelingError, match=_ROW_TYPE):
         certificate_loads(json.dumps(obj))

@@ -199,6 +199,39 @@ def test_verify_antimagic_on_a_tree_of_the_wrong_order(capsys, notion, graph,
 # ---------------------------------------------------------------------------
 # search
 
+# both subcommands take each antimagic notion under its one name and its
+# older search-only spelling, with the same output and exit code
+@pytest.mark.parametrize("argv, codes", [
+    (["search", "{}", "--group", "Z3xZ3", "--kind", "path", "--n", "9"],
+     (EXIT_OK, EXIT_OK)),
+    (["search", "{}", "--group", "Z2xZ2xZ2", "--kind", "path", "--n", "8"],
+     (EXIT_OK, EXIT_NO)),
+    (["search", "{}", "--group", "Z8", "--kind", "path", "--n", "8",
+      "--budget", "5"], (EXIT_UNKNOWN, EXIT_UNKNOWN)),
+    (["verify", "--notion", "{}", "--group", "Z4", "--kind", "path", "--n",
+      "4", "--labels", "[0,1,2]"], (EXIT_OK, EXIT_NO)),
+    (["verify", "--notion", "{}", "--group", "Z4", "--kind", "path", "--n",
+      "3", "--labels", "[1,2]"], (EXIT_USAGE, EXIT_USAGE)),
+])
+@pytest.mark.parametrize("which, name, alias", [
+    (0, "a-antimagic", "antimagic"), (1, "a-star-antimagic", "astar-antimagic")])
+def test_notions_take_both_spellings(capsys, argv, codes, which, name, alias):
+    runs = [run(capsys, [a.format(spelling) for a in argv])
+            for spelling in (name, alias)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == codes[which]
+
+
+@pytest.mark.parametrize("command", [["search", "{}", "--group", "Z3"],
+                                     ["verify", "--notion", "{}"]])
+def test_unknown_notion_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format("magic") for a in command])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_USAGE, "")
+    assert "invalid choice: 'magic'" in err
+
+
 def test_search_found_text_and_json(capsys):
     code, out, _ = run(capsys, ["search", "ea-cordial", "--group", "Z4",
                                 "--kind", "path", "--n", "4"])
@@ -335,21 +368,32 @@ def test_output_file(capsys, tmp_path):
 
 def test_json_output_file_is_stdout_encoded_once(capsys, tmp_path,
                                                  monkeypatch):
-    encodes = []
+    # one call of the indented writer serves stdout and --output, and the
+    # json module's pure-Python indenting encoder never runs
+    import cordant.cli as cli
+    writes, indented = [], []
+    writer = cli.indented_json
     iterencode = json.JSONEncoder.iterencode
 
-    def counted(self, o, *args, **kwargs):
-        encodes.append(o)
+    def counted(obj):
+        writes.append(obj)
+        return writer(obj)
+
+    def watched(self, o, *args, **kwargs):
+        if self.indent is not None:
+            indented.append(o)
         return iterencode(self, o, *args, **kwargs)
 
-    monkeypatch.setattr(json.JSONEncoder, "iterencode", counted)
+    monkeypatch.setattr(cli, "indented_json", counted)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", watched)
     target = tmp_path / "doc.json"
     code, out, _ = run(capsys, ["construct", "ek-path", "--n", "12",
                                 "--k", "4", "--format", "json",
                                 "--output", str(target)])
     assert code == EXIT_OK
     assert target.read_bytes() == out.encode("utf-8")
-    assert len(encodes) == 1
+    assert len(writes) == 1
+    assert indented == []
 
 
 # ---------------------------------------------------------------------------

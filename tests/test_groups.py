@@ -26,7 +26,7 @@ from cordant import (
     parse_group,
     sylow_split,
 )
-from cordant.groups import automorphism_orbit_keys
+from cordant.groups import automorphism_orbit_keys, canonical_map
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,50 @@ def test_isomorphism_is_bijective_homomorphism():
         for a in enumerate_elements(src):
             for b in enumerate_elements(src)[:6]:
                 assert phi(add(src, a, b)) == add(dst, phi(a), phi(b))
+
+
+def _presentations(order):
+    """Every canonical spec of ``order``, its factors in every order, and
+    each with two coprime neighbours merged."""
+    out = set()
+    for spec in abelian_groups_of_order(order):
+        for perm in itertools.permutations(spec.factors):
+            out.add(perm)
+            for i in range(len(perm) - 1):
+                a, b = perm[i], perm[i + 1]
+                if canonicalize_spec([a * b]).factors == \
+                        canonicalize_spec([a, b]).factors:
+                    out.add(perm[:i] + (a * b,) + perm[i + 2:])
+    return [GroupSpec(f) for f in sorted(out)]
+
+
+def test_linear_isomorphism_matches_the_canonical_form_route():
+    # the weights are the CRT idempotents: the same map as converting
+    # through the canonical form coordinate by coordinate
+    checked = 0
+    for order in (*range(2, 33), 36, 48, 60, 72):
+        specs = _presentations(order)
+        for src in specs:
+            for dst in specs:
+                if canonicalize_spec(src) != canonicalize_spec(dst):
+                    continue
+                via = canonical_map(src), canonical_map(dst)
+                phi = isomorphism(src, dst)
+                elements = enumerate_elements(src)
+                images = [phi(a) for a in elements]
+                assert images == [via[1].from_canonical(via[0].to_canonical(a))
+                                  for a in elements], (src, dst)
+                columns = phi.columns([list(c) for c in zip(*elements)])
+                assert list(zip(*columns)) == images
+                checked += len(elements)
+    assert checked > 150_000
+
+
+def test_isomorphism_checks_its_argument():
+    phi = isomorphism(GroupSpec((12,)), GroupSpec((4, 3)))
+    for bad in ((12,), (-1,), (1, 2), [3]):
+        with pytest.raises(InvalidElementError):
+            phi(bad)
 
 
 def test_isomorphism_rejects_nonisomorphic_pairs():

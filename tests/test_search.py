@@ -4,8 +4,10 @@ import gc
 import itertools
 import multiprocessing
 import os
+import random
 import sys
 import threading
+from array import array
 
 import pytest
 
@@ -577,6 +579,26 @@ def test_relabeled_tables_present_the_same_group():
     for a in range(8):
         for b in range(8):
             assert order[add_p[a * 8 + b]] == add_t[order[a] * 8 + order[b]]
+
+
+def _relabeled_by_comprehension(add_t, m, order):
+    new_of = [0] * m
+    for new, old in enumerate(order):
+        new_of[old] = new
+    rows = [old * m for old in order]
+    return array("i", [new_of[add_t[r + b]] for r in rows for b in order])
+
+
+@pytest.mark.parametrize("orders", [range(2, 41), (63, 64, 128, 255, 256,
+                                                   257, 300)])
+def test_relabeled_tables_match_the_comprehension(orders):
+    rng = random.Random(23)
+    for m in orders:
+        for spec in abelian_groups_of_order(m)[:2]:
+            add_t = search.op_tables(spec)[0]
+            order = [0] + rng.sample(range(1, m), m - 1)
+            assert search._relabeled(add_t, m, order) == \
+                _relabeled_by_comprehension(add_t, m, order), (spec, order)
 
 
 def test_find_any_keeps_lex_first_results_within_one_restart_unit():

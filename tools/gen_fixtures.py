@@ -32,9 +32,8 @@ DEMO1_LABELS = ((1, 1, 1), (1, 0, 0), (1, 0, 1), (0, 1, 1), (0, 0, 1),
                 (1, 1, 0), (0, 1, 0))
 
 
-def main() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-
+def fixture_texts() -> dict[int, str]:
+    """The text of every bundled demo certificate, by number."""
     cube = GroupSpec((2, 2, 2))
     certs = {
         1: make_edge_certificate(
@@ -53,8 +52,14 @@ def main() -> None:
     }
     for num, cert in certs.items():
         assert cert.verdict.ok, (num, cert.verdict)
+    return {num: certificate_dumps(cert) + "\n" for num, cert in certs.items()}
+
+
+def main() -> None:
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    for num, text in fixture_texts().items():
         path = FIXTURES / f"demo{num}.json"
-        path.write_text(certificate_dumps(cert) + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
 
 
