@@ -203,6 +203,11 @@ typedef struct {
     int *fed, *row;
     int sdef, ddef;
     long long nodes, budget;
+    /* orbit[x]: 0 when label x is not least in its automorphism orbit, 1
+     * when it is and is moved, 2 when it is fixed (NULL: off).  The labels
+     * in fixed[0 .. nfixed-1] can fill slots up to lead_max (-1: off). */
+    int *orbit, *fixed;
+    int nfixed, lead_max;
     /* Dead-state memo.  key[i] packs the state before slot i, most
      * significant first: the position, one field per open item (fed by a
      * placed slot, completed by a later one), the slot counts and the
@@ -239,6 +244,8 @@ generic_free(Generic *g)
     free(g->key);
     free(g->sunit);
     free(g->dunit);
+    free(g->orbit);
+    free(g->fixed);
 }
 
 /* Check that no slot feeds an item twice and that an item is completed at
@@ -391,19 +398,37 @@ generic_place(Generic *g, int i, int x)
     return 1;
 }
 
+/* Whether slots 0 .. i-1 hold fixed labels only: then slot i tries only
+ * orbit-least labels.  It depends on the slot counts alone, which the memo
+ * key holds. */
+static inline int
+generic_pinned(const Generic *g, int i)
+{
+    if (i > g->lead_max)
+        return 0;
+    int placed = 0;
+    for (int t = 0; t < g->nfixed; t++)
+        placed += g->scount[g->fixed[t]];
+    return placed == i;
+}
+
 /* A label is looked up in the memo once it passes every bound, and its key
- * is added once its subtree is exhausted; the last slot has no key. */
+ * is added once its subtree is exhausted; the last slot has no key.  A
+ * label that is not orbit-least costs its node while the slot is pinned. */
 static int
 generic_dfs(Generic *g, int i)
 {
     if (i == g->s)
         return FOUND;
     int keyed = g->memo_on && i + 1 < g->s;
+    int pinned = generic_pinned(g, i);
     generic_enter(g, i);
     for (int x = 0; x < g->m; x++) {
         if (g->nodes == g->budget)  /* budget -1 (unbounded) never matches */
             return BUDGET;
         g->nodes++;
+        if (pinned && !g->orbit[x])
+            continue;
         if (!generic_place(g, i, x))
             continue;
         uint64_t key = keyed ? g->key[i + 1] : 0;
@@ -430,16 +455,19 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     static char *kwlist[] = {
         "m", "add_t", "num_slots", "slot_cap", "slot_floor", "dcap",
         "dfloor", "num_derived", "sd_ptr", "sd_ids", "comp_ptr", "comp_ids",
-        "prefix", "budget", NULL};
+        "prefix", "budget", "orbit", NULL};
     Generic g;
     memset(&g, 0, sizeof g);
+    g.lead_max = -1;
     int nd;
     PyObject *add_t, *slot_cap, *slot_floor, *dcap, *dfloor;
     PyObject *sd_ptr, *sd_ids, *comp_ptr, *comp_ids, *prefix;
+    PyObject *orbit = Py_None;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iOiOOOOiOOOOOL:solve_generic", kwlist, &g.m,
+            args, kwds, "iOiOOOOiOOOOOL|O:solve_generic", kwlist, &g.m,
             &add_t, &g.s, &slot_cap, &slot_floor, &dcap, &dfloor, &nd,
-            &sd_ptr, &sd_ids, &comp_ptr, &comp_ids, &prefix, &g.budget))
+            &sd_ptr, &sd_ids, &comp_ptr, &comp_ids, &prefix, &g.budget,
+            &orbit))
         return NULL;
     int m = g.m, s = g.s;
     Py_ssize_t p = PyObject_Length(prefix);
@@ -470,7 +498,9 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
                                    &n_comp)) == NULL
         || (g.comp_ptr = copy_ints(comp_ptr, "comp_ptr", (Py_ssize_t)s + 1, 0,
                                    (long)n_comp, NULL)) == NULL
-        || (pfx = copy_ints(prefix, "prefix", p, 0, m - 1, NULL)) == NULL)
+        || (pfx = copy_ints(prefix, "prefix", p, 0, m - 1, NULL)) == NULL
+        || (orbit != Py_None
+            && (g.orbit = copy_ints(orbit, "orbit", m, 0, 2, NULL)) == NULL))
         goto done;
     size_t mm = m > 0 ? (size_t)m : 1;
     g.assign = malloc((s > 0 ? (size_t)s : 1) * sizeof(int));
@@ -504,6 +534,18 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     for (int j = s - 1; j >= 0; j--)
         g.remaining_at[j] = g.remaining_at[j + 1]
                             + (g.comp_ptr[j + 1] - g.comp_ptr[j]);
+    if (g.orbit != NULL) {
+        if ((g.fixed = malloc(mm * sizeof(int))) == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        g.lead_max = 0;
+        for (int a = 0; a < m; a++)
+            if (g.orbit[a] == 2) {
+                g.fixed[g.nfixed++] = a;
+                g.lead_max += g.slot_cap[a];
+            }
+    }
 
     int width = plan_fields(&g, nd);
     if (width < 0)
@@ -684,6 +726,9 @@ done:
 typedef struct {
     int m;
     int *add_t, *order, *scount, *best_cycle;
+    /* orbit[x] nonzero when x is least in its automorphism orbit (NULL:
+     * off); the second element is then one of those */
+    int *orbit;
     unsigned char *used;
     int distinct, best, have_best;
     long long nodes, budget;
@@ -709,6 +754,8 @@ sigma_dfs(Sigma *sg, int i)
         sg->nodes++;
         if (sg->used[x])
             continue;
+        if (i == 1 && sg->orbit != NULL && !sg->orbit[x])
+            continue;
         if (i == m - 1 && x < sg->order[1])
             continue;
         int s_new = sg->add_t[sg->order[i - 1] * m + x];
@@ -733,12 +780,12 @@ sigma_dfs(Sigma *sg, int i)
 static PyObject *
 solve_sigma(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"m", "add_t", "budget", NULL};
+    static char *kwlist[] = {"m", "add_t", "budget", "orbit", NULL};
     Sigma sg;
     memset(&sg, 0, sizeof sg);
-    PyObject *add_t;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOL:solve_sigma", kwlist,
-                                     &sg.m, &add_t, &sg.budget))
+    PyObject *add_t, *orbit = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOL|O:solve_sigma", kwlist,
+                                     &sg.m, &add_t, &sg.budget, &orbit))
         return NULL;
     int m = sg.m;
     if (m == 2)
@@ -751,6 +798,9 @@ solve_sigma(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     PyObject *result = NULL;
     sg.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1, NULL);
     if (sg.add_t == NULL)
+        goto done;
+    if (orbit != Py_None
+        && (sg.orbit = copy_ints(orbit, "orbit", m, 0, 2, NULL)) == NULL)
         goto done;
     sg.order = calloc(m, sizeof(int));
     sg.scount = calloc(m, sizeof(int));
@@ -769,6 +819,7 @@ solve_sigma(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     result = Py_BuildValue("(iiNL)", status, sg.best, cycle, sg.nodes);
 done:
     free(sg.add_t);
+    free(sg.orbit);
     free(sg.order);
     free(sg.scount);
     free(sg.best_cycle);

@@ -12,9 +12,11 @@ positions in the enumeration order, and ``add_t``/``neg_t`` are dense
 Cayley tables (``add_t[a * m + b]``, ``neg_t[a]``).
 
 Node accounting: every (slot, label) placement attempt costs one node,
-counted before any feasibility check.  A nonnegative ``budget`` makes the
-search give up with BUDGET once that many nodes are spent; ``budget = -1``
-means unbounded.
+counted before any feasibility check, and so does every label that orbit
+marks rule out at a slot (``solve_generic`` and ``solve_sigma`` take them
+as an optional last argument).  A nonnegative ``budget`` makes the search
+give up with BUDGET once that many nodes are spent; ``budget = -1`` means
+unbounded.
 
 Most attempts are rejected, so the labeling kernel decides a label before
 changing any state on edge slots (two fed sums: every interior slot of a
@@ -27,9 +29,9 @@ Each label loop walks a doubly linked list, in index order, of the labels
 that still have room (dancing links): a label leaves it when its count
 reaches its cap and comes back when that placement is undone.  On
 injective instances i labels are full at depth i, and walking past them
-was most of the work.  A label without room still costs its node, as in
-``_speed.c``, so those nodes are added in bulk, with the budget stop at
-the same node as a label-by-label count.
+was most of the work.  A label without room, or ruled out by the orbit
+marks, still costs its node, as in ``_speed.c``, so those nodes are added
+in bulk, with the budget stop at the same node as a label-by-label count.
 
 ``dfs`` refers to itself, and that reference cycle would keep the
 labeling kernel's memo (tens of thousands of keys) alive until the
@@ -65,6 +67,7 @@ def solve_generic(
     comp_ids,
     prefix,
     budget,
+    orbit=None,
 ):
     """Backtracking search over a slot/derived-sum incidence.
 
@@ -81,6 +84,15 @@ def solve_generic(
     subtrees are memoized by their state when it packs into 63 bits: the
     next position, the partial sum of every open item (fed by a placed slot
     and completed by a later one), the slot counts and the derived counts.
+
+    ``orbit`` (None: off) marks each label 0 when it is not the least of
+    its orbit under the automorphisms of the group, 1 when it is and some
+    automorphism moves it, and 2 when every automorphism fixes it.  While
+    every label placed so far, the prefix included, is fixed, the next
+    slot tries only orbit-least labels.  Whether that holds depends only
+    on the slot counts and the position, both in the memo key, so a state
+    the memo records as dead is dead under the same restriction wherever
+    it is reached again.
     """
     s = num_slots
     last = s - 1
@@ -158,6 +170,14 @@ def solve_generic(
     nxt[tail] = m
     prv[m] = tail
 
+    # the labels every automorphism fixes fill at most ``lead_max`` slots,
+    # so no deeper slot is pruned; -1: orbit marks off
+    fixed = []
+    lead_max = -1
+    if orbit is not None:
+        fixed = [x for x in range(m) if orbit[x] == 2]
+        lead_max = sum(slot_cap[x] for x in fixed)
+
     def place(i, x, sdef, ddef, t):
         """Apply label ``x`` (within its slot cap) at slot ``i``; return
         the new (sdef, ddef, key), or None with the state unchanged."""
@@ -219,15 +239,28 @@ def solve_generic(
         memo once it passes every bound, and its key is added once its
         subtree is exhausted; the last slot has no key.
 
-        Each loop walks the labels with room.  Reaching label ``x`` costs
-        the ``x - prev`` nodes from the last one tried, and the loop ends
-        with the ``m - 1 - prev`` after it: a label-by-label count checks
-        the budget before each node, so it stops when the former passes
-        ``limit`` and only when the latter does."""
+        Each loop walks the labels with room, or, while only fixed labels
+        are placed, those of them that are orbit-least: a snapshot, since
+        every label's room is restored before the next one is tried.
+        Reaching label ``x`` costs the ``x - prev`` nodes from the last one
+        tried, and the loop ends with the ``m - 1 - prev`` after it: a
+        label-by-label count checks the budget before each node, so it
+        stops when the former passes ``limit`` and only when the latter
+        does."""
         nonlocal stop
         if i == s:
             stop = FOUND
             return nodes
+        walk = nxt
+        if i <= lead_max and sum([scount[y] for y in fixed]) == i:
+            walk = [m] * (m + 1)
+            y = m
+            x = nxt[m]
+            while x != m:
+                if orbit[x]:
+                    walk[y] = x
+                    y = x
+                x = nxt[x]
         keyed = memo_on and i < last
         edge = edges[i]
         x = m
@@ -235,7 +268,7 @@ def solve_generic(
         if edge is None:
             saved = [psum[d] for d in feeds[i]]
             while True:
-                x = nxt[x]
+                x = walk[x]
                 if x == m:
                     break
                 nodes += x - prev
@@ -277,7 +310,7 @@ def solve_generic(
             # completes d1 and carries d2 on: every interior slot of a path
             # or cycle
             while True:
-                x = nxt[x]
+                x = walk[x]
                 if x == m:
                     break
                 nodes += x - prev
@@ -326,7 +359,7 @@ def solve_generic(
                 return limit
             return nodes
         while True:
-            x = nxt[x]
+            x = walk[x]
             if x == m:
                 break
             nodes += x - prev
@@ -509,7 +542,7 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
     return (status, None, -1, nodes)
 
 
-def solve_sigma(m, add_t, budget):
+def solve_sigma(m, add_t, budget, orbit=None):
     """Exhaustive branch-and-bound for the most distinct cyclic pair sums.
 
     Walks every ordering of the elements that starts at 0 (mirror images
@@ -518,6 +551,15 @@ def solve_sigma(m, add_t, budget):
     that attains the final maximum.  Returns ``(status, value, cycle,
     nodes)``; status is FOUND when the space was fully explored and BUDGET
     when the node budget ran out (value is then only a lower bound).
+
+    ``orbit`` (None: off) marks, as in ``solve_generic``, the labels that
+    are least in their automorphism orbit (nonzero); the second element
+    is then one of them, and a label skipped there still costs its node.
+    Every automorphism g fixes 0 and keeps the number of distinct sums.
+    Were the second element x of the first maximal ordering moved to
+    g(x) < x, the image of that ordering under g, or the image's mirror
+    when the image is skipped as one, would be a maximal ordering before
+    it; so x is orbit-least.
     """
     if m == 2:
         return (FOUND, 1, [0, 1], 0)
@@ -531,6 +573,15 @@ def solve_sigma(m, add_t, budget):
     # the labels not yet in the order, linked as in solve_rstar
     nxt = [*range(1, m), 0]
     prv = [m - 1, *range(m - 1)]
+    # the labels the second element walks: all of them, or the orbit-least
+    second = nxt
+    if orbit is not None:
+        second = [0] * m
+        y = 0
+        for x in range(1, m):
+            if orbit[x]:
+                second[y] = x
+                y = x
 
     def dfs(i):
         nonlocal nodes, best, best_cycle, distinct
@@ -541,9 +592,10 @@ def solve_sigma(m, add_t, budget):
                 best = d
                 best_cycle = list(order)
             return EXHAUSTED
+        walk = second if i == 1 else nxt
         x = prev = 0
         while True:
-            x = nxt[x]
+            x = walk[x]
             if not x:
                 break
             nodes += x - prev

@@ -474,7 +474,9 @@ def construct_path_ek(n: int, k: int) -> ConstructionResult:
     labels = [c % k]
     for i in range(2, n):
         labels.append((d + i + (i > p) - labels[-1]) % k)
-    f = EdgeLabeling(GroupSpec((k,)), tuple((a,) for a in labels))
+    # residues mod k, so already elements of Z_k
+    f = _computed(EdgeLabeling, GroupSpec((k,)),
+                  tuple((a,) for a in labels))
     verdict = verify_ea_cordial(path, f)
     if not verdict.ok:
         raise InternalCheckError(

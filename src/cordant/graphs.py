@@ -88,13 +88,23 @@ def _chain_edges(n: int, closed: bool) -> tuple[tuple[int, int], ...]:
     return tuple(zip(range(n - 1), range(1, n))) + ((n - 1, 0),) * closed
 
 
+def _chain(n: int, kind: str) -> SimpleGraph:
+    """The path or cycle on n vertices, built from its own chain edges, so
+    its shape needs no second check."""
+    graph = object.__new__(SimpleGraph)
+    object.__setattr__(graph, "n", n)
+    object.__setattr__(graph, "edges", _chain_edges(n, kind == CYCLE))
+    object.__setattr__(graph, "kind", kind)
+    return graph
+
+
 def path_graph(n: int) -> SimpleGraph:
     """P_n on vertices 0..n-1."""
     if n < 2:
         raise InvalidGraphError("paths need at least two vertices")
     if n > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"path of {n} vertices exceeds cap {DEFAULT_ENUM_CAP}")
-    return SimpleGraph(n, _chain_edges(n, False), PATH)
+    return _chain(n, PATH)
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -103,7 +113,7 @@ def cycle_graph(n: int) -> SimpleGraph:
         raise InvalidGraphError("cycles need at least three vertices")
     if n > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"cycle of {n} vertices exceeds cap {DEFAULT_ENUM_CAP}")
-    return SimpleGraph(n, _chain_edges(n, True), CYCLE)
+    return _chain(n, CYCLE)
 
 
 def tree_graph(n: int, edges: tuple[tuple[int, int], ...] | list) -> SimpleGraph:

@@ -14,10 +14,13 @@ label gets a fixed share of the budget.  Without a prefix, only the labels
 that are least in their orbit under the instance's symmetries run, each
 with the share it has among all first-slot labels (the lex-first solution
 is the least member of its orbit, so the other branches cannot hold it,
-nor a solution the least branch lacks).  With a prefix every label runs.
-Branches are merged in label order, and ``workers`` only decides how many
-branches run concurrently, so parallelism never changes results; branches
-still running when the answer is known are terminated.
+nor a solution the least branch lacks).  The same argument reaches below
+the root: when the automorphisms of the group are symmetries, every slot
+whose earlier labels are all fixed by every automorphism tries only
+orbit-least labels, in the kernels.  With a prefix every label runs, at
+every slot.  Branches are merged in label order, and ``workers`` only
+decides how many branches run concurrently, so parallelism never changes
+results; branches still running when the answer is known are terminated.
 
 The one exception to lex-first is ``find_equitable_cycle``, the find-any
 search behind the construct route ``rainbow-cycle``: it restarts on
@@ -32,7 +35,7 @@ import os
 import sys
 import threading
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -315,27 +318,53 @@ def _merge(results: list) -> tuple[int, object, int]:
 
 
 def _split_solve(kind: str, fixed_args: tuple, prefix: list, first_label: int,
-                 kept, budget: int, workers: int) -> tuple[int, object, int]:
+                 kept, budget: int, workers: int,
+                 tail: tuple = ()) -> tuple[int, object, int]:
     """Root-split a kernel call on the labels of the first free slot.
 
     ``fixed_args`` starts with the group order, which every kernel takes
     first; the free slot can take the labels ``first_label`` up to it.
     Only the labels in ``kept`` run, each with the budget share it has
     among all of them.  ``kept`` is None when the prefix fills every
-    slot: one call then runs on the whole budget.
+    slot: one call then runs on the whole budget.  ``tail`` holds the
+    kernel's arguments after the budget.
     """
     if kept is None:
-        r = _run_branch((kind, fixed_args + (prefix, budget)))
+        r = _run_branch((kind, fixed_args + (prefix, budget) + tail))
         return (r[0], r if r[0] == FOUND else None, r[-1])
     shares = _shares(budget, fixed_args[0] - first_label)
-    tasks = [(kind, fixed_args + (prefix + [x], shares[x - first_label]))
+    tasks = [(kind, fixed_args + (prefix + [x], shares[x - first_label])
+              + tail)
              for x in kept]
     return _merge(_orchestrate(tasks, workers))
 
 
+def _orbit_marks(spec: GroupSpec, bounds: tuple = ()) -> list[int] | None:
+    """The kernels' ``orbit`` argument: per label, 0 when it is not the
+    least of its orbit under the automorphisms of ``spec``, 1 when it is
+    and some automorphism moves it, 2 when every automorphism fixes it.
+    None when some bound (per label, as in ``bounds``) differs on two
+    labels of one orbit: the automorphisms are then no symmetry."""
+    keys = automorphism_orbit_keys(spec)
+    bound_of: dict = {}
+    least: dict = {}
+    for x, key in enumerate(keys):
+        column = tuple(b[x] for b in bounds)
+        if bound_of.setdefault(key, column) != column:
+            return None
+        least.setdefault(key, x)
+    sizes = Counter(keys)
+    orbit = [0] * spec.order
+    for key, x in least.items():
+        orbit[x] = 2 if sizes[key] == 1 else 1
+    return orbit
+
+
 def _least_root_labels(spec: GroupSpec, bounds: tuple,
-                       derived_sizes: set[int]) -> list[int]:
-    """First-slot labels an unprefixed labeling search has to run.
+                       derived_sizes: set[int]) -> tuple[list[int],
+                                                         list[int] | None]:
+    """First-slot labels an unprefixed labeling search has to run, and the
+    ``orbit`` marks (see ``_orbit_marks``) that prune the slots below.
 
     The lex-first solution is the least member of its orbit under every
     symmetry of the instance (the lex-leader argument of Crawford,
@@ -348,21 +377,20 @@ def _least_root_labels(spec: GroupSpec, bounds: tuple,
       derived item sums the same number of slots (``derived_sizes``); all
       labels then share the orbit of 0.
     * An automorphism of the group applied to every label is a symmetry
-      when every bound is constant on each of its orbits.
+      when every bound is constant on each of its orbits.  It leaves the
+      labels placed so far alone while each of them is fixed by every
+      automorphism (0 always is), so the argument reaches below the root:
+      the next label of the lex-first solution is least in its orbit too.
+      The kernels prune by the marks at every such slot.
 
-    Otherwise every label runs.
+    Otherwise every label runs, with no marks.
     """
+    orbit = _orbit_marks(spec, bounds)
+    if orbit is None:
+        return list(range(spec.order)), None
     if len(derived_sizes) <= 1 and all(len(set(b)) == 1 for b in bounds):
-        return [0]
-    keys = automorphism_orbit_keys(spec)
-    bound_of: dict = {}
-    least: dict = {}
-    for x, key in enumerate(keys):
-        column = tuple(b[x] for b in bounds)
-        if bound_of.setdefault(key, column) != column:
-            return list(range(spec.order))
-        least.setdefault(key, x)
-    return list(least.values())
+        return [0], orbit
+    return [x for x, mark in enumerate(orbit) if mark], orbit
 
 
 _STATUS_NAME = {FOUND: STATUS_FOUND, EXHAUSTED: STATUS_NOT_EXISTS, BUDGET: STATUS_UNKNOWN}
@@ -443,15 +471,17 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
         return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
     fixed = (m, op_tables(spec)[0], s, slot_cap, slot_floor, dcap, dfloor,
              *_generic_structures(members, s))
+    orbit = None
     if len(pfx) >= s:
         kept = None
     elif pfx:
         kept = range(m)
     else:
-        kept = _least_root_labels(spec, (slot_cap, slot_floor, dcap, dfloor),
-                                  {len(x) for x in members})
+        kept, orbit = _least_root_labels(
+            spec, (slot_cap, slot_floor, dcap, dfloor),
+            {len(x) for x in members})
     status, payload, nodes = _split_solve("generic", fixed, pfx, 0, kept,
-                                          budget, workers)
+                                          budget, workers, (orbit,))
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     return SearchOutcome(STATUS_FOUND, _certified(graph, spec, on_edges,
@@ -640,14 +670,16 @@ def compute_sigma_max(spec: GroupSpec,
                       budget: int | None = None) -> SigmaMaxResult:
     """Exact maximum of distinct cyclic pair sums over all element cycles.
 
-    Exhaustive branch-and-bound with the start pinned at zero and mirror
-    orderings skipped; unbounded by default (the instances are tiny).
+    Exhaustive branch-and-bound with the start pinned at zero, the second
+    element least in its automorphism orbit and mirror orderings skipped;
+    unbounded by default (the instances are tiny).
     """
     check_searchable(spec)
     _check_depth(spec.order)
     add_t, _ = op_tables(spec)
     status, value, cycle, nodes = _run_branch(
-        ("sigma", (spec.order, add_t, _norm_budget(budget))))
+        ("sigma", (spec.order, add_t, _norm_budget(budget),
+                   _orbit_marks(spec))))
     witness = None
     if cycle is not None:
         witness = HamiltonianCycle(spec, _labels_from_indices(spec, cycle))

@@ -252,7 +252,7 @@ def test_search_found_text_and_json(capsys):
 def test_search_not_exists(capsys):
     code, out, _ = run(capsys, ["search", "ea-cordial", "--group", "Z6",
                                 "--kind", "path", "--n", "6"])
-    assert (code, out) == (EXIT_NO, "NotExists (966 nodes)\n")
+    assert (code, out) == (EXIT_NO, "NotExists (738 nodes)\n")
 
 
 def test_search_rstar(capsys):
@@ -298,7 +298,7 @@ def test_budget_env_and_flag_override(capsys, monkeypatch):
     code, out, _ = run(capsys, ["search", "a-cordial", "--group", "Z4",
                                 "--kind", "cycle", "--n", "12",
                                 "--budget", "-1"])
-    assert (code, out) == (EXIT_NO, "NotExists (12260 nodes)\n")
+    assert (code, out) == (EXIT_NO, "NotExists (9000 nodes)\n")
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", ""])

@@ -53,6 +53,12 @@ def test_path_cycle_star_shapes():
     assert c.kind == CYCLE and c.edges == ((0, 1), (1, 2), (2, 3), (3, 0))
     s = star_graph(3)
     assert s.kind == TREE and s.n == 4 and s.degrees() == [3, 1, 1, 1]
+    # the builders skip the shape check a caller's graph gets, and build
+    # the graph that check accepts
+    for n in (3, 4, 5, 64, 5120):
+        for g in (path_graph(n), cycle_graph(n)):
+            assert g == SimpleGraph(g.n, g.edges, g.kind)
+            assert len(g.edges) == n - (g.kind == PATH)
 
 
 def test_graph_validation_errors():

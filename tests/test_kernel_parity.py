@@ -168,6 +168,40 @@ for name, total, step, solve in sweeps:
     out.append(["budget-sweep-" + name,
                 [solve(b) for b in [*range(0, total, step), total]]])
 
+# orbit marks as the searches pass them, given to the kernels directly:
+# slot 0 free, and slots pinned below the fixed labels (0 and 3 in Z6, 0
+# and 5 in Z10), with budget stops inside the pruned loops
+from cordant.search import _orbit_marks
+
+z6_marks = _orbit_marks(spec((6,)))
+z10_marks = _orbit_marks(spec((10,)))
+z10_add = op_tables(spec((10,)))[0]
+marked = [
+    ("path-z6", 678, 1, lambda b: kern.solve_generic(
+        6, z6_add, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
+        *path_edges(5), [], b, z6_marks)),
+    ("cycle-z6", 1890, 1, lambda b: kern.solve_generic(
+        6, z6_add, 6, [1] * 6, [1] * 6, [1] * 6, [1] * 6, *cycle(6),
+        [], b, z6_marks)),
+    ("generic-edges-z6", 756, 1, lambda b: kern.solve_generic(
+        6, z6_add, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
+        *edge_csr, [], b, z6_marks)),
+    ("path-vertices-z6", 12955, 211, lambda b: kern.solve_generic(
+        6, z6_add, 13, [3] * 6, [2] * 6, [2] * 6, [2] * 6,
+        *path_vertices(13), [0], b, z6_marks)),
+    ("path-z10-prefix", 27150, 1000, lambda b: kern.solve_generic(
+        10, z10_add, 9, [1] * 10, [0] * 10, [1] * 10, [1] * 10,
+        *path_edges(9), [0], b, z10_marks)),
+    ("sigma-z6", 315, 1, lambda b: kern.solve_sigma(6, z6_add, b, z6_marks)),
+]
+for name, total, step, solve in marked:
+    out.append(["budget-sweep-marked-" + name,
+                [solve(b) for b in [*range(0, min(total, 40)),
+                                    *range(40, total, step), total]]])
+s = c.compute_sigma_max(spec((10,)))
+out.append(["sigma-z10", s.status, s.value, list(s.witness.order),
+            s.nodes_explored])
+
 # prefixes that leave one slot free
 out.append(["path-cycle-one-free-slot",
             kern.solve_generic(4, z4_add, 4, [1] * 4, [0] * 4,

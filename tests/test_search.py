@@ -12,8 +12,9 @@ from array import array
 import pytest
 
 from cordant import _kernel, search
-from cordant._kernel import EXHAUSTED, FOUND
+from cordant._kernel import BUDGET, EXHAUSTED, FOUND
 from cordant.graphs import GENERAL, SimpleGraph
+from cordant.groups import element_index
 from cordant import (
     MAX_DEPTH,
     CapExceededError,
@@ -68,20 +69,20 @@ def test_ea_cordial_path6_z6_not_exists():
     out = search_ea_cordial(path_graph(6), Z6)
     assert out.status == STATUS_NOT_EXISTS
     assert out.certificate is None
-    assert out.nodes_explored == 966
+    assert out.nodes_explored == 738
 
 
 def test_a_cordial_cycle12_z4_not_exists():
     out = search_a_cordial(cycle_graph(12), Z4)
     assert out.status == STATUS_NOT_EXISTS
-    assert out.nodes_explored == 12260
+    assert out.nodes_explored == 9000
 
 
 def test_antimagic_search_frozen_counts():
     out = search_a_antimagic(path_graph(6), GroupSpec((2, 3)))
-    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 966
+    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 738
     out = search_a_antimagic(path_graph(10), GroupSpec((2, 5)))
-    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 321100
+    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 213190
 
 
 def test_order_10_z2xz5_trees_are_settled_at_the_default_budget():
@@ -91,8 +92,8 @@ def test_order_10_z2xz5_trees_are_settled_at_the_default_budget():
     outcomes = [search_a_antimagic(trees[i], GroupSpec((2, 5)))
                 for i in (48, 55, 60)]
     assert [(o.status, o.nodes_explored) for o in outcomes] == [
-        (STATUS_NOT_EXISTS, 85160), (STATUS_NOT_EXISTS, 67100),
-        (STATUS_NOT_EXISTS, 20080)]
+        (STATUS_NOT_EXISTS, 59480), (STATUS_NOT_EXISTS, 50180),
+        (STATUS_NOT_EXISTS, 17560)]
 
 
 def test_star_variant_search_frozen_counts():
@@ -115,7 +116,7 @@ def test_results_identical_across_worker_counts():
     for workers in (2, 3, 8):
         a = search_ea_cordial(path_graph(6), Z6, workers=workers)
         assert (a.status, a.certificate, a.nodes_explored) == (
-            STATUS_NOT_EXISTS, None, 966)
+            STATUS_NOT_EXISTS, None, 738)
         b = search_ea_cordial(path_graph(4), Z4, workers=workers)
         assert b.certificate.labels == ((0,), (1,), (2,))
         assert b.nodes_explored == 5
@@ -221,7 +222,7 @@ def test_sigma_max_matches_formula_orders_3_to_8():
 def test_sigma_max_witness_is_frozen_for_z4():
     result = compute_sigma_max(Z4)
     assert result.witness.order == ((0,), (1,), (3,), (2,))
-    assert result.nodes_explored == 30
+    assert result.nodes_explored == 21
 
 
 def test_rstar_search_small_groups():
@@ -319,8 +320,9 @@ def test_workers_below_one_are_rejected():
 
 class _InlineBranch:
     """Stands in for search._Branch: runs its task in this process when
-    its result is taken, logs every start, run and stop, and records the
-    most branches started and not yet finished."""
+    its result is taken, logs every start, run and stop (by prefix: a
+    labeling task ends with prefix, budget and orbit marks), and records
+    the most branches started and not yet finished."""
 
     log: list = []
     live = 0
@@ -328,18 +330,18 @@ class _InlineBranch:
 
     def __init__(self, task):
         self.task = task
-        self.log.append(("start", task[1][-2]))
+        self.log.append(("start", task[1][-3]))
         _InlineBranch.live += 1
         _InlineBranch.peak = max(_InlineBranch.peak, _InlineBranch.live)
 
     def result(self):
         _InlineBranch.live -= 1
-        self.log.append(("ran", self.task[1][-2]))
+        self.log.append(("ran", self.task[1][-3]))
         return search._run_branch(self.task)
 
     def stop(self):
         _InlineBranch.live -= 1
-        self.log.append(("stopped", self.task[1][-2]))
+        self.log.append(("stopped", self.task[1][-3]))
 
 
 @pytest.fixture
@@ -360,7 +362,7 @@ def test_pool_is_clamped_to_branches_and_cpus(monkeypatch, inline_branches):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     out, peak = inline_branches(
         lambda: search_ea_cordial(path_graph(6), Z6, workers=10**9))
-    assert (out.status, out.nodes_explored, peak) == (STATUS_NOT_EXISTS, 966, 3)
+    assert (out.status, out.nodes_explored, peak) == (STATUS_NOT_EXISTS, 738, 3)
     out, peak = inline_branches(
         lambda: search_ea_cordial(path_graph(4), Z4, workers=2))
     assert (out.certificate.labels, peak) == (((0,), (1,), (2,)), 2)
@@ -371,7 +373,7 @@ def test_pool_is_clamped_to_branches_and_cpus(monkeypatch, inline_branches):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     out, peak = inline_branches(
         lambda: search_ea_cordial(path_graph(6), Z6, workers=10**9))
-    assert (out.status, out.nodes_explored, peak) == (STATUS_NOT_EXISTS, 966, 0)
+    assert (out.status, out.nodes_explored, peak) == (STATUS_NOT_EXISTS, 738, 0)
 
 
 def test_running_branches_stop_at_the_first_unexhausted_branch(monkeypatch,
@@ -419,8 +421,8 @@ def test_antimagic_search_is_the_equitable_search_on_trees_of_order_8():
 
 
 # ---------------------------------------------------------------------------
-# root symmetry pruning: which first-slot labels run, and that skipping the
-# others changes node counts only
+# symmetry pruning: which first-slot labels run, which labels the slots
+# below try, and that skipping the others changes node counts only
 
 
 _real_run_branch = search._run_branch
@@ -429,24 +431,26 @@ _real_run_branch = search._run_branch
 @pytest.fixture
 def root_splits(monkeypatch):
     """Record every root split (its arguments, what it returned, and the
-    result of each branch run in this process, by prefix and budget)."""
+    result of each branch run in this process that prunes nothing below
+    the root, by prefix and budget)."""
     calls = []
     real_split = search._split_solve
 
     def split_spy(kind, fixed_args, prefix, first_label, kept, budget,
-                  workers):
+                  workers, tail=()):
         branches = {}
         calls.append((kind, fixed_args, prefix, first_label, kept, budget,
-                      branches))
+                      tail, branches))
         result = real_split(kind, fixed_args, prefix, first_label, kept,
-                            budget, workers)
+                            budget, workers, tail)
         calls[-1] += (result,)
         return result
 
     def branch_spy(task):
         result = _real_run_branch(task)
-        *_, prefix, budget = task[1]
-        calls[-1][-1][tuple(prefix), budget] = result
+        prefix, budget, *tail = task[1][len(calls[-1][1]):]
+        if all(t is None for t in tail):
+            calls[-1][-1][tuple(prefix), budget] = result
         return result
 
     monkeypatch.setattr(search, "_split_solve", split_spy)
@@ -477,16 +481,37 @@ def test_kept_root_labels(root_splits):
     # no automorphism symmetry, and mixed derived sizes no translation
     caps = [1, 2, 1, 1, 1, 1]
     assert search._least_root_labels(
-        Z6, (caps, [0] * 6, [1] * 6, [0] * 6), {1, 2}) == list(range(6))
+        Z6, (caps, [0] * 6, [1] * 6, [0] * 6), {1, 2}) == (
+            list(range(6)), None)
+
+
+def test_orbit_marks_below_the_root(root_splits):
+    def marks(call, *args, **kwargs):
+        call(*args, **kwargs)
+        return root_splits[-1][6][0]
+
+    # Aut(Z10) orbits {0}, {1, 3, 7, 9}, {2, 4, 6, 8}, {5}: 0 and 5 fixed
+    z10 = [2, 1, 1, 0, 0, 2, 0, 0, 0, 0]
+    assert search._orbit_marks(GroupSpec((10,))) == z10
+    assert marks(search_a_antimagic, path_graph(10), GroupSpec((10,))) == z10
+    # translation keeps one root label and the marks still prune below it
+    assert marks(search_a_cordial, cycle_graph(12), Z4) == [2, 1, 2, 0]
+    # (Z2)^3: 0 is fixed, the nonzero elements form one orbit
+    assert marks(search_a_star_antimagic, path_graph(8), E3) == [2, 1] + [0] * 6
+    # a user prefix, and bounds that split an orbit, turn the marks off
+    assert marks(search_ea_cordial, path_graph(6), Z6, prefix=((0,),)) is None
+    assert search._orbit_marks(Z6, ([1, 2, 1, 1, 1, 1],)) is None
+    assert search._orbit_marks(GroupSpec(())) == [2]
 
 
 def _unpruned(kind, fixed_args, prefix, first_label, budget, ran):
-    """The root split without pruning: every first-slot label in label
-    order, each with its share of the budget, up to the first branch that
-    is not exhausted.  Returns that branch's result and the nodes spent.
+    """The root split without any symmetry: every first-slot label in
+    label order, each with its share of the budget and no orbit marks, up
+    to the first branch that is not exhausted.  Returns that branch's
+    result and the nodes spent.
 
-    A branch the pruned search ran with the same prefix and share (in
-    ``ran``) is not run again: the kernels are deterministic."""
+    A branch the pruned search ran with the same prefix and share and no
+    marks (in ``ran``) is not run again: the kernels are deterministic."""
     solve = getattr(_kernel.pure, "solve_" + kind)
     labels = range(first_label, fixed_args[0])
     shares = search._shares(budget, len(labels))
@@ -504,12 +529,13 @@ def _unpruned(kind, fixed_args, prefix, first_label, budget, ran):
 def _assert_pruning_keeps_outcomes(root_splits, calls):
     """Each call keeps the unpruned status and certificate, spends no more
     nodes, and returns the same outcome with two workers when it runs more
-    than one branch."""
+    than one branch.  A call the unpruned search leaves Unknown may be
+    settled: it is then held to the unbounded unpruned search."""
     for call in calls:
         del root_splits[:]
         outcome = call(1)
-        kind, fixed_args, prefix, first_label, kept, budget, ran, result = \
-            root_splits[0]
+        kind, fixed_args, prefix, first_label, kept, budget, _, ran, \
+            result = root_splits[0]
         if len(kept) > 1:
             # pool workers need the module's own, picklable branch runner
             with pytest.MonkeyPatch.context() as mp:
@@ -518,6 +544,8 @@ def _assert_pruning_keeps_outcomes(root_splits, calls):
         status, payload, nodes = result
         ref, ref_nodes = _unpruned(kind, fixed_args, prefix, first_label,
                                    budget, ran)
+        if ref[0] == BUDGET and status != BUDGET:
+            ref, _ = _unpruned(kind, fixed_args, prefix, first_label, -1, {})
         assert ref[0] == status
         if status == FOUND:
             assert ref[:-1] == payload[:-1]
@@ -543,10 +571,10 @@ def test_pruning_keeps_path_and_cycle_outcomes(root_splits, spec):
 
 def test_pruning_keeps_tree_outcomes(root_splits):
     calls = []
-    for n in range(2, 8):
+    for n in range(2, 9):
         for tree in enumerate_trees(n):
             for spec in (g for k in range(2, 8)
-                         for g in abelian_groups_of_order(k)):
+                         for g in abelian_groups_of_order(k) if n < 8):
                 for notion in (search_ea_cordial, search_a_cordial):
                     calls.append(lambda w, f=notion, t=tree, g=spec:
                                  f(t, g, workers=w))
@@ -561,6 +589,20 @@ def test_pruning_keeps_rstar_outcomes(root_splits):
     calls = [lambda w, g=spec: search_rstar_sequence(g, workers=w)
              for n in range(4, 17) for spec in abelian_groups_of_order(n)]
     _assert_pruning_keeps_outcomes(root_splits, calls)
+
+
+@pytest.mark.parametrize("spec", [
+    g for n in range(3, 11) for g in abelian_groups_of_order(n)], ids=str)
+def test_sigma_max_pruning_keeps_value_and_witness(spec):
+    # the second element is pruned to orbit-least labels; without marks
+    # the kernel walks every ordering the mirror skip leaves
+    add_t = search.op_tables(spec)[0]
+    status, value, cycle, nodes = _kernel.pure.solve_sigma(
+        spec.order, add_t, -1)
+    out = compute_sigma_max(spec)
+    assert (out.status, out.value) == (STATUS_FOUND, value)
+    assert [element_index(spec, a) for a in out.witness.order] == cycle
+    assert out.nodes_explored <= nodes
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +643,14 @@ def test_relabeled_tables_match_the_comprehension(orders):
                 _relabeled_by_comprehension(add_t, m, order), (spec, order)
 
 
-def test_find_any_keeps_lex_first_results_within_one_restart_unit():
-    # restart 1 is the lex-first search on its kept branch, so whatever
-    # that search finds within RESTART_UNIT nodes comes out unchanged
+def test_find_any_keeps_lex_first_results_within_one_restart_unit(
+        monkeypatch):
+    # restart 1 is the lex-first search on its kept branch without orbit
+    # marks below the root, so whatever that search finds within
+    # RESTART_UNIT nodes comes out unchanged
+    least = search._least_root_labels
+    monkeypatch.setattr(search, "_least_root_labels",
+                        lambda *args: (least(*args)[0], None))
     checked = 0
     for n in range(3, 17):
         for spec in abelian_groups_of_order(n):
