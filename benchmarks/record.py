@@ -20,7 +20,11 @@ long path, P10000 over Z10, and ``construct_path_antimagic`` on all 116
 groups of order 2..64 (seconds, nodes and the status counts, in all and
 by route, and ``labels_sha256``, the sha256 of the sweep's rows
 (factors, status, route, nodes, labels), each row's ``repr`` followed
-by a newline, in sweep order).  It times the certificate round trip
+by a newline, in sweep order, and ``outcomes_sha256``, the same over
+(factors, status, route, labels): a change that only searches less
+keeps it).  It times ``explore_conjecture(10)`` (seconds, nodes summed
+over both searches of every row, rows, Unknown rows, violations) and
+the certificate round trip
 of the block-route labeling of P5120 over Z5xZ1024 (the median of
 ``ROUND_TRIP_RUNS`` runs of make, dumps and loads each, in seconds) and
 records the text's size and sha256, which later files can compare for
@@ -122,10 +126,13 @@ def direct_rows() -> dict:
             results.append((spec.factors, res))
     antimagic_s = time.perf_counter() - start
     digest = hashlib.sha256()
+    outcomes = hashlib.sha256()
     for factors, res in results:
         labels = res.labeling.labels if res.labeling else None
         digest.update(repr((factors, res.status, res.route,
                             res.nodes_explored, labels)).encode() + b"\n")
+        outcomes.update(repr((factors, res.status, res.route,
+                              labels)).encode() + b"\n")
     antimagic = sum(by_route.values(), Counter())
     return {
         "ek_sweep": {"n": [3, 60], "k": [2, 16],
@@ -146,10 +153,26 @@ def direct_rows() -> dict:
                             "impossible": antimagic["Impossible"],
                             "unknown": antimagic["Unknown"],
                             "labels_sha256": digest.hexdigest(),
+                            "outcomes_sha256": outcomes.hexdigest(),
                             "by_route": {route: dict(sorted(counts.items()))
                                          for route, counts
                                          in sorted(by_route.items())}},
     }
+
+
+def explore_row() -> dict:
+    """The order-10 tree survey, timed once."""
+    from cordant import explore_conjecture
+
+    start = time.perf_counter()
+    report = explore_conjecture(10)
+    seconds = time.perf_counter() - start
+    return {"n_max": 10, "seconds": round(seconds, 4),
+            "nodes": sum(row.antimagic_nodes + row.astar_nodes
+                         for row in report.rows),
+            "rows": len(report.rows),
+            "unknown": len(report.unknown_rows),
+            "violations": len(report.violations)}
 
 
 def round_trip_row() -> dict:
@@ -229,6 +252,7 @@ def main(argv=None) -> int:
               f"{traced['verdict']['correct']}  "
               f"wall_s {plain['metrics'].get('wall_s')}", flush=True)
     doc["direct"] = direct_rows()
+    doc["direct"]["explore_10"] = explore_row()
     doc["direct"]["round_trip_Z5xZ1024"] = round_trip_row()
     doc["direct"]["cli_import"] = cli_import_row()
     print(f"direct: {json.dumps(doc['direct'])}", flush=True)

@@ -108,6 +108,44 @@ int_list(const int *values, int n)
     return list;
 }
 
+/* The symmetry table (marks, succ) of pure.solve_generic, or None (off):
+ * copied into *marks and *succ, NULL when off.  Both hold m entries per
+ * state, marks in 0..2 and succ in -1..states-1.  Returns -1 with an
+ * exception set when the table is malformed. */
+static int
+copy_table(PyObject *table, int m, int **marks, int **succ)
+{
+    *marks = *succ = NULL;
+    if (table == Py_None)
+        return 0;
+    PyObject *pair = PySequence_Fast(table, "table");
+    if (pair == NULL)
+        return -1;
+    Py_ssize_t n = 0;
+    if (m < 1 || PySequence_Fast_GET_SIZE(pair) != 2) {
+        PyErr_SetString(PyExc_ValueError, "table: expected (marks, succ)");
+        goto fail;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(pair);
+    if ((*marks = copy_ints(items[0], "table marks", -1, 0, 2, &n)) == NULL)
+        goto fail;
+    if (n == 0 || n % m != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "table marks: not a whole number of states");
+        goto fail;
+    }
+    if ((*succ = copy_ints(items[1], "table succ", n, -1, (long)(n / m) - 1,
+                           NULL)) == NULL)
+        goto fail;
+    Py_DECREF(pair);
+    return 0;
+fail:
+    Py_DECREF(pair);
+    free(*marks);
+    *marks = NULL;
+    return -1;
+}
+
 /* (status, assignment or None, nodes): the labeling kernel's result shape. */
 static PyObject *
 assignment_result(int status, const int *assign, int s, long long nodes)
@@ -203,11 +241,10 @@ typedef struct {
     int *fed, *row;
     int sdef, ddef;
     long long nodes, budget;
-    /* orbit[x]: 0 when label x is not least in its automorphism orbit, 1
-     * when it is and is moved, 2 when it is fixed (NULL: off).  The labels
-     * in fixed[0 .. nfixed-1] can fill slots up to lead_max (-1: off). */
-    int *orbit, *fixed;
-    int nfixed, lead_max;
+    /* The symmetry table (NULL: off) and the state of each slot on the
+     * current path, -1 when no symmetry is left: slot i tries only the
+     * labels x with marks[state[i] * m + x] nonzero. */
+    int *marks, *succ, *state;
     /* Dead-state memo.  key[i] packs the state before slot i, most
      * significant first: the position, one field per open item (fed by a
      * placed slot, completed by a later one), the slot counts and the
@@ -244,8 +281,9 @@ generic_free(Generic *g)
     free(g->key);
     free(g->sunit);
     free(g->dunit);
-    free(g->orbit);
-    free(g->fixed);
+    free(g->marks);
+    free(g->succ);
+    free(g->state);
 }
 
 /* Check that no slot feeds an item twice and that an item is completed at
@@ -398,36 +436,25 @@ generic_place(Generic *g, int i, int x)
     return 1;
 }
 
-/* Whether slots 0 .. i-1 hold fixed labels only: then slot i tries only
- * orbit-least labels.  It depends on the slot counts alone, which the memo
- * key holds. */
-static inline int
-generic_pinned(const Generic *g, int i)
-{
-    if (i > g->lead_max)
-        return 0;
-    int placed = 0;
-    for (int t = 0; t < g->nfixed; t++)
-        placed += g->scount[g->fixed[t]];
-    return placed == i;
-}
-
 /* A label is looked up in the memo once it passes every bound, and its key
  * is added once its subtree is exhausted; the last slot has no key.  A
- * label that is not orbit-least costs its node while the slot is pinned. */
+ * label the slot's symmetry state rules out costs its node.  The memo key
+ * leaves the state out; pure.solve_generic says why that is sound. */
 static int
 generic_dfs(Generic *g, int i)
 {
     if (i == g->s)
         return FOUND;
     int keyed = g->memo_on && i + 1 < g->s;
-    int pinned = generic_pinned(g, i);
+    int st = g->state[i];
+    const int *mk = st >= 0 ? g->marks + (size_t)st * g->m : NULL;
+    const int *to = st >= 0 ? g->succ + (size_t)st * g->m : NULL;
     generic_enter(g, i);
     for (int x = 0; x < g->m; x++) {
         if (g->nodes == g->budget)  /* budget -1 (unbounded) never matches */
             return BUDGET;
         g->nodes++;
-        if (pinned && !g->orbit[x])
+        if (mk != NULL && !mk[x])
             continue;
         if (!generic_place(g, i, x))
             continue;
@@ -436,6 +463,7 @@ generic_dfs(Generic *g, int i)
             generic_unplace(g, i, x);
             continue;
         }
+        g->state[i + 1] = to != NULL ? to[x] : -1;
         int r = generic_dfs(g, i + 1);
         if (r == FOUND)
             return FOUND;
@@ -455,19 +483,18 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     static char *kwlist[] = {
         "m", "add_t", "num_slots", "slot_cap", "slot_floor", "dcap",
         "dfloor", "num_derived", "sd_ptr", "sd_ids", "comp_ptr", "comp_ids",
-        "prefix", "budget", "orbit", NULL};
+        "prefix", "budget", "table", NULL};
     Generic g;
     memset(&g, 0, sizeof g);
-    g.lead_max = -1;
     int nd;
     PyObject *add_t, *slot_cap, *slot_floor, *dcap, *dfloor;
     PyObject *sd_ptr, *sd_ids, *comp_ptr, *comp_ids, *prefix;
-    PyObject *orbit = Py_None;
+    PyObject *table = Py_None;
     if (!PyArg_ParseTupleAndKeywords(
             args, kwds, "iOiOOOOiOOOOOL|O:solve_generic", kwlist, &g.m,
             &add_t, &g.s, &slot_cap, &slot_floor, &dcap, &dfloor, &nd,
             &sd_ptr, &sd_ids, &comp_ptr, &comp_ids, &prefix, &g.budget,
-            &orbit))
+            &table))
         return NULL;
     int m = g.m, s = g.s;
     Py_ssize_t p = PyObject_Length(prefix);
@@ -499,8 +526,7 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         || (g.comp_ptr = copy_ints(comp_ptr, "comp_ptr", (Py_ssize_t)s + 1, 0,
                                    (long)n_comp, NULL)) == NULL
         || (pfx = copy_ints(prefix, "prefix", p, 0, m - 1, NULL)) == NULL
-        || (orbit != Py_None
-            && (g.orbit = copy_ints(orbit, "orbit", m, 0, 2, NULL)) == NULL))
+        || copy_table(table, m, &g.marks, &g.succ) < 0)
         goto done;
     size_t mm = m > 0 ? (size_t)m : 1;
     g.assign = malloc((s > 0 ? (size_t)s : 1) * sizeof(int));
@@ -514,14 +540,17 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     g.key = calloc((size_t)s + 1, sizeof(uint64_t));
     g.sunit = calloc(mm, sizeof(uint64_t));
     g.dunit = calloc(mm, sizeof(uint64_t));
+    g.state = malloc(((size_t)s + 1) * sizeof(int));
     if (!g.assign || !g.psum || !g.scount || !g.dcount || !g.remaining_at
         || !g.fed || !g.row || !g.shift || !g.key || !g.sunit
-        || !g.dunit) {
+        || !g.dunit || !g.state) {
         PyErr_NoMemory();
         goto done;
     }
     for (int j = 0; j < s; j++)
         g.assign[j] = -1;
+    for (int j = 0; j <= s; j++)
+        g.state[j] = -1;
     int scap_max = 0, dcap_max = 0;
     for (int a = 0; a < m; a++) {
         g.sdef += g.slot_floor[a];
@@ -534,19 +563,6 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     for (int j = s - 1; j >= 0; j--)
         g.remaining_at[j] = g.remaining_at[j + 1]
                             + (g.comp_ptr[j + 1] - g.comp_ptr[j]);
-    if (g.orbit != NULL) {
-        if ((g.fixed = malloc(mm * sizeof(int))) == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        g.lead_max = 0;
-        for (int a = 0; a < m; a++)
-            if (g.orbit[a] == 2) {
-                g.fixed[g.nfixed++] = a;
-                g.lead_max += g.slot_cap[a];
-            }
-    }
-
     int width = plan_fields(&g, nd);
     if (width < 0)
         goto done;
@@ -568,13 +584,17 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
             goto done;
     }
 
+    int st = g.marks != NULL ? 0 : -1;
     for (int j = 0; j < p; j++) {
         generic_enter(&g, j);
         if (!generic_place(&g, j, pfx[j])) {
             result = Py_BuildValue("(iOi)", EXHAUSTED, Py_None, 0);
             goto done;
         }
+        if (st >= 0)
+            st = g.succ[(size_t)st * m + pfx[j]];
     }
+    g.state[p] = st;
     int status = generic_dfs(&g, (int)p);
     result = assignment_result(status, g.assign, s, g.nodes);
 done:
@@ -590,6 +610,8 @@ done:
 typedef struct {
     int m, length;
     int *add_t, *neg_t, *seq;
+    /* symmetry table and states, as in Generic */
+    int *marks, *succ, *state;
     unsigned char *used, *dused;
     long long nodes, budget;
     int star_at;
@@ -613,11 +635,14 @@ rstar_dfs(RStar *r, int i)
         }
         return EXHAUSTED;
     }
+    int st = r->state[i];
+    const int *mk = st >= 0 ? r->marks + (size_t)st * m : NULL;
+    const int *to = st >= 0 ? r->succ + (size_t)st * m : NULL;
     for (int x = 1; x < m; x++) {
         if (r->nodes == r->budget)  /* budget -1 (unbounded) never matches */
             return BUDGET;
         r->nodes++;
-        if (r->used[x])
+        if (r->used[x] || (mk != NULL && !mk[x]))
             continue;
         int d = -1;
         if (i >= 1) {
@@ -628,6 +653,7 @@ rstar_dfs(RStar *r, int i)
         }
         r->used[x] = 1;
         r->seq[i] = x;
+        r->state[i + 1] = to != NULL ? to[x] : -1;
         int res = rstar_dfs(r, i + 1);
         if (res == FOUND)
             return FOUND;
@@ -644,13 +670,14 @@ rstar_dfs(RStar *r, int i)
 static PyObject *
 solve_rstar(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"m", "add_t", "neg_t", "prefix", "budget", NULL};
+    static char *kwlist[] = {"m", "add_t", "neg_t", "prefix", "budget",
+                             "table", NULL};
     RStar r;
     memset(&r, 0, sizeof r);
-    PyObject *add_t, *neg_t, *prefix;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOOL:solve_rstar", kwlist,
-                                     &r.m, &add_t, &neg_t, &prefix,
-                                     &r.budget))
+    PyObject *add_t, *neg_t, *prefix, *table = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOOL|O:solve_rstar",
+                                     kwlist, &r.m, &add_t, &neg_t, &prefix,
+                                     &r.budget, &table))
         return NULL;
     int m = r.m;
     r.length = m - 1;
@@ -673,17 +700,22 @@ solve_rstar(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
                              NULL)) == NULL
         || (r.neg_t = copy_ints(neg_t, "neg_t", m, 0, m - 1, NULL)) == NULL
         || (pfx = copy_ints(prefix, "prefix", p, INT_MIN, INT_MAX,
-                            NULL)) == NULL)
+                            NULL)) == NULL
+        || copy_table(table, m, &r.marks, &r.succ) < 0)
         goto done;
     r.seq = malloc((size_t)r.length * sizeof(int));
+    r.state = malloc(((size_t)r.length + 1) * sizeof(int));
     r.used = calloc(m, 1);
     r.dused = calloc(m, 1);
-    if (!r.seq || !r.used || !r.dused) {
+    if (!r.seq || !r.state || !r.used || !r.dused) {
         PyErr_NoMemory();
         goto done;
     }
     for (int i = 0; i < r.length; i++)
         r.seq[i] = -1;
+    for (int i = 0; i <= r.length; i++)
+        r.state[i] = -1;
+    int st = r.marks != NULL ? 0 : -1;
 
     for (int i = 0; i < p; i++) {
         int x = pfx[i];
@@ -697,7 +729,10 @@ solve_rstar(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         }
         r.used[x] = 1;
         r.seq[i] = x;
+        if (st >= 0)
+            st = r.succ[(size_t)st * m + x];
     }
+    r.state[p] = st;
     int status = rstar_dfs(&r, (int)p);
     if (status == FOUND) {
         PyObject *list = int_list(r.seq, r.length);
@@ -715,6 +750,9 @@ done:
     free(r.add_t);
     free(r.neg_t);
     free(r.seq);
+    free(r.marks);
+    free(r.succ);
+    free(r.state);
     free(r.used);
     free(r.dused);
     return result;
@@ -726,9 +764,8 @@ done:
 typedef struct {
     int m;
     int *add_t, *order, *scount, *best_cycle;
-    /* orbit[x] nonzero when x is least in its automorphism orbit (NULL:
-     * off); the second element is then one of those */
-    int *orbit;
+    /* symmetry table and states, as in Generic */
+    int *marks, *succ, *state;
     unsigned char *used;
     int distinct, best, have_best;
     long long nodes, budget;
@@ -748,13 +785,14 @@ sigma_dfs(Sigma *sg, int i)
         }
         return EXHAUSTED;
     }
+    int st = sg->state[i];
+    const int *mk = st >= 0 ? sg->marks + (size_t)st * m : NULL;
+    const int *to = st >= 0 ? sg->succ + (size_t)st * m : NULL;
     for (int x = 1; x < m; x++) {
         if (sg->nodes == sg->budget)  /* budget -1 (unbounded) never matches */
             return BUDGET;
         sg->nodes++;
-        if (sg->used[x])
-            continue;
-        if (i == 1 && sg->orbit != NULL && !sg->orbit[x])
+        if (sg->used[x] || (mk != NULL && !mk[x]))
             continue;
         if (i == m - 1 && x < sg->order[1])
             continue;
@@ -767,6 +805,7 @@ sigma_dfs(Sigma *sg, int i)
         sg->scount[s_new]++;
         int saved = sg->distinct;
         sg->distinct = nd;
+        sg->state[i + 1] = to != NULL ? to[x] : -1;
         int r = sigma_dfs(sg, i + 1);
         sg->scount[s_new]--;
         sg->distinct = saved;
@@ -780,12 +819,12 @@ sigma_dfs(Sigma *sg, int i)
 static PyObject *
 solve_sigma(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"m", "add_t", "budget", "orbit", NULL};
+    static char *kwlist[] = {"m", "add_t", "budget", "table", NULL};
     Sigma sg;
     memset(&sg, 0, sizeof sg);
-    PyObject *add_t, *orbit = Py_None;
+    PyObject *add_t, *table = Py_None;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOL|O:solve_sigma", kwlist,
-                                     &sg.m, &add_t, &sg.budget, &orbit))
+                                     &sg.m, &add_t, &sg.budget, &table))
         return NULL;
     int m = sg.m;
     if (m == 2)
@@ -799,17 +838,22 @@ solve_sigma(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     sg.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1, NULL);
     if (sg.add_t == NULL)
         goto done;
-    if (orbit != Py_None
-        && (sg.orbit = copy_ints(orbit, "orbit", m, 0, 2, NULL)) == NULL)
+    if (copy_table(table, m, &sg.marks, &sg.succ) < 0)
         goto done;
     sg.order = calloc(m, sizeof(int));
     sg.scount = calloc(m, sizeof(int));
     sg.best_cycle = calloc(m, sizeof(int));
+    sg.state = malloc(((size_t)m + 1) * sizeof(int));
     sg.used = calloc(m, 1);
-    if (!sg.order || !sg.scount || !sg.best_cycle || !sg.used) {
+    if (!sg.order || !sg.scount || !sg.best_cycle || !sg.state || !sg.used) {
         PyErr_NoMemory();
         goto done;
     }
+    for (int i = 0; i <= m; i++)
+        sg.state[i] = -1;
+    /* the pinned 0, fixed in state 0 */
+    if (sg.marks != NULL)
+        sg.state[1] = sg.succ[0];
     sg.used[0] = 1;
     int status = sigma_dfs(&sg, 1) == EXHAUSTED ? FOUND : BUDGET;
     PyObject *cycle = sg.have_best ? int_list(sg.best_cycle, m)
@@ -819,7 +863,9 @@ solve_sigma(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     result = Py_BuildValue("(iiNL)", status, sg.best, cycle, sg.nodes);
 done:
     free(sg.add_t);
-    free(sg.orbit);
+    free(sg.marks);
+    free(sg.succ);
+    free(sg.state);
     free(sg.order);
     free(sg.scount);
     free(sg.best_cycle);

@@ -12,11 +12,12 @@ positions in the enumeration order, and ``add_t``/``neg_t`` are dense
 Cayley tables (``add_t[a * m + b]``, ``neg_t[a]``).
 
 Node accounting: every (slot, label) placement attempt costs one node,
-counted before any feasibility check, and so does every label that orbit
-marks rule out at a slot (``solve_generic`` and ``solve_sigma`` take them
-as an optional last argument).  A nonnegative ``budget`` makes the search
-give up with BUDGET once that many nodes are spent; ``budget = -1`` means
-unbounded.
+counted before any feasibility check, and so does every label that the
+symmetry table rules out at a slot (each kernel takes it as an optional
+last argument: the orbits of the automorphisms that fix the labels placed
+so far, from ``groups.stabilizer_table``).  A nonnegative ``budget``
+makes the search give up with BUDGET once that many nodes are spent;
+``budget = -1`` means unbounded.
 
 Most attempts are rejected, so the labeling kernel decides a label before
 changing any state on edge slots (two fed sums: every interior slot of a
@@ -29,9 +30,10 @@ Each label loop walks a doubly linked list, in index order, of the labels
 that still have room (dancing links): a label leaves it when its count
 reaches its cap and comes back when that placement is undone.  On
 injective instances i labels are full at depth i, and walking past them
-was most of the work.  A label without room, or ruled out by the orbit
-marks, still costs its node, as in ``_speed.c``, so those nodes are added
-in bulk, with the budget stop at the same node as a label-by-label count.
+was most of the work.  A label without room, or ruled out by the
+symmetry table, still costs its node, as in ``_speed.c``, so those nodes
+are added in bulk, with the budget stop at the same node as a
+label-by-label count.
 
 ``dfs`` refers to itself, and that reference cycle would keep the
 labeling kernel's memo (tens of thousands of keys) alive until the
@@ -52,6 +54,20 @@ MEMO_LIMIT = 1 << 22
 MEMO_MAX_BITS = 63
 
 
+def _allowed(nxt, end, marks, row):
+    """The labels linked from sentinel ``end`` through ``nxt`` whose
+    ``marks[row + x]`` is nonzero, linked the same way: a snapshot."""
+    walk = [end] * len(nxt)
+    y = end
+    x = nxt[end]
+    while x != end:
+        if marks[row + x]:
+            walk[y] = x
+            y = x
+        x = nxt[x]
+    return walk
+
+
 def solve_generic(
     m,
     add_t,
@@ -67,7 +83,7 @@ def solve_generic(
     comp_ids,
     prefix,
     budget,
-    orbit=None,
+    table=None,
 ):
     """Backtracking search over a slot/derived-sum incidence.
 
@@ -85,14 +101,21 @@ def solve_generic(
     next position, the partial sum of every open item (fed by a placed slot
     and completed by a later one), the slot counts and the derived counts.
 
-    ``orbit`` (None: off) marks each label 0 when it is not the least of
-    its orbit under the automorphisms of the group, 1 when it is and some
-    automorphism moves it, and 2 when every automorphism fixes it.  While
-    every label placed so far, the prefix included, is fixed, the next
-    slot tries only orbit-least labels.  Whether that holds depends only
-    on the slot counts and the position, both in the memo key, so a state
-    the memo records as dead is dead under the same restriction wherever
-    it is reached again.
+    ``table`` (None: off) is the pair ``(marks, succ)`` of
+    ``groups.stabilizer_table``: symmetry states s, each the automorphisms
+    that fix every label placed so far, with ``marks[s * m + x]`` nonzero
+    when label x is least in its orbit under them and ``succ[s * m + x]``
+    the state after placing x (-1: no symmetry left).  The search starts
+    in state 0, follows the prefix through ``succ``, and every slot in a
+    state tries only the labels its marks allow.
+
+    The memo key does not hold the state, and need not: two paths to one
+    key may be in different states, but a key recorded as dead has no
+    completion at all.  Were there one, the least completion of the labels
+    placed on that path would at every slot be least in its orbit under
+    the automorphisms fixing the labels before it, the lex-leader argument
+    of ``search._least_root_labels``, so the pruned search would have
+    visited it.
     """
     s = num_slots
     last = s - 1
@@ -170,13 +193,12 @@ def solve_generic(
     nxt[tail] = m
     prv[m] = tail
 
-    # the labels every automorphism fixes fill at most ``lead_max`` slots,
-    # so no deeper slot is pruned; -1: orbit marks off
-    fixed = []
-    lead_max = -1
-    if orbit is not None:
-        fixed = [x for x in range(m) if orbit[x] == 2]
-        lead_max = sum(slot_cap[x] for x in fixed)
+    # slot i on the current path is in symmetry state at[i] while i <= top
+    # (-1: no symmetry left); a slot in a state sets the state of the slot
+    # below, and top, before each label it descends into
+    marks, succ = table if table is not None else (None, None)
+    at = [-1] * (s + 1)
+    top = -1
 
     def place(i, x, sdef, ddef, t):
         """Apply label ``x`` (within its slot cap) at slot ``i``; return
@@ -239,28 +261,22 @@ def solve_generic(
         memo once it passes every bound, and its key is added once its
         subtree is exhausted; the last slot has no key.
 
-        Each loop walks the labels with room, or, while only fixed labels
-        are placed, those of them that are orbit-least: a snapshot, since
-        every label's room is restored before the next one is tried.
+        Each loop walks the labels with room, or, in a symmetry state,
+        those of them the state's marks allow: a snapshot, since every
+        label's room is restored before the next one is tried.
         Reaching label ``x`` costs the ``x - prev`` nodes from the last one
         tried, and the loop ends with the ``m - 1 - prev`` after it: a
         label-by-label count checks the budget before each node, so it
         stops when the former passes ``limit`` and only when the latter
         does."""
-        nonlocal stop
+        nonlocal stop, top
         if i == s:
             stop = FOUND
             return nodes
         walk = nxt
-        if i <= lead_max and sum([scount[y] for y in fixed]) == i:
-            walk = [m] * (m + 1)
-            y = m
-            x = nxt[m]
-            while x != m:
-                if orbit[x]:
-                    walk[y] = x
-                    y = x
-                x = nxt[x]
+        if i <= top and at[i] >= 0:
+            row = at[i] * m
+            walk = _allowed(nxt, m, marks, row)
         keyed = memo_on and i < last
         edge = edges[i]
         x = m
@@ -284,6 +300,9 @@ def solve_generic(
                     if key in dead:
                         unplace(i, x, saved)
                         continue
+                if walk is not nxt:
+                    at[i + 1] = succ[row + x]
+                    top = i + 1
                 nodes = dfs(i + 1, *placed, nodes)
                 if stop != EXHAUSTED:
                     return nodes
@@ -341,6 +360,9 @@ def solve_generic(
                 psum[d1] = v
                 psum[d2] = w
                 assign[i] = x
+                if walk is not nxt:
+                    at[i + 1] = succ[row + x]
+                    top = i + 1
                 nodes = dfs(i + 1, ns, nd, key, nodes)
                 if stop != EXHAUSTED:
                     return nodes
@@ -404,6 +426,9 @@ def solve_generic(
             psum[d2] = w
             scount[x] = sc + 1
             assign[i] = x
+            if walk is not nxt:
+                at[i + 1] = succ[row + x]
+                top = i + 1
             nodes = dfs(i + 1, ns, nd, key, nodes)
             if stop != EXHAUSTED:
                 return nodes
@@ -428,6 +453,7 @@ def solve_generic(
     if p > s:
         raise ValueError("prefix longer than the slot list")
     state = (sum(slot_floor), sum(dfloor), 0)
+    st = -1 if table is None else 0
     for i in range(p):
         x = prefix[i]
         if scount[x] >= slot_cap[x]:
@@ -435,6 +461,10 @@ def solve_generic(
         state = place(i, x, *state)
         if state is None:
             return (EXHAUSTED, None, 0)
+        if st >= 0:
+            st = succ[st * m + x]
+    at[p] = st
+    top = p
     nodes = dfs(p, *state, 0)
     dfs = None  # break dfs's cycle through itself: frees the memo now
     if stop == FOUND:
@@ -447,13 +477,15 @@ def solve_generic(
 solve_chain = solve_generic
 
 
-def solve_rstar(m, add_t, neg_t, prefix, budget):
+def solve_rstar(m, add_t, neg_t, prefix, budget, table=None):
     """Search for an ordering of the nonzero elements whose cyclic
     consecutive differences are pairwise distinct and which contains a
     position equal to the sum of its two cyclic neighbours.
 
     Returns ``(status, sequence, star_index, nodes)`` where ``star_index``
     is the first qualifying position (cyclic) of the found sequence.
+    ``table`` (None: off) prunes as in ``solve_generic``: every
+    automorphism maps such an ordering to one.
     """
     length = m - 1
     seq = [-1] * length
@@ -462,9 +494,12 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
     limit = budget if budget >= 0 else 1 << 64
     nodes = 0
     star_at = -1
+    marks, succ = table if table is not None else (None, None)
+    at = [-1] * (length + 1)  # symmetry states, as in solve_generic
+    top = -1
 
     def dfs(i):
-        nonlocal nodes, star_at
+        nonlocal nodes, star_at, top
         if i == length:
             d0 = add_t[seq[0] * m + neg_t[seq[length - 1]]]
             if dused[d0]:
@@ -476,9 +511,13 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
                     star_at = idx
                     return FOUND
             return EXHAUSTED
+        walk = nxt
+        if i <= top and at[i] >= 0:
+            row = at[i] * m
+            walk = _allowed(nxt, 0, marks, row)
         x = prev = 0
         while True:
-            x = nxt[x]
+            x = walk[x]
             if not x:
                 break
             nodes += x - prev
@@ -495,6 +534,9 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
             nxt[prv[x]] = nxt[x]
             prv[nxt[x]] = prv[x]
             seq[i] = x
+            if walk is not nxt:
+                at[i + 1] = succ[row + x]
+                top = i + 1
             r = dfs(i + 1)
             if r == FOUND:
                 return FOUND
@@ -514,6 +556,7 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
     p = len(prefix)
     if p > length:
         raise ValueError("prefix longer than the sequence")
+    st = -1 if table is None else 0
     for i in range(p):
         x = prefix[i]
         if x < 1 or x >= m or used[x]:
@@ -525,6 +568,10 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
             dused[d] = 1
         used[x] = 1
         seq[i] = x
+        if st >= 0:
+            st = succ[st * m + x]
+    at[p] = st
+    top = p
     # the unused labels, linked as in solve_generic; 0 is the sentinel
     nxt = [0] * m
     prv = [0] * m
@@ -542,7 +589,7 @@ def solve_rstar(m, add_t, neg_t, prefix, budget):
     return (status, None, -1, nodes)
 
 
-def solve_sigma(m, add_t, budget, orbit=None):
+def solve_sigma(m, add_t, budget, table=None):
     """Exhaustive branch-and-bound for the most distinct cyclic pair sums.
 
     Walks every ordering of the elements that starts at 0 (mirror images
@@ -552,14 +599,13 @@ def solve_sigma(m, add_t, budget, orbit=None):
     nodes)``; status is FOUND when the space was fully explored and BUDGET
     when the node budget ran out (value is then only a lower bound).
 
-    ``orbit`` (None: off) marks, as in ``solve_generic``, the labels that
-    are least in their automorphism orbit (nonzero); the second element
-    is then one of them, and a label skipped there still costs its node.
-    Every automorphism g fixes 0 and keeps the number of distinct sums.
-    Were the second element x of the first maximal ordering moved to
-    g(x) < x, the image of that ordering under g, or the image's mirror
-    when the image is skipped as one, would be a maximal ordering before
-    it; so x is orbit-least.
+    ``table`` (None: off) prunes as in ``solve_generic``, from the state
+    after the pinned 0.  An automorphism g keeps the number of distinct
+    sums.  Let W be the first maximal ordering walked and g fix its first
+    k elements.  If g(W) is walked it is not before W, so W[k] <= g(W[k]).
+    Otherwise its mirror is, beginning 0, g(W[m-1]) < g(W[1]): for k = 1
+    that puts the mirror before W unless W[1] < g(W[1]), and for k >= 2,
+    where g(W[1]) = W[1], always.  So W[k] is least in its orbit.
     """
     if m == 2:
         return (FOUND, 1, [0, 1], 0)
@@ -573,18 +619,15 @@ def solve_sigma(m, add_t, budget, orbit=None):
     # the labels not yet in the order, linked as in solve_rstar
     nxt = [*range(1, m), 0]
     prv = [m - 1, *range(m - 1)]
-    # the labels the second element walks: all of them, or the orbit-least
-    second = nxt
-    if orbit is not None:
-        second = [0] * m
-        y = 0
-        for x in range(1, m):
-            if orbit[x]:
-                second[y] = x
-                y = x
+    # symmetry states, as in solve_generic; 0 is fixed in state 0
+    marks, succ = table if table is not None else (None, None)
+    at = [-1] * (m + 1)
+    top = 1
+    if table is not None:
+        at[1] = succ[0]
 
     def dfs(i):
-        nonlocal nodes, best, best_cycle, distinct
+        nonlocal nodes, best, best_cycle, distinct, top
         if i == m:
             s_close = add_t[order[m - 1] * m + order[0]]
             d = distinct + (0 if scount[s_close] else 1)
@@ -592,7 +635,10 @@ def solve_sigma(m, add_t, budget, orbit=None):
                 best = d
                 best_cycle = list(order)
             return EXHAUSTED
-        walk = second if i == 1 else nxt
+        walk = nxt
+        if i <= top and at[i] >= 0:
+            row = at[i] * m
+            walk = _allowed(nxt, 0, marks, row)
         x = prev = 0
         while True:
             x = walk[x]
@@ -615,6 +661,9 @@ def solve_sigma(m, add_t, budget, orbit=None):
             scount[s_new] += 1
             saved = distinct
             distinct = nd
+            if walk is not nxt:
+                at[i + 1] = succ[row + x]
+                top = i + 1
             r = dfs(i + 1)
             scount[s_new] -= 1
             distinct = saved

@@ -183,14 +183,19 @@ def _count_list(spec: GroupSpec, values: list[int]) -> tuple[int, ...]:
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
+    return _certificate_obj(cert, lambda labels: [list(a) for a in labels])
+
+
+def _certificate_obj(cert: Certificate, rows) -> dict:
+    """The JSON object form, each list of labels made by ``rows``."""
     elements = enumerate_elements(cert.group)
     verdict = cert.verdict
     return {
         "notion": cert.notion,
         "group": list(cert.group.factors),
         "graph": _graph_to_obj(cert.graph),
-        "edge_labels": [list(a) for a in cert.edge_labels],
-        "vertex_labels": [list(a) for a in cert.vertex_labels],
+        "edge_labels": rows(cert.edge_labels),
+        "vertex_labels": rows(cert.vertex_labels),
         "verdict": {
             "ok": verdict.ok,
             "violation": verdict.violation,
@@ -204,8 +209,9 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 def certificate_dumps(cert: Certificate) -> str:
     """Deterministic JSON text for a certificate: byte for byte
-    ``json.dumps(certificate_to_obj(cert), indent=2)``."""
-    return indented_json(certificate_to_obj(cert))
+    ``json.dumps(certificate_to_obj(cert), indent=2)``.  The label
+    tuples go to the writer as they are: it writes a tuple as a list."""
+    return indented_json(_certificate_obj(cert, tuple))
 
 
 def certificate_from_obj(obj: dict) -> Certificate:

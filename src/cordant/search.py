@@ -16,11 +16,13 @@ with the share it has among all first-slot labels (the lex-first solution
 is the least member of its orbit, so the other branches cannot hold it,
 nor a solution the least branch lacks).  The same argument reaches below
 the root: when the automorphisms of the group are symmetries, every slot
-whose earlier labels are all fixed by every automorphism tries only
-orbit-least labels, in the kernels.  With a prefix every label runs, at
-every slot.  Branches are merged in label order, and ``workers`` only
-decides how many branches run concurrently, so parallelism never changes
-results; branches still running when the answer is known are terminated.
+tries only labels that are least in their orbit under the automorphisms
+fixing every label placed before it, in the kernels, from one table of
+those stabilizers per group (``groups.stabilizer_table``).  With a prefix
+every label runs, at every slot.  Branches are merged in label order, and
+``workers`` only decides how many branches run concurrently, so
+parallelism never changes results; branches still running when the
+answer is known are terminated.
 
 The one exception to lex-first is ``find_equitable_cycle``, the find-any
 search behind the construct route ``rainbow-cycle``: it restarts on
@@ -35,7 +37,7 @@ import os
 import sys
 import threading
 from array import array
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -64,6 +66,7 @@ from .groups import (
     element_at,
     element_index,
     op_tables,
+    stabilizer_table,
 )
 from .labelings import (
     EdgeLabeling,
@@ -339,32 +342,24 @@ def _split_solve(kind: str, fixed_args: tuple, prefix: list, first_label: int,
     return _merge(_orchestrate(tasks, workers))
 
 
-def _orbit_marks(spec: GroupSpec, bounds: tuple = ()) -> list[int] | None:
-    """The kernels' ``orbit`` argument: per label, 0 when it is not the
-    least of its orbit under the automorphisms of ``spec``, 1 when it is
-    and some automorphism moves it, 2 when every automorphism fixes it.
-    None when some bound (per label, as in ``bounds``) differs on two
-    labels of one orbit: the automorphisms are then no symmetry."""
-    keys = automorphism_orbit_keys(spec)
+def _symmetry_table(spec: GroupSpec, bounds: tuple = ()) -> tuple | None:
+    """The kernels' ``table`` argument: ``stabilizer_table(spec)``, the
+    orbits of the automorphisms of ``spec`` that fix the labels placed so
+    far.  None when some bound (per label, as in ``bounds``) differs on
+    two labels of one Aut orbit: the automorphisms are then no symmetry."""
     bound_of: dict = {}
-    least: dict = {}
-    for x, key in enumerate(keys):
+    for x, key in enumerate(automorphism_orbit_keys(spec)):
         column = tuple(b[x] for b in bounds)
         if bound_of.setdefault(key, column) != column:
             return None
-        least.setdefault(key, x)
-    sizes = Counter(keys)
-    orbit = [0] * spec.order
-    for key, x in least.items():
-        orbit[x] = 2 if sizes[key] == 1 else 1
-    return orbit
+    return stabilizer_table(spec)
 
 
 def _least_root_labels(spec: GroupSpec, bounds: tuple,
                        derived_sizes: set[int]) -> tuple[list[int],
-                                                         list[int] | None]:
+                                                         tuple | None]:
     """First-slot labels an unprefixed labeling search has to run, and the
-    ``orbit`` marks (see ``_orbit_marks``) that prune the slots below.
+    symmetry table (see ``_symmetry_table``) that prunes every slot.
 
     The lex-first solution is the least member of its orbit under every
     symmetry of the instance (the lex-leader argument of Crawford,
@@ -377,20 +372,21 @@ def _least_root_labels(spec: GroupSpec, bounds: tuple,
       derived item sums the same number of slots (``derived_sizes``); all
       labels then share the orbit of 0.
     * An automorphism of the group applied to every label is a symmetry
-      when every bound is constant on each of its orbits.  It leaves the
-      labels placed so far alone while each of them is fixed by every
-      automorphism (0 always is), so the argument reaches below the root:
-      the next label of the lex-first solution is least in its orbit too.
-      The kernels prune by the marks at every such slot.
+      when every bound is constant on each of its orbits.  The lex-first
+      solution S is no later than its image under any automorphism that
+      fixes its first k labels, which agrees with S there, so label k+1
+      of S is least in its orbit under the pointwise stabilizer of the
+      first k: the argument reaches every slot.  The kernels prune by the
+      table at every slot whose stabilizer is not yet trivial.
 
-    Otherwise every label runs, with no marks.
+    Otherwise every label runs, with no table.
     """
-    orbit = _orbit_marks(spec, bounds)
-    if orbit is None:
+    table = _symmetry_table(spec, bounds)
+    if table is None:
         return list(range(spec.order)), None
     if len(derived_sizes) <= 1 and all(len(set(b)) == 1 for b in bounds):
-        return [0], orbit
-    return [x for x, mark in enumerate(orbit) if mark], orbit
+        return [0], table
+    return [x for x in range(spec.order) if table[0][x]], table
 
 
 _STATUS_NAME = {FOUND: STATUS_FOUND, EXHAUSTED: STATUS_NOT_EXISTS, BUDGET: STATUS_UNKNOWN}
@@ -471,17 +467,17 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
         return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
     fixed = (m, op_tables(spec)[0], s, slot_cap, slot_floor, dcap, dfloor,
              *_generic_structures(members, s))
-    orbit = None
+    table = None
     if len(pfx) >= s:
         kept = None
     elif pfx:
         kept = range(m)
     else:
-        kept, orbit = _least_root_labels(
+        kept, table = _least_root_labels(
             spec, (slot_cap, slot_floor, dcap, dfloor),
             {len(x) for x in members})
     status, payload, nodes = _split_solve("generic", fixed, pfx, 0, kept,
-                                          budget, workers, (orbit,))
+                                          budget, workers, (table,))
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     return SearchOutcome(STATUS_FOUND, _certified(graph, spec, on_edges,
@@ -647,7 +643,9 @@ def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,
 
     Degenerate below three nonzero elements: NotExists without a search.
     Only sequences starting with element 1 are searched: every rotation of
-    a solution is one, so the lex-first sequence starts with it.
+    a solution is one, so the lex-first sequence starts with it.  Every
+    automorphism maps a solution to one, so below the 1 the kernel prunes
+    by the symmetry table as the labeling searches do.
     """
     check_workers(workers)
     check_searchable(spec)
@@ -658,7 +656,8 @@ def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,
     add_t, neg_t = op_tables(spec)
     fixed = (m, add_t, neg_t)
     status, payload, nodes = _split_solve(
-        "rstar", fixed, [], 1, [1], _norm_budget(budget), workers)
+        "rstar", fixed, [], 1, [1], _norm_budget(budget), workers,
+        (stabilizer_table(spec),))
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     seq = _labels_from_indices(spec, payload[1])
@@ -670,16 +669,17 @@ def compute_sigma_max(spec: GroupSpec,
                       budget: int | None = None) -> SigmaMaxResult:
     """Exact maximum of distinct cyclic pair sums over all element cycles.
 
-    Exhaustive branch-and-bound with the start pinned at zero, the second
-    element least in its automorphism orbit and mirror orderings skipped;
-    unbounded by default (the instances are tiny).
+    Exhaustive branch-and-bound with the start pinned at zero, every
+    later element least in its orbit under the automorphisms fixing the
+    earlier ones and mirror orderings skipped; unbounded by default (the
+    instances are tiny).
     """
     check_searchable(spec)
     _check_depth(spec.order)
     add_t, _ = op_tables(spec)
     status, value, cycle, nodes = _run_branch(
         ("sigma", (spec.order, add_t, _norm_budget(budget),
-                   _orbit_marks(spec))))
+                   stabilizer_table(spec))))
     witness = None
     if cycle is not None:
         witness = HamiltonianCycle(spec, _labels_from_indices(spec, cycle))

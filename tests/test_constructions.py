@@ -449,7 +449,7 @@ DISPATCH_CASES = {
     (2, 2, 4): ("rainbow-cycle", 23607,
                 "093a5a2bb007c074480de8908e1fc29d"
                 "04d78fcaa65d7963aae3c2d2344b9bb8"),
-    (2, 2, 2, 2): ("sequence", 161219,
+    (2, 2, 2, 2): ("sequence", 24089,
                    "2dcf40683f97935fff4f610731f9241b"
                    "ddde0f4bfc1a8140da0d917111b79785"),
 }

@@ -1,17 +1,24 @@
 """Tree survey: row bookkeeping and small frozen facts."""
 
+import random
+from itertools import islice, permutations
+
 import pytest
 
 from cordant import (
+    EdgeLabeling,
     ExploreRow,
     GroupSpec,
     PreconditionError,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     canonical_form,
+    enumerate_elements,
+    enumerate_trees,
     explore_conjecture,
     path_graph,
     tree_graph,
+    verify_a_antimagic,
 )
 
 
@@ -73,3 +80,51 @@ def test_row_violation_flag():
         antimagic_labels=None, astar_status=STATUS_NOT_EXISTS,
         astar_nodes=1, astar_labels=None)
     assert row.expected_found and row.violates
+
+
+# Z3xZ3 labels (a, b) as the integers 32a + b: a vertex of a 9-vertex tree
+# meets at most 8 edges, so its coordinates sum to at most 16 each, and
+# REDUCE[sum] is the index of the sum mod 3 per coordinate
+Z3Z3 = GroupSpec((3, 3))
+Z3Z3_CODES = [32 * a + b for a, b in enumerate_elements(Z3Z3)]
+REDUCE = [(v >> 5) % 3 * 3 + (v & 31) % 3 for v in range(32 * 17)]
+
+
+def _distinct_sums(tree):
+    """A function of the edge labels (codes, in edge order) that says
+    whether the vertex sums are pairwise distinct: one set display of the
+    reduced sums, written out for this tree."""
+    sums = ", ".join("r[" + "+".join(f"p[{e}]" for e in edges) + "]"
+                     for edges in tree.incidence())
+    return eval(f"lambda p: len({{{sums}}}) == {tree.n}", {"r": REDUCE})
+
+
+def _labeling(codes):
+    return EdgeLabeling(Z3Z3, tuple(divmod(c, 32) for c in codes))
+
+
+def test_distinct_sum_check_agrees_with_the_verifier():
+    # on a tree that has antimagic labelings and on a counterexample, a
+    # sample of labelings, and the first labeling the check accepts
+    rng = random.Random(9)
+    trees = list(enumerate_trees(9))
+    for tree in (trees[0], trees[8]):
+        distinct = _distinct_sums(tree)
+        labelings = [tuple(rng.sample(Z3Z3_CODES, 8)) for _ in range(300)]
+        labelings += islice(permutations(Z3Z3_CODES, 8), 0, None, 4999)
+        for p in labelings:
+            assert distinct(p) == verify_a_antimagic(tree, _labeling(p)).ok
+    first = next(filter(_distinct_sums(trees[0]),
+                        permutations(Z3Z3_CODES, 8)))
+    assert verify_a_antimagic(trees[0], _labeling(first)).ok
+
+
+def test_z3xz3_counterexamples_without_any_search():
+    # every injective edge labeling of the four order-9 trees the survey
+    # reports as violations, by itertools alone: no kernel, memo, bound
+    # or symmetry, so the pruned searches did not make the paper's
+    # counterexamples up
+    trees = list(enumerate_trees(9))
+    for index in (8, 9, 11, 36):
+        distinct = _distinct_sums(trees[index])
+        assert not any(map(distinct, permutations(Z3Z3_CODES, 8))), index

@@ -1,5 +1,5 @@
 """Group core: canonical forms, arithmetic, decompositions, isomorphisms,
-automorphism orbits."""
+automorphism orbits and the orbits of pointwise stabilizers."""
 
 import itertools
 
@@ -26,7 +26,12 @@ from cordant import (
     parse_group,
     sylow_split,
 )
-from cordant.groups import automorphism_orbit_keys, canonical_map
+from cordant.groups import (
+    STABILIZER_CAP,
+    automorphism_orbit_keys,
+    canonical_map,
+    stabilizer_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +279,9 @@ def test_rank_counts_factors():
 # ---------------------------------------------------------------------------
 # automorphism orbits
 
-def _brute_force_orbits(spec):
-    """Aut(A) orbits as a set of frozensets of element indices.
+def _automorphisms(spec):
+    """Every automorphism, as the list of images of the element indices,
+    and the addition table ``plus[a][b]``.
 
     Every automorphism is fixed by the images of the factor generators:
     each image g_i needs d_i * g_i = 0, and the induced map must be a
@@ -294,16 +300,21 @@ def _brute_force_orbits(spec):
         return acc
 
     choices = [[g for g in range(m) if times(d, g) == 0] for d in spec.factors]
-    orbits = [{i} for i in range(m)]
+    auts = []
     for gens in itertools.product(*choices):
         images = [0]
         for d, g in zip(spec.factors, gens):
             multiples = [times(k, g) for k in range(d)]
             images = [plus[p][q] for p in images for q in multiples]
         if len(set(images)) == m:
-            for i, image in enumerate(images):
-                orbits[i].add(image)
-    return {frozenset(o) for o in orbits}
+            auts.append(images)
+    return auts, plus
+
+
+def _brute_force_orbits(spec):
+    """Aut(A) orbits as a set of frozensets of element indices."""
+    auts, _ = _automorphisms(spec)
+    return {frozenset(a[i] for a in auts) for i in range(spec.order)}
 
 
 def _key_orbits(spec):
@@ -319,6 +330,59 @@ def _key_orbits(spec):
 ], ids=str)
 def test_orbit_keys_match_brute_force_automorphisms(spec):
     assert _key_orbits(spec) == _brute_force_orbits(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    *(g for n in range(1, 17) for g in abelian_groups_of_order(n)),
+    *(GroupSpec(f) for f in ((3, 3, 3), (2, 4, 4), (4, 8), (2, 2, 8))),
+], ids=str)
+def test_stabilizer_table_matches_brute_force_automorphisms(spec):
+    # walk the states from H = {0}: each state's marks are the orbits of
+    # the enumerated automorphisms fixing H pointwise, and the state after
+    # a moved least x fixes exactly what the automorphisms fixing <H, x>
+    # fix (none left: -1)
+    auts, plus = _automorphisms(spec)
+    m = spec.order
+    marks, succ = stabilizer_table(spec)
+    subgroup = {0: {0}}
+    waiting = [0]
+    while waiting:
+        s = waiting.pop()
+        stab = [a for a in auts if all(a[h] == h for h in subgroup[s])]
+        for x in range(m):
+            orbit = {a[x] for a in stab}
+            mark = 0 if min(orbit) < x else 1 if len(orbit) > 1 else 2
+            assert marks[s * m + x] == mark, (s, x)
+            t = succ[s * m + x]
+            if mark != 1:
+                assert t == (s if mark == 2 else -1), (s, x)
+                continue
+            sub = set(subgroup[s])
+            y = x
+            while y not in sub:
+                sub |= {plus[h][y] for h in sub}
+                y = plus[y][x]
+            below = [a for a in stab if a[x] == x]
+            if all(a == list(range(m)) for a in below):
+                assert t == -1, (s, x)
+                continue
+            if t not in subgroup:
+                subgroup[t] = sub
+                waiting.append(t)
+            fixers = [a for a in auts if all(a[h] == h for h in subgroup[t])]
+            assert sorted(fixers) == sorted(below), (s, x, t)
+    assert len(marks) == len(succ) == len(subgroup) * m
+
+
+def test_stabilizer_table_above_the_cap_holds_aut_alone():
+    spec = GroupSpec((2, STABILIZER_CAP))
+    marks, succ = stabilizer_table(spec)
+    least = {}
+    for x, key in enumerate(automorphism_orbit_keys(spec)):
+        least.setdefault(key, x)
+    assert [x for x in range(spec.order) if marks[x]] == sorted(
+        least.values())
+    assert succ == [0 if mark == 2 else -1 for mark in marks]
 
 
 def test_orbit_keys_examples():

@@ -4,14 +4,15 @@ Every (slot, label) attempt costs one node, including attempts at labels
 that have no room left.  So a search whose unbounded run takes N nodes
 stops with BUDGET after exactly b nodes for every budget b < N, and returns
 the unbounded result for every b >= N: also when its last nodes are
-labels without room after the last one tried, or labels that orbit marks
-rule out.  Runs on the pure kernels alone, so it needs no compiler.
+labels without room after the last one tried, or labels that the
+symmetry table rules out.  Runs on the pure kernels alone, so it needs no
+compiler.
 """
 
 from cordant import GroupSpec, cycle_graph, path_graph, tree_graph
 from cordant._kernel import pure
-from cordant.groups import op_tables
-from cordant.search import _equitable_bounds, _generic_structures, _orbit_marks
+from cordant.groups import op_tables, stabilizer_table
+from cordant.search import _equitable_bounds, _generic_structures
 
 
 def _budgets(total):
@@ -36,10 +37,11 @@ def _equitable(num_slots, num_derived, m):
 
 
 def _generic_instances():
-    """Kernel arguments up to the prefix, and the orbit marks."""
+    """Kernel arguments up to the prefix, and the symmetry table."""
     nonzero_once = [0] + [1] * 5
     tree = tree_graph(6, ((0, 1), (0, 2), (2, 3), (3, 4), (4, 5)))
-    z4, z6 = _orbit_marks(GroupSpec((4,))), _orbit_marks(GroupSpec((6,)))
+    z4, z6, z2z4 = (stabilizer_table(GroupSpec(f))
+                    for f in ((4,), (6,), (2, 4)))
     unmarked = [
         # path edges, exhausted and found
         _generic((6,), path_graph(6), True, _equitable(5, 6, 6)),
@@ -54,14 +56,18 @@ def _generic_instances():
         # a prefix
         _generic((5,), path_graph(10), True, _equitable(9, 10, 5), (2, 0)),
     ]
-    # orbit marks prune slot 0 and the slots below the fixed labels
-    # (0 and 2 in Z4, 0 and 3 in Z6): exhausted and found
+    # the table prunes slot 0 and the slots below the fixed labels (0 and
+    # 2 in Z4, 0 and 3 in Z6), and in Z2xZ4 moves through three states:
+    # exhausted and found
     marked = [
         (_generic((4,), cycle_graph(4), True, _equitable(4, 4, 4)), z4),
         (_generic((4,), path_graph(9), False, _equitable(9, 8, 4)), z4),
         (_generic((6,), path_graph(6), True, _equitable(5, 6, 6)), z6),
         (_generic((6,), path_graph(6), True, _equitable(5, 6, 6), (0,)),
          z6),
+        (_generic((2, 4), path_graph(8), True, _equitable(7, 8, 8)), z2z4),
+        (_generic((2, 4), path_graph(10), False, _equitable(10, 9, 8)),
+         z2z4),
     ]
     return [(args, None) for args in unmarked] + marked
 
@@ -82,20 +88,22 @@ def _check(solve, nodes_at):
 
 
 def test_generic_kernel_stops_exactly_at_its_budget():
-    statuses = {_check(lambda b: pure.solve_generic(*args, b, orbit),
+    statuses = {_check(lambda b: pure.solve_generic(*args, b, table),
                        lambda r: r[2])
-                for args, orbit in _generic_instances()}
+                for args, table in _generic_instances()}
     assert statuses == {pure.FOUND, pure.EXHAUSTED}
 
 
 def test_rstar_and_sigma_kernels_stop_exactly_at_their_budgets():
-    for factors in ((4,), (2, 2), (5,), (6,)):
+    for factors in ((4,), (2, 2), (5,), (6,), (2, 4)):
         spec = GroupSpec(factors)
         m = spec.order
         add_t, neg_t = op_tables(spec)[:2]
+        table = stabilizer_table(spec)
         _check(lambda b: pure.solve_rstar(m, add_t, neg_t, [], b),
                lambda r: r[3])
+        _check(lambda b: pure.solve_rstar(m, add_t, neg_t, [1], b, table),
+               lambda r: r[3])
         _check(lambda b: pure.solve_sigma(m, add_t, b), lambda r: r[3])
-        marks = _orbit_marks(spec)
-        _check(lambda b: pure.solve_sigma(m, add_t, b, marks),
+        _check(lambda b: pure.solve_sigma(m, add_t, b, table),
                lambda r: r[3])

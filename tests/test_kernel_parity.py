@@ -168,31 +168,46 @@ for name, total, step, solve in sweeps:
     out.append(["budget-sweep-" + name,
                 [solve(b) for b in [*range(0, total, step), total]]])
 
-# orbit marks as the searches pass them, given to the kernels directly:
-# slot 0 free, and slots pinned below the fixed labels (0 and 3 in Z6, 0
-# and 5 in Z10), with budget stops inside the pruned loops
-from cordant.search import _orbit_marks
+# symmetry tables as the searches pass them, given to the kernels
+# directly: slot 0 free, slots pruned below the fixed labels (0 and 3 in
+# Z6, 0 and 5 in Z10), and Z2xZ4 and (Z2)^3 moving from state to state,
+# with budget stops inside the pruned loops
+from cordant.groups import stabilizer_table
 
-z6_marks = _orbit_marks(spec((6,)))
-z10_marks = _orbit_marks(spec((10,)))
+z6_table = stabilizer_table(spec((6,)))
+z10_table = stabilizer_table(spec((10,)))
 z10_add = op_tables(spec((10,)))[0]
+z2z4_table = stabilizer_table(spec((2, 4)))
+z2z4_add = op_tables(spec((2, 4)))[0]
+e3_table = stabilizer_table(spec((2, 2, 2)))
+e3_add, e3_neg = op_tables(spec((2, 2, 2)))
 marked = [
     ("path-z6", 678, 1, lambda b: kern.solve_generic(
         6, z6_add, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
-        *path_edges(5), [], b, z6_marks)),
+        *path_edges(5), [], b, z6_table)),
     ("cycle-z6", 1890, 1, lambda b: kern.solve_generic(
         6, z6_add, 6, [1] * 6, [1] * 6, [1] * 6, [1] * 6, *cycle(6),
-        [], b, z6_marks)),
+        [], b, z6_table)),
     ("generic-edges-z6", 756, 1, lambda b: kern.solve_generic(
         6, z6_add, 5, [1] * 6, [0] * 6, [1] * 6, [1] * 6,
-        *edge_csr, [], b, z6_marks)),
+        *edge_csr, [], b, z6_table)),
     ("path-vertices-z6", 12955, 211, lambda b: kern.solve_generic(
         6, z6_add, 13, [3] * 6, [2] * 6, [2] * 6, [2] * 6,
-        *path_vertices(13), [0], b, z6_marks)),
+        *path_vertices(13), [0], b, z6_table)),
     ("path-z10-prefix", 27150, 1000, lambda b: kern.solve_generic(
         10, z10_add, 9, [1] * 10, [0] * 10, [1] * 10, [1] * 10,
-        *path_edges(9), [0], b, z10_marks)),
-    ("sigma-z6", 315, 1, lambda b: kern.solve_sigma(6, z6_add, b, z6_marks)),
+        *path_edges(9), [0], b, z10_table)),
+    ("path-z2xz4", 225, 1, lambda b: kern.solve_generic(
+        8, z2z4_add, 7, [1] * 8, [0] * 8, [1] * 8, [1] * 8,
+        *path_edges(7), [], b, z2z4_table)),
+    ("cycle-e3", 592, 1, lambda b: kern.solve_generic(
+        8, e3_add, 8, [1] * 8, [1] * 8, [1] * 8, [1] * 8, *cycle(8),
+        [], b, e3_table)),
+    ("rstar-e3", 140, 1, lambda b: kern.solve_rstar(
+        8, e3_add, e3_neg, [1], b, e3_table)),
+    ("sigma-z6", 270, 1, lambda b: kern.solve_sigma(6, z6_add, b, z6_table)),
+    ("sigma-z2xz4", 210, 1, lambda b: kern.solve_sigma(
+        8, z2z4_add, b, z2z4_table)),
 ]
 for name, total, step, solve in marked:
     out.append(["budget-sweep-marked-" + name,
@@ -349,6 +364,16 @@ bad = [
                                  [1, 1], [0, 0], 1, [0, 5], [0], [0, 1],
                                  [0], [], -1),
     lambda: _speed.solve_sigma(3, [0] * 8 + [3], -1),
+    # symmetry tables: not a pair, a mark out of range, part of a state,
+    # a successor state that does not exist
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1,
+                                 [[2, 1]]),
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1,
+                                 ([3, 1], [0, -1])),
+    lambda: _speed.solve_rstar(2, add_t, [0, 1], [], -1,
+                               ([2, 1, 2], [0, -1, 0])),
+    lambda: _speed.solve_sigma(3, [0, 1, 2, 1, 2, 0, 2, 0, 1], -1,
+                               ([2, 1, 0], [0, 1, -1])),
 ]
 for call in bad:
     try:

@@ -98,9 +98,9 @@ def test_order_10_z2xz5_trees_are_settled_at_the_default_budget():
 
 def test_star_variant_search_frozen_counts():
     out = search_a_star_antimagic(path_graph(4), E2)
-    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 12
+    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 8
     out = search_a_star_antimagic(path_graph(8), E3)
-    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 1400
+    assert out.status == STATUS_NOT_EXISTS and out.nodes_explored == 80
 
 
 def test_found_certificates_reverify():
@@ -222,7 +222,7 @@ def test_sigma_max_matches_formula_orders_3_to_8():
 def test_sigma_max_witness_is_frozen_for_z4():
     result = compute_sigma_max(Z4)
     assert result.witness.order == ((0,), (1,), (3,), (2,))
-    assert result.nodes_explored == 21
+    assert result.nodes_explored == 18
 
 
 def test_rstar_search_small_groups():
@@ -321,7 +321,7 @@ def test_workers_below_one_are_rejected():
 class _InlineBranch:
     """Stands in for search._Branch: runs its task in this process when
     its result is taken, logs every start, run and stop (by prefix: a
-    labeling task ends with prefix, budget and orbit marks), and records
+    labeling task ends with prefix, budget and symmetry table), and records
     the most branches started and not yet finished."""
 
     log: list = []
@@ -486,32 +486,40 @@ def test_kept_root_labels(root_splits):
 
 
 def test_orbit_marks_below_the_root(root_splits):
-    def marks(call, *args, **kwargs):
+    def table(call, *args, **kwargs):
         call(*args, **kwargs)
         return root_splits[-1][6][0]
 
-    # Aut(Z10) orbits {0}, {1, 3, 7, 9}, {2, 4, 6, 8}, {5}: 0 and 5 fixed
-    z10 = [2, 1, 1, 0, 0, 2, 0, 0, 0, 0]
-    assert search._orbit_marks(GroupSpec((10,))) == z10
-    assert marks(search_a_antimagic, path_graph(10), GroupSpec((10,))) == z10
-    # translation keeps one root label and the marks still prune below it
-    assert marks(search_a_cordial, cycle_graph(12), Z4) == [2, 1, 2, 0]
-    # (Z2)^3: 0 is fixed, the nonzero elements form one orbit
-    assert marks(search_a_star_antimagic, path_graph(8), E3) == [2, 1] + [0] * 6
-    # a user prefix, and bounds that split an orbit, turn the marks off
-    assert marks(search_ea_cordial, path_graph(6), Z6, prefix=((0,),)) is None
-    assert search._orbit_marks(Z6, ([1, 2, 1, 1, 1, 1],)) is None
-    assert search._orbit_marks(GroupSpec(())) == [2]
+    # Aut(Z10) orbits {0}, {1, 3, 7, 9}, {2, 4, 6, 8}, {5}: 0 and 5 fixed,
+    # and the automorphisms fixing 1 or 2 fix everything
+    z10 = ([2, 1, 1, 0, 0, 2, 0, 0, 0, 0], [0, -1, -1, -1, -1, 0] + [-1] * 4)
+    assert search._symmetry_table(GroupSpec((10,))) == z10
+    assert table(search_a_antimagic, path_graph(10), GroupSpec((10,))) == z10
+    # translation keeps one root label and the table still prunes below it
+    assert table(search_a_cordial, cycle_graph(12), Z4) == (
+        [2, 1, 2, 0], [0, -1, 0, -1])
+    # (Z2)^3: a chain of subspaces, the least label outside each moved
+    e3 = table(search_a_star_antimagic, path_graph(8), E3)
+    assert e3 == ([2, 1, 0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 0,
+                   2, 2, 2, 2, 1, 0, 0, 0],
+                  [0, 1, -1, -1, -1, -1, -1, -1, 1, 1, 2, -1, -1, -1, -1, -1,
+                   2, 2, 2, 2, -1, -1, -1, -1])
+    # R*-sequences prune by the same table
+    assert table(search_rstar_sequence, E3) == e3
+    # a user prefix, and bounds that split an orbit, turn the table off
+    assert table(search_ea_cordial, path_graph(6), Z6, prefix=((0,),)) is None
+    assert search._symmetry_table(Z6, ([1, 2, 1, 1, 1, 1],)) is None
+    assert search._symmetry_table(GroupSpec(())) == ([2], [0])
 
 
 def _unpruned(kind, fixed_args, prefix, first_label, budget, ran):
     """The root split without any symmetry: every first-slot label in
-    label order, each with its share of the budget and no orbit marks, up
+    label order, each with its share of the budget and no symmetry table, up
     to the first branch that is not exhausted.  Returns that branch's
     result and the nodes spent.
 
     A branch the pruned search ran with the same prefix and share and no
-    marks (in ``ran``) is not run again: the kernels are deterministic."""
+    table (in ``ran``) is not run again: the kernels are deterministic."""
     solve = getattr(_kernel.pure, "solve_" + kind)
     labels = range(first_label, fixed_args[0])
     shares = search._shares(budget, len(labels))
@@ -570,15 +578,18 @@ def test_pruning_keeps_path_and_cycle_outcomes(root_splits, spec):
 
 
 def test_pruning_keeps_tree_outcomes(root_splits):
+    # every tree of order up to 8 over every group of its order, and of
+    # order 9 over Z3xZ3 (the survey's violations among them)
     calls = []
-    for n in range(2, 9):
+    for n in range(2, 10):
         for tree in enumerate_trees(n):
             for spec in (g for k in range(2, 8)
                          for g in abelian_groups_of_order(k) if n < 8):
                 for notion in (search_ea_cordial, search_a_cordial):
                     calls.append(lambda w, f=notion, t=tree, g=spec:
                                  f(t, g, workers=w))
-            for spec in abelian_groups_of_order(n):
+            for spec in (abelian_groups_of_order(n) if n < 9
+                         else [GroupSpec((3, 3))]):
                 for notion in (search_a_antimagic, search_a_star_antimagic):
                     calls.append(lambda w, f=notion, t=tree, g=spec:
                                  f(t, g, workers=w))
@@ -594,7 +605,7 @@ def test_pruning_keeps_rstar_outcomes(root_splits):
 @pytest.mark.parametrize("spec", [
     g for n in range(3, 11) for g in abelian_groups_of_order(n)], ids=str)
 def test_sigma_max_pruning_keeps_value_and_witness(spec):
-    # the second element is pruned to orbit-least labels; without marks
+    # every element after 0 is pruned by the symmetry table; without it
     # the kernel walks every ordering the mirror skip leaves
     add_t = search.op_tables(spec)[0]
     status, value, cycle, nodes = _kernel.pure.solve_sigma(
@@ -645,8 +656,8 @@ def test_relabeled_tables_match_the_comprehension(orders):
 
 def test_find_any_keeps_lex_first_results_within_one_restart_unit(
         monkeypatch):
-    # restart 1 is the lex-first search on its kept branch without orbit
-    # marks below the root, so whatever that search finds within
+    # restart 1 is the lex-first search on its kept branch without the
+    # symmetry table below the root, so whatever that search finds within
     # RESTART_UNIT nodes comes out unchanged
     least = search._least_root_labels
     monkeypatch.setattr(search, "_least_root_labels",
