@@ -31,7 +31,11 @@ records the text's size and sha256, which later files can compare for
 byte identity.  In fresh interpreters it times
 ``import cordant.cli`` (the median of ``IMPORT_RUNS`` runs, import
 statement only) and counts the ``cordant.*`` modules that importing the
-CLI and then running ``decide path-ek`` each leave loaded.
+CLI and then running ``decide path-ek`` each leave loaded.  For each of
+``PROCESS_COMMANDS`` it takes the median wall time of ``PROCESS_RUNS``
+whole ``python -m cordant.cli`` processes, start-up and import included,
+and records which of ``dataclasses`` and ``inspect`` running the command
+loads.
 
 Node counts are exact and repeat run to run, so they double as a
 determinism check; times are for comparison with earlier files only.
@@ -62,6 +66,16 @@ ROUND_TRIP_RUNS = 9
 # perfbench's default --seconds; not passed, so every point has this length
 SECONDS = 20
 IMPORT_RUNS = 9
+PROCESS_RUNS = 9
+# commands whose whole process is timed: a decider, a search, a verify
+PROCESS_COMMANDS = {
+    "decide path-ek": ("decide", "path-ek", "--n", "10", "--k", "4"),
+    "search rstar (Z2)^4": ("search", "rstar", "--group", "Z2xZ2xZ2xZ2",
+                            "--format", "json"),
+    "verify --certificate demo 1": (
+        "verify", "--certificate",
+        str(ROOT / "src" / "cordant" / "fixtures" / "demo1.json")),
+}
 
 # "workload construct  seed 301  backend pure  python 3.11.7  nproc 2 ..."
 HEADER = re.compile(r"backend (\S+)\s+python (\S+)")
@@ -203,17 +217,44 @@ def round_trip_row() -> dict:
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def fresh(code: str) -> str:
-    """Standard output of ``code`` run in a new interpreter on ``src``."""
+def src_env() -> dict:
+    """This environment with the checkout's ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, check=True).stdout
+    return env
+
+
+def fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on ``src``."""
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=src_env(), capture_output=True, text=True,
+                          check=True).stdout
+
+
+def process_row(argv) -> dict:
+    """Median wall time of a whole ``cordant`` process running ``argv``,
+    and the heavy standard modules the command loads."""
+    seconds = []
+    for _ in range(PROCESS_RUNS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "cordant.cli", *argv],
+                       cwd=ROOT, env=src_env(), capture_output=True)
+        seconds.append(time.perf_counter() - start)
+    loaded = json.loads(fresh(
+        "import contextlib, io, json, sys\n"
+        "from cordant.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({list(argv)!r})\n"
+        "print(json.dumps([m in sys.modules "
+        "for m in ('dataclasses', 'inspect')]))\n"))
+    return {"wall_s": round(statistics.median(seconds), 4),
+            "loads_dataclasses": loaded[0], "loads_inspect": loaded[1]}
 
 
 def cli_import_row() -> dict:
-    """Import time of ``cordant.cli`` and the modules two steps load."""
+    """Import time of ``cordant.cli``, the modules two steps load, and
+    the wall time of whole processes."""
     timed = ("import time; t = time.perf_counter(); import cordant.cli; "
              "print(time.perf_counter() - t)")
     seconds = [float(fresh(timed)) for _ in range(IMPORT_RUNS)]
@@ -228,7 +269,10 @@ def cli_import_row() -> dict:
             "modules": {
                 "import cordant.cli": int(fresh(f"import cordant.cli\n{count}")),
                 "decide path-ek": int(fresh(f"{decide}{count}")),
-            }}
+            },
+            "process_runs": PROCESS_RUNS,
+            "processes": {label: process_row(argv)
+                          for label, argv in PROCESS_COMMANDS.items()}}
 
 
 def main(argv=None) -> int:

@@ -49,14 +49,16 @@ _EXPORTS = {
         "construct_path_ek",
         "cycle_to_path",
         "cycle_vertex_to_edge",
-        "decide_cycle_zk_cordial",
-        "decide_path_a_antimagic",
-        "decide_path_ek_cordial",
-        "decide_tree_2mod4_obstruction",
         "project_labeling",
         "rotate_to_star",
         "rstar_to_path_antimagic",
         "shift_labeling",
+    ),
+    "deciders": (
+        "decide_cycle_zk_cordial",
+        "decide_path_a_antimagic",
+        "decide_path_ek_cordial",
+        "decide_tree_2mod4_obstruction",
         "sigma_max_formula",
     ),
     "errors": (

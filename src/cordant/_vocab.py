@@ -1,20 +1,24 @@
 """Words and defaults that several layers share.
 
-Search statuses, notion names, the default node budget, the worker and
-group checks and the indented JSON writer live here, apart from
-``search`` and ``certificates``, so that a construction's default
-argument, the command-line parser or a decider can use them without
-importing the search machinery or the certificate codec.  ``search``
-and ``certificates`` re-export the statuses and notion names.
+Search statuses, notion names, the default node budget, the table cap,
+the worker and group checks, the indented JSON writer and the base class
+of the result records live here, apart from ``search``, ``groups`` and
+``certificates``, so that a construction's default argument, the
+command-line parser or a decider can use them without importing the
+search machinery or the certificate codec.  ``search``, ``groups`` and
+``certificates`` re-export what they share of it.
 """
 
 import json
 from itertools import chain
 
-from .errors import InvalidSpecError
+from .errors import CapExceededError, InvalidSpecError
 
 #: Default node budget for every search entry point.
 DEFAULT_BUDGET = 10_000_000
+
+#: Refuse to build dense Cayley tables for groups larger than this.
+TABLE_CAP = 1024
 
 STATUS_FOUND = "Found"
 STATUS_NOT_EXISTS = "NotExists"
@@ -51,9 +55,63 @@ def check_workers(workers: int) -> None:
 
 
 def check_searchable(spec) -> None:
-    """Reject the trivial group: no search runs on it (exit 2 on the CLI)."""
+    """Reject the trivial group, where no search runs, and groups past
+    the table cap, whose tables no search gets (exit 2 on the CLI), before
+    anything the size of the group is built."""
     if spec.order < 2:
         raise InvalidSpecError("searches need a group with at least two elements")
+    check_table_order(spec.order)
+
+
+def check_table_order(order: int) -> None:
+    """Reject dense Cayley tables for a group of more than ``TABLE_CAP``
+    elements (CapExceededError)."""
+    if order > TABLE_CAP:
+        raise CapExceededError(
+            f"refusing dense tables for order {order} > {TABLE_CAP}")
+
+
+#: Sets a field of a record in its ``__init__``, past ``Record.__setattr__``.
+#: Writing to the instance ``__dict__`` instead would turn the inline
+#: attribute values into a dictionary and slow every later read of them.
+set_field = object.__setattr__
+
+
+class Record:
+    """An immutable value made of named fields.
+
+    A subclass lists its fields in ``_fields`` and sets each once, in its
+    own ``__init__``, with ``set_field``; from then on assigning or
+    deleting an attribute raises AttributeError.  Records compare equal
+    when they are of one class with equal fields, hash by their fields
+    and show as ``Name(field=value, ...)``.  Instances keep a plain
+    ``__dict__``, so pickle and ``copy.deepcopy`` rebuild them without
+    calling ``__init__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            [f"{name}={value!r}"
+             for name, value in zip(self._fields, self._values())]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def indented_json(obj) -> str:

@@ -11,7 +11,6 @@ a checked one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 
 from ._vocab import (
@@ -20,7 +19,9 @@ from ._vocab import (
     NOTION_A_STAR_ANTIMAGIC,
     NOTION_EA_CORDIAL,
     NOTIONS,
+    Record,
     indented_json,
+    set_field,
 )
 from .errors import InvalidLabelingError, InvalidSpecError
 from .graphs import CYCLE, GENERAL, PATH, TREE, SimpleGraph, cycle_graph, path_graph
@@ -62,16 +63,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A labeling, its induced partner labels, and the checked verdict."""
 
-    notion: str
-    group: GroupSpec
-    graph: SimpleGraph
-    edge_labels: tuple[Element, ...]
-    vertex_labels: tuple[Element, ...]
-    verdict: Verdict
+    _fields = ("notion", "group", "graph", "edge_labels", "vertex_labels",
+               "verdict")
+
+    def __init__(self, notion: str, group: GroupSpec, graph: SimpleGraph,
+                 edge_labels: tuple[Element, ...],
+                 vertex_labels: tuple[Element, ...],
+                 verdict: Verdict) -> None:
+        set_field(self, "notion", notion)
+        set_field(self, "group", group)
+        set_field(self, "graph", graph)
+        set_field(self, "edge_labels", edge_labels)
+        set_field(self, "vertex_labels", vertex_labels)
+        set_field(self, "verdict", verdict)
 
 
 def make_edge_certificate(notion: str, graph: SimpleGraph,

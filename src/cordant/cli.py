@@ -239,7 +239,6 @@ def _cmd_decide(args) -> int:
         decide_path_a_antimagic,
         decide_path_ek_cordial,
         decide_tree_2mod4_obstruction,
-        format_group,
     )
     if args.question == "path-ek":
         answer = decide_path_ek_cordial(args.n, args.k)
@@ -248,6 +247,7 @@ def _cmd_decide(args) -> int:
         answer = decide_cycle_zk_cordial(args.n, args.k)
         subject = f"equitable Z_{args.k} vertex labeling of C_{args.n}"
     elif args.question == "path-antimagic":
+        from . import format_group
         answer = decide_path_a_antimagic(spec)
         subject = (f"injective distinct-sum labeling of "
                    f"P_{spec.order} over {format_group(spec)}")

@@ -1,4 +1,4 @@
-"""Explicit constructions and closed-form deciders for path labelings.
+"""Explicit constructions for path labelings.
 
 Everything here either transfers one kind of labeling into another
 (cycle to path, vertex side to edge side, big group to quotient view),
@@ -6,8 +6,8 @@ builds a labeling outright (block construction over a group with a
 cyclic part of order 4m, sequence-based construction for elementary
 2-groups, a harmonious ordering opened at zero: the element enumeration
 of an odd-order group, or a found core ordering times odd cyclic
-factors; consecutive vertex sums on a path over Z_k), or answers
-existence questions by formula.
+factors; consecutive vertex sums on a path over Z_k).  The closed-form
+deciders live in ``deciders``, which this module re-exports.
 
 Every constructor verifies the labeling it returns exactly once, at its
 end, and raises InternalCheckError on a mismatch, so a returned labeling
@@ -27,7 +27,6 @@ one called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import ceil
 from typing import TYPE_CHECKING
 
@@ -36,7 +35,16 @@ from ._vocab import (
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
+    Record,
     check_workers,
+    set_field,
+)
+from .deciders import (
+    decide_cycle_zk_cordial,
+    decide_path_a_antimagic,
+    decide_path_ek_cordial,
+    decide_tree_2mod4_obstruction,
+    sigma_max_formula,
 )
 from .errors import (
     InapplicableGroupError,
@@ -52,7 +60,6 @@ from .groups import (
     check_element,
     enumerate_elements,
     group,
-    involution_count,
     is_elementary_two,
     isomorphism,
     negate,
@@ -94,8 +101,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(Record):
     """Outcome of a dispatching constructor.
 
     ``status`` is Found (labeling attached), Impossible (no labeling
@@ -104,10 +110,14 @@ class ConstructionResult:
     ``nodes_explored`` counts search work, 0 for formula routes.
     """
 
-    status: str
-    labeling: EdgeLabeling | None
-    route: str
-    nodes_explored: int = 0
+    _fields = ("status", "labeling", "route", "nodes_explored")
+
+    def __init__(self, status: str, labeling: EdgeLabeling | None,
+                 route: str, nodes_explored: int = 0) -> None:
+        set_field(self, "status", status)
+        set_field(self, "labeling", labeling)
+        set_field(self, "route", route)
+        set_field(self, "nodes_explored", nodes_explored)
 
 
 # ---------------------------------------------------------------------------
@@ -204,82 +214,9 @@ def project_labeling(graph: SimpleGraph, f: EdgeLabeling, keep: int
 
 
 # ---------------------------------------------------------------------------
-# closed-form deciders
-
-def decide_cycle_zk_cordial(n: int, k: int) -> bool:
-    """Whether the cycle C_n admits an equitable Z_k vertex labeling.
-
-    True exactly when k is odd or n is not an odd multiple of k.
-    """
-    if n < 3:
-        raise PreconditionError("cycles need n >= 3")
-    if k < 2:
-        raise PreconditionError("modulus must be at least 2")
-    q, r = divmod(n, k)
-    return k % 2 == 1 or not (r == 0 and q % 2 == 1)
-
-
-def decide_path_ek_cordial(n: int, k: int) -> bool:
-    """Whether the path P_n admits an equitable Z_k edge labeling.
-
-    For n >= 3 this holds exactly when k is not 2 mod 4 or n is not an
-    odd multiple of k.  P_2 is a special case: its single edge label is
-    both vertex sums, so one class holds every vertex and no k >= 2
-    balances.  ``construct_path_ek`` is the proof of sufficiency: it
-    writes down a labeling for every allowed (n, k), and its docstring
-    shows why each one is equitable.
-    """
-    if n < 2:
-        raise PreconditionError("paths need n >= 2")
-    if k < 2:
-        raise PreconditionError("modulus must be at least 2")
-    if n == 2:
-        return False
-    q, r = divmod(n, k)
-    return k % 4 != 2 or not (r == 0 and q % 2 == 1)
-
-
-def decide_tree_2mod4_obstruction(n: int, spec) -> bool:
-    """Parity obstruction for trees: order 2 mod 4 against |A| 2 mod 4.
-
-    Returns True when the obstruction applies, meaning no tree on n
-    vertices has an equitable edge labeling over the group.
-    """
-    if n < 1:
-        raise PreconditionError("trees need n >= 1")
-    spec = group(spec)
-    return n % 4 == 2 and spec.order % 4 == 2
-
-
-def decide_path_a_antimagic(spec) -> bool:
-    """Whether P_|A| has an injective edge labeling with distinct sums."""
-    spec = group(spec)
-    if spec.order < 2:
-        raise PreconditionError("need a group of order at least 2")
-    return spec.order % 4 != 2
-
-
-def sigma_max_formula(spec) -> int:
-    """Most distinct neighbour sums any cyclic ordering of A achieves.
-
-    |A| - 1 with exactly one involution, |A| - 2 for elementary
-    2-groups of order above 2, |A| otherwise.
-    """
-    spec = group(spec)
-    if spec.order < 2:
-        raise PreconditionError("need a group of order at least 2")
-    if involution_count(spec) == 1:
-        return spec.order - 1
-    if is_elementary_two(spec):
-        return spec.order - 2
-    return spec.order
-
-
-# ---------------------------------------------------------------------------
 # block construction: Z_4m (+ odd part H) in k blocks of 4m vertices
 
-@dataclass(frozen=True)
-class AntLayout:
+class AntLayout(Record):
     """Shape data for the block construction on a group of order 4mk.
 
     ``work`` presents the group as Z_4m then the odd factors; labels
@@ -291,32 +228,34 @@ class AntLayout:
     part plays no role.
     """
 
-    spec: GroupSpec
-    work: GroupSpec
-    m: int
-    k: int
-    base_cycle: tuple[Element, ...]
+    _fields = ("spec", "work", "m", "k", "base_cycle")
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
+    def __init__(self, spec: GroupSpec, work: GroupSpec, m: int, k: int,
+                 base_cycle: tuple[Element, ...]) -> None:
+        if m < 2:
             raise PreconditionError("block construction needs m > 1")
-        if self.k % 2 == 0 or self.k < 1:
+        if k % 2 == 0 or k < 1:
             raise PreconditionError("block count must be odd")
-        if 4 * self.m * self.k != self.spec.order:
+        if 4 * m * k != spec.order:
             raise PreconditionError("layout does not cover the group")
-        if self.k == 1:
-            if self.base_cycle != ():
+        if k == 1:
+            if base_cycle != ():
                 raise PreconditionError("single block takes no base cycle")
         else:
-            odd = GroupSpec(self.work.factors[1:])
-            if len(self.base_cycle) != self.k:
+            odd = GroupSpec(work.factors[1:])
+            if len(base_cycle) != k:
                 raise PreconditionError("base cycle must have k edges")
-            if self.base_cycle[0] != odd.zero():
+            if base_cycle[0] != odd.zero():
                 raise PreconditionError("base cycle must start at zero")
             verdict = verify_ea_cordial(
-                cycle_graph(self.k), EdgeLabeling(odd, self.base_cycle))
+                cycle_graph(k), EdgeLabeling(odd, base_cycle))
             if not verdict.ok:
                 raise PreconditionError("base cycle labeling is not equitable")
+        set_field(self, "spec", spec)
+        set_field(self, "work", work)
+        set_field(self, "m", m)
+        set_field(self, "k", k)
+        set_field(self, "base_cycle", base_cycle)
 
 
 def ant_layout(spec) -> AntLayout:
@@ -502,7 +441,7 @@ def rotate_to_star(rs: RStarSequence) -> RStarSequence:
             for i in range(length):
                 neighbours = add(spec, turned[i - 1], turned[(i + 1) % length])
                 if neighbours == turned[i]:
-                    return replace(rs, seq=turned, star_index=i)
+                    return type(rs)(spec, turned, i)
     raise PreconditionError("no rotation places the star at the front")
 
 

@@ -1,0 +1,95 @@
+"""Closed-form existence answers for group labelings of paths, cycles
+and trees.
+
+The two Z_k deciders take only integers and import nothing beyond
+``errors``; the ones taking a group read ``groups`` when they run.  So
+answering ``decide path-ek`` or ``decide cycle-zk`` loads neither the
+group layer nor the constructions, which re-export every decider here.
+"""
+
+from __future__ import annotations
+
+from .errors import PreconditionError
+
+__all__ = [
+    "decide_cycle_zk_cordial",
+    "decide_path_a_antimagic",
+    "decide_path_ek_cordial",
+    "decide_tree_2mod4_obstruction",
+    "sigma_max_formula",
+]
+
+
+def decide_cycle_zk_cordial(n: int, k: int) -> bool:
+    """Whether the cycle C_n admits an equitable Z_k vertex labeling.
+
+    True exactly when k is odd or n is not an odd multiple of k.
+    """
+    if n < 3:
+        raise PreconditionError("cycles need n >= 3")
+    if k < 2:
+        raise PreconditionError("modulus must be at least 2")
+    q, r = divmod(n, k)
+    return k % 2 == 1 or not (r == 0 and q % 2 == 1)
+
+
+def decide_path_ek_cordial(n: int, k: int) -> bool:
+    """Whether the path P_n admits an equitable Z_k edge labeling.
+
+    For n >= 3 this holds exactly when k is not 2 mod 4 or n is not an
+    odd multiple of k.  P_2 is a special case: its single edge label is
+    both vertex sums, so one class holds every vertex and no k >= 2
+    balances.  ``construct_path_ek`` is the proof of sufficiency: it
+    writes down a labeling for every allowed (n, k), and its docstring
+    shows why each one is equitable.
+    """
+    if n < 2:
+        raise PreconditionError("paths need n >= 2")
+    if k < 2:
+        raise PreconditionError("modulus must be at least 2")
+    if n == 2:
+        return False
+    q, r = divmod(n, k)
+    return k % 4 != 2 or not (r == 0 and q % 2 == 1)
+
+
+def decide_tree_2mod4_obstruction(n: int, spec) -> bool:
+    """Parity obstruction for trees: order 2 mod 4 against |A| 2 mod 4.
+
+    Returns True when the obstruction applies, meaning no tree on n
+    vertices has an equitable edge labeling over the group.
+    """
+    if n < 1:
+        raise PreconditionError("trees need n >= 1")
+    from .groups import group
+
+    spec = group(spec)
+    return n % 4 == 2 and spec.order % 4 == 2
+
+
+def decide_path_a_antimagic(spec) -> bool:
+    """Whether P_|A| has an injective edge labeling with distinct sums."""
+    from .groups import group
+
+    spec = group(spec)
+    if spec.order < 2:
+        raise PreconditionError("need a group of order at least 2")
+    return spec.order % 4 != 2
+
+
+def sigma_max_formula(spec) -> int:
+    """Most distinct neighbour sums any cyclic ordering of A achieves.
+
+    |A| - 1 with exactly one involution, |A| - 2 for elementary
+    2-groups of order above 2, |A| otherwise.
+    """
+    from .groups import group, involution_count, is_elementary_two
+
+    spec = group(spec)
+    if spec.order < 2:
+        raise PreconditionError("need a group of order at least 2")
+    if involution_count(spec) == 1:
+        return spec.order - 1
+    if is_elementary_two(spec):
+        return spec.order - 2
+    return spec.order

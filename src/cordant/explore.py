@@ -14,9 +14,14 @@ test double, the benchmark's layer tracer) is the one called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ._vocab import DEFAULT_BUDGET, STATUS_FOUND, STATUS_UNKNOWN, check_workers
+from ._vocab import (
+    DEFAULT_BUDGET,
+    STATUS_FOUND,
+    STATUS_UNKNOWN,
+    Record,
+    check_workers,
+    set_field,
+)
 from .errors import PreconditionError
 from .groups import GroupSpec, abelian_groups_of_order, format_group
 from .trees import TREE_ENUM_CAP, enumerate_trees
@@ -24,20 +29,28 @@ from .trees import TREE_ENUM_CAP, enumerate_trees
 __all__ = ["ExploreReport", "ExploreRow", "explore_conjecture"]
 
 
-@dataclass(frozen=True)
-class ExploreRow:
+class ExploreRow(Record):
     """One (order, group, tree) cell of the survey."""
 
-    n: int
-    group: GroupSpec
-    tree_index: int
-    edges: tuple[tuple[int, int], ...]
-    antimagic_status: str
-    antimagic_nodes: int
-    antimagic_labels: tuple | None
-    astar_status: str
-    astar_nodes: int
-    astar_labels: tuple | None
+    _fields = ("n", "group", "tree_index", "edges", "antimagic_status",
+               "antimagic_nodes", "antimagic_labels", "astar_status",
+               "astar_nodes", "astar_labels")
+
+    def __init__(self, n: int, group: GroupSpec, tree_index: int,
+                 edges: tuple[tuple[int, int], ...], antimagic_status: str,
+                 antimagic_nodes: int, antimagic_labels: tuple | None,
+                 astar_status: str, astar_nodes: int,
+                 astar_labels: tuple | None) -> None:
+        set_field(self, "n", n)
+        set_field(self, "group", group)
+        set_field(self, "tree_index", tree_index)
+        set_field(self, "edges", edges)
+        set_field(self, "antimagic_status", antimagic_status)
+        set_field(self, "antimagic_nodes", antimagic_nodes)
+        set_field(self, "antimagic_labels", antimagic_labels)
+        set_field(self, "astar_status", astar_status)
+        set_field(self, "astar_nodes", astar_nodes)
+        set_field(self, "astar_labels", astar_labels)
 
     @property
     def expected_found(self) -> bool:
@@ -51,10 +64,14 @@ class ExploreRow:
         return (self.antimagic_status == STATUS_FOUND) != self.expected_found
 
 
-@dataclass(frozen=True)
-class ExploreReport:
-    n_max: int
-    rows: tuple[ExploreRow, ...]
+class ExploreReport(Record):
+    """Every row of one survey up to order ``n_max``."""
+
+    _fields = ("n_max", "rows")
+
+    def __init__(self, n_max: int, rows: tuple[ExploreRow, ...]) -> None:
+        set_field(self, "n_max", n_max)
+        set_field(self, "rows", rows)
 
     @property
     def violations(self) -> tuple[ExploreRow, ...]:

@@ -8,8 +8,7 @@ by position), the edge itself is undirected.  Paths store edges (0,1),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._vocab import Record, set_field
 from .errors import CapExceededError, InvalidGraphError
 from .groups import DEFAULT_ENUM_CAP
 
@@ -19,28 +18,32 @@ TREE = "tree"
 GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    kind: str = GENERAL
+class SimpleGraph(Record):
+    """A simple graph on vertices 0..n-1: its edges in storage order and
+    its declared shape kind, checked against each other."""
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    _fields = ("n", "edges", "kind")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
+                 kind: str = GENERAL) -> None:
+        set_field(self, "n", n)
+        set_field(self, "edges", edges)
+        set_field(self, "kind", kind)
+        if n < 1:
             raise InvalidGraphError("graphs need at least one vertex")
-        if self.kind in (PATH, CYCLE):
-            closed = self.kind == CYCLE
-            if closed and self.n < 3:
+        if kind in (PATH, CYCLE):
+            closed = kind == CYCLE
+            if closed and n < 3:
                 raise InvalidGraphError("cycles need at least three vertices")
-            if self.edges != _chain_edges(self.n, closed):
-                raise InvalidGraphError(f"{self.kind} edges must be (0,1), "
+            if edges != _chain_edges(n, closed):
+                raise InvalidGraphError(f"{kind} edges must be (0,1), "
                                         f"(1,2), ...{', (n-1,0)' * closed}")
             return
-        if self.kind not in (TREE, GENERAL):
-            raise InvalidGraphError(f"unknown graph kind {self.kind!r}")
+        if kind not in (TREE, GENERAL):
+            raise InvalidGraphError(f"unknown graph kind {kind!r}")
         seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise InvalidGraphError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise InvalidGraphError(f"loop at vertex {u}")
@@ -48,8 +51,7 @@ class SimpleGraph:
             if key in seen:
                 raise InvalidGraphError(f"duplicate edge ({u},{v})")
             seen.add(key)
-        if self.kind == TREE and (len(self.edges) != self.n - 1
-                                  or not self.is_connected()):
+        if kind == TREE and (len(edges) != n - 1 or not self.is_connected()):
             raise InvalidGraphError("tree kind requires a connected graph on n-1 edges")
 
     def is_connected(self) -> bool:
@@ -92,9 +94,9 @@ def _chain(n: int, kind: str) -> SimpleGraph:
     """The path or cycle on n vertices, built from its own chain edges, so
     its shape needs no second check."""
     graph = object.__new__(SimpleGraph)
-    object.__setattr__(graph, "n", n)
-    object.__setattr__(graph, "edges", _chain_edges(n, kind == CYCLE))
-    object.__setattr__(graph, "kind", kind)
+    set_field(graph, "n", n)
+    set_field(graph, "edges", _chain_edges(n, kind == CYCLE))
+    set_field(graph, "kind", kind)
     return graph
 
 

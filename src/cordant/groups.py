@@ -19,12 +19,18 @@ coordinate moving fastest, so ``Z2 + Z2`` enumerates as
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import product, repeat
 from math import prod
 from operator import add as add_int, mod, mul
 from typing import Iterable
 
+# TABLE_CAP is defined in ``_vocab`` and stays readable here
+from ._vocab import (  # noqa: F401
+    TABLE_CAP,
+    Record,
+    check_table_order,
+    set_field,
+)
 from .errors import CapExceededError, InvalidElementError, InvalidSpecError
 
 #: Elements are bare residue tuples, one coordinate per cyclic factor.
@@ -33,21 +39,18 @@ Element = tuple[int, ...]
 #: Refuse to materialize element lists longer than this.
 DEFAULT_ENUM_CAP = 2**20
 
-#: Refuse to build dense Cayley tables for groups larger than this.
-TABLE_CAP = 1024
 
-
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """A direct product of cyclic groups, given by its factor orders."""
 
-    factors: tuple[int, ...]
+    _fields = ("factors",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
-        for d in self.factors:
+    def __init__(self, factors: tuple[int, ...]) -> None:
+        factors = tuple(int(d) for d in factors)
+        for d in factors:
             if d < 2:
                 raise InvalidSpecError(f"cyclic factor orders must be >= 2, got {d}")
+        set_field(self, "factors", factors)
 
     @property
     def order(self) -> int:
@@ -158,8 +161,7 @@ def op_tables(spec: GroupSpec) -> tuple[array, array]:
     if cached is not None:
         return cached
     m = spec.order
-    if m > TABLE_CAP:
-        raise CapExceededError(f"refusing dense tables for order {m} > {TABLE_CAP}")
+    check_table_order(m)
     elems = enumerate_elements(spec)
     acc = [0] * (m * m)
     neg = array("i", [0] * m)
@@ -242,16 +244,18 @@ def is_elementary_two(spec: GroupSpec) -> bool:
     return bool(canon.factors) and all(d == 2 for d in canon.factors)
 
 
-@dataclass(frozen=True)
-class AntDecomposition:
+class AntDecomposition(Record):
     """A split of a group as Z_{4m} + (odd-order part), with m > 1.
 
     ``four_m`` is the order of the distinguished cyclic piece (a multiple of
     4, at least 8) and ``odd_part`` the remaining factors (all odd order).
     """
 
-    four_m: int
-    odd_part: GroupSpec
+    _fields = ("four_m", "odd_part")
+
+    def __init__(self, four_m: int, odd_part: GroupSpec) -> None:
+        set_field(self, "four_m", four_m)
+        set_field(self, "odd_part", odd_part)
 
 
 def ant_decomposition(spec: GroupSpec) -> AntDecomposition | None:
@@ -305,14 +309,20 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
 
 
-@dataclass(frozen=True)
-class CanonicalMap:
-    """Coordinate change between a presentation and its canonical form."""
+class CanonicalMap(Record):
+    """Coordinate change between a presentation and its canonical form.
 
-    spec: GroupSpec
-    canonical: GroupSpec
-    # per canonical position: (index of the source factor, prime-power modulus)
-    slots: tuple[tuple[int, int], ...]
+    ``slots`` holds, per canonical position, the index of the source
+    factor and the prime-power modulus.
+    """
+
+    _fields = ("spec", "canonical", "slots")
+
+    def __init__(self, spec: GroupSpec, canonical: GroupSpec,
+                 slots: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "spec", spec)
+        set_field(self, "canonical", canonical)
+        set_field(self, "slots", slots)
 
     def to_canonical(self, a: Element) -> Element:
         check_element(self.spec, a)
@@ -552,15 +562,18 @@ def _stabilizer_marks(m: int, add_t, heights, keys,
     return marks
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Record):
     """A homomorphism between presentations, given by the images of the
     unit vectors: coordinate i of the image of ``a`` is
     ``sum(a[j] * weights[i][j]) mod dst.factors[i]``."""
 
-    src: GroupSpec
-    dst: GroupSpec
-    weights: tuple[tuple[int, ...], ...]
+    _fields = ("src", "dst", "weights")
+
+    def __init__(self, src: GroupSpec, dst: GroupSpec,
+                 weights: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "weights", weights)
 
     def __call__(self, a: Element) -> Element:
         check_element(self.src, a)

@@ -18,10 +18,10 @@ conditions, vertex conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mod
 
+from ._vocab import Record, set_field
 from .errors import InvalidGraphError, InvalidLabelingError
 from .graphs import CYCLE, PATH, TREE, SimpleGraph
 from .groups import Element, GroupSpec, check_element, enumerate_elements
@@ -34,52 +34,51 @@ EDGE_COLLISION = "edge-collision"
 VERTEX_COLLISION = "vertex-collision"
 
 
-@dataclass(frozen=True)
-class EdgeLabeling:
+class _Labeling(Record):
+    """A group and one label per edge or vertex, checked here once."""
+
+    _fields = ("group", "labels")
+
+    def __init__(self, group: GroupSpec, labels: tuple[Element, ...]) -> None:
+        labels = tuple(tuple(a) for a in labels)
+        for a in labels:
+            check_element(group, a)
+        set_field(self, "group", group)
+        set_field(self, "labels", labels)
+
+
+class EdgeLabeling(_Labeling):
     """Group labels on edges, indexed by edge storage position."""
 
-    group: GroupSpec
-    labels: tuple[Element, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(tuple(a) for a in self.labels))
-        for a in self.labels:
-            check_element(self.group, a)
-
-
-@dataclass(frozen=True)
-class VertexLabeling:
+class VertexLabeling(_Labeling):
     """Group labels on vertices, indexed by vertex number."""
-
-    group: GroupSpec
-    labels: tuple[Element, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(tuple(a) for a in self.labels))
-        for a in self.labels:
-            check_element(self.group, a)
 
 
 def _computed(cls, spec: GroupSpec, labels: tuple[Element, ...]):
     """A labeling of residue tuples computed here, so already elements."""
     out = object.__new__(cls)
-    object.__setattr__(out, "group", spec)
-    object.__setattr__(out, "labels", labels)
+    set_field(out, "group", spec)
+    set_field(out, "labels", labels)
     return out
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Verifier outcome with the class counts it was judged on.
 
     ``violation`` is None when ``ok`` and otherwise the first failed
     condition in the fixed checking order.
     """
 
-    ok: bool
-    edge_class_counts: dict[Element, int]
-    vertex_class_counts: dict[Element, int]
-    violation: str | None = None
+    _fields = ("ok", "edge_class_counts", "vertex_class_counts", "violation")
+
+    def __init__(self, ok: bool, edge_class_counts: dict[Element, int],
+                 vertex_class_counts: dict[Element, int],
+                 violation: str | None = None) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "edge_class_counts", edge_class_counts)
+        set_field(self, "vertex_class_counts", vertex_class_counts)
+        set_field(self, "violation", violation)
 
 
 def _induced(graph: SimpleGraph, labeling, on_edges: bool

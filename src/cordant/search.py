@@ -38,7 +38,6 @@ import sys
 import threading
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 
@@ -49,8 +48,10 @@ from ._vocab import (
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
+    Record,
     check_searchable,
     check_workers,
+    set_field,
 )
 from .errors import (
     CapExceededError,
@@ -101,90 +102,94 @@ _lifted_calls = 0
 _unlifted_limit = 0
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of one search: status, certificate (when Found), and cost."""
 
-    status: str
-    certificate: object | None
-    nodes_explored: int
+    _fields = ("status", "certificate", "nodes_explored")
+
+    def __init__(self, status: str, certificate: object | None,
+                 nodes_explored: int) -> None:
+        set_field(self, "status", status)
+        set_field(self, "certificate", certificate)
+        set_field(self, "nodes_explored", nodes_explored)
 
 
-@dataclass(frozen=True)
-class RStarSequence:
+class RStarSequence(Record):
     """An ordering of the nonzero elements whose cyclic consecutive
     differences are pairwise distinct, with a marked position equal to
     the sum of its two cyclic neighbours."""
 
-    group: GroupSpec
-    seq: tuple[Element, ...]
-    star_index: int
+    _fields = ("group", "seq", "star_index")
 
-    def __post_init__(self) -> None:
+    def __init__(self, group: GroupSpec, seq: tuple[Element, ...],
+                 star_index: int) -> None:
         from .groups import add, negate, check_element
 
-        object.__setattr__(self, "seq", tuple(tuple(a) for a in self.seq))
-        spec = self.group
-        zero = spec.zero()
-        if len(self.seq) != spec.order - 1:
+        seq = tuple(tuple(a) for a in seq)
+        zero = group.zero()
+        if len(seq) != group.order - 1:
             raise InvalidSpecError("sequence must list every nonzero element once")
         seen = set()
-        for a in self.seq:
-            check_element(spec, a)
+        for a in seq:
+            check_element(group, a)
             if a == zero or a in seen:
                 raise InvalidSpecError("sequence must list every nonzero element once")
             seen.add(a)
-        n = len(self.seq)
+        n = len(seq)
         diffs = set()
         for i in range(n):
-            d = add(spec, self.seq[i], negate(spec, self.seq[i - 1]))
+            d = add(group, seq[i], negate(group, seq[i - 1]))
             if d in diffs:
                 raise InvalidSpecError("cyclic consecutive differences collide")
             diffs.add(d)
-        i = self.star_index
+        i = star_index
         if not 0 <= i < n:
             raise InvalidSpecError("star index out of range")
-        if add(spec, self.seq[i - 1], self.seq[(i + 1) % n]) != self.seq[i]:
+        if add(group, seq[i - 1], seq[(i + 1) % n]) != seq[i]:
             raise InvalidSpecError("star position is not the sum of its neighbours")
+        set_field(self, "group", group)
+        set_field(self, "seq", seq)
+        set_field(self, "star_index", star_index)
 
 
-@dataclass(frozen=True)
-class HamiltonianCycle:
+class HamiltonianCycle(Record):
     """A cyclic ordering of all group elements, starting at zero, and
     the number of distinct sums of its cyclic neighbours."""
 
-    group: GroupSpec
-    order: tuple[Element, ...]
-    distinct_sum_count: int = field(init=False)
+    _fields = ("group", "order", "distinct_sum_count")
 
-    def __post_init__(self) -> None:
+    def __init__(self, group: GroupSpec, order: tuple[Element, ...]) -> None:
         from .groups import add, check_element
 
-        object.__setattr__(self, "order", tuple(tuple(a) for a in self.order))
-        if len(self.order) != self.group.order or len(set(self.order)) != len(self.order):
+        order = tuple(tuple(a) for a in order)
+        if len(order) != group.order or len(set(order)) != len(order):
             raise InvalidSpecError("cycle must visit every element exactly once")
-        for a in self.order:
-            check_element(self.group, a)
-        if self.order and self.order[0] != self.group.zero():
+        for a in order:
+            check_element(group, a)
+        if order and order[0] != group.zero():
             raise InvalidSpecError("cycle must start at zero")
-        n = len(self.order)
-        sums = len({add(self.group, self.order[i - 1], self.order[i])
-                    for i in range(n)})
-        object.__setattr__(self, "distinct_sum_count", sums)
+        set_field(self, "group", group)
+        set_field(self, "order", order)
+        set_field(self, "distinct_sum_count", len(
+            {add(group, order[i - 1], order[i]) for i in range(len(order))}))
 
 
-@dataclass(frozen=True)
-class SigmaMaxResult:
+class SigmaMaxResult(Record):
     """Maximum number of distinct cyclic pair sums, with a witness cycle.
 
     ``status`` is Found when the value is exact (full exhaustion) and
     Unknown when the budget ran out (the value is then a lower bound).
     """
 
-    status: str
-    value: int
-    witness: HamiltonianCycle | None
-    nodes_explored: int
+    _fields = ("status", "value", "witness", "nodes_explored")
+
+    def __init__(self, status: str, value: int,
+                 witness: HamiltonianCycle | None,
+                 nodes_explored: int) -> None:
+        set_field(self, "status", status)
+        set_field(self, "value", value)
+        set_field(self, "witness", witness)
+        set_field(self, "nodes_explored", nodes_explored)
 
 
 def _equitable_bounds(count: int, m: int) -> tuple[list[int], list[int]]:

@@ -588,6 +588,28 @@ def test_search_input_errors_keep_their_order(capsys, argv, message):
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("notion", ["ea-cordial", "a-cordial", "antimagic",
+                                    "astar-antimagic", "rstar"])
+def test_search_past_the_table_cap_is_refused_before_it_allocates(
+        capsys, monkeypatch, notion):
+    # a group of order 99999999999: equitable bounds as long as the order
+    # would take 800 GB, and no search gets tables past TABLE_CAP (1024);
+    # building them fails here rather than allocate
+    from cordant import search
+
+    def refuse(count, m):
+        raise AssertionError("bounds built before the group was refused")
+
+    monkeypatch.setattr(search, "_equitable_bounds", refuse)
+    argv = ["search", notion, "--group", "Z99999999999"]
+    if notion != "rstar":
+        argv += ["--kind", "path", "--n", "4"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (
+        EXIT_USAGE, "",
+        "error: refusing dense tables for order 99999999999 > 1024\n")
+
+
 def test_missing_certificate_file(capsys):
     code, _, err = run(capsys, ["verify", "--certificate",
                                 "/nonexistent/cert.json"])
@@ -679,3 +701,66 @@ def test_single_worker_search_never_loads_multiprocessing():
     assert codes == [EXIT_OK]
     assert loads(after, "cordant.search")
     assert not loads(after, "multiprocessing")
+
+
+# one interpreter runs the cli workload's commands in turn: every search
+# notion, sigma-max, each construct target (the antimagic one on a
+# rainbow-cycle group, which searches), a survey, every demo and both
+# kinds of verify
+WORKLOAD_COMMANDS = (
+    ["search", "antimagic", "--group", "Z3xZ3", "--kind", "path", "--n", "9",
+     "--format", "json"],
+    ["search", "ea-cordial", "--group", "Z6", "--kind", "path", "--n", "6",
+     "--format", "json"],
+    ["search", "rstar", "--group", "Z2xZ2xZ2xZ2", "--format", "json"],
+    ["sigma-max", "--group", "Z10"],
+    ["construct", "ant-path", "--group", "Z1024", "--format", "json"],
+    ["construct", "antimagic-path", "--group", "Z2xZ2xZ3", "--format",
+     "json"],
+    ["construct", "ek-path", "--n", "20", "--k", "6", "--format", "json"],
+    ["explore", "--n-max", "6"],
+    ["demo", "1", "--format", "json"],
+    ["demo", "2", "--format", "json"],
+    ["demo", "3", "--format", "json"],
+    ["demo", "4", "--format", "json"],
+    ["verify", "--notion", "ea-cordial", "--group", "Z3", "--kind", "path",
+     "--n", "3", "--labels", "[0, 1]"],
+    ["verify", "--certificate", os.path.abspath(DEMO1)],
+    ["decide", "path-ek", "--n", "10", "--k", "4"],
+    ["decide", "cycle-zk", "--n", "12", "--k", "4"],
+)
+
+
+def test_workload_commands_load_neither_dataclasses_nor_inspect():
+    _, codes, after = loaded_after(*WORKLOAD_COMMANDS)
+    assert codes == ([EXIT_OK, EXIT_NO] + [EXIT_OK] * 10
+                     + [EXIT_NO, EXIT_OK, EXIT_OK, EXIT_NO])
+    assert loads(after, "cordant.search")
+    assert [m for m in ("dataclasses", "inspect") if loads(after, m)] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "path-ek", "--n", "10", "--k", "4"],
+    ["decide", "cycle-zk", "--n", "12", "--k", "4"],
+], ids=lambda argv: argv[1])
+def test_zk_deciders_load_only_the_deciders(argv):
+    _, codes, after = loaded_after(argv)
+    assert codes == [EXIT_OK if argv[1] == "path-ek" else EXIT_NO]
+    assert sorted(m for m in after if m.startswith("cordant")) == [
+        "cordant", "cordant._vocab", "cordant.cli", "cordant.deciders",
+        "cordant.errors"]
+
+
+def test_sigma_max_never_loads_the_constructions():
+    _, codes, after = loaded_after(["sigma-max", "--group", "Z10"])
+    assert codes == [EXIT_OK]
+    assert loads(after, "cordant.deciders")
+    assert not loads(after, "cordant.constructions")
+
+
+def test_search_past_the_table_cap_never_loads_the_search_stack():
+    _, codes, after = loaded_after(
+        ["search", "ea-cordial", "--group", "Z99999999999", "--kind", "path",
+         "--n", "4"])
+    assert codes == [EXIT_USAGE]
+    assert [m for m in SEARCH_STACK if loads(after, m)] == []

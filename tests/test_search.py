@@ -236,6 +236,31 @@ def test_rstar_search_small_groups():
     assert out.status == STATUS_NOT_EXISTS
 
 
+HUGE = GroupSpec((99_999_999_999,))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: search_ea_cordial(path_graph(4), HUGE),
+    lambda: search_a_cordial(path_graph(4), HUGE),
+    lambda: search_a_antimagic(path_graph(4), HUGE),
+    lambda: search_a_star_antimagic(path_graph(4), HUGE),
+    lambda: search_rstar_sequence(GroupSpec((1025,))),
+    lambda: compute_sigma_max(GroupSpec((1025,))),
+    lambda: search.find_equitable_cycle(cycle_graph(4), HUGE),
+], ids=["ea-cordial", "a-cordial", "a-antimagic", "a-star-antimagic",
+        "rstar", "sigma-max", "find-any"])
+def test_searches_past_the_table_cap_raise_before_they_allocate(
+        monkeypatch, entry):
+    # equitable bounds for order 99999999999 would take 800 GB
+    def refuse(count, m):
+        raise AssertionError("bounds built before the group was refused")
+
+    monkeypatch.setattr(search, "_equitable_bounds", refuse)
+    with pytest.raises(CapExceededError, match=r"refusing dense tables for "
+                                               r"order \d+ > 1024"):
+        entry()
+
+
 def _at_depth(frames, call):
     """Run ``call`` with ``frames`` extra Python frames below the caller."""
     return call() if frames == 0 else _at_depth(frames - 1, call)
@@ -253,7 +278,8 @@ def test_pure_kernel_reaches_the_depth_cap_from_a_deep_caller(monkeypatch):
     assert sys.getrecursionlimit() == limit
     with pytest.raises(CapExceededError, match="depth 10001 exceeds"):
         search_ea_cordial(path_graph(MAX_DEPTH + 2), Z3)
-    with pytest.raises(CapExceededError, match="depth 10001 exceeds"):
+    # a group that deep is past the table cap, refused before the depth
+    with pytest.raises(CapExceededError, match="tables for order 10001 > 1024"):
         compute_sigma_max(GroupSpec((MAX_DEPTH + 1,)))
 
 
