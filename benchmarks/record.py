@@ -28,7 +28,11 @@ the certificate round trip
 of the block-route labeling of P5120 over Z5xZ1024 (the median of
 ``ROUND_TRIP_RUNS`` runs of make, dumps and loads each, in seconds) and
 records the text's size and sha256, which later files can compare for
-byte identity.  In fresh interpreters it times
+byte identity.  In a fresh interpreter it times cold ``op_tables`` calls:
+the 116 groups of order 2..64 together, then Z1024 and (Z2)^10 (seconds
+each), and records the sha256 of all their tables' bytes, add then neg
+per group in that order, and in another the tracemalloc peak of building
+Z1024 and (Z2)^10 each.  In fresh interpreters it also times
 ``import cordant.cli`` (the median of ``IMPORT_RUNS`` runs, import
 statement only) and counts the ``cordant.*`` modules that importing the
 CLI and then running ``decide path-ek`` each leave loaded.  For each of
@@ -232,6 +236,45 @@ def fresh(code: str) -> str:
                           check=True).stdout
 
 
+OP_TABLES = """\
+import hashlib, json, time
+from cordant.groups import GroupSpec, abelian_groups_of_order, op_tables
+runs = {"orders_2_64": [spec for n in range(2, 65)
+                        for spec in abelian_groups_of_order(n)],
+        "Z1024": [GroupSpec((1024,))], "(Z2)^10": [GroupSpec((2,) * 10)]}
+out = {"groups": len(runs["orders_2_64"])}
+for name, specs in runs.items():
+    start = time.perf_counter()
+    for spec in specs:
+        op_tables(spec)
+    out[name + "_s"] = round(time.perf_counter() - start, 5)
+digest = hashlib.sha256()
+for specs in runs.values():
+    for spec in specs:
+        for table in op_tables(spec):
+            digest.update(table.tobytes())
+out["sha256"] = digest.hexdigest()
+print(json.dumps(out))
+"""
+
+OP_TABLES_PEAK = """\
+import json, tracemalloc
+from cordant.groups import GroupSpec, op_tables
+peaks = {}
+for name, factors in (("Z1024", (1024,)), ("(Z2)^10", (2,) * 10)):
+    tracemalloc.start()
+    op_tables(GroupSpec(factors))
+    peaks[name + "_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+    tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+
+
+def op_tables_row() -> dict:
+    """Cold ``op_tables`` builds, their tables' sha256 and memory peaks."""
+    return {**json.loads(fresh(OP_TABLES)), **json.loads(fresh(OP_TABLES_PEAK))}
+
+
 def process_row(argv) -> dict:
     """Median wall time of a whole ``cordant`` process running ``argv``,
     and the heavy standard modules the command loads."""
@@ -295,7 +338,7 @@ def main(argv=None) -> int:
         print(f"{workload}: correct {plain['verdict']['correct']}/"
               f"{traced['verdict']['correct']}  "
               f"wall_s {plain['metrics'].get('wall_s')}", flush=True)
-    doc["direct"] = direct_rows()
+    doc["direct"] = {"op_tables": op_tables_row(), **direct_rows()}
     doc["direct"]["explore_10"] = explore_row()
     doc["direct"]["round_trip_Z5xZ1024"] = round_trip_row()
     doc["direct"]["cli_import"] = cli_import_row()

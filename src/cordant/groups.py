@@ -155,24 +155,39 @@ def op_tables(spec: GroupSpec) -> tuple[array, array]:
 
     ``add[i * order + j]`` is the index of ``element_at(i) + element_at(j)``
     and ``neg[i]`` the index of the inverse.  Cached per presentation.
+
+    The tables are built by index arithmetic, one factor at a time from
+    the last.  With ``A = Z_d + B`` and ``b = |B|``, element ``(x, r)``
+    has index ``x * b + r``, and block ``y`` of its row holds
+    ``((x + y) % d) * b`` plus row ``r`` of B's table.  So the row of
+    ``(0, r)`` is row ``r`` of B repeated ``d`` times, block ``y`` raised
+    by ``y * b``, and the row of ``(x, r)`` is that row rotated left by
+    ``x * b`` entries, copied as two slices of C ints: no element tuples
+    and no list of the table's entries.
     """
     key = spec.factors
     cached = _table_cache.get(key)
     if cached is not None:
         return cached
-    m = spec.order
-    check_table_order(m)
-    elems = enumerate_elements(spec)
-    acc = [0] * (m * m)
-    neg = array("i", [0] * m)
-    for i, a in enumerate(elems):
-        row = i * m
-        for j, b in enumerate(elems):
-            acc[row + j] = element_index(
-                spec, tuple((x + y) % d for x, y, d in zip(a, b, spec.factors))
-            )
-        neg[i] = element_index(spec, tuple((-x) % d for x, d in zip(a, spec.factors)))
-    add_t = array("i", acc)
+    check_table_order(spec.order)
+    add_t, neg = array("i", [0]), array("i", [0])
+    b = 1
+    for d in reversed(key):
+        n = d * b
+        out = array("i", [0]) * (n * n)
+        raised = array("i", [y * b for y in range(d) for _ in range(b)])
+        for r in range(b):
+            out[r * n:(r + 1) * n] = array(
+                "i", map(add_int, add_t[r * b:(r + 1) * b] * d, raised))
+        with memoryview(out) as view:
+            for k in range(b, n, b):
+                for r in range(b):
+                    at, first = (k + r) * n, r * n
+                    view[at:at + n - k] = view[first + k:first + n]
+                    view[at + n - k:at + n] = view[first:first + k]
+        neg = array("i", [(-x) % d * b + v for x in range(d) for v in neg])
+        add_t = out
+        b = n
     _table_cache[key] = (add_t, neg)
     return add_t, neg
 

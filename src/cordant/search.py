@@ -290,7 +290,8 @@ def _orchestrate(tasks: list, workers: int) -> list:
     exactly.  Never more processes run than branches or CPUs.
     """
     results = []
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         for t in tasks:
             r = _run_branch(t)

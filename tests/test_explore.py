@@ -19,6 +19,7 @@ from cordant import (
     path_graph,
     tree_graph,
     verify_a_antimagic,
+    verify_a_star_antimagic,
 )
 
 
@@ -89,14 +90,19 @@ Z3Z3 = GroupSpec((3, 3))
 Z3Z3_CODES = [32 * a + b for a, b in enumerate_elements(Z3Z3)]
 REDUCE = [(v >> 5) % 3 * 3 + (v & 31) % 3 for v in range(32 * 17)]
 
+# Z8 labels are their residues: a vertex of an 8-vertex tree meets at most
+# 7 distinct labels of 0..7, which sum to at most 28
+Z8 = GroupSpec((8,))
+REDUCE_Z8 = [v % 8 for v in range(29)]
 
-def _distinct_sums(tree):
+
+def _distinct_sums(tree, reduce=REDUCE):
     """A function of the edge labels (codes, in edge order) that says
     whether the vertex sums are pairwise distinct: one set display of the
-    reduced sums, written out for this tree."""
+    sums, reduced by ``reduce``, written out for this tree."""
     sums = ", ".join("r[" + "+".join(f"p[{e}]" for e in edges) + "]"
                      for edges in tree.incidence())
-    return eval(f"lambda p: len({{{sums}}}) == {tree.n}", {"r": REDUCE})
+    return eval(f"lambda p: len({{{sums}}}) == {tree.n}", {"r": reduce})
 
 
 def _labeling(codes):
@@ -128,3 +134,36 @@ def test_z3xz3_counterexamples_without_any_search():
     for index in (8, 9, 11, 36):
         distinct = _distinct_sums(trees[index])
         assert not any(map(distinct, permutations(Z3Z3_CODES, 8))), index
+
+
+def _z8_labeling(codes):
+    return EdgeLabeling(Z8, tuple((c,) for c in codes))
+
+
+def test_z8_distinct_sum_check_agrees_with_the_verifiers():
+    # zero-allowed labelings (some have distinct sums) and zero-free ones
+    trees = list(enumerate_trees(8))
+    for tree in (trees[0], trees[5], trees[22]):
+        distinct = _distinct_sums(tree, REDUCE_Z8)
+        for p in islice(permutations(range(8), 7), 0, None, 97):
+            assert distinct(p) == verify_a_antimagic(tree, _z8_labeling(p)).ok
+        for p in islice(permutations(range(1, 8)), 0, None, 13):
+            verdict = verify_a_star_antimagic(tree, _z8_labeling(p))
+            assert distinct(p) == verdict.ok
+    first = next(filter(_distinct_sums(trees[0], REDUCE_Z8),
+                        permutations(range(8), 7)))
+    assert verify_a_antimagic(trees[0], _z8_labeling(first)).ok
+
+
+def test_z8_zero_free_rows_without_any_search():
+    # every bijection of 1..7 onto the edges of each of the 23 order-8
+    # trees, 7! per tree, by itertools alone; the survey's zero-free Z8
+    # rows are NotExists for every tree
+    trees = list(enumerate_trees(8))
+    assert len(trees) == 23
+    for index, tree in enumerate(trees):
+        distinct = _distinct_sums(tree, REDUCE_Z8)
+        assert not any(map(distinct, permutations(range(1, 8)))), index
+    rows = [r for r in explore_conjecture(8).rows if r.group == Z8]
+    assert [r.tree_index for r in rows] == list(range(23))
+    assert all(r.astar_status == STATUS_NOT_EXISTS for r in rows)

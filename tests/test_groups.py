@@ -2,10 +2,12 @@
 automorphism orbits and the orbits of pointwise stabilizers."""
 
 import itertools
+from array import array
 
 import pytest
 
 from cordant import (
+    CapExceededError,
     GroupSpec,
     InapplicableGroupError,
     InvalidElementError,
@@ -26,10 +28,13 @@ from cordant import (
     parse_group,
     sylow_split,
 )
+from cordant import groups
 from cordant.groups import (
     STABILIZER_CAP,
+    TABLE_CAP,
     automorphism_orbit_keys,
     canonical_map,
+    op_tables,
     stabilizer_table,
 )
 
@@ -93,6 +98,55 @@ def test_element_index_round_trip():
     for idx, a in enumerate(enumerate_elements(spec)):
         assert element_at(spec, idx) == a
         assert element_index(spec, a) == idx
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables
+
+NON_CANONICAL = [(3, 2), (2, 4), (4, 2, 3), (5, 3, 2), (8, 2), (6, 10), (12,),
+                 (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("specs", [
+    [spec for n in range(2, 130) for spec in abelian_groups_of_order(n)],
+    [GroupSpec(factors) for factors in NON_CANONICAL],
+], ids=["canonical-2..129", "non-canonical"])
+def test_op_tables_match_element_arithmetic(specs):
+    for spec in specs:
+        elems = enumerate_elements(spec)
+        m = len(elems)
+        index = {a: element_index(spec, a) for a in elems}
+        add_t, neg_t = op_tables(spec)
+        assert add_t.typecode == neg_t.typecode == "i", spec
+        assert list(add_t[:m]) == list(range(m)), spec
+        assert list(add_t) == [index[add(spec, a, b)]
+                               for a in elems for b in elems], spec
+        assert list(neg_t) == [element_index(spec, negate(spec, a))
+                               for a in elems], spec
+
+
+def test_op_tables_at_the_cap_and_the_trivial_group():
+    for spec in (GroupSpec((TABLE_CAP,)), GroupSpec((2,) * 10)):
+        add_t, neg_t = op_tables(spec)
+        assert len(add_t) == TABLE_CAP**2 and len(neg_t) == TABLE_CAP
+        for i in (0, 1, 777, TABLE_CAP - 1):
+            a = element_at(spec, i)
+            assert neg_t[i] == element_index(spec, negate(spec, a))
+            assert add_t[i * TABLE_CAP:(i + 1) * TABLE_CAP].tolist() == [
+                element_index(spec, add(spec, a, element_at(spec, j)))
+                for j in range(TABLE_CAP)]
+    assert op_tables(GroupSpec(())) == (array("i", [0]),) * 2
+
+
+def test_op_tables_past_the_cap_build_nothing(monkeypatch):
+    def no_arrays(*args):
+        raise AssertionError("built a table past the cap")
+    monkeypatch.setattr(groups, "array", no_arrays)
+    cached = dict(groups._table_cache)
+    for factors in ((TABLE_CAP + 1,), (5, 5, 41)):
+        with pytest.raises(CapExceededError):
+            op_tables(GroupSpec(factors))
+    assert groups._table_cache == cached
 
 
 # ---------------------------------------------------------------------------

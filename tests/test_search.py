@@ -402,6 +402,14 @@ def test_pool_is_clamped_to_branches_and_cpus(monkeypatch, inline_branches):
     assert (out.status, out.nodes_explored, peak) == (STATUS_NOT_EXISTS, 738, 0)
 
 
+def test_a_sequential_search_never_asks_for_the_cpu_count(monkeypatch):
+    def refuse():
+        raise AssertionError("cpu_count called")
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    out = search_ea_cordial(path_graph(6), Z6)
+    assert (out.status, out.nodes_explored) == (STATUS_NOT_EXISTS, 738)
+
+
 def test_running_branches_stop_at_the_first_unexhausted_branch(monkeypatch,
                                                               inline_branches):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
