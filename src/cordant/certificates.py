@@ -80,6 +80,14 @@ class Certificate(Record):
         set_field(self, "vertex_labels", vertex_labels)
         set_field(self, "verdict", verdict)
 
+    @property
+    def labels(self) -> tuple[Element, ...]:
+        """The assigned family (vertex labels for a-cordial, else edge
+        labels), so every verifier takes a certificate as a labeling."""
+        if self.notion == NOTION_A_CORDIAL:
+            return self.vertex_labels
+        return self.edge_labels
+
 
 def make_edge_certificate(notion: str, graph: SimpleGraph,
                           f: EdgeLabeling) -> Certificate:

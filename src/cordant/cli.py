@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 from typing import TYPE_CHECKING
 
 from ._vocab import (
@@ -163,19 +162,14 @@ def _cmd_construct(args) -> int:
         construct_ant_path,
         construct_path_antimagic,
         construct_path_ek,
-        make_edge_certificate,
-        path_graph,
     )
     if args.target == "antimagic-path":
         result = construct_path_antimagic(spec, budget=_resolve_budget(args),
                                           workers=args.workers)
-        notion = NOTION_A_ANTIMAGIC
-        graph = path_graph(spec.order)
     elif args.target == "ek-path":
         result = construct_path_ek(args.n, args.k)
-        notion = NOTION_EA_CORDIAL
-        graph = path_graph(args.n)
     else:  # ant-path
+        from . import make_edge_certificate, path_graph
         f = construct_ant_path(spec)
         cert = make_edge_certificate(NOTION_EA_CORDIAL,
                                      path_graph(spec.order), f)
@@ -192,13 +186,10 @@ def _cmd_construct(args) -> int:
               {"status": result.status, "route": result.route,
                "nodes_explored": result.nodes_explored})
         return EXIT_UNKNOWN
-    cert = make_edge_certificate(notion, graph, result.labeling)
-    if not cert.verdict.ok:
-        raise CordantError("constructed labeling failed re-verification")
     _emit(args, [f"status Found (route {result.route}, "
                  f"{result.nodes_explored} nodes)"],
           {"route": result.route, "nodes_explored": result.nodes_explored},
-          cert)
+          result.certificate)
     return EXIT_OK
 
 
@@ -264,11 +255,6 @@ def _cmd_decide(args) -> int:
     return EXIT_OK if answer else EXIT_NO
 
 
-def _outcome_doc(outcome, certificate_obj) -> dict:
-    return {"status": outcome.status, "certificate": certificate_obj,
-            "nodes_explored": outcome.nodes_explored}
-
-
 def _cmd_search(args) -> int:
     budget = _resolve_budget(args)
     spec = _group(args)
@@ -281,8 +267,6 @@ def _cmd_search(args) -> int:
     from . import (
         certificate_dumps,
         certificate_to_obj,
-        make_edge_certificate,
-        make_vertex_certificate,
         search_a_antimagic,
         search_a_cordial,
         search_a_star_antimagic,
@@ -292,36 +276,28 @@ def _cmd_search(args) -> int:
     if args.notion == "rstar":
         outcome = search_rstar_sequence(spec, budget=budget,
                                         workers=args.workers)
-        cert_obj = None
-        if outcome.certificate is not None:
-            cert_obj = {"seq": [list(a) for a in outcome.certificate.seq],
-                        "star_index": outcome.certificate.star_index}
-        doc = _outcome_doc(outcome, cert_obj)
-        _emit(args, [f"{outcome.status} ({outcome.nodes_explored} nodes)"]
-              + ([f"sequence {cert_obj['seq']} star {cert_obj['star_index']}"]
-                 if cert_obj else []), doc)
     else:
-        runner, make_cert = {
-            NOTION_EA_CORDIAL: (search_ea_cordial, partial(
-                make_edge_certificate, NOTION_EA_CORDIAL)),
-            NOTION_A_CORDIAL: (search_a_cordial, make_vertex_certificate),
-            NOTION_A_ANTIMAGIC: (search_a_antimagic, partial(
-                make_edge_certificate, NOTION_A_ANTIMAGIC)),
-            NOTION_A_STAR_ANTIMAGIC: (search_a_star_antimagic, partial(
-                make_edge_certificate, NOTION_A_STAR_ANTIMAGIC)),
+        runner = {
+            NOTION_EA_CORDIAL: search_ea_cordial,
+            NOTION_A_CORDIAL: search_a_cordial,
+            NOTION_A_ANTIMAGIC: search_a_antimagic,
+            NOTION_A_STAR_ANTIMAGIC: search_a_star_antimagic,
         }[args.notion]
         outcome = runner(graph, spec, budget=budget, workers=args.workers)
-        cert_obj = None
-        lines = [f"{outcome.status} ({outcome.nodes_explored} nodes)"]
-        if outcome.certificate is not None:
-            cert = make_cert(graph, outcome.certificate)
-            if not cert.verdict.ok:
-                raise CordantError("search certificate failed re-verification")
-            cert_obj = certificate_to_obj(cert)
-            if args.format != "json":
-                lines.append(certificate_dumps(cert))
-        doc = _outcome_doc(outcome, cert_obj)
-        _emit(args, lines, doc)
+    cert = outcome.certificate
+    cert_obj = None
+    lines = [f"{outcome.status} ({outcome.nodes_explored} nodes)"]
+    if cert is not None and args.notion == "rstar":
+        cert_obj = {"seq": [list(a) for a in cert.seq],
+                    "star_index": cert.star_index}
+        lines.append(f"sequence {cert_obj['seq']} star "
+                     f"{cert_obj['star_index']}")
+    elif cert is not None:
+        cert_obj = certificate_to_obj(cert)
+        if args.format != "json":
+            lines.append(certificate_dumps(cert))
+    _emit(args, lines, {"status": outcome.status, "certificate": cert_obj,
+                        "nodes_explored": outcome.nodes_explored})
     if outcome.status == STATUS_FOUND:
         return EXIT_OK
     if outcome.status == STATUS_NOT_EXISTS:

@@ -11,8 +11,9 @@ deciders live in ``deciders``, which this module re-exports.
 
 Every constructor verifies the labeling it returns exactly once, at its
 end, and raises InternalCheckError on a mismatch, so a returned labeling
-is always a certified one.  The steps before that point hand on
-unchecked values: the dispatchers build their paths with private
+is always a certified one; the two dispatchers verify by building the
+certificate their Found result carries.  The steps before that point
+hand on unchecked values: the dispatchers build their paths with private
 helpers (``_harmonious_order``, ``_ant_path_labels``,
 ``_rstar_path_labels``), not through the public transfer maps, which
 also check their input because it may come from outside.  A searched
@@ -32,6 +33,8 @@ from typing import TYPE_CHECKING
 
 from ._vocab import (
     DEFAULT_BUDGET,
+    NOTION_A_ANTIMAGIC,
+    NOTION_EA_CORDIAL,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
@@ -108,9 +111,12 @@ class ConstructionResult(Record):
     exists, by a decider), or Unknown (a search route ran out of
     budget).  ``route`` names the branch that produced the outcome and
     ``nodes_explored`` counts search work, 0 for formula routes.
+    ``certificate``, not a field, is the ``Certificate`` that verified a
+    dispatcher's Found labeling, and None on a result built by hand.
     """
 
     _fields = ("status", "labeling", "route", "nodes_explored")
+    certificate = None
 
     def __init__(self, status: str, labeling: EdgeLabeling | None,
                  route: str, nodes_explored: int = 0) -> None:
@@ -118,6 +124,21 @@ class ConstructionResult(Record):
         set_field(self, "labeling", labeling)
         set_field(self, "route", route)
         set_field(self, "nodes_explored", nodes_explored)
+
+
+def _found(notion: str, path: SimpleGraph, f: EdgeLabeling, route: str,
+           nodes: int = 0) -> ConstructionResult:
+    """Found, with the certificate of ``f`` on ``path``: the one
+    verification of a dispatcher's labeling."""
+    from .certificates import make_edge_certificate
+
+    cert = make_edge_certificate(notion, path, f)
+    if not cert.verdict.ok:
+        raise InternalCheckError(
+            f"route {route} failed verification ({cert.verdict.violation})")
+    result = ConstructionResult(STATUS_FOUND, f, route, nodes)
+    set_field(result, "certificate", cert)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +437,7 @@ def construct_path_ek(n: int, k: int) -> ConstructionResult:
     # residues mod k, so already elements of Z_k
     f = _computed(EdgeLabeling, GroupSpec((k,)),
                   tuple((a,) for a in labels))
-    verdict = verify_ea_cordial(path, f)
-    if not verdict.ok:
-        raise InternalCheckError(
-            f"route consecutive-sums failed verification ({verdict.violation})")
-    return ConstructionResult(STATUS_FOUND, f, "consecutive-sums")
+    return _found(NOTION_EA_CORDIAL, path, f, "consecutive-sums")
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +607,4 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         f = _rstar_path_labels(rotate_to_star(out.certificate))
         route = "sequence"
         nodes = out.nodes_explored
-    verdict = verify_a_antimagic(path_graph(n), f)
-    if not verdict.ok:
-        raise InternalCheckError(
-            f"route {route} failed verification ({verdict.violation})")
-    return ConstructionResult(STATUS_FOUND, f, route, nodes)
+    return _found(NOTION_A_ANTIMAGIC, path_graph(n), f, route, nodes)

@@ -54,17 +54,23 @@ def decide_path_ek_cordial(n: int, k: int) -> bool:
 
 
 def decide_tree_2mod4_obstruction(n: int, spec) -> bool:
-    """Parity obstruction for trees: order 2 mod 4 against |A| 2 mod 4.
+    """Parity obstruction for trees: |A| 2 mod 4, n an odd multiple of |A|.
 
     Returns True when the obstruction applies, meaning no tree on n
-    vertices has an equitable edge labeling over the group.
+    vertices has an equitable edge labeling over the group.  Proof: A
+    has one involution t (its Sylow 2-subgroup is Z_2), so its elements
+    sum to t, and t is not in 2A, which has odd order.  With n = q|A|, q
+    odd, the vertex sums fill each class q times and add up to qt = t;
+    the edges fill each class q times but one class g, and add up to
+    t - g.  Each edge enters two vertex sums: t = 2(t - g) = -2g, in 2A.
     """
     if n < 1:
         raise PreconditionError("trees need n >= 1")
     from .groups import group
 
     spec = group(spec)
-    return n % 4 == 2 and spec.order % 4 == 2
+    q, r = divmod(n, spec.order)
+    return spec.order % 4 == 2 and r == 0 and q % 2 == 1
 
 
 def decide_path_a_antimagic(spec) -> bool:

@@ -3,11 +3,13 @@
 Every search enumerates labels in group enumeration order at each slot, so
 a Found outcome always carries the lexicographically first solution, a
 NotExists outcome means the pruned space was exhausted, and an Unknown
-outcome means the node budget ran out first.  Node accounting is defined
-by the kernels: one node per placement attempt.  Every labeling search,
-on a path, cycle or tree, runs on the one labeling kernel, built from the
-graph's slot/derived-sum incidence.  Instances deeper than ``MAX_DEPTH``
-levels are refused with ``CapExceededError`` before any kernel runs.
+outcome means the node budget ran out first.  A Found labeling search
+carries the ``Certificate`` its one verification made (its ``labels`` are
+the labeling).  Node accounting is defined by the kernels: one node per
+placement attempt.  Every labeling search, on a path, cycle or tree, runs
+on the one labeling kernel, built from the graph's slot/derived-sum
+incidence.  Instances deeper than ``MAX_DEPTH`` levels are refused with
+``CapExceededError`` before any kernel runs.
 
 Every search is split into one branch per first-slot label, and each
 label gets a fixed share of the budget.  Without a prefix, only the labels
@@ -45,6 +47,10 @@ from . import _kernel
 from ._kernel import BUDGET, EXHAUSTED, FOUND
 from ._vocab import (
     DEFAULT_BUDGET,
+    NOTION_A_ANTIMAGIC,
+    NOTION_A_CORDIAL,
+    NOTION_A_STAR_ANTIMAGIC,
+    NOTION_EA_CORDIAL,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
@@ -69,14 +75,7 @@ from .groups import (
     op_tables,
     stabilizer_table,
 )
-from .labelings import (
-    EdgeLabeling,
-    VertexLabeling,
-    verify_a_antimagic,
-    verify_a_cordial,
-    verify_a_star_antimagic,
-    verify_ea_cordial,
-)
+from .labelings import EdgeLabeling, VertexLabeling, _computed
 
 #: Node cutoff of a find-any restart per term of the Luby sequence.
 RESTART_UNIT = 10_000
@@ -103,7 +102,8 @@ _unlifted_limit = 0
 
 
 class SearchOutcome(Record):
-    """Result of one search: status, certificate (when Found), and cost."""
+    """Result of one search: status, certificate (when Found: the
+    labeling's ``Certificate``, or the ``RStarSequence``), and cost."""
 
     _fields = ("status", "certificate", "nodes_explored")
 
@@ -433,38 +433,55 @@ def _check_depth(levels: int) -> None:
             f"search depth {levels} exceeds the cap of {MAX_DEPTH} levels")
 
 
-def _certified(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
-               indices, verifier) -> EdgeLabeling | VertexLabeling:
-    """The labeling a kernel found, re-checked by ``verifier``."""
+def _certified(graph: SimpleGraph, spec: GroupSpec, notion: str, indices):
+    """The certificate of the labeling a kernel found, checked as
+    ``notion``: the one verification a Found outcome gets."""
+    from .certificates import make_edge_certificate, make_vertex_certificate
+
     labels = _labels_from_indices(spec, indices)
-    labeling = (EdgeLabeling if on_edges else VertexLabeling)(spec, labels)
-    verdict = verifier(graph, labeling)
-    if not verdict.ok:
+    if notion == NOTION_A_CORDIAL:
+        cert = make_vertex_certificate(
+            graph, _computed(VertexLabeling, spec, labels))
+    else:
+        cert = make_edge_certificate(
+            notion, graph, _computed(EdgeLabeling, spec, labels))
+    if not cert.verdict.ok:
         raise InternalCheckError(
-            f"search produced a labeling that fails {verifier.__name__}: "
-            f"{verdict.violation}")
-    return labeling
+            f"search produced a labeling that is not {notion}: "
+            f"{cert.verdict.violation}")
+    return cert
 
 
-def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
-                     slot_cap: list[int], slot_floor: list[int],
-                     dcap: list[int], dfloor: list[int],
+def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
                      prefix: tuple[Element, ...], budget: int | None,
-                     workers: int, verifier) -> SearchOutcome:
-    """Lex-first labeling of the edges (``on_edges``) or vertices whose
-    label classes and derived-sum classes stay within the given bounds,
-    certified by ``verifier``.  Paths, cycles and trees all run on the
-    one labeling kernel.
-    """
+                     workers: int) -> SearchOutcome:
+    """Lex-first ``notion`` labeling of the vertices (a-cordial) or edges,
+    with its certificate: label and induced-sum classes equitable, or for
+    a-star-antimagic every nonzero label and every sum once.  Paths,
+    cycles and trees all run on the one labeling kernel."""
+    check_searchable(spec)
+    if notion in (NOTION_A_ANTIMAGIC, NOTION_A_STAR_ANTIMAGIC):
+        if graph.kind not in (PATH, TREE):
+            raise InvalidGraphError("antimagic searches need a path or tree")
+        if graph.n != spec.order:
+            raise InvalidSpecError(
+                f"tree order {graph.n} must equal group order {spec.order}")
     check_workers(workers)
     pfx = [element_index(spec, a) for a in prefix]
     budget = _norm_budget(budget)
+    on_edges = notion != NOTION_A_CORDIAL
     s = len(graph.edges) if on_edges else graph.n
     _check_depth(s)
     m = spec.order
     # a derived item per vertex (its incident edge slots) or per edge (its
     # two endpoint slots)
     members = graph.incidence() if on_edges else graph.edges
+    if notion == NOTION_A_STAR_ANTIMAGIC:
+        slot_cap = slot_floor = [0] + [1] * (m - 1)
+        dcap = dfloor = [1] * m
+    else:
+        slot_cap, slot_floor = _equitable_bounds(s, m)
+        dcap, dfloor = _equitable_bounds(len(members), m)
     # items no slot feeds (isolated vertices) sum to 0 and never complete
     empty = sum(not x for x in members)
     dcap = [dcap[0] - empty, *dcap[1:]]
@@ -486,8 +503,8 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, on_edges: bool,
                                           budget, workers, (table,))
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
-    return SearchOutcome(STATUS_FOUND, _certified(graph, spec, on_edges,
-                                                  payload[1], verifier), nodes)
+    return SearchOutcome(STATUS_FOUND, _certified(graph, spec, notion,
+                                                  payload[1]), nodes)
 
 
 def _luby(i: int) -> int:
@@ -567,9 +584,9 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
         table = _relabeled(add_t, m, order)
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, spent)
-    labeling = _certified(cycle, spec, False, [order[x] for x in found],
-                          verify_a_cordial)
-    return SearchOutcome(STATUS_FOUND, labeling, spent)
+    cert = _certified(cycle, spec, NOTION_A_CORDIAL,
+                      [order[x] for x in found])
+    return SearchOutcome(STATUS_FOUND, cert, spent)
 
 
 # ---------------------------------------------------------------------------
@@ -585,30 +602,16 @@ def search_ea_cordial(graph: SimpleGraph, spec: GroupSpec,
     certificate, when Found, is the lexicographically first valid
     extension of it.
     """
-    check_searchable(spec)
-    scap, sfloor = _equitable_bounds(len(graph.edges), spec.order)
-    dcap, dfloor = _equitable_bounds(graph.n, spec.order)
-    return _search_labeling(graph, spec, True, scap, sfloor, dcap, dfloor,
-                            prefix, budget, workers, verify_ea_cordial)
+    return _search_labeling(graph, spec, NOTION_EA_CORDIAL, prefix, budget,
+                            workers)
 
 
 def search_a_cordial(graph: SimpleGraph, spec: GroupSpec,
                      budget: int | None = DEFAULT_BUDGET, workers: int = 1,
                      prefix: tuple[Element, ...] = ()) -> SearchOutcome:
     """Lex-first vertex labeling with equitable vertex and edge-sum classes."""
-    check_searchable(spec)
-    scap, sfloor = _equitable_bounds(graph.n, spec.order)
-    dcap, dfloor = _equitable_bounds(len(graph.edges), spec.order)
-    return _search_labeling(graph, spec, False, scap, sfloor, dcap, dfloor,
-                            prefix, budget, workers, verify_a_cordial)
-
-
-def _check_tree_order(graph: SimpleGraph, spec: GroupSpec) -> None:
-    if graph.kind not in (PATH, TREE):
-        raise InvalidGraphError("antimagic searches need a path or tree")
-    if graph.n != spec.order:
-        raise InvalidSpecError(
-            f"tree order {graph.n} must equal group order {spec.order}")
+    return _search_labeling(graph, spec, NOTION_A_CORDIAL, prefix, budget,
+                            workers)
 
 
 def search_a_antimagic(graph: SimpleGraph, spec: GroupSpec,
@@ -621,25 +624,16 @@ def search_a_antimagic(graph: SimpleGraph, spec: GroupSpec,
     lex-first certificate and the node count are those of
     :func:`search_ea_cordial`.
     """
-    check_searchable(spec)
-    _check_tree_order(graph, spec)
-    scap, sfloor = _equitable_bounds(len(graph.edges), spec.order)
-    dcap, dfloor = _equitable_bounds(graph.n, spec.order)
-    return _search_labeling(graph, spec, True, scap, sfloor, dcap, dfloor,
-                            (), budget, workers, verify_a_antimagic)
+    return _search_labeling(graph, spec, NOTION_A_ANTIMAGIC, (), budget,
+                            workers)
 
 
 def search_a_star_antimagic(graph: SimpleGraph, spec: GroupSpec,
                             budget: int | None = DEFAULT_BUDGET,
                             workers: int = 1) -> SearchOutcome:
     """Bijective nonzero edge labels with pairwise distinct vertex sums."""
-    check_searchable(spec)
-    _check_tree_order(graph, spec)
-    m = spec.order
-    nonzero_once = [0] + [1] * (m - 1)
-    return _search_labeling(graph, spec, True, nonzero_once, nonzero_once,
-                            [1] * m, [1] * m, (), budget, workers,
-                            verify_a_star_antimagic)
+    return _search_labeling(graph, spec, NOTION_A_STAR_ANTIMAGIC, (), budget,
+                            workers)
 
 
 def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,

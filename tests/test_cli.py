@@ -4,6 +4,7 @@ Every test drives ``cordant.cli.main`` in process and asserts on exit
 codes, stdout text, and the JSON documents the tool emits.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -57,6 +58,20 @@ def test_decide_tree_2mod4(capsys):
     code, out, _ = run(capsys, ["decide", "tree-2mod4",
                                 "--n", "8", "--group", "Z8"])
     assert (code, out) == (EXIT_OK, "unobstructed\n")
+
+
+def test_decide_tree_2mod4_needs_an_odd_multiple_of_the_order(capsys):
+    # P_10 has an equitable Z6 labeling, so no tree on 10 vertices is
+    # obstructed over Z6; 18 = 3 * 6 is
+    code, out, _ = run(capsys, ["decide", "tree-2mod4",
+                                "--n", "10", "--group", "Z6"])
+    assert (code, out) == (EXIT_OK, "unobstructed\n")
+    code, out, _ = run(capsys, ["construct", "ek-path", "--n", "10",
+                                "--k", "6"])
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, ["decide", "tree-2mod4",
+                                "--n", "18", "--group", "Z6"])
+    assert (code, out) == (EXIT_NO, "obstructed\n")
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])
@@ -639,6 +654,115 @@ def test_repeated_runs_byte_identical(capsys):
     doc = json.loads(out1)
     assert doc["route"] == "odd-cycle-search"
     assert doc["nodes_explored"] == 0
+
+
+# sha256 of stdout under --format text and --format json, recorded before
+# search and construct results carried their own certificates: handing the
+# certificate through changes no byte.  (argv, exit code, text, json)
+PINNED_OUTPUTS = (
+    ("construct antimagic-path --group Z13", EXIT_OK,
+     "741dc613fb53fa7a5366e8bc8a6a449a2c7462669377e4af73bdfea22109b676",
+     "6acf17b238b66b0a95cc6cfa81d28d653c2ee66ea540339c29158a747a2ea5be"),
+    ("construct antimagic-path --group Z2xZ2xZ4", EXIT_OK,
+     "112c02ad5101bde708e5049dd51cae77003c0cf1a98f1852e5747f458565c174",
+     "1023f977a66d619e074175e2791143561789e0f2cd3e782b09c4d414a7e0d94c"),
+    ("construct antimagic-path --group Z2xZ2xZ2xZ2", EXIT_OK,
+     "8db79251f0c7c8a5c4bba7d94e6eb82012d11e8b3207004dd1f72aca3856b6f1",
+     "5ab561735d4c71eb7e91403256fef6474649f356787ea58c952af4a53ac23216"),
+    ("construct antimagic-path --group Z6", EXIT_NO,
+     "2c58f4f087b138a11e9f3f0c5dc615f93da544c25fec688ca9912d439e624eef",
+     "1ef63317c4e465e4723496aa26e28780628bdb47b1063c77ef327a606ebfff92"),
+    ("construct ek-path --n 50 --k 6", EXIT_OK,
+     "e5778df8a46d77981d2e6e436d2851962c46775d39bfff613ef9e5ac88e8d532",
+     "ef12a1c17d57821762f669f2d174a56d5c94e41450316b2946b363de2865b4b0"),
+    ("construct ek-path --n 10 --k 6", EXIT_OK,
+     "e1c2f418975c5a4d7cc7d77b426f5036dfb611b15b88055c4af355db974493f1",
+     "0deaf0e50bf56820e9dbd9c9f96a1593230c224e7e26f90bd939bd806542463d"),
+    ("construct ant-path --group Z1024", EXIT_OK,
+     "6fbb1481a0fe5c37a43a834f63f7f14eb8561e26e5082f82d594a97d4ed317c8",
+     "7c5fec8d2cfb60c43c12ccc2b79ef4e939105b9ad731ef4b00623dfbc289af57"),
+    ("search ea-cordial --group Z10 --kind path --n 6", EXIT_OK,
+     "4ad0a8346192919bc88f0dfc7ae580de9490df59c074e005a439818bac52f889",
+     "2cbc67ed9d14810ce446d4d31110c2516441bc0907258d7d0941b6f615d042c7"),
+    ("search a-cordial --group Z2xZ2 --kind cycle --n 8", EXIT_OK,
+     "807adcabd65cd6a5dfba882f0dad02601b67ec38a3bac7d23ecfeee334407d76",
+     "7a75807acf17947f4b36269fdd294c2256eef44587f4d550a8854e5aee724c98"),
+    ("search antimagic --group Z2xZ4 --kind path --n 8", EXIT_OK,
+     "1845a1185a1f247311cd16b02c8e8bb20621ba585154353a982828e7702d0afe",
+     "6870142a16a9529d055aa8a0ecd7877df3e939b78df123891c2e364f01aa714e"),
+    ("search astar-antimagic --group Z2xZ4 --kind path --n 8", EXIT_OK,
+     "1a8135ac8e95d5190f8da0824048be266107b3d0adb67c5037ecb772f373b47a",
+     "eaea6b1242e5a401f7f7c40c93a89a461e2faccc8f23e476aad3f3e9672d309f"),
+    ("search rstar --group Z7", EXIT_OK,
+     "328979ba273479a3c76e15eceb3bb3f27c28d1c14c6da827c7cdcd5eece0c261",
+     "425f484618a54c5b6a8be6d62befcc5a768b5075a5a183f87a1355097fb51572"),
+)
+
+
+@pytest.mark.parametrize("argv, want, text_sha, json_sha", PINNED_OUTPUTS,
+                         ids=[row[0] for row in PINNED_OUTPUTS])
+def test_found_outputs_keep_their_bytes(capsys, argv, want, text_sha,
+                                        json_sha):
+    for fmt, sha in (("text", text_sha), ("json", json_sha)):
+        code, out, _ = run(capsys, argv.split() + ["--format", fmt])
+        assert code == want
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, fmt
+
+
+@pytest.fixture
+def judged(monkeypatch):
+    """The kind of every graph a labeling is judged on: every verifier
+    and every certificate judges through one of these two."""
+    from cordant import labelings
+
+    kinds = []
+    for name in ("_judge_equitable", "_judge_injective"):
+        def counted(graph, f, flag, real=getattr(labelings, name)):
+            kinds.append(graph.kind)
+            return real(graph, f, flag)
+        monkeypatch.setattr(labelings, name, counted)
+    return kinds
+
+
+@pytest.mark.parametrize("argv", [
+    "construct antimagic-path --group Z13",
+    "construct antimagic-path --group Z8",
+    "construct antimagic-path --group Z2xZ2xZ2",
+    "construct antimagic-path --group Z2xZ2xZ2xZ2",
+    "construct ek-path --n 50 --k 6",
+    "search ea-cordial --group Z10 --kind path --n 6",
+    "search a-cordial --group Z2xZ2 --kind cycle --n 8",
+    "search antimagic --group Z2xZ4 --kind path --n 8",
+    "search astar-antimagic --group Z2xZ4 --kind path --n 8",
+])
+def test_a_found_is_judged_once(capsys, monkeypatch, judged, argv):
+    # the printed certificate is the one judgement the search or the
+    # construction made, and construct ek-path builds its path once
+    import cordant
+    from cordant import constructions
+
+    paths = []
+    real_path = cordant.path_graph
+
+    def counted_path(n):
+        paths.append(n)
+        return real_path(n)
+    monkeypatch.setattr(cordant, "path_graph", counted_path)
+    monkeypatch.setattr(constructions, "path_graph", counted_path)
+    code, out, _ = run(capsys, argv.split())
+    assert code == EXIT_OK and "Found" in out
+    assert len(judged) == 1
+    if argv.startswith("construct ek-path"):
+        assert paths == [50]
+
+
+def test_the_rainbow_route_judges_its_cycle_and_its_path_once(capsys,
+                                                               judged):
+    # the search certifies the cycle it found, the construction its path
+    code, _, _ = run(capsys, ["construct", "antimagic-path", "--group",
+                              "Z2xZ2xZ4"])
+    assert code == EXIT_OK
+    assert sorted(judged) == ["cycle", "path"]
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,24 @@ def test_tree_obstruction_decider():
             decide_tree_2mod4_obstruction(n, GroupSpec((2,)))
 
 
+def test_tree_obstruction_needs_an_odd_multiple_of_the_group_order():
+    # n = 2 = |A| mod 4 alone is no obstruction: P_10 over Z6 and P_6 over
+    # Z10 have equitable labelings
+    for n, k in ((10, 6), (6, 10), (12, 6)):
+        assert not decide_tree_2mod4_obstruction(n, GroupSpec((k,))), (n, k)
+    assert construct_path_ek(10, 6).status == STATUS_FOUND
+    assert search_ea_cordial(path_graph(6), GroupSpec((10,))).status == \
+        STATUS_FOUND
+    for n, k in ((6, 6), (18, 6), (30, 10), (10, 2)):
+        assert decide_tree_2mod4_obstruction(n, GroupSpec((k,))), (n, k)
+    # a path is a tree: where the obstruction applies over Z_k, no
+    # equitable Z_k labeling of P_n exists
+    for k in range(2, 31):
+        for n in range(2, 200):
+            if decide_tree_2mod4_obstruction(n, GroupSpec((k,))):
+                assert not decide_path_ek_cordial(n, k), (n, k)
+
+
 def test_antimagic_path_decider_matches_search_up_to_order_8():
     for n in range(2, 9):
         for spec in abelian_groups_of_order(n):
@@ -227,21 +245,26 @@ def test_block_construction_frozen_outputs():
 
 def test_block_routes_verify_their_path_once(monkeypatch):
     # ... and neither the odd route, the block layout nor the ek formula
-    # searches; the searching routes verify their path once too, and no
-    # cycle: the search certified it
-    from cordant import constructions, search
+    # searches; the searching routes verify their path once too, and the
+    # cycle a search found once, as the search certified it.  Every
+    # verifier and every certificate judges through one of these two.
+    from cordant import labelings, search
 
     checks = []
-    for name in ("verify_ea_cordial", "verify_a_cordial",
-                 "verify_a_antimagic"):
-        def counted(graph, f, real=getattr(constructions, name), name=name):
+    for name in ("_judge_equitable", "_judge_injective"):
+        def counted(graph, f, flag, real=getattr(labelings, name),
+                    name=name):
             checks.append((name, graph.kind))
-            return real(graph, f)
-        monkeypatch.setattr(constructions, name, counted)
+            return real(graph, f, flag)
+        monkeypatch.setattr(labelings, name, counted)
 
-    ea, ant = [("verify_ea_cordial", "path")], [("verify_a_antimagic", "path")]
-    searching = ((lambda: construct_path_antimagic(GroupSpec((2, 4))), ant),
-                 (lambda: construct_path_antimagic(GroupSpec((2, 4, 3))), ant),
+    ea = [("_judge_equitable", "path")]
+    ant = [("_judge_injective", "path")]
+    cycle = [("_judge_equitable", "cycle")]
+    searching = ((lambda: construct_path_antimagic(GroupSpec((2, 4))),
+                  cycle + ant),
+                 (lambda: construct_path_antimagic(GroupSpec((2, 4, 3))),
+                  cycle + ant),
                  (lambda: construct_path_antimagic(GroupSpec((2, 2))), ant))
     for call, want in searching:
         checks.clear()
@@ -252,7 +275,7 @@ def test_block_routes_verify_their_path_once(monkeypatch):
         raise AssertionError(f"kernel call {task[0]}")
     monkeypatch.setattr(search, "_run_branch", no_search)
     # AntLayout checks its base cycle over the odd part, an outside input
-    layout = [("verify_ea_cordial", "cycle")]
+    layout = cycle
     for call, want in ((lambda: construct_ant_path(GroupSpec((8, 3))),
                         layout + ea),
                        (lambda: construct_path_antimagic(GroupSpec((8, 3))),

@@ -449,9 +449,14 @@ def test_a_failing_branch_raises_in_the_parent(monkeypatch):
 def test_antimagic_search_is_the_equitable_search_on_trees_of_order_8():
     for spec in abelian_groups_of_order(8):
         for tree in enumerate_trees(8):
+            # the certificates differ only in their notion
             out = search_a_antimagic(tree, spec)
             assert out.status == STATUS_FOUND
-            assert out == search_ea_cordial(tree, spec)
+            eq = search_ea_cordial(tree, spec)
+            assert (out.status, out.certificate.labels, out.certificate.verdict,
+                    out.nodes_explored) == (
+                eq.status, eq.certificate.labels, eq.certificate.verdict,
+                eq.nodes_explored)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from cordant.certificates import (
-    NOTION_A_ANTIMAGIC,
     NOTION_A_STAR_ANTIMAGIC,
     NOTION_EA_CORDIAL,
     certificate_dumps,
@@ -45,10 +44,9 @@ def fixture_texts() -> dict[int, str]:
         3: make_edge_certificate(
             NOTION_EA_CORDIAL, path_graph(24),
             construct_ant_path(GroupSpec((24,)))),
-        # the pinned elementary-2 path labeling of order 8
-        4: make_edge_certificate(
-            NOTION_A_ANTIMAGIC, path_graph(8),
-            construct_path_antimagic(cube).labeling),
+        # the pinned elementary-2 path labeling of order 8, as certified
+        # by the construction
+        4: construct_path_antimagic(cube).certificate,
     }
     for num, cert in certs.items():
         assert cert.verdict.ok, (num, cert.verdict)
