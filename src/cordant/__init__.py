@@ -40,10 +40,8 @@ _EXPORTS = {
         "make_vertex_certificate",
     ),
     "constructions": (
-        "AntLayout",
         "ConstructionResult",
         "STATUS_IMPOSSIBLE",
-        "ant_layout",
         "construct_ant_path",
         "construct_path_antimagic",
         "construct_path_ek",

@@ -159,7 +159,6 @@ def _cmd_construct(args) -> int:
     spec = None if args.target == "ek-path" else _group(args)
     from . import (
         STATUS_IMPOSSIBLE,
-        construct_ant_path,
         construct_path_antimagic,
         construct_path_ek,
     )
@@ -169,12 +168,9 @@ def _cmd_construct(args) -> int:
     elif args.target == "ek-path":
         result = construct_path_ek(args.n, args.k)
     else:  # ant-path
-        from . import make_edge_certificate, path_graph
-        f = construct_ant_path(spec)
-        cert = make_edge_certificate(NOTION_EA_CORDIAL,
-                                     path_graph(spec.order), f)
+        from .constructions import _ant_path
         _emit(args, ["status Found (route block)"], {"route": "block"},
-              cert)
+              _ant_path(spec).certificate)
         return EXIT_OK
     if result.status == STATUS_IMPOSSIBLE:
         _emit(args, ["impossible"],

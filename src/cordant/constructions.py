@@ -11,9 +11,10 @@ deciders live in ``deciders``, which this module re-exports.
 
 Every constructor verifies the labeling it returns exactly once, at its
 end, and raises InternalCheckError on a mismatch, so a returned labeling
-is always a certified one; the two dispatchers verify by building the
-certificate their Found result carries.  The steps before that point
-hand on unchecked values: the dispatchers build their paths with private
+is always a certified one; the two dispatchers and the block
+construction verify by building the certificate their Found result
+carries.  The steps before that point hand on unchecked values: the
+dispatchers build their paths with private
 helpers (``_harmonious_order``, ``_ant_path_labels``,
 ``_rstar_path_labels``), not through the public transfer maps, which
 also check their input because it may come from outside.  A searched
@@ -56,6 +57,7 @@ from .errors import (
 )
 from .graphs import CYCLE, SimpleGraph, cycle_graph, path_graph
 from .groups import (
+    AntDecomposition,
     Element,
     GroupSpec,
     add,
@@ -83,10 +85,8 @@ if TYPE_CHECKING:
 STATUS_IMPOSSIBLE = "Impossible"
 
 __all__ = [
-    "AntLayout",
     "ConstructionResult",
     "STATUS_IMPOSSIBLE",
-    "ant_layout",
     "construct_ant_path",
     "construct_path_antimagic",
     "construct_path_ek",
@@ -237,64 +237,6 @@ def project_labeling(graph: SimpleGraph, f: EdgeLabeling, keep: int
 # ---------------------------------------------------------------------------
 # block construction: Z_4m (+ odd part H) in k blocks of 4m vertices
 
-class AntLayout(Record):
-    """Shape data for the block construction on a group of order 4mk.
-
-    ``work`` presents the group as Z_4m then the odd factors; labels
-    are computed there and carried to ``spec`` by coordinate
-    isomorphism.  ``base_cycle`` is an equitable edge labeling of C_k
-    over the odd part: its harmonious ordering, the elements in
-    enumeration order, which is also the lexicographically first such
-    labeling with leading zero.  It is empty when k == 1 and the odd
-    part plays no role.
-    """
-
-    _fields = ("spec", "work", "m", "k", "base_cycle")
-
-    def __init__(self, spec: GroupSpec, work: GroupSpec, m: int, k: int,
-                 base_cycle: tuple[Element, ...]) -> None:
-        if m < 2:
-            raise PreconditionError("block construction needs m > 1")
-        if k % 2 == 0 or k < 1:
-            raise PreconditionError("block count must be odd")
-        if 4 * m * k != spec.order:
-            raise PreconditionError("layout does not cover the group")
-        if k == 1:
-            if base_cycle != ():
-                raise PreconditionError("single block takes no base cycle")
-        else:
-            odd = GroupSpec(work.factors[1:])
-            if len(base_cycle) != k:
-                raise PreconditionError("base cycle must have k edges")
-            if base_cycle[0] != odd.zero():
-                raise PreconditionError("base cycle must start at zero")
-            verdict = verify_ea_cordial(
-                cycle_graph(k), EdgeLabeling(odd, base_cycle))
-            if not verdict.ok:
-                raise PreconditionError("base cycle labeling is not equitable")
-        set_field(self, "spec", spec)
-        set_field(self, "work", work)
-        set_field(self, "m", m)
-        set_field(self, "k", k)
-        set_field(self, "base_cycle", base_cycle)
-
-
-def ant_layout(spec) -> AntLayout:
-    """Build the block layout for a group with a Z_4m piece, m > 1."""
-    spec = group(spec)
-    dec = ant_decomposition(spec)
-    if dec is None:
-        raise InapplicableGroupError(
-            f"{spec} has no cyclic direct factor of order 4m with m > 1")
-    four_m = dec.four_m
-    odd = dec.odd_part
-    k = odd.order
-    work = GroupSpec((four_m,) + odd.factors)
-    base = _harmonious_order(odd, None)[1] if k > 1 else ()
-    return AntLayout(spec=spec, work=work, m=four_m // 4, k=k,
-                     base_cycle=base)
-
-
 def _block_column(j: int, m: int) -> list[int]:
     """Z_4m coordinates of the 4m - 1 edges inside block j.
 
@@ -315,24 +257,28 @@ def _block_column(j: int, m: int) -> list[int]:
     return col
 
 
-def _ant_path_labels(spec) -> EdgeLabeling:
+def _ant_path_labels(spec: GroupSpec, dec: AntDecomposition
+                     ) -> EdgeLabeling:
     """The block construction's labeling of P_|A|, not yet verified.
 
-    Lays the path out as k blocks of 4m vertices joined by connector
-    edges.  Within block j every edge carries the block's base-cycle
-    element in the odd coordinates; the Z_4m coordinates run through an
+    With A = Z_4m + H as ``dec = ant_decomposition(spec)`` splits it
+    and k = |H| odd, lays the path out as k blocks of 4m vertices joined
+    by connector edges.  Within block j every edge carries element j of
+    H in the odd coordinates: H's enumeration, an equitable labeling of
+    C_k starting at zero (its harmonious ordering; see
+    ``_harmonious_order``).  The Z_4m coordinates run through an
     interleaved low/high pattern that makes consecutive sums sweep all
-    residues.  The labels are built coordinate column by column and
-    carried to ``spec`` by the linear ``isomorphism``, so they are
-    elements without a check.
+    residues.  The labels are built coordinate column by column over
+    Z_4m + H and carried to ``spec`` by the linear ``isomorphism``, so
+    they are elements without a check.
     """
-    layout = ant_layout(spec)
-    m, k = layout.m, layout.k
+    m, odd = dec.four_m // 4, dec.odd_part
+    base = enumerate_elements(odd)
+    k = len(base)
     run = 4 * m - 1
-    base = layout.base_cycle or (GroupSpec(layout.work.factors[1:]).zero(),)
     blocks = [_block_column(j, m) for j in range(min(k, 3))]
     first: list[int] = []
-    odd_cols: list[list[int]] = [[] for _ in layout.work.factors[1:]]
+    odd_cols: list[list[int]] = [[] for _ in odd.factors]
     for j in range(k):
         # block 0, then odd blocks alike and later even blocks alike
         first += blocks[2 - j % 2 if j else 0]
@@ -342,9 +288,23 @@ def _ant_path_labels(spec) -> EdgeLabeling:
             first.append(0 if j % 2 == 0 else 2 * m)
             for col, x in zip(odd_cols, base[j + 1]):
                 col.append(x)
-    carry = isomorphism(layout.work, layout.spec)
+    carry = isomorphism(GroupSpec((dec.four_m,) + odd.factors), spec)
     labels = tuple(zip(*carry.columns([first, *odd_cols])))
-    return _computed(EdgeLabeling, layout.spec, labels)
+    return _computed(EdgeLabeling, spec, labels)
+
+
+def _ant_path(spec) -> ConstructionResult:
+    """The block construction's Found, with the certificate of its one
+    verification."""
+    spec = group(spec)
+    # the path's size cap refuses the order before any factoring or label
+    path = path_graph(spec.order)
+    dec = ant_decomposition(spec)
+    if dec is None:
+        raise InapplicableGroupError(
+            f"{spec} has no cyclic direct factor of order 4m with m > 1")
+    return _found(NOTION_EA_CORDIAL, path, _ant_path_labels(spec, dec),
+                  "block")
 
 
 def construct_ant_path(spec) -> EdgeLabeling:
@@ -355,12 +315,7 @@ def construct_ant_path(spec) -> EdgeLabeling:
     labeling whenever anyone asks: on |A| vertices an ea-cordial verdict
     already means one sum per class.
     """
-    f = _ant_path_labels(spec)
-    verdict = verify_ea_cordial(path_graph(f.group.order), f)
-    if not verdict.ok:
-        raise InternalCheckError(
-            f"block construction failed verification ({verdict.violation})")
-    return f
+    return _ant_path(spec).labeling
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +527,16 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         raise PreconditionError("need a group of order at least 2")
     if not decide_path_a_antimagic(spec):
         return ConstructionResult(STATUS_IMPOSSIBLE, None, "order-2-mod-4")
+    # the path's size cap refuses n before any factoring or label
+    path = path_graph(n)
+    dec = ant_decomposition(spec)
     nodes = 0
     if n == 4 and spec.factors == (4,):
         f = EdgeLabeling(spec, ((0,), (1,), (2,)))
         route = "base-p4"
-    elif ant_decomposition(spec) is not None:
+    elif dec is not None:
         # verified once, below
-        f = _ant_path_labels(spec)
+        f = _ant_path_labels(spec, dec)
         route = "block"
     elif not is_elementary_two(spec):
         # Sylow 2-subgroup trivial or noncyclic: a harmonious ordering
@@ -607,4 +565,4 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         f = _rstar_path_labels(rotate_to_star(out.certificate))
         route = "sequence"
         nodes = out.nodes_explored
-    return _found(NOTION_A_ANTIMAGIC, path_graph(n), f, route, nodes)
+    return _found(NOTION_A_ANTIMAGIC, path, f, route, nodes)

@@ -316,58 +316,7 @@ def ant_decomposition(spec: GroupSpec) -> AntDecomposition | None:
 
 
 # ---------------------------------------------------------------------------
-# maps between presentations
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Solve x = r1 (mod m1), x = r2 (mod m2) for coprime moduli."""
-    return (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
-
-
-class CanonicalMap(Record):
-    """Coordinate change between a presentation and its canonical form.
-
-    ``slots`` holds, per canonical position, the index of the source
-    factor and the prime-power modulus.
-    """
-
-    _fields = ("spec", "canonical", "slots")
-
-    def __init__(self, spec: GroupSpec, canonical: GroupSpec,
-                 slots: tuple[tuple[int, int], ...]) -> None:
-        set_field(self, "spec", spec)
-        set_field(self, "canonical", canonical)
-        set_field(self, "slots", slots)
-
-    def to_canonical(self, a: Element) -> Element:
-        check_element(self.spec, a)
-        return tuple(a[src] % m for src, m in self.slots)
-
-    def from_canonical(self, c: Element) -> Element:
-        check_element(self.canonical, c)
-        coords = []
-        for i, d in enumerate(self.spec.factors):
-            r, m = 0, 1
-            for pos, (src, mod) in enumerate(self.slots):
-                if src == i:
-                    r = _crt_pair(r, m, c[pos], mod)
-                    m *= mod
-            coords.append(r % d)
-        return tuple(coords)
-
-
-def _pieces(spec: GroupSpec) -> list[tuple[int, int, int]]:
-    """(prime, exponent, factor index) of each prime-power piece of the
-    factors, in canonical order."""
-    return sorted((p, e, src) for src, d in enumerate(spec.factors)
-                  for p, e in _prime_power_parts(d))
-
-
-def canonical_map(spec: GroupSpec) -> CanonicalMap:
-    """Build the coordinate change onto :func:`canonicalize_spec` order."""
-    slots = tuple((src, p**e) for p, e, src in _pieces(spec))
-    canon = GroupSpec(tuple(m for _, m in slots))
-    return CanonicalMap(spec, canon, slots)
+# automorphism orbits
 
 
 _orbit_cache: dict[tuple[int, ...], tuple[tuple, ...]] = {}
@@ -380,10 +329,10 @@ def automorphism_orbit_keys(spec: GroupSpec) -> tuple[tuple, ...]:
     An automorphism acts on each p-primary part on its own, and two
     elements of a finite Abelian p-group lie in one orbit exactly when
     x, px, p^2 x, ... have the same heights (their Ulm sequences agree;
-    Kaplansky, "Infinite Abelian Groups").  In canonical coordinates the
-    height of an element is the least p-adic valuation of its nonzero
-    coordinates, so the key holds, per prime, the heights of x_p, p x_p,
-    ... down to zero.  Cached per presentation.
+    Kaplansky, "Infinite Abelian Groups").  The p-height of x is that of
+    its p-part, so the key holds, per prime, the p-heights of x, px, ...
+    up to the first multiple with p-part 0, read off the Cayley table
+    (see ``_heights``).  Cached per presentation.
 
     >>> automorphism_orbit_keys(GroupSpec((4,)))
     (((),), ((0, 1),), ((1,),), ((0, 1),))
@@ -392,34 +341,17 @@ def automorphism_orbit_keys(spec: GroupSpec) -> tuple[tuple, ...]:
     cached = _orbit_cache.get(key)
     if cached is not None:
         return cached
-    by_prime: dict[int, list[tuple[int, int, int]]] = {}
-    for src, mod in canonical_map(spec).slots:
-        ((p, e),) = _prime_power_parts(mod)
-        by_prime.setdefault(p, []).append((src, mod, e))
+    heights = _heights(spec, op_tables(spec)[0])
     keys = []
-    for idx in range(spec.order):
-        a = element_at(spec, idx)
+    for x in range(spec.order):
         per_prime = []
-        for p, pieces in by_prime.items():
-            # (valuation, exponent) of each nonzero p-primary coordinate
-            vals = []
-            for src, mod, e in pieces:
-                c = a[src] % mod
-                if c:
-                    v = 0
-                    while c % p == 0:
-                        c //= p
-                        v += 1
-                    vals.append((v, e))
-            heights = []
-            k = 0
-            while True:
-                live = [v + k for v, e in vals if v + k < e]
-                if not live:
-                    break
-                heights.append(min(live))
-                k += 1
-            per_prime.append(tuple(heights))
+        for _, times, height in heights:
+            # the elements with p-part 0 share the height of 0
+            ulm, y = [], x
+            while height[y] != height[0]:
+                ulm.append(height[y])
+                y = times[y]
+            per_prime.append(tuple(ulm))
         keys.append(tuple(per_prime))
     out = tuple(keys)
     _orbit_cache[key] = out
@@ -575,6 +507,17 @@ def _stabilizer_marks(m: int, add_t, heights, keys,
             bucket.append(y)
             marks[y] = 2
     return marks
+
+
+# ---------------------------------------------------------------------------
+# maps between presentations
+
+
+def _pieces(spec: GroupSpec) -> list[tuple[int, int, int]]:
+    """(prime, exponent, factor index) of each prime-power piece of the
+    factors, in canonical order."""
+    return sorted((p, e, src) for src, d in enumerate(spec.factors)
+                  for p, e in _prime_power_parts(d))
 
 
 class LinearMap(Record):

@@ -582,6 +582,25 @@ def test_graphs_beyond_the_size_cap_are_refused_before_they_are_built(
     assert err == f"error: {kind} of 100000000 vertices exceeds cap 1048576\n"
 
 
+@pytest.mark.parametrize("target", ["ant-path", "antimagic-path"])
+@pytest.mark.parametrize("order", [268435456, 10**16 + 61])
+def test_groups_beyond_the_size_cap_are_refused_before_any_label(
+        capsys, monkeypatch, target, order):
+    # the labels of Z268435456 would exhaust memory, and factoring the
+    # prime 10**16 + 61 by trial division takes seconds; neither may start
+    from cordant import constructions
+
+    def no_labels(j, m):
+        raise AssertionError("block labels built")
+    monkeypatch.setattr(constructions, "_block_column", no_labels)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["construct", target, "--group",
+                                  f"Z{order}"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: path of {order} vertices exceeds cap 1048576\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["search", "ea-cordial", "--group", "Z1", "--kind", "path", "--n", "3"],
      "searches need a group with at least two elements"),
@@ -729,6 +748,7 @@ def judged(monkeypatch):
     "construct antimagic-path --group Z8",
     "construct antimagic-path --group Z2xZ2xZ2",
     "construct antimagic-path --group Z2xZ2xZ2xZ2",
+    "construct ant-path --group Z8xZ3",
     "construct ek-path --n 50 --k 6",
     "search ea-cordial --group Z10 --kind path --n 6",
     "search a-cordial --group Z2xZ2 --kind cycle --n 8",

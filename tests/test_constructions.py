@@ -9,6 +9,7 @@ import pytest
 from cordant import (
     DEFAULT_BUDGET,
     induce_edge_labels,
+    CapExceededError,
     ConstructionResult,
     EdgeLabeling,
     GroupSpec,
@@ -22,7 +23,6 @@ from cordant import (
     abelian_groups_of_order,
     add,
     ant_decomposition,
-    ant_layout,
     construct_ant_path,
     construct_path_antimagic,
     construct_path_ek,
@@ -209,19 +209,25 @@ def test_projection_preconditions():
 # ---------------------------------------------------------------------------
 # block construction
 
-def test_ant_layout_small_cases():
-    layout = ant_layout(GroupSpec((8, 3)))
-    assert (layout.m, layout.k) == (2, 3)
-    assert layout.base_cycle == ((0,), (1,), (2,))
-    layout = ant_layout(GroupSpec((24,)))
-    assert (layout.m, layout.k) == (6, 1)
-    assert layout.base_cycle == ()
-
-
-def test_ant_layout_rejects_inapplicable_groups():
+def test_block_construction_rejects_inapplicable_groups():
     for fac in ((2, 2), (4,), (2, 3), (15,)):
         with pytest.raises(InapplicableGroupError):
-            ant_layout(GroupSpec(fac))
+            construct_ant_path(GroupSpec(fac))
+
+
+def test_block_groups_past_the_path_cap_are_refused_before_any_label(
+        monkeypatch):
+    # the labels of Z2097152 alone would take hundreds of MB
+    from cordant import constructions
+
+    def no_labels(j, m):
+        raise AssertionError("block labels built")
+    monkeypatch.setattr(constructions, "_block_column", no_labels)
+    spec = GroupSpec((2**21,))
+    for call in (construct_ant_path, construct_path_antimagic):
+        with pytest.raises(CapExceededError,
+                           match="path of 2097152 vertices exceeds cap"):
+            call(spec)
 
 
 FIG2_LABELS = (
@@ -244,10 +250,10 @@ def test_block_construction_frozen_outputs():
 
 
 def test_block_routes_verify_their_path_once(monkeypatch):
-    # ... and neither the odd route, the block layout nor the ek formula
-    # searches; the searching routes verify their path once too, and the
-    # cycle a search found once, as the search certified it.  Every
-    # verifier and every certificate judges through one of these two.
+    # ... and neither the odd route, the block construction nor the ek
+    # formula searches; the searching routes verify their path once too,
+    # and the cycle a search found once, as the search certified it.
+    # Every verifier and every certificate judges through one of these two.
     from cordant import labelings, search
 
     checks = []
@@ -274,12 +280,9 @@ def test_block_routes_verify_their_path_once(monkeypatch):
     def no_search(task):
         raise AssertionError(f"kernel call {task[0]}")
     monkeypatch.setattr(search, "_run_branch", no_search)
-    # AntLayout checks its base cycle over the odd part, an outside input
-    layout = cycle
-    for call, want in ((lambda: construct_ant_path(GroupSpec((8, 3))),
-                        layout + ea),
+    for call, want in ((lambda: construct_ant_path(GroupSpec((8, 3))), ea),
                        (lambda: construct_path_antimagic(GroupSpec((8, 3))),
-                        layout + ant),
+                        ant),
                        (lambda: construct_path_antimagic(GroupSpec((13,))),
                         ant),
                        (lambda: construct_path_ek(10, 3), ea),
@@ -618,9 +621,6 @@ def test_odd_routes_beyond_the_search_caps():
         assert (res.status, res.route, res.nodes_explored) == (
             STATUS_FOUND, route, 0), fac
         assert verify_a_antimagic(path_graph(spec.order), res.labeling).ok
-    layout = ant_layout(GroupSpec((8, 1025)))
-    odd = GroupSpec(layout.work.factors[1:])
-    assert layout.base_cycle == tuple(enumerate_elements(odd))
 
 
 def test_antimagic_path_dispatcher_impossible_orders():

@@ -33,10 +33,11 @@ from cordant.groups import (
     STABILIZER_CAP,
     TABLE_CAP,
     automorphism_orbit_keys,
-    canonical_map,
     op_tables,
     stabilizer_table,
 )
+
+from canonical_reference import CanonicalMap
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ def test_linear_isomorphism_matches_the_canonical_form_route():
             for dst in specs:
                 if canonicalize_spec(src) != canonicalize_spec(dst):
                     continue
-                via = canonical_map(src), canonical_map(dst)
+                via = CanonicalMap(src), CanonicalMap(dst)
                 phi = isomorphism(src, dst)
                 elements = enumerate_elements(src)
                 images = [phi(a) for a in elements]
@@ -380,10 +381,24 @@ def _key_orbits(spec):
 
 @pytest.mark.parametrize("spec", [
     *(g for n in range(1, 17) for g in abelian_groups_of_order(n)),
-    *(GroupSpec(f) for f in ((6,), (2, 6), (4, 2), (9, 3), (12,))),
+    *(GroupSpec(f) for f in ((6,), (2, 6), (4, 2), (9, 3), (12,), (3, 3, 3),
+                             (2, 4, 4), (4, 8), (2, 2, 8))),
 ], ids=str)
 def test_orbit_keys_match_brute_force_automorphisms(spec):
     assert _key_orbits(spec) == _brute_force_orbits(spec)
+
+
+def test_orbit_keys_follow_the_presentation():
+    # the keys are read off each presentation's own table: ``isomorphism``
+    # carries its orbits onto the canonical presentation's
+    specs = [spec for n in range(1, 65) for spec in _presentations(n)]
+    for spec in specs + [GroupSpec((6, 10))]:
+        canon = canonicalize_spec(spec)
+        phi = isomorphism(spec, canon)
+        image = [element_index(canon, phi(a))
+                 for a in enumerate_elements(spec)]
+        assert {frozenset(image[i] for i in orbit)
+                for orbit in _key_orbits(spec)} == _key_orbits(canon), spec
 
 
 @pytest.mark.parametrize("spec", [

@@ -30,7 +30,6 @@ from cordant.groups import (
     GroupSpec,
     add,
     ant_decomposition,
-    canonical_map,
     canonicalize_spec,
     element_at,
     element_index,
@@ -55,6 +54,8 @@ from cordant.labelings import (
 )
 from cordant.search import search_ea_cordial
 from cordant.trees import canonical_form, enumerate_trees
+
+from canonical_reference import CanonicalMap
 
 FACTOR_POOL = (
     (2,), (3,), (4,), (5,), (2, 2), (6,), (7,), (8,), (2, 4), (2, 2, 2),
@@ -138,7 +139,7 @@ def test_ant_decomposition_invariants(spec):
 @given(spec_and_elements(count=2))
 def test_isomorphism_to_canonical_is_bijective_homomorphism(drawn):
     spec, a, b = drawn
-    cmap = canonical_map(spec)
+    cmap = CanonicalMap(spec)
     phi = isomorphism(spec, cmap.canonical)
     assert phi(add(spec, a, b)) == add(cmap.canonical, phi(a), phi(b))
     assert cmap.from_canonical(cmap.to_canonical(a)) == a

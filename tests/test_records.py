@@ -12,7 +12,6 @@ import pytest
 
 from cordant import (
     AntDecomposition,
-    AntLayout,
     Certificate,
     ConstructionResult,
     EdgeLabeling,
@@ -31,7 +30,7 @@ from cordant import (
     path_graph,
     verify_ea_cordial,
 )
-from cordant.groups import CanonicalMap, LinearMap
+from cordant.groups import LinearMap
 from cordant.labelings import _computed
 
 Z3 = GroupSpec((3,))
@@ -51,9 +50,6 @@ CASES = {
     GroupSpec: ((("factors", NO_DEFAULT),), ((2, 3),)),
     AntDecomposition: ((("four_m", NO_DEFAULT), ("odd_part", NO_DEFAULT)),
                        (8, Z3)),
-    CanonicalMap: ((("spec", NO_DEFAULT), ("canonical", NO_DEFAULT),
-                    ("slots", NO_DEFAULT)),
-                   (Z6, Z2xZ3, ((0, 2), (0, 3)))),
     LinearMap: ((("src", NO_DEFAULT), ("dst", NO_DEFAULT),
                  ("weights", NO_DEFAULT)),
                 (Z6, Z2xZ3, ((1,), (1,)))),
@@ -86,9 +82,6 @@ CASES = {
     ConstructionResult: ((("status", NO_DEFAULT), ("labeling", NO_DEFAULT),
                           ("route", NO_DEFAULT), ("nodes_explored", 0)),
                          ("Found", F, "consecutive-sums", 0)),
-    AntLayout: ((("spec", NO_DEFAULT), ("work", NO_DEFAULT), ("m", NO_DEFAULT),
-                 ("k", NO_DEFAULT), ("base_cycle", NO_DEFAULT)),
-                (GroupSpec((8,)), GroupSpec((8,)), 2, 1, ())),
     ExploreRow: (tuple((name, NO_DEFAULT) for name in (
         "n", "group", "tree_index", "edges", "antimagic_status",
         "antimagic_nodes", "antimagic_labels", "astar_status", "astar_nodes",
@@ -181,8 +174,6 @@ def test_validation_is_unchanged():
         RStarSequence(GroupSpec((2, 2)), ((0, 1), (1, 0), (1, 1)), 3)
     with pytest.raises(ValueError, match="start at zero"):
         HamiltonianCycle(Z3, ((1,), (0,), (2,)))
-    with pytest.raises(ValueError, match="single block"):
-        AntLayout(GroupSpec((8,)), GroupSpec((8,)), 2, 1, ((0,),))
 
 
 def test_unchecked_builders_equal_their_validated_twins():
