@@ -22,7 +22,9 @@ by route, and ``labels_sha256``, the sha256 of the sweep's rows
 (factors, status, route, nodes, labels), each row's ``repr`` followed
 by a newline, in sweep order, and ``outcomes_sha256``, the same over
 (factors, status, route, labels): a change that only searches less
-keeps it).  It times ``explore_conjecture(10)`` (seconds, nodes summed
+keeps it; per route, the status counts, the nodes and the
+``outcomes_sha256`` of that route's rows, so a change to one route shows
+which digests it leaves alone).  It times ``explore_conjecture(10)`` (seconds, nodes summed
 over both searches of every row, rows, Unknown rows, violations) and
 the certificate round trip
 of the block-route labeling of P5120 over Z5xZ1024 (the median of
@@ -132,6 +134,7 @@ def direct_rows() -> dict:
     start = time.perf_counter()
     long_path = construct_path_ek(10000, 10)
     long_s = time.perf_counter() - start
+    antimagic = Counter()
     by_route: dict = {}
     antimagic_nodes = 0
     results = []
@@ -139,19 +142,23 @@ def direct_rows() -> dict:
     for order in range(2, 65):
         for spec in abelian_groups_of_order(order):
             res = construct_path_antimagic(spec)
-            by_route.setdefault(res.route, Counter())[res.status] += 1
+            antimagic[res.status] += 1
             antimagic_nodes += res.nodes_explored
             results.append((spec.factors, res))
     antimagic_s = time.perf_counter() - start
     digest = hashlib.sha256()
     outcomes = hashlib.sha256()
+    route_outcomes: dict = {}
     for factors, res in results:
         labels = res.labeling.labels if res.labeling else None
         digest.update(repr((factors, res.status, res.route,
                             res.nodes_explored, labels)).encode() + b"\n")
-        outcomes.update(repr((factors, res.status, res.route,
-                              labels)).encode() + b"\n")
-    antimagic = sum(by_route.values(), Counter())
+        line = repr((factors, res.status, res.route, labels)).encode() + b"\n"
+        outcomes.update(line)
+        route = by_route.setdefault(res.route, Counter())
+        route[res.status] += 1
+        route["nodes"] += res.nodes_explored
+        route_outcomes.setdefault(res.route, hashlib.sha256()).update(line)
     return {
         "ek_sweep": {"n": [3, 60], "k": [2, 16],
                      "calls": sum(statuses.values()),
@@ -172,9 +179,11 @@ def direct_rows() -> dict:
                             "unknown": antimagic["Unknown"],
                             "labels_sha256": digest.hexdigest(),
                             "outcomes_sha256": outcomes.hexdigest(),
-                            "by_route": {route: dict(sorted(counts.items()))
-                                         for route, counts
-                                         in sorted(by_route.items())}},
+                            "by_route": {
+                                route: {**dict(sorted(counts.items())),
+                                        "outcomes_sha256":
+                                            route_outcomes[route].hexdigest()}
+                                for route, counts in sorted(by_route.items())}},
     }
 
 

@@ -48,9 +48,6 @@ _EXPORTS = {
         "cycle_to_path",
         "cycle_vertex_to_edge",
         "project_labeling",
-        "rotate_to_star",
-        "rstar_to_path_antimagic",
-        "shift_labeling",
     ),
     "deciders": (
         "decide_cycle_zk_cordial",

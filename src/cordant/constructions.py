@@ -3,10 +3,10 @@
 Everything here either transfers one kind of labeling into another
 (cycle to path, vertex side to edge side, big group to quotient view),
 builds a labeling outright (block construction over a group with a
-cyclic part of order 4m, sequence-based construction for elementary
-2-groups, a harmonious ordering opened at zero: the element enumeration
-of an odd-order group, or a found core ordering times odd cyclic
-factors; consecutive vertex sums on a path over Z_k).  The closed-form
+cyclic part of order 4m, a harmonious ordering opened at zero: the
+element enumeration of an odd-order group, or a found core ordering
+times odd cyclic factors; consecutive vertex sums on a path over Z_k),
+or finds one on the path itself (elementary 2-groups).  The closed-form
 deciders live in ``deciders``, which this module re-exports.
 
 Every constructor verifies the labeling it returns exactly once, at its
@@ -14,27 +14,25 @@ end, and raises InternalCheckError on a mismatch, so a returned labeling
 is always a certified one; the two dispatchers and the block
 construction verify by building the certificate their Found result
 carries.  The steps before that point hand on unchecked values: the
-dispatchers build their paths with private
-helpers (``_harmonious_order``, ``_ant_path_labels``,
-``_rstar_path_labels``), not through the public transfer maps, which
-also check their input because it may come from outside.  A searched
-cycle is certified by the search that found it.
+dispatchers build their paths with private helpers
+(``_harmonious_order``, ``_ant_path_labels``), not through the public
+transfer maps, which also check their input because it may come from
+outside.  A searched cycle or path is certified by the search that
+found it, and the ``sequence`` route's Found carries that certificate.
 
-Only the ``rainbow-cycle`` and ``sequence`` routes search, and they
-import ``search`` when they run: the deciders and every other route
-never load it.  ``search_rstar_sequence`` is read off the package, so a
-name swapped there (a test double, the benchmark's layer tracer) is the
-one called.
+Only the ``rainbow-cycle`` and ``sequence`` routes search, both with the
+find-any search ``search._find_any``, and they import ``search`` when
+they run: the deciders and every other route never load it.
 """
 
 from __future__ import annotations
 
 from math import ceil
-from typing import TYPE_CHECKING
 
 from ._vocab import (
     DEFAULT_BUDGET,
     NOTION_A_ANTIMAGIC,
+    NOTION_A_CORDIAL,
     NOTION_EA_CORDIAL,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
@@ -62,7 +60,6 @@ from .groups import (
     GroupSpec,
     add,
     ant_decomposition,
-    check_element,
     enumerate_elements,
     group,
     is_elementary_two,
@@ -74,13 +71,9 @@ from .labelings import (
     EdgeLabeling,
     VertexLabeling,
     _computed,
-    verify_a_antimagic,
     verify_a_cordial,
     verify_ea_cordial,
 )
-
-if TYPE_CHECKING:
-    from .search import RStarSequence
 
 STATUS_IMPOSSIBLE = "Impossible"
 
@@ -97,9 +90,6 @@ __all__ = [
     "decide_path_ek_cordial",
     "decide_tree_2mod4_obstruction",
     "project_labeling",
-    "rotate_to_star",
-    "rstar_to_path_antimagic",
-    "shift_labeling",
     "sigma_max_formula",
 ]
 
@@ -164,13 +154,6 @@ def cycle_vertex_to_edge(cycle: SimpleGraph, c: VertexLabeling) -> EdgeLabeling:
     return EdgeLabeling(c.group, c.labels)
 
 
-def shift_labeling(f: EdgeLabeling, g: Element) -> EdgeLabeling:
-    """Subtract the constant ``g`` from every edge label."""
-    check_element(f.group, g)
-    neg = negate(f.group, g)
-    return EdgeLabeling(f.group, tuple(add(f.group, a, neg) for a in f.labels))
-
-
 def cycle_to_path(cycle: SimpleGraph, f: EdgeLabeling
                   ) -> tuple[SimpleGraph, EdgeLabeling]:
     """Open an equitably edge-labeled cycle into an equitably labeled path.
@@ -191,9 +174,10 @@ def cycle_to_path(cycle: SimpleGraph, f: EdgeLabeling
     spec = f.group
     n = cycle.n
     target = ceil(n / spec.order)
-    shift = next(g for g, count in verdict.edge_class_counts.items()
-                 if count == target)
-    shifted = shift_labeling(f, shift).labels
+    neg = negate(spec, next(g for g, count in
+                            verdict.edge_class_counts.items()
+                            if count == target))
+    shifted = [add(spec, a, neg) for a in f.labels]
     cut = shifted.index(spec.zero())
     f_path = EdgeLabeling(
         spec, tuple(shifted[(cut + 1 + j) % n] for j in range(n - 1)))
@@ -396,59 +380,10 @@ def construct_path_ek(n: int, k: int) -> ConstructionResult:
 
 
 # ---------------------------------------------------------------------------
-# sequence route for elementary 2-groups
-
-def rotate_to_star(rs: RStarSequence) -> RStarSequence:
-    """Rotate the sequence so entry 1 is the sum of entries 0 and -1.
-
-    For elementary 2-groups the rotation moving the starred entry to
-    the front always works; the scan keeps the operation meaningful for
-    any group that happens to admit such a rotation.
-    """
-    spec = rs.group
-    length = len(rs.seq)
-    for r in range(length):
-        turned = tuple(rs.seq[(j + r) % length] for j in range(length))
-        if turned[1] == add(spec, turned[0], turned[-1]):
-            for i in range(length):
-                neighbours = add(spec, turned[i - 1], turned[(i + 1) % length])
-                if neighbours == turned[i]:
-                    return type(rs)(spec, turned, i)
-    raise PreconditionError("no rotation places the star at the front")
-
-
-def _rstar_path_labels(rs: RStarSequence) -> EdgeLabeling:
-    """Edge labels 0 then entries 1..n-2 of ``rs``, not yet verified.
-
-    In an elementary 2-group with ``rs`` star-fronted, the n vertex sums
-    are 0, the n-2 consecutive-pair sums skipping the first, and the last
-    entry; the star condition routes the last entry to the one unused
-    pair sum, so the sums are exactly the whole group.
-    """
-    return EdgeLabeling(rs.group, (rs.group.zero(),) + rs.seq[1:])
-
-
-def rstar_to_path_antimagic(rs: RStarSequence) -> EdgeLabeling:
-    """Path labeling from a star-fronted difference sequence over an
-    elementary 2-group (see ``_rstar_path_labels``), verified."""
-    spec = rs.group
-    if not is_elementary_two(spec):
-        raise PreconditionError("sequence route needs an elementary 2-group")
-    if rs.seq[1] != add(spec, rs.seq[0], rs.seq[-1]):
-        raise PreconditionError("rotate the sequence to star-front form first")
-    f = _rstar_path_labels(rs)
-    verdict = verify_a_antimagic(path_graph(spec.order), f)
-    if not verdict.ok:
-        raise InternalCheckError(
-            f"sequence route failed verification ({verdict.violation})")
-    return f
-
-
-# ---------------------------------------------------------------------------
 # dispatcher: injective distinct-sum labelings of P_|A|
 
 # pinned labeling of P_8 over (Z2)^3, the one elementary 2-group with no
-# usable difference sequence; shipped also as demo fixture 4
+# R*-sequence; shipped also as demo fixture 4
 _E2_CUBE_LABELS: tuple[Element, ...] = (
     (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
     (1, 1, 0), (1, 1, 1), (1, 0, 1),
@@ -483,7 +418,7 @@ def _harmonious_order(spec: GroupSpec, budget: int | None
     """
     if spec.order % 2 == 1:
         return STATUS_FOUND, tuple(enumerate_elements(spec)), 0
-    from .search import find_equitable_cycle
+    from .search import _find_any
 
     two, odd = sylow_split(spec)
     rest = sorted(odd.factors)
@@ -491,8 +426,8 @@ def _harmonious_order(spec: GroupSpec, budget: int | None
         if is_elementary_two(two) else two
     if not rest:
         core = spec  # no product to build: search the presentation asked for
-    out = find_equitable_cycle(cycle_graph(core.order), core, budget,
-                               split=spec.order)
+    out = _find_any(cycle_graph(core.order), core, NOTION_A_CORDIAL, budget,
+                    split=spec.order)
     if out.status != STATUS_FOUND:
         return out.status, None, out.nodes_explored
     order = out.certificate.labels
@@ -512,13 +447,15 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
     pinned P_4 labeling (Z_4); the block construction (cyclic part of
     order 4m, m > 1); a harmonious ordering of A opened at zero (every
     other group but the elementary 2-groups; see ``_harmonious_order``);
-    the pinned P_8 labeling ((Z2)^3); or the difference sequence route
-    (other elementary 2-groups).  The harmonious step is one route under
-    two names: ``odd-cycle-search`` for odd orders, where it writes down
-    the element enumeration and no longer searches despite the historical
-    name, and ``rainbow-cycle`` otherwise, where ``find_equitable_cycle``
-    finds a core ordering: a fixed one, not the lex-first one.
-    ``workers`` reaches only the difference sequence search.
+    the pinned P_8 labeling ((Z2)^3); or ``sequence`` (other elementary
+    2-groups), a find-any search for the labeling on the path itself,
+    named after the R*-sequences it once took.  The harmonious step is
+    one route under two names: ``odd-cycle-search`` for odd orders, where
+    it writes down the element enumeration and no longer searches despite
+    the historical name, and ``rainbow-cycle`` otherwise, where the
+    find-any search finds a core ordering.  Both searches return a fixed
+    labeling, not the lex-first one.  ``workers`` is validated but
+    reaches no search, so results are identical at every worker count.
     """
     check_workers(workers)
     spec = group(spec)
@@ -553,16 +490,22 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
         f = EdgeLabeling(spec, _E2_CUBE_LABELS)
         route = "pinned-cube"
     else:
-        from . import search_rstar_sequence
+        from .search import _find_any
 
-        out = search_rstar_sequence(spec, budget=budget, workers=workers)
+        out = _find_any(path, spec, NOTION_A_ANTIMAGIC, budget)
         if out.status == STATUS_UNKNOWN:
             return ConstructionResult(STATUS_UNKNOWN, None, "sequence",
                                       out.nodes_explored)
         if out.status == STATUS_NOT_EXISTS:
             raise InternalCheckError(
-                f"no difference sequence over {spec}; one is guaranteed")
-        f = _rstar_path_labels(rotate_to_star(out.certificate))
-        route = "sequence"
-        nodes = out.nodes_explored
+                f"no antimagic labeling of P_{n} over {spec}; one is "
+                f"guaranteed")
+        # the search verified its labeling on this path: carry that
+        # certificate, with no second verification
+        cert = out.certificate
+        result = ConstructionResult(
+            STATUS_FOUND, _computed(EdgeLabeling, spec, cert.edge_labels),
+            "sequence", out.nodes_explored)
+        set_field(result, "certificate", cert)
+        return result
     return _found(NOTION_A_ANTIMAGIC, path, f, route, nodes)

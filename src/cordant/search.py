@@ -26,11 +26,11 @@ every label runs, at every slot.  Branches are merged in label order, and
 parallelism never changes results; branches still running when the
 answer is known are terminated.
 
-The one exception to lex-first is ``find_equitable_cycle``, the find-any
-search behind the construct route ``rainbow-cycle``: it restarts on
-relabeled copies of its instance and returns some certified labeling, the
-same one on every run, within the node share its lex-first search would
-get.
+The one exception to lex-first is ``_find_any``, the find-any search
+behind the construct routes ``rainbow-cycle`` (a cycle's vertices) and
+``sequence`` (the edges of P_|A|): it restarts on relabeled copies of its
+instance and returns some certified labeling, the same one on every run,
+within the node share its lex-first search would get.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from array import array
 from collections import deque
 from itertools import islice
 from operator import itemgetter
@@ -65,7 +64,7 @@ from .errors import (
     InvalidGraphError,
     InvalidSpecError,
 )
-from .graphs import CYCLE, PATH, TREE, SimpleGraph
+from .graphs import PATH, TREE, SimpleGraph
 from .groups import (
     Element,
     GroupSpec,
@@ -390,9 +389,16 @@ def _least_root_labels(spec: GroupSpec, bounds: tuple,
     table = _symmetry_table(spec, bounds)
     if table is None:
         return list(range(spec.order)), None
-    if len(derived_sizes) <= 1 and all(len(set(b)) == 1 for b in bounds):
+    if _translates(bounds, derived_sizes):
         return [0], table
     return [x for x in range(spec.order) if table[0][x]], table
+
+
+def _translates(bounds: tuple, derived_sizes: set[int]) -> bool:
+    """Whether translating every label is a symmetry of the instance:
+    every bound (per label, as in ``bounds``) uniform, and every derived
+    item the sum of the same number of slots."""
+    return len(derived_sizes) <= 1 and all(len(set(b)) == 1 for b in bounds)
 
 
 _STATUS_NAME = {FOUND: STATUS_FOUND, EXHAUSTED: STATUS_NOT_EXISTS, BUDGET: STATUS_UNKNOWN}
@@ -452,13 +458,15 @@ def _certified(graph: SimpleGraph, spec: GroupSpec, notion: str, indices):
     return cert
 
 
-def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
-                     prefix: tuple[Element, ...], budget: int | None,
-                     workers: int) -> SearchOutcome:
-    """Lex-first ``notion`` labeling of the vertices (a-cordial) or edges,
-    with its certificate: label and induced-sum classes equitable, or for
-    a-star-antimagic every nonzero label and every sum once.  Paths,
-    cycles and trees all run on the one labeling kernel."""
+def _instance(graph: SimpleGraph, spec: GroupSpec, notion: str
+              ) -> tuple[int, tuple, list] | None:
+    """The labeling kernel's instance of a ``notion`` labeling of the
+    vertices (a-cordial) or edges of ``graph``: (slots, class bounds,
+    derived items).  The bounds, per label, are the slot cap and floor
+    and the derived-sum cap and floor: label and induced-sum classes
+    equitable, or for a-star-antimagic every nonzero label and every sum
+    once.  Each derived item lists the slots it sums.  None when no
+    labeling exists by counting alone."""
     check_searchable(spec)
     if notion in (NOTION_A_ANTIMAGIC, NOTION_A_STAR_ANTIMAGIC):
         if graph.kind not in (PATH, TREE):
@@ -466,9 +474,6 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
         if graph.n != spec.order:
             raise InvalidSpecError(
                 f"tree order {graph.n} must equal group order {spec.order}")
-    check_workers(workers)
-    pfx = [element_index(spec, a) for a in prefix]
-    budget = _norm_budget(budget)
     on_edges = notion != NOTION_A_CORDIAL
     s = len(graph.edges) if on_edges else graph.n
     _check_depth(s)
@@ -487,8 +492,25 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
     dcap = [dcap[0] - empty, *dcap[1:]]
     dfloor = [max(0, dfloor[0] - empty), *dfloor[1:]]
     if dcap[0] < 0:
+        return None
+    return s, (slot_cap, slot_floor, dcap, dfloor), members
+
+
+def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
+                     prefix: tuple[Element, ...], budget: int | None,
+                     workers: int) -> SearchOutcome:
+    """Lex-first ``notion`` labeling (see ``_instance``), with its
+    certificate.  Paths, cycles and trees all run on the one labeling
+    kernel."""
+    instance = _instance(graph, spec, notion)
+    check_workers(workers)
+    pfx = [element_index(spec, a) for a in prefix]
+    budget = _norm_budget(budget)
+    if instance is None:
         return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
-    fixed = (m, op_tables(spec)[0], s, slot_cap, slot_floor, dcap, dfloor,
+    s, bounds, members = instance
+    m = spec.order
+    fixed = (m, op_tables(spec)[0], s, *bounds,
              *_generic_structures(members, s))
     table = None
     if len(pfx) >= s:
@@ -496,9 +518,8 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
     elif pfx:
         kept = range(m)
     else:
-        kept, table = _least_root_labels(
-            spec, (slot_cap, slot_floor, dcap, dfloor),
-            {len(x) for x in members})
+        kept, table = _least_root_labels(spec, bounds,
+                                         {len(x) for x in members})
     status, payload, nodes = _split_solve("generic", fixed, pfx, 0, kept,
                                           budget, workers, (table,))
     if status != FOUND:
@@ -517,10 +538,12 @@ def _luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def _relabeled(add_t, m: int, order: list[int]) -> array:
+def _relabeled(add_t, m: int, order: list[int]) -> tuple[int, ...]:
     """Addition table of the same group with element ``order[x]`` renamed
     ``x``; ``order[0]`` is 0, so the identity keeps index 0.  Rows and
-    columns are gathered by ``itemgetter`` and renamed in one pass."""
+    columns are gathered by ``itemgetter`` and renamed in one pass, into
+    the tuple that pass makes: both kernels take any sequence of ints,
+    and an ``array`` copy of it cost a third of the relabeling."""
     new_of = [0] * m
     for new, old in enumerate(order):
         new_of[old] = new
@@ -528,42 +551,46 @@ def _relabeled(add_t, m: int, order: list[int]) -> array:
     sums: list[int] = []
     for old in order:
         sums += columns(add_t[old * m:(old + 1) * m])
-    return array("i", itemgetter(*sums)(new_of))
+    return itemgetter(*sums)(new_of)
 
 
-def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
-                         budget: int | None = DEFAULT_BUDGET,
-                         split: int | None = None) -> SearchOutcome:
-    """Some equitable (a-cordial) vertex labeling of ``cycle`` over
-    ``spec``, with label 0 first.
+def _find_any(graph: SimpleGraph, spec: GroupSpec, notion: str,
+              budget: int | None = DEFAULT_BUDGET,
+              split: int | None = None) -> SearchOutcome:
+    """Some certified ``notion`` labeling of ``graph`` over ``spec`` (see
+    ``_instance``): a find-any search, the same labeling on every run but
+    not necessarily the lex-first one.
 
-    A find-any search: any certified labeling will do, not the lex-first
-    one.  On a cycle every class bound is uniform and every derived sum
-    adds two slots, so translating every label is a symmetry and slot 0
-    keeps label 0.  The search restarts with node cutoffs ``RESTART_UNIT``
-    times the Luby sequence; restart 1 searches labels in enumeration
-    order, so an instance the lex-first search solves within one unit
-    gets its labeling and node count, and every later restart searches
-    the labels 1..m-1 in an order drawn from ``RESTART_SEED``, so results
-    are deterministic.  All restarts together spend at most the budget
-    share of one of ``split`` root branches (default: one per element, as
-    the lex-first search gives its one kept branch); ``budget=None`` is
-    unbounded.  A restart that exhausts its instance proves that no
-    labeling exists: NotExists.  Nothing bounds it by the lex-first
-    search's node count, only by its share: an instance that search solves
-    after more than one unit may cost more here, or come out Unknown.
+    When translating every label is a symmetry (every bound uniform and
+    every derived item the sum of the same number of slots, as on a
+    cycle's vertices), slot 0 keeps label 0; otherwise it is free, as on
+    the edges of a path.  The search restarts with node cutoffs
+    ``RESTART_UNIT`` times the Luby sequence.  Restart 1 searches labels
+    in enumeration order and every later restart the labels 1..m-1 in an
+    order drawn from ``RESTART_SEED``, so results are deterministic.  No
+    restart prunes by the symmetry table, so restart 1 reproduces the
+    lex-first search only with that table off: an instance that search
+    solves within one unit gets its labeling, and on a cycle its node
+    count too.  On a path restart 1 also tries the first labels the
+    lex-first search skips by orbit, and counts each first label as a
+    node, where the lex-first search makes it a branch's prefix.
+    All restarts together spend at most the budget share of one of
+    ``split`` root branches (default: one per element, as the lex-first
+    search gives its one kept branch); ``budget=None`` is unbounded.  A
+    restart that exhausts its instance proves that no labeling exists:
+    NotExists.  Nothing bounds it by the lex-first search's node count,
+    only by its share: an instance that search solves after more than one
+    unit may cost more here, or come out Unknown.
     """
     import random
 
-    check_searchable(spec)
-    if cycle.kind != CYCLE:
-        raise InvalidGraphError("find-any searches run on cycles")
-    n = cycle.n
-    _check_depth(n)
+    instance = _instance(graph, spec, notion)
+    if instance is None:
+        return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
+    s, bounds, members = instance
     m = spec.order
-    # n slots and n derived sums: the same equitable bounds on both
-    cap_floor = _equitable_bounds(n, m)
-    fixed = (n, *cap_floor, *cap_floor, *_generic_structures(cycle.edges, n))
+    fixed = (s, *bounds, *_generic_structures(members, s))
+    prefix = [0] if _translates(bounds, {len(x) for x in members}) else []
     cap = _shares(_norm_budget(budget), split or m)[0]
     add_t = table = op_tables(spec)[0]
     rng = random.Random(RESTART_SEED)
@@ -575,7 +602,7 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
         if cap >= 0:
             cutoff = min(cutoff, cap - spent)
         status, found, nodes = _run_branch(
-            ("generic", (m, table, *fixed, [0], cutoff)))
+            ("generic", (m, table, *fixed, prefix, cutoff)))
         spent += nodes
         if status != BUDGET or spent == cap:
             break
@@ -584,8 +611,7 @@ def find_equitable_cycle(cycle: SimpleGraph, spec: GroupSpec,
         table = _relabeled(add_t, m, order)
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, spent)
-    cert = _certified(cycle, spec, NOTION_A_CORDIAL,
-                      [order[x] for x in found])
+    cert = _certified(graph, spec, notion, [order[x] for x in found])
     return SearchOutcome(STATUS_FOUND, cert, spent)
 
 

@@ -14,6 +14,7 @@ from cordant import (
     EdgeLabeling,
     GroupSpec,
     InapplicableGroupError,
+    NOTION_A_CORDIAL,
     PreconditionError,
     STATUS_FOUND,
     STATUS_IMPOSSIBLE,
@@ -39,18 +40,14 @@ from cordant import (
     load_demo_certificate,
     path_graph,
     project_labeling,
-    rotate_to_star,
-    rstar_to_path_antimagic,
     search_a_antimagic,
     search_ea_cordial,
-    search_rstar_sequence,
-    shift_labeling,
     sigma_max_formula,
     verify_a_antimagic,
     verify_ea_cordial,
 )
 from cordant.constructions import _harmonious_order
-from cordant.search import _shares, find_equitable_cycle
+from cordant.search import _find_any, _shares
 
 Z3 = GroupSpec((3,))
 
@@ -158,9 +155,13 @@ def test_cycle_vertex_to_edge_preconditions():
         cycle_vertex_to_edge(path_graph(3), VertexLabeling(Z3, ((0,), (1,), (2,))))
 
 
-def test_shift_labeling_subtracts_constant():
-    f = EdgeLabeling(GroupSpec((4,)), ((0,), (1,), (3,)))
-    assert shift_labeling(f, (1,)).labels == ((3,), (0,), (2,))
+def test_cycle_to_path_subtracts_the_first_full_class():
+    # ceil(5/4) = 2: class (1,) is the full one, so every label drops by
+    # 1 to (0, 1, 3, 0, 2), and the path opens past the first zero edge
+    f = EdgeLabeling(GroupSpec((4,)), ((1,), (2,), (0,), (1,), (3,)))
+    path, opened = cycle_to_path(cycle_graph(5), f)
+    assert opened.labels == ((1,), (3,), (0,), (2,))
+    assert verify_ea_cordial(path, opened).ok
 
 
 def test_cycle_to_path_examples():
@@ -390,43 +391,17 @@ def test_path_ek_dispatcher_impossible():
 
 
 # ---------------------------------------------------------------------------
-# difference-sequence route
-
-def test_rotate_to_star_fronts_the_star():
-    rs = search_rstar_sequence(GroupSpec((2, 2, 2, 2))).certificate
-    turned = rotate_to_star(rs)
-    spec = turned.group
-    assert sorted(turned.seq) == sorted(rs.seq)
-    first, last = turned.seq[0], turned.seq[-1]
-    assert turned.seq[1] == tuple((a + b) % 2 for a, b in zip(first, last))
-
-
-def test_rstar_path_labels_and_verification():
-    rs = rotate_to_star(search_rstar_sequence(GroupSpec((2, 2))).certificate)
-    f = rstar_to_path_antimagic(rs)
-    assert f.labels[0] == (0, 0)
-    assert f.labels[1:] == rs.seq[1:]
-    assert verify_a_antimagic(path_graph(4), f).ok
-
-
-def test_rstar_path_rejects_non_elementary_groups():
-    rs = rotate_to_star(search_rstar_sequence(GroupSpec((7,))).certificate)
-    with pytest.raises(PreconditionError):
-        rstar_to_path_antimagic(rs)
-
-
-# ---------------------------------------------------------------------------
 # antimagic path dispatcher
 
-# route, node count and sha256 of repr(labels); rainbow labelings are
-# find-any, so the digest is what pins them
+# route, node count and sha256 of repr(labels); rainbow and sequence
+# labelings are find-any, so the digest is what pins them
 DISPATCH_CASES = {
     (4,): ("base-p4", 0,
            "4b0ca899f0603aa4054d22797859021a"
            "230636a23cf04f1077ddd7037605a6d6"),
-    (2, 2): ("sequence", 5,
-             "1122c8111ecffc6a09644acab84cdff0"
-             "26ee8354c118993af021a0b75854de61"),
+    (2, 2): ("sequence", 6,
+             "9fe9da31830413b6d20616658a2c430e"
+             "dce8bfdeca345abebd95eb633c439e7f"),
     (5,): ("odd-cycle-search", 0,
            "d02e3616360ccf8e56e02ef4efba79fb"
            "a9009fdcb9b4c4c97ae0110cb14b99b2"),
@@ -475,9 +450,12 @@ DISPATCH_CASES = {
     (2, 2, 4): ("rainbow-cycle", 23607,
                 "093a5a2bb007c074480de8908e1fc29d"
                 "04d78fcaa65d7963aae3c2d2344b9bb8"),
-    (2, 2, 2, 2): ("sequence", 24089,
-                   "2dcf40683f97935fff4f610731f9241b"
-                   "ddde0f4bfc1a8140da0d917111b79785"),
+    (2, 2, 2, 2): ("sequence", 10121,
+                   "c5c2e9876d0ef97f976aafea997d67fe"
+                   "e445bba9ba50dee05493ae05ce280175"),
+    (2, 2, 2, 2, 2): ("sequence", 15718,
+                      "1d1eeabe272506021ce1ab74802df6e9"
+                      "fb5e37e60cd6b50f9bc6f022b312ee80"),
 }
 
 
@@ -521,17 +499,52 @@ def test_rainbow_route_builds_products_from_a_searched_core():
         assert (res.status, res.route) == (STATUS_FOUND, "rainbow-cycle"), fac
         assert res.labeling.group == spec
         assert verify_a_antimagic(path_graph(spec.order), res.labeling).ok
-        alone = find_equitable_cycle(cycle_graph(prod(core)), GroupSpec(core),
-                                     split=spec.order)
+        alone = _find_any(cycle_graph(prod(core)), GroupSpec(core),
+                          NOTION_A_CORDIAL, split=spec.order)
         assert res.nodes_explored == alone.nodes_explored, fac
 
 
 def test_searched_routes_are_deterministic_at_any_worker_count():
-    # routes that pass workers on to their search
-    results = [construct_path_antimagic(GroupSpec((2, 2, 2, 2)), workers=w)
-               for w in (1, 2, 1)]
-    assert len({(r.status, r.labeling, r.nodes_explored)
-                for r in results}) == 1
+    # workers is validated, but reaches no search
+    for fac in ((2, 2, 2, 2), (2, 2, 2, 2, 2)):
+        results = [construct_path_antimagic(GroupSpec(fac), workers=w)
+                   for w in (1, 2, 1)]
+        assert len({(r.status, r.labeling, r.nodes_explored)
+                    for r in results}) == 1, fac
+
+
+def test_sequence_route_runs_out_on_one_branch_share_for_z2_6():
+    res = construct_path_antimagic(GroupSpec((2,) * 6))
+    assert (res.status, res.route, res.labeling) == (
+        STATUS_UNKNOWN, "sequence", None)
+    assert res.nodes_explored == _shares(DEFAULT_BUDGET, 64)[0]
+
+
+def _outcome_digest(rows) -> str:
+    """sha256 of (key, status, route, nodes, labels) per result."""
+    text = repr([(key, r.status, r.route, r.nodes_explored,
+                  r.labeling and r.labeling.labels) for key, r in rows])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_routes_other_than_sequence_keep_their_outcomes():
+    # the 110 groups of order 2..64 that are not elementary 2-groups, and
+    # every construct_path_ek(n, k) for n 3..60, k 2..16: statuses,
+    # routes, node counts and labels, frozen when the sequence route
+    # moved to the find-any search
+    rows = [(spec.factors, construct_path_antimagic(spec))
+            for n in range(2, 65) for spec in abelian_groups_of_order(n)
+            if not is_elementary_two(spec)]
+    assert len(rows) == 110
+    assert _outcome_digest(rows) == (
+        "8bcafa76ce75057f42ca37b043cf64cf"
+        "5e2389b121c6b364c6de18b174c8c0be")
+    rows = [((n, k), construct_path_ek(n, k))
+            for n in range(3, 61) for k in range(2, 17)]
+    assert len(rows) == 870
+    assert _outcome_digest(rows) == (
+        "58e4326ec1daf337596b3a538babf463"
+        "9ebbec88549d450ace4621eed6ae9611")
 
 
 def _presentations(n):

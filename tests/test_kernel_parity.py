@@ -266,16 +266,23 @@ out.append(["sigma-z6-huge", s.status, s.value, list(s.witness.order),
             s.nodes_explored])
 
 # find-any restarts search relabeled copies of an instance (labels 1..m-1
-# permuted): several restarts each, Found and Unknown
-from cordant.search import _relabeled, find_equitable_cycle
+# permuted): several restarts each, Found and Unknown, on a cycle's
+# vertices and on a path's edges
+from cordant.search import _find_any, _relabeled
 
-for name, n, factors, budget in (
-        ("fa-c16-z2xz2xz4", 16, (2, 2, 4), None),
-        ("fa-c16-z2xz8", 16, (2, 8), None),
-        ("fa-c32-z4xz8-b4000000", 32, (4, 8), 4_000_000),
-        ("fa-c64-z8xz8-b6400000", 64, (8, 8), 6_400_000)):
-    record(name, find_equitable_cycle(c.cycle_graph(n), spec(factors),
-                                      budget))
+for name, graph, notion, factors, budget in (
+        ("fa-c16-z2xz2xz4", c.cycle_graph(16), c.NOTION_A_CORDIAL,
+         (2, 2, 4), None),
+        ("fa-c16-z2xz8", c.cycle_graph(16), c.NOTION_A_CORDIAL, (2, 8), None),
+        ("fa-c32-z4xz8-b4000000", c.cycle_graph(32), c.NOTION_A_CORDIAL,
+         (4, 8), 4_000_000),
+        ("fa-c64-z8xz8-b6400000", c.cycle_graph(64), c.NOTION_A_CORDIAL,
+         (8, 8), 6_400_000),
+        ("fa-p32-z2^5", c.path_graph(32), c.NOTION_A_ANTIMAGIC, (2,) * 5,
+         None),
+        ("fa-p64-z2^6-b6400000", c.path_graph(64), c.NOTION_A_ANTIMAGIC,
+         (2,) * 6, 6_400_000)):
+    record(name, _find_any(graph, spec(factors), notion, budget))
 z2z4_add = op_tables(spec((2, 4)))[0]
 for perm in ([0, 5, 2, 7, 1, 3, 6, 4], [0, 7, 6, 5, 4, 3, 2, 1]):
     table = _relabeled(z2z4_add, 8, perm)

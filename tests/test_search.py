@@ -20,6 +20,8 @@ from cordant import (
     CapExceededError,
     InvalidGraphError,
     InvalidSpecError,
+    NOTION_A_ANTIMAGIC,
+    NOTION_A_CORDIAL,
     star_graph,
     EdgeLabeling,
     GroupSpec,
@@ -246,7 +248,7 @@ HUGE = GroupSpec((99_999_999_999,))
     lambda: search_a_star_antimagic(path_graph(4), HUGE),
     lambda: search_rstar_sequence(GroupSpec((1025,))),
     lambda: compute_sigma_max(GroupSpec((1025,))),
-    lambda: search.find_equitable_cycle(cycle_graph(4), HUGE),
+    lambda: search._find_any(cycle_graph(4), HUGE, NOTION_A_CORDIAL),
 ], ids=["ea-cordial", "a-cordial", "a-antimagic", "a-star-antimagic",
         "rstar", "sigma-max", "find-any"])
 def test_searches_past_the_table_cap_raise_before_they_allocate(
@@ -689,8 +691,8 @@ def test_relabeled_tables_match_the_comprehension(orders):
         for spec in abelian_groups_of_order(m)[:2]:
             add_t = search.op_tables(spec)[0]
             order = [0] + rng.sample(range(1, m), m - 1)
-            assert search._relabeled(add_t, m, order) == \
-                _relabeled_by_comprehension(add_t, m, order), (spec, order)
+            assert search._relabeled(add_t, m, order) == tuple(
+                _relabeled_by_comprehension(add_t, m, order)), (spec, order)
 
 
 def test_find_any_keeps_lex_first_results_within_one_restart_unit(
@@ -706,7 +708,7 @@ def test_find_any_keeps_lex_first_results_within_one_restart_unit(
         for spec in abelian_groups_of_order(n):
             want = search_a_cordial(cycle_graph(n), spec,
                                     budget=search.RESTART_UNIT * n)
-            got = search.find_equitable_cycle(cycle_graph(n), spec)
+            got = search._find_any(cycle_graph(n), spec, NOTION_A_CORDIAL)
             if want.status == STATUS_UNKNOWN:
                 continue
             assert (got.status, got.certificate, got.nodes_explored) == (
@@ -715,16 +717,41 @@ def test_find_any_keeps_lex_first_results_within_one_restart_unit(
     assert checked >= 12
 
 
+def test_find_any_paths_keep_lex_first_labelings_within_one_restart_unit(
+        monkeypatch):
+    # on a path's edges no first label is pinned: restart 1 tries every
+    # root label the lex-first search keeps, and the ones its orbits skip,
+    # each placed as a node of its own rather than as a branch prefix
+    least = search._least_root_labels
+    monkeypatch.setattr(search, "_least_root_labels",
+                        lambda *args: (least(*args)[0], None))
+    checked = 0
+    for n in range(3, 17):
+        for spec in abelian_groups_of_order(n):
+            want = search_a_antimagic(path_graph(n), spec,
+                                      budget=search.RESTART_UNIT * n)
+            if want.status != STATUS_FOUND or \
+                    want.nodes_explored + n > search.RESTART_UNIT:
+                continue
+            got = search._find_any(path_graph(n), spec, NOTION_A_ANTIMAGIC)
+            assert (got.status, got.certificate) == (
+                want.status, want.certificate), spec
+            assert want.nodes_explored < got.nodes_explored <= \
+                want.nodes_explored + n, spec
+            checked += 1
+    assert checked >= 12
+
+
 def test_find_any_restarts_stop_at_the_branch_share():
     # Z8xZ8 stays Unknown through several restarts at these budgets
     cycle = cycle_graph(64)
     for budget in (0, 1, 100, 6_400_000):
-        out = search.find_equitable_cycle(cycle, GroupSpec((8, 8)),
-                                          budget=budget)
+        out = search._find_any(cycle, GroupSpec((8, 8)), NOTION_A_CORDIAL,
+                               budget=budget)
         assert out.status == STATUS_UNKNOWN
         assert out.nodes_explored == search._shares(budget, 64)[0]
-    out = search.find_equitable_cycle(cycle, GroupSpec((8, 8)),
-                                      budget=640_000, split=4)
+    out = search._find_any(cycle, GroupSpec((8, 8)), NOTION_A_CORDIAL,
+                           budget=640_000, split=4)
     assert (out.status, out.nodes_explored) == (STATUS_UNKNOWN, 160_000)
     with pytest.raises(InvalidGraphError):
-        search.find_equitable_cycle(path_graph(4), Z4)
+        search._find_any(cycle_graph(4), Z4, NOTION_A_ANTIMAGIC)
