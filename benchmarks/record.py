@@ -24,7 +24,12 @@ by a newline, in sweep order, and ``outcomes_sha256``, the same over
 (factors, status, route, labels): a change that only searches less
 keeps it; per route, the status counts, the nodes and the
 ``outcomes_sha256`` of that route's rows, so a change to one route shows
-which digests it leaves alone).  It times ``explore_conjecture(10)`` (seconds, nodes summed
+which digests it leaves alone).  The ``graph_symmetry`` row gives the
+status, nodes and seconds (the median of ``SYMMETRY_RUNS`` runs) of the
+searches the graph symmetries prune most: a-cordial C20/Z4, C10/Z10 and
+C8/Z8, and the exhaust workload's three seeded order-10 trees with their
+pinned first labels, built by ``perfbench/workloads.py`` from the seed.
+It times ``explore_conjecture(10)`` (seconds, nodes summed
 over both searches of every row, rows, Unknown rows, violations) and
 the certificate round trip
 of the block-route labeling of P5120 over Z5xZ1024 (the median of
@@ -69,6 +74,7 @@ TRACED = ("kernel.nodes", "kernel.calls", "labelings.verify_calls",
           "labelings.verify_s", "certificates.make_s", "certificates.dumps_s",
           "certificates.loads_s", "groups.isomorphism_s")
 ROUND_TRIP_RUNS = 9
+SYMMETRY_RUNS = 5
 # perfbench's default --seconds; not passed, so every point has this length
 SECONDS = 20
 IMPORT_RUNS = 9
@@ -185,6 +191,32 @@ def direct_rows() -> dict:
                                             route_outcomes[route].hexdigest()}
                                 for route, counts in sorted(by_route.items())}},
     }
+
+
+def graph_symmetry_row(seed: int) -> dict:
+    """The cycles and seeded pinned trees the graph symmetries prune."""
+    import cordant
+    from cordant import GroupSpec, cycle_graph, search_a_cordial
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    calls = [(f"a-cordial C{n}/Z{k}", search_a_cordial,
+              (cycle_graph(n), GroupSpec((k,))), {})
+             for n, k in ((20, 4), (10, 10), (8, 8))]
+    calls += [(call.label, getattr(cordant, call.fn), call.args, call.kwargs)
+              for call in workloads.build("exhaust", seed, cordant)
+              if call.label.startswith("tree#")]
+    row = {}
+    for label, fn, args, kwargs in calls:
+        seconds = []
+        for _ in range(SYMMETRY_RUNS):
+            start = time.perf_counter()
+            out = fn(*args, **kwargs)
+            seconds.append(time.perf_counter() - start)
+        row[label] = {"status": out.status, "nodes": out.nodes_explored,
+                      "seconds": round(statistics.median(seconds), 4)}
+    return row
 
 
 def explore_row() -> dict:
@@ -348,6 +380,7 @@ def main(argv=None) -> int:
               f"{traced['verdict']['correct']}  "
               f"wall_s {plain['metrics'].get('wall_s')}", flush=True)
     doc["direct"] = {"op_tables": op_tables_row(), **direct_rows()}
+    doc["direct"]["graph_symmetry"] = graph_symmetry_row(args.seed)
     doc["direct"]["explore_10"] = explore_row()
     doc["direct"]["round_trip_Z5xZ1024"] = round_trip_row()
     doc["direct"]["cli_import"] = cli_import_row()

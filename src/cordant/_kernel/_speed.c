@@ -32,6 +32,8 @@ enum { ERROR = -1, FOUND = 0, EXHAUSTED = 1, BUDGET = 2 };
 #define MEMO_MAX_BITS 63
 /* Table size ceiling: twice MEMO_LIMIT keeps the load factor at most 1/2. */
 #define MEMO_MAX_SLOTS ((size_t)1 << 23)
+/* A graph symmetry compares only the positions below this (pure.LEX_SPAN). */
+#define LEX_SPAN 16
 
 static int
 bitlen(long v)
@@ -231,6 +233,12 @@ memo_add(Memo *mm, uint64_t key)
 /* ------------------------------------------------------------------------
  * labeling kernel: slots feed derived sums through a CSR incidence */
 
+/* A rotation or reflection of the slots, pi(p) = (a + b p) mod s, tied with
+ * S before position p, in the list of slot d, which decides position p. */
+typedef struct {
+    int a, b, p, d, next;
+} Due;
+
 typedef struct {
     int m, s;
     int *add_t, *slot_cap, *slot_floor, *dcap, *dfloor;
@@ -245,6 +253,15 @@ typedef struct {
      * current path, -1 when no symmetry is left: slot i tries only the
      * labels x with marks[state[i] * m + x] nonzero. */
     int *marks, *succ, *state;
+    /* The graph symmetries (pure.solve_generic's graph_sym; low NULL: off):
+     * low[i], the twin slot bounding slot i from below (-1: none); neg,
+     * the negation table when the rotations and reflections are
+     * translated, else NULL; and those still tied, a stack of ndue
+     * entries linked into a list per deciding slot from head[slot] (-1:
+     * empty), pushed as labels are placed and popped as they are undone. */
+    int *low, *neg, *head;
+    Due *due;
+    int ndue, due_cap, span;
     /* Dead-state memo.  key[i] packs the state before slot i, most
      * significant first: the position, one field per open item (fed by a
      * placed slot, completed by a later one), the slot counts and the
@@ -284,6 +301,10 @@ generic_free(Generic *g)
     free(g->marks);
     free(g->succ);
     free(g->state);
+    free(g->low);
+    free(g->neg);
+    free(g->head);
+    free(g->due);
 }
 
 /* Check that no slot feeds an item twice and that an item is completed at
@@ -436,10 +457,90 @@ generic_place(Generic *g, int i, int x)
     return 1;
 }
 
+static inline int
+cyclic(int v, int s)
+{
+    v %= s;
+    return v < 0 ? v + s : v;
+}
+
+/* Push a tied symmetry onto the list of slot d; -1 when out of memory. */
+static int
+due_push(Generic *g, int a, int b, int p, int d)
+{
+    if (g->ndue == g->due_cap) {
+        int cap = g->due_cap > 0 ? 2 * g->due_cap : 64;
+        Due *grown = realloc(g->due, (size_t)cap * sizeof(Due));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        g->due = grown;
+        g->due_cap = cap;
+    }
+    Due *e = &g->due[g->ndue];
+    e->a = a;
+    e->b = b;
+    e->p = p;
+    e->d = d;
+    e->next = g->head[d];
+    g->head[d] = g->ndue++;
+    return 0;
+}
+
+/* Pop the entries pushed since the stack held `base`. */
+static inline void
+due_pop(Generic *g, int base)
+{
+    while (g->ndue > base) {
+        const Due *e = &g->due[--g->ndue];
+        g->head[e->d] = e->next;
+    }
+}
+
+/* Compare S with g(S) for each symmetry due at slot i, slot i labeled, as
+ * pure's settle does, pushing each one still tied onto the list of the
+ * slot that decides its next position unless that is the last slot: 1 when
+ * none is broken, 0 (nothing pushed) when S > g(S) for one, -1 when out of
+ * memory. */
+static int
+generic_settle(Generic *g, int i)
+{
+    const int s = g->s, m = g->m, base = g->ndue;
+    const int *assign = g->assign;
+    for (int e = g->head[i]; e >= 0; e = g->due[e].next) {
+        int a = g->due[e].a, b = g->due[e].b, p = g->due[e].p;
+        int shift = g->neg != NULL ? g->neg[assign[a]] : 0;
+        int q = cyclic(a + b * p, s);
+        for (;;) {
+            int x = assign[p], y = g->add_t[assign[q] * m + shift];
+            if (x != y) {
+                if (x > y) {
+                    due_pop(g, base);
+                    return 0;
+                }
+                break;
+            }
+            if (++p == g->span)
+                break;
+            q = cyclic(a + b * p, s);
+            if (p > i || q > i) {
+                int d = p > q ? p : q;
+                if (d < s - 1 && due_push(g, a, b, p, d) < 0)
+                    return -1;
+                break;
+            }
+        }
+    }
+    return 1;
+}
+
 /* A label is looked up in the memo once it passes every bound, and its key
- * is added once its subtree is exhausted; the last slot has no key.  A
- * label the slot's symmetry state rules out costs its node.  The memo key
- * leaves the state out; pure.solve_generic says why that is sound. */
+ * is added once its subtree is exhausted, or as soon as the graph
+ * symmetries reject it; the last slot has no key.  A label the slot's
+ * symmetry state rules out costs its node, and one below its twin bound
+ * none.  The memo key leaves the symmetries out; pure.solve_generic says
+ * why that is sound. */
 static int
 generic_dfs(Generic *g, int i)
 {
@@ -449,8 +550,14 @@ generic_dfs(Generic *g, int i)
     int st = g->state[i];
     const int *mk = st >= 0 ? g->marks + (size_t)st * g->m : NULL;
     const int *to = st >= 0 ? g->succ + (size_t)st * g->m : NULL;
+    int lo = 0, tied = 0, base = g->ndue;
+    if (g->low != NULL) {
+        if (g->low[i] >= 0)
+            lo = g->assign[g->low[i]];
+        tied = g->head[i] >= 0;
+    }
     generic_enter(g, i);
-    for (int x = 0; x < g->m; x++) {
+    for (int x = lo; x < g->m; x++) {
         if (g->nodes == g->budget)  /* budget -1 (unbounded) never matches */
             return BUDGET;
         g->nodes++;
@@ -463,10 +570,22 @@ generic_dfs(Generic *g, int i)
             generic_unplace(g, i, x);
             continue;
         }
+        if (tied) {
+            int ok = generic_settle(g, i);
+            if (ok < 0)
+                return ERROR;
+            if (!ok) {
+                generic_unplace(g, i, x);
+                if (key != 0 && memo_add(&g->memo, key) < 0)
+                    return ERROR;
+                continue;
+            }
+        }
         g->state[i + 1] = to != NULL ? to[x] : -1;
         int r = generic_dfs(g, i + 1);
         if (r == FOUND)
             return FOUND;
+        due_pop(g, base);
         generic_unplace(g, i, x);
         if (r != EXHAUSTED)
             return r;
@@ -477,24 +596,81 @@ generic_dfs(Generic *g, int i)
     return EXHAUSTED;
 }
 
+/* The graph symmetries (low, cycle, neg_t) of pure.solve_generic, or None
+ * (off): the twin bounds into g->low, each slot's earlier or -1, neg_t
+ * (None or m labels) into g->neg, and when cycle is true the rotations and
+ * reflections onto their first deciding slots.  Returns -1 with an
+ * exception set when malformed or out of memory. */
+static int
+copy_graph_sym(Generic *g, PyObject *graph_sym)
+{
+    if (graph_sym == Py_None)
+        return 0;
+    int s = g->s, m = g->m, rc = -1, cycle = 0;
+    PyObject *triple = PySequence_Fast(graph_sym, "graph_sym");
+    if (triple == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(triple) != 3) {
+        PyErr_SetString(PyExc_ValueError,
+                        "graph_sym: expected (low, cycle, neg_t)");
+        goto done;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(triple);
+    if ((g->low = copy_ints(items[0], "graph_sym low", s, -1, s - 1,
+                            NULL)) == NULL
+        || (cycle = PyObject_IsTrue(items[1])) < 0
+        || (items[2] != Py_None
+            && (g->neg = copy_ints(items[2], "graph_sym neg_t", m, 0, m - 1,
+                                   NULL)) == NULL))
+        goto done;
+    for (int i = 0; i < s; i++)
+        if (g->low[i] >= i) {
+            PyErr_SetString(PyExc_ValueError,
+                            "graph_sym low: a bound from a later slot");
+            goto done;
+        }
+    g->head = malloc((s > 0 ? (size_t)s : 1) * sizeof(int));
+    if (g->head == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int i = 0; i < s; i++)
+        g->head[i] = -1;
+    g->span = s < LEX_SPAN ? s : LEX_SPAN;
+    /* translated, position 0 compares S[0] with 0, which the prefix pins */
+    int p = g->neg != NULL;
+    for (int a = 0; cycle && p < g->span && a < g->span; a++)
+        for (int b = a > 0 ? 1 : -1; b >= -1; b -= 2) {  /* no identity */
+            int q = cyclic(a + b * p, s), d = p > q ? p : q;
+            if (d < a)
+                d = a;
+            if (d < s - 1 && due_push(g, a, b, p, d) < 0)
+                goto done;
+        }
+    rc = 0;
+done:
+    Py_DECREF(triple);
+    return rc;
+}
+
 static PyObject *
 solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
         "m", "add_t", "num_slots", "slot_cap", "slot_floor", "dcap",
         "dfloor", "num_derived", "sd_ptr", "sd_ids", "comp_ptr", "comp_ids",
-        "prefix", "budget", "table", NULL};
+        "prefix", "budget", "table", "graph_sym", NULL};
     Generic g;
     memset(&g, 0, sizeof g);
     int nd;
     PyObject *add_t, *slot_cap, *slot_floor, *dcap, *dfloor;
     PyObject *sd_ptr, *sd_ids, *comp_ptr, *comp_ids, *prefix;
-    PyObject *table = Py_None;
+    PyObject *table = Py_None, *graph_sym = Py_None;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iOiOOOOiOOOOOL|O:solve_generic", kwlist, &g.m,
+            args, kwds, "iOiOOOOiOOOOOL|OO:solve_generic", kwlist, &g.m,
             &add_t, &g.s, &slot_cap, &slot_floor, &dcap, &dfloor, &nd,
             &sd_ptr, &sd_ids, &comp_ptr, &comp_ids, &prefix, &g.budget,
-            &table))
+            &table, &graph_sym))
         return NULL;
     int m = g.m, s = g.s;
     Py_ssize_t p = PyObject_Length(prefix);
@@ -526,7 +702,8 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         || (g.comp_ptr = copy_ints(comp_ptr, "comp_ptr", (Py_ssize_t)s + 1, 0,
                                    (long)n_comp, NULL)) == NULL
         || (pfx = copy_ints(prefix, "prefix", p, 0, m - 1, NULL)) == NULL
-        || copy_table(table, m, &g.marks, &g.succ) < 0)
+        || copy_table(table, m, &g.marks, &g.succ) < 0
+        || copy_graph_sym(&g, graph_sym) < 0)
         goto done;
     size_t mm = m > 0 ? (size_t)m : 1;
     g.assign = malloc((s > 0 ? (size_t)s : 1) * sizeof(int));
@@ -587,7 +764,14 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     int st = g.marks != NULL ? 0 : -1;
     for (int j = 0; j < p; j++) {
         generic_enter(&g, j);
-        if (!generic_place(&g, j, pfx[j])) {
+        int ok = generic_place(&g, j, pfx[j]);
+        if (ok && g.low != NULL) {
+            if (g.low[j] >= 0 && pfx[j] < g.assign[g.low[j]])
+                ok = 0;
+            else if (g.head[j] >= 0 && (ok = generic_settle(&g, j)) < 0)
+                goto done;
+        }
+        if (!ok) {
             result = Py_BuildValue("(iOi)", EXHAUSTED, Py_None, 0);
             goto done;
         }

@@ -33,7 +33,8 @@ injective instances i labels are full at depth i, and walking past them
 was most of the work.  A label without room, or ruled out by the
 symmetry table, still costs its node, as in ``_speed.c``, so those nodes
 are added in bulk, with the budget stop at the same node as a
-label-by-label count.
+label-by-label count.  The labels below a slot's twin bound cost none:
+the walk starts at the bound.
 
 ``dfs`` refers to itself, and that reference cycle would keep the
 labeling kernel's memo (tens of thousands of keys) alive until the
@@ -52,6 +53,12 @@ MEMO_LIMIT = 1 << 22
 
 #: Dead-state keys must pack into this many bits or memoization is skipped.
 MEMO_MAX_BITS = 63
+
+#: A cycle's symmetries g that the labeling kernel uses move slot 0 below
+#: this, and it compares S with g(S) at the positions below this only,
+#: which S <= g(S) implies: the labels of a long cycle repeat, keep many
+#: rotations tied and would make the comparisons quadratic in its length.
+LEX_SPAN = 16
 
 
 def _allowed(nxt, end, marks, row):
@@ -84,6 +91,7 @@ def solve_generic(
     prefix,
     budget,
     table=None,
+    graph_sym=None,
 ):
     """Backtracking search over a slot/derived-sum incidence.
 
@@ -109,13 +117,36 @@ def solve_generic(
     in state 0, follows the prefix through ``succ``, and every slot in a
     state tries only the labels its marks allow.
 
-    The memo key does not hold the state, and need not: two paths to one
-    key may be in different states, but a key recorded as dead has no
-    completion at all.  Were there one, the least completion of the labels
-    placed on that path would at every slot be least in its orbit under
-    the automorphisms fixing the labels before it, the lex-leader argument
-    of ``search._least_root_labels``, so the pruned search would have
-    visited it.
+    ``graph_sym`` (None: off) is ``(low, cycle, neg_t)``: constraints
+    S <= g(S), lexicographically, from automorphisms g of the graph, S
+    being the labels in slot order.
+
+    * ``low[i]`` (-1: none) is an earlier slot j with S[j] <= S[i] (twin
+      leaves, which an automorphism swaps): slot i's walk starts at label
+      S[j], and the labels below it cost no node.
+    * ``cycle`` (true: the slots lie in cycle order) adds that cycle's
+      rotations pi(p) = a + p and reflections pi(p) = a - p, mod s, with
+      g(S)[p] = S[pi(p)], for every a below ``LEX_SPAN``: one moving slot
+      0 further would only start comparing deep in the search, where it
+      prunes little and costs a check at every node.  ``neg_t`` (None:
+      plain) composes each with the translation that maps its first
+      image back to 0: g(S)[p] = S[pi(p)] - S[a], which needs S[0] = 0
+      (the prefix pins it), so position 0 is not compared.  Position p <
+      ``LEX_SPAN`` of g is compared once the last of the slots it reads
+      (p, pi(p), and a when translated) is placed: a label making
+      S > g(S) there is rejected, one making S < g(S) retires g, and a
+      tie moves g on to its next position.
+
+    Every symmetry given must map the solutions that extend ``prefix`` to
+    such solutions.  Then the lex-least of them, S*, is what the search
+    returns: each symmetry maps S* to a solution that is not less, so no
+    rule above prunes S*.  So no position only the last slot decides is
+    compared: the last slot completes a solution, and the first one the
+    search reaches is S*.  The memo key holds no symmetry state, and need
+    not: had an earlier path P recorded S*'s key at depth i as dead, P
+    followed by S*'s labels from slot i on would be a solution below S*.
+    So a key is dead as soon as a path reaches it, and the key of a label
+    the graph symmetries reject is recorded too.
     """
     s = num_slots
     last = s - 1
@@ -200,6 +231,57 @@ def solve_generic(
     at = [-1] * (s + 1)
     top = -1
 
+    # graph symmetries: the twin bounds, and due[i], the rotations and
+    # reflections that slot i compares next, each as (a, b, p): the slot
+    # map pi(p) = (a + b p) mod s, tied before position p
+    low = due = neg_t = None  # due is None: graph symmetries off
+    if graph_sym is not None:
+        low, cycle, neg_t = graph_sym
+        # translated, position 0 compares S[0] with 0, which the search
+        # pins there: each symmetry starts at position 1
+        start = 0 if neg_t is None else 1
+        span = min(s, LEX_SPAN)
+        due = [[] for _ in range(s)]
+        for a in range(span) if cycle and start < span else ():
+            for b in (1, -1) if a else (-1,):  # a = 0, b = 1: identity
+                d = max(start, (a + b * start) % s, a)
+                if d < last:
+                    due[d].append((a, b, start))
+
+    def settle(i, moves):
+        """Pop ``moves``, those of slot i's previous label, then compare S
+        with g(S) for each symmetry due at slot i, slot i labeled: None
+        when S > g(S) for one, else the moves (d, (a, b, p)) of those
+        still tied, each pushed onto due[d] for the slot d that decides
+        position p, unless that is the last slot."""
+        for d, _ in moves:
+            due[d].pop()
+        moves = []
+        for a, b, p in due[i]:
+            # subtract S[pi(0)] when translated; label 0 is the identity
+            shift = 0 if neg_t is None else neg_t[assign[a]]
+            q = (a + b * p) % s
+            while True:
+                x = assign[p]
+                y = add_t[assign[q] * m + shift]
+                if x != y:
+                    if x > y:
+                        return None
+                    break
+                p += 1
+                if p == span:
+                    break
+                # pi(0) is placed: position p waits for p and pi(p) alone
+                q = (a + b * p) % s
+                if p > i or q > i:
+                    d = p if p > q else q
+                    if d < last:
+                        moves.append((d, (a, b, p)))
+                    break
+        for d, entry in moves:
+            due[d].append(entry)
+        return moves
+
     def place(i, x, sdef, ddef, t):
         """Apply label ``x`` (within its slot cap) at slot ``i``; return
         the new (sdef, ddef, key), or None with the state unchanged."""
@@ -259,11 +341,14 @@ def solve_generic(
         ``sdef``/``ddef`` are the class-floor deficits and ``t`` the memo
         key of the state before slot ``i``.  A label is looked up in the
         memo once it passes every bound, and its key is added once its
-        subtree is exhausted; the last slot has no key.
+        subtree is exhausted, or once the graph symmetries reject it; the
+        last slot has no key.
 
-        Each loop walks the labels with room, or, in a symmetry state,
-        those of them the state's marks allow: a snapshot, since every
-        label's room is restored before the next one is tried.
+        Each loop walks the labels with room, or, in a symmetry state or
+        at a slot with graph symmetries due, a snapshot of them, less
+        those the state's marks rule out: every label's room is restored
+        before the next one is tried.  So only a snapshot walk tests the
+        symmetries, and a search without them pays nothing per label.
         Reaching label ``x`` costs the ``x - prev`` nodes from the last one
         tried, and the loop ends with the ``m - 1 - prev`` after it: a
         label-by-label count checks the budget before each node, so it
@@ -274,6 +359,7 @@ def solve_generic(
             stop = FOUND
             return nodes
         walk = nxt
+        row = -1
         if i <= top and at[i] >= 0:
             row = at[i] * m
             walk = _allowed(nxt, m, marks, row)
@@ -281,6 +367,17 @@ def solve_generic(
         edge = edges[i]
         x = m
         prev = -1
+        tied = None
+        if due is not None:  # graph symmetries on
+            tied = due[i]
+            if tied:
+                moves = ()
+                if walk is nxt:
+                    walk = nxt[:]
+            if low[i] >= 0:
+                prev = assign[low[i]] - 1
+                while walk[x] <= prev:
+                    x = walk[x]
         if edge is None:
             saved = [psum[d] for d in feeds[i]]
             while True:
@@ -301,14 +398,26 @@ def solve_generic(
                         unplace(i, x, saved)
                         continue
                 if walk is not nxt:
-                    at[i + 1] = succ[row + x]
-                    top = i + 1
+                    if tied:
+                        moves = settle(i, moves)
+                        if moves is None:
+                            moves = ()
+                            unplace(i, x, saved)
+                            if keyed and len(dead) < MEMO_LIMIT:
+                                dead.add(key)
+                            continue
+                    if row >= 0:
+                        at[i + 1] = succ[row + x]
+                        top = i + 1
                 nodes = dfs(i + 1, *placed, nodes)
                 if stop != EXHAUSTED:
                     return nodes
                 unplace(i, x, saved)
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
+            if tied:
+                for d, _ in moves:
+                    due[d].pop()
             nodes += m - 1 - prev
             if nodes > limit:
                 stop = BUDGET
@@ -351,6 +460,18 @@ def solve_generic(
                     key = base + sunit[x] + dunit[v] + tab2[w]
                     if key in dead:
                         continue
+                if walk is not nxt:
+                    if tied:
+                        assign[i] = x
+                        moves = settle(i, moves)
+                        if moves is None:
+                            moves = ()
+                            if keyed and len(dead) < MEMO_LIMIT:
+                                dead.add(key)
+                            continue
+                    if row >= 0:
+                        at[i + 1] = succ[row + x]
+                        top = i + 1
                 full = sc + 1 == slot_cap[x]
                 if full:
                     nxt[prv[x]] = nxt[x]
@@ -360,9 +481,6 @@ def solve_generic(
                 psum[d1] = v
                 psum[d2] = w
                 assign[i] = x
-                if walk is not nxt:
-                    at[i + 1] = succ[row + x]
-                    top = i + 1
                 nodes = dfs(i + 1, ns, nd, key, nodes)
                 if stop != EXHAUSTED:
                     return nodes
@@ -373,6 +491,9 @@ def solve_generic(
                 dcount[v] = dv
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
+            if tied:
+                for d, _ in moves:
+                    due[d].pop()
             psum[d1] = p1
             psum[d2] = p2
             nodes += m - 1 - prev
@@ -415,6 +536,18 @@ def solve_generic(
                                          else tab1[v] + tab2[w])
                 if key in dead:
                     continue
+            if walk is not nxt:
+                if tied:
+                    assign[i] = x
+                    moves = settle(i, moves)
+                    if moves is None:
+                        moves = ()
+                        if keyed and len(dead) < MEMO_LIMIT:
+                            dead.add(key)
+                        continue
+                if row >= 0:
+                    at[i + 1] = succ[row + x]
+                    top = i + 1
             if nclose:
                 dcount[v] = dv + 1
                 dcount[w] = dw + 1
@@ -426,9 +559,6 @@ def solve_generic(
             psum[d2] = w
             scount[x] = sc + 1
             assign[i] = x
-            if walk is not nxt:
-                at[i + 1] = succ[row + x]
-                top = i + 1
             nodes = dfs(i + 1, ns, nd, key, nodes)
             if stop != EXHAUSTED:
                 return nodes
@@ -441,6 +571,9 @@ def solve_generic(
                 dcount[v] = dv
             if keyed and len(dead) < MEMO_LIMIT:
                 dead.add(key)
+        if tied:
+            for d, _ in moves:
+                due[d].pop()
         psum[d1] = p1
         psum[d2] = p2
         nodes += m - 1 - prev
@@ -460,6 +593,10 @@ def solve_generic(
             return (EXHAUSTED, None, 0)
         state = place(i, x, *state)
         if state is None:
+            return (EXHAUSTED, None, 0)
+        if due is not None and 0 <= low[i] and x < assign[low[i]]:
+            return (EXHAUSTED, None, 0)
+        if due is not None and due[i] and settle(i, ()) is None:
             return (EXHAUSTED, None, 0)
         if st >= 0:
             st = succ[st * m + x]

@@ -163,8 +163,7 @@ def _cmd_construct(args) -> int:
         construct_path_ek,
     )
     if args.target == "antimagic-path":
-        result = construct_path_antimagic(spec, budget=_resolve_budget(args),
-                                          workers=args.workers)
+        result = construct_path_antimagic(spec, budget=_resolve_budget(args))
     elif args.target == "ek-path":
         result = construct_path_ek(args.n, args.k)
     else:  # ant-path
@@ -430,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     c1 = con_subs.add_parser("antimagic-path",
                              help="injective distinct-sum labeling of P_|A|")
     c1.add_argument("--group", required=True)
-    _add_common(c1)
+    _add_common(c1, workers=False)
     c1.set_defaults(func=_cmd_construct)
     c2 = con_subs.add_parser("ek-path",
                              help="equitable Z_k edge labeling of P_n")

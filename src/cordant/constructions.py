@@ -38,7 +38,6 @@ from ._vocab import (
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
     Record,
-    check_workers,
     set_field,
 )
 from .deciders import (
@@ -439,8 +438,8 @@ def _harmonious_order(spec: GroupSpec, budget: int | None
     return STATUS_FOUND, order, out.nodes_explored
 
 
-def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
-                             workers: int = 1) -> ConstructionResult:
+def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET
+                             ) -> ConstructionResult:
     """Injective edge labeling of P_|A| with all vertex sums distinct.
 
     Impossible exactly when |A| is 2 mod 4.  Otherwise one of: the
@@ -454,10 +453,8 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET,
     it writes down the element enumeration and no longer searches despite
     the historical name, and ``rainbow-cycle`` otherwise, where the
     find-any search finds a core ordering.  Both searches return a fixed
-    labeling, not the lex-first one.  ``workers`` is validated but
-    reaches no search, so results are identical at every worker count.
+    labeling, not the lex-first one, and run in this process alone.
     """
-    check_workers(workers)
     spec = group(spec)
     n = spec.order
     if n < 2:

@@ -21,8 +21,15 @@ the root: when the automorphisms of the group are symmetries, every slot
 tries only labels that are least in their orbit under the automorphisms
 fixing every label placed before it, in the kernels, from one table of
 those stabilizers per group (``groups.stabilizer_table``).  With a prefix
-every label runs, at every slot.  Branches are merged in label order, and
-``workers`` only decides how many branches run concurrently, so
+only the automorphisms fixing every prefix label are symmetries: they
+prune the first free slot and those below it from the table's state
+after the prefix.  The graph's own automorphisms prune too
+(``_graph_symmetry``): twin leaves bound one another's labels from below,
+and without a prefix a cycle's lex-first labeling is no later than its
+image under a rotation or reflection composed with the translation that
+maps that image's first label back to 0, which the kernels check as the
+slots deciding each comparison are placed.  Branches are merged in label
+order, and ``workers`` only decides how many branches run concurrently, so
 parallelism never changes results; branches still running when the
 answer is known are terminated.
 
@@ -64,7 +71,7 @@ from .errors import (
     InvalidGraphError,
     InvalidSpecError,
 )
-from .graphs import PATH, TREE, SimpleGraph
+from .graphs import CYCLE, PATH, TREE, SimpleGraph
 from .groups import (
     Element,
     GroupSpec,
@@ -360,11 +367,12 @@ def _symmetry_table(spec: GroupSpec, bounds: tuple = ()) -> tuple | None:
     return stabilizer_table(spec)
 
 
-def _least_root_labels(spec: GroupSpec, bounds: tuple,
-                       derived_sizes: set[int]) -> tuple[list[int],
-                                                         tuple | None]:
-    """First-slot labels an unprefixed labeling search has to run, and the
-    symmetry table (see ``_symmetry_table``) that prunes every slot.
+def _root_labels(spec: GroupSpec, bounds: tuple, derived_sizes: set[int],
+                 prefix: list[int]
+                 ) -> tuple[range | list[int], tuple | None, bool]:
+    """The labels the first free slot of a labeling search has to try, the
+    symmetry table (see ``_symmetry_table``) that prunes every slot below
+    it, and whether translation is a symmetry the search may use.
 
     The lex-first solution is the least member of its orbit under every
     symmetry of the instance (the lex-leader argument of Crawford,
@@ -383,15 +391,27 @@ def _least_root_labels(spec: GroupSpec, bounds: tuple,
       of S is least in its orbit under the pointwise stabilizer of the
       first k: the argument reaches every slot.  The kernels prune by the
       table at every slot whose stabilizer is not yet trivial.
+    * With a ``prefix``, the symmetries must map extensions of it to
+      extensions of it: translation does not, and only the automorphisms
+      fixing every prefix label remain, so the first free slot keeps the
+      labels least in their orbits under those (the table's state after
+      the prefix).
 
     Otherwise every label runs, with no table.
     """
+    m = spec.order
     table = _symmetry_table(spec, bounds)
     if table is None:
-        return list(range(spec.order)), None
-    if _translates(bounds, derived_sizes):
-        return [0], table
-    return [x for x in range(spec.order) if table[0][x]], table
+        return range(m), None, False
+    if not prefix and _translates(bounds, derived_sizes):
+        return [0], table, True
+    marks, succ = table
+    state = 0
+    for x in prefix:
+        state = succ[state * m + x]
+        if state < 0:
+            return range(m), None, False
+    return [x for x in range(m) if marks[state * m + x]], table, False
 
 
 def _translates(bounds: tuple, derived_sizes: set[int]) -> bool:
@@ -496,12 +516,49 @@ def _instance(graph: SimpleGraph, spec: GroupSpec, notion: str
     return s, (slot_cap, slot_floor, dcap, dfloor), members
 
 
+def _graph_symmetry(graph: SimpleGraph, on_edges: bool, s: int,
+                    fixed: int, neg_t) -> tuple | None:
+    """The labeling kernel's ``graph_sym`` (see ``pure.solve_generic``):
+    lex-leader constraints from automorphisms of ``graph`` that fix each
+    of the first ``fixed`` slots (a prefix's), or None when none is left.
+
+    * Twin leaves, two leaves with one neighbour, swap; on edges, so do
+      their pendant edges.  Each twin's slot is bounded below by the label
+      of the twin slot before it.
+    * A cycle's slots, its vertices or its edges, lie in cycle order, so
+      its rotations and reflections are automorphisms, each composed with
+      the translation that maps its first image back to 0 when ``neg_t``
+      (the negation table) is given.  No rotation fixes a prefix slot,
+      and the one reflection that fixes slot 0 compares slot 1 with the
+      last slot first, which the kernel never does (it would only reject
+      a solution), so a prefix leaves none.
+
+    Paths get no reversal rule: it compares their first and last slots,
+    so it would decide nothing before the last slot.
+    """
+    low = [-1] * s
+    leaves: dict[int, list[int]] = {}
+    for v, ids in enumerate(graph.incidence()):
+        if len(ids) == 1:
+            u, w = graph.edges[ids[0]]
+            leaves.setdefault(u + w - v, []).append(ids[0] if on_edges else v)
+    for twins in leaves.values():
+        twins = sorted(i for i in twins if i >= fixed)
+        for j, i in zip(twins, twins[1:]):
+            low[i] = j
+    cycle = graph.kind == CYCLE and not fixed
+    if not cycle and low.count(-1) == s:
+        return None
+    return low, cycle, neg_t
+
+
 def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
                      prefix: tuple[Element, ...], budget: int | None,
                      workers: int) -> SearchOutcome:
     """Lex-first ``notion`` labeling (see ``_instance``), with its
     certificate.  Paths, cycles and trees all run on the one labeling
-    kernel."""
+    kernel, pruned by the symmetries of the group (``_root_labels``) and
+    of the graph (``_graph_symmetry``)."""
     instance = _instance(graph, spec, notion)
     check_workers(workers)
     pfx = [element_index(spec, a) for a in prefix]
@@ -510,18 +567,16 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
         return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
     s, bounds, members = instance
     m = spec.order
-    fixed = (m, op_tables(spec)[0], s, *bounds,
-             *_generic_structures(members, s))
-    table = None
-    if len(pfx) >= s:
-        kept = None
-    elif pfx:
-        kept = range(m)
-    else:
-        kept, table = _least_root_labels(spec, bounds,
-                                         {len(x) for x in members})
+    add_t, neg_t = op_tables(spec)
+    fixed = (m, add_t, s, *bounds, *_generic_structures(members, s))
+    kept = table = sym = None
+    if len(pfx) < s:
+        kept, table, translated = _root_labels(
+            spec, bounds, {len(x) for x in members}, pfx)
+        sym = _graph_symmetry(graph, notion != NOTION_A_CORDIAL, s,
+                              len(pfx), neg_t if translated else None)
     status, payload, nodes = _split_solve("generic", fixed, pfx, 0, kept,
-                                          budget, workers, (table,))
+                                          budget, workers, (table, sym))
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     return SearchOutcome(STATUS_FOUND, _certified(graph, spec, notion,
@@ -591,7 +646,10 @@ def _find_any(graph: SimpleGraph, spec: GroupSpec, notion: str,
     m = spec.order
     fixed = (s, *bounds, *_generic_structures(members, s))
     prefix = [0] if _translates(bounds, {len(x) for x in members}) else []
-    cap = _shares(_norm_budget(budget), split or m)[0]
+    # the first and largest of the shares ``_shares`` would plan
+    cap = _norm_budget(budget)
+    if cap >= 0:
+        cap = -(-cap // (split or m))
     add_t = table = op_tables(spec)[0]
     rng = random.Random(RESTART_SEED)
     order = list(range(m))

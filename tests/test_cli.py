@@ -313,7 +313,7 @@ def test_budget_env_and_flag_override(capsys, monkeypatch):
     code, out, _ = run(capsys, ["search", "a-cordial", "--group", "Z4",
                                 "--kind", "cycle", "--n", "12",
                                 "--budget", "-1"])
-    assert (code, out) == (EXIT_NO, "NotExists (9000 nodes)\n")
+    assert (code, out) == (EXIT_NO, "NotExists (3208 nodes)\n")
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", ""])
@@ -543,16 +543,26 @@ def test_workers_below_one_is_usage_error(capsys, workers):
 
 @pytest.mark.parametrize("argv", [
     ["search", "rstar", "--group", "Z2"],
-    ["construct", "antimagic-path", "--group", "Z8"],
     ["explore", "--n-max", "2"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_workers_below_one_is_usage_error_on_every_command(capsys, argv):
-    # none of these reaches a root split: a degenerate search, the block
-    # and pinned routes, and a survey
+    # neither reaches a root split: a degenerate search and a survey
     code, out, err = run(capsys, argv + ["--workers", "0"])
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "error: workers must be at least 1\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_construct_antimagic_path_takes_no_workers(capsys, workers):
+    # its find-any searches run one branch each: a worker count would do
+    # nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "antimagic-path", "--group", "Z2xZ2xZ2xZ2",
+              "--workers", workers])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_USAGE, "")
+    assert err == f"error: unrecognized arguments: --workers {workers}\n"
 
 
 def test_search_beyond_depth_cap_is_usage_error(capsys):

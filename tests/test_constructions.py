@@ -504,13 +504,15 @@ def test_rainbow_route_builds_products_from_a_searched_core():
         assert res.nodes_explored == alone.nodes_explored, fac
 
 
-def test_searched_routes_are_deterministic_at_any_worker_count():
-    # workers is validated, but reaches no search
+def test_searched_routes_are_deterministic_and_take_no_workers():
+    # the find-any searches run one branch in this process: no worker
+    # count to take
     for fac in ((2, 2, 2, 2), (2, 2, 2, 2, 2)):
-        results = [construct_path_antimagic(GroupSpec(fac), workers=w)
-                   for w in (1, 2, 1)]
+        results = [construct_path_antimagic(GroupSpec(fac)) for _ in range(2)]
         assert len({(r.status, r.labeling, r.nodes_explored)
                     for r in results}) == 1, fac
+    with pytest.raises(TypeError):
+        construct_path_antimagic(GroupSpec((2, 2, 2, 2)), workers=1)
 
 
 def test_sequence_route_runs_out_on_one_branch_share_for_z2_6():

@@ -5,14 +5,19 @@ that have no room left.  So a search whose unbounded run takes N nodes
 stops with BUDGET after exactly b nodes for every budget b < N, and returns
 the unbounded result for every b >= N: also when its last nodes are
 labels without room after the last one tried, or labels that the
-symmetry table rules out.  Runs on the pure kernels alone, so it needs no
-compiler.
+symmetry table or the graph symmetries rule out, and when a twin bound
+starts a slot's walk past its first labels.  Runs on the pure kernels
+alone, so it needs no compiler.
 """
 
 from cordant import GroupSpec, cycle_graph, path_graph, tree_graph
 from cordant._kernel import pure
 from cordant.groups import op_tables, stabilizer_table
-from cordant.search import _equitable_bounds, _generic_structures
+from cordant.search import (
+    _equitable_bounds,
+    _generic_structures,
+    _graph_symmetry,
+)
 
 
 def _budgets(total):
@@ -37,7 +42,8 @@ def _equitable(num_slots, num_derived, m):
 
 
 def _generic_instances():
-    """Kernel arguments up to the prefix, and the symmetry table."""
+    """Kernel arguments up to the prefix, the symmetry table and the graph
+    symmetries."""
     nonzero_once = [0] + [1] * 5
     tree = tree_graph(6, ((0, 1), (0, 2), (2, 3), (3, 4), (4, 5)))
     z4, z6, z2z4 = (stabilizer_table(GroupSpec(f))
@@ -69,7 +75,28 @@ def _generic_instances():
         (_generic((2, 4), path_graph(10), False, _equitable(10, 9, 8)),
          z2z4),
     ]
-    return [(args, None) for args in unmarked] + marked
+    # the graph symmetries as the searches derive them: a cycle's rotations
+    # and reflections, translated below the pinned 0, found and exhausted;
+    # twin leaves on a star's edges and on a tree's vertices
+    star = tree_graph(6, [(0, i) for i in range(1, 6)])
+    twins = tree_graph(7, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6)))
+    neg4 = op_tables(GroupSpec((4,)))[1]
+    neg6 = op_tables(GroupSpec((6,)))[1]
+    graph_marked = [
+        (_generic((4,), cycle_graph(8), False, _equitable(8, 8, 4), (0,)),
+         z4, _graph_symmetry(cycle_graph(8), False, 8, 0, neg4)),
+        (_generic((6,), cycle_graph(6), True, _equitable(6, 6, 6), (0,)),
+         z6, _graph_symmetry(cycle_graph(6), True, 6, 0, neg6)),
+        (_generic((4,), cycle_graph(12), False, _equitable(12, 12, 4), (0,)),
+         z4, _graph_symmetry(cycle_graph(12), False, 12, 0, neg4)),
+        (_generic((6,), star, True,
+                  (nonzero_once, nonzero_once, [1] * 6, [1] * 6)),
+         z6, _graph_symmetry(star, True, 5, 0, None)),
+        (_generic((3,), twins, False, _equitable(7, 6, 3)),
+         None, _graph_symmetry(twins, False, 7, 0, None)),
+    ]
+    return ([(args, None, None) for args in unmarked]
+            + [(args, table, None) for args, table in marked] + graph_marked)
 
 
 def _check(solve, nodes_at):
@@ -88,9 +115,9 @@ def _check(solve, nodes_at):
 
 
 def test_generic_kernel_stops_exactly_at_its_budget():
-    statuses = {_check(lambda b: pure.solve_generic(*args, b, table),
+    statuses = {_check(lambda b: pure.solve_generic(*args, b, table, sym),
                        lambda r: r[2])
-                for args, table in _generic_instances()}
+                for args, table, sym in _generic_instances()}
     assert statuses == {pure.FOUND, pure.EXHAUSTED}
 
 

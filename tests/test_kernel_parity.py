@@ -217,6 +217,55 @@ s = c.compute_sigma_max(spec((10,)))
 out.append(["sigma-z10", s.status, s.value, list(s.witness.order),
             s.nodes_explored])
 
+# graph symmetries as the searches derive them, given to the kernels
+# directly: rotations and reflections translated below the pinned 0, on a
+# cycle's vertices and edges, and twin chains on a star's edges and a
+# tree's vertices, with budget stops inside the pruned subtrees; then
+# prefixes that break a rotation (S[1] > S[2] - S[1]) or a twin bound, and
+# one that keeps every rule
+from cordant.search import _graph_symmetry
+
+z4_neg, z10_neg = op_tables(spec((4,)))[1], op_tables(spec((10,)))[1]
+z3_add = op_tables(spec((3,)))[0]
+star7 = c.tree_graph(7, [(0, i) for i in range(1, 7)])
+star_csr = _generic_structures(star7.incidence(), 6)
+star_sym = _graph_symmetry(star7, True, 6, 0, None)
+twins9 = c.tree_graph(9, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6),
+                          (6, 7), (6, 8)))
+c8_sym = _graph_symmetry(c.cycle_graph(8), False, 8, 0, z4_neg)
+turned = [
+    ("cycle-vertices-z4", 3208, 41, lambda b: kern.solve_generic(
+        4, z4_add, 12, [3] * 4, [3] * 4, [3] * 4, [3] * 4, *cycle(12), [0],
+        b, stabilizer_table(spec((4,))),
+        _graph_symmetry(c.cycle_graph(12), False, 12, 0, z4_neg))),
+    ("cycle-edges-z10", 28440, 997, lambda b: kern.solve_generic(
+        10, z10_add, 10, [1] * 10, [1] * 10, [1] * 10, [1] * 10,
+        *_generic_structures(c.cycle_graph(10).incidence(), 10), [0], b,
+        z10_table,
+        _graph_symmetry(c.cycle_graph(10), True, 10, 0, z10_neg))),
+    ("star-edges-z6", 109, 1, lambda b: kern.solve_generic(
+        6, z6_add, 6, [1] * 6, [1] * 6, [1] * 6, [1] * 6, *star_csr, [], b,
+        z6_table, star_sym)),
+    ("tree-vertices-z3", 15, 1, lambda b: kern.solve_generic(
+        3, z3_add, 9, [3] * 3, [3] * 3, [3] * 3, [2] * 3,
+        *_generic_structures(twins9.edges, 9), [], b, None,
+        _graph_symmetry(twins9, False, 9, 0, None))),
+]
+for name, total, step, solve in turned:
+    out.append(["budget-sweep-turned-" + name,
+                [solve(b) for b in [*range(0, min(total, 40)),
+                                    *range(40, total, step), total]]])
+out.append(["turned-rejected-prefix",
+            kern.solve_generic(4, z4_add, 8, [2] * 4, [2] * 4, [2] * 4,
+                               [2] * 4, *cycle(8), [0, 3, 1], -1, None,
+                               c8_sym),
+            kern.solve_generic(4, z4_add, 8, [2] * 4, [2] * 4, [2] * 4,
+                               [2] * 4, *cycle(8), [0, 1, 2], -1, None,
+                               c8_sym),
+            kern.solve_generic(6, z6_add, 6, [1] * 6, [1] * 6, [1] * 6,
+                               [1] * 6, *star_csr, [3, 1], -1, None,
+                               star_sym)])
+
 # prefixes that leave one slot free
 out.append(["path-cycle-one-free-slot",
             kern.solve_generic(4, z4_add, 4, [1] * 4, [0] * 4,
@@ -381,6 +430,16 @@ bad = [
                                ([2, 1, 2], [0, -1, 0])),
     lambda: _speed.solve_sigma(3, [0, 1, 2, 1, 2, 0, 2, 0, 1], -1,
                                ([2, 1, 0], [0, 1, -1])),
+    # graph symmetries: not a triple, twin bounds of the wrong length or
+    # from a later slot, a short neg_t
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
+                                 ([-1, -1], True)),
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
+                                 ([-1], False, None)),
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
+                                 ([-1, 1], False, None)),
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
+                                 ([-1, -1], True, [0])),
 ]
 for call in bad:
     try:
@@ -391,6 +450,8 @@ for call in bad:
 # the well-formed pair they are built from runs: labels 0, 1 sum to 1
 assert _speed.solve_generic(2, add_t, 2, *bounds, *pair, [],
                             -1) == (0, [0, 1], 3)
+assert _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
+                            ([-1, 0], True, [0, 1])) == (0, [0, 1], 3)
 """
     proc = _run(built_package, "compiled", code)
     assert proc.returncode == 0, proc.stderr

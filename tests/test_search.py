@@ -32,7 +32,6 @@ from cordant import (
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
     compute_sigma_max,
-    construct_path_antimagic,
     cycle_graph,
     enumerate_elements,
     explore_conjecture,
@@ -77,7 +76,7 @@ def test_ea_cordial_path6_z6_not_exists():
 def test_a_cordial_cycle12_z4_not_exists():
     out = search_a_cordial(cycle_graph(12), Z4)
     assert out.status == STATUS_NOT_EXISTS
-    assert out.nodes_explored == 9000
+    assert out.nodes_explored == 3208
 
 
 def test_antimagic_search_frozen_counts():
@@ -89,13 +88,14 @@ def test_antimagic_search_frozen_counts():
 
 def test_order_10_z2xz5_trees_are_settled_at_the_default_budget():
     # each runs one root branch with a 1,000,000-node share, which the
-    # dead-state memo on trees keeps it well inside
+    # dead-state memo on trees keeps it well inside; their twin leaves
+    # (six at one vertex; two and six; nine) bound one another
     trees = list(enumerate_trees(10))
     outcomes = [search_a_antimagic(trees[i], GroupSpec((2, 5)))
                 for i in (48, 55, 60)]
     assert [(o.status, o.nodes_explored) for o in outcomes] == [
-        (STATUS_NOT_EXISTS, 59480), (STATUS_NOT_EXISTS, 50180),
-        (STATUS_NOT_EXISTS, 17560)]
+        (STATUS_NOT_EXISTS, 19509), (STATUS_NOT_EXISTS, 13752),
+        (STATUS_NOT_EXISTS, 1091)]
 
 
 def test_star_variant_search_frozen_counts():
@@ -110,7 +110,7 @@ def test_found_certificates_reverify():
     assert out.status == STATUS_FOUND
     assert verify_a_antimagic(path_graph(5), out.certificate).ok
     out = search_a_star_antimagic(star_graph(3), E2)
-    assert out.status == STATUS_FOUND and out.nodes_explored == 7
+    assert out.status == STATUS_FOUND and out.nodes_explored == 4
     assert verify_a_star_antimagic(star_graph(3), out.certificate).ok
 
 
@@ -337,11 +337,9 @@ def test_workers_below_one_are_rejected():
             search_ea_cordial(path_graph(4), Z4, workers=workers)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             search_rstar_sequence(E2, workers=workers)
-        # routes and degenerate cases that run no search reject it too
+        # degenerate cases that run no search reject it too
         with pytest.raises(ValueError, match="workers must be at least 1"):
             search_rstar_sequence(GroupSpec((2,)), workers=workers)
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            construct_path_antimagic(GroupSpec((8,)), workers=workers)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             explore_conjecture(2, workers=workers)
 
@@ -349,8 +347,9 @@ def test_workers_below_one_are_rejected():
 class _InlineBranch:
     """Stands in for search._Branch: runs its task in this process when
     its result is taken, logs every start, run and stop (by prefix: a
-    labeling task ends with prefix, budget and symmetry table), and records
-    the most branches started and not yet finished."""
+    labeling task ends with prefix, budget, symmetry table and graph
+    symmetries), and records the most branches started and not yet
+    finished."""
 
     log: list = []
     live = 0
@@ -358,18 +357,18 @@ class _InlineBranch:
 
     def __init__(self, task):
         self.task = task
-        self.log.append(("start", task[1][-3]))
+        self.log.append(("start", task[1][-4]))
         _InlineBranch.live += 1
         _InlineBranch.peak = max(_InlineBranch.peak, _InlineBranch.live)
 
     def result(self):
         _InlineBranch.live -= 1
-        self.log.append(("ran", self.task[1][-3]))
+        self.log.append(("ran", self.task[1][-4]))
         return search._run_branch(self.task)
 
     def stop(self):
         _InlineBranch.live -= 1
-        self.log.append(("stopped", self.task[1][-3]))
+        self.log.append(("stopped", self.task[1][-4]))
 
 
 @pytest.fixture
@@ -514,6 +513,12 @@ def test_kept_root_labels(root_splits):
     assert kept(search_a_star_antimagic, path_graph(9),
                 GroupSpec((3, 3))) == [0, 1]
     assert kept(search_rstar_sequence, E3) == [1]
+    # a prefix keeps the automorphisms fixing its labels: all of Aut(Z6)
+    # fixes 0 and 3, none but the identity fixes 1 in Z3 or 3 in Z4
+    assert kept(search_ea_cordial, path_graph(6), Z6,
+                prefix=((0,),)) == [0, 1, 2, 3]
+    assert kept(search_ea_cordial, path_graph(6), Z6,
+                prefix=((3,),)) == [0, 1, 2, 3]
     assert kept(search_ea_cordial, cycle_graph(3), Z3,
                 prefix=((1,),)) == [0, 1, 2]
     assert kept(search_a_cordial, path_graph(8), Z4,
@@ -521,9 +526,9 @@ def test_kept_root_labels(root_splits):
     # bounds that tell apart two labels of one orbit (1 and 5 in Z6) are
     # no automorphism symmetry, and mixed derived sizes no translation
     caps = [1, 2, 1, 1, 1, 1]
-    assert search._least_root_labels(
-        Z6, (caps, [0] * 6, [1] * 6, [0] * 6), {1, 2}) == (
-            list(range(6)), None)
+    labels, table, translated = search._root_labels(
+        Z6, (caps, [0] * 6, [1] * 6, [0] * 6), {1, 2}, [])
+    assert (list(labels), table, translated) == (list(range(6)), None, False)
 
 
 def test_orbit_marks_below_the_root(root_splits):
@@ -547,8 +552,11 @@ def test_orbit_marks_below_the_root(root_splits):
                    2, 2, 2, 2, -1, -1, -1, -1])
     # R*-sequences prune by the same table
     assert table(search_rstar_sequence, E3) == e3
-    # a user prefix, and bounds that split an orbit, turn the table off
-    assert table(search_ea_cordial, path_graph(6), Z6, prefix=((0,),)) is None
+    # a user prefix keeps the table while some automorphism fixes its
+    # labels; one fixing none, and bounds that split an orbit, turn it off
+    z6 = search._symmetry_table(Z6)
+    assert table(search_ea_cordial, path_graph(6), Z6, prefix=((0,),)) == z6
+    assert table(search_ea_cordial, path_graph(6), Z6, prefix=((1,),)) is None
     assert search._symmetry_table(Z6, ([1, 2, 1, 1, 1, 1],)) is None
     assert search._symmetry_table(GroupSpec(())) == ([2], [0])
 
@@ -643,6 +651,79 @@ def test_pruning_keeps_rstar_outcomes(root_splits):
     _assert_pruning_keeps_outcomes(root_splits, calls)
 
 
+def _graph_symmetry_calls(spec):
+    """Every cycle C3..C10 (a-cordial and ea-cordial) and every tree of
+    order up to 8 (ea-cordial; antimagic and A* at the group's order),
+    unprefixed and with each of the first two labels as a prefix."""
+    firsts = [()] + [(x,) for x in enumerate_elements(spec)[:2]]
+    for graph in [cycle_graph(n) for n in range(3, 11)] + [
+            t for n in range(2, 9) for t in enumerate_trees(n)]:
+        notions = [search_ea_cordial]
+        if graph.kind == "cycle":
+            notions.append(search_a_cordial)
+        for notion in notions:
+            for prefix in firsts:
+                yield lambda f=notion, g=graph, p=prefix: f(g, spec, prefix=p)
+        if graph.kind != "cycle" and graph.n == spec.order:
+            for notion in (search_a_antimagic, search_a_star_antimagic):
+                yield lambda f=notion, g=graph: f(g, spec)
+
+
+def _outcome(call):
+    out = call()
+    labels = None if out.certificate is None else out.certificate.labels
+    return out.status, labels, out.nodes_explored
+
+
+@pytest.mark.parametrize("spec", [
+    g for n in range(2, 9) for g in abelian_groups_of_order(n)], ids=str)
+def test_graph_symmetries_change_node_counts_only(monkeypatch, spec):
+    # the searches with the kernel's graph_sym argument on and off: the same
+    # status and lex-first labels, and never more nodes with it on
+    for call in _graph_symmetry_calls(spec):
+        on = _outcome(call)
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_graph_symmetry", lambda *args: None)
+            off = _outcome(call)
+        assert on[:2] == off[:2] and on[2] <= off[2], (spec, on, off)
+
+
+@pytest.mark.parametrize("spec", [
+    g for n in range(2, 9) for g in abelian_groups_of_order(n)], ids=str)
+def test_prefixed_searches_keep_outcomes_under_the_automorphisms_fixing_it(
+        monkeypatch, spec):
+    # a prefixed search prunes by the automorphisms that fix its labels; with
+    # no group symmetry at all it keeps its status and labels, and spends
+    # no fewer nodes
+    graphs = [cycle_graph(n) for n in range(3, 11)] + [
+        t for n in range(2, 9) for t in enumerate_trees(n)]
+    for graph in graphs:
+        for x in enumerate_elements(spec)[:2]:
+            call = lambda g=graph, p=(x,): search_ea_cordial(g, spec, prefix=p)
+            on = _outcome(call)
+            with monkeypatch.context() as mp:
+                mp.setattr(search, "_symmetry_table", lambda *args: None)
+                off = _outcome(call)
+            assert on[:2] == off[:2] and on[2] <= off[2], (spec, on, off)
+
+
+def test_prefixed_searches_prune_below_labels_every_automorphism_fixes():
+    # Z10's automorphisms all fix 0 and 5 and only the identity fixes 1:
+    # the order-10 trees' pinned first labels (NotExists: |Z10| and the
+    # order are both 2 mod 4)
+    tree = list(enumerate_trees(10))[20]
+    nodes = {x: search_ea_cordial(tree, GroupSpec((10,)),
+                                  prefix=((x,),)).nodes_explored
+             for x in (0, 1, 5)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_symmetry_table", lambda *args: None)
+        plain = {x: search_ea_cordial(tree, GroupSpec((10,)),
+                                      prefix=((x,),)).nodes_explored
+                 for x in (0, 1, 5)}
+    assert nodes[1] == plain[1]
+    assert nodes[0] < plain[0] and nodes[5] < plain[5]
+
+
 @pytest.mark.parametrize("spec", [
     g for n in range(3, 11) for g in abelian_groups_of_order(n)], ids=str)
 def test_sigma_max_pruning_keeps_value_and_witness(spec):
@@ -698,11 +779,12 @@ def test_relabeled_tables_match_the_comprehension(orders):
 def test_find_any_keeps_lex_first_results_within_one_restart_unit(
         monkeypatch):
     # restart 1 is the lex-first search on its kept branch without the
-    # symmetry table below the root, so whatever that search finds within
-    # RESTART_UNIT nodes comes out unchanged
-    least = search._least_root_labels
-    monkeypatch.setattr(search, "_least_root_labels",
-                        lambda *args: (least(*args)[0], None))
+    # symmetries below the root, of the group or the graph, so whatever
+    # that search finds within RESTART_UNIT nodes comes out unchanged
+    roots = search._root_labels
+    monkeypatch.setattr(search, "_root_labels",
+                        lambda *args: (roots(*args)[0], None, False))
+    monkeypatch.setattr(search, "_graph_symmetry", lambda *args: None)
     checked = 0
     for n in range(3, 17):
         for spec in abelian_groups_of_order(n):
@@ -722,9 +804,10 @@ def test_find_any_paths_keep_lex_first_labelings_within_one_restart_unit(
     # on a path's edges no first label is pinned: restart 1 tries every
     # root label the lex-first search keeps, and the ones its orbits skip,
     # each placed as a node of its own rather than as a branch prefix
-    least = search._least_root_labels
-    monkeypatch.setattr(search, "_least_root_labels",
-                        lambda *args: (least(*args)[0], None))
+    roots = search._root_labels
+    monkeypatch.setattr(search, "_root_labels",
+                        lambda *args: (roots(*args)[0], None, False))
+    monkeypatch.setattr(search, "_graph_symmetry", lambda *args: None)
     checked = 0
     for n in range(3, 17):
         for spec in abelian_groups_of_order(n):
