@@ -31,7 +31,6 @@ from ._vocab import (
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
     check_searchable,
-    check_workers,
     indented_json,
     notion_name,
 )
@@ -132,12 +131,13 @@ def _parse_elements(spec: GroupSpec, text: str) -> tuple:
 def _graph_from_args(args) -> SimpleGraph:
     from . import cycle_graph, path_graph, tree_graph
     from .certificates import is_json_int
-    if args.kind in ("path", "cycle") and args.n is None:
-        raise CordantError(f"{args.kind} graphs need --n")
-    if args.kind == "path":
-        return path_graph(args.n)
-    if args.kind == "cycle":
-        return cycle_graph(args.n)
+    kind = args.kind or "path"
+    if kind in ("path", "cycle"):
+        if args.edges is not None:
+            raise CordantError(f"{kind} graphs take --n, not --edges")
+        if args.n is None:
+            raise CordantError(f"{kind} graphs need --n")
+        return (path_graph if kind == "path" else cycle_graph)(args.n)
     if args.edges is None:
         raise CordantError("tree graphs need --edges")
     raw = json.loads(args.edges)
@@ -190,13 +190,19 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.certificate:
+        inline = [f"--{name}" for name in ("notion", "group", "kind", "n",
+                                           "edges", "labels")
+                  if getattr(args, name) is not None]
+        if inline:
+            raise CordantError("--certificate cannot be combined with "
+                               + ", ".join(inline))
         from . import certificate_loads
         with open(args.certificate, encoding="utf-8") as fh:
             cert = certificate_loads(fh.read())
     else:
-        if not (args.notion and args.group and args.kind and args.labels):
+        if not (args.notion and args.group and args.labels):
             raise CordantError(
-                "inline verification needs --notion, --group, --kind, --labels")
+                "inline verification needs --notion, --group, --labels")
         spec = _group(args)
         from . import (
             EdgeLabeling,
@@ -254,9 +260,7 @@ def _cmd_search(args) -> int:
     budget = _resolve_budget(args)
     spec = _group(args)
     # the searches' own input checks, in their order, before they load
-    if args.notion == "rstar":
-        check_workers(args.workers)
-    else:
+    if args.notion != "rstar":
         graph = _graph_from_args(args)
     check_searchable(spec)
     from . import (
@@ -269,8 +273,7 @@ def _cmd_search(args) -> int:
         search_rstar_sequence,
     )
     if args.notion == "rstar":
-        outcome = search_rstar_sequence(spec, budget=budget,
-                                        workers=args.workers)
+        outcome = search_rstar_sequence(spec, budget=budget)
     else:
         runner = {
             NOTION_EA_CORDIAL: search_ea_cordial,
@@ -399,7 +402,7 @@ def _add_common(sub, budget=True, workers=True, graph=False) -> None:
                               "for any value")
     if graph:
         sub.add_argument("--kind", choices=("path", "cycle", "tree"),
-                         default="path")
+                         help="graph kind (default path)")
         sub.add_argument("--n", type=int, default=None)
         sub.add_argument("--edges", default=None,
                          help='JSON edge list for --kind tree, e.g. "[[0,1],[1,2]]"')
@@ -471,11 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
         d.set_defaults(func=_cmd_decide)
 
     sea = subs.add_parser("search", help="exhaustive backtracking searches")
-    sea.add_argument("notion", type=notion_name, choices=NOTIONS + ("rstar",),
-                     help=_NOTION_HELP)
-    sea.add_argument("--group", required=True)
-    _add_common(sea, graph=True)
-    sea.set_defaults(func=_cmd_search)
+    sea_subs = sea.add_subparsers(dest="notion", required=True)
+    for notion in NOTIONS + ("rstar",):
+        sub = sea_subs.add_parser(notion, aliases=[
+            old for old, new in NOTION_ALIASES.items() if new == notion])
+        sub.add_argument("--group", required=True)
+        # an R*-sequence search has no graph and makes one kernel call
+        labeling = notion != "rstar"
+        _add_common(sub, workers=labeling, graph=labeling)
+        sub.set_defaults(func=_cmd_search, notion=notion)
 
     sig = subs.add_parser("sigma-max",
                           help="most distinct neighbour sums on an element "

@@ -11,7 +11,7 @@ on the one labeling kernel, built from the graph's slot/derived-sum
 incidence.  Instances deeper than ``MAX_DEPTH`` levels are refused with
 ``CapExceededError`` before any kernel runs.
 
-Every search is split into one branch per first-slot label, and each
+Every labeling search splits into a branch per first-slot label; each
 label gets a fixed share of the budget.  Without a prefix, only the labels
 that are least in their orbit under the instance's symmetries run, each
 with the share it has among all first-slot labels (the lex-first solution
@@ -31,7 +31,9 @@ maps that image's first label back to 0, which the kernels check as the
 slots deciding each comparison are placed.  Branches are merged in label
 order, and ``workers`` only decides how many branches run concurrently, so
 parallelism never changes results; branches still running when the
-answer is known are terminated.
+answer is known are terminated.  The R*-sequence search is not split: it
+is one kernel call on the sequences that start with element 1, pruned by
+the same table below it.
 
 The one exception to lex-first is ``_find_any``, the find-any search
 behind the construct routes ``rainbow-cycle`` (a cycle's vertices) and
@@ -109,7 +111,9 @@ _unlifted_limit = 0
 
 class SearchOutcome(Record):
     """Result of one search: status, certificate (when Found: the
-    labeling's ``Certificate``, or the ``RStarSequence``), and cost."""
+    labeling's ``Certificate``, or the ``RStarSequence``), and cost, the
+    nodes of every kernel call it made: each root branch of a labeling
+    search that ran, or the one call of an R*-sequence search."""
 
     _fields = ("status", "certificate", "nodes_explored")
 
@@ -332,24 +336,22 @@ def _merge(results: list) -> tuple[int, object, int]:
     return EXHAUSTED, None, nodes
 
 
-def _split_solve(kind: str, fixed_args: tuple, prefix: list, first_label: int,
-                 kept, budget: int, workers: int,
-                 tail: tuple = ()) -> tuple[int, object, int]:
-    """Root-split a kernel call on the labels of the first free slot.
+def _split_solve(fixed_args: tuple, prefix: list, kept, budget: int,
+                 workers: int, tail: tuple = ()) -> tuple[int, object, int]:
+    """Root-split a labeling kernel call on the labels of the first free
+    slot.
 
-    ``fixed_args`` starts with the group order, which every kernel takes
-    first; the free slot can take the labels ``first_label`` up to it.
-    Only the labels in ``kept`` run, each with the budget share it has
-    among all of them.  ``kept`` is None when the prefix fills every
-    slot: one call then runs on the whole budget.  ``tail`` holds the
-    kernel's arguments after the budget.
+    ``fixed_args`` starts with the group order, which the kernel takes
+    first.  Only the labels in ``kept`` run, each with the budget share it
+    has among all labels of the group.  ``kept`` is None when the prefix
+    fills every slot: one call then runs on the whole budget.  ``tail``
+    holds the kernel's arguments after the budget.
     """
     if kept is None:
-        r = _run_branch((kind, fixed_args + (prefix, budget) + tail))
+        r = _run_branch(("generic", fixed_args + (prefix, budget) + tail))
         return (r[0], r if r[0] == FOUND else None, r[-1])
-    shares = _shares(budget, fixed_args[0] - first_label)
-    tasks = [(kind, fixed_args + (prefix + [x], shares[x - first_label])
-              + tail)
+    shares = _shares(budget, fixed_args[0])
+    tasks = [("generic", fixed_args + (prefix + [x], shares[x]) + tail)
              for x in kept]
     return _merge(_orchestrate(tasks, workers))
 
@@ -516,11 +518,14 @@ def _instance(graph: SimpleGraph, spec: GroupSpec, notion: str
     return s, (slot_cap, slot_floor, dcap, dfloor), members
 
 
-def _graph_symmetry(graph: SimpleGraph, on_edges: bool, s: int,
+def _graph_symmetry(graph: SimpleGraph, incidence: list | None, s: int,
                     fixed: int, neg_t) -> tuple | None:
     """The labeling kernel's ``graph_sym`` (see ``pure.solve_generic``):
     lex-leader constraints from automorphisms of ``graph`` that fix each
     of the first ``fixed`` slots (a prefix's), or None when none is left.
+    The slots are the edges when ``incidence`` is given (the instance's
+    derived items, ``graph.incidence()``), and the vertices when it is
+    None.
 
     * Twin leaves, two leaves with one neighbour, swap; on edges, so do
       their pendant edges.  Each twin's slot is bounded below by the label
@@ -536,9 +541,12 @@ def _graph_symmetry(graph: SimpleGraph, on_edges: bool, s: int,
     Paths get no reversal rule: it compares their first and last slots,
     so it would decide nothing before the last slot.
     """
+    on_edges = incidence is not None
+    if not on_edges:
+        incidence = graph.incidence()
     low = [-1] * s
     leaves: dict[int, list[int]] = {}
-    for v, ids in enumerate(graph.incidence()):
+    for v, ids in enumerate(incidence):
         if len(ids) == 1:
             u, w = graph.edges[ids[0]]
             leaves.setdefault(u + w - v, []).append(ids[0] if on_edges else v)
@@ -573,10 +581,11 @@ def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
     if len(pfx) < s:
         kept, table, translated = _root_labels(
             spec, bounds, {len(x) for x in members}, pfx)
-        sym = _graph_symmetry(graph, notion != NOTION_A_CORDIAL, s,
-                              len(pfx), neg_t if translated else None)
-    status, payload, nodes = _split_solve("generic", fixed, pfx, 0, kept,
-                                          budget, workers, (table, sym))
+        sym = _graph_symmetry(
+            graph, members if notion != NOTION_A_CORDIAL else None, s,
+            len(pfx), neg_t if translated else None)
+    status, payload, nodes = _split_solve(fixed, pfx, kept, budget, workers,
+                                          (table, sym))
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     return SearchOutcome(STATUS_FOUND, _certified(graph, spec, notion,
@@ -720,33 +729,32 @@ def search_a_star_antimagic(graph: SimpleGraph, spec: GroupSpec,
                             workers)
 
 
-def search_rstar_sequence(spec: GroupSpec, budget: int | None = DEFAULT_BUDGET,
-                          workers: int = 1) -> SearchOutcome:
+def search_rstar_sequence(spec: GroupSpec,
+                          budget: int | None = DEFAULT_BUDGET) -> SearchOutcome:
     """Lex-first difference-distinct ordering of the nonzero elements with
     a star position (one term the sum of its cyclic neighbours).
 
     Degenerate below three nonzero elements: NotExists without a search.
     Only sequences starting with element 1 are searched: every rotation of
-    a solution is one, so the lex-first sequence starts with it.  Every
-    automorphism maps a solution to one, so below the 1 the kernel prunes
-    by the symmetry table as the labeling searches do.
+    a solution is one, so the lex-first sequence starts with it.  That one
+    kernel call gets the share of the budget the 1 has among the m - 1
+    nonzero first elements.  Every automorphism maps a solution to one, so
+    below the 1 the kernel prunes by the symmetry table as the labeling
+    searches do.
     """
-    check_workers(workers)
     check_searchable(spec)
     _check_depth(spec.order)
     m = spec.order
     if m - 1 < 3:
         return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
     add_t, neg_t = op_tables(spec)
-    fixed = (m, add_t, neg_t)
-    status, payload, nodes = _split_solve(
-        "rstar", fixed, [], 1, [1], _norm_budget(budget), workers,
-        (stabilizer_table(spec),))
-    if status != FOUND:
-        return SearchOutcome(_STATUS_NAME[status], None, nodes)
-    seq = _labels_from_indices(spec, payload[1])
-    cert = RStarSequence(spec, seq, payload[2])
-    return SearchOutcome(STATUS_FOUND, cert, nodes)
+    share = _shares(_norm_budget(budget), m - 1)[0]
+    r = _run_branch(("rstar", (m, add_t, neg_t, [1], share,
+                               stabilizer_table(spec))))
+    if r[0] != FOUND:
+        return SearchOutcome(_STATUS_NAME[r[0]], None, r[-1])
+    cert = RStarSequence(spec, _labels_from_indices(spec, r[1]), r[2])
+    return SearchOutcome(STATUS_FOUND, cert, r[-1])
 
 
 def compute_sigma_max(spec: GroupSpec,

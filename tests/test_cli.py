@@ -167,6 +167,19 @@ def test_verify_certificate_file(capsys):
     assert doc["notion"] == "a-star-antimagic"
 
 
+@pytest.mark.parametrize("options, named", [
+    (["--group", "Zfoo", "--labels", "junk"], "--group, --labels"),
+    (["--notion", "ea-cordial"], "--notion"),
+    (["--kind", "path"], "--kind"),
+    (["--n", "4", "--edges", "[[0,1]]"], "--n, --edges"),
+])
+def test_verify_certificate_takes_no_inline_options(capsys, options, named):
+    # the certificate names its own notion, group, graph and labels
+    code, out, err = run(capsys, ["verify", "--certificate", DEMO1] + options)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: --certificate cannot be combined with {named}\n"
+
+
 def test_verify_inline_valid(capsys):
     # bare ints in --labels are wrapped into rank-1 tuples
     code, out, _ = run(capsys, ["verify", "--notion", "ea-cordial",
@@ -274,6 +287,31 @@ def test_search_rstar(capsys):
     code, out, _ = run(capsys, ["search", "rstar", "--group", "Z2xZ2"])
     assert code == EXIT_OK
     assert out == "Found (5 nodes)\nsequence [[0, 1], [1, 0], [1, 1]] star 0\n"
+
+
+@pytest.mark.parametrize("option", [
+    ["--workers", "2"], ["--workers", "0"], ["--n", "5"], ["--edges", "[]"],
+    ["--kind", "path"], ["--kind", "tree", "--edges", "garbage", "--n", "99",
+                         "--workers", "7"]])
+def test_search_rstar_takes_no_graph_or_workers(capsys, option):
+    # an R*-sequence has no graph, and its search is one kernel call
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "rstar", "--group", "Z2xZ2"] + option)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_USAGE, "")
+    assert err == f"error: unrecognized arguments: {' '.join(option)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "ea-cordial", "--group", "Z4"],
+    ["verify", "--notion", "ea-cordial", "--group", "Z4", "--labels", "[0]"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("kind", ["path", "cycle"])
+def test_paths_and_cycles_take_no_edges(capsys, argv, kind):
+    code, out, err = run(capsys, argv + ["--kind", kind, "--n", "4",
+                                         "--edges", "garbage"])
+    assert (code, out, err) == (
+        EXIT_USAGE, "", f"error: {kind} graphs take --n, not --edges\n")
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +580,10 @@ def test_workers_below_one_is_usage_error(capsys, workers):
 
 
 @pytest.mark.parametrize("argv", [
-    ["search", "rstar", "--group", "Z2"],
     ["explore", "--n-max", "2"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_workers_below_one_is_usage_error_on_every_command(capsys, argv):
-    # neither reaches a root split: a degenerate search and a survey
+    # a survey that reaches no root split
     code, out, err = run(capsys, argv + ["--workers", "0"])
     assert code == EXIT_USAGE
     assert out == ""
@@ -620,14 +657,12 @@ def test_groups_beyond_the_size_cap_are_refused_before_any_label(
     (["search", "ea-cordial", "--group", "Z1", "--kind", "path", "--n", "3",
       "--workers", "0"],
      "searches need a group with at least two elements"),
-    (["search", "rstar", "--group", "Z1", "--workers", "0"],
-     "workers must be at least 1"),
     (["search", "rstar", "--group", "Z1"],
      "searches need a group with at least two elements"),
 ])
 def test_search_input_errors_keep_their_order(capsys, argv, message):
-    # a bad graph before the trivial group, and on rstar a bad --workers
-    # before it too, as the searches themselves check
+    # a bad graph before the trivial group, as the searches themselves
+    # check
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 

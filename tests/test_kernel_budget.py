@@ -84,16 +84,17 @@ def _generic_instances():
     neg6 = op_tables(GroupSpec((6,)))[1]
     graph_marked = [
         (_generic((4,), cycle_graph(8), False, _equitable(8, 8, 4), (0,)),
-         z4, _graph_symmetry(cycle_graph(8), False, 8, 0, neg4)),
+         z4, _graph_symmetry(cycle_graph(8), None, 8, 0, neg4)),
         (_generic((6,), cycle_graph(6), True, _equitable(6, 6, 6), (0,)),
-         z6, _graph_symmetry(cycle_graph(6), True, 6, 0, neg6)),
+         z6, _graph_symmetry(cycle_graph(6), cycle_graph(6).incidence(), 6,
+                             0, neg6)),
         (_generic((4,), cycle_graph(12), False, _equitable(12, 12, 4), (0,)),
-         z4, _graph_symmetry(cycle_graph(12), False, 12, 0, neg4)),
+         z4, _graph_symmetry(cycle_graph(12), None, 12, 0, neg4)),
         (_generic((6,), star, True,
                   (nonzero_once, nonzero_once, [1] * 6, [1] * 6)),
-         z6, _graph_symmetry(star, True, 5, 0, None)),
+         z6, _graph_symmetry(star, star.incidence(), 5, 0, None)),
         (_generic((3,), twins, False, _equitable(7, 6, 3)),
-         None, _graph_symmetry(twins, False, 7, 0, None)),
+         None, _graph_symmetry(twins, None, 7, 0, None)),
     ]
     return ([(args, None, None) for args in unmarked]
             + [(args, table, None) for args, table in marked] + graph_marked)

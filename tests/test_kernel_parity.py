@@ -53,6 +53,7 @@ record("am-p7-z7", c.search_a_antimagic(c.path_graph(7), spec((7,))))
 record("as-p8-e3", c.search_a_star_antimagic(c.path_graph(8), spec((2, 2, 2))))
 record("rs-e2", c.search_rstar_sequence(spec((2, 2))))
 record("rs-e3", c.search_rstar_sequence(spec((2, 2, 2))))
+record("rs-z2xz5", c.search_rstar_sequence(spec((2, 5))))
 record("ea-p6-z6-w3", c.search_ea_cordial(c.path_graph(6), spec((6,)), workers=3))
 record("ea-p6-z6-b100", c.search_ea_cordial(c.path_graph(6), spec((6,)), budget=100))
 
@@ -65,7 +66,6 @@ for w in (1, 2):
            c.search_ea_cordial(c.path_graph(10), spec((10,)), workers=w))
     record(f"as-tree8-z8-w{w}",
            c.search_a_star_antimagic(tree8, spec((8,)), workers=w))
-    record(f"rs-z2xz5-w{w}", c.search_rstar_sequence(spec((2, 5)), workers=w))
 
 # extreme inputs
 record("ea-p6-z6-b0", c.search_ea_cordial(c.path_graph(6), spec((6,)), budget=0))
@@ -229,27 +229,28 @@ z4_neg, z10_neg = op_tables(spec((4,)))[1], op_tables(spec((10,)))[1]
 z3_add = op_tables(spec((3,)))[0]
 star7 = c.tree_graph(7, [(0, i) for i in range(1, 7)])
 star_csr = _generic_structures(star7.incidence(), 6)
-star_sym = _graph_symmetry(star7, True, 6, 0, None)
+star_sym = _graph_symmetry(star7, star7.incidence(), 6, 0, None)
 twins9 = c.tree_graph(9, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6),
                           (6, 7), (6, 8)))
-c8_sym = _graph_symmetry(c.cycle_graph(8), False, 8, 0, z4_neg)
+c8_sym = _graph_symmetry(c.cycle_graph(8), None, 8, 0, z4_neg)
 turned = [
     ("cycle-vertices-z4", 3208, 41, lambda b: kern.solve_generic(
         4, z4_add, 12, [3] * 4, [3] * 4, [3] * 4, [3] * 4, *cycle(12), [0],
         b, stabilizer_table(spec((4,))),
-        _graph_symmetry(c.cycle_graph(12), False, 12, 0, z4_neg))),
+        _graph_symmetry(c.cycle_graph(12), None, 12, 0, z4_neg))),
     ("cycle-edges-z10", 28440, 997, lambda b: kern.solve_generic(
         10, z10_add, 10, [1] * 10, [1] * 10, [1] * 10, [1] * 10,
         *_generic_structures(c.cycle_graph(10).incidence(), 10), [0], b,
         z10_table,
-        _graph_symmetry(c.cycle_graph(10), True, 10, 0, z10_neg))),
+        _graph_symmetry(c.cycle_graph(10), c.cycle_graph(10).incidence(), 10,
+                        0, z10_neg))),
     ("star-edges-z6", 109, 1, lambda b: kern.solve_generic(
         6, z6_add, 6, [1] * 6, [1] * 6, [1] * 6, [1] * 6, *star_csr, [], b,
         z6_table, star_sym)),
     ("tree-vertices-z3", 15, 1, lambda b: kern.solve_generic(
         3, z3_add, 9, [3] * 3, [3] * 3, [3] * 3, [2] * 3,
         *_generic_structures(twins9.edges, 9), [], b, None,
-        _graph_symmetry(twins9, False, 9, 0, None))),
+        _graph_symmetry(twins9, None, 9, 0, None))),
 ]
 for name, total, step, solve in turned:
     out.append(["budget-sweep-turned-" + name,

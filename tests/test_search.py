@@ -335,11 +335,7 @@ def test_workers_below_one_are_rejected():
     for workers in (0, -2):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             search_ea_cordial(path_graph(4), Z4, workers=workers)
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            search_rstar_sequence(E2, workers=workers)
-        # degenerate cases that run no search reject it too
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            search_rstar_sequence(GroupSpec((2,)), workers=workers)
+        # a survey that runs no search rejects it too
         with pytest.raises(ValueError, match="workers must be at least 1"):
             explore_conjecture(2, workers=workers)
 
@@ -470,30 +466,47 @@ _real_run_branch = search._run_branch
 
 @pytest.fixture
 def root_splits(monkeypatch):
-    """Record every root split (its arguments, what it returned, and the
-    result of each branch run in this process that prunes nothing below
-    the root, by prefix and budget)."""
+    """Record the root split of every labeling search and the one kernel
+    call of every R*-sequence search, as [kind, fixed arguments, prefix,
+    the first-slot labels an unpruned search tries, the labels kept,
+    budget, the kernel arguments after the budget, the result of each
+    branch run in this process that prunes nothing below the root (by
+    prefix and budget), result]."""
     calls = []
     real_split = search._split_solve
+    real_shares = search._shares
+    planned = []
 
-    def split_spy(kind, fixed_args, prefix, first_label, kept, budget,
-                  workers, tail=()):
-        branches = {}
-        calls.append((kind, fixed_args, prefix, first_label, kept, budget,
-                      tail, branches))
-        result = real_split(kind, fixed_args, prefix, first_label, kept,
-                            budget, workers, tail)
-        calls[-1] += (result,)
+    def split_spy(fixed_args, prefix, kept, budget, workers, tail=()):
+        calls.append(["generic", fixed_args, prefix, range(fixed_args[0]),
+                      kept, budget, tail, {}])
+        result = real_split(fixed_args, prefix, kept, budget, workers, tail)
+        calls[-1].append(result)
         return result
+
+    def shares_spy(budget, branches):
+        planned.append(budget)
+        return real_shares(budget, branches)
 
     def branch_spy(task):
         result = _real_run_branch(task)
-        prefix, budget, *tail = task[1][len(calls[-1][1]):]
+        kind, args = task
+        if kind == "rstar":
+            # prefix [1] with its share of the budget among the m - 1
+            # nonzero first elements
+            m, _, _, first, share, *tail = args
+            assert share == real_shares(planned[-1], m - 1)[0]
+            calls.append([kind, args[:3], [], range(1, m), first,
+                          planned[-1], tail, {},
+                          (result[0], result, result[-1])])
+            return result
+        prefix, budget, *tail = args[len(calls[-1][1]):]
         if all(t is None for t in tail):
-            calls[-1][-1][tuple(prefix), budget] = result
+            calls[-1][7][tuple(prefix), budget] = result
         return result
 
     monkeypatch.setattr(search, "_split_solve", split_spy)
+    monkeypatch.setattr(search, "_shares", shares_spy)
     monkeypatch.setattr(search, "_run_branch", branch_spy)
     return calls
 
@@ -561,16 +574,15 @@ def test_orbit_marks_below_the_root(root_splits):
     assert search._symmetry_table(GroupSpec(())) == ([2], [0])
 
 
-def _unpruned(kind, fixed_args, prefix, first_label, budget, ran):
+def _unpruned(kind, fixed_args, prefix, labels, budget, ran):
     """The root split without any symmetry: every first-slot label in
-    label order, each with its share of the budget and no symmetry table, up
-    to the first branch that is not exhausted.  Returns that branch's
-    result and the nodes spent.
+    ``labels``, in order, each with its share of the budget and no
+    symmetry table, up to the first branch that is not exhausted.  Returns
+    that branch's result and the nodes spent.
 
     A branch the pruned search ran with the same prefix and share and no
     table (in ``ran``) is not run again: the kernels are deterministic."""
     solve = getattr(_kernel.pure, "solve_" + kind)
-    labels = range(first_label, fixed_args[0])
     shares = search._shares(budget, len(labels))
     nodes = 0
     for x, share in zip(labels, shares):
@@ -591,7 +603,7 @@ def _assert_pruning_keeps_outcomes(root_splits, calls):
     for call in calls:
         del root_splits[:]
         outcome = call(1)
-        kind, fixed_args, prefix, first_label, kept, budget, _, ran, \
+        kind, fixed_args, prefix, labels, kept, budget, _, ran, \
             result = root_splits[0]
         if len(kept) > 1:
             # pool workers need the module's own, picklable branch runner
@@ -599,10 +611,10 @@ def _assert_pruning_keeps_outcomes(root_splits, calls):
                 mp.setattr(search, "_run_branch", _real_run_branch)
                 assert call(2) == outcome
         status, payload, nodes = result
-        ref, ref_nodes = _unpruned(kind, fixed_args, prefix, first_label,
-                                   budget, ran)
+        ref, ref_nodes = _unpruned(kind, fixed_args, prefix, labels, budget,
+                                   ran)
         if ref[0] == BUDGET and status != BUDGET:
-            ref, _ = _unpruned(kind, fixed_args, prefix, first_label, -1, {})
+            ref, _ = _unpruned(kind, fixed_args, prefix, labels, -1, {})
         assert ref[0] == status
         if status == FOUND:
             assert ref[:-1] == payload[:-1]
@@ -646,7 +658,9 @@ def test_pruning_keeps_tree_outcomes(root_splits):
 
 
 def test_pruning_keeps_rstar_outcomes(root_splits):
-    calls = [lambda w, g=spec: search_rstar_sequence(g, workers=w)
+    # one kernel call on first element 1, held to the unpruned search over
+    # the first elements 1..m-1
+    calls = [lambda w, g=spec: search_rstar_sequence(g)
              for n in range(4, 17) for spec in abelian_groups_of_order(n)]
     _assert_pruning_keeps_outcomes(root_splits, calls)
 
