@@ -24,7 +24,11 @@ by a newline, in sweep order, and ``outcomes_sha256``, the same over
 (factors, status, route, labels): a change that only searches less
 keeps it; per route, the status counts, the nodes and the
 ``outcomes_sha256`` of that route's rows, so a change to one route shows
-which digests it leaves alone).  The ``graph_symmetry`` row gives the
+which digests it leaves alone).  The ``antimagic_128`` and
+``antimagic_192`` rows run ``construct_path_antimagic`` on every group
+of that order (seconds, nodes, status counts, and the status and route
+of each group); ``pinned`` counts the rainbow-cycle groups Found with 0
+nodes, that is, through a pinned core.  The ``graph_symmetry`` row gives the
 status, nodes and seconds (the median of ``SYMMETRY_RUNS`` runs) of the
 searches the graph symmetries prune most: a-cordial C20/Z4, C10/Z10 and
 C8/Z8, and the exhaust workload's three seeded order-10 trees with their
@@ -191,6 +195,26 @@ def direct_rows() -> dict:
                                             route_outcomes[route].hexdigest()}
                                 for route, counts in sorted(by_route.items())}},
     }
+
+
+def antimagic_order_row(order: int) -> dict:
+    """``construct_path_antimagic`` on every group of one order."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from cordant import abelian_groups_of_order, construct_path_antimagic
+
+    start = time.perf_counter()
+    results = [(spec, construct_path_antimagic(spec))
+               for spec in abelian_groups_of_order(order)]
+    seconds = time.perf_counter() - start
+    statuses = Counter(res.status for _, res in results)
+    return {"groups": len(results), "seconds": round(seconds, 4),
+            "nodes": sum(res.nodes_explored for _, res in results),
+            "found": statuses["Found"], "unknown": statuses["Unknown"],
+            "pinned": sum(res.route == "rainbow-cycle"
+                          and res.status == "Found"
+                          and res.nodes_explored == 0 for _, res in results),
+            "by_group": {str(spec): [res.status, res.route]
+                         for spec, res in results}}
 
 
 def graph_symmetry_row(seed: int) -> dict:
@@ -380,6 +404,8 @@ def main(argv=None) -> int:
               f"{traced['verdict']['correct']}  "
               f"wall_s {plain['metrics'].get('wall_s')}", flush=True)
     doc["direct"] = {"op_tables": op_tables_row(), **direct_rows()}
+    for order in (128, 192):
+        doc["direct"][f"antimagic_{order}"] = antimagic_order_row(order)
     doc["direct"]["graph_symmetry"] = graph_symmetry_row(args.seed)
     doc["direct"]["explore_10"] = explore_row()
     doc["direct"]["round_trip_Z5xZ1024"] = round_trip_row()

@@ -22,7 +22,12 @@ found it, and the ``sequence`` route's Found carries that certificate.
 
 Only the ``rainbow-cycle`` and ``sequence`` routes search, both with the
 find-any search ``search._find_any``, and they import ``search`` when
-they run: the deciders and every other route never load it.
+they run: the deciders and every other route never load it.  Before
+they search, both look up the package data ``fixtures/cores.json``
+(read once per process, on their first call): the answers their search
+cannot find within its default budget share, each found once by an
+unbounded find-any search and written, with that call and its node
+count, by ``tools/pin_cores.py``.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .groups import (
     GroupSpec,
     add,
     ant_decomposition,
+    canonicalize_spec,
     enumerate_elements,
     group,
     is_elementary_two,
@@ -389,6 +395,42 @@ _E2_CUBE_LABELS: tuple[Element, ...] = (
 )
 
 
+#: the pinned searches (see the module docstring), under fixtures/
+_PINS_FILE = "cores.json"
+#: (route, canonical factors) -> labels, once ``_pinned`` has read the file
+_pins: dict | None = None
+
+
+def _pinned(route: str, spec: GroupSpec) -> tuple[Element, ...] | None:
+    """The labels ``route`` pins for the isomorphism class of ``spec``,
+    in its canonical presentation, or None.  The file is read on the
+    first call in a process; only the ``rainbow-cycle`` and ``sequence``
+    routes call this."""
+    global _pins
+    if _pins is None:
+        import json
+        from importlib import resources
+
+        text = (resources.files("cordant") / "fixtures" /
+                _PINS_FILE).read_text(encoding="utf-8")
+        _pins = {(pin["route"], tuple(pin["group"])):
+                 tuple(map(tuple, pin["labels"]))
+                 for pin in json.loads(text)["pins"]}
+    return _pins.get((route, canonicalize_spec(spec).factors))
+
+
+def _harmonious_core(spec: GroupSpec) -> tuple[GroupSpec, list[int]]:
+    """The core of an even-order ``spec`` that ``_harmonious_order``
+    orders first, in canonical form, and the odd cyclic factors the
+    product step adds to it, ascending: the core is the 2-part, or, when
+    the 2-part is elementary, the 2-part times the least odd factor."""
+    two, odd = sylow_split(spec)
+    rest = sorted(odd.factors)
+    if is_elementary_two(two):
+        return GroupSpec(two.factors + (rest.pop(0),)), rest
+    return two, rest
+
+
 def _harmonious_order(spec: GroupSpec, budget: int | None
                       ) -> tuple[str, tuple[Element, ...] | None, int]:
     """A harmonious ordering of ``spec``, as (status, ordering, nodes).
@@ -409,33 +451,41 @@ def _harmonious_order(spec: GroupSpec, budget: int | None
     of G k times, with Z_k coordinate j in block j, orders G x Z_k for
     odd k.  The inner sums are (g_i + g_{i+1}, 2j) and the block joins
     (g_{n-1} + g_0, 2j + 1), all distinct as j runs over Z_k.  So only a
-    core is searched: the 2-part, or, when the 2-part is elementary (it
-    has no such ordering), the 2-part times the least odd cyclic factor.
-    The other odd factors come from the product, and ``isomorphism``
-    carries the result to ``spec``.  All searching spends at most the
-    budget share of a search over ``spec`` itself.
+    core is needed (see ``_harmonious_core``).  The other odd factors
+    come from the product, and ``isomorphism`` carries the result to
+    ``spec``.
+
+    A pinned core (``_pinned``, keyed by isomorphism class) is taken as
+    it is, with 0 nodes: the 12 cores up to order 64 whose search cannot
+    finish within its share, each found once by an unbounded find-any
+    search on the cycle of its order.  Any other core is searched, in the
+    presentation asked for when there is no product to build, and all
+    searching spends at most the budget share of a search over ``spec``
+    itself.  ``budget`` bounds search nodes only, so a pinned core comes
+    out Found even at budget 0.
     """
     if spec.order % 2 == 1:
         return STATUS_FOUND, tuple(enumerate_elements(spec)), 0
-    from .search import _find_any
+    core, rest = _harmonious_core(spec)
+    order = _pinned("rainbow-cycle", core)
+    nodes = 0
+    if order is None:
+        from .search import _find_any
 
-    two, odd = sylow_split(spec)
-    rest = sorted(odd.factors)
-    core = GroupSpec(two.factors + (rest.pop(0),)) \
-        if is_elementary_two(two) else two
-    if not rest:
-        core = spec  # no product to build: search the presentation asked for
-    out = _find_any(cycle_graph(core.order), core, NOTION_A_CORDIAL, budget,
-                    split=spec.order)
-    if out.status != STATUS_FOUND:
-        return out.status, None, out.nodes_explored
-    order = out.certificate.labels
-    if rest:
-        for k in rest:
-            order = tuple(g + (j,) for j in range(k) for g in order)
-        carry = isomorphism(GroupSpec(core.factors + tuple(rest)), spec)
+        if not rest:
+            core = spec  # no product to build: search the presentation asked for
+        out = _find_any(cycle_graph(core.order), core, NOTION_A_CORDIAL,
+                        budget, split=spec.order)
+        if out.status != STATUS_FOUND:
+            return out.status, None, out.nodes_explored
+        order, nodes = out.certificate.labels, out.nodes_explored
+    for k in rest:
+        order = tuple(g + (j,) for j in range(k) for g in order)
+    built = GroupSpec(core.factors + tuple(rest))
+    if built != spec:
+        carry = isomorphism(built, spec)
         order = tuple(zip(*carry.columns(list(zip(*order)))))
-    return STATUS_FOUND, order, out.nodes_explored
+    return STATUS_FOUND, order, nodes
 
 
 def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET
@@ -454,6 +504,14 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET
     the historical name, and ``rainbow-cycle`` otherwise, where the
     find-any search finds a core ordering.  Both searches return a fixed
     labeling, not the lex-first one, and run in this process alone.
+
+    Both searching routes first look up a pinned answer (``_pinned``):
+    the 12 harmonious cores and the (Z2)^6 path labeling of order up to
+    64 whose search runs out of its default share.  A pinned answer
+    reports 0 nodes and is verified once like any other.  ``budget``
+    bounds search nodes only, so these groups are Found even at budget
+    0, and every group of order up to 64 is Found or Impossible at the
+    default budget.
     """
     spec = group(spec)
     n = spec.order
@@ -486,6 +544,9 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET
     elif n == 8:
         f = EdgeLabeling(spec, _E2_CUBE_LABELS)
         route = "pinned-cube"
+    elif (labels := _pinned("sequence", spec)) is not None:
+        f = _computed(EdgeLabeling, spec, labels)
+        route = "sequence"
     else:
         from .search import _find_any
 

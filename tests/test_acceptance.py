@@ -160,23 +160,18 @@ def test_criterion_05_sigma_max():
 
 
 @criterion(6, 900.0, "injective distinct-sum path labelings: found and "
-                     "certified at orders 4..16 unless order = 2 mod 4, "
+                     "certified at orders 4..64 unless order = 2 mod 4, "
                      "impossible there, with search confirmation at 6 and 10")
 def test_criterion_06_antimagic_paths():
-    for order in range(4, 17):
+    for order in range(4, 65):
         for spec in abelian_groups_of_order(order):
             res = construct_path_antimagic(spec)
             if order % 4 == 2:
                 assert res.status == STATUS_IMPOSSIBLE, spec
                 continue
-            if order <= 15:
-                assert res.status == STATUS_FOUND, spec
-            else:
-                assert res.status in (STATUS_FOUND, "Unknown"), spec
-            if res.status == STATUS_FOUND:
-                graph = path_graph(order)
-                verdict = verify_a_antimagic(graph, res.labeling)
-                assert verdict.ok, spec
+            assert res.status == STATUS_FOUND, spec
+            verdict = verify_a_antimagic(path_graph(order), res.labeling)
+            assert verdict.ok, spec
     for order in (6, 10):
         (spec,) = abelian_groups_of_order(order)
         out = search_a_antimagic(path_graph(order), spec, budget=None)

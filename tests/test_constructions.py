@@ -1,7 +1,11 @@
 """Deciders, transfer operations, block construction, and dispatchers."""
 
 import hashlib
+import importlib.util
+import json
+import pathlib
 import time
+from importlib import resources
 from math import prod
 
 import pytest
@@ -14,6 +18,7 @@ from cordant import (
     EdgeLabeling,
     GroupSpec,
     InapplicableGroupError,
+    NOTION_A_ANTIMAGIC,
     NOTION_A_CORDIAL,
     PreconditionError,
     STATUS_FOUND,
@@ -24,6 +29,7 @@ from cordant import (
     abelian_groups_of_order,
     add,
     ant_decomposition,
+    canonicalize_spec,
     construct_ant_path,
     construct_path_antimagic,
     construct_path_ek,
@@ -46,9 +52,10 @@ from cordant import (
     verify_a_antimagic,
     verify_ea_cordial,
 )
-from cordant.constructions import _harmonious_order
+from cordant.constructions import _harmonious_core, _harmonious_order, _pinned
 from cordant.search import _find_any, _shares
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 Z3 = GroupSpec((3,))
 
 
@@ -475,9 +482,9 @@ def test_antimagic_path_dispatcher_routes_and_counts():
 def test_cycle_routes_spend_at_most_the_lex_first_share():
     # all restarts together stay within one root branch's budget share
     for budget in (100, DEFAULT_BUDGET):
-        res = construct_path_antimagic(GroupSpec((2, 32)), budget=budget)
+        res = construct_path_antimagic(GroupSpec((4, 8)), budget=budget)
         assert res.route == "rainbow-cycle"
-        assert 0 < res.nodes_explored <= _shares(budget, 64)[0]
+        assert 0 < res.nodes_explored <= _shares(budget, 32)[0]
 
 
 def test_rainbow_route_builds_products_from_a_searched_core():
@@ -515,11 +522,15 @@ def test_searched_routes_are_deterministic_and_take_no_workers():
         construct_path_antimagic(GroupSpec((2, 2, 2, 2)), workers=1)
 
 
-def test_sequence_route_runs_out_on_one_branch_share_for_z2_6():
-    res = construct_path_antimagic(GroupSpec((2,) * 6))
-    assert (res.status, res.route, res.labeling) == (
-        STATUS_UNKNOWN, "sequence", None)
-    assert res.nodes_explored == _shares(DEFAULT_BUDGET, 64)[0]
+def test_sequence_route_pins_z2_6_which_one_branch_share_cannot_settle():
+    spec = GroupSpec((2,) * 6)
+    res = construct_path_antimagic(spec)
+    assert (res.status, res.route, res.nodes_explored) == (
+        STATUS_FOUND, "sequence", 0)
+    assert verify_a_antimagic(path_graph(64), res.labeling).ok
+    out = _find_any(path_graph(64), spec, NOTION_A_ANTIMAGIC, DEFAULT_BUDGET)
+    assert (out.status, out.nodes_explored) == (
+        STATUS_UNKNOWN, _shares(DEFAULT_BUDGET, 64)[0])
 
 
 def _outcome_digest(rows) -> str:
@@ -533,14 +544,16 @@ def test_routes_other_than_sequence_keep_their_outcomes():
     # the 110 groups of order 2..64 that are not elementary 2-groups, and
     # every construct_path_ek(n, k) for n 3..60, k 2..16: statuses,
     # routes, node counts and labels, frozen when the sequence route
-    # moved to the find-any search
+    # moved to the find-any search and again when the rainbow cores were
+    # pinned, which turned 12 rows from Unknown to Found and left the
+    # other 98 as they were
     rows = [(spec.factors, construct_path_antimagic(spec))
             for n in range(2, 65) for spec in abelian_groups_of_order(n)
             if not is_elementary_two(spec)]
     assert len(rows) == 110
     assert _outcome_digest(rows) == (
-        "8bcafa76ce75057f42ca37b043cf64cf"
-        "5e2389b121c6b364c6de18b174c8c0be")
+        "d93cefff6f785413cf178f863613bfde"
+        "bf5bb32cbe0061b6e9f4da25ebbbf9e4")
     rows = [((n, k), construct_path_ek(n, k))
             for n in range(3, 61) for k in range(2, 17)]
     assert len(rows) == 870
@@ -580,18 +593,10 @@ def test_odd_route_matches_the_lex_first_search():
             assert res.route == "odd-cycle-search", spec
 
 
-# the groups whose rainbow-cycle search runs out of the default budget; a
-# construction that settles one may take it off
-HARMONIOUS_UNKNOWN = {
-    (2, 2, 2, 2, 3), (2, 2, 13), (2, 2, 2, 7), (2, 2, 2, 2, 4), (2, 2, 2, 8),
-    (2, 2, 4, 4), (2, 2, 16), (2, 4, 8), (2, 32), (4, 4, 4), (4, 16), (8, 8),
-}
-
-
 def test_harmonious_order_on_every_group_it_serves():
     # the groups the dispatcher sends to it: Sylow 2-subgroup trivial or
     # noncyclic, and not an elementary 2-group
-    served = 0
+    served = pins = 0
     for n in range(2, 65):
         for spec in abelian_groups_of_order(n):
             if (not decide_path_a_antimagic(spec) or spec.factors == (4,)
@@ -600,16 +605,113 @@ def test_harmonious_order_on_every_group_it_serves():
                 continue
             served += 1
             status, order, nodes = _harmonious_order(spec, DEFAULT_BUDGET)
-            if status == STATUS_UNKNOWN:
-                assert spec.factors in HARMONIOUS_UNKNOWN and order is None
-                continue
             assert status == STATUS_FOUND, spec
             assert order[0] == spec.zero(), spec
             assert sorted(order) == enumerate_elements(spec), spec
             sums = {add(spec, order[i - 1], order[i]) for i in range(n)}
             assert len(sums) == n, spec
-            assert (nodes == 0) == (n % 2 == 1), spec
-    assert served == 74
+            pinned = n % 2 == 0 and _pinned(
+                "rainbow-cycle", _harmonious_core(spec)[0]) is not None
+            assert (nodes == 0) == (n % 2 == 1 or pinned), spec
+            pins += pinned
+    assert (served, pins) == (74, 12)
+
+
+# ---------------------------------------------------------------------------
+# pinned searches: src/cordant/fixtures/cores.json, by tools/pin_cores.py
+
+def _pin_entries() -> list[dict]:
+    text = (resources.files("cordant") / "fixtures"
+            / "cores.json").read_text(encoding="utf-8")
+    return json.loads(text)["pins"]
+
+
+def _pin_tool():
+    spec = importlib.util.spec_from_file_location(
+        "pin_cores", ROOT / "tools" / "pin_cores.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_pinned_cores_are_harmonious_orderings():
+    # plain group arithmetic, no kernel: each ordering starts at 0, lists
+    # every element once and has |A| distinct cyclic neighbour sums
+    cores = [pin for pin in _pin_entries() if pin["route"] == "rainbow-cycle"]
+    assert len(cores) == 12
+    for pin in cores:
+        spec = GroupSpec(tuple(pin["group"]))
+        order = [tuple(g) for g in pin["labels"]]
+        n = spec.order
+        assert spec == canonicalize_spec(spec), spec
+        assert order[0] == spec.zero(), spec
+        assert sorted(order) == enumerate_elements(spec), spec
+        sums = {add(spec, order[i - 1], order[i]) for i in range(n)}
+        assert len(sums) == n, spec
+
+
+def test_pinned_path_labeling_is_antimagic():
+    (pin,) = [pin for pin in _pin_entries() if pin["route"] == "sequence"]
+    spec = GroupSpec(tuple(pin["group"]))
+    assert spec.factors == (2,) * 6
+    f = EdgeLabeling(spec, tuple(map(tuple, pin["labels"])))
+    assert verify_a_antimagic(path_graph(64), f).ok
+
+
+def test_pins_are_exactly_the_route_calls_the_default_share_leaves_unknown():
+    # no pin on a group the search settles, and none missing
+    pinned = {(pin["route"], tuple(pin["group"])) for pin in _pin_entries()}
+    unsettled = {(route, core.factors)
+                 for route, core in _pin_tool().unsettled()}
+    assert pinned == unsettled
+    assert len(pinned) == 13
+
+
+def test_pin_tool_reproduces_its_cheapest_entry():
+    spec = GroupSpec((2, 2, 2, 2, 3))
+    (stored,) = [pin for pin in _pin_entries()
+                 if tuple(pin["group"]) == spec.factors]
+    assert stored["nodes"] == 408_519
+    fresh = _pin_tool().pin("rainbow-cycle", spec)
+    assert {**fresh, "labels": [list(g) for g in fresh["labels"]]} == stored
+
+
+def test_pinned_cores_serve_every_presentation_and_product():
+    # keyed by isomorphism class and carried to the presentation asked
+    # for; odd cyclic factors multiply a pinned core as they do a
+    # searched one, past order 64
+    for fac in ((32, 2), (16, 2, 2), (8, 4, 2), (2, 32, 3), (8, 8, 3),
+                (2, 2, 2, 2, 3, 5)):
+        spec = GroupSpec(fac)
+        res = construct_path_antimagic(spec)
+        assert (res.status, res.route, res.nodes_explored) == (
+            STATUS_FOUND, "rainbow-cycle", 0), fac
+        assert res.labeling.group == spec
+        assert verify_a_antimagic(path_graph(spec.order), res.labeling).ok
+
+
+def test_budget_bounds_search_nodes_so_pins_settle_at_budget_zero():
+    for fac, route in (((8, 8), "rainbow-cycle"), ((2,) * 6, "sequence")):
+        res = construct_path_antimagic(GroupSpec(fac), budget=0)
+        assert (res.status, res.route, res.nodes_explored) == (
+            STATUS_FOUND, route, 0), fac
+    res = construct_path_antimagic(GroupSpec((4, 8)), budget=0)
+    assert (res.status, res.route) == (STATUS_UNKNOWN, "rainbow-cycle")
+
+
+def test_pin_file_is_read_once_and_only_by_the_searching_routes(monkeypatch):
+    from cordant import constructions
+
+    monkeypatch.setattr(constructions, "_pins", None)
+    for fac in ((4,), (8,), (3, 3), (2, 3), (2, 2, 2), (12,)):
+        construct_path_antimagic(GroupSpec(fac))
+    construct_path_ek(10, 4)
+    assert constructions._pins is None
+    construct_path_antimagic(GroupSpec((8, 8)))
+    pins = constructions._pins
+    assert len(pins) == 13
+    construct_path_antimagic(GroupSpec((2,) * 6))
+    assert constructions._pins is pins
 
 
 def test_harmonious_order_of_odd_groups_is_the_enumeration(monkeypatch):
