@@ -39,7 +39,14 @@ the certificate round trip
 of the block-route labeling of P5120 over Z5xZ1024 (the median of
 ``ROUND_TRIP_RUNS`` runs of make, dumps and loads each, in seconds) and
 records the text's size and sha256, which later files can compare for
-byte identity.  In a fresh interpreter it times cold ``op_tables`` calls:
+byte identity.  The ``fixed_cost`` row gives the median microseconds
+per call (``FIXED_COST_RUNS`` runs of ``FIXED_COST_NUMBER`` calls) of
+the calls whose cost is the fixed work of a certified answer: group
+analysis, the one verification and the certificate round trip rather
+than search.  These are ``construct_path_antimagic`` on Z5xZ7 and Z37
+(``odd-cycle-search``) and on Z8 and Z4xZ3 (``block``),
+``construct_path_ek(24, 13)``, and make, dumps and loads of the
+order-35 Z5xZ7 certificate.  In a fresh interpreter it times cold ``op_tables`` calls:
 the 116 groups of order 2..64 together, then Z1024 and (Z2)^10 (seconds
 each), and records the sha256 of all their tables' bytes, add then neg
 per group in that order, and in another the tracemalloc peak of building
@@ -78,6 +85,8 @@ TRACED = ("kernel.nodes", "kernel.calls", "labelings.verify_calls",
           "labelings.verify_s", "certificates.make_s", "certificates.dumps_s",
           "certificates.loads_s", "groups.isomorphism_s")
 ROUND_TRIP_RUNS = 9
+FIXED_COST_RUNS = 9
+FIXED_COST_NUMBER = 200
 SYMMETRY_RUNS = 5
 # perfbench's default --seconds; not passed, so every point has this length
 SECONDS = 20
@@ -286,6 +295,39 @@ def round_trip_row() -> dict:
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def fixed_cost_row() -> dict:
+    """Median microseconds of the fixed-cost calls (see the module
+    docstring)."""
+    import timeit
+    from functools import partial
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from cordant import (NOTION_A_ANTIMAGIC, GroupSpec, certificate_dumps,
+                         certificate_loads, construct_path_antimagic,
+                         construct_path_ek, make_edge_certificate, path_graph)
+
+    calls = {f"antimagic {name}": partial(construct_path_antimagic,
+                                          GroupSpec(factors))
+             for name, factors in (("Z5xZ7", (5, 7)), ("Z37", (37,)),
+                                   ("Z8", (8,)), ("Z4xZ3", (4, 3)))}
+    calls["ek P24/Z13"] = partial(construct_path_ek, 24, 13)
+    f = construct_path_antimagic(GroupSpec((5, 7))).labeling
+    graph = path_graph(35)
+    cert = make_edge_certificate(NOTION_A_ANTIMAGIC, graph, f)
+    calls["make Z5xZ7"] = partial(make_edge_certificate, NOTION_A_ANTIMAGIC,
+                                  graph, f)
+    calls["dumps Z5xZ7"] = partial(certificate_dumps, cert)
+    calls["loads Z5xZ7"] = partial(certificate_loads, certificate_dumps(cert))
+    row: dict = {"runs": FIXED_COST_RUNS, "number": FIXED_COST_NUMBER}
+    for label, fn in calls.items():
+        fn()
+        runs = timeit.repeat(fn, number=FIXED_COST_NUMBER,
+                             repeat=FIXED_COST_RUNS)
+        row[label + "_us"] = round(
+            statistics.median(runs) / FIXED_COST_NUMBER * 1e6, 2)
+    return row
+
+
 def src_env() -> dict:
     """This environment with the checkout's ``src`` first on the path."""
     env = dict(os.environ)
@@ -409,6 +451,7 @@ def main(argv=None) -> int:
     doc["direct"]["graph_symmetry"] = graph_symmetry_row(args.seed)
     doc["direct"]["explore_10"] = explore_row()
     doc["direct"]["round_trip_Z5xZ1024"] = round_trip_row()
+    doc["direct"]["fixed_cost"] = fixed_cost_row()
     doc["direct"]["cli_import"] = cli_import_row()
     print(f"direct: {json.dumps(doc['direct'])}", flush=True)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",

@@ -11,6 +11,7 @@ search machinery or the certificate codec.  ``search``, ``groups`` and
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .errors import CapExceededError, InvalidSpecError
 
@@ -120,9 +121,11 @@ def indented_json(obj) -> str:
     With any ``indent`` the json module leaves its C encoder for a
     pure-Python one.  Here integer lists and lists of integer lists, the
     bulk of a certificate, are written with ``str.join`` and
-    ``%``-formatting; other scalars go through ``json.dumps`` one at a
-    time, and anything else (a dict with non-string keys, an object json
-    cannot encode) through ``json.dumps`` with its lines re-indented.
+    ``%``-formatting; strings and keys go through the json module's own
+    string encoder, ``None``, booleans and integers are spelled as it
+    spells them, floats go through ``json.dumps`` one at a time, and
+    anything else (a dict with non-string keys, an object json cannot
+    encode) through ``json.dumps`` with its lines re-indented.
     JSON text holds no raw newline inside a string, so re-indenting only
     touches the layout.
     """
@@ -149,11 +152,20 @@ def _indented(obj, newline: str) -> str:
             return "{}"
         inner = newline + "  "
         return ("{" + inner + ("," + inner).join(
-            [json.dumps(k) + ": " + _indented(v, inner)
+            [encode_basestring_ascii(k) + ": " + _indented(v, inner)
              for k, v in obj.items()]) + newline + "}")
-    if obj is None or isinstance(obj, (str, int, float)):
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
         return json.dumps(obj)
     return json.dumps(obj, indent=2).replace("\n", newline)
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _int_rows(rows, newline: str) -> str:

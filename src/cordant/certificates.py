@@ -25,7 +25,7 @@ from ._vocab import (
 )
 from .errors import InvalidLabelingError, InvalidSpecError
 from .graphs import CYCLE, GENERAL, PATH, TREE, SimpleGraph, cycle_graph, path_graph
-from .groups import Element, GroupSpec, enumerate_elements
+from .groups import Element, GroupSpec
 from .labelings import (
     EdgeLabeling,
     Verdict,
@@ -131,10 +131,14 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _ints(value, what: str) -> tuple[int, ...]:
+def _check_ints(value, what: str) -> None:
     if not isinstance(value, list) or not (
             set(map(type, value)) <= {int} or all(map(is_json_int, value))):
         raise InvalidLabelingError(f"{what} must be a list of integers")
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    _check_ints(value, what)
     return tuple(value)
 
 
@@ -189,12 +193,13 @@ def _graph_from_obj(obj: dict, num_vertices: int) -> SimpleGraph:
     raise InvalidLabelingError(f"unknown graph kind {kind!r}")
 
 
-def _count_list(spec: GroupSpec, values: list[int]) -> tuple[int, ...]:
+def _count_list(spec: GroupSpec, values: list[int]) -> list[int]:
     # class counts are stored as a list in element enumeration order; the
     # list's own length bounds the group order before anything is sized by it
     if len(values) != spec.order:
         raise InvalidLabelingError("class count list does not cover the group")
-    return _ints(values, "a class count list")
+    _check_ints(values, "a class count list")
+    return values
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
@@ -202,8 +207,9 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def _certificate_obj(cert: Certificate, rows) -> dict:
-    """The JSON object form, each list of labels made by ``rows``."""
-    elements = enumerate_elements(cert.group)
+    """The JSON object form, each list of labels made by ``rows``.  A
+    verdict's count maps hold every element in enumeration order, so
+    their values are the stored count lists."""
     verdict = cert.verdict
     return {
         "notion": cert.notion,
@@ -214,10 +220,9 @@ def _certificate_obj(cert: Certificate, rows) -> dict:
         "verdict": {
             "ok": verdict.ok,
             "violation": verdict.violation,
-            "edge_class_counts": list(
-                map(verdict.edge_class_counts.__getitem__, elements)),
+            "edge_class_counts": list(verdict.edge_class_counts.values()),
             "vertex_class_counts": list(
-                map(verdict.vertex_class_counts.__getitem__, elements)),
+                verdict.vertex_class_counts.values()),
         },
     }
 
@@ -266,8 +271,8 @@ def certificate_from_obj(obj: dict) -> Certificate:
                 "stored vertex labels are not the induced sums")
     # a verdict's count maps hold every element in enumeration order
     v = rebuilt.verdict
-    if (v.ok, v.violation, tuple(v.edge_class_counts.values()),
-            tuple(v.vertex_class_counts.values())) != \
+    if (v.ok, v.violation, list(v.edge_class_counts.values()),
+            list(v.vertex_class_counts.values())) != \
             (stored_ok, stored_violation, stored_edge, stored_vertex):
         raise InvalidLabelingError("stored verdict does not re-verify")
     return rebuilt

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ._vocab import (
@@ -414,10 +415,27 @@ _NOTION_HELP = "older spellings still accepted: " + ", ".join(
 
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as one ``error:`` line, like every other
-    input error; ``--help`` still prints the usage."""
+    input error; ``--help`` still prints the usage.
+
+    A subcommand's parser is made empty, with ``fill`` set: ``fill``
+    adds its arguments (and its own subcommands) when it first parses,
+    so a call fills in only the parsers on its command's path."""
+
+    fill = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.fill is not None:
+            fill, self.fill = self.fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
+def _command(subs, name: str, fill, **kwargs) -> None:
+    """Subcommand ``name``, filled in by ``fill`` when it parses."""
+    subs.add_parser(name, **kwargs).fill = fill
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,28 +444,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equitable and distinct-sum group labelings of paths, "
                     "cycles, and trees: constructions, deciders, searches.")
     subs = parser.add_subparsers(dest="command", required=True)
+    _command(subs, "construct", _fill_construct,
+             help="build a certified labeling")
+    _command(subs, "verify", _fill_verify,
+             help="check a labeling or a certificate")
+    _command(subs, "decide", _fill_decide,
+             help="closed-form existence answers")
+    _command(subs, "search", _fill_search,
+             help="exhaustive backtracking searches")
+    _command(subs, "sigma-max", _fill_sigma_max,
+             help="most distinct neighbour sums on an element cycle")
+    _command(subs, "explore", _fill_explore,
+             help="survey all groups and trees per order")
+    _command(subs, "demo", _fill_demo,
+             help="print a bundled example certificate")
+    return parser
 
-    con = subs.add_parser("construct", help="build a certified labeling")
+
+def _fill_construct(con) -> None:
     con_subs = con.add_subparsers(dest="target", required=True)
-    c1 = con_subs.add_parser("antimagic-path",
-                             help="injective distinct-sum labeling of P_|A|")
+    _command(con_subs, "antimagic-path", _fill_antimagic_path,
+             help="injective distinct-sum labeling of P_|A|")
+    _command(con_subs, "ek-path", _fill_ek_path,
+             help="equitable Z_k edge labeling of P_n")
+    _command(con_subs, "ant-path", _fill_ant_path,
+             help="block construction for groups with a Z_4m factor, m > 1")
+
+
+def _fill_antimagic_path(c1) -> None:
     c1.add_argument("--group", required=True)
     _add_common(c1, workers=False)
     c1.set_defaults(func=_cmd_construct)
-    c2 = con_subs.add_parser("ek-path",
-                             help="equitable Z_k edge labeling of P_n")
+
+
+def _fill_ek_path(c2) -> None:
     c2.add_argument("--n", type=int, required=True)
     c2.add_argument("--k", type=int, required=True)
     _add_common(c2, budget=False, workers=False)
     c2.set_defaults(func=_cmd_construct)
-    c3 = con_subs.add_parser("ant-path",
-                             help="block construction for groups with a "
-                                  "Z_4m factor, m > 1")
+
+
+def _fill_ant_path(c3) -> None:
     c3.add_argument("--group", required=True)
     _add_common(c3, budget=False, workers=False)
     c3.set_defaults(func=_cmd_construct)
 
-    ver = subs.add_parser("verify", help="check a labeling or a certificate")
+
+def _fill_verify(ver) -> None:
     ver.add_argument("--certificate", help="certificate JSON file")
     ver.add_argument("--notion", type=notion_name, choices=NOTIONS,
                      help=_NOTION_HELP)
@@ -456,55 +499,64 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ver, budget=False, workers=False, graph=True)
     ver.set_defaults(func=_cmd_verify)
 
-    dec = subs.add_parser("decide", help="closed-form existence answers")
-    dec_subs = dec.add_subparsers(dest="question", required=True)
-    d1 = dec_subs.add_parser("path-ek")
-    d1.add_argument("--n", type=int, required=True)
-    d1.add_argument("--k", type=int, required=True)
-    d2 = dec_subs.add_parser("cycle-zk")
-    d2.add_argument("--n", type=int, required=True)
-    d2.add_argument("--k", type=int, required=True)
-    d3 = dec_subs.add_parser("tree-2mod4")
-    d3.add_argument("--n", type=int, required=True)
-    d3.add_argument("--group", required=True)
-    d4 = dec_subs.add_parser("path-antimagic")
-    d4.add_argument("--group", required=True)
-    for d in (d1, d2, d3, d4):
-        _add_common(d, budget=False, workers=False)
-        d.set_defaults(func=_cmd_decide)
 
-    sea = subs.add_parser("search", help="exhaustive backtracking searches")
+# per ``decide`` question, its own arguments
+_QUESTIONS = {
+    "path-ek": ("--n", "--k"),
+    "cycle-zk": ("--n", "--k"),
+    "tree-2mod4": ("--n", "--group"),
+    "path-antimagic": ("--group",),
+}
+
+
+def _fill_decide(dec) -> None:
+    dec_subs = dec.add_subparsers(dest="question", required=True)
+    for question, options in _QUESTIONS.items():
+        _command(dec_subs, question, partial(_fill_question, options=options))
+
+
+def _fill_question(d, options) -> None:
+    for option in options:
+        d.add_argument(option, type=None if option == "--group" else int,
+                       required=True)
+    _add_common(d, budget=False, workers=False)
+    d.set_defaults(func=_cmd_decide)
+
+
+def _fill_search(sea) -> None:
     sea_subs = sea.add_subparsers(dest="notion", required=True)
     for notion in NOTIONS + ("rstar",):
-        sub = sea_subs.add_parser(notion, aliases=[
-            old for old, new in NOTION_ALIASES.items() if new == notion])
-        sub.add_argument("--group", required=True)
-        # an R*-sequence search has no graph and makes one kernel call
-        labeling = notion != "rstar"
-        _add_common(sub, workers=labeling, graph=labeling)
-        sub.set_defaults(func=_cmd_search, notion=notion)
+        _command(sea_subs, notion, partial(_fill_notion, notion=notion),
+                 aliases=[old for old, new in NOTION_ALIASES.items()
+                          if new == notion])
 
-    sig = subs.add_parser("sigma-max",
-                          help="most distinct neighbour sums on an element "
-                               "cycle")
+
+def _fill_notion(sub, notion: str) -> None:
+    sub.add_argument("--group", required=True)
+    # an R*-sequence search has no graph and makes one kernel call
+    labeling = notion != "rstar"
+    _add_common(sub, workers=labeling, graph=labeling)
+    sub.set_defaults(func=_cmd_search, notion=notion)
+
+
+def _fill_sigma_max(sig) -> None:
     sig.add_argument("--group", required=True)
     sig.add_argument("--mode", choices=("formula", "search", "both"),
                      default="both")
     _add_common(sig, workers=False)
     sig.set_defaults(func=_cmd_sigma_max)
 
-    exp = subs.add_parser("explore",
-                          help="survey all groups and trees per order")
+
+def _fill_explore(exp) -> None:
     exp.add_argument("--n-max", type=int, required=True)
     _add_common(exp)
     exp.set_defaults(func=_cmd_explore)
 
-    dem = subs.add_parser("demo", help="print a bundled example certificate")
+
+def _fill_demo(dem) -> None:
     dem.add_argument("number", type=int, choices=(1, 2, 3, 4))
     _add_common(dem, budget=False, workers=False)
     dem.set_defaults(func=_cmd_demo)
-
-    return parser
 
 
 def main(argv=None) -> int:

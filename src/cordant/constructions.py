@@ -121,13 +121,20 @@ class ConstructionResult(Record):
         set_field(self, "nodes_explored", nodes_explored)
 
 
+#: the ``certificates`` module, once ``_found`` has imported it; an
+#: import statement costs every call about a microsecond
+_certificates = None
+
+
 def _found(notion: str, path: SimpleGraph, f: EdgeLabeling, route: str,
            nodes: int = 0) -> ConstructionResult:
     """Found, with the certificate of ``f`` on ``path``: the one
     verification of a dispatcher's labeling."""
-    from .certificates import make_edge_certificate
+    global _certificates
+    if _certificates is None:
+        from . import certificates as _certificates
 
-    cert = make_edge_certificate(notion, path, f)
+    cert = _certificates.make_edge_certificate(notion, path, f)
     if not cert.verdict.ok:
         raise InternalCheckError(
             f"route {route} failed verification ({cert.verdict.violation})")
@@ -379,8 +386,7 @@ def construct_path_ek(n: int, k: int) -> ConstructionResult:
     for i in range(2, n):
         labels.append((d + i + (i > p) - labels[-1]) % k)
     # residues mod k, so already elements of Z_k
-    f = _computed(EdgeLabeling, GroupSpec((k,)),
-                  tuple((a,) for a in labels))
+    f = _computed(EdgeLabeling, GroupSpec((k,)), tuple(zip(labels)))
     return _found(NOTION_EA_CORDIAL, path, f, "consecutive-sums")
 
 

@@ -11,6 +11,18 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 
+#: the ``groups`` module, once a decider taking a group has imported it;
+#: an import statement costs every call about a microsecond
+_groups = None
+
+
+def _group_layer():
+    """The ``groups`` module, imported on the first call."""
+    global _groups
+    if _groups is None:
+        from . import groups as _groups
+    return _groups
+
 __all__ = [
     "decide_cycle_zk_cordial",
     "decide_path_a_antimagic",
@@ -66,18 +78,14 @@ def decide_tree_2mod4_obstruction(n: int, spec) -> bool:
     """
     if n < 1:
         raise PreconditionError("trees need n >= 1")
-    from .groups import group
-
-    spec = group(spec)
+    spec = _group_layer().group(spec)
     q, r = divmod(n, spec.order)
     return spec.order % 4 == 2 and r == 0 and q % 2 == 1
 
 
 def decide_path_a_antimagic(spec) -> bool:
     """Whether P_|A| has an injective edge labeling with distinct sums."""
-    from .groups import group
-
-    spec = group(spec)
+    spec = _group_layer().group(spec)
     if spec.order < 2:
         raise PreconditionError("need a group of order at least 2")
     return spec.order % 4 != 2
@@ -89,13 +97,12 @@ def sigma_max_formula(spec) -> int:
     |A| - 1 with exactly one involution, |A| - 2 for elementary
     2-groups of order above 2, |A| otherwise.
     """
-    from .groups import group, involution_count, is_elementary_two
-
-    spec = group(spec)
+    groups = _group_layer()
+    spec = groups.group(spec)
     if spec.order < 2:
         raise PreconditionError("need a group of order at least 2")
-    if involution_count(spec) == 1:
+    if groups.involution_count(spec) == 1:
         return spec.order - 1
-    if is_elementary_two(spec):
+    if groups.is_elementary_two(spec):
         return spec.order - 2
     return spec.order

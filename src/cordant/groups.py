@@ -41,7 +41,10 @@ DEFAULT_ENUM_CAP = 2**20
 
 
 class GroupSpec(Record):
-    """A direct product of cyclic groups, given by its factor orders."""
+    """A direct product of cyclic groups, given by its factor orders.
+
+    ``order``, not a field, is the product of the factors, worked out
+    once here."""
 
     _fields = ("factors",)
 
@@ -51,10 +54,7 @@ class GroupSpec(Record):
             if d < 2:
                 raise InvalidSpecError(f"cyclic factor orders must be >= 2, got {d}")
         set_field(self, "factors", factors)
-
-    @property
-    def order(self) -> int:
-        return prod(self.factors)
+        set_field(self, "order", prod(factors))
 
     @property
     def rank(self) -> int:
@@ -213,6 +213,59 @@ def _prime_power_parts(d: int) -> list[tuple[int, int]]:
     return parts
 
 
+class GroupStructure(Record):
+    """A group's primary decomposition and what the constructions and
+    deciders read off it, the same for every presentation of the group.
+
+    ``canonical`` is the primary form (see :func:`canonicalize_spec`),
+    ``two_part`` and ``odd_part`` its even and odd prime-power factors, in
+    canonical order, and ``elementary_two`` whether every factor is Z2
+    (and there is at least one).
+    """
+
+    _fields = ("canonical", "two_part", "odd_part", "elementary_two")
+
+    def __init__(self, canonical: GroupSpec, two_part: GroupSpec,
+                 odd_part: GroupSpec, elementary_two: bool) -> None:
+        set_field(self, "canonical", canonical)
+        set_field(self, "two_part", two_part)
+        set_field(self, "odd_part", odd_part)
+        set_field(self, "elementary_two", elementary_two)
+
+
+# per factor tuple; every presentation of a group maps to one record
+_structure_cache: dict[tuple[int, ...], GroupStructure] = {}
+
+
+def group_structure(spec: Iterable[int] | GroupSpec) -> GroupStructure:
+    """The :class:`GroupStructure` of ``spec``, worked out once per factor
+    tuple.  It holds a few records of factor tuples, never elements, so
+    the cache stays small whatever the group order."""
+    key = group(spec).factors
+    cached = _structure_cache.get(key)
+    if cached is not None:
+        return cached
+    canon = tuple(p**e for p, e in sorted(
+        pe for d in key for pe in _prime_power_parts(d)))
+    out = _structure_cache.get(canon)
+    if out is None:
+        whole = GroupSpec(canon)
+        t = sum(d % 2 == 0 for d in canon)  # the powers of 2 come first
+        out = _structure_cache[canon] = GroupStructure(
+            whole, _part(whole, canon[:t]), _part(whole, canon[t:]),
+            bool(canon) and set(canon) == {2})
+    _structure_cache[key] = out
+    return out
+
+
+def _part(whole: GroupSpec, factors: tuple[int, ...]) -> GroupSpec:
+    """``GroupSpec(factors)`` for some of the factors of ``whole``; all or
+    none of them reuse ``whole`` or the trivial group."""
+    if factors == whole.factors:
+        return whole
+    return GroupSpec(factors) if factors else TRIVIAL_GROUP
+
+
 def canonicalize_spec(spec: Iterable[int] | GroupSpec) -> GroupSpec:
     """Primary decomposition: prime-power factors sorted by (prime, exponent).
 
@@ -223,12 +276,7 @@ def canonicalize_spec(spec: Iterable[int] | GroupSpec) -> GroupSpec:
     >>> canonicalize_spec([6, 6]).factors
     (2, 2, 3, 3)
     """
-    spec = group(spec)
-    parts = []
-    for d in spec.factors:
-        parts.extend(_prime_power_parts(d))
-    parts.sort()
-    return GroupSpec(tuple(p**e for p, e in parts))
+    return group_structure(spec).canonical
 
 
 def involution_count(spec: GroupSpec) -> int:
@@ -241,22 +289,18 @@ def involution_count(spec: GroupSpec) -> int:
     >>> involution_count(GroupSpec((15,)))
     0
     """
-    e = sum(1 for d in canonicalize_spec(spec).factors if d % 2 == 0)
-    return 2**e - 1
+    return 2**group_structure(spec).two_part.rank - 1
 
 
 def sylow_split(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec]:
     """Canonical 2-part and odd part, as (two_part, odd_part)."""
-    canon = canonicalize_spec(spec)
-    twos = tuple(d for d in canon.factors if d % 2 == 0)
-    odds = tuple(d for d in canon.factors if d % 2 == 1)
-    return GroupSpec(twos), GroupSpec(odds)
+    structure = group_structure(spec)
+    return structure.two_part, structure.odd_part
 
 
 def is_elementary_two(spec: GroupSpec) -> bool:
     """True when every canonical factor is Z2 (and there is at least one)."""
-    canon = canonicalize_spec(spec)
-    return bool(canon.factors) and all(d == 2 for d in canon.factors)
+    return group_structure(spec).elementary_two
 
 
 class AntDecomposition(Record):
@@ -273,6 +317,10 @@ class AntDecomposition(Record):
         set_field(self, "odd_part", odd_part)
 
 
+# per factor tuple (the split depends on the presentation), None included
+_ant_cache: dict[tuple[int, ...], AntDecomposition | None] = {}
+
+
 def ant_decomposition(spec: GroupSpec) -> AntDecomposition | None:
     """Split ``spec`` as Z_{4m} + H with m > 1 and |H| odd, if possible.
 
@@ -287,8 +335,18 @@ def ant_decomposition(spec: GroupSpec) -> AntDecomposition | None:
     True
 
     Returns None when the Sylow 2-subgroup is trivial, noncyclic, or too
-    small (order 2, or order 4 with no odd part to absorb).
+    small (order 2, or order 4 with no odd part to absorb).  Worked out
+    once per factor tuple.
     """
+    key = spec.factors
+    if key in _ant_cache:
+        return _ant_cache[key]
+    out = _ant_cache[key] = _split_ant(spec)
+    return out
+
+
+def _split_ant(spec: GroupSpec) -> AntDecomposition | None:
+    """``ant_decomposition``, uncached."""
     two_part, odd_part = sylow_split(spec)
     if len(two_part.factors) != 1:
         return None
@@ -554,6 +612,10 @@ class LinearMap(Record):
         return out
 
 
+# per pair of factor tuples (src, dst)
+_iso_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], LinearMap] = {}
+
+
 def isomorphism(src: GroupSpec, dst: GroupSpec) -> LinearMap:
     """An explicit isomorphism between two presentations of one group.
 
@@ -562,8 +624,12 @@ def isomorphism(src: GroupSpec, dst: GroupSpec) -> LinearMap:
     has, in factor i of ``dst``, the sum of the CRT idempotents (1 on
     the piece, 0 on the rest of factor i) of the pieces that factor j
     contributes to factor i.  Raises InvalidSpecError when the canonical
-    forms differ.
+    forms differ.  Worked out once per pair of factor tuples.
     """
+    key = (src.factors, dst.factors)
+    cached = _iso_cache.get(key)
+    if cached is not None:
+        return cached
     src_pieces, dst_pieces = _pieces(src), _pieces(dst)
     if [pe[:2] for pe in src_pieces] != [pe[:2] for pe in dst_pieces]:
         raise InvalidSpecError(f"{src} and {dst} are not isomorphic")
@@ -573,7 +639,8 @@ def isomorphism(src: GroupSpec, dst: GroupSpec) -> LinearMap:
         q, d = p**e, dst.factors[i]
         rest = d // q
         weights[i][j] = (weights[i][j] + rest * pow(rest, -1, q)) % d
-    return LinearMap(src, dst, tuple(map(tuple, weights)))
+    out = _iso_cache[key] = LinearMap(src, dst, tuple(map(tuple, weights)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ conditions, vertex conditions.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mod
 
 from ._vocab import Record, set_field
@@ -86,26 +86,26 @@ def _induced(graph: SimpleGraph, labeling, on_edges: bool
     """The labels an edge (``on_edges``) or vertex labeling induces on
     ``graph``: residues summed coordinate by coordinate, reduced once."""
     factors = labeling.group.factors
+    if not factors:
+        return ((),) * (graph.n if on_edges else len(graph.edges))
     columns = list(zip(*labeling.labels)) or [()] * len(factors)
-    per_coordinate = [list(map(mod, _sums(graph, col, on_edges), repeat(d)))
-                      for col, d in zip(columns, factors)]
-    if factors:
-        return tuple(zip(*per_coordinate))
-    return ((),) * (graph.n if on_edges else len(graph.edges))
+    return tuple(zip(*[map(mod, _sums(graph, col, on_edges), repeat(d))
+                       for col, d in zip(columns, factors)]))
 
 
-def _sums(graph: SimpleGraph, col: tuple[int, ...], on_edges: bool) -> list:
-    """One coordinate column summed, unreduced: per vertex over its edges
-    (``on_edges``) or per edge over its two endpoints.  Path and cycle
-    edges are (i, i+1) in order, so there the sums are shifted ``map``s."""
+def _sums(graph: SimpleGraph, col: tuple[int, ...], on_edges: bool):
+    """One coordinate column summed, unreduced, as an iterable: per vertex
+    over its edges (``on_edges``) or per edge over its two endpoints.
+    Path and cycle edges are (i, i+1) in order, so there the sums are
+    shifted ``map``s."""
     if graph.kind == PATH:
         if on_edges:
-            return [col[0], *map(add, col, col[1:]), col[-1]]
-        return list(map(add, col, col[1:]))
+            return chain(col[:1], map(add, col, col[1:]), col[-1:])
+        return map(add, col, col[1:])
     if graph.kind == CYCLE:
         if on_edges:
-            return list(map(add, col[-1:] + col[:-1], col))
-        return list(map(add, col, col[1:] + col[:1]))
+            return map(add, col[-1:] + col[:-1], col)
+        return map(add, col, col[1:] + col[:1])
     if on_edges:
         acc = [0] * graph.n
         for (u, v), x in zip(graph.edges, col):
@@ -134,20 +134,36 @@ def induce_edge_labels(graph: SimpleGraph, c: VertexLabeling) -> EdgeLabeling:
     return _computed(EdgeLabeling, c.group, _induced(graph, c, False))
 
 
-def _counts(elements: list[Element], labels: tuple[Element, ...]
-            ) -> dict[Element, int]:
-    # labels are elements already: checked on entry or computed mod d
-    counts = dict.fromkeys(elements, 0)
+def _tally(keys, labels: tuple[Element, ...]) -> dict[Element, int]:
+    """Occurrences of every element among ``labels``, keyed in the order
+    of ``keys``: the element enumeration, or a count map made from it,
+    whose stored hashes a new dict reuses.  The labels are elements
+    already (checked on entry or computed mod d), so each is a key."""
+    counts = dict.fromkeys(keys, 0)
     for a in labels:
         counts[a] += 1
     return counts
+
+
+def _distinct_tally(keys, labels: tuple[Element, ...]
+                    ) -> tuple[dict[Element, int], bool]:
+    """``_tally(keys, labels)`` and whether two labels collide.  Distinct
+    labels are gathered once, as dict keys (a dict takes less room than
+    a set of one size), and copied in with their hashes; labels are
+    counted one by one only on a collision."""
+    seen = dict.fromkeys(labels, 1)
+    if len(seen) < len(labels):
+        return _tally(keys, labels), True
+    counts = dict.fromkeys(keys, 0)
+    counts.update(seen)
+    return counts, False
 
 
 def class_counts(spec: GroupSpec, labels: tuple[Element, ...]) -> dict[Element, int]:
     """Occurrences of every group element among ``labels``, in enumeration order."""
     for a in labels:
         check_element(spec, a)
-    return _counts(enumerate_elements(spec), labels)
+    return _tally(enumerate_elements(spec), labels)
 
 
 def is_equitable(counts: dict[Element, int]) -> bool:
@@ -165,15 +181,6 @@ def _require_fit(graph: SimpleGraph, labels: tuple, want: int) -> None:
         )
 
 
-def _counts_both(labeling, induced: tuple[Element, ...], on_edges: bool):
-    """Edge and vertex class counts of an edge (``on_edges``) or vertex
-    labeling and the labels it induces."""
-    edge, vertex = ((labeling.labels, induced) if on_edges
-                    else (induced, labeling.labels))
-    elements = enumerate_elements(labeling.group)
-    return _counts(elements, edge), _counts(elements, vertex)
-
-
 # A judge returns a verdict and the labels the labeling induces, None
 # when it does not fit the graph, so a certificate induces them once.
 
@@ -183,7 +190,10 @@ def _judge_equitable(graph: SimpleGraph, labeling, on_edges: bool):
     if len(labeling.labels) != want:
         return Verdict(False, {}, {}, SIZE_MISMATCH), None
     induced = _induced(graph, labeling, on_edges)
-    ec, vc = _counts_both(labeling, induced, on_edges)
+    edge, vertex = ((labeling.labels, induced) if on_edges
+                    else (induced, labeling.labels))
+    ec = _tally(enumerate_elements(labeling.group), edge)
+    vc = _tally(ec, vertex)
     if not is_equitable(ec):
         return Verdict(False, ec, vc, EDGE_IMBALANCE), induced
     if not is_equitable(vc):
@@ -220,17 +230,25 @@ def _require_tree(graph: SimpleGraph) -> None:
 
 def _judge_injective(graph: SimpleGraph, f: EdgeLabeling, zero_free: bool):
     """Both sides injective on a tree of group order, after the zero-edge
-    rule when ``zero_free``."""
+    rule when ``zero_free``.
+
+    A side is injective exactly when its labels make as many distinct
+    keys as there are labels (see ``_distinct_tally``); both collision
+    checks are read off those sizes."""
     _require_tree(graph)
-    if graph.n != f.group.order or len(f.labels) != len(graph.edges):
+    spec, labels = f.group, f.labels
+    if graph.n != spec.order or len(labels) != len(graph.edges):
         return Verdict(False, {}, {}, SIZE_MISMATCH), None
     induced = _induced(graph, f, True)
-    ec, vc = _counts_both(f, induced, True)
-    if zero_free and ec[f.group.zero()] > 0:
+    ec, edge_collision = _distinct_tally(enumerate_elements(spec), labels)
+    # n distinct vertex sums on n vertices: each element once
+    vertex_collision = len(dict.fromkeys(induced)) < len(induced)
+    vc = _tally(ec, induced) if vertex_collision else dict.fromkeys(ec, 1)
+    if zero_free and ec[spec.zero()]:
         return Verdict(False, ec, vc, ZERO_EDGE_FORBIDDEN), induced
-    if max(ec.values()) > 1:
+    if edge_collision:
         return Verdict(False, ec, vc, EDGE_COLLISION), induced
-    if max(vc.values()) > 1:
+    if vertex_collision:
         return Verdict(False, ec, vc, VERTEX_COLLISION), induced
     return Verdict(True, ec, vc), induced
 

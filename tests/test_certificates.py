@@ -275,8 +275,9 @@ def test_rejects_declared_sizes_the_document_does_not_hold(monkeypatch, graph):
 
 
 def test_rejects_a_group_larger_than_its_count_lists(monkeypatch):
-    import cordant.certificates as certificates
-    monkeypatch.setattr(certificates, "enumerate_elements", _fail_if_called)
+    # the loader enumerates a group only in the judge it re-runs
+    import cordant.labelings as labelings
+    monkeypatch.setattr(labelings, "enumerate_elements", _fail_if_called)
     obj = json.loads(_fixture_text(4))
     obj["group"] = [10**12]
     with pytest.raises(InvalidLabelingError, match="does not cover the group"):

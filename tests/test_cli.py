@@ -956,3 +956,121 @@ def test_search_past_the_table_cap_never_loads_the_search_stack():
          "--n", "4"])
     assert codes == [EXIT_USAGE]
     assert [m for m in SEARCH_STACK if loads(after, m)] == []
+
+
+# ---------------------------------------------------------------------------
+# help texts and usage errors, byte for byte: a call fills in only the
+# parsers on its command's path, and what it prints stays as it was
+
+TOP_HELP = """\
+usage: cordant [-h]
+               {construct,verify,decide,search,sigma-max,explore,demo} ...
+
+Equitable and distinct-sum group labelings of paths, cycles, and trees:
+constructions, deciders, searches.
+
+positional arguments:
+  {construct,verify,decide,search,sigma-max,explore,demo}
+    construct           build a certified labeling
+    verify              check a labeling or a certificate
+    decide              closed-form existence answers
+    search              exhaustive backtracking searches
+    sigma-max           most distinct neighbour sums on an element cycle
+    explore             survey all groups and trees per order
+    demo                print a bundled example certificate
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+SEARCH_HELP = """\
+usage: cordant search [-h]
+                      {ea-cordial,a-cordial,a-antimagic,antimagic,a-star-antimagic,astar-antimagic,rstar}
+                      ...
+
+positional arguments:
+  {ea-cordial,a-cordial,a-antimagic,antimagic,a-star-antimagic,astar-antimagic,rstar}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# an alias prints the help of the notion it names
+ANTIMAGIC_SEARCH_HELP = """\
+usage: cordant search a-antimagic [-h] --group GROUP [--format {text,json}]
+                                  [--output OUTPUT] [--budget BUDGET]
+                                  [--workers WORKERS]
+                                  [--kind {path,cycle,tree}] [--n N]
+                                  [--edges EDGES]
+
+options:
+  -h, --help            show this help message and exit
+  --group GROUP
+  --format {text,json}
+  --output OUTPUT       also write the JSON document here
+  --budget BUDGET       search node budget; negative for unlimited (default
+                        10000000 or $CORDANT_BUDGET)
+  --workers WORKERS     parallel branches; results are identical for any value
+  --kind {path,cycle,tree}
+                        graph kind (default path)
+  --n N
+  --edges EDGES         JSON edge list for --kind tree, e.g. "[[0,1],[1,2]]"
+"""
+
+CONSTRUCT_HELP = """\
+usage: cordant construct antimagic-path [-h] --group GROUP
+                                        [--format {text,json}]
+                                        [--output OUTPUT] [--budget BUDGET]
+
+options:
+  -h, --help            show this help message and exit
+  --group GROUP
+  --format {text,json}
+  --output OUTPUT       also write the JSON document here
+  --budget BUDGET       search node budget; negative for unlimited (default
+                        10000000 or $CORDANT_BUDGET)
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--help"], EXIT_OK, TOP_HELP, ""),
+    (["-h"], EXIT_OK, TOP_HELP, ""),
+    (["search", "--help"], EXIT_OK, SEARCH_HELP, ""),
+    (["search", "antimagic", "--group", "Z4", "--help"], EXIT_OK,
+     ANTIMAGIC_SEARCH_HELP, ""),
+    (["construct", "antimagic-path", "--help"], EXIT_OK, CONSTRUCT_HELP, ""),
+    (["bogus"], EXIT_USAGE, "",
+     "error: argument command: invalid choice: 'bogus' (choose from "
+     "'construct', 'verify', 'decide', 'search', 'sigma-max', 'explore', "
+     "'demo')\n"),
+    ([], EXIT_USAGE, "",
+     "error: the following arguments are required: command\n"),
+    (["search"], EXIT_USAGE, "",
+     "error: the following arguments are required: notion\n"),
+    (["search", "a-cordial", "--group", "Z3", "--kind", "cycle", "--n", "3",
+      "--bogus"], EXIT_USAGE, "", "error: unrecognized arguments: --bogus\n"),
+    (["decide", "path-ek", "--n", "x", "--k", "4"], EXIT_USAGE, "",
+     "error: argument --n: invalid int value: 'x'\n"),
+])
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, argv, code,
+                                          out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_a_call_fills_in_only_its_commands_parsers():
+    from cordant.cli import build_parser
+
+    parser = build_parser()
+    args = parser.parse_args(["decide", "path-ek", "--n", "10", "--k", "4"])
+    assert (args.n, args.k, args.question) == (10, 4, "path-ek")
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    filled = sorted(name for name, sub in commands.choices.items()
+                    if sub.fill is None)
+    assert filled == ["decide"]
+    (questions,) = [a for a in commands.choices["decide"]._actions
+                    if a.dest == "question"]
+    assert sorted(name for name, sub in questions.choices.items()
+                  if sub.fill is None) == ["path-ek"]

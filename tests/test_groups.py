@@ -195,6 +195,73 @@ def test_sylow_concatenation_is_isomorphic_to_input():
             assert joined == canonicalize_spec(spec)
 
 
+def _primary(factors):
+    """Prime-power pieces of ``factors``, sorted, by trial division."""
+    pieces = []
+    for d in factors:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                pieces.append((p, q))
+            p += 1
+    return tuple(q for _, q in sorted(pieces))
+
+
+def test_group_structure_is_one_record_per_group():
+    # every presentation of a group reads one cached record, which
+    # agrees with the primary decomposition worked out here
+    for order in range(1, 65):
+        for spec in _presentations(order):
+            structure = groups.group_structure(spec)
+            canon = _primary(spec.factors)
+            assert structure.canonical.factors == canon
+            assert structure.two_part.factors == tuple(
+                q for q in canon if q % 2 == 0)
+            assert structure.odd_part.factors == tuple(
+                q for q in canon if q % 2 == 1)
+            assert structure.elementary_two == (
+                bool(canon) and set(canon) == {2})
+            assert groups.group_structure(GroupSpec(canon)) is structure
+    assert groups.group_structure(GroupSpec((32, 2))) is \
+        groups.group_structure(GroupSpec((2, 32)))
+    assert ant_decomposition(GroupSpec((8, 3))) is \
+        ant_decomposition(GroupSpec((8, 3)))
+
+
+def test_cached_structure_cannot_be_changed():
+    spec = GroupSpec((2, 32))
+    structure = groups.group_structure(spec)
+    dec = ant_decomposition(GroupSpec((8, 3)))
+    carry = isomorphism(GroupSpec((24,)), GroupSpec((8, 3)))
+    assert isomorphism(GroupSpec((24,)), GroupSpec((8, 3))) is carry
+    for record in (structure, structure.canonical, structure.two_part,
+                   structure.odd_part, dec, dec.odd_part, carry):
+        for name in (*record._fields, "order"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    # every field is a record of factor tuples or a flag, never a list of
+    # elements that a caller could edit or that grows with the order
+    for cached in groups._structure_cache.values():
+        assert isinstance(cached, groups.GroupStructure)
+        assert type(cached.elementary_two) is bool
+        for part in (cached.canonical, cached.two_part, cached.odd_part):
+            assert type(part.factors) is tuple
+    for cached in groups._ant_cache.values():
+        assert cached is None or type(cached.odd_part.factors) is tuple
+    for cached in groups._iso_cache.values():
+        assert type(cached.weights) is tuple
+        assert all(type(row) is tuple for row in cached.weights)
+    assert sylow_split(spec) == (GroupSpec((2, 32)), GroupSpec(()))
+    assert canonicalize_spec(spec) == GroupSpec((2, 32))
+    assert groups.group_structure(spec) is structure
+
+
 # ---------------------------------------------------------------------------
 # block decomposition: cyclic factor of order 4m (m > 1) plus odd rest
 
