@@ -83,7 +83,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exhaust", "construct", "survey", "cli")
 TRACED = ("kernel.nodes", "kernel.calls", "labelings.verify_calls",
           "labelings.verify_s", "certificates.make_s", "certificates.dumps_s",
-          "certificates.loads_s", "groups.isomorphism_s")
+          "certificates.loads_s", "groups.isomorphism_s", "graphs.build_s")
 ROUND_TRIP_RUNS = 9
 FIXED_COST_RUNS = 9
 FIXED_COST_NUMBER = 200

@@ -99,7 +99,7 @@ def make_edge_certificate(notion: str, graph: SimpleGraph,
     if notion not in _EDGE_VERIFIERS:
         raise InvalidSpecError(f"not an edge-labeling notion: {notion!r}")
     verdict, vertex = _judged(_EDGE_VERIFIERS[notion], graph, f,
-                              len(graph.edges))
+                              graph.edge_count)
     return Certificate(notion, f.group, graph, f.labels, vertex, verdict)
 
 

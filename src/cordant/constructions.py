@@ -62,10 +62,10 @@ from .groups import (
     AntDecomposition,
     Element,
     GroupSpec,
+    _enumeration,
     add,
     ant_decomposition,
     canonicalize_spec,
-    enumerate_elements,
     group,
     is_elementary_two,
     isomorphism,
@@ -214,7 +214,7 @@ def project_labeling(graph: SimpleGraph, f: EdgeLabeling, keep: int
     if not 0 <= keep <= spec.rank:
         raise PreconditionError("keep must select a prefix of the factors")
     sub = GroupSpec(spec.factors[:keep])
-    if len(graph.edges) != graph.n - 1 or not graph.is_connected():
+    if graph.edge_count != graph.n - 1 or not graph.is_connected():
         raise PreconditionError("projection guarantee needs a tree")
     if graph.n != spec.order:
         raise PreconditionError("projection guarantee needs order |A|")
@@ -269,7 +269,7 @@ def _ant_path_labels(spec: GroupSpec, dec: AntDecomposition
     they are elements without a check.
     """
     m, odd = dec.four_m // 4, dec.odd_part
-    base = enumerate_elements(odd)
+    base = _enumeration(odd)[0]
     k = len(base)
     run = 4 * m - 1
     blocks = [_block_column(j, m) for j in range(min(k, 3))]
@@ -471,7 +471,7 @@ def _harmonious_order(spec: GroupSpec, budget: int | None
     out Found even at budget 0.
     """
     if spec.order % 2 == 1:
-        return STATUS_FOUND, tuple(enumerate_elements(spec)), 0
+        return STATUS_FOUND, _enumeration(spec)[0], 0
     core, rest = _harmonious_core(spec)
     order = _pinned("rainbow-cycle", core)
     nodes = 0

@@ -4,6 +4,12 @@ Vertices are 0..n-1.  Edges are stored as an ordered tuple of (u, v) pairs;
 the pair order is meaningful only as a storage order (labelings index edges
 by position), the edge itself is undirected.  Paths store edges (0,1),
 (1,2), ...; cycles append the closing edge (n-1, 0).
+
+The path or cycle that ``path_graph`` and ``cycle_graph`` return derives
+that edge tuple from ``n`` and ``kind`` the first time ``edges`` is read,
+and keeps it from then on; ``edge_count`` reads the number of edges off
+``n``.  The path and cycle judges and the certificate writer need only
+those two fields, so certifying a path builds no edge tuple.
 """
 
 from __future__ import annotations
@@ -18,11 +24,27 @@ TREE = "tree"
 GENERAL = "general"
 
 
+class _ChainEdges:
+    """The ``edges`` of a chain graph made by ``_chain``: on the first
+    read, the chain edges of its ``n`` and ``kind``, stored as the field
+    (a stored field is found before this class attribute, which defines
+    no ``__set__``).  Every other graph stores its edges when it is
+    built."""
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        edges = _chain_edges(graph.n, graph.kind == CYCLE)
+        set_field(graph, "edges", edges)
+        return edges
+
+
 class SimpleGraph(Record):
     """A simple graph on vertices 0..n-1: its edges in storage order and
     its declared shape kind, checked against each other."""
 
     _fields = ("n", "edges", "kind")
+    edges = _ChainEdges()
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
                  kind: str = GENERAL) -> None:
@@ -53,6 +75,17 @@ class SimpleGraph(Record):
             seen.add(key)
         if kind == TREE and (len(edges) != n - 1 or not self.is_connected()):
             raise InvalidGraphError("tree kind requires a connected graph on n-1 edges")
+
+    @property
+    def edge_count(self) -> int:
+        """``len(self.edges)``; for a path or cycle read off ``n``, so it
+        builds no edge tuple."""
+        kind = self.kind
+        if kind == PATH:
+            return self.n - 1
+        if kind == CYCLE:
+            return self.n
+        return len(self.edges)
 
     def is_connected(self) -> bool:
         adj = self.adjacency()
@@ -91,11 +124,11 @@ def _chain_edges(n: int, closed: bool) -> tuple[tuple[int, int], ...]:
 
 
 def _chain(n: int, kind: str) -> SimpleGraph:
-    """The path or cycle on n vertices, built from its own chain edges, so
-    its shape needs no second check."""
+    """The path or cycle on n vertices.  Its edges are its own chain
+    edges, derived when first read (see ``_ChainEdges``), so its shape
+    needs no check."""
     graph = object.__new__(SimpleGraph)
     set_field(graph, "n", n)
-    set_field(graph, "edges", _chain_edges(n, kind == CYCLE))
     set_field(graph, "kind", kind)
     return graph
 

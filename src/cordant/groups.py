@@ -121,10 +121,10 @@ def enumerate_elements(spec: GroupSpec) -> list[Element]:
     >>> enumerate_elements(GroupSpec((2, 2)))
     [(0, 0), (0, 1), (1, 0), (1, 1)]
     """
-    if spec.order > DEFAULT_ENUM_CAP:
-        raise CapExceededError(
-            f"group of order {spec.order} exceeds cap {DEFAULT_ENUM_CAP}")
-    return list(product(*map(range, spec.factors)))
+    cached = _element_cache.get(spec.factors)
+    if cached is not None:
+        return list(cached[0])
+    return list(_elements(spec))
 
 
 def element_index(spec: GroupSpec, a: Element) -> int:
@@ -145,6 +145,41 @@ def element_at(spec: GroupSpec, idx: int) -> Element:
         coords.append(idx % d)
         idx //= d
     return tuple(reversed(coords))
+
+
+#: per factor tuple of order at most ``TABLE_CAP``: the elements in
+#: enumeration order, as a tuple, and the count map with every element at
+#: 0 in that order.  The verifiers copy the map for each count map they
+#: fill (a dict copy reuses the stored hashes), and the odd-order routes
+#: read the tuple, so a group is enumerated once.  Groups past the cap are
+#: enumerated on every call, so a block call over Z5120 or an untrusted
+#: cli order pins nothing that grows with the order.
+_element_cache: dict[tuple[int, ...],
+                     tuple[tuple[Element, ...], dict[Element, int]]] = {}
+
+
+def _enumeration(spec: GroupSpec
+                 ) -> tuple[tuple[Element, ...], dict[Element, int]]:
+    """The elements of ``spec`` in enumeration order and the count map
+    with each at 0, cached up to ``TABLE_CAP`` (see ``_element_cache``).
+    Callers copy the map before they count into it."""
+    cached = _element_cache.get(spec.factors)
+    if cached is not None:
+        return cached
+    elements = tuple(_elements(spec))
+    out = elements, dict.fromkeys(elements, 0)
+    if spec.order <= TABLE_CAP:
+        _element_cache[spec.factors] = out
+    return out
+
+
+def _elements(spec: GroupSpec):
+    """The elements of ``spec`` in enumeration order, as an iterator;
+    refuses an order past ``DEFAULT_ENUM_CAP``."""
+    if spec.order > DEFAULT_ENUM_CAP:
+        raise CapExceededError(
+            f"group of order {spec.order} exceeds cap {DEFAULT_ENUM_CAP}")
+    return product(*map(range, spec.factors))
 
 
 _table_cache: dict[tuple[int, ...], tuple[array, array]] = {}

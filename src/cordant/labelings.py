@@ -24,7 +24,7 @@ from operator import add, mod
 from ._vocab import Record, set_field
 from .errors import InvalidGraphError, InvalidLabelingError
 from .graphs import CYCLE, PATH, TREE, SimpleGraph
-from .groups import Element, GroupSpec, check_element, enumerate_elements
+from .groups import Element, GroupSpec, _enumeration, check_element
 
 SIZE_MISMATCH = "size-mismatch"
 ZERO_EDGE_FORBIDDEN = "zero-edge-forbidden"
@@ -87,7 +87,7 @@ def _induced(graph: SimpleGraph, labeling, on_edges: bool
     ``graph``: residues summed coordinate by coordinate, reduced once."""
     factors = labeling.group.factors
     if not factors:
-        return ((),) * (graph.n if on_edges else len(graph.edges))
+        return ((),) * (graph.n if on_edges else graph.edge_count)
     columns = list(zip(*labeling.labels)) or [()] * len(factors)
     return tuple(zip(*[map(mod, _sums(graph, col, on_edges), repeat(d))
                        for col, d in zip(columns, factors)]))
@@ -117,7 +117,7 @@ def _sums(graph: SimpleGraph, col: tuple[int, ...], on_edges: bool):
 
 def induce_vertex_labels(graph: SimpleGraph, f: EdgeLabeling) -> VertexLabeling:
     """Vertex label = sum of incident edge labels (zero on isolated vertices)."""
-    _require_fit(graph, f.labels, len(graph.edges))
+    _require_fit(graph, f.labels, graph.edge_count)
     return _computed(VertexLabeling, f.group, _induced(graph, f, True))
 
 
@@ -134,27 +134,29 @@ def induce_edge_labels(graph: SimpleGraph, c: VertexLabeling) -> EdgeLabeling:
     return _computed(EdgeLabeling, c.group, _induced(graph, c, False))
 
 
-def _tally(keys, labels: tuple[Element, ...]) -> dict[Element, int]:
-    """Occurrences of every element among ``labels``, keyed in the order
-    of ``keys``: the element enumeration, or a count map made from it,
-    whose stored hashes a new dict reuses.  The labels are elements
-    already (checked on entry or computed mod d), so each is a key."""
-    counts = dict.fromkeys(keys, 0)
+def _tally(zero: dict[Element, int], labels: tuple[Element, ...]
+           ) -> dict[Element, int]:
+    """Occurrences of every element among ``labels``, in a copy of
+    ``zero``, the group's count map with every element at 0 (see
+    ``groups._enumeration``): the copy keeps its key order and reuses
+    its stored hashes.  The labels are elements already (checked on entry
+    or computed mod d), so each is a key."""
+    counts = zero.copy()
     for a in labels:
         counts[a] += 1
     return counts
 
 
-def _distinct_tally(keys, labels: tuple[Element, ...]
+def _distinct_tally(zero: dict[Element, int], labels: tuple[Element, ...]
                     ) -> tuple[dict[Element, int], bool]:
-    """``_tally(keys, labels)`` and whether two labels collide.  Distinct
+    """``_tally(zero, labels)`` and whether two labels collide.  Distinct
     labels are gathered once, as dict keys (a dict takes less room than
     a set of one size), and copied in with their hashes; labels are
     counted one by one only on a collision."""
     seen = dict.fromkeys(labels, 1)
     if len(seen) < len(labels):
-        return _tally(keys, labels), True
-    counts = dict.fromkeys(keys, 0)
+        return _tally(zero, labels), True
+    counts = zero.copy()
     counts.update(seen)
     return counts, False
 
@@ -163,7 +165,7 @@ def class_counts(spec: GroupSpec, labels: tuple[Element, ...]) -> dict[Element, 
     """Occurrences of every group element among ``labels``, in enumeration order."""
     for a in labels:
         check_element(spec, a)
-    return _tally(enumerate_elements(spec), labels)
+    return _tally(_enumeration(spec)[1], labels)
 
 
 def is_equitable(counts: dict[Element, int]) -> bool:
@@ -186,14 +188,15 @@ def _require_fit(graph: SimpleGraph, labels: tuple, want: int) -> None:
 
 def _judge_equitable(graph: SimpleGraph, labeling, on_edges: bool):
     """Both class families equitable; the edge family is judged first."""
-    want = len(graph.edges) if on_edges else graph.n
+    want = graph.edge_count if on_edges else graph.n
     if len(labeling.labels) != want:
         return Verdict(False, {}, {}, SIZE_MISMATCH), None
     induced = _induced(graph, labeling, on_edges)
     edge, vertex = ((labeling.labels, induced) if on_edges
                     else (induced, labeling.labels))
-    ec = _tally(enumerate_elements(labeling.group), edge)
-    vc = _tally(ec, vertex)
+    zero = _enumeration(labeling.group)[1]
+    ec = _tally(zero, edge)
+    vc = _tally(zero, vertex)
     if not is_equitable(ec):
         return Verdict(False, ec, vc, EDGE_IMBALANCE), induced
     if not is_equitable(vc):
@@ -237,13 +240,14 @@ def _judge_injective(graph: SimpleGraph, f: EdgeLabeling, zero_free: bool):
     checks are read off those sizes."""
     _require_tree(graph)
     spec, labels = f.group, f.labels
-    if graph.n != spec.order or len(labels) != len(graph.edges):
+    if graph.n != spec.order or len(labels) != graph.edge_count:
         return Verdict(False, {}, {}, SIZE_MISMATCH), None
     induced = _induced(graph, f, True)
-    ec, edge_collision = _distinct_tally(enumerate_elements(spec), labels)
+    zero = _enumeration(spec)[1]
+    ec, edge_collision = _distinct_tally(zero, labels)
     # n distinct vertex sums on n vertices: each element once
     vertex_collision = len(dict.fromkeys(induced)) < len(induced)
-    vc = _tally(ec, induced) if vertex_collision else dict.fromkeys(ec, 1)
+    vc = _tally(zero, induced) if vertex_collision else dict.fromkeys(zero, 1)
     if zero_free and ec[spec.zero()]:
         return Verdict(False, ec, vc, ZERO_EDGE_FORBIDDEN), induced
     if edge_collision:

@@ -497,7 +497,7 @@ def _instance(graph: SimpleGraph, spec: GroupSpec, notion: str
             raise InvalidSpecError(
                 f"tree order {graph.n} must equal group order {spec.order}")
     on_edges = notion != NOTION_A_CORDIAL
-    s = len(graph.edges) if on_edges else graph.n
+    s = graph.edge_count if on_edges else graph.n
     _check_depth(s)
     m = spec.order
     # a derived item per vertex (its incident edge slots) or per edge (its

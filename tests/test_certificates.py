@@ -96,6 +96,41 @@ def test_json_shape_and_count_order():
     assert obj["verdict"]["ok"] is True
 
 
+def _no_chain_edges(*args):
+    pytest.fail("built the edge tuple of a path or cycle")
+
+
+def test_path_and_cycle_certificates_build_no_chain_edges(monkeypatch):
+    # a path or cycle derives its edge tuple only when it is read, and no
+    # dispatcher, judge, writer or loader of its certificate reads it
+    import cordant.graphs as graphs
+    from cordant import construct_path_ek
+
+    monkeypatch.setattr(graphs, "_chain_edges", _no_chain_edges)
+    results = {factors: construct_path_antimagic(GroupSpec(factors))
+               for factors in ((5, 7), (37,), (8,), (4, 3), (4,), (2, 2, 2))}
+    assert {factors: result.route for factors, result in results.items()} \
+        == {(5, 7): "odd-cycle-search", (37,): "odd-cycle-search",
+            (8,): "block", (4, 3): "block", (4,): "base-p4",
+            (2, 2, 2): "pinned-cube"}
+    certs = [result.certificate for result in results.values()]
+    ek = construct_path_ek(24, 13)
+    assert ek.route == "consecutive-sums"
+    certs.append(ek.certificate)
+    certs.append(make_edge_certificate(NOTION_A_ANTIMAGIC, path_graph(35),
+                                       results[(5, 7)].labeling))
+    certs.append(make_edge_certificate(NOTION_EA_CORDIAL, cycle_graph(3),
+                                       EdgeLabeling(Z3, ((0,), (1,), (2,)))))
+    certs.append(make_vertex_certificate(
+        cycle_graph(3), VertexLabeling(Z3, ((0,), (1,), (2,)))))
+    assert all(cert.verdict.ok for cert in certs)
+    texts = [certificate_dumps(cert) for cert in certs]
+    loaded = [certificate_loads(text) for text in texts]
+    assert [certificate_dumps(cert) for cert in loaded] == texts
+    monkeypatch.undo()
+    assert loaded == certs
+
+
 # ---------------------------------------------------------------------------
 # bundled fixtures
 
@@ -275,9 +310,9 @@ def test_rejects_declared_sizes_the_document_does_not_hold(monkeypatch, graph):
 
 
 def test_rejects_a_group_larger_than_its_count_lists(monkeypatch):
-    # the loader enumerates a group only in the judge it re-runs
-    import cordant.labelings as labelings
-    monkeypatch.setattr(labelings, "enumerate_elements", _fail_if_called)
+    # nothing the loader runs may enumerate the group
+    import cordant.groups as groups
+    monkeypatch.setattr(groups, "_elements", _fail_if_called)
     obj = json.loads(_fixture_text(4))
     obj["group"] = [10**12]
     with pytest.raises(InvalidLabelingError, match="does not cover the group"):

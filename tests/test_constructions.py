@@ -656,6 +656,12 @@ def test_pinned_path_labeling_is_antimagic():
     assert spec.factors == (2,) * 6
     f = EdgeLabeling(spec, tuple(map(tuple, pin["labels"])))
     assert verify_a_antimagic(path_graph(64), f).ok
+    # the default call returns exactly the pin, with no search: the 12
+    # pinned cores are frozen with the other non-elementary groups in
+    # test_routes_other_than_sequence_keep_their_outcomes
+    res = construct_path_antimagic(spec)
+    assert (res.status, res.route, res.nodes_explored, res.labeling.labels) \
+        == (STATUS_FOUND, "sequence", 0, f.labels)
 
 
 def test_pins_are_exactly_the_route_calls_the_default_share_leaves_unknown():

@@ -94,6 +94,71 @@ def test_paths_and_cycles_with_bad_edges_are_refused(kind, edges):
         SimpleGraph(3, edges, kind)
 
 
+@pytest.mark.parametrize("kind,edges", [
+    (PATH, ((1, 0), (1, 2), (2, 3))),
+    (PATH, ((1, 2), (0, 1), (2, 3))),
+    (PATH, ((0, 1), (1, 2), (2, 3), (3, 0))),
+    (PATH, [(0, 1), (1, 2), (2, 3)]),
+    (CYCLE, ((0, 1), (1, 2), (2, 3), (0, 3))),
+    (CYCLE, ((3, 0), (0, 1), (1, 2), (2, 3))),
+    (CYCLE, ((0, 1), (1, 2), (2, 3))),
+])
+def test_chain_kinds_refuse_any_other_edge_tuple(kind, edges):
+    # right edges in another orientation or order, one edge too many or
+    # too few, or a list: a path or cycle stores exactly its chain edges
+    with pytest.raises(InvalidGraphError):
+        SimpleGraph(4, edges, kind)
+
+
+def _chain_by_hand(n, kind):
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if kind == CYCLE:
+        edges.append((n - 1, 0))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("kind", [PATH, CYCLE])
+@pytest.mark.parametrize("n", [3, 4, 7, 64])
+def test_built_chains_behave_like_graphs_given_their_edges(kind, n):
+    # path_graph and cycle_graph derive their edges when first read; a
+    # fresh one compares, hashes, shows, pickles and copies like the graph
+    # built from the same edges written out
+    import copy
+    import pickle
+
+    build = path_graph if kind == PATH else cycle_graph
+    edges = _chain_by_hand(n, kind)
+    given = SimpleGraph(n, edges, kind)
+    assert build(n) == given and given == build(n)
+    assert hash(build(n)) == hash(given)
+    assert repr(build(n)) == repr(given)
+    assert build(n).edge_count == len(edges) == given.edge_count
+    for copied in (pickle.loads(pickle.dumps(build(n))),
+                   copy.deepcopy(build(n)), copy.copy(build(n))):
+        assert type(copied) is SimpleGraph and copied == given
+        assert copied.edges == edges
+    for read in ("edges", "incidence", "adjacency", "degrees"):
+        got, want = getattr(build(n), read), getattr(given, read)
+        assert (got() == want() if callable(want) else got == want), read
+    assert build(n) != build(n + 1) and build(n) != SimpleGraph(
+        n, _chain_by_hand(n, CYCLE if kind == PATH else PATH),
+        CYCLE if kind == PATH else PATH)
+    # reading the edges keeps one tuple, and the graph stays immutable
+    graph = build(n)
+    assert graph.edges is graph.edges
+    with pytest.raises(AttributeError):
+        graph.edges = edges
+    with pytest.raises(AttributeError):
+        del graph.edges
+    assert graph == given
+
+
+def test_edge_count_of_general_graphs_and_trees():
+    assert star_graph(4).edge_count == 4
+    assert SimpleGraph(3, ((0, 1),)).edge_count == 1
+    assert SimpleGraph(2, ()).edge_count == 0
+
+
 def test_incidence_matches_edge_storage_order():
     g = tree_graph(4, [(1, 0), (1, 2), (1, 3)])
     assert g.incidence() == [[0], [0, 1, 2], [1], [2]]

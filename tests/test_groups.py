@@ -8,6 +8,7 @@ import pytest
 
 from cordant import (
     CapExceededError,
+    EdgeLabeling,
     GroupSpec,
     InapplicableGroupError,
     InvalidElementError,
@@ -26,6 +27,7 @@ from cordant import (
     isomorphism,
     negate,
     parse_group,
+    path_graph,
     sylow_split,
 )
 from cordant import groups
@@ -260,6 +262,70 @@ def test_cached_structure_cannot_be_changed():
     assert sylow_split(spec) == (GroupSpec((2, 32)), GroupSpec(()))
     assert canonicalize_spec(spec) == GroupSpec((2, 32))
     assert groups.group_structure(spec) is structure
+
+
+def test_enumerations_are_fresh_lists_of_the_cached_elements():
+    spec = GroupSpec((2, 3))
+    first = enumerate_elements(spec)
+    first.append((9, 9))
+    first[0] = (1, 1)
+    assert enumerate_elements(spec) == list(itertools.product(range(2),
+                                                              range(3)))
+    assert enumerate_elements(spec) is not enumerate_elements(spec)
+    elements, zero = groups._enumeration(spec)
+    assert type(elements) is tuple
+    assert list(elements) == enumerate_elements(spec)
+    assert list(zero) == list(elements) and set(zero.values()) == {0}
+
+
+def test_caches_are_keyed_by_factor_tuples():
+    from cordant import construct_path_antimagic, verify_ea_cordial
+    for factors in ((5, 7), (4, 3), (2, 2, 2), (3, 9)):
+        construct_path_antimagic(GroupSpec(factors))
+    verify_ea_cordial(path_graph(6), EdgeLabeling(
+        GroupSpec((6,)), ((0,), (1,), (2,), (3,), (4,))))
+    caches = {name: cache for name, cache in vars(groups).items()
+              if name.endswith("_cache")}
+    assert {"_element_cache", "_table_cache", "_structure_cache"} <= \
+        set(caches)
+    assert caches["_element_cache"]
+
+    def is_factors(key):
+        return type(key) is tuple and all(type(d) is int for d in key)
+
+    for name, cache in caches.items():
+        for key in cache:
+            if name == "_iso_cache":
+                assert type(key) is tuple and len(key) == 2, name
+                assert all(map(is_factors, key)), name
+            else:
+                assert is_factors(key), (name, key)
+
+
+def test_no_cache_holds_a_group_past_the_table_cap():
+    # a block construction over Z5120 with its certificate round trip, and
+    # a judge over Z2048, leave nothing order-sized behind: the element,
+    # table, orbit and stabilizer caches stop at TABLE_CAP
+    from cordant import (NOTION_A_ANTIMAGIC, certificate_dumps,
+                         certificate_loads, construct_path_antimagic,
+                         make_edge_certificate, verify_ea_cordial)
+    spec = GroupSpec((5, 1024))
+    result = construct_path_antimagic(spec)
+    assert result.route == "block"
+    cert = make_edge_certificate(NOTION_A_ANTIMAGIC, path_graph(5120),
+                                 result.labeling)
+    assert certificate_loads(certificate_dumps(cert)) == cert
+    z2048 = GroupSpec((2048,))
+    labels = tuple((i % 2048,) for i in range(2047))
+    verdict = verify_ea_cordial(path_graph(2048), EdgeLabeling(z2048, labels))
+    assert sum(verdict.edge_class_counts.values()) == 2047
+    for name in ("_element_cache", "_table_cache", "_orbit_cache",
+                 "_stabilizer_cache"):
+        cache = getattr(groups, name)
+        assert all(GroupSpec(key).order <= TABLE_CAP for key in cache), name
+    assert (5, 1024) not in groups._element_cache
+    assert (2048,) not in groups._element_cache
+    assert (5,) in groups._element_cache  # the block route's odd part
 
 
 # ---------------------------------------------------------------------------

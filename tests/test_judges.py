@@ -227,3 +227,41 @@ def test_found_labelings_match_the_reference(spec):
         swapped = f.labels[1:2] + f.labels[:1] + f.labels[2:]
         assert _check(NOTION_A_ANTIMAGIC, path, spec, swapped) in (
             None, VERTEX_COLLISION)
+
+
+def test_each_verdict_owns_its_count_maps():
+    # the judges count into copies of one cached zero map per group:
+    # changing a verdict's maps, or an enumeration handed out, leaves the
+    # next verdict as it was
+    from cordant import class_counts, enumerate_elements
+
+    spec = GroupSpec((5, 7))
+    f = construct_path_antimagic(spec).labeling
+    path = path_graph(35)
+    cycle = cycle_graph(6)
+    c = VertexLabeling(GroupSpec((3,)), tuple((i % 3,) for i in range(6)))
+    calls = [lambda verify=verify: verify(path, f)
+             for verify in (verify_ea_cordial, verify_a_antimagic,
+                            verify_a_star_antimagic)]
+    calls.append(lambda: verify_a_cordial(cycle, c))
+    calls.append(lambda: verify_a_antimagic(path, EdgeLabeling(
+        spec, (spec.zero(),) * 34)))
+
+    def seen(verdict):
+        return (verdict.ok, verdict.violation,
+                list(verdict.edge_class_counts.items()),
+                list(verdict.vertex_class_counts.items()))
+
+    for call in calls:
+        first = call()
+        want = seen(first)
+        assert first.edge_class_counts is not first.vertex_class_counts
+        first.edge_class_counts[spec.zero()] = 99
+        first.edge_class_counts.clear()
+        first.vertex_class_counts.pop(next(iter(first.vertex_class_counts)))
+        enumerate_elements(spec).clear()
+        enumerate_elements(c.group).append((7,))
+        assert seen(call()) == want
+    counts = class_counts(spec, f.labels)
+    counts.clear()
+    assert list(class_counts(spec, f.labels).values()) == [0] + [1] * 34
