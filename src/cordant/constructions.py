@@ -269,7 +269,7 @@ def _ant_path_labels(spec: GroupSpec, dec: AntDecomposition
     they are elements without a check.
     """
     m, odd = dec.four_m // 4, dec.odd_part
-    base = _enumeration(odd)[0]
+    base = _enumeration(odd)
     k = len(base)
     run = 4 * m - 1
     blocks = [_block_column(j, m) for j in range(min(k, 3))]
@@ -471,7 +471,7 @@ def _harmonious_order(spec: GroupSpec, budget: int | None
     out Found even at budget 0.
     """
     if spec.order % 2 == 1:
-        return STATUS_FOUND, _enumeration(spec)[0], 0
+        return STATUS_FOUND, _enumeration(spec), 0
     core, rest = _harmonious_core(spec)
     order = _pinned("rainbow-cycle", core)
     nodes = 0

@@ -121,9 +121,6 @@ def enumerate_elements(spec: GroupSpec) -> list[Element]:
     >>> enumerate_elements(GroupSpec((2, 2)))
     [(0, 0), (0, 1), (1, 0), (1, 1)]
     """
-    cached = _element_cache.get(spec.factors)
-    if cached is not None:
-        return list(cached[0])
     return list(_elements(spec))
 
 
@@ -147,30 +144,39 @@ def element_at(spec: GroupSpec, idx: int) -> Element:
     return tuple(reversed(coords))
 
 
-#: per factor tuple of order at most ``TABLE_CAP``: the elements in
-#: enumeration order, as a tuple, and the count map with every element at
-#: 0 in that order.  The verifiers copy the map for each count map they
-#: fill (a dict copy reuses the stored hashes), and the odd-order routes
-#: read the tuple, so a group is enumerated once.  Groups past the cap are
-#: enumerated on every call, so a block call over Z5120 or an untrusted
-#: cli order pins nothing that grows with the order.
-_element_cache: dict[tuple[int, ...],
-                     tuple[tuple[Element, ...], dict[Element, int]]] = {}
+#: per factor tuple of order at most ``TABLE_CAP``, the elements in
+#: enumeration order as a tuple (``_enumeration``), and the count map with
+#: every element at 0 in that order (``_zero_counts``), so a group is
+#: enumerated once.  Groups past the cap are enumerated on every call, so
+#: a block call over Z5120 or an untrusted cli order pins nothing that
+#: grows with the order.
+_element_cache: dict[tuple[int, ...], tuple[Element, ...]] = {}
+_zero_cache: dict[tuple[int, ...], dict[Element, int]] = {}
 
 
-def _enumeration(spec: GroupSpec
-                 ) -> tuple[tuple[Element, ...], dict[Element, int]]:
-    """The elements of ``spec`` in enumeration order and the count map
-    with each at 0, cached up to ``TABLE_CAP`` (see ``_element_cache``).
-    Callers copy the map before they count into it."""
-    cached = _element_cache.get(spec.factors)
-    if cached is not None:
-        return cached
-    elements = tuple(_elements(spec))
-    out = elements, dict.fromkeys(elements, 0)
-    if spec.order <= TABLE_CAP:
-        _element_cache[spec.factors] = out
-    return out
+def _enumeration(spec: GroupSpec) -> tuple[Element, ...]:
+    """The elements of ``spec`` in enumeration order, as a tuple, cached
+    up to ``TABLE_CAP`` (see ``_element_cache``)."""
+    elements = _element_cache.get(spec.factors)
+    if elements is None:
+        elements = tuple(_elements(spec))
+        if spec.order <= TABLE_CAP:
+            _element_cache[spec.factors] = elements
+    return elements
+
+
+def _zero_counts(spec: GroupSpec) -> dict[Element, int]:
+    """A count map with every element of ``spec`` at 0, in enumeration
+    order, for the caller to fill: up to ``TABLE_CAP`` a copy of the
+    cached map (a dict copy reuses the stored hashes), past it a map
+    built for this call alone."""
+    zero = _zero_cache.get(spec.factors)
+    if zero is None:
+        zero = dict.fromkeys(_enumeration(spec), 0)
+        if spec.order > TABLE_CAP:
+            return zero
+        _zero_cache[spec.factors] = zero
+    return zero.copy()
 
 
 def _elements(spec: GroupSpec):

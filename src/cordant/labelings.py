@@ -24,7 +24,7 @@ from operator import add, mod
 from ._vocab import Record, set_field
 from .errors import InvalidGraphError, InvalidLabelingError
 from .graphs import CYCLE, PATH, TREE, SimpleGraph
-from .groups import Element, GroupSpec, _enumeration, check_element
+from .groups import Element, GroupSpec, _zero_counts, check_element
 
 SIZE_MISMATCH = "size-mismatch"
 ZERO_EDGE_FORBIDDEN = "zero-edge-forbidden"
@@ -134,29 +134,26 @@ def induce_edge_labels(graph: SimpleGraph, c: VertexLabeling) -> EdgeLabeling:
     return _computed(EdgeLabeling, c.group, _induced(graph, c, False))
 
 
-def _tally(zero: dict[Element, int], labels: tuple[Element, ...]
+def _tally(counts: dict[Element, int], labels: tuple[Element, ...]
            ) -> dict[Element, int]:
-    """Occurrences of every element among ``labels``, in a copy of
-    ``zero``, the group's count map with every element at 0 (see
-    ``groups._enumeration``): the copy keeps its key order and reuses
-    its stored hashes.  The labels are elements already (checked on entry
-    or computed mod d), so each is a key."""
-    counts = zero.copy()
+    """``counts``, a count map the caller owns with every element at 0
+    (see ``groups._zero_counts``), with the occurrences of each element
+    among ``labels`` counted in.  The labels are elements already
+    (checked on entry or computed mod d), so each is a key."""
     for a in labels:
         counts[a] += 1
     return counts
 
 
-def _distinct_tally(zero: dict[Element, int], labels: tuple[Element, ...]
+def _distinct_tally(counts: dict[Element, int], labels: tuple[Element, ...]
                     ) -> tuple[dict[Element, int], bool]:
-    """``_tally(zero, labels)`` and whether two labels collide.  Distinct
+    """``_tally(counts, labels)`` and whether two labels collide.  Distinct
     labels are gathered once, as dict keys (a dict takes less room than
     a set of one size), and copied in with their hashes; labels are
     counted one by one only on a collision."""
     seen = dict.fromkeys(labels, 1)
     if len(seen) < len(labels):
-        return _tally(zero, labels), True
-    counts = zero.copy()
+        return _tally(counts, labels), True
     counts.update(seen)
     return counts, False
 
@@ -165,7 +162,7 @@ def class_counts(spec: GroupSpec, labels: tuple[Element, ...]) -> dict[Element, 
     """Occurrences of every group element among ``labels``, in enumeration order."""
     for a in labels:
         check_element(spec, a)
-    return _tally(_enumeration(spec)[1], labels)
+    return _tally(_zero_counts(spec), labels)
 
 
 def is_equitable(counts: dict[Element, int]) -> bool:
@@ -194,8 +191,8 @@ def _judge_equitable(graph: SimpleGraph, labeling, on_edges: bool):
     induced = _induced(graph, labeling, on_edges)
     edge, vertex = ((labeling.labels, induced) if on_edges
                     else (induced, labeling.labels))
-    zero = _enumeration(labeling.group)[1]
-    ec = _tally(zero, edge)
+    zero = _zero_counts(labeling.group)
+    ec = _tally(zero.copy(), edge)
     vc = _tally(zero, vertex)
     if not is_equitable(ec):
         return Verdict(False, ec, vc, EDGE_IMBALANCE), induced
@@ -243,11 +240,11 @@ def _judge_injective(graph: SimpleGraph, f: EdgeLabeling, zero_free: bool):
     if graph.n != spec.order or len(labels) != graph.edge_count:
         return Verdict(False, {}, {}, SIZE_MISMATCH), None
     induced = _induced(graph, f, True)
-    zero = _enumeration(spec)[1]
-    ec, edge_collision = _distinct_tally(zero, labels)
+    ec, edge_collision = _distinct_tally(_zero_counts(spec), labels)
     # n distinct vertex sums on n vertices: each element once
     vertex_collision = len(dict.fromkeys(induced)) < len(induced)
-    vc = _tally(zero, induced) if vertex_collision else dict.fromkeys(zero, 1)
+    vc = (_tally(dict.fromkeys(ec, 0), induced) if vertex_collision
+          else dict.fromkeys(ec, 1))
     if zero_free and ec[spec.zero()]:
         return Verdict(False, ec, vc, ZERO_EDGE_FORBIDDEN), induced
     if edge_collision:

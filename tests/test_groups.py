@@ -264,18 +264,29 @@ def test_cached_structure_cannot_be_changed():
     assert groups.group_structure(spec) is structure
 
 
-def test_enumerations_are_fresh_lists_of_the_cached_elements():
+def test_enumerations_and_zero_count_maps_are_handed_out_fresh():
     spec = GroupSpec((2, 3))
+    want = list(itertools.product(range(2), range(3)))
     first = enumerate_elements(spec)
     first.append((9, 9))
     first[0] = (1, 1)
-    assert enumerate_elements(spec) == list(itertools.product(range(2),
-                                                              range(3)))
+    assert enumerate_elements(spec) == want
     assert enumerate_elements(spec) is not enumerate_elements(spec)
-    elements, zero = groups._enumeration(spec)
-    assert type(elements) is tuple
-    assert list(elements) == enumerate_elements(spec)
-    assert list(zero) == list(elements) and set(zero.values()) == {0}
+    elements = groups._enumeration(spec)
+    assert type(elements) is tuple and list(elements) == want
+    assert groups._enumeration(spec) is elements
+    zero = groups._zero_counts(spec)
+    zero[(0, 0)] = 5
+    zero.pop((1, 2))
+    again = groups._zero_counts(spec)
+    assert again is not zero
+    assert list(again.items()) == [(a, 0) for a in want]
+    # past the cap each call builds its own, and nothing is kept
+    big = GroupSpec((TABLE_CAP + 1,))
+    assert groups._zero_counts(big) is not groups._zero_counts(big)
+    assert groups._enumeration(big) is not groups._enumeration(big)
+    assert big.factors not in groups._zero_cache
+    assert big.factors not in groups._element_cache
 
 
 def test_caches_are_keyed_by_factor_tuples():
@@ -286,9 +297,9 @@ def test_caches_are_keyed_by_factor_tuples():
         GroupSpec((6,)), ((0,), (1,), (2,), (3,), (4,))))
     caches = {name: cache for name, cache in vars(groups).items()
               if name.endswith("_cache")}
-    assert {"_element_cache", "_table_cache", "_structure_cache"} <= \
-        set(caches)
-    assert caches["_element_cache"]
+    assert {"_element_cache", "_zero_cache", "_table_cache",
+            "_structure_cache"} <= set(caches)
+    assert caches["_element_cache"] and caches["_zero_cache"]
 
     def is_factors(key):
         return type(key) is tuple and all(type(d) is int for d in key)
@@ -319,12 +330,12 @@ def test_no_cache_holds_a_group_past_the_table_cap():
     labels = tuple((i % 2048,) for i in range(2047))
     verdict = verify_ea_cordial(path_graph(2048), EdgeLabeling(z2048, labels))
     assert sum(verdict.edge_class_counts.values()) == 2047
-    for name in ("_element_cache", "_table_cache", "_orbit_cache",
-                 "_stabilizer_cache"):
+    for name in ("_element_cache", "_zero_cache", "_table_cache",
+                 "_orbit_cache", "_stabilizer_cache"):
         cache = getattr(groups, name)
         assert all(GroupSpec(key).order <= TABLE_CAP for key in cache), name
-    assert (5, 1024) not in groups._element_cache
-    assert (2048,) not in groups._element_cache
+    for cache in (groups._element_cache, groups._zero_cache):
+        assert (5, 1024) not in cache and (2048,) not in cache
     assert (5,) in groups._element_cache  # the block route's odd part
 
 
