@@ -355,6 +355,8 @@ def _cmd_explore(args) -> int:
                                     if r.antimagic_labels else None),
             "zero_free": r.astar_status,
             "zero_free_nodes": r.astar_nodes,
+            "zero_free_labels": ([list(a) for a in r.astar_labels]
+                                 if r.astar_labels else None),
             "violation": r.violates,
         } for r in report.rows],
         "violations": len(report.violations),

@@ -1,28 +1,39 @@
 """Desk-scale survey of injective distinct-sum labelings on small trees.
 
 For every order n up to a cap, every Abelian group of that order, and
-every tree on n vertices, runs the two searches (zero allowed as an
+every tree on n vertices, settles the two labelings (zero allowed as an
 edge label, and forbidden) and tabulates the outcomes.  The expected
 pattern is that the zero-allowed labeling exists exactly when n is not
 2 mod 4; rows breaking the pattern are collected as violations with
 their certificates attached.
 
+Every zero-free labeling is a zero-allowed one, so the zero-allowed
+search settles the zero-free row without a search when it exhausts
+(NotExists) or when its lex-first labeling avoids 0 (Found); see
+``_settled_zero_free``.  Such a row reads ``astar_nodes == 0`` and is as
+certain as a searched one: NotExists still comes from a full exhaustion,
+of a superset, and a Found is still verified once as zero-free.  Every
+other zero-free row is searched.
+
 ``search`` is imported by the first survey, not with this module, and
-the two searches are read off the package, so a name swapped there (a
-test double, the benchmark's layer tracer) is the one called.
+the two searches and the zero-free judge are read off the package, so a
+name swapped there (a test double, the benchmark's layer tracer) is the
+one called.
 """
 
 from __future__ import annotations
 
 from ._vocab import (
     DEFAULT_BUDGET,
+    NOTION_A_STAR_ANTIMAGIC,
     STATUS_FOUND,
+    STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
     Record,
     check_workers,
     set_field,
 )
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .groups import GroupSpec, abelian_groups_of_order, format_group
 from .trees import TREE_ENUM_CAP, enumerate_trees
 
@@ -30,7 +41,15 @@ __all__ = ["ExploreReport", "ExploreRow", "explore_conjecture"]
 
 
 class ExploreRow(Record):
-    """One (order, group, tree) cell of the survey."""
+    """One (order, group, tree) cell of the survey.
+
+    A zero-free row settled from the zero-allowed search, without a
+    search of its own, reads ``astar_nodes == 0``.  It is as certain as
+    a searched row: NotExists because the zero-allowed search exhausted
+    a superset of the zero-free labelings, or Found with the
+    zero-allowed lex-first labeling, which avoids 0, is therefore the
+    zero-free lex-first one, and was verified once more as zero-free.
+    """
 
     _fields = ("n", "group", "tree_index", "edges", "antimagic_status",
                "antimagic_nodes", "antimagic_labels", "astar_status",
@@ -107,7 +126,8 @@ def explore_conjecture(n_max: int, budget: int | None = DEFAULT_BUDGET,
     if n_max > TREE_ENUM_CAP:
         raise PreconditionError(
             f"survey is capped at order {TREE_ENUM_CAP}")
-    from . import search_a_antimagic, search_a_star_antimagic
+    from . import (search_a_antimagic, search_a_star_antimagic,
+                   verify_a_star_antimagic)
 
     rows: list[ExploreRow] = []
     for n in range(2, n_max + 1):
@@ -116,8 +136,11 @@ def explore_conjecture(n_max: int, budget: int | None = DEFAULT_BUDGET,
             for idx, tree in enumerate(trees):
                 with_zero = search_a_antimagic(tree, spec, budget=budget,
                                                workers=workers)
-                zero_free = search_a_star_antimagic(tree, spec, budget=budget,
-                                                    workers=workers)
+                zero_free = _settled_zero_free(tree, spec, with_zero,
+                                               verify_a_star_antimagic)
+                if zero_free is None:
+                    zero_free = search_a_star_antimagic(
+                        tree, spec, budget=budget, workers=workers)
                 rows.append(ExploreRow(
                     n=n, group=spec, tree_index=idx, edges=tree.edges,
                     antimagic_status=with_zero.status,
@@ -129,3 +152,47 @@ def explore_conjecture(n_max: int, budget: int | None = DEFAULT_BUDGET,
                     astar_labels=(zero_free.certificate.labels
                                   if zero_free.certificate else None)))
     return ExploreReport(n_max=n_max, rows=tuple(rows))
+
+
+def _settled_zero_free(tree, spec: GroupSpec, with_zero, verify):
+    """The zero-free outcome that the zero-allowed outcome ``with_zero``
+    of ``tree`` over ``spec`` proves, at 0 nodes; None when it proves
+    none and the zero-free search has to run.
+
+    Let S be the A-antimagic labelings of the tree (injective edge labels,
+    pairwise distinct vertex sums) and S* the A*-antimagic ones (edge
+    labels a bijection onto the nonzero elements, distinct sums).  The
+    tree has |A| - 1 edges, so a labeling in S* is injective and in S:
+    S* is a subset of S.  Both searches order labelings the same way,
+    lexicographically by edge position, each label in group enumeration
+    order, and report the least member of their set.
+
+    * NotExists: the zero-allowed search reports it only after a full
+      exhaustion, so S is empty, and so is its subset S*.
+    * Found, with lex-first labeling L of S using no 0: L places |A| - 1
+      distinct labels on the |A| - 1 nonzero elements, a bijection onto
+      them, so L is in S*.  Every member of S* is in S, so none is
+      lexicographically smaller than L: L is the least member of S*.
+
+    An Unknown outcome, or an L that uses 0, proves nothing about S*.  A
+    settled Found is judged once more by ``verify`` (the zero-free judge)
+    and a failure raises ``InternalCheckError``, as a search's own Found
+    does, so every Found the survey reports is verified.
+    """
+    from .certificates import Certificate
+    from .search import SearchOutcome
+
+    if with_zero.status == STATUS_NOT_EXISTS:
+        return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
+    if (with_zero.status != STATUS_FOUND
+            or spec.zero() in with_zero.certificate.labels):
+        return None
+    cert = with_zero.certificate
+    verdict = verify(tree, cert)
+    if not verdict.ok:
+        raise InternalCheckError(
+            "the zero-allowed lex-first labeling avoids 0 but is not "
+            f"{NOTION_A_STAR_ANTIMAGIC}: {verdict.violation}")
+    return SearchOutcome(STATUS_FOUND, Certificate(
+        NOTION_A_STAR_ANTIMAGIC, spec, tree, cert.edge_labels,
+        cert.vertex_labels, verdict), 0)

@@ -338,6 +338,51 @@ def test_sigma_max_budget_unknown(capsys):
 
 
 # ---------------------------------------------------------------------------
+# explore
+
+def test_explore_json_carries_both_labelings_of_every_found_row(capsys):
+    # order 8 has zero-free Founds over (Z2)^3; each row's labels are
+    # printed next to its node count, and every Found's labels verify
+    from cordant import (EdgeLabeling, GroupSpec, tree_graph,
+                         verify_a_antimagic, verify_a_star_antimagic)
+    code, out, _ = run(capsys, ["explore", "--n-max", "8",
+                                "--format", "json"])
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert list(rows[0]) == [
+        "n", "group", "tree_index", "edges", "zero_allowed",
+        "zero_allowed_nodes", "zero_allowed_labels", "zero_free",
+        "zero_free_nodes", "zero_free_labels", "violation"]
+    zero_free_found = 0
+    for row in rows:
+        tree = tree_graph(row["n"], [tuple(e) for e in row["edges"]])
+        spec = GroupSpec(tuple(row["group"]))
+        for status, labels, judge in (
+                (row["zero_allowed"], row["zero_allowed_labels"],
+                 verify_a_antimagic),
+                (row["zero_free"], row["zero_free_labels"],
+                 verify_a_star_antimagic)):
+            if status != "Found":
+                assert labels is None
+                continue
+            f = EdgeLabeling(spec, tuple(tuple(a) for a in labels))
+            assert judge(tree, f).ok
+        zero_free_found += row["zero_free"] == "Found"
+    assert zero_free_found == 48
+
+
+def test_explore_text_prints_no_labels(capsys):
+    # the order-3 zero-free row is settled by the zero-allowed search
+    code, out, _ = run(capsys, ["explore", "--n-max", "3"])
+    assert code == EXIT_OK
+    assert out == ("n=2 Z2 tree#0: zero-allowed NotExists (0 nodes), "
+                   "zero-free NotExists (0 nodes)\n"
+                   "n=3 Z3 tree#0: zero-allowed Found (5 nodes), "
+                   "zero-free Found (0 nodes)\n"
+                   "2 rows, 0 violations, 0 unknown\n")
+
+
+# ---------------------------------------------------------------------------
 # budget plumbing
 
 def test_budget_env_and_flag_override(capsys, monkeypatch):

@@ -5,18 +5,23 @@ from itertools import islice, permutations
 
 import pytest
 
+import cordant
 from cordant import (
     EdgeLabeling,
     ExploreRow,
     GroupSpec,
+    InternalCheckError,
     PreconditionError,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
+    STATUS_UNKNOWN,
+    Verdict,
     canonical_form,
     enumerate_elements,
     enumerate_trees,
     explore_conjecture,
     path_graph,
+    search_a_star_antimagic,
     tree_graph,
     verify_a_antimagic,
     verify_a_star_antimagic,
@@ -56,6 +61,84 @@ def test_zero_free_split_at_order_8():
                  if canonical_form(tree_graph(8, r.edges)) == path_form]
     assert len(path_rows) == 1
     assert path_rows[0].astar_status == STATUS_NOT_EXISTS
+
+
+def _settles(row):
+    """The zero-allowed outcome proves the zero-free one: an exhaustion,
+    or a lex-first labeling without the zero label."""
+    if row.antimagic_status == STATUS_NOT_EXISTS:
+        return True
+    return (row.antimagic_status == STATUS_FOUND
+            and row.group.zero() not in row.antimagic_labels)
+
+
+def test_zero_free_rows_equal_direct_searches():
+    # settled or searched, every zero-free row is the lex-first answer of
+    # its own search; only the settled ones spent no zero-free nodes
+    report = explore_conjecture(9)
+    trees = {n: list(enumerate_trees(n)) for n in range(2, 10)}
+    settled = 0
+    for row in report.rows:
+        tree = trees[row.n][row.tree_index]
+        direct = search_a_star_antimagic(tree, row.group)
+        assert row.astar_status == direct.status
+        assert row.astar_labels == (direct.certificate.labels
+                                    if direct.certificate else None)
+        if _settles(row):
+            settled += 1
+            assert row.astar_nodes == 0
+        else:
+            assert row.astar_nodes == direct.nodes_explored
+        if row.astar_status == STATUS_FOUND:
+            f = EdgeLabeling(row.group, row.astar_labels)
+            assert verify_a_star_antimagic(tree, f).ok
+    assert (len(report.rows), settled) == (189, 116)
+
+
+def _count_zero_free_searches(monkeypatch):
+    calls = []
+
+    def counted(tree, spec, **kwargs):
+        calls.append((tree.n, spec))
+        return search_a_star_antimagic(tree, spec, **kwargs)
+
+    monkeypatch.setattr(cordant, "search_a_star_antimagic", counted)
+    return calls
+
+
+def test_zero_free_search_runs_only_on_unsettled_rows(monkeypatch):
+    calls = _count_zero_free_searches(monkeypatch)
+    report = explore_conjecture(9)
+    unsettled = [(r.n, r.group) for r in report.rows if not _settles(r)]
+    assert calls == unsettled
+    assert len(calls) == 73
+    # at odd orders every zero-allowed Found avoids 0 or there is none
+    assert all(n % 2 == 0 for n, _ in calls)
+
+
+def test_zero_free_search_runs_after_a_zero_allowed_unknown(monkeypatch):
+    # a budget of one node leaves every zero-allowed row past order 2
+    # Unknown, which proves nothing about the zero-free row
+    calls = _count_zero_free_searches(monkeypatch)
+    report = explore_conjecture(4, budget=1)
+    unknown = [(r.n, r.group) for r in report.rows
+               if r.antimagic_status == STATUS_UNKNOWN]
+    assert len(unknown) == 5
+    assert calls == unknown
+
+
+def test_settled_found_is_judged_and_a_failure_raises(monkeypatch):
+    judged = []
+
+    def failing(graph, f):
+        judged.append(f.labels)
+        return Verdict(False, {}, {}, "planted")
+
+    monkeypatch.setattr(cordant, "verify_a_star_antimagic", failing)
+    with pytest.raises(InternalCheckError, match="planted"):
+        explore_conjecture(3)
+    # the order-3 Z3 labeling, the first settled Found
+    assert judged == [((1,), (2,))]
 
 
 def test_summary_lines_shape():
