@@ -35,7 +35,10 @@ C8/Z8, and the exhaust workload's three seeded order-10 trees with their
 pinned first labels, built by ``perfbench/workloads.py`` from the seed.
 It times ``explore_conjecture(10)`` (seconds, the zero-allowed and
 the zero-free nodes summed over the rows, the number of zero-free
-searches run, rows, Unknown rows, violations) and
+searches run, rows, Unknown rows, violations, and ``outcomes_sha256``
+over the rows' (n, factors, tree index, zero-allowed status and labels,
+zero-free status and labels), each row's ``repr`` followed by a
+newline, in row order: a change that only searches less keeps it) and
 the certificate round trip
 of the block-route labeling of P5120 over Z5xZ1024 (the median of
 ``ROUND_TRIP_RUNS`` runs of make, dumps and loads each, in seconds) and
@@ -273,6 +276,12 @@ def explore_row() -> dict:
         seconds = time.perf_counter() - start
     finally:
         cordant.search_a_star_antimagic = search
+    outcomes = hashlib.sha256()
+    for row in report.rows:
+        outcomes.update(repr((row.n, row.group.factors, row.tree_index,
+                              row.antimagic_status, row.antimagic_labels,
+                              row.astar_status, row.astar_labels)).encode()
+                        + b"\n")
     return {"n_max": 10, "seconds": round(seconds, 4),
             "zero_allowed_nodes": sum(row.antimagic_nodes
                                       for row in report.rows),
@@ -280,7 +289,8 @@ def explore_row() -> dict:
             "zero_free_searches": searches,
             "rows": len(report.rows),
             "unknown": len(report.unknown_rows),
-            "violations": len(report.violations)}
+            "violations": len(report.violations),
+            "outcomes_sha256": outcomes.hexdigest()}
 
 
 def round_trip_row() -> dict:

@@ -9,8 +9,23 @@
  *
  * Instances are index-encoded exactly as in pure.py.  Unlike pure.py, a
  * malformed instance (wrong table length, a label or index out of range,
- * an incidence the memo key cannot describe) raises ValueError here
- * instead of reading out of bounds.
+ * an incidence the memo key cannot describe, roots that are not (label,
+ * share) pairs) raises ValueError here instead of reading out of bounds.
+ *
+ * The labeling kernel's leaf-room bound and its roots argument are those of
+ * pure.solve_generic, whose docstring gives the rule and its soundness.  A
+ * leaf slot completes an item no other slot feeds, so that item's sum is
+ * the slot's label y, which takes a unit of y's label room (slot_cap less
+ * the slot count) and of y's sum room (dcap less the derived count); no two
+ * leaf slots take the same unit, so the leaf room, the sum over the labels
+ * of the smaller of the two, is at least the number of leaf slots still
+ * empty in any solution.  A placement leaving less is rejected, its node
+ * counted.  With fewer than two leaf slots after slot 0 (paths, cycles,
+ * vertex labelings) the bound is off, and generic_dfs and generic_place
+ * run in copies without it.  roots, (label, share) pairs, runs the branches
+ * extending the prefix by each label at the first free slot in one call,
+ * in order, each with a fresh memo and its share as its budget, up to the
+ * first that is not exhausted.
  *
  * Build in place with `python setup.py build_ext --inplace`; without this
  * module the package runs on pure.py.
@@ -272,6 +287,11 @@ typedef struct {
     int *shift;
     uint64_t *key, *sunit, *dunit, pos_unit;
     Memo memo;
+    /* The leaf-room bound (pure.solve_generic; need NULL: off): need[i],
+     * the leaf slots after slot i, and room[i], the leaf room before slot
+     * i, kept while need[i - 1] > 0. */
+    int *need;
+    long long *room;
 } Generic;
 
 static void
@@ -305,6 +325,8 @@ generic_free(Generic *g)
     free(g->neg);
     free(g->head);
     free(g->due);
+    free(g->need);
+    free(g->room);
 }
 
 /* Check that no slot feeds an item twice and that an item is completed at
@@ -414,13 +436,21 @@ generic_unplace(Generic *g, int i, int x)
 
 /* Apply label x at slot i and set key[i + 1]; 1 when placed, 0 when
  * rejected.  Slot i feeds every item it completes, so the completed sums
- * are counted and the bounds tested before any partial sum moves. */
+ * are counted and the bounds tested before any partial sum moves.  With
+ * `bounded` (a constant: each caller gets its own copy) the placement also
+ * leaves room for the leaf slots after slot i and sets room[i + 1]: each
+ * completed sum v, then the label x, takes a unit of leaf room when at
+ * most as much room is left of its other kind. */
+#if defined(__GNUC__)
+__attribute__((always_inline))
+#endif
 static inline int
-generic_place(Generic *g, int i, int x)
+generic_place(Generic *g, int i, int x, const int bounded)
 {
     if (g->scount[x] >= g->slot_cap[x])
         return 0;
     const int c0 = g->comp_ptr[i], c1 = g->comp_ptr[i + 1];
+    long long room = bounded ? g->room[i] : 0;
     for (int t = c0; t < c1; t++) {
         int v = g->add_t[g->row[t] + x];
         if (g->dcount[v] >= g->dcap[v]) {
@@ -430,12 +460,19 @@ generic_place(Generic *g, int i, int x)
         g->dcount[v]++;
         if (g->dcount[v] <= g->dfloor[v])
             g->ddef--;
+        if (bounded && g->dcap[v] - g->dcount[v] < g->slot_cap[v] - g->scount[v])
+            room--;
     }
     int sdef = g->sdef - (g->scount[x] < g->slot_floor[x]);
-    if (sdef > g->s - i - 1 || g->ddef > g->remaining_at[i + 1]) {
+    if (bounded && g->slot_cap[x] - g->scount[x] <= g->dcap[x] - g->dcount[x])
+        room--;
+    if (sdef > g->s - i - 1 || g->ddef > g->remaining_at[i + 1]
+        || (bounded && room < g->need[i])) {
         generic_uncount(g, i, x, c1);
         return 0;
     }
+    if (bounded)
+        g->room[i + 1] = room;
     g->sdef = sdef;
     g->scount[x]++;
     g->assign[i] = x;
@@ -535,14 +572,21 @@ generic_settle(Generic *g, int i)
     return 1;
 }
 
+static int generic_dfs(Generic *g, int i);
+static int bounded_dfs(Generic *g, int i);
+
 /* A label is looked up in the memo once it passes every bound, and its key
  * is added once its subtree is exhausted, or as soon as the graph
  * symmetries reject it; the last slot has no key.  A label the slot's
  * symmetry state rules out costs its node, and one below its twin bound
  * none.  The memo key leaves the symmetries out; pure.solve_generic says
- * why that is sound. */
-static int
-generic_dfs(Generic *g, int i)
+ * why that is sound.  generic_dfs runs the slots without the leaf-room
+ * bound, and bounded_dfs the slots with leaf slots after them. */
+#if defined(__GNUC__)
+__attribute__((always_inline))
+#endif
+static inline int
+dfs_body(Generic *g, int i, const int bounded)
 {
     if (i == g->s)
         return FOUND;
@@ -563,7 +607,7 @@ generic_dfs(Generic *g, int i)
         g->nodes++;
         if (mk != NULL && !mk[x])
             continue;
-        if (!generic_place(g, i, x))
+        if (!generic_place(g, i, x, bounded))
             continue;
         uint64_t key = keyed ? g->key[i + 1] : 0;
         if (key != 0 && memo_has(&g->memo, key)) {
@@ -582,7 +626,8 @@ generic_dfs(Generic *g, int i)
             }
         }
         g->state[i + 1] = to != NULL ? to[x] : -1;
-        int r = generic_dfs(g, i + 1);
+        int r = bounded && g->need[i + 1] > 0 ? bounded_dfs(g, i + 1)
+                                              : generic_dfs(g, i + 1);
         if (r == FOUND)
             return FOUND;
         due_pop(g, base);
@@ -594,6 +639,26 @@ generic_dfs(Generic *g, int i)
     }
     generic_leave(g, i);
     return EXHAUSTED;
+}
+
+static int
+generic_dfs(Generic *g, int i)
+{
+    return dfs_body(g, i, 0);
+}
+
+static int
+bounded_dfs(Generic *g, int i)
+{
+    return dfs_body(g, i, 1);
+}
+
+/* The slots from i on: bounded_dfs where leaf slots follow. */
+static int
+search_from(Generic *g, int i)
+{
+    return g->need != NULL && g->need[i] > 0 ? bounded_dfs(g, i)
+                                             : generic_dfs(g, i);
 }
 
 /* The graph symmetries (low, cycle, neg_t) of pure.solve_generic, or None
@@ -653,24 +718,149 @@ done:
     return rc;
 }
 
+/* Place label x at slot i of the prefix, or a root label at the first free
+ * slot, as the prefix's last label: with the twin bound and the graph
+ * symmetries checked.  1 when placed, 0 when rejected (nothing placed),
+ * -1 with an exception set. */
+static int
+generic_pin(Generic *g, int i, int x)
+{
+    int ok = g->need != NULL && g->need[i] > 0 ? generic_place(g, i, x, 1)
+                                               : generic_place(g, i, x, 0);
+    if (ok && g->low != NULL) {
+        if (g->low[i] >= 0 && x < g->assign[g->low[i]])
+            ok = 0;
+        else if (g->head[i] >= 0 && (ok = generic_settle(g, i)) < 0)
+            return -1;
+        if (!ok)
+            generic_unplace(g, i, x);
+    }
+    return ok;
+}
+
+/* Find the leaf slots, those completing an item no other slot feeds, and
+ * set need[] when at least two come after slot 0 (else the bound is off,
+ * and need stays NULL).  Returns -1 with an exception set. */
+static int
+plan_leaves(Generic *g, int nd, Py_ssize_t n_sd)
+{
+    int s = g->s, rc = -1;
+    int *fed = calloc(nd > 0 ? (size_t)nd : 1, sizeof(int));
+    g->need = calloc((size_t)s + 1, sizeof(int));
+    if (fed == NULL || g->need == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t t = 0; t < n_sd; t++)
+        fed[g->sd_ids[t]]++;
+    for (int j = s - 1; j > 0; j--) {
+        int leaf = 0;
+        for (int t = g->comp_ptr[j]; t < g->comp_ptr[j + 1]; t++)
+            leaf |= fed[g->comp_ids[t]] == 1;
+        g->need[j - 1] = g->need[j] + leaf;
+    }
+    rc = 0;
+    if (s == 0 || g->need[0] < 2) {
+        free(g->need);
+        g->need = NULL;
+        goto done;
+    }
+    g->room = calloc((size_t)s + 1, sizeof(long long));
+    if (g->room == NULL) {
+        PyErr_NoMemory();
+        rc = -1;
+        goto done;
+    }
+    for (int a = 0; a < g->m; a++)
+        g->room[0] += g->slot_cap[a] < g->dcap[a] ? g->slot_cap[a]
+                                                  : g->dcap[a];
+done:
+    free(fed);
+    return rc;
+}
+
+/* PySequence_Fast(obj), with a ValueError (roots: `what`) for anything
+ * that is not a sequence. */
+static PyObject *
+roots_sequence(PyObject *obj, const char *what)
+{
+    PyObject *seq = PySequence_Fast(obj, what);
+    if (seq == NULL && PyErr_ExceptionMatches(PyExc_TypeError)) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_ValueError, "roots: %s", what);
+    }
+    return seq;
+}
+
+/* The (label, share) pairs of pure.solve_generic's roots: the labels, in
+ * 0..m-1, into *labels and the shares into *shares.  Returns how many, or
+ * -1 with an exception set (ValueError when malformed). */
+static Py_ssize_t
+copy_roots(PyObject *roots, int m, int **labels, long long **shares)
+{
+    PyObject *seq = roots_sequence(roots, "expected a list of pairs");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    size_t size = n > 0 ? (size_t)n : 1;
+    *labels = malloc(size * sizeof(int));
+    *shares = malloc(size * sizeof(long long));
+    if (*labels == NULL || *shares == NULL) {
+        PyErr_NoMemory();
+        n = -1;
+        goto done;
+    }
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *pair = roots_sequence(PySequence_Fast_GET_ITEM(seq, k),
+                                        "expected (label, share)");
+        if (pair == NULL) {
+            n = -1;
+            goto done;
+        }
+        long x = -1;
+        long long share = 0;
+        if (PySequence_Fast_GET_SIZE(pair) == 2) {
+            x = PyLong_AsLong(PySequence_Fast_GET_ITEM(pair, 0));
+            if (!PyErr_Occurred())
+                share = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(pair, 1));
+        }
+        Py_DECREF(pair);
+        if (PyErr_Occurred()) {
+            n = -1;
+            goto done;
+        }
+        if (x < 0 || x >= m) {
+            PyErr_SetString(PyExc_ValueError,
+                            "roots: expected (label, share), label in range");
+            n = -1;
+            goto done;
+        }
+        (*labels)[k] = (int)x;
+        (*shares)[k] = share;
+    }
+done:
+    Py_DECREF(seq);
+    return n;
+}
+
 static PyObject *
 solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
         "m", "add_t", "num_slots", "slot_cap", "slot_floor", "dcap",
         "dfloor", "num_derived", "sd_ptr", "sd_ids", "comp_ptr", "comp_ids",
-        "prefix", "budget", "table", "graph_sym", NULL};
+        "prefix", "budget", "table", "graph_sym", "roots", NULL};
     Generic g;
     memset(&g, 0, sizeof g);
     int nd;
     PyObject *add_t, *slot_cap, *slot_floor, *dcap, *dfloor;
     PyObject *sd_ptr, *sd_ids, *comp_ptr, *comp_ids, *prefix;
-    PyObject *table = Py_None, *graph_sym = Py_None;
+    PyObject *table = Py_None, *graph_sym = Py_None, *roots = Py_None;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "iOiOOOOiOOOOOL|OO:solve_generic", kwlist, &g.m,
+            args, kwds, "iOiOOOOiOOOOOL|OOO:solve_generic", kwlist, &g.m,
             &add_t, &g.s, &slot_cap, &slot_floor, &dcap, &dfloor, &nd,
             &sd_ptr, &sd_ids, &comp_ptr, &comp_ids, &prefix, &g.budget,
-            &table, &graph_sym))
+            &table, &graph_sym, &roots))
         return NULL;
     int m = g.m, s = g.s;
     Py_ssize_t p = PyObject_Length(prefix);
@@ -680,10 +870,15 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "prefix longer than the slot list");
         return NULL;
     }
+    if (roots != Py_None && p == s) {
+        PyErr_SetString(PyExc_ValueError, "no free slot for the root labels");
+        return NULL;
+    }
 
     PyObject *result = NULL;
-    int *pfx = NULL;
-    Py_ssize_t n_sd = 0, n_comp = 0;
+    int *pfx = NULL, *root_label = NULL;
+    long long *root_share = NULL;
+    Py_ssize_t n_sd = 0, n_comp = 0, n_roots = 0;
     if ((g.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1,
                              NULL)) == NULL
         || (g.slot_cap = copy_ints(slot_cap, "slot_cap", m, 0, INT_MAX,
@@ -703,7 +898,10 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
                                    (long)n_comp, NULL)) == NULL
         || (pfx = copy_ints(prefix, "prefix", p, 0, m - 1, NULL)) == NULL
         || copy_table(table, m, &g.marks, &g.succ) < 0
-        || copy_graph_sym(&g, graph_sym) < 0)
+        || copy_graph_sym(&g, graph_sym) < 0
+        || (roots != Py_None
+            && (n_roots = copy_roots(roots, m, &root_label,
+                                     &root_share)) < 0))
         goto done;
     size_t mm = m > 0 ? (size_t)m : 1;
     g.assign = malloc((s > 0 ? (size_t)s : 1) * sizeof(int));
@@ -741,7 +939,7 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         g.remaining_at[j] = g.remaining_at[j + 1]
                             + (g.comp_ptr[j + 1] - g.comp_ptr[j]);
     int width = plan_fields(&g, nd);
-    if (width < 0)
+    if (width < 0 || plan_leaves(&g, nd, n_sd) < 0)
         goto done;
     int bits_lab = bitlen(m - 1), bits_sc = bitlen(scap_max),
         bits_dc = bitlen(dcap_max);
@@ -764,13 +962,9 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     int st = g.marks != NULL ? 0 : -1;
     for (int j = 0; j < p; j++) {
         generic_enter(&g, j);
-        int ok = generic_place(&g, j, pfx[j]);
-        if (ok && g.low != NULL) {
-            if (g.low[j] >= 0 && pfx[j] < g.assign[g.low[j]])
-                ok = 0;
-            else if (g.head[j] >= 0 && (ok = generic_settle(&g, j)) < 0)
-                goto done;
-        }
+        int ok = generic_pin(&g, j, pfx[j]);
+        if (ok < 0)
+            goto done;
         if (!ok) {
             result = Py_BuildValue("(iOi)", EXHAUSTED, Py_None, 0);
             goto done;
@@ -779,10 +973,46 @@ solve_generic(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
             st = g.succ[(size_t)st * m + pfx[j]];
     }
     g.state[p] = st;
-    int status = generic_dfs(&g, (int)p);
-    result = assignment_result(status, g.assign, s, g.nodes);
+    int status;
+    long long nodes = 0;
+    if (roots == Py_None) {
+        status = search_from(&g, (int)p);
+        nodes = g.nodes;
+    }
+    else {
+        /* each root label at slot p as the prefix's last label would be,
+         * with a fresh memo and its own share, undone once exhausted */
+        status = EXHAUSTED;
+        generic_enter(&g, (int)p);
+        for (Py_ssize_t k = 0; k < n_roots && status == EXHAUSTED; k++) {
+            int x = root_label[k], base = g.ndue;
+            int ok = generic_pin(&g, (int)p, x);
+            if (ok < 0)
+                goto done;
+            if (!ok)
+                continue;
+            if (g.memo.entries > 0) {
+                free(g.memo.keys);
+                g.memo.keys = NULL;
+                if (memo_init(&g.memo) < 0)
+                    goto done;
+            }
+            g.state[p + 1] = st >= 0 ? g.succ[(size_t)st * m + x] : -1;
+            g.nodes = 0;
+            g.budget = root_share[k];
+            status = search_from(&g, (int)p + 1);
+            nodes += g.nodes;
+            if (status == EXHAUSTED) {
+                due_pop(&g, base);
+                generic_unplace(&g, (int)p, x);
+            }
+        }
+    }
+    result = assignment_result(status, g.assign, s, nodes);
 done:
     free(pfx);
+    free(root_label);
+    free(root_share);
     generic_free(&g);
     return result;
 }
@@ -1063,8 +1293,10 @@ done:
 static PyMethodDef speed_methods[] = {
     {"solve_generic", (PyCFunction)(void (*)(void))solve_generic,
      METH_VARARGS | METH_KEYWORDS,
-     "Backtracking search over a CSR slot/derived-sum incidence; see "
-     "pure.solve_generic.  Returns (status, assignment or None, nodes)."},
+     "Backtracking search over a CSR slot/derived-sum incidence, pruned by "
+     "the leaf-room bound, in one branch or in one per (label, share) pair "
+     "of roots; see pure.solve_generic.  Returns (status, assignment or "
+     "None, nodes)."},
     /* perfbench/spans.py wraps the kernels by name, this one included, so
      * the old name of the path and cycle kernel stays as an alias. */
     {"solve_chain", (PyCFunction)(void (*)(void))solve_generic,

@@ -24,7 +24,11 @@ changing any state on edge slots (two fed sums: every interior slot of a
 path or cycle and every tree-edge slot), and the floor deficits and the
 memo key travel down the recursion as arguments, the key updated by each
 field's change.  Other slots (the ends of vertex-labeled paths, the
-vertices of trees) go through ``place``.
+vertices of trees) go through ``place``.  Under the leaf-room bound (see
+``solve_generic``) an edge slot with leaf slots after it runs in
+``bounded``, the edge loops with the leaf room kept as well, and a last
+slot after it in ``final``; ``place`` checks the bound for the others and
+for a prefix.  Searches without the bound run the loops without it.
 
 Each label loop walks a doubly linked list, in index order, of the labels
 that still have room (dancing links): a label leaves it when its count
@@ -43,6 +47,8 @@ the cycle before it returns.
 """
 
 from __future__ import annotations
+
+from operator import sub
 
 FOUND = 0
 EXHAUSTED = 1
@@ -92,6 +98,7 @@ def solve_generic(
     budget,
     table=None,
     graph_sym=None,
+    roots=None,
 ):
     """Backtracking search over a slot/derived-sum incidence.
 
@@ -147,6 +154,35 @@ def solve_generic(
     followed by S*'s labels from slot i on would be a solution below S*.
     So a key is dead as soon as a path reaches it, and the key of a label
     the graph symmetries reject is recorded too.
+
+    The leaf-room bound (forward checking, Haralick and Elliott, AI 1980).
+    A leaf slot completes an item no other slot feeds, as a tree's pendant
+    edge completes its leaf, so that item's sum is the slot's label y: the
+    slot takes a unit of y's label room (``slot_cap[y]`` less y's slot
+    count) and a unit of y's sum room (``dcap[y]`` less y's derived
+    count).  Two leaf slots never take the same unit, as each has an item
+    of its own, so at most min(label room, sum room) of the leaf slots
+    still empty can take label y, and the leaf room, that minimum summed
+    over every label, is at least their number in every solution the
+    state extends to.  A placement that leaves less leaf room than there
+    are leaf slots after its slot is rejected, its node counted, as every
+    bound rejects: it reads only the counts in the memo key, so a key is
+    still dead only when no solution extends its state, as the arguments
+    above need.  Counting leaf items instead of slots would be unsound:
+    the edge of a K2 component completes two of them with one label.  The
+    bound is on when two or more leaf slots come after slot 0, which
+    paths, cycles and vertex labelings never have: they keep the loops
+    without it.  A placement keeps the leaf room current by one unit per
+    class whose room shrinks where it is the smaller of the two: the
+    label x's when its label room is at most its sum room, and then each
+    completed sum v's when its sum room is at most its label room.
+
+    ``roots`` (None: one search on ``budget``) is a list of (label, share)
+    pairs: the branches extending ``prefix`` by each label at the first
+    free slot, run in order as separate calls on ``prefix + [label]`` and
+    ``share`` would run them, each with a fresh memo (``budget`` is then
+    unused).  They stop at the first branch that is not exhausted, whose
+    status and labels are returned, with the nodes of every branch run.
     """
     s = num_slots
     last = s - 1
@@ -167,6 +203,30 @@ def solve_generic(
         if len(feed) == 2:
             d1, d2 = feed if not close or close[0] == feed[0] else feed[::-1]
             edges[i] = (d1, d2, len(close))
+
+    # leaf slots, each completing an item no other slot feeds: need[i]
+    # counts those after slot i, and room[i] is the leaf room before slot
+    # i.  Only an instance with two or more after slot 0 is bounded, so
+    # one with two single items, one of them completed at slot 0 (a
+    # path's edges), is not looked at further.
+    fed = [0] * num_derived
+    for d in sd_ids:
+        fed[d] += 1
+    need = room = None
+    singles = fed.count(1)
+    if singles > 2 or singles == 2 and s and 1 not in map(fed.__getitem__,
+                                                          closes[0]):
+        need = [0] * (s + 1)
+        leaves = 0
+        for i in range(s - 1, 0, -1):
+            for d in closes[i]:
+                if fed[d] == 1:
+                    leaves += 1
+                    break
+            need[i - 1] = leaves
+        if leaves > 1:
+            room = [0] * (s + 1)
+            room[0] = sum(map(min, slot_cap, dcap))
 
     # The memo key packs, most significant first: the next position, one
     # field per open item, the slot counts and the derived counts.  Open
@@ -332,6 +392,24 @@ def solve_generic(
             dcount[psum[d]] -= 1
         for d, old in zip(feeds[i], saved):
             psum[d] = old
+
+    if room is not None:
+        unbounded = place
+
+        def place(i, x, sdef, ddef, t):
+            """``unbounded`` with the leaf-room bound: the leaf room is
+            counted afresh, which only prefixes and slots that are not
+            edge slots need."""
+            saved = [psum[d] for d in feeds[i]]
+            placed = unbounded(i, x, sdef, ddef, t)
+            if placed is not None and need[i]:
+                r = sum(map(min, map(sub, slot_cap, scount),
+                            map(sub, dcap, dcount)))
+                if r < need[i]:
+                    unplace(i, x, saved)
+                    return None
+                room[i + 1] = r
+            return placed
 
     limit = budget if budget >= 0 else 1 << 64  # no search gets that far
     stop = EXHAUSTED  # FOUND or BUDGET once the search ends
@@ -501,6 +579,8 @@ def solve_generic(
                 stop = BUDGET
                 return limit
             return nodes
+        if nclose > 2:
+            return bounded(i, sdef, ddef, t, nodes)
         while True:
             x = walk[x]
             if x == m:
@@ -582,28 +662,328 @@ def solve_generic(
             return limit
         return nodes
 
+    def bounded(i, sdef, ddef, t, nodes):
+        """``dfs`` at an edge slot with leaf slots after it: the same
+        walks, each placement also leaving them leaf room.  Label x takes
+        a unit of it when its label room is at most its sum room, then
+        each sum it completes when its sum room is at most its label room
+        (see the docstring).  ``below`` searches the next slot."""
+        nonlocal stop, top
+        d1, d2, nclose, left, rem, want, below, tab1, tab2, lo = bounds[i]
+        walk = nxt
+        row = -1
+        if i <= top and at[i] >= 0:
+            row = at[i] * m
+            walk = _allowed(nxt, m, marks, row)
+        keyed = memo_on  # a leaf slot comes later: i is not the last slot
+        x = m
+        prev = -1
+        tied = due[i] if due is not None else None
+        if tied:
+            moves = ()
+            if walk is nxt:
+                walk = nxt[:]
+        if lo >= 0:
+            prev = assign[lo] - 1
+            while walk[x] <= prev:
+                x = walk[x]
+        p1 = psum[d1]
+        p2 = psum[d2]
+        row1 = p1 * m
+        row2 = p2 * m
+        key = 0
+        if keyed:
+            base = t + pos_unit - tab1[p1] - tab2[p2]
+        rm = room[i]
+        if nclose == 1:
+            while True:
+                x = walk[x]
+                if x == m:
+                    break
+                nodes += x - prev
+                if nodes > limit:
+                    stop = BUDGET
+                    return limit
+                prev = x
+                v = add_t[row1 + x]
+                dv = dcount[v]
+                if dv >= dcap[v]:
+                    continue
+                sc = scount[x]
+                ns = sdef - 1 if sc < slot_floor[x] else sdef
+                nd = ddef - 1 if dv < dfloor[v] else ddef
+                if ns > left or nd > rem:
+                    continue
+                lx = slot_cap[x] - sc
+                r = rm - 1 if lx <= dcap[x] - dcount[x] else rm
+                if dv + spare[v] - scount[v] >= (v == x):
+                    r -= 1
+                if r < want:
+                    continue
+                w = add_t[row2 + x]
+                if keyed:
+                    key = base + sunit[x] + dunit[v] + tab2[w]
+                    if key in dead:
+                        continue
+                if walk is not nxt:
+                    if tied:
+                        assign[i] = x
+                        moves = settle(i, moves)
+                        if moves is None:
+                            moves = ()
+                            if keyed and len(dead) < MEMO_LIMIT:
+                                dead.add(key)
+                            continue
+                    if row >= 0:
+                        at[i + 1] = succ[row + x]
+                        top = i + 1
+                full = lx == 1
+                if full:
+                    nxt[prv[x]] = nxt[x]
+                    prv[nxt[x]] = prv[x]
+                scount[x] = sc + 1
+                dcount[v] = dv + 1
+                psum[d2] = w  # d1 is complete: no later slot reads it
+                assign[i] = x
+                room[i + 1] = r
+                nodes = below(i + 1, ns, nd, key, nodes)
+                if stop != EXHAUSTED:
+                    return nodes
+                if full:
+                    nxt[prv[x]] = x
+                    prv[nxt[x]] = x
+                scount[x] = sc
+                dcount[v] = dv
+                if keyed and len(dead) < MEMO_LIMIT:
+                    dead.add(key)
+        else:
+            while True:
+                x = walk[x]
+                if x == m:
+                    break
+                nodes += x - prev
+                if nodes > limit:
+                    stop = BUDGET
+                    return limit
+                prev = x
+                sc = scount[x]
+                ns = sdef - 1 if sc < slot_floor[x] else sdef
+                if ns > left:
+                    continue
+                v = add_t[row1 + x]
+                w = add_t[row2 + x]
+                nd = ddef
+                if nclose:
+                    dv = dcount[v]
+                    if dv >= dcap[v]:
+                        continue
+                    if dv < dfloor[v]:
+                        nd -= 1
+                    dw = dcount[w] + 1 if w == v else dcount[w]
+                    if dw >= dcap[w]:
+                        continue
+                    if dw < dfloor[w]:
+                        nd -= 1
+                if nd > rem:
+                    continue
+                lx = slot_cap[x] - sc
+                r = rm - 1 if lx <= dcap[x] - dcount[x] else rm
+                if nclose:
+                    if dv + spare[v] - scount[v] >= (v == x):
+                        r -= 1
+                    if dw + spare[w] - scount[w] >= (w == x):
+                        r -= 1
+                if r < want:
+                    continue
+                if keyed:
+                    key = base + sunit[x] + (dunit[v] + dunit[w] if nclose
+                                             else tab1[v] + tab2[w])
+                    if key in dead:
+                        continue
+                if walk is not nxt:
+                    if tied:
+                        assign[i] = x
+                        moves = settle(i, moves)
+                        if moves is None:
+                            moves = ()
+                            if keyed and len(dead) < MEMO_LIMIT:
+                                dead.add(key)
+                            continue
+                    if row >= 0:
+                        at[i + 1] = succ[row + x]
+                        top = i + 1
+                if nclose:
+                    dcount[v] = dv + 1
+                    dcount[w] = dw + 1
+                full = lx == 1
+                if full:
+                    nxt[prv[x]] = nxt[x]
+                    prv[nxt[x]] = prv[x]
+                psum[d1] = v
+                psum[d2] = w
+                scount[x] = sc + 1
+                assign[i] = x
+                room[i + 1] = r
+                nodes = below(i + 1, ns, nd, key, nodes)
+                if stop != EXHAUSTED:
+                    return nodes
+                if full:
+                    nxt[prv[x]] = x
+                    prv[nxt[x]] = x
+                scount[x] = sc
+                if nclose:
+                    dcount[w] = dw
+                    dcount[v] = dv
+                if keyed and len(dead) < MEMO_LIMIT:
+                    dead.add(key)
+        if tied:
+            for d, _ in moves:
+                due[d].pop()
+        psum[d1] = p1
+        psum[d2] = p2
+        nodes += m - 1 - prev
+        if nodes > limit:
+            stop = BUDGET
+            return limit
+        return nodes
+
+    def final(i, sdef, ddef, t, nodes):
+        """``dfs`` at the last slot, an edge slot after a bounded one:
+        it has no memo key and no graph symmetry due, so the first label
+        within every bound completes the solution."""
+        nonlocal stop
+        walk = nxt
+        if i <= top and at[i] >= 0:
+            walk = _allowed(nxt, m, marks, at[i] * m)
+        x = m
+        prev = -1
+        if due is not None and low[i] >= 0:
+            prev = assign[low[i]] - 1
+            while walk[x] <= prev:
+                x = walk[x]
+        d1, d2, nclose = edges[i]
+        row1 = psum[d1] * m
+        row2 = psum[d2] * m
+        while True:
+            x = walk[x]
+            if x == m:
+                break
+            nodes += x - prev
+            if nodes > limit:
+                stop = BUDGET
+                return limit
+            prev = x
+            if sdef - (scount[x] < slot_floor[x]) > 0:
+                continue
+            nd = ddef
+            if nclose:
+                v = add_t[row1 + x]
+                dv = dcount[v]
+                if dv >= dcap[v]:
+                    continue
+                nd -= dv < dfloor[v]
+                if nclose == 2:
+                    w = add_t[row2 + x]
+                    dw = dcount[w] + 1 if w == v else dcount[w]
+                    if dw >= dcap[w]:
+                        continue
+                    nd -= dw < dfloor[w]
+            if nd > 0:
+                continue
+            assign[i] = x
+            stop = FOUND
+            return nodes
+        nodes += m - 1 - prev
+        if nodes > limit:
+            stop = BUDGET
+            return limit
+        return nodes
+
+    if room is not None:
+        # bounded: the edge slots with leaf slots after them.  Each gets
+        # its completions plus 3 in edges[i], which sends dfs to bounded,
+        # and in bounds[i] its items and completions, the slots and
+        # completions after it, the leaf slots after it, the search of the
+        # next slot (final for the last slot), its items' key tables and
+        # its twin bound.
+        bounds = [None] * s
+        below = final if edges[last] is not None else dfs
+        for i in range(s - 2, -1, -1):
+            if need[i] and edges[i] is not None:
+                d1, d2, nclose = edges[i]
+                edges[i] = (d1, d2, nclose + 3)
+                tabs = (ftab[d1], ftab[d2]) if memo_on else (None, None)
+                bounds[i] = (d1, d2, nclose, s - i - 1, remaining_at[i + 1],
+                             need[i], below, *tabs,
+                             -1 if due is None else low[i])
+                below = bounded
+            else:
+                below = dfs
+        # a completed sum v takes leaf room when its sum room, dcap[v] -
+        # dcount[v], is at most its label room, slot_cap[v] - scount[v]
+        # less 1 when v is the label placed: when dcount[v] + spare[v] -
+        # scount[v] is at least that 1 or 0
+        spare = list(map(sub, slot_cap, dcap))
+
+    def pin(i, x, state):
+        """Place prefix label ``x`` at slot ``i``, or a root label at the
+        first free slot, checked as the search checks a label: the twin
+        bound and the graph symmetries too.  Returns the new state, the
+        symmetries' moves and the saved partial sums, or None with nothing
+        placed."""
+        if scount[x] >= slot_cap[x]:
+            return None
+        saved = [psum[d] for d in feeds[i]]
+        placed = place(i, x, *state)
+        if placed is None:
+            return None
+        moves = ()
+        if due is not None and (
+                0 <= low[i] and x < assign[low[i]]
+                or due[i] and (moves := settle(i, ())) is None):
+            unplace(i, x, saved)
+            return None
+        return placed, moves, saved
+
     p = len(prefix)
     if p > s:
         raise ValueError("prefix longer than the slot list")
+    if roots is not None and p == s:
+        raise ValueError("no free slot for the root labels")
     state = (sum(slot_floor), sum(dfloor), 0)
     st = -1 if table is None else 0
     for i in range(p):
-        x = prefix[i]
-        if scount[x] >= slot_cap[x]:
+        pinned = pin(i, prefix[i], state)
+        if pinned is None:
             return (EXHAUSTED, None, 0)
-        state = place(i, x, *state)
-        if state is None:
-            return (EXHAUSTED, None, 0)
-        if due is not None and 0 <= low[i] and x < assign[low[i]]:
-            return (EXHAUSTED, None, 0)
-        if due is not None and due[i] and settle(i, ()) is None:
-            return (EXHAUSTED, None, 0)
+        state = pinned[0]
         if st >= 0:
-            st = succ[st * m + x]
+            st = succ[st * m + prefix[i]]
     at[p] = st
     top = p
-    nodes = dfs(p, *state, 0)
-    dfs = None  # break dfs's cycle through itself: frees the memo now
+    if roots is None:
+        nodes = dfs(p, *state, 0)
+    else:
+        # each root label at slot p as the prefix's last label would be,
+        # undone once its branch is exhausted
+        nodes = 0
+        for x, share in roots:
+            pinned = pin(p, x, state)
+            if pinned is None:
+                continue
+            placed, moves, saved = pinned
+            at[p + 1] = succ[st * m + x] if st >= 0 else -1
+            top = p + 1
+            limit = share if share >= 0 else 1 << 64
+            dead.clear()
+            nodes += dfs(p + 1, *placed, 0)
+            if stop != EXHAUSTED:
+                break
+            for d, _ in moves:
+                due[d].pop()
+            unplace(p, x, saved)
+    # break the search's cycles through itself: frees the memo now
+    dfs = bounded = final = bounds = None
     if stop == FOUND:
         return (FOUND, list(assign), nodes)
     return (stop, None, nodes)

@@ -31,7 +31,8 @@ maps that image's first label back to 0, which the kernels check as the
 slots deciding each comparison are placed.  Branches are merged in label
 order, and ``workers`` only decides how many branches run concurrently, so
 parallelism never changes results; branches still running when the
-answer is known are terminated.  The R*-sequence search is not split: it
+answer is known are terminated.  Run one at a time, every branch of a
+search is one kernel call.  The R*-sequence search is not split: it
 is one kernel call on the sequences that start with element 1, pruned by
 the same table below it.
 
@@ -112,8 +113,8 @@ _unlifted_limit = 0
 class SearchOutcome(Record):
     """Result of one search: status, certificate (when Found: the
     labeling's ``Certificate``, or the ``RStarSequence``), and cost, the
-    nodes of every kernel call it made: each root branch of a labeling
-    search that ran, or the one call of an R*-sequence search."""
+    nodes of every root branch of a labeling search that ran, or of the
+    one call of an R*-sequence search."""
 
     _fields = ("status", "certificate", "nodes_explored")
 
@@ -292,23 +293,14 @@ class _Branch:
 
 
 def _orchestrate(tasks: list, workers: int) -> list:
-    """Run branch tasks, collecting results in branch order.
+    """Run branch tasks, each in a process of its own, collecting results
+    in branch order.
 
-    Stops at the first branch that is not exhausted.  With workers > 1 the
-    next branches run meanwhile, at most ``workers`` at a time; those still
-    running then are terminated, so outcomes match the sequential run
-    exactly.  Never more processes run than branches or CPUs.
+    Stops at the first branch that is not exhausted.  The next branches
+    run meanwhile, at most ``workers`` at a time; those still running then
+    are terminated, so outcomes match the sequential run exactly.
     """
     results = []
-    if workers > 1:
-        workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        for t in tasks:
-            r = _run_branch(t)
-            results.append(r)
-            if r[0] != EXHAUSTED:
-                break
-        return results
     waiting = iter(tasks)
     running: deque = deque()
     try:
@@ -337,7 +329,7 @@ def _merge(results: list) -> tuple[int, object, int]:
 
 
 def _split_solve(fixed_args: tuple, prefix: list, kept, budget: int,
-                 workers: int, tail: tuple = ()) -> tuple[int, object, int]:
+                 workers: int, tail: tuple) -> tuple[int, object, int]:
     """Root-split a labeling kernel call on the labels of the first free
     slot.
 
@@ -346,11 +338,22 @@ def _split_solve(fixed_args: tuple, prefix: list, kept, budget: int,
     has among all labels of the group.  ``kept`` is None when the prefix
     fills every slot: one call then runs on the whole budget.  ``tail``
     holds the kernel's arguments after the budget.
+
+    Run one at a time, the branches are one kernel call (its ``roots``).
+    With more than one worker, and more than one branch and CPU, each
+    branch is a call in a process of its own.  Never more processes run
+    than branches or CPUs.
     """
     if kept is None:
         r = _run_branch(("generic", fixed_args + (prefix, budget) + tail))
         return (r[0], r if r[0] == FOUND else None, r[-1])
     shares = _shares(budget, fixed_args[0])
+    if workers > 1:
+        workers = min(workers, len(kept), os.cpu_count() or 1)
+    if workers <= 1:
+        roots = [(x, shares[x]) for x in kept]
+        return _merge([_run_branch(
+            ("generic", fixed_args + (prefix, budget) + tail + (roots,)))])
     tasks = [("generic", fixed_args + (prefix + [x], shares[x]) + tail)
              for x in kept]
     return _merge(_orchestrate(tasks, workers))
@@ -362,8 +365,7 @@ def _symmetry_table(spec: GroupSpec, bounds: tuple = ()) -> tuple | None:
     far.  None when some bound (per label, as in ``bounds``) differs on
     two labels of one Aut orbit: the automorphisms are then no symmetry."""
     bound_of: dict = {}
-    for x, key in enumerate(automorphism_orbit_keys(spec)):
-        column = tuple(b[x] for b in bounds)
+    for key, column in zip(automorphism_orbit_keys(spec), zip(*bounds)):
         if bound_of.setdefault(key, column) != column:
             return None
     return stabilizer_table(spec)

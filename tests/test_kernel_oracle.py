@@ -9,10 +9,20 @@ return.  Runs on the pure kernel alone, so it needs no compiler.
 import itertools
 import random
 
-from cordant import GroupSpec, cycle_graph, enumerate_trees, path_graph, tree_graph
+from cordant import (
+    NOTION_A_STAR_ANTIMAGIC,
+    NOTION_EA_CORDIAL,
+    GroupSpec,
+    cycle_graph,
+    enumerate_trees,
+    path_graph,
+    star_graph,
+    tree_graph,
+)
 from cordant._kernel import pure
+from cordant.graphs import SimpleGraph
 from cordant.groups import op_tables
-from cordant.search import _generic_structures
+from cordant.search import _generic_structures, _instance
 
 GROUPS = ((2,), (3,), (4,), (2, 2), (5,), (6,), (8,), (2, 4))
 MAX_ASSIGNMENTS = 4096
@@ -197,3 +207,127 @@ def test_memo_keeps_tree_outcomes(monkeypatch):
     assert all(a[2] <= b[2] for a, b in zip(with_memo, without))
     assert sum(a[2] < b[2] for a, b in zip(with_memo, without)) > 100
     assert {r[0] for r in with_memo} == {pure.FOUND, pure.EXHAUSTED}
+
+
+# ---------------------------------------------------------------------------
+# the leaf-room bound and root branches
+
+def _leaf_slots_after_first(graph):
+    """The edges after edge 0 with an end of degree 1: the leaf slots of
+    an edge labeling, each completing an item no other slot feeds."""
+    degree = graph.degrees()
+    return sum(min(degree[u], degree[v]) == 1 for u, v in graph.edges[1:])
+
+
+def _leafy_graphs():
+    """Graphs whose edge labelings the leaf-room bound prunes (two or more
+    leaf slots after slot 0), from these, each with its edges in storage
+    order and reversed: stars, spiders (paths joined at one end), and a
+    general graph with a K2 component, whose one edge completes two leaf
+    items, and an isolated vertex."""
+    graphs = [star_graph(3), star_graph(4), star_graph(5),
+              tree_graph(5, ((0, 1), (1, 2), (0, 3), (3, 4))),
+              tree_graph(7, ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6))),
+              SimpleGraph(7, ((0, 1), (0, 2), (0, 3), (4, 5)))]
+    leafy = [h for g in graphs
+             for h in (g, SimpleGraph(g.n, g.edges[::-1], g.kind))
+             if _leaf_slots_after_first(h) >= 2]
+    assert len(leafy) == 11  # the reversed 4-edge spider has one
+    return leafy
+
+
+def test_leaf_room_bound_keeps_brute_force_outcomes():
+    """Equitable, zero-free (label 0 never used, the others equitable) and
+    random bounds: the first solution is the brute-force one."""
+    rng = random.Random(14)
+    tally = {pure.FOUND: 0, pure.EXHAUSTED: 0}
+    for factors in GROUPS + ((7,),):
+        spec = GroupSpec(factors)
+        m, add_t = spec.order, op_tables(spec)[0]
+        for graph in _leafy_graphs():
+            instance = _instance(graph, spec, NOTION_EA_CORDIAL)
+            s = graph.edge_count
+            if instance is None or m ** s > MAX_ASSIGNMENTS:
+                continue
+            _, (slot_cap, slot_floor, dcap, dfloor), members = instance
+            structures = _generic_structures(members, s)
+
+            def derived(a):
+                # an isolated vertex completes no item: its 0 is not counted
+                sums = []
+                for slots in filter(None, members):
+                    total = 0
+                    for i in slots:
+                        total = add_t[total * m + a[i]]
+                    sums.append(total)
+                return sums
+
+            q, r = divmod(s, m - 1)
+            zero_free = ([0] + [q + (r > 0)] * (m - 1), [0] + [q] * (m - 1))
+            choices = [(slot_cap, slot_floor, dcap, dfloor),
+                       (*zero_free, dcap, dfloor),
+                       (*zero_free, [1] * m, [0] * m)]
+            choices += [(*_random_bounds(rng, s, m),
+                         *_random_bounds(rng, len(members), m))
+                        for _ in range(6)]
+            for bounds in choices:
+                _solve_and_compare(
+                    lambda b: pure.solve_generic(m, add_t, s, *b,
+                                                 *structures, [], -1),
+                    m, s, derived, bounds, (factors, graph.edges), tally)
+    assert min(tally.values()) >= 50, tally
+
+
+def test_leaf_room_bound_prunes():
+    """Two A*-antimagic instances the bound cuts: an order-8 tree over
+    (Z2)^3, NotExists in 64 nodes (5440 without the bound), and an
+    order-7 tree over Z7, Found in 27 (307 without)."""
+    for n, edges, factors, want in (
+            (8, ((0, 1), (1, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)),
+             (2, 2, 2), (pure.EXHAUSTED, None, 64)),
+            (7, ((0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (0, 6)), (7,),
+             (pure.FOUND, [1, 6, 2, 3, 4, 5], 27))):
+        spec = GroupSpec(factors)
+        s, bounds, members = _instance(tree_graph(n, edges), spec,
+                                       NOTION_A_STAR_ANTIMAGIC)
+        got = pure.solve_generic(spec.order, op_tables(spec)[0], s, *bounds,
+                                 *_generic_structures(members, s), [], -1)
+        assert got == want
+
+
+def test_root_branches_run_as_separate_calls():
+    """A call with ``roots`` returns what calls on each root as the
+    prefix's last label return, in order up to the first that is not
+    exhausted: the status and labels of that one and the nodes of all,
+    with every share, zero and uneven ones among them."""
+    rng = random.Random(15)
+    checked = {pure.FOUND: 0, pure.EXHAUSTED: 0, pure.BUDGET: 0}
+    for factors in ((5,), (6,), (2, 4), (8,)):
+        spec = GroupSpec(factors)
+        m, add_t = spec.order, op_tables(spec)[0]
+        for graph in _leafy_graphs() + [path_graph(m), cycle_graph(m)]:
+            if graph.n > m + 1 or graph.kind == "general":
+                continue
+            s = graph.edge_count
+            structures = _generic_structures(graph.incidence(), s)
+            bounds = (*_random_bounds(rng, s, m),
+                      *_random_bounds(rng, graph.n, m))
+            for prefix in ([], [rng.randrange(m)]):
+                if len(prefix) >= s:
+                    continue
+                roots = [(x, rng.choice([-1, 0, 3, 40, 400]))
+                         for x in rng.sample(range(m), rng.randint(1, m))]
+                fixed = (m, add_t, s, *bounds, *structures)
+                want, nodes = (pure.EXHAUSTED, None), 0
+                for x, share in roots:
+                    r = pure.solve_generic(*fixed, prefix + [x], share)
+                    nodes += r[2]
+                    if r[0] != pure.EXHAUSTED:
+                        want = r[:2]
+                        break
+                got = pure.solve_generic(*fixed, prefix, -1, None, None,
+                                         roots)
+                assert got == (*want, nodes), (factors, graph.edges, prefix,
+                                               roots)
+                checked[got[0]] += 1
+    assert min(checked.values()) >= 5, checked

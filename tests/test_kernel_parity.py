@@ -304,6 +304,50 @@ for i in (48, 55, 60):
            c.search_a_antimagic(trees10[i], spec((2, 5))))
 record("ac-tree10-29-z5", c.search_a_cordial(trees10[29], spec((5,))))
 
+# the leaf-room bound: tree searches it prunes, A-antimagic over Z9,
+# A*-antimagic over Z8, and order-10 trees with a pinned first label
+trees9 = list(c.enumerate_trees(9))
+for i in (5, 20, 40):
+    record(f"am-tree9-{i}-z9", c.search_a_antimagic(trees9[i], spec((9,))))
+trees8 = list(c.enumerate_trees(8))
+for i in (1, 11, 16):
+    record(f"as-tree8-{i}-z8",
+           c.search_a_star_antimagic(trees8[i], spec((8,))))
+for x in (0, 1):
+    record(f"ea-tree10-20-z10-prefix{x}",
+           c.search_ea_cordial(trees10[20], spec((10,)), prefix=((x,),)))
+
+# root branches in one call (the searches above make one per search):
+# every root exhausted, one rejected at placement with it; Found at a later
+# root, each share just enough; a budget stop inside the second root and a
+# zero share; a prefix with roots; the symmetries with roots
+from cordant.search import _instance
+
+
+def spider_call(factors, notion, prefix, roots, sym=False):
+    sp = spec(factors)
+    s, bounds, members = _instance(spider, sp, notion)
+    tail = (None, None)
+    if sym:
+        tail = (stabilizer_table(sp), _graph_symmetry(spider, members, s, 0,
+                                                      None))
+    return kern.solve_generic(sp.order, op_tables(sp)[0], s, *bounds,
+                              *_generic_structures(members, s), prefix, -1,
+                              *tail, roots)
+
+
+am, astar = c.NOTION_A_ANTIMAGIC, c.NOTION_A_STAR_ANTIMAGIC
+out.append(["roots", [
+    spider_call((2, 2, 2), astar, [], [(0, 5), (1, 2000), (3, 1256),
+                                         (6, -1)]),
+    spider_call((8,), am, [], [(0, 400), (1, 355)]),
+    spider_call((8,), am, [], [(0, 1000), (2, 100), (3, -1)]),
+    spider_call((2, 2, 2), astar, [], [(1, 1256), (2, 0), (3, -1)]),
+    spider_call((2, 4), astar, [1], [(1, -1), (2, -1), (5, 40), (7, -1)]),
+    spider_call((8,), am, [], [(0, 128), (4, 50), (1, -1)], sym=True),
+    spider_call((8,), am, [], []),
+]])
+
 # budgets beyond any search run unbounded on both backends
 huge = 10 ** 30
 record("ea-p6-z6-huge", c.search_ea_cordial(c.path_graph(6), spec((6,)),
@@ -441,6 +485,16 @@ bad = [
                                  ([-1, 1], False, None)),
     lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
                                  ([-1, -1], True, [0])),
+    # root branches: not a list of pairs, a pair of the wrong length, a
+    # label out of range, no free slot left for them
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
+                                 None, 5),
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
+                                 None, [(0,)]),
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
+                                 None, [(2, -1)]),
+    lambda: _speed.solve_generic(2, add_t, 2, *bounds, *pair, [0, 1], -1,
+                                 None, None, [(0, -1)]),
 ]
 for call in bad:
     try:
@@ -453,6 +507,8 @@ assert _speed.solve_generic(2, add_t, 2, *bounds, *pair, [],
                             -1) == (0, [0, 1], 3)
 assert _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
                             ([-1, 0], True, [0, 1])) == (0, [0, 1], 3)
+assert _speed.solve_generic(2, add_t, 2, *bounds, *pair, [], -1, None,
+                            None, [(0, -1)]) == (0, [0, 1], 2)
 """
     proc = _run(built_package, "compiled", code)
     assert proc.returncode == 0, proc.stderr

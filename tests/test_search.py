@@ -89,12 +89,13 @@ def test_antimagic_search_frozen_counts():
 def test_order_10_z2xz5_trees_are_settled_at_the_default_budget():
     # each runs one root branch with a 1,000,000-node share, which the
     # dead-state memo on trees keeps it well inside; their twin leaves
-    # (six at one vertex; two and six; nine) bound one another
+    # (six at one vertex; two and six; nine) bound one another, and the
+    # leaf room prunes the first (19509 nodes without it)
     trees = list(enumerate_trees(10))
     outcomes = [search_a_antimagic(trees[i], GroupSpec((2, 5)))
                 for i in (48, 55, 60)]
     assert [(o.status, o.nodes_explored) for o in outcomes] == [
-        (STATUS_NOT_EXISTS, 19509), (STATUS_NOT_EXISTS, 13752),
+        (STATUS_NOT_EXISTS, 8457), (STATUS_NOT_EXISTS, 13752),
         (STATUS_NOT_EXISTS, 1091)]
 
 
@@ -122,6 +123,30 @@ def test_results_identical_across_worker_counts():
         b = search_ea_cordial(path_graph(4), Z4, workers=workers)
         assert b.certificate.labels == ((0,), (1,), (2,))
         assert b.nodes_explored == 5
+
+
+def test_one_call_and_a_process_per_root_agree_on_an_order_10_tree(
+        monkeypatch):
+    # a pinned first label 0 keeps the root labels 0, 1, 2 and 5 at slot 1
+    # (every automorphism of Z10 fixes 0), whose branches all exhaust (the
+    # order and |Z10| are both 2 mod 4): one kernel call runs them with one
+    # worker, a process each with two
+    tree = list(enumerate_trees(10))[20]
+    calls = []
+    real = search._run_branch
+
+    def counted(task):
+        calls.append(task[1][-1])
+        return real(task)
+
+    monkeypatch.setattr(search, "_run_branch", counted)
+    one = _outcome(lambda: search_ea_cordial(tree, GroupSpec((10,)),
+                                             prefix=((0,),)))
+    assert [[x for x, _ in roots] for roots in calls] == [[0, 1, 2, 5]]
+    monkeypatch.setattr(search, "_run_branch", real)
+    two = _outcome(lambda: search_ea_cordial(tree, GroupSpec((10,)),
+                                             prefix=((0,),), workers=2))
+    assert one == two == (STATUS_NOT_EXISTS, None, 4142)
 
 
 def test_budget_exhaustion_reports_unknown():
