@@ -6,9 +6,14 @@ Usage (from the repository root; needs git and the standard library):
         --seeds 301 302 --pairs 10 [--seconds 20]
 
 Writes the committed files of ``--parent`` (``git archive``, so the
-repository's own git state is left alone) into a temporary directory and
-runs the unmodified ``perfbench/run.py --trace 0`` there and in this
-checkout, one after the other, ``--pairs`` times per seed.  Odd pairs
+repository's own git state is left alone) into a temporary directory,
+and the tracked files of this checkout, at their working-tree contents
+(uncommitted edits included; a new file counts once it is ``git add``-ed),
+into another, and runs the unmodified ``perfbench/run.py --trace 0`` in
+each, one after the other, ``--pairs`` times per seed.  Neither copy holds
+a ``__pycache__``: with ``PYTHONDONTWRITEBYTECODE=1`` both sides then
+compile what they import, where stale ``.pyc`` files left in the
+checkout would let the change skip that work and read as a gain.  Odd pairs
 (the first, third, ...) run the change first, even pairs the parent
 first, so a drift of the host's speed during a pair favours neither
 side.  Each run is its own process, as the benchmark runs them.
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +54,21 @@ def extract(ref: str, into: Path) -> None:
                              cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into)
+
+
+def working_tree(into: Path, root: Path = ROOT) -> None:
+    """The files git tracks in ``root``, at their working-tree contents,
+    under ``into``; nothing under a ``__pycache__`` directory."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=root,
+                            capture_output=True, check=True).stdout
+    for name in listed.decode().split("\0"):
+        source = root / name
+        if not name or "__pycache__" in Path(name).parts \
+                or not source.is_file():
+            continue
+        target = into / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -107,15 +128,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     better = directions()
     failed = False
-    with tempfile.TemporaryDirectory(prefix="cordant-parent-") as tmp:
-        parent_tree = Path(tmp)
-        extract(args.parent, parent_tree)
+    with tempfile.TemporaryDirectory(prefix="cordant-parent-") as tmp, \
+            tempfile.TemporaryDirectory(prefix="cordant-change-") as tmp2:
+        trees = {"parent": Path(tmp), "change": Path(tmp2)}
+        extract(args.parent, trees["parent"])
+        working_tree(trees["change"])
         for seed in args.seeds:
             pairs = []
             for i in range(1, args.pairs + 1):
                 order = ("change", "parent") if i % 2 else ("parent", "change")
-                runs = {side: run(ROOT if side == "change" else parent_tree,
-                                  args.workload, seed, args.seconds)
+                runs = {side: run(trees[side], args.workload, seed,
+                                  args.seconds)
                         for side in order}
                 pairs.append((runs["parent"], runs["change"]))
                 failed |= any(not r["correct"] for r in runs.values())

@@ -61,7 +61,9 @@ CLI and then running ``decide path-ek`` each leave loaded.  For each of
 ``PROCESS_COMMANDS`` it takes the median wall time of ``PROCESS_RUNS``
 whole ``python -m cordant.cli`` processes, start-up and import included,
 and records which of ``dataclasses`` and ``inspect`` running the command
-loads.
+loads, the ``cordant`` modules it loads and the source lines those hold:
+a count of the compile work of a process that finds no ``.pyc``, which
+does not depend on the machine.
 
 Node counts are exact and repeat run to run, so they double as a
 determinism check; times are for comparison with earlier files only.
@@ -96,11 +98,12 @@ SYMMETRY_RUNS = 5
 SECONDS = 20
 IMPORT_RUNS = 9
 PROCESS_RUNS = 9
-# commands whose whole process is timed: a decider, a search, a verify
+# commands whose whole process is timed: a decider, two searches, a verify
 PROCESS_COMMANDS = {
     "decide path-ek": ("decide", "path-ek", "--n", "10", "--k", "4"),
     "search rstar (Z2)^4": ("search", "rstar", "--group", "Z2xZ2xZ2xZ2",
                             "--format", "json"),
+    "sigma-max Z10": ("sigma-max", "--group", "Z10"),
     "verify --certificate demo 1": (
         "verify", "--certificate",
         str(ROOT / "src" / "cordant" / "fixtures" / "demo1.json")),
@@ -410,7 +413,8 @@ def op_tables_row() -> dict:
 
 def process_row(argv) -> dict:
     """Median wall time of a whole ``cordant`` process running ``argv``,
-    and the heavy standard modules the command loads."""
+    the heavy standard modules the command loads, and the ``cordant``
+    modules it loads with the lines of their source files."""
     seconds = []
     for _ in range(PROCESS_RUNS):
         start = time.perf_counter()
@@ -422,10 +426,18 @@ def process_row(argv) -> dict:
         "from cordant.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    main({list(argv)!r})\n"
+        "mods = {m: getattr(sys.modules[m], '__file__', None) or ''\n"
+        "        for m in sys.modules if m.split('.')[0] == 'cordant'}\n"
+        "lines = 0\n"
+        "for path in mods.values():\n"
+        "    if path.endswith('.py'):\n"
+        "        with open(path, encoding='utf-8') as fh:\n"
+        "            lines += sum(1 for _ in fh)\n"
         "print(json.dumps([m in sys.modules "
-        "for m in ('dataclasses', 'inspect')]))\n"))
+        "for m in ('dataclasses', 'inspect')] + [sorted(mods), lines]))\n"))
     return {"wall_s": round(statistics.median(seconds), 4),
-            "loads_dataclasses": loaded[0], "loads_inspect": loaded[1]}
+            "loads_dataclasses": loaded[0], "loads_inspect": loaded[1],
+            "cordant_modules": loaded[2], "source_lines": loaded[3]}
 
 
 def cli_import_row() -> dict:

@@ -9,7 +9,9 @@ results are deterministic at any level of parallelism.
 
 ``import cordant`` imports no submodule.  Each public name below loads
 the submodule that defines it on first use (PEP 562), so a caller pays
-only for the layers it runs: a decider never loads the search kernels.
+only for the layers it runs: a decider never loads the search kernels,
+and the R*-sequence and sigma-max searches (defined in ``_orderings``,
+and exported by ``search`` too) never load the labeling searches.
 """
 
 from importlib import import_module as _import_module
@@ -114,18 +116,19 @@ _EXPORTS = {
         "verify_a_star_antimagic",
         "verify_ea_cordial",
     ),
-    "search": (
+    "_orderings": (
         "HamiltonianCycle",
-        "MAX_DEPTH",
         "RStarSequence",
-        "SearchOutcome",
         "SigmaMaxResult",
         "compute_sigma_max",
+        "search_rstar_sequence",
+    ),
+    "_runner": ("MAX_DEPTH", "SearchOutcome"),
+    "search": (
         "search_a_antimagic",
         "search_a_cordial",
         "search_a_star_antimagic",
         "search_ea_cordial",
-        "search_rstar_sequence",
     ),
     "trees": ("TREE_ENUM_CAP", "canonical_form", "enumerate_trees"),
 }

@@ -5,7 +5,10 @@ R*-sequence and sigma-max) live here: ``pure`` (plain Python, always
 available and the reference) and ``_speed`` (hand-written C against the
 CPython API, built from ``_speed.c`` by ``setup.py`` as an optional
 extension).  The compiled one is picked at
-import time when it was built; nothing is compiled on import.  Tests and
+import time when it was built; nothing is compiled on import.  ``pure``
+keeps each kernel in a file of its own (``generic``, ``rstar``,
+``sigma``) and loads it on the first read of its ``solve_*`` name, so
+importing this package compiles none of them.  Tests and
 benchmarks that need one backend set ``_active``.  Both return identical
 results, including node counts; whenever gcc is present, the parity tests
 build ``_speed.c`` and compare the two.

@@ -1,12 +1,13 @@
 """Words and defaults that several layers share.
 
 Search statuses, notion names, the default node budget, the table cap,
-the worker and group checks, the indented JSON writer and the base class
-of the result records live here, apart from ``search``, ``groups`` and
-``certificates``, so that a construction's default argument, the
-command-line parser or a decider can use them without importing the
-search machinery or the certificate codec.  ``search``, ``groups`` and
-``certificates`` re-export what they share of it.
+the worker and group checks, the JSON integer test, the indented JSON
+writer and the base class of the result records live here, apart from
+``search``, ``groups`` and ``certificates``, so that a construction's
+default argument, the command-line parser or a decider can use them
+without importing the search machinery or the certificate codec.
+``search``, ``groups`` and ``certificates`` re-export what they share of
+it.
 """
 
 import json
@@ -47,6 +48,11 @@ NOTION_ALIASES = {
 def notion_name(text: str) -> str:
     """The notion ``text`` names: an alias resolved, anything else as is."""
     return NOTION_ALIASES.get(text, text)
+
+
+def is_json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer (not a float, bool or null)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_workers(workers: int) -> None:

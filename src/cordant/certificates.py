@@ -21,6 +21,7 @@ from ._vocab import (
     NOTIONS,
     Record,
     indented_json,
+    is_json_int,
     set_field,
 )
 from .errors import InvalidLabelingError, InvalidSpecError
@@ -125,11 +126,6 @@ def _judged(judge, graph: SimpleGraph, labeling, want: int):
 
 # ---------------------------------------------------------------------------
 # JSON form
-
-def is_json_int(value) -> bool:
-    """Whether a decoded JSON value is an integer (not a float, bool or null)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def _check_ints(value, what: str) -> None:
     if not isinstance(value, list) or not (

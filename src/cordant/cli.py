@@ -33,6 +33,7 @@ from ._vocab import (
     STATUS_UNKNOWN,
     check_searchable,
     indented_json,
+    is_json_int,
     notion_name,
 )
 from .errors import CordantError
@@ -113,7 +114,6 @@ def _emit(args, lines: list[str], doc: dict,
 
 
 def _parse_elements(spec: GroupSpec, text: str) -> tuple:
-    from .certificates import is_json_int
     raw = json.loads(text)
     if not isinstance(raw, list):
         raise CordantError("labels must be a JSON array")
@@ -131,7 +131,6 @@ def _parse_elements(spec: GroupSpec, text: str) -> tuple:
 
 def _graph_from_args(args) -> SimpleGraph:
     from . import cycle_graph, path_graph, tree_graph
-    from .certificates import is_json_int
     kind = args.kind or "path"
     if kind in ("path", "cycle"):
         if args.edges is not None:
@@ -205,14 +204,14 @@ def _cmd_verify(args) -> int:
             raise CordantError(
                 "inline verification needs --notion, --group, --labels")
         spec = _group(args)
+        graph = _graph_from_args(args)
+        labels = _parse_elements(spec, args.labels)
         from . import (
             EdgeLabeling,
             VertexLabeling,
             make_edge_certificate,
             make_vertex_certificate,
         )
-        graph = _graph_from_args(args)
-        labels = _parse_elements(spec, args.labels)
         if args.notion == NOTION_A_CORDIAL:
             cert = make_vertex_certificate(graph, VertexLabeling(spec, labels))
         else:
@@ -264,18 +263,18 @@ def _cmd_search(args) -> int:
     if args.notion != "rstar":
         graph = _graph_from_args(args)
     check_searchable(spec)
-    from . import (
-        certificate_dumps,
-        certificate_to_obj,
-        search_a_antimagic,
-        search_a_cordial,
-        search_a_star_antimagic,
-        search_ea_cordial,
-        search_rstar_sequence,
-    )
     if args.notion == "rstar":
+        from . import search_rstar_sequence
         outcome = search_rstar_sequence(spec, budget=budget)
     else:
+        from . import (
+            certificate_dumps,
+            certificate_to_obj,
+            search_a_antimagic,
+            search_a_cordial,
+            search_a_star_antimagic,
+            search_ea_cordial,
+        )
         runner = {
             NOTION_EA_CORDIAL: search_ea_cordial,
             NOTION_A_CORDIAL: search_a_cordial,

@@ -20,9 +20,9 @@ nor a solution the least branch lacks).  The same argument reaches below
 the root: when the automorphisms of the group are symmetries, every slot
 tries only labels that are least in their orbit under the automorphisms
 fixing every label placed before it, in the kernels, from one table of
-those stabilizers per group (``groups.stabilizer_table``).  With a prefix
-only the automorphisms fixing every prefix label are symmetries: they
-prune the first free slot and those below it from the table's state
+those stabilizers per group (``_stabilizers.stabilizer_table``).  With a
+prefix only the automorphisms fixing every prefix label are symmetries:
+they prune the first free slot and those below it from the table's state
 after the prefix.  The graph's own automorphisms prune too
 (``_graph_symmetry``): twin leaves bound one another's labels from below,
 and without a prefix a cycle's lex-first labeling is no later than its
@@ -32,9 +32,14 @@ slots deciding each comparison are placed.  Branches are merged in label
 order, and ``workers`` only decides how many branches run concurrently, so
 parallelism never changes results; branches still running when the
 answer is known are terminated.  Run one at a time, every branch of a
-search is one kernel call.  The R*-sequence search is not split: it
-is one kernel call on the sequences that start with element 1, pruned by
-the same table below it.
+search is one kernel call.
+
+The R*-sequence and sigma-max searches (``search_rstar_sequence``,
+``compute_sigma_max`` and their records) are not split: each is one
+kernel call.  They are defined in ``_orderings`` and read here on first
+use (PEP 562), so a labeling search never compiles them and they never
+compile this module.  The kernel calls, budget shares, depth cap and
+``SearchOutcome`` that both families use are in ``_runner``.
 
 The one exception to lex-first is ``_find_any``, the find-any search
 behind the construct routes ``rainbow-cycle`` (a cycle's vertices) and
@@ -46,15 +51,27 @@ within the node share its lex-first search would get.
 from __future__ import annotations
 
 import os
-import sys
-import threading
 from collections import deque
 from itertools import islice
 from operator import itemgetter
 
-from . import _kernel
 from ._kernel import BUDGET, EXHAUSTED, FOUND
-from ._vocab import (
+# MAX_DEPTH stays readable here; the labeling searches call ``_shares``
+# and ``_run_branch`` through this module, where tests and
+# perfbench/spans.py swap them
+from ._runner import (  # noqa: F401
+    _STATUS_NAME,
+    MAX_DEPTH,
+    SearchOutcome,
+    _check_depth,
+    _labels_from_indices,
+    _norm_budget,
+    _run_branch,
+    _shares,
+)
+from ._stabilizers import automorphism_orbit_keys, stabilizer_table
+# STATUS_UNKNOWN stays readable here
+from ._vocab import (  # noqa: F401
     DEFAULT_BUDGET,
     NOTION_A_ANTIMAGIC,
     NOTION_A_CORDIAL,
@@ -63,28 +80,27 @@ from ._vocab import (
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
-    Record,
     check_searchable,
     check_workers,
-    set_field,
 )
-from .errors import (
-    CapExceededError,
-    InternalCheckError,
-    InvalidGraphError,
-    InvalidSpecError,
-)
+from .errors import InternalCheckError, InvalidGraphError, InvalidSpecError
 from .graphs import CYCLE, PATH, TREE, SimpleGraph
-from .groups import (
-    Element,
-    GroupSpec,
-    automorphism_orbit_keys,
-    element_at,
-    element_index,
-    op_tables,
-    stabilizer_table,
-)
+from .groups import Element, GroupSpec, element_index, op_tables
 from .labelings import EdgeLabeling, VertexLabeling, _computed
+
+# defined in ``_orderings``, read here on first use
+_ORDERINGS = ("HamiltonianCycle", "RStarSequence", "SigmaMaxResult",
+              "compute_sigma_max", "search_rstar_sequence")
+
+
+def __getattr__(name: str):
+    if name not in _ORDERINGS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _orderings
+    value = getattr(_orderings, name)
+    globals()[name] = value
+    return value
+
 
 #: Node cutoff of a find-any restart per term of the Luby sequence.
 RESTART_UNIT = 10_000
@@ -92,166 +108,11 @@ RESTART_UNIT = 10_000
 #: Seed of the label orders that find-any restarts after the first search.
 RESTART_SEED = 4
 
-#: Deepest search any entry point runs: slots for the labeling searches,
-#: group order for R*-sequences and sigma-max.  Both backends refuse deeper
-#: instances before searching, so they answer alike.  The pure kernel
-#: recurses once per level; ``_run_branch`` raises Python's frame
-#: limit by this much (plus ``_KERNEL_FRAMES``) while kernel calls run,
-#: so the cap holds however deep the caller is.
-MAX_DEPTH = 10_000
-
-#: Frames a pure kernel uses beyond one per level (entry, place/unplace).
-_KERNEL_FRAMES = 50
-
-# Kernel calls running in this process, and the frame limit to restore
-# when the last of them returns; guarded by ``_lift_lock``.
-_lift_lock = threading.Lock()
-_lifted_calls = 0
-_unlifted_limit = 0
-
-
-class SearchOutcome(Record):
-    """Result of one search: status, certificate (when Found: the
-    labeling's ``Certificate``, or the ``RStarSequence``), and cost, the
-    nodes of every root branch of a labeling search that ran, or of the
-    one call of an R*-sequence search."""
-
-    _fields = ("status", "certificate", "nodes_explored")
-
-    def __init__(self, status: str, certificate: object | None,
-                 nodes_explored: int) -> None:
-        set_field(self, "status", status)
-        set_field(self, "certificate", certificate)
-        set_field(self, "nodes_explored", nodes_explored)
-
-
-class RStarSequence(Record):
-    """An ordering of the nonzero elements whose cyclic consecutive
-    differences are pairwise distinct, with a marked position equal to
-    the sum of its two cyclic neighbours."""
-
-    _fields = ("group", "seq", "star_index")
-
-    def __init__(self, group: GroupSpec, seq: tuple[Element, ...],
-                 star_index: int) -> None:
-        from .groups import add, negate, check_element
-
-        seq = tuple(tuple(a) for a in seq)
-        zero = group.zero()
-        if len(seq) != group.order - 1:
-            raise InvalidSpecError("sequence must list every nonzero element once")
-        seen = set()
-        for a in seq:
-            check_element(group, a)
-            if a == zero or a in seen:
-                raise InvalidSpecError("sequence must list every nonzero element once")
-            seen.add(a)
-        n = len(seq)
-        diffs = set()
-        for i in range(n):
-            d = add(group, seq[i], negate(group, seq[i - 1]))
-            if d in diffs:
-                raise InvalidSpecError("cyclic consecutive differences collide")
-            diffs.add(d)
-        i = star_index
-        if not 0 <= i < n:
-            raise InvalidSpecError("star index out of range")
-        if add(group, seq[i - 1], seq[(i + 1) % n]) != seq[i]:
-            raise InvalidSpecError("star position is not the sum of its neighbours")
-        set_field(self, "group", group)
-        set_field(self, "seq", seq)
-        set_field(self, "star_index", star_index)
-
-
-class HamiltonianCycle(Record):
-    """A cyclic ordering of all group elements, starting at zero, and
-    the number of distinct sums of its cyclic neighbours."""
-
-    _fields = ("group", "order", "distinct_sum_count")
-
-    def __init__(self, group: GroupSpec, order: tuple[Element, ...]) -> None:
-        from .groups import add, check_element
-
-        order = tuple(tuple(a) for a in order)
-        if len(order) != group.order or len(set(order)) != len(order):
-            raise InvalidSpecError("cycle must visit every element exactly once")
-        for a in order:
-            check_element(group, a)
-        if order and order[0] != group.zero():
-            raise InvalidSpecError("cycle must start at zero")
-        set_field(self, "group", group)
-        set_field(self, "order", order)
-        set_field(self, "distinct_sum_count", len(
-            {add(group, order[i - 1], order[i]) for i in range(len(order))}))
-
-
-class SigmaMaxResult(Record):
-    """Maximum number of distinct cyclic pair sums, with a witness cycle.
-
-    ``status`` is Found when the value is exact (full exhaustion) and
-    Unknown when the budget ran out (the value is then a lower bound).
-    """
-
-    _fields = ("status", "value", "witness", "nodes_explored")
-
-    def __init__(self, status: str, value: int,
-                 witness: HamiltonianCycle | None,
-                 nodes_explored: int) -> None:
-        set_field(self, "status", status)
-        set_field(self, "value", value)
-        set_field(self, "witness", witness)
-        set_field(self, "nodes_explored", nodes_explored)
-
 
 def _equitable_bounds(count: int, m: int) -> tuple[list[int], list[int]]:
     q, r = divmod(count, m)
     cap = q + (1 if r else 0)
     return [cap] * m, [q] * m
-
-
-#: Budgets from here up are unbounded: no search spends that many nodes,
-#: and the compiled kernel takes the budget as a signed 64-bit integer.
-_UNBOUNDED_FROM = 1 << 62
-
-
-def _norm_budget(budget: int | None) -> int:
-    if budget is None:
-        return -1
-    if budget < 0:
-        raise ValueError("budget must be nonnegative (or None for unbounded)")
-    return int(budget) if budget < _UNBOUNDED_FROM else -1
-
-
-def _shares(budget: int, branches: int) -> list[int]:
-    if budget < 0:
-        return [-1] * branches
-    base, rem = divmod(budget, branches)
-    return [base + (1 if i < rem else 0) for i in range(branches)]
-
-
-def _run_branch(task):
-    """Call one kernel; every kernel call goes through here.
-
-    Python's frame limit is interpreter-wide, so concurrent calls share one
-    lift: the first call in raises it and the last call out restores it.
-    The kernel is called in this frame: an extra Python frame between the
-    search and the pure kernel made the construct benchmark slower.
-    """
-    global _lifted_calls, _unlifted_limit
-    kind, args = task
-    kern = _kernel.active_backend()
-    with _lift_lock:
-        if _lifted_calls == 0:
-            _unlifted_limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(_unlifted_limit + MAX_DEPTH + _KERNEL_FRAMES)
-        _lifted_calls += 1
-    try:
-        return getattr(kern, "solve_" + kind)(*args)
-    finally:
-        with _lift_lock:
-            _lifted_calls -= 1
-            if _lifted_calls == 0:
-                sys.setrecursionlimit(_unlifted_limit)
 
 
 def _branch_child(task, conn) -> None:
@@ -425,7 +286,6 @@ def _translates(bounds: tuple, derived_sizes: set[int]) -> bool:
     return len(derived_sizes) <= 1 and all(len(set(b)) == 1 for b in bounds)
 
 
-_STATUS_NAME = {FOUND: STATUS_FOUND, EXHAUSTED: STATUS_NOT_EXISTS, BUDGET: STATUS_UNKNOWN}
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +313,6 @@ def _generic_structures(members, num_slots: int):
     return num_derived, sd_ptr, sd_ids, comp_ptr, comp_ids
 
 
-def _labels_from_indices(spec: GroupSpec, indices) -> tuple[Element, ...]:
-    return tuple(element_at(spec, i) for i in indices)
-
-
-def _check_depth(levels: int) -> None:
-    if levels > MAX_DEPTH:
-        raise CapExceededError(
-            f"search depth {levels} exceeds the cap of {MAX_DEPTH} levels")
 
 
 def _certified(graph: SimpleGraph, spec: GroupSpec, notion: str, indices):
@@ -729,55 +581,3 @@ def search_a_star_antimagic(graph: SimpleGraph, spec: GroupSpec,
     """Bijective nonzero edge labels with pairwise distinct vertex sums."""
     return _search_labeling(graph, spec, NOTION_A_STAR_ANTIMAGIC, (), budget,
                             workers)
-
-
-def search_rstar_sequence(spec: GroupSpec,
-                          budget: int | None = DEFAULT_BUDGET) -> SearchOutcome:
-    """Lex-first difference-distinct ordering of the nonzero elements with
-    a star position (one term the sum of its cyclic neighbours).
-
-    Degenerate below three nonzero elements: NotExists without a search.
-    Only sequences starting with element 1 are searched: every rotation of
-    a solution is one, so the lex-first sequence starts with it.  That one
-    kernel call gets the share of the budget the 1 has among the m - 1
-    nonzero first elements.  Every automorphism maps a solution to one, so
-    below the 1 the kernel prunes by the symmetry table as the labeling
-    searches do.
-    """
-    check_searchable(spec)
-    _check_depth(spec.order)
-    m = spec.order
-    if m - 1 < 3:
-        return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
-    add_t, neg_t = op_tables(spec)
-    share = _shares(_norm_budget(budget), m - 1)[0]
-    r = _run_branch(("rstar", (m, add_t, neg_t, [1], share,
-                               stabilizer_table(spec))))
-    if r[0] != FOUND:
-        return SearchOutcome(_STATUS_NAME[r[0]], None, r[-1])
-    cert = RStarSequence(spec, _labels_from_indices(spec, r[1]), r[2])
-    return SearchOutcome(STATUS_FOUND, cert, r[-1])
-
-
-def compute_sigma_max(spec: GroupSpec,
-                      budget: int | None = None) -> SigmaMaxResult:
-    """Exact maximum of distinct cyclic pair sums over all element cycles.
-
-    Exhaustive branch-and-bound with the start pinned at zero, every
-    later element least in its orbit under the automorphisms fixing the
-    earlier ones and mirror orderings skipped; unbounded by default (the
-    instances are tiny).
-    """
-    check_searchable(spec)
-    _check_depth(spec.order)
-    add_t, _ = op_tables(spec)
-    status, value, cycle, nodes = _run_branch(
-        ("sigma", (spec.order, add_t, _norm_budget(budget),
-                   stabilizer_table(spec))))
-    witness = None
-    if cycle is not None:
-        witness = HamiltonianCycle(spec, _labels_from_indices(spec, cycle))
-        if witness.distinct_sum_count != value:
-            raise InternalCheckError("witness cycle does not attain the reported value")
-    name = STATUS_FOUND if status == FOUND else STATUS_UNKNOWN
-    return SigmaMaxResult(name, value, witness, nodes)

@@ -1003,6 +1003,78 @@ def test_search_past_the_table_cap_never_loads_the_search_stack():
     assert [m for m in SEARCH_STACK if loads(after, m)] == []
 
 
+# what an R*-sequence or sigma-max search has no use for
+LABELING_STACK = ("cordant._kernel.generic", "cordant.search",
+                  "cordant.certificates", "cordant.labelings",
+                  "cordant.graphs")
+
+
+@pytest.mark.parametrize("argv, kernel", [
+    (["sigma-max", "--group", "Z10"], "sigma"),
+    (["search", "rstar", "--group", "Z2xZ2xZ2xZ2", "--format", "json"],
+     "rstar"),
+], ids=["sigma-max", "rstar"])
+def test_ordering_searches_never_load_the_labeling_stack(argv, kernel):
+    _, codes, after = loaded_after(argv)
+    assert codes == [EXIT_OK]
+    assert loads(after, "cordant._orderings")
+    assert [m for m in LABELING_STACK if loads(after, m)] == []
+    # of the pure kernels, only the one the search calls
+    assert sorted(m for m in after if m.startswith("cordant._kernel.")) == [
+        "cordant._kernel.pure", "cordant._kernel." + kernel]
+
+
+def test_commands_that_never_search_never_load_the_stabilizers():
+    argvs = [["demo", "1"],
+             ["verify", "--certificate", os.path.abspath(DEMO1)],
+             ["decide", "path-ek", "--n", "10", "--k", "4"],
+             ["decide", "cycle-zk", "--n", "12", "--k", "4"],
+             ["decide", "tree-2mod4", "--n", "6", "--group", "Z2"],
+             ["decide", "path-antimagic", "--group", "Z4"],
+             ["construct", "antimagic-path", "--group", "Zfoo"]]
+    # the loaded cordant modules that define the stabilizer table
+    code = ("import contextlib, io, json, sys\n"
+            "from cordant.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "print(json.dumps([codes, sorted(\n"
+            "    m for m, mod in list(sys.modules.items())\n"
+            "    if m.startswith('cordant')\n"
+            "    and 'stabilizer_table' in vars(mod))]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    codes, defining = json.loads(proc.stdout)
+    assert codes == [EXIT_OK] * 3 + [EXIT_NO, EXIT_NO, EXIT_OK, EXIT_USAGE]
+    assert defining == []
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["search", "ea-cordial", "--group", "Z1", "--kind", "path", "--n", "3"],
+     "error: searches need a group with at least two elements\n"),
+    (["verify", "--notion", "ea-cordial", "--group", "Z3", "--kind", "path",
+      "--n", "3", "--labels", "[0, null]"],
+     "error: label null is not an integer or a list of integers\n"),
+], ids=["search-Z1", "verify-null"])
+def test_bad_input_is_refused_before_the_certificates_load(argv, error):
+    _, codes, after = loaded_after(argv)
+    assert codes == [EXIT_USAGE]
+    assert not loads(after, "cordant.certificates")
+    assert not loads(after, "cordant.labelings")
+    code = ("import sys\nfrom cordant.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "",
+                                                           error)
+
+
 # ---------------------------------------------------------------------------
 # help texts and usage errors, byte for byte: a call fills in only the
 # parsers on its command's path, and what it prints stays as it was

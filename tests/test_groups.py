@@ -30,14 +30,13 @@ from cordant import (
     path_graph,
     sylow_split,
 )
-from cordant import groups
-from cordant.groups import (
+from cordant import _stabilizers, groups
+from cordant._stabilizers import (
     STABILIZER_CAP,
-    TABLE_CAP,
     automorphism_orbit_keys,
-    op_tables,
     stabilizer_table,
 )
+from cordant.groups import TABLE_CAP, op_tables
 
 from canonical_reference import CanonicalMap
 
@@ -330,9 +329,11 @@ def test_no_cache_holds_a_group_past_the_table_cap():
     labels = tuple((i % 2048,) for i in range(2047))
     verdict = verify_ea_cordial(path_graph(2048), EdgeLabeling(z2048, labels))
     assert sum(verdict.edge_class_counts.values()) == 2047
-    for name in ("_element_cache", "_zero_cache", "_table_cache",
-                 "_orbit_cache", "_stabilizer_cache"):
-        cache = getattr(groups, name)
+    for owner, name in ((groups, "_element_cache"), (groups, "_zero_cache"),
+                        (groups, "_table_cache"),
+                        (_stabilizers, "_orbit_cache"),
+                        (_stabilizers, "_stabilizer_cache")):
+        cache = getattr(owner, name)
         assert all(GroupSpec(key).order <= TABLE_CAP for key in cache), name
     for cache in (groups._element_cache, groups._zero_cache):
         assert (5, 1024) not in cache and (2048,) not in cache

@@ -12,7 +12,8 @@ alone, so it needs no compiler.
 
 from cordant import GroupSpec, cycle_graph, path_graph, tree_graph
 from cordant._kernel import pure
-from cordant.groups import op_tables, stabilizer_table
+from cordant._stabilizers import stabilizer_table
+from cordant.groups import op_tables
 from cordant.search import (
     _equitable_bounds,
     _generic_structures,

@@ -19,7 +19,7 @@ from cordant import (
     star_graph,
     tree_graph,
 )
-from cordant._kernel import pure
+from cordant._kernel import generic, pure
 from cordant.graphs import SimpleGraph
 from cordant.groups import op_tables
 from cordant.search import _generic_structures, _instance
@@ -201,7 +201,7 @@ def test_memo_keeps_tree_outcomes(monkeypatch):
         calls.append((spec.order, op_tables(spec)[0], s, *bounds,
                       *structures, [], -1))
     with_memo = [pure.solve_generic(*call) for call in calls]
-    monkeypatch.setattr(pure, "MEMO_MAX_BITS", 0)
+    monkeypatch.setattr(generic, "MEMO_MAX_BITS", 0)
     without = [pure.solve_generic(*call) for call in calls]
     assert [r[:2] for r in with_memo] == [r[:2] for r in without]
     assert all(a[2] <= b[2] for a, b in zip(with_memo, without))

@@ -172,7 +172,7 @@ for name, total, step, solve in sweeps:
 # directly: slot 0 free, slots pruned below the fixed labels (0 and 3 in
 # Z6, 0 and 5 in Z10), and Z2xZ4 and (Z2)^3 moving from state to state,
 # with budget stops inside the pruned loops
-from cordant.groups import stabilizer_table
+from cordant._stabilizers import stabilizer_table
 
 z6_table = stabilizer_table(spec((6,)))
 z10_table = stabilizer_table(spec((10,)))
@@ -518,3 +518,29 @@ def test_active_backend_exposes_all_kernels():
     kern = _kernel.active_backend()
     for name in ("solve_chain", "solve_generic", "solve_rstar", "solve_sigma"):
         assert callable(getattr(kern, name))
+
+
+def test_pure_kernels_load_from_their_own_files_on_first_read():
+    # importing the backends compiles no kernel; each solve_* name loads
+    # its kernel's file alone, and the pure module answers all four
+    code = """\
+import json, sys
+from cordant._kernel import pure
+seen = [sorted(m for m in sys.modules if m.startswith("cordant._kernel."))]
+for name in ("solve_sigma", "solve_rstar", "solve_chain", "solve_generic"):
+    fn = getattr(pure, name)
+    seen.append([fn.__module__, callable(fn)])
+seen.append(pure.solve_chain is pure.solve_generic)
+seen.append(sorted(m for m in sys.modules if m.startswith("cordant._kernel.")))
+print(json.dumps(seen))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    kernels = ["cordant._kernel." + k for k in ("generic", "pure", "rstar",
+                                                "sigma")]
+    assert json.loads(proc.stdout) == [
+        ["cordant._kernel.pure"],
+        ["cordant._kernel.sigma", True], ["cordant._kernel.rstar", True],
+        ["cordant._kernel.generic", True], ["cordant._kernel.generic", True],
+        True, kernels]

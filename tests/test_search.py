@@ -11,7 +11,7 @@ from array import array
 
 import pytest
 
-from cordant import _kernel, search
+from cordant import _kernel, _orderings, search
 from cordant._kernel import BUDGET, EXHAUSTED, FOUND
 from cordant.graphs import GENERAL, SimpleGraph
 from cordant.groups import element_index
@@ -531,8 +531,10 @@ def root_splits(monkeypatch):
         return result
 
     monkeypatch.setattr(search, "_split_solve", split_spy)
-    monkeypatch.setattr(search, "_shares", shares_spy)
-    monkeypatch.setattr(search, "_run_branch", branch_spy)
+    # the R*-sequence search calls its kernel from ``_orderings``
+    for module in (search, _orderings):
+        monkeypatch.setattr(module, "_shares", shares_spy)
+        monkeypatch.setattr(module, "_run_branch", branch_spy)
     return calls
 
 
