@@ -38,9 +38,12 @@ the zero-free nodes summed over the rows, the number of zero-free
 searches run, rows, Unknown rows, violations, and ``outcomes_sha256``
 over the rows' (n, factors, tree index, zero-allowed status and labels,
 zero-free status and labels), each row's ``repr`` followed by a
-newline, in row order: a change that only searches less keeps it) and
-the certificate round trip
-of the block-route labeling of P5120 over Z5xZ1024 (the median of
+newline, in row order: a change that only searches less keeps it).
+The ``survey_fixed_cost`` row times the survey workload's call,
+``explore_conjecture(9)``, with the kernel's results replayed (its work
+outside the kernel) and its kernel calls at a budget of 0 (the kernel's
+own set-up); see ``survey_fixed_cost_row``.  It times the certificate
+round trip of the block-route labeling of P5120 over Z5xZ1024 (the median of
 ``ROUND_TRIP_RUNS`` runs of make, dumps and loads each, in seconds) and
 records the text's size and sha256, which later files can compare for
 byte identity.  The ``fixed_cost`` row gives the median microseconds
@@ -94,6 +97,7 @@ ROUND_TRIP_RUNS = 9
 FIXED_COST_RUNS = 9
 FIXED_COST_NUMBER = 200
 SYMMETRY_RUNS = 5
+SURVEY_FIXED_RUNS = 9
 # perfbench's default --seconds; not passed, so every point has this length
 SECONDS = 20
 IMPORT_RUNS = 9
@@ -261,24 +265,26 @@ def graph_symmetry_row(seed: int) -> dict:
 
 def explore_row() -> dict:
     """The order-10 tree survey, timed once, counting the zero-free
-    searches it runs (the rows it does not settle without one)."""
+    searches it runs (the rows it does not settle without one): every
+    survey search runs through ``search._run_labeling``."""
     import cordant
+    from cordant import NOTION_A_STAR_ANTIMAGIC, search
 
-    search = cordant.search_a_star_antimagic
+    run = search._run_labeling
     searches = 0
 
-    def counted(*args, **kwargs):
+    def counted(graph, spec, notion, *args):
         nonlocal searches
-        searches += 1
-        return search(*args, **kwargs)
+        searches += notion == NOTION_A_STAR_ANTIMAGIC
+        return run(graph, spec, notion, *args)
 
-    cordant.search_a_star_antimagic = counted
+    search._run_labeling = counted
     try:
         start = time.perf_counter()
         report = cordant.explore_conjecture(10)
         seconds = time.perf_counter() - start
     finally:
-        cordant.search_a_star_antimagic = search
+        search._run_labeling = run
     outcomes = hashlib.sha256()
     for row in report.rows:
         outcomes.update(repr((row.n, row.group.factors, row.tree_index,
@@ -294,6 +300,61 @@ def explore_row() -> dict:
             "unknown": len(report.unknown_rows),
             "violations": len(report.violations),
             "outcomes_sha256": outcomes.hexdigest()}
+
+
+def survey_fixed_cost_row() -> dict:
+    """The survey workload's call, ``explore_conjecture(9)``, with the
+    kernel's results replayed from a recording, so only its work outside
+    the kernel is timed, and a replay of its kernel calls at a budget of 0
+    (every root share 0), which stop at their first node, so only the
+    kernel's own set-up is timed: seconds, the median of
+    ``SURVEY_FIXED_RUNS`` runs each, with the kernel calls and nodes of
+    the recording."""
+    from cordant import _kernel, explore_conjecture
+
+    kern = _kernel.active_backend()
+    solve = kern.solve_generic
+    calls, results = [], []
+
+    def recording(*args):
+        calls.append(args)
+        results.append(solve(*args))
+        return results[-1]
+
+    answers = iter(())
+
+    def replay(*args):
+        return next(answers)
+
+    replayed = []
+    try:
+        kern.solve_generic = recording
+        explore_conjecture(9)
+        kern.solve_generic = replay
+        for _ in range(SURVEY_FIXED_RUNS):
+            answers = iter(results)
+            start = time.perf_counter()
+            explore_conjecture(9)
+            replayed.append(time.perf_counter() - start)
+    finally:
+        kern.solve_generic = solve
+    # (..., prefix, budget, table, graph_sym[, roots]): budget 0, shares 0
+    stopped = [list(args) for args in calls]
+    for args in stopped:
+        args[13] = 0
+        if args[16:] and args[16] is not None:
+            args[16] = [(x, 0) for x, _ in args[16]]
+    budget_0 = []
+    for _ in range(SURVEY_FIXED_RUNS):
+        start = time.perf_counter()
+        for args in stopped:
+            solve(*args)
+        budget_0.append(time.perf_counter() - start)
+    return {"n_max": 9, "runs": SURVEY_FIXED_RUNS,
+            "kernel_calls": len(calls),
+            "kernel_nodes": sum(r[-1] for r in results),
+            "replayed_s": round(statistics.median(replayed), 5),
+            "budget_0_s": round(statistics.median(budget_0), 5)}
 
 
 def round_trip_row() -> dict:
@@ -488,6 +549,7 @@ def main(argv=None) -> int:
         doc["direct"][f"antimagic_{order}"] = antimagic_order_row(order)
     doc["direct"]["graph_symmetry"] = graph_symmetry_row(args.seed)
     doc["direct"]["explore_10"] = explore_row()
+    doc["direct"]["survey_fixed_cost"] = survey_fixed_cost_row()
     doc["direct"]["round_trip_Z5xZ1024"] = round_trip_row()
     doc["direct"]["fixed_cost"] = fixed_cost_row()
     doc["direct"]["cli_import"] = cli_import_row()

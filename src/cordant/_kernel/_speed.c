@@ -47,7 +47,8 @@ enum { ERROR = -1, FOUND = 0, EXHAUSTED = 1, BUDGET = 2 };
 #define MEMO_MAX_BITS 63
 /* Table size ceiling: twice MEMO_LIMIT keeps the load factor at most 1/2. */
 #define MEMO_MAX_SLOTS ((size_t)1 << 23)
-/* A graph symmetry compares only the positions below this (pure.LEX_SPAN). */
+/* A graph symmetry compares only the positions below this (LEX_SPAN in
+   _kernel/generic.py). */
 #define LEX_SPAN 16
 
 static int

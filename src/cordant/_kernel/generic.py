@@ -11,7 +11,9 @@ trees) go through ``place``.  Under the leaf-room bound (see
 slot after it in ``final``; ``place`` checks the bound for the others and
 for a prefix.  Searches without the bound run the loops without it.  The
 labels below a slot's twin bound cost no node: the walk starts at the
-bound.
+bound.  The edge loops of ``bounded``, and that of ``dfs`` for slots
+completing one item, each have a twin for cap-one instances that skips
+the class counts' arithmetic (see ``solve_generic``).
 
 ``dfs`` refers to itself, and that reference cycle would keep the memo
 (tens of thousands of keys) alive until the cyclic garbage collector
@@ -35,6 +37,14 @@ MEMO_MAX_BITS = 63
 #: which S <= g(S) implies: the labels of a long cycle repeat, keep many
 #: rotations tied and would make the comparisons quadratic in its length.
 LEX_SPAN = 16
+
+
+def _floors_hold(cap, floor, total):
+    """Whether the floors ``floor`` of classes capped at ``cap`` (each at
+    most 1) can never reject a label when ``total`` labels or sums are
+    counted in all: every floor 0, or every floor its cap, ``total`` in
+    all (see ``solve_generic``)."""
+    return not any(floor) or list(floor) == list(cap) and sum(floor) == total
 
 
 def solve_generic(
@@ -134,6 +144,25 @@ def solve_generic(
     label x's when its label room is at most its sum room, and then each
     completed sum v's when its sum room is at most its label room.
 
+    The cap-one walk.  On an instance where every slot and sum cap is at
+    most 1 and, for slots and for sums alike, every floor is 0 or every
+    floor equals its cap with the floors totalling the slots (for sums,
+    the ``remaining_at[0]`` completions), the edge loops of ``dfs`` and
+    ``bounded`` skip the class counts' arithmetic: antimagic and
+    A*-antimagic trees and paths, and equitable instances with no more
+    slots, and no more sums, than labels.  A label the walk reaches has
+    room, so its count is 0 and its cap 1, and placing it fills it; a sum
+    with room likewise.  So the walk keeps only the room tests
+    (``dcount[v] < dcap[v]``: a cap may be 0), always unlinks the label it
+    places, and passes on ``sdef - slot_floor[x]`` and ``ddef -
+    dfloor[v]`` without comparing them: with the floors 0 the deficits
+    stay 0, and with the floors at their caps the slot deficit before
+    slot i is the s - i slots still empty and the sum deficit the
+    ``remaining_at[i]`` completions left, so after a placement they equal
+    the slots and completions after it, and the general loops' deficit
+    tests never reject.  The traversal and node counts are the general
+    loops', which every other instance runs.
+
     ``roots`` (None: one search on ``budget``) is a list of (label, share)
     pairs: the branches extending ``prefix`` by each label at the first
     free slot, run in order as separate calls on ``prefix + [label]`` and
@@ -184,6 +213,12 @@ def solve_generic(
         if leaves > 1:
             room = [0] * (s + 1)
             room[0] = sum(map(min, slot_cap, dcap))
+
+    # cap-one instances (see the docstring) walk edge slots without the
+    # class counts' arithmetic
+    cap_one = (max(slot_cap, default=0) <= 1 and max(dcap, default=0) <= 1
+               and _floors_hold(slot_cap, slot_floor, s)
+               and _floors_hold(dcap, dfloor, remaining_at[0]))
 
     # The memo key packs, most significant first: the next position, one
     # field per open item, the slot counts and the derived counts.  Open
@@ -460,6 +495,8 @@ def solve_generic(
             return nodes
         # an edge slot, tested before any state moves
         d1, d2, nclose = edge
+        if nclose > 2:
+            return bounded(i, sdef, ddef, t, nodes)
         left = s - i - 1
         rem = remaining_at[i + 1]
         p1 = psum[d1]
@@ -469,7 +506,54 @@ def solve_generic(
         if keyed:
             tab1, tab2 = ftab[d1], ftab[d2]
             base = t + pos_unit - tab1[p1] - tab2[p2]
-        if nclose == 1:
+        if nclose == 1 and cap_one:
+            # the loop below on a cap-one instance: the label and sum found
+            # with room hold none, and their floors set the deficits
+            while True:
+                x = walk[x]
+                if x == m:
+                    break
+                nodes += x - prev
+                if nodes > limit:
+                    stop = BUDGET
+                    return limit
+                prev = x
+                v = add_t[row1 + x]
+                if dcount[v] >= dcap[v]:
+                    continue
+                w = add_t[row2 + x]
+                if keyed:
+                    key = base + sunit[x] + dunit[v] + tab2[w]
+                    if key in dead:
+                        continue
+                if walk is not nxt:
+                    if tied:
+                        assign[i] = x
+                        moves = settle(i, moves)
+                        if moves is None:
+                            moves = ()
+                            if keyed and len(dead) < MEMO_LIMIT:
+                                dead.add(key)
+                            continue
+                    if row >= 0:
+                        at[i + 1] = succ[row + x]
+                        top = i + 1
+                nxt[prv[x]] = nxt[x]
+                prv[nxt[x]] = prv[x]
+                scount[x] = dcount[v] = 1
+                psum[d1] = v
+                psum[d2] = w
+                assign[i] = x
+                nodes = dfs(i + 1, sdef - slot_floor[x], ddef - dfloor[v], key,
+                            nodes)
+                if stop != EXHAUSTED:
+                    return nodes
+                nxt[prv[x]] = x
+                prv[nxt[x]] = x
+                scount[x] = dcount[v] = 0
+                if keyed and len(dead) < MEMO_LIMIT:
+                    dead.add(key)
+        elif nclose == 1:
             # completes d1 and carries d2 on: every interior slot of a path
             # or cycle
             while True:
@@ -526,88 +610,77 @@ def solve_generic(
                 dcount[v] = dv
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
-            if tied:
-                for d, _ in moves:
-                    due[d].pop()
-            psum[d1] = p1
-            psum[d2] = p2
-            nodes += m - 1 - prev
-            if nodes > limit:
-                stop = BUDGET
-                return limit
-            return nodes
-        if nclose > 2:
-            return bounded(i, sdef, ddef, t, nodes)
-        while True:
-            x = walk[x]
-            if x == m:
-                break
-            nodes += x - prev
-            if nodes > limit:
-                stop = BUDGET
-                return limit
-            prev = x
-            sc = scount[x]
-            ns = sdef - 1 if sc < slot_floor[x] else sdef
-            if ns > left:
-                continue
-            v = add_t[row1 + x]
-            w = add_t[row2 + x]
-            nd = ddef
-            if nclose:
-                # completes both
-                dv = dcount[v]
-                if dv >= dcap[v]:
+        else:
+            while True:
+                x = walk[x]
+                if x == m:
+                    break
+                nodes += x - prev
+                if nodes > limit:
+                    stop = BUDGET
+                    return limit
+                prev = x
+                sc = scount[x]
+                ns = sdef - 1 if sc < slot_floor[x] else sdef
+                if ns > left:
                     continue
-                if dv < dfloor[v]:
-                    nd -= 1
-                dw = dcount[w] + 1 if w == v else dcount[w]
-                if dw >= dcap[w]:
-                    continue
-                if dw < dfloor[w]:
-                    nd -= 1
-            if nd > rem:
-                continue
-            if keyed:
-                key = base + sunit[x] + (dunit[v] + dunit[w] if nclose
-                                         else tab1[v] + tab2[w])
-                if key in dead:
-                    continue
-            if walk is not nxt:
-                if tied:
-                    assign[i] = x
-                    moves = settle(i, moves)
-                    if moves is None:
-                        moves = ()
-                        if keyed and len(dead) < MEMO_LIMIT:
-                            dead.add(key)
+                v = add_t[row1 + x]
+                w = add_t[row2 + x]
+                nd = ddef
+                if nclose:
+                    # completes both
+                    dv = dcount[v]
+                    if dv >= dcap[v]:
                         continue
-                if row >= 0:
-                    at[i + 1] = succ[row + x]
-                    top = i + 1
-            if nclose:
-                dcount[v] = dv + 1
-                dcount[w] = dw + 1
-            full = sc + 1 == slot_cap[x]
-            if full:
-                nxt[prv[x]] = nxt[x]
-                prv[nxt[x]] = prv[x]
-            psum[d1] = v
-            psum[d2] = w
-            scount[x] = sc + 1
-            assign[i] = x
-            nodes = dfs(i + 1, ns, nd, key, nodes)
-            if stop != EXHAUSTED:
-                return nodes
-            if full:
-                nxt[prv[x]] = x
-                prv[nxt[x]] = x
-            scount[x] = sc
-            if nclose:
-                dcount[w] = dw
-                dcount[v] = dv
-            if keyed and len(dead) < MEMO_LIMIT:
-                dead.add(key)
+                    if dv < dfloor[v]:
+                        nd -= 1
+                    dw = dcount[w] + 1 if w == v else dcount[w]
+                    if dw >= dcap[w]:
+                        continue
+                    if dw < dfloor[w]:
+                        nd -= 1
+                if nd > rem:
+                    continue
+                if keyed:
+                    key = base + sunit[x] + (dunit[v] + dunit[w] if nclose
+                                             else tab1[v] + tab2[w])
+                    if key in dead:
+                        continue
+                if walk is not nxt:
+                    if tied:
+                        assign[i] = x
+                        moves = settle(i, moves)
+                        if moves is None:
+                            moves = ()
+                            if keyed and len(dead) < MEMO_LIMIT:
+                                dead.add(key)
+                            continue
+                    if row >= 0:
+                        at[i + 1] = succ[row + x]
+                        top = i + 1
+                if nclose:
+                    dcount[v] = dv + 1
+                    dcount[w] = dw + 1
+                full = sc + 1 == slot_cap[x]
+                if full:
+                    nxt[prv[x]] = nxt[x]
+                    prv[nxt[x]] = prv[x]
+                psum[d1] = v
+                psum[d2] = w
+                scount[x] = sc + 1
+                assign[i] = x
+                nodes = dfs(i + 1, ns, nd, key, nodes)
+                if stop != EXHAUSTED:
+                    return nodes
+                if full:
+                    nxt[prv[x]] = x
+                    prv[nxt[x]] = x
+                scount[x] = sc
+                if nclose:
+                    dcount[w] = dw
+                    dcount[v] = dv
+                if keyed and len(dead) < MEMO_LIMIT:
+                    dead.add(key)
         if tied:
             for d, _ in moves:
                 due[d].pop()
@@ -652,7 +725,121 @@ def solve_generic(
         if keyed:
             base = t + pos_unit - tab1[p1] - tab2[p2]
         rm = room[i]
-        if nclose == 1:
+        if nclose == 1 and cap_one:
+            # the first loop below on a cap-one instance (see dfs): label x
+            # has one unit of label room, and the sum v one of sum room,
+            # which takes leaf room when v is another label with room
+            while True:
+                x = walk[x]
+                if x == m:
+                    break
+                nodes += x - prev
+                if nodes > limit:
+                    stop = BUDGET
+                    return limit
+                prev = x
+                v = add_t[row1 + x]
+                if dcount[v] >= dcap[v]:
+                    continue
+                r = rm - 1 if dcount[x] < dcap[x] else rm
+                if v != x and scount[v] < slot_cap[v]:
+                    r -= 1
+                if r < want:
+                    continue
+                w = add_t[row2 + x]
+                if keyed:
+                    key = base + sunit[x] + dunit[v] + tab2[w]
+                    if key in dead:
+                        continue
+                if walk is not nxt:
+                    if tied:
+                        assign[i] = x
+                        moves = settle(i, moves)
+                        if moves is None:
+                            moves = ()
+                            if keyed and len(dead) < MEMO_LIMIT:
+                                dead.add(key)
+                            continue
+                    if row >= 0:
+                        at[i + 1] = succ[row + x]
+                        top = i + 1
+                nxt[prv[x]] = nxt[x]
+                prv[nxt[x]] = prv[x]
+                scount[x] = dcount[v] = 1
+                psum[d2] = w  # d1 is complete: no later slot reads it
+                assign[i] = x
+                room[i + 1] = r
+                nodes = below(i + 1, sdef - slot_floor[x], ddef - dfloor[v],
+                              key, nodes)
+                if stop != EXHAUSTED:
+                    return nodes
+                nxt[prv[x]] = x
+                prv[nxt[x]] = x
+                scount[x] = dcount[v] = 0
+                if keyed and len(dead) < MEMO_LIMIT:
+                    dead.add(key)
+        elif cap_one:
+            # the last loop below on a cap-one instance, the same way
+            while True:
+                x = walk[x]
+                if x == m:
+                    break
+                nodes += x - prev
+                if nodes > limit:
+                    stop = BUDGET
+                    return limit
+                prev = x
+                v = add_t[row1 + x]
+                w = add_t[row2 + x]
+                r = rm - 1 if dcount[x] < dcap[x] else rm
+                nd = ddef
+                if nclose:
+                    if dcount[v] >= dcap[v] or w == v or dcount[w] >= dcap[w]:
+                        continue
+                    nd -= dfloor[v] + dfloor[w]
+                    if v != x and scount[v] < slot_cap[v]:
+                        r -= 1
+                    if w != x and scount[w] < slot_cap[w]:
+                        r -= 1
+                if r < want:
+                    continue
+                if keyed:
+                    key = base + sunit[x] + (dunit[v] + dunit[w] if nclose
+                                             else tab1[v] + tab2[w])
+                    if key in dead:
+                        continue
+                if walk is not nxt:
+                    if tied:
+                        assign[i] = x
+                        moves = settle(i, moves)
+                        if moves is None:
+                            moves = ()
+                            if keyed and len(dead) < MEMO_LIMIT:
+                                dead.add(key)
+                            continue
+                    if row >= 0:
+                        at[i + 1] = succ[row + x]
+                        top = i + 1
+                if nclose:
+                    dcount[v] = dcount[w] = 1
+                nxt[prv[x]] = nxt[x]
+                prv[nxt[x]] = prv[x]
+                psum[d1] = v
+                psum[d2] = w
+                scount[x] = 1
+                assign[i] = x
+                room[i + 1] = r
+                nodes = below(i + 1, sdef - slot_floor[x], nd, key, nodes)
+                if stop != EXHAUSTED:
+                    return nodes
+                nxt[prv[x]] = x
+                prv[nxt[x]] = x
+                scount[x] = 0
+                if nclose:
+                    dcount[v] = dcount[w] = 0
+                if keyed and len(dead) < MEMO_LIMIT:
+                    dead.add(key)
+        elif nclose == 1:
             while True:
                 x = walk[x]
                 if x == m:

@@ -15,16 +15,25 @@ certain as a searched one: NotExists still comes from a full exhaustion,
 of a superset, and a Found is still verified once as zero-free.  Every
 other zero-free row is searched.
 
-``search`` is imported by the first survey, not with this module, and
-the two searches and the zero-free judge are read off the package, so a
-name swapped there (a test double, the benchmark's layer tracer) is the
-one called.
+A survey sets each search up once per part, within the call: a tree's
+graph side (``search._graph_side``: its incidence, the kernel's CSR
+structures, its graph symmetry) once for both notions and every group,
+and a group side (``search._group_side``: class bounds, tables, root
+labels) once per group, notion and graph shape.  ``search`` is imported
+by the first survey, not with this module.  Each search runs through
+``search._run_labeling``, the code path of the package's ``search_*``
+functions, read off ``search`` at each call: that is the name a test
+double swaps.  The survey calls no ``search_*`` function, so a tracer
+wrapping those (the benchmark's ``perfbench/spans.py``) does not see
+its searches, only their kernel calls.  The zero-free judge is read off
+the package, so a judge swapped there is the one called.
 """
 
 from __future__ import annotations
 
 from ._vocab import (
     DEFAULT_BUDGET,
+    NOTION_A_ANTIMAGIC,
     NOTION_A_STAR_ANTIMAGIC,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
@@ -126,21 +135,27 @@ def explore_conjecture(n_max: int, budget: int | None = DEFAULT_BUDGET,
     if n_max > TREE_ENUM_CAP:
         raise PreconditionError(
             f"survey is capped at order {TREE_ENUM_CAP}")
-    from . import (search_a_antimagic, search_a_star_antimagic,
-                   verify_a_star_antimagic)
+    from . import search, verify_a_star_antimagic
 
+    budget = search._norm_budget(budget)
     rows: list[ExploreRow] = []
     for n in range(2, n_max + 1):
         trees = list(enumerate_trees(n))
+        # both notions label the edges: one graph side per tree serves both
+        sides = [search._graph_side(tree, NOTION_A_ANTIMAGIC)
+                 for tree in trees]
         for spec in abelian_groups_of_order(n):
-            for idx, tree in enumerate(trees):
-                with_zero = search_a_antimagic(tree, spec, budget=budget,
-                                               workers=workers)
+            # this group's sides of the searches, by notion and graph shape
+            groups: dict = {}
+            for idx, (tree, side) in enumerate(zip(trees, sides)):
+                with_zero = _search(search, tree, spec, NOTION_A_ANTIMAGIC,
+                                    side, groups, budget, workers)
                 zero_free = _settled_zero_free(tree, spec, with_zero,
                                                verify_a_star_antimagic)
                 if zero_free is None:
-                    zero_free = search_a_star_antimagic(
-                        tree, spec, budget=budget, workers=workers)
+                    zero_free = _search(search, tree, spec,
+                                        NOTION_A_STAR_ANTIMAGIC, side, groups,
+                                        budget, workers)
                 rows.append(ExploreRow(
                     n=n, group=spec, tree_index=idx, edges=tree.edges,
                     antimagic_status=with_zero.status,
@@ -152,6 +167,19 @@ def explore_conjecture(n_max: int, budget: int | None = DEFAULT_BUDGET,
                     astar_labels=(zero_free.certificate.labels
                                   if zero_free.certificate else None)))
     return ExploreReport(n_max=n_max, rows=tuple(rows))
+
+
+def _search(search, tree, spec: GroupSpec, notion: str, side: tuple,
+            groups: dict, budget: int, workers: int):
+    """The ``notion`` search of ``tree`` over ``spec`` from the tree's
+    graph side ``side``, with the group side taken from ``groups`` (keyed
+    by notion and graph shape), built there on first use."""
+    key = notion, side[4]
+    group = groups.get(key)
+    if group is None:
+        group = groups[key] = search._group_side(spec, notion, side)
+    return search._run_labeling(tree, spec, notion, side, group, [], budget,
+                                workers)
 
 
 def _settled_zero_free(tree, spec: GroupSpec, with_zero, verify):

@@ -286,8 +286,6 @@ def _translates(bounds: tuple, derived_sizes: set[int]) -> bool:
     return len(derived_sizes) <= 1 and all(len(set(b)) == 1 for b in bounds)
 
 
-
-
 # ---------------------------------------------------------------------------
 # instance builders
 
@@ -313,8 +311,6 @@ def _generic_structures(members, num_slots: int):
     return num_derived, sd_ptr, sd_ids, comp_ptr, comp_ids
 
 
-
-
 def _certified(graph: SimpleGraph, spec: GroupSpec, notion: str, indices):
     """The certificate of the labeling a kernel found, checked as
     ``notion``: the one verification a Found outcome gets."""
@@ -334,15 +330,9 @@ def _certified(graph: SimpleGraph, spec: GroupSpec, notion: str, indices):
     return cert
 
 
-def _instance(graph: SimpleGraph, spec: GroupSpec, notion: str
-              ) -> tuple[int, tuple, list] | None:
-    """The labeling kernel's instance of a ``notion`` labeling of the
-    vertices (a-cordial) or edges of ``graph``: (slots, class bounds,
-    derived items).  The bounds, per label, are the slot cap and floor
-    and the derived-sum cap and floor: label and induced-sum classes
-    equitable, or for a-star-antimagic every nonzero label and every sum
-    once.  Each derived item lists the slots it sums.  None when no
-    labeling exists by counting alone."""
+def _check_notion(graph: SimpleGraph, spec: GroupSpec, notion: str) -> None:
+    """Reject a group no search runs on, and an antimagic search on a
+    graph that is not a path or tree of the group's order."""
     check_searchable(spec)
     if notion in (NOTION_A_ANTIMAGIC, NOTION_A_STAR_ANTIMAGIC):
         if graph.kind not in (PATH, TREE):
@@ -350,26 +340,55 @@ def _instance(graph: SimpleGraph, spec: GroupSpec, notion: str
         if graph.n != spec.order:
             raise InvalidSpecError(
                 f"tree order {graph.n} must equal group order {spec.order}")
-    on_edges = notion != NOTION_A_CORDIAL
-    s = graph.edge_count if on_edges else graph.n
+
+
+def _slots(graph: SimpleGraph, notion: str) -> tuple[int, list]:
+    """The slots of a ``notion`` labeling of ``graph``, the vertices
+    (a-cordial) or the edges, and its derived items, each listing the
+    slots it sums: per edge its two endpoint slots, or per vertex its
+    incident edge slots."""
+    if notion == NOTION_A_CORDIAL:
+        s, members = graph.n, graph.edges
+    else:
+        s, members = graph.edge_count, graph.incidence()
     _check_depth(s)
+    return s, members
+
+
+def _class_bounds(spec: GroupSpec, notion: str, s: int, items: int,
+                  empty: int) -> tuple | None:
+    """The class bounds of a ``notion`` instance with ``s`` slots and
+    ``items`` derived items, ``empty`` of them fed by no slot: per label,
+    the slot cap and floor and the derived-sum cap and floor, label and
+    induced-sum classes equitable, or for a-star-antimagic every nonzero
+    label and every sum once.  None when no labeling exists by counting
+    alone."""
     m = spec.order
-    # a derived item per vertex (its incident edge slots) or per edge (its
-    # two endpoint slots)
-    members = graph.incidence() if on_edges else graph.edges
     if notion == NOTION_A_STAR_ANTIMAGIC:
         slot_cap = slot_floor = [0] + [1] * (m - 1)
         dcap = dfloor = [1] * m
     else:
         slot_cap, slot_floor = _equitable_bounds(s, m)
-        dcap, dfloor = _equitable_bounds(len(members), m)
+        dcap, dfloor = _equitable_bounds(items, m)
     # items no slot feeds (isolated vertices) sum to 0 and never complete
-    empty = sum(not x for x in members)
     dcap = [dcap[0] - empty, *dcap[1:]]
     dfloor = [max(0, dfloor[0] - empty), *dfloor[1:]]
     if dcap[0] < 0:
         return None
-    return s, (slot_cap, slot_floor, dcap, dfloor), members
+    return slot_cap, slot_floor, dcap, dfloor
+
+
+def _instance(graph: SimpleGraph, spec: GroupSpec, notion: str
+              ) -> tuple[int, tuple, list] | None:
+    """The labeling kernel's instance of a ``notion`` labeling of
+    ``graph``: (slots, class bounds, derived items), as ``_slots`` and
+    ``_class_bounds`` give them.  None when no labeling exists by
+    counting alone."""
+    _check_notion(graph, spec, notion)
+    s, members = _slots(graph, notion)
+    bounds = _class_bounds(spec, notion, s, len(members),
+                           sum(not x for x in members))
+    return None if bounds is None else (s, bounds, members)
 
 
 def _graph_symmetry(graph: SimpleGraph, incidence: list | None, s: int,
@@ -414,36 +433,84 @@ def _graph_symmetry(graph: SimpleGraph, incidence: list | None, s: int,
     return low, cycle, neg_t
 
 
-def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
-                     prefix: tuple[Element, ...], budget: int | None,
-                     workers: int) -> SearchOutcome:
-    """Lex-first ``notion`` labeling (see ``_instance``), with its
-    certificate.  Paths, cycles and trees all run on the one labeling
-    kernel, pruned by the symmetries of the group (``_root_labels``) and
-    of the graph (``_graph_symmetry``)."""
-    instance = _instance(graph, spec, notion)
-    check_workers(workers)
-    pfx = [element_index(spec, a) for a in prefix]
-    budget = _norm_budget(budget)
-    if instance is None:
-        return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
-    s, bounds, members = instance
-    m = spec.order
-    add_t, neg_t = op_tables(spec)
-    fixed = (m, add_t, s, *bounds, *_generic_structures(members, s))
-    kept = table = sym = None
-    if len(pfx) < s:
-        kept, table, translated = _root_labels(
-            spec, bounds, {len(x) for x in members}, pfx)
+def _graph_side(graph: SimpleGraph, notion: str, fixed: int = 0) -> tuple:
+    """The set-up of a ``notion`` labeling search on ``graph`` that the
+    group does not enter, for a prefix of ``fixed`` labels: (slots,
+    derived items, the kernel's CSR structures, the derived items'
+    sizes, the shape, the graph symmetry).  The shape (slots, items,
+    items no slot feeds, whether every item has one size) is all that
+    ``_group_side`` reads of it.  The graph symmetry is
+    ``_graph_symmetry``'s untranslated one; ``_run_labeling`` composes it
+    with translation where the group side says so."""
+    s, members = _slots(graph, notion)
+    sizes = {len(x) for x in members}
+    shape = (s, len(members), sum(not x for x in members), len(sizes) <= 1)
+    sym = None
+    if fixed < s:
         sym = _graph_symmetry(
-            graph, members if notion != NOTION_A_CORDIAL else None, s,
-            len(pfx), neg_t if translated else None)
-    status, payload, nodes = _split_solve(fixed, pfx, kept, budget, workers,
-                                          (table, sym))
+            graph, None if notion == NOTION_A_CORDIAL else members, s, fixed,
+            None)
+    return s, members, _generic_structures(members, s), sizes, shape, sym
+
+
+def _group_side(spec: GroupSpec, notion: str, side: tuple,
+                prefix: list[int] = ()) -> tuple | None:
+    """The rest of the set-up of a ``notion`` search over ``spec`` on a
+    graph whose ``_graph_side`` is ``side``, for ``prefix`` (label
+    indices): (class bounds, ``op_tables``, the negation table when
+    translation is a symmetry, else None, and the root labels kept and
+    the symmetry table of ``_root_labels``).  It reads only the shape of
+    ``side``, so it serves every graph of that shape.  None when no
+    labeling exists by counting alone."""
+    s, _, _, sizes, (_, items, empty, _), _ = side
+    bounds = _class_bounds(spec, notion, s, items, empty)
+    if bounds is None:
+        return None
+    add_t, neg_t = op_tables(spec)
+    kept = table = None
+    translated = False
+    if len(prefix) < s:
+        # _root_labels reads the sizes only as whether they are one size
+        kept, table, translated = _root_labels(spec, bounds, sizes, prefix)
+    return bounds, add_t, neg_t if translated else None, kept, table
+
+
+def _run_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
+                  side: tuple, group: tuple | None, prefix: list[int],
+                  budget: int, workers: int) -> SearchOutcome:
+    """The lex-first ``notion`` labeling of ``graph`` over ``spec`` that
+    extends ``prefix`` (label indices), with its certificate, by the
+    set-up ``side`` (``_graph_side``) and ``group`` (``_group_side``) and
+    a normalized ``budget``.  Paths, cycles and trees all run on the one
+    labeling kernel, pruned by the symmetries of the group
+    (``_root_labels``) and of the graph (``_graph_symmetry``)."""
+    if group is None:
+        return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
+    s, _, structures, _, _, sym = side
+    bounds, add_t, neg_t, kept, table = group
+    if sym is not None and neg_t is not None:
+        sym = (*sym[:2], neg_t)
+    status, payload, nodes = _split_solve(
+        (spec.order, add_t, s, *bounds, *structures), prefix, kept, budget,
+        workers, (table, sym))
     if status != FOUND:
         return SearchOutcome(_STATUS_NAME[status], None, nodes)
     return SearchOutcome(STATUS_FOUND, _certified(graph, spec, notion,
                                                   payload[1]), nodes)
+
+
+def _search_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
+                     prefix: tuple[Element, ...], budget: int | None,
+                     workers: int) -> SearchOutcome:
+    """Lex-first ``notion`` labeling (see ``_run_labeling``), with its
+    certificate, set up from scratch."""
+    _check_notion(graph, spec, notion)
+    side = _graph_side(graph, notion, len(prefix))
+    check_workers(workers)
+    pfx = [element_index(spec, a) for a in prefix]
+    return _run_labeling(graph, spec, notion, side,
+                         _group_side(spec, notion, side, pfx), pfx,
+                         _norm_budget(budget), workers)
 
 
 def _luby(i: int) -> int:

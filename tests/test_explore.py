@@ -11,6 +11,7 @@ from cordant import (
     ExploreRow,
     GroupSpec,
     InternalCheckError,
+    NOTION_A_STAR_ANTIMAGIC,
     PreconditionError,
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
@@ -21,6 +22,8 @@ from cordant import (
     enumerate_trees,
     explore_conjecture,
     path_graph,
+    search,
+    search_a_antimagic,
     search_a_star_antimagic,
     tree_graph,
     verify_a_antimagic,
@@ -73,13 +76,20 @@ def _settles(row):
 
 
 def test_zero_free_rows_equal_direct_searches():
-    # settled or searched, every zero-free row is the lex-first answer of
-    # its own search; only the settled ones spent no zero-free nodes
+    # the survey's searches are the package's: every zero-allowed row is
+    # its own search's outcome, nodes included, and every zero-free row,
+    # settled or searched, its own search's lex-first answer; only the
+    # settled ones spent no zero-free nodes
     report = explore_conjecture(9)
     trees = {n: list(enumerate_trees(n)) for n in range(2, 10)}
     settled = 0
     for row in report.rows:
         tree = trees[row.n][row.tree_index]
+        direct = search_a_antimagic(tree, row.group)
+        assert (row.antimagic_status, row.antimagic_nodes) == (
+            direct.status, direct.nodes_explored)
+        assert row.antimagic_labels == (direct.certificate.labels
+                                        if direct.certificate else None)
         direct = search_a_star_antimagic(tree, row.group)
         assert row.astar_status == direct.status
         assert row.astar_labels == (direct.certificate.labels
@@ -96,13 +106,16 @@ def test_zero_free_rows_equal_direct_searches():
 
 
 def _count_zero_free_searches(monkeypatch):
+    # every survey search runs through search._run_labeling
     calls = []
+    run = search._run_labeling
 
-    def counted(tree, spec, **kwargs):
-        calls.append((tree.n, spec))
-        return search_a_star_antimagic(tree, spec, **kwargs)
+    def counted(tree, spec, notion, *args):
+        if notion == NOTION_A_STAR_ANTIMAGIC:
+            calls.append((tree.n, spec))
+        return run(tree, spec, notion, *args)
 
-    monkeypatch.setattr(cordant, "search_a_star_antimagic", counted)
+    monkeypatch.setattr(search, "_run_labeling", counted)
     return calls
 
 

@@ -331,3 +331,112 @@ def test_root_branches_run_as_separate_calls():
                                                roots)
                 checked[got[0]] += 1
     assert min(checked.values()) >= 5, checked
+
+
+# ---------------------------------------------------------------------------
+# cap-one instances
+
+def _cap_one_classes(rng, m, count):
+    """Caps of 0 and 1 with floors that never reject a label: all 0, or
+    equal to the caps, ``count`` of which are 1."""
+    if count <= m and rng.random() < 0.5:
+        cap = [0] * m
+        for x in rng.sample(range(m), count):
+            cap[x] = 1
+        return cap, cap[:]
+    return [int(rng.random() < 0.8) for _ in range(m)], [0] * m
+
+
+def _cap_one_bounds(rng, m, s, completions, inside):
+    """Bounds of a cap-one instance (``inside``), or of one just outside
+    the kernel's test for it: one class's floor below its cap while others
+    equal theirs, or one cap of 2."""
+    bounds = [*_cap_one_classes(rng, m, s),
+              *_cap_one_classes(rng, m, completions)]
+    if not inside:
+        side = 2 * rng.randrange(2)
+        cap, floor = bounds[side][:], bounds[side + 1][:]
+        ones = [x for x in range(m) if cap[x]]
+        if len(ones) > 1 and rng.random() < 0.5:
+            floor = cap[:]
+            floor[rng.choice(ones)] = 0
+        else:
+            cap[rng.randrange(m)] = 2
+        bounds[side:side + 2] = cap, floor
+    return tuple(bounds)
+
+
+def _is_cap_one(bounds, s, completions):
+    slot_cap, slot_floor, dcap, dfloor = bounds
+    return (max(slot_cap + dcap) <= 1
+            and generic._floors_hold(slot_cap, slot_floor, s)
+            and generic._floors_hold(dcap, dfloor, completions))
+
+
+def _cap_one_cases():
+    """Edge and vertex labelings of paths and cycles, the trees of
+    ``_graphs`` and the leafy graphs' edges: (graph, slots, items)."""
+    for n in range(2, 7):
+        yield path_graph(n), n - 1, path_graph(n).incidence()
+        yield path_graph(n), n, [list(e) for e in path_graph(n).edges]
+    for n in range(3, 7):
+        cycle = cycle_graph(n)
+        yield cycle, n, cycle.incidence()
+        yield cycle, n, [list(e) for e in cycle.edges]
+    for graph in _graphs()[1:-1]:
+        yield graph, graph.edge_count, graph.incidence()
+        yield graph, graph.n, [list(e) for e in graph.edges]
+    for graph in _leafy_graphs():
+        yield graph, graph.edge_count, graph.incidence()
+
+
+def test_cap_one_walk_matches_brute_force():
+    """Bounds on both sides of the cap-one test, caps of 0 among them,
+    each with no prefix or a one-label prefix, and with or without root
+    branches: the first solution (with a root label at the first free
+    slot) is the brute-force one."""
+    rng = random.Random(36)
+    tally = {(inside, status): 0 for inside in (True, False)
+             for status in (pure.FOUND, pure.EXHAUSTED)}
+    for factors in GROUPS:
+        spec = GroupSpec(factors)
+        m, add_t = spec.order, op_tables(spec)[0]
+        for graph, s, members in _cap_one_cases():
+            if m ** s > MAX_ASSIGNMENTS:
+                continue
+            fed = [slots for slots in members if slots]
+            structures = _generic_structures(members, s)
+            table = []
+            for a in itertools.product(range(m), repeat=s):
+                sums = []
+                for slots in fed:
+                    total = 0
+                    for i in slots:
+                        total = add_t[total * m + a[i]]
+                    sums.append(total)
+                table.append((a, sums))
+            for inside in (True, False) * 3:
+                bounds = _cap_one_bounds(rng, m, s, len(fed), inside)
+                assert _is_cap_one(bounds, s, len(fed)) == inside, bounds
+                prefix = [rng.randrange(m)] if s > 1 and rng.random() < 0.5 \
+                    else []
+                roots = None
+                if rng.random() < 0.5:
+                    roots = [(x, -1) for x in sorted(rng.sample(
+                        range(m), rng.randint(1, m)))]
+                first = set(range(m)) if roots is None else {
+                    x for x, _ in roots}
+                p = len(prefix)
+                expected = next(
+                    (list(a) for a, sums in table
+                     if list(a[:p]) == prefix and a[p] in first
+                     and _within(a, m, *bounds[:2])
+                     and _within(sums, m, *bounds[2:])), None)
+                got = pure.solve_generic(m, add_t, s, *bounds, *structures,
+                                         prefix, -1, None, None, roots)
+                want = (pure.EXHAUSTED, None) if expected is None else (
+                    pure.FOUND, expected)
+                assert got[:2] == want, (factors, graph.edges, s, bounds,
+                                         prefix, roots)
+                tally[inside, got[0]] += 1
+    assert min(tally.values()) >= 50, tally

@@ -348,6 +348,77 @@ out.append(["roots", [
     spider_call((8,), am, [], []),
 ]])
 
+# cap-one instances, and instances just outside the kernel's test for
+# them: one class's floor below its cap while the others equal theirs, or
+# one cap of 2; caps of 0 among them.  Paths, cycles and trees, each with
+# no prefix or a one-label prefix, with or without roots, with the
+# symmetry table the bounds allow and the graph symmetries, and budget
+# stops inside the walks
+import random
+from cordant.search import _symmetry_table
+
+rng = random.Random(36)
+
+
+def cap_one_classes(m, count):
+    if count <= m and rng.random() < 0.5:
+        cap = [0] * m
+        for x in rng.sample(range(m), count):
+            cap[x] = 1
+        return cap, cap[:]
+    return [int(rng.random() < 0.8) for _ in range(m)], [0] * m
+
+
+def cap_one_bounds(m, s, completions, inside):
+    bounds = [*cap_one_classes(m, s), *cap_one_classes(m, completions)]
+    if not inside:
+        side = 2 * rng.randrange(2)
+        cap, floor = bounds[side][:], bounds[side + 1][:]
+        ones = [x for x in range(m) if cap[x]]
+        if len(ones) > 1 and rng.random() < 0.5:
+            floor = cap[:]
+            floor[rng.choice(ones)] = 0
+        else:
+            cap[rng.randrange(m)] = 2
+        bounds[side:side + 2] = cap, floor
+    return bounds
+
+
+spider10 = c.tree_graph(10, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6),
+                             (0, 7), (0, 8), (8, 9)))
+cap_one = []
+for factors, graph, on_edges in (
+        ((7,), c.path_graph(8), True), ((2, 3), c.path_graph(6), False),
+        ((8,), c.cycle_graph(8), False), ((2, 4), c.cycle_graph(8), True),
+        ((8,), spider, True), ((2, 2, 2), spider, True),
+        ((10,), spider10, True), ((3, 3), tree9, True),
+        ((9,), spider10, False)):
+    sp = spec(factors)
+    m = sp.order
+    if on_edges:
+        s, members = len(graph.edges), graph.incidence()
+    else:
+        s, members = graph.n, [list(e) for e in graph.edges]
+    csr = _generic_structures(members, s)
+    for inside in (True, False) * 6:
+        bounds = cap_one_bounds(m, s, graph.n if on_edges else len(members),
+                                inside)
+        prefix = [rng.randrange(m)] if rng.random() < 0.4 else []
+        sym = _graph_symmetry(graph, members if on_edges else None, s,
+                              len(prefix), None)
+        table = _symmetry_table(sp, bounds) if rng.random() < 0.7 else None
+        if rng.random() < 0.5:
+            roots = [(x, rng.choice([-1, -1, 0, 50, 500])) for x in
+                     sorted(rng.sample(range(m), rng.randint(1, m)))]
+            budget = -1
+        else:
+            roots = None
+            budget = rng.choice([-1, -1, -1, 60, 400])
+        cap_one.append(kern.solve_generic(
+            m, op_tables(sp)[0], s, *bounds, *csr, prefix, budget, table,
+            sym, roots))
+out.append(["cap-one", cap_one])
+
 # budgets beyond any search run unbounded on both backends
 huge = 10 ** 30
 record("ea-p6-z6-huge", c.search_ea_cordial(c.path_graph(6), spec((6,)),
