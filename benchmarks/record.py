@@ -66,7 +66,11 @@ whole ``python -m cordant.cli`` processes, start-up and import included,
 and records which of ``dataclasses`` and ``inspect`` running the command
 loads, the ``cordant`` modules it loads and the source lines those hold:
 a count of the compile work of a process that finds no ``.pyc``, which
-does not depend on the machine.
+does not depend on the machine.  Last, the ``kernel_walks`` row runs one
+batch of each workload on the pure kernel in a fresh interpreter, under
+``sys.settrace``, and gives per label walk of ``_kernel/generic.py`` the
+labels it tries and the symmetric ones among them, those that enter its
+symmetry step (see ``count_walks``).
 
 Node counts are exact and repeat run to run, so they double as a
 determinism check; times are for comparison with earlier files only.
@@ -77,6 +81,7 @@ recorded as it is.  It exits 2 only when a run prints no result.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -102,11 +107,15 @@ SURVEY_FIXED_RUNS = 9
 SECONDS = 20
 IMPORT_RUNS = 9
 PROCESS_RUNS = 9
-# commands whose whole process is timed: a decider, two searches, a verify
+# commands whose whole process is timed: a decider, three searches (one of
+# them on the labeling kernel), a verify
 PROCESS_COMMANDS = {
     "decide path-ek": ("decide", "path-ek", "--n", "10", "--k", "4"),
     "search rstar (Z2)^4": ("search", "rstar", "--group", "Z2xZ2xZ2xZ2",
                             "--format", "json"),
+    "search a-cordial C8/Z8": ("search", "a-cordial", "--group", "Z8",
+                               "--kind", "cycle", "--n", "8",
+                               "--format", "json"),
     "sigma-max Z10": ("sigma-max", "--group", "Z10"),
     "verify --certificate demo 1": (
         "verify", "--certificate",
@@ -357,6 +366,110 @@ def survey_fixed_cost_row() -> dict:
             "budget_0_s": round(statistics.median(budget_0), 5)}
 
 
+def kernel_walks(path) -> list:
+    """The label walks in the pure labeling kernel's source ``path``:
+    each ``while True:`` loop opening with ``x = walk[x]``, as (name,
+    first line, last line, the line of its ``nodes += x - prev``, run once
+    per label tried).  A walk is named by its function and the tests of
+    the branches it lies in, an ``elif`` by its own test and an ``else``
+    as ``else``: ``dfs[edge is None]``, ``bounded[cap_one]``."""
+    walks = []
+
+    def visit(stmts, fn, where):
+        for node in stmts:
+            if isinstance(node, ast.FunctionDef):
+                visit(node.body, node.name, [])
+            elif isinstance(node, ast.If):
+                visit(node.body, fn, where + [ast.unparse(node.test)])
+                elif_ = len(node.orelse) == 1 and isinstance(node.orelse[0],
+                                                             ast.If)
+                visit(node.orelse, fn, where if elif_ else where + ["else"])
+            elif (isinstance(node, ast.While)
+                  and ast.unparse(node.test) == "True"
+                  and ast.unparse(node.body[0]) == "x = walk[x]"):
+                tried = next(s.lineno for s in node.body
+                             if ast.unparse(s) == "nodes += x - prev")
+                name = f"{fn}[{' / '.join(where)}]" if where else fn
+                walks.append((name, node.lineno, node.end_lineno, tried))
+
+    visit(ast.parse(Path(path).read_text(encoding="utf-8")).body, None, [])
+    return walks
+
+
+def count_walks(run) -> dict:
+    """Call ``run()`` on the pure kernel under ``sys.settrace`` and count,
+    per walk of ``_kernel/generic.py`` (``kernel_walks``), the labels it
+    tries and the ``symmetric`` ones among them: those that enter its
+    symmetry step, the kernel's ``enter``, that is, every label a walk in
+    a symmetry state or with graph symmetries due takes past its bounds
+    and the memo.  The kernel is not changed: its walk lines are counted
+    by line events, the step by the calls into it."""
+    from cordant import _kernel
+    from cordant._kernel import generic
+
+    path = generic.__file__
+    walks = kernel_walks(path)
+    by_line = {tried: name for name, _, _, tried in walks}
+    spans = [(first, last, name) for name, first, last, _ in walks]
+    labels, symmetric = Counter(), Counter()
+
+    def lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in by_line:
+            labels[by_line[frame.f_lineno]] += 1
+        return lines
+
+    def calls(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename != path:
+            return None
+        if code.co_name == "enter":
+            line = frame.f_back.f_lineno
+            symmetric.update(name for first, last, name in spans
+                             if first <= line <= last)
+            return None
+        return lines
+
+    active, _kernel._active = _kernel._active, _kernel.pure
+    tracer = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(tracer)
+        _kernel._active = active
+    return {name: {"labels": labels[name], "symmetric": symmetric[name]}
+            for name, *_ in walks}
+
+
+def walk_counts(workload: str, seed: int) -> dict:
+    """``count_walks`` over one batch of ``workload`` at ``seed``, run in
+    process as perfbench's traced runs run it."""
+    import cordant
+    import cordant.cli  # noqa: F401  (the cli batch calls it in process)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    batch = workloads.build(workload, seed, cordant)
+    return count_walks(lambda: [workloads.invoke(call, cordant, True)
+                                for call in batch])
+
+
+def kernel_walks_row(seed: int) -> dict:
+    """Per workload, the labels each pure kernel walk tries in one batch
+    at ``seed`` and the symmetric ones among them (``count_walks``), each
+    workload in a fresh interpreter, so no cache of an earlier row
+    spares it a search."""
+    def counted(workload):
+        return json.loads(fresh(
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'benchmarks')!r})\n"
+            "import record\n"
+            f"print(json.dumps(record.walk_counts({workload!r}, {seed})))\n"))
+
+    return {workload: counted(workload) for workload in WORKLOADS}
+
+
 def round_trip_row() -> dict:
     """Make, dumps and loads of the Z5xZ1024 block certificate."""
     from cordant import (NOTION_A_ANTIMAGIC, GroupSpec, certificate_dumps,
@@ -553,6 +666,7 @@ def main(argv=None) -> int:
     doc["direct"]["round_trip_Z5xZ1024"] = round_trip_row()
     doc["direct"]["fixed_cost"] = fixed_cost_row()
     doc["direct"]["cli_import"] = cli_import_row()
+    doc["direct"]["kernel_walks"] = kernel_walks_row(args.seed)
     print(f"direct: {json.dumps(doc['direct'])}", flush=True)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
                               encoding="utf-8")

@@ -11,9 +11,15 @@ trees) go through ``place``.  Under the leaf-room bound (see
 slot after it in ``final``; ``place`` checks the bound for the others and
 for a prefix.  Searches without the bound run the loops without it.  The
 labels below a slot's twin bound cost no node: the walk starts at the
-bound.  The edge loops of ``bounded``, and that of ``dfs`` for slots
-completing one item, each have a twin for cap-one instances that skips
-the class counts' arithmetic (see ``solve_generic``).
+bound.  ``dfs`` walks an edge slot completing one item in a walk of its
+own, and ``bounded`` has one general walk; that walk of ``dfs`` has a
+twin for cap-one instances that skips the class counts' arithmetic, and
+``bounded``'s general walk two, for one completion and for none or two
+(see ``solve_generic``).  One helper, ``enter``, is every walk's
+symmetry step: it settles the graph symmetries due and sets the next
+slot's symmetry state.  The symmetries a label leaves tied are held by
+its slot, and popped before its next label, at the end of its walk and
+between root branches.
 
 ``dfs`` refers to itself, and that reference cycle would keep the memo
 (tens of thousands of keys) alive until the cyclic garbage collector
@@ -147,8 +153,9 @@ def solve_generic(
     The cap-one walk.  On an instance where every slot and sum cap is at
     most 1 and, for slots and for sums alike, every floor is 0 or every
     floor equals its cap with the floors totalling the slots (for sums,
-    the ``remaining_at[0]`` completions), the edge loops of ``dfs`` and
-    ``bounded`` skip the class counts' arithmetic: antimagic and
+    the ``remaining_at[0]`` completions), three walks skip the class
+    counts' arithmetic, ``dfs``'s for edge slots completing one item and
+    ``bounded``'s for one completion and for none or two: antimagic and
     A*-antimagic trees and paths, and equitable instances with no more
     slots, and no more sums, than labels.  A label the walk reaches has
     room, so its count is 0 and its cap 1, and placing it fills it; a sum
@@ -300,14 +307,24 @@ def solve_generic(
                 if d < last:
                     due[d].append((a, b, start))
 
-    def settle(i, moves):
-        """Pop ``moves``, those of slot i's previous label, then compare S
-        with g(S) for each symmetry due at slot i, slot i labeled: None
-        when S > g(S) for one, else the moves (d, (a, b, p)) of those
-        still tied, each pushed onto due[d] for the slot d that decides
-        position p, unless that is the last slot."""
-        for d, _ in moves:
+    # held[i], the moves (d, (a, b, p)) that slot i's label pushed onto
+    # due[d], each for a symmetry it left tied
+    held = [()] * s
+
+    def release(i):
+        """Pop the moves slot i holds: before its next label, at the end
+        of its walk and between root branches."""
+        for d, _ in held[i]:
             due[d].pop()
+        held[i] = ()
+
+    def settle(i):
+        """Release slot i's moves, then compare S with g(S) for each
+        symmetry due at slot i, slot i labeled: False when S > g(S) for
+        one, with nothing held, else True, slot i holding the moves of
+        those still tied, each pushed onto due[d] for the slot d that
+        decides position p, unless that is the last slot."""
+        release(i)
         moves = []
         for a, b, p in due[i]:
             # subtract S[pi(0)] when translated; label 0 is the identity
@@ -318,7 +335,7 @@ def solve_generic(
                 y = add_t[assign[q] * m + shift]
                 if x != y:
                     if x > y:
-                        return None
+                        return False
                     break
                 p += 1
                 if p == span:
@@ -332,7 +349,27 @@ def solve_generic(
                     break
         for d, entry in moves:
             due[d].append(entry)
-        return moves
+        held[i] = moves
+        return True
+
+    def enter(i, x, row, key):
+        """A snapshot walk's step into label ``x`` at slot ``i``, once x
+        passed every bound and the memo: with symmetries due, settle them
+        on x, and when they reject it record ``key`` as dead (0: no key,
+        as every key holds a position of at least 1) and return False;
+        else set the symmetry state of slot i + 1 from ``row`` (-1: none)
+        and ``top``, and return True."""
+        nonlocal top
+        if due is not None and due[i]:
+            assign[i] = x
+            if not settle(i):
+                if key and len(dead) < MEMO_LIMIT:
+                    dead.add(key)
+                return False
+        if row >= 0:
+            at[i + 1] = succ[row + x]
+            top = i + 1
+        return True
 
     def place(i, x, sdef, ddef, t):
         """Apply label ``x`` (within its slot cap) at slot ``i``; return
@@ -424,7 +461,7 @@ def solve_generic(
         label-by-label count checks the budget before each node, so it
         stops when the former passes ``limit`` and only when the latter
         does."""
-        nonlocal stop, top
+        nonlocal stop
         if i == s:
             stop = FOUND
             return nodes
@@ -437,13 +474,10 @@ def solve_generic(
         edge = edges[i]
         x = m
         prev = -1
-        tied = None
+        key = 0
         if due is not None:  # graph symmetries on
-            tied = due[i]
-            if tied:
-                moves = ()
-                if walk is nxt:
-                    walk = nxt[:]
+            if due[i] and walk is nxt:
+                walk = nxt[:]
             if low[i] >= 0:
                 prev = assign[low[i]] - 1
                 while walk[x] <= prev:
@@ -467,27 +501,17 @@ def solve_generic(
                     if key in dead:
                         unplace(i, x, saved)
                         continue
-                if walk is not nxt:
-                    if tied:
-                        moves = settle(i, moves)
-                        if moves is None:
-                            moves = ()
-                            unplace(i, x, saved)
-                            if keyed and len(dead) < MEMO_LIMIT:
-                                dead.add(key)
-                            continue
-                    if row >= 0:
-                        at[i + 1] = succ[row + x]
-                        top = i + 1
+                if walk is not nxt and not enter(i, x, row, key):
+                    unplace(i, x, saved)
+                    continue
                 nodes = dfs(i + 1, *placed, nodes)
                 if stop != EXHAUSTED:
                     return nodes
                 unplace(i, x, saved)
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
-            if tied:
-                for d, _ in moves:
-                    due[d].pop()
+            if held[i]:
+                release(i)
             nodes += m - 1 - prev
             if nodes > limit:
                 stop = BUDGET
@@ -502,7 +526,6 @@ def solve_generic(
         p1 = psum[d1]
         p2 = psum[d2]
         row1, row2 = p1 * m, p2 * m
-        key = 0
         if keyed:
             tab1, tab2 = ftab[d1], ftab[d2]
             base = t + pos_unit - tab1[p1] - tab2[p2]
@@ -526,18 +549,8 @@ def solve_generic(
                     key = base + sunit[x] + dunit[v] + tab2[w]
                     if key in dead:
                         continue
-                if walk is not nxt:
-                    if tied:
-                        assign[i] = x
-                        moves = settle(i, moves)
-                        if moves is None:
-                            moves = ()
-                            if keyed and len(dead) < MEMO_LIMIT:
-                                dead.add(key)
-                            continue
-                    if row >= 0:
-                        at[i + 1] = succ[row + x]
-                        top = i + 1
+                if walk is not nxt and not enter(i, x, row, key):
+                    continue
                 nxt[prv[x]] = nxt[x]
                 prv[nxt[x]] = prv[x]
                 scount[x] = dcount[v] = 1
@@ -579,18 +592,8 @@ def solve_generic(
                     key = base + sunit[x] + dunit[v] + tab2[w]
                     if key in dead:
                         continue
-                if walk is not nxt:
-                    if tied:
-                        assign[i] = x
-                        moves = settle(i, moves)
-                        if moves is None:
-                            moves = ()
-                            if keyed and len(dead) < MEMO_LIMIT:
-                                dead.add(key)
-                            continue
-                    if row >= 0:
-                        at[i + 1] = succ[row + x]
-                        top = i + 1
+                if walk is not nxt and not enter(i, x, row, key):
+                    continue
                 full = sc + 1 == slot_cap[x]
                 if full:
                     nxt[prv[x]] = nxt[x]
@@ -646,18 +649,8 @@ def solve_generic(
                                              else tab1[v] + tab2[w])
                     if key in dead:
                         continue
-                if walk is not nxt:
-                    if tied:
-                        assign[i] = x
-                        moves = settle(i, moves)
-                        if moves is None:
-                            moves = ()
-                            if keyed and len(dead) < MEMO_LIMIT:
-                                dead.add(key)
-                            continue
-                    if row >= 0:
-                        at[i + 1] = succ[row + x]
-                        top = i + 1
+                if walk is not nxt and not enter(i, x, row, key):
+                    continue
                 if nclose:
                     dcount[v] = dv + 1
                     dcount[w] = dw + 1
@@ -681,9 +674,8 @@ def solve_generic(
                     dcount[v] = dv
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
-        if tied:
-            for d, _ in moves:
-                due[d].pop()
+        if held[i]:
+            release(i)
         psum[d1] = p1
         psum[d2] = p2
         nodes += m - 1 - prev
@@ -698,7 +690,7 @@ def solve_generic(
         a unit of it when its label room is at most its sum room, then
         each sum it completes when its sum room is at most its label room
         (see the docstring).  ``below`` searches the next slot."""
-        nonlocal stop, top
+        nonlocal stop
         d1, d2, nclose, left, rem, want, below, tab1, tab2, lo = bounds[i]
         walk = nxt
         row = -1
@@ -708,11 +700,8 @@ def solve_generic(
         keyed = memo_on  # a leaf slot comes later: i is not the last slot
         x = m
         prev = -1
-        tied = due[i] if due is not None else None
-        if tied:
-            moves = ()
-            if walk is nxt:
-                walk = nxt[:]
+        if due is not None and due[i] and walk is nxt:
+            walk = nxt[:]
         if lo >= 0:
             prev = assign[lo] - 1
             while walk[x] <= prev:
@@ -726,9 +715,10 @@ def solve_generic(
             base = t + pos_unit - tab1[p1] - tab2[p2]
         rm = room[i]
         if nclose == 1 and cap_one:
-            # the first loop below on a cap-one instance (see dfs): label x
-            # has one unit of label room, and the sum v one of sum room,
-            # which takes leaf room when v is another label with room
+            # the general walk below on a cap-one instance completing one
+            # item (see dfs): label x has one unit of label room, and the
+            # sum v one of sum room, which takes leaf room when v is
+            # another label with room
             while True:
                 x = walk[x]
                 if x == m:
@@ -751,18 +741,8 @@ def solve_generic(
                     key = base + sunit[x] + dunit[v] + tab2[w]
                     if key in dead:
                         continue
-                if walk is not nxt:
-                    if tied:
-                        assign[i] = x
-                        moves = settle(i, moves)
-                        if moves is None:
-                            moves = ()
-                            if keyed and len(dead) < MEMO_LIMIT:
-                                dead.add(key)
-                            continue
-                    if row >= 0:
-                        at[i + 1] = succ[row + x]
-                        top = i + 1
+                if walk is not nxt and not enter(i, x, row, key):
+                    continue
                 nxt[prv[x]] = nxt[x]
                 prv[nxt[x]] = prv[x]
                 scount[x] = dcount[v] = 1
@@ -779,7 +759,7 @@ def solve_generic(
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
         elif cap_one:
-            # the last loop below on a cap-one instance, the same way
+            # the same for none or two completions
             while True:
                 x = walk[x]
                 if x == m:
@@ -808,18 +788,8 @@ def solve_generic(
                                              else tab1[v] + tab2[w])
                     if key in dead:
                         continue
-                if walk is not nxt:
-                    if tied:
-                        assign[i] = x
-                        moves = settle(i, moves)
-                        if moves is None:
-                            moves = ()
-                            if keyed and len(dead) < MEMO_LIMIT:
-                                dead.add(key)
-                            continue
-                    if row >= 0:
-                        at[i + 1] = succ[row + x]
-                        top = i + 1
+                if walk is not nxt and not enter(i, x, row, key):
+                    continue
                 if nclose:
                     dcount[v] = dcount[w] = 1
                 nxt[prv[x]] = nxt[x]
@@ -839,68 +809,11 @@ def solve_generic(
                     dcount[v] = dcount[w] = 0
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
-        elif nclose == 1:
-            while True:
-                x = walk[x]
-                if x == m:
-                    break
-                nodes += x - prev
-                if nodes > limit:
-                    stop = BUDGET
-                    return limit
-                prev = x
-                v = add_t[row1 + x]
-                dv = dcount[v]
-                if dv >= dcap[v]:
-                    continue
-                sc = scount[x]
-                ns = sdef - 1 if sc < slot_floor[x] else sdef
-                nd = ddef - 1 if dv < dfloor[v] else ddef
-                if ns > left or nd > rem:
-                    continue
-                lx = slot_cap[x] - sc
-                r = rm - 1 if lx <= dcap[x] - dcount[x] else rm
-                if dv + spare[v] - scount[v] >= (v == x):
-                    r -= 1
-                if r < want:
-                    continue
-                w = add_t[row2 + x]
-                if keyed:
-                    key = base + sunit[x] + dunit[v] + tab2[w]
-                    if key in dead:
-                        continue
-                if walk is not nxt:
-                    if tied:
-                        assign[i] = x
-                        moves = settle(i, moves)
-                        if moves is None:
-                            moves = ()
-                            if keyed and len(dead) < MEMO_LIMIT:
-                                dead.add(key)
-                            continue
-                    if row >= 0:
-                        at[i + 1] = succ[row + x]
-                        top = i + 1
-                full = lx == 1
-                if full:
-                    nxt[prv[x]] = nxt[x]
-                    prv[nxt[x]] = prv[x]
-                scount[x] = sc + 1
-                dcount[v] = dv + 1
-                psum[d2] = w  # d1 is complete: no later slot reads it
-                assign[i] = x
-                room[i + 1] = r
-                nodes = below(i + 1, ns, nd, key, nodes)
-                if stop != EXHAUSTED:
-                    return nodes
-                if full:
-                    nxt[prv[x]] = x
-                    prv[nxt[x]] = x
-                scount[x] = sc
-                dcount[v] = dv
-                if keyed and len(dead) < MEMO_LIMIT:
-                    dead.add(key)
         else:
+            # completes none, d1 or both: a completed sum keys by its count
+            if keyed:
+                kv = dunit if nclose else tab1
+                kw = dunit if nclose == 2 else tab2
             while True:
                 x = walk[x]
                 if x == m:
@@ -917,48 +830,36 @@ def solve_generic(
                 v = add_t[row1 + x]
                 w = add_t[row2 + x]
                 nd = ddef
+                lx = slot_cap[x] - sc
+                r = rm - 1 if lx <= dcap[x] - dcount[x] else rm
                 if nclose:
                     dv = dcount[v]
                     if dv >= dcap[v]:
                         continue
                     if dv < dfloor[v]:
                         nd -= 1
-                    dw = dcount[w] + 1 if w == v else dcount[w]
-                    if dw >= dcap[w]:
-                        continue
-                    if dw < dfloor[w]:
-                        nd -= 1
-                if nd > rem:
-                    continue
-                lx = slot_cap[x] - sc
-                r = rm - 1 if lx <= dcap[x] - dcount[x] else rm
-                if nclose:
                     if dv + spare[v] - scount[v] >= (v == x):
                         r -= 1
-                    if dw + spare[w] - scount[w] >= (w == x):
-                        r -= 1
-                if r < want:
+                    if nclose == 2:
+                        dw = dcount[w] + 1 if w == v else dcount[w]
+                        if dw >= dcap[w]:
+                            continue
+                        if dw < dfloor[w]:
+                            nd -= 1
+                        if dw + spare[w] - scount[w] >= (w == x):
+                            r -= 1
+                if nd > rem or r < want:
                     continue
                 if keyed:
-                    key = base + sunit[x] + (dunit[v] + dunit[w] if nclose
-                                             else tab1[v] + tab2[w])
+                    key = base + sunit[x] + kv[v] + kw[w]
                     if key in dead:
                         continue
-                if walk is not nxt:
-                    if tied:
-                        assign[i] = x
-                        moves = settle(i, moves)
-                        if moves is None:
-                            moves = ()
-                            if keyed and len(dead) < MEMO_LIMIT:
-                                dead.add(key)
-                            continue
-                    if row >= 0:
-                        at[i + 1] = succ[row + x]
-                        top = i + 1
+                if walk is not nxt and not enter(i, x, row, key):
+                    continue
                 if nclose:
                     dcount[v] = dv + 1
-                    dcount[w] = dw + 1
+                    if nclose == 2:
+                        dcount[w] = dw + 1
                 full = lx == 1
                 if full:
                     nxt[prv[x]] = nxt[x]
@@ -976,13 +877,13 @@ def solve_generic(
                     prv[nxt[x]] = x
                 scount[x] = sc
                 if nclose:
-                    dcount[w] = dw
+                    if nclose == 2:
+                        dcount[w] = dw
                     dcount[v] = dv
                 if keyed and len(dead) < MEMO_LIMIT:
                     dead.add(key)
-        if tied:
-            for d, _ in moves:
-                due[d].pop()
+        if held[i]:
+            release(i)
         psum[d1] = p1
         psum[d2] = p2
         nodes += m - 1 - prev
@@ -1072,22 +973,19 @@ def solve_generic(
     def pin(i, x, state):
         """Place prefix label ``x`` at slot ``i``, or a root label at the
         first free slot, checked as the search checks a label: the twin
-        bound and the graph symmetries too.  Returns the new state, the
-        symmetries' moves and the saved partial sums, or None with nothing
-        placed."""
+        bound and the graph symmetries too.  Returns the new state and the
+        saved partial sums, or None with nothing placed."""
         if scount[x] >= slot_cap[x]:
             return None
         saved = [psum[d] for d in feeds[i]]
         placed = place(i, x, *state)
         if placed is None:
             return None
-        moves = ()
-        if due is not None and (
-                0 <= low[i] and x < assign[low[i]]
-                or due[i] and (moves := settle(i, ())) is None):
+        if due is not None and (0 <= low[i] and x < assign[low[i]]
+                                or due[i] and not settle(i)):
             unplace(i, x, saved)
             return None
-        return placed, moves, saved
+        return placed, saved
 
     p = len(prefix)
     if p > s:
@@ -1115,7 +1013,7 @@ def solve_generic(
             pinned = pin(p, x, state)
             if pinned is None:
                 continue
-            placed, moves, saved = pinned
+            placed, saved = pinned
             at[p + 1] = succ[st * m + x] if st >= 0 else -1
             top = p + 1
             limit = share if share >= 0 else 1 << 64
@@ -1123,8 +1021,7 @@ def solve_generic(
             nodes += dfs(p + 1, *placed, 0)
             if stop != EXHAUSTED:
                 break
-            for d, _ in moves:
-                due[d].pop()
+            release(p)
             unplace(p, x, saved)
     # break the search's cycles through itself: frees the memo now
     dfs = bounded = final = bounds = None

@@ -6,15 +6,22 @@ import subprocess
 
 import pytest
 
-PAIRS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
-                     "pairs.py")
+from cordant import GroupSpec, cycle_graph, search_a_cordial
+from cordant._kernel import generic
+
+BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 
 
-def _pairs():
-    spec = importlib.util.spec_from_file_location("_benchmarks_pairs", PAIRS)
+def _script(name):
+    spec = importlib.util.spec_from_file_location(
+        f"_benchmarks_{name}", os.path.join(BENCHMARKS, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _pairs():
+    return _script("pairs")
 
 
 def _git(root, *args):
@@ -51,3 +58,21 @@ def test_the_change_side_is_the_working_tree_without_bytecode(tmp_path):
     assert files == ["README", "pkg/mod.py", "pkg/new.py"]
     assert (into / "pkg" / "mod.py").read_text() == "X = 2\n"
     assert not any(p.name == "__pycache__" for p in into.rglob("*"))
+
+
+def test_walk_counts_trace_each_walk_of_the_pure_kernel():
+    """``record.count_walks`` finds the pure kernel's label walks and
+    counts the labels a search's walks try, at most one per node, and the
+    symmetric ones among them: a cycle search with its rotations and
+    reflections due has some, and the last slot's walk none."""
+    record = _script("record")
+    walks = record.kernel_walks(generic.__file__)
+    assert len({name for name, *_ in walks}) == len(walks) >= 7
+    assert all(first < tried <= last for _, first, last, tried in walks)
+    out = []
+    counts = record.count_walks(lambda: out.append(
+        search_a_cordial(cycle_graph(8), GroupSpec((8,)))))
+    labels = sum(c["labels"] for c in counts.values())
+    symmetric = sum(c["symmetric"] for c in counts.values())
+    assert 0 < symmetric <= labels <= out[0].nodes_explored
+    assert counts["final"]["symmetric"] == 0

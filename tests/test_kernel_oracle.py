@@ -20,9 +20,10 @@ from cordant import (
     tree_graph,
 )
 from cordant._kernel import generic, pure
-from cordant.graphs import SimpleGraph
+from cordant._stabilizers import stabilizer_table
+from cordant.graphs import CYCLE, SimpleGraph
 from cordant.groups import op_tables
-from cordant.search import _generic_structures, _instance
+from cordant.search import _generic_structures, _graph_symmetry, _instance
 
 GROUPS = ((2,), (3,), (4,), (2, 2), (5,), (6,), (8,), (2, 4))
 MAX_ASSIGNMENTS = 4096
@@ -299,37 +300,54 @@ def test_root_branches_run_as_separate_calls():
     """A call with ``roots`` returns what calls on each root as the
     prefix's last label return, in order up to the first that is not
     exhausted: the status and labels of that one and the nodes of all,
-    with every share, zero and uneven ones among them."""
+    with every share, zero and uneven ones among them.  So it does with
+    the symmetries on: the group's stabilizer table, and the graph's, a
+    cycle's rotations and reflections (untranslated, before any prefix,
+    so slot 0 has some due) or twin leaves after the prefix.  Every label
+    is a cycle's prefix in turn: a root label equal to it ties S[0] with
+    S[1] under the rotation by one, and holds that tie until its branch
+    is exhausted."""
     rng = random.Random(15)
     checked = {pure.FOUND: 0, pure.EXHAUSTED: 0, pure.BUDGET: 0}
     for factors in ((5,), (6,), (2, 4), (8,)):
         spec = GroupSpec(factors)
         m, add_t = spec.order, op_tables(spec)[0]
-        for graph in _leafy_graphs() + [path_graph(m), cycle_graph(m)]:
+        table = stabilizer_table(spec)
+        for graph in _leafy_graphs() + [path_graph(m), cycle_graph(m),
+                                        cycle_graph(m + 1)]:
             if graph.n > m + 1 or graph.kind == "general":
                 continue
             s = graph.edge_count
-            structures = _generic_structures(graph.incidence(), s)
+            incidence = graph.incidence()
+            structures = _generic_structures(incidence, s)
             bounds = (*_random_bounds(rng, s, m),
                       *_random_bounds(rng, graph.n, m))
-            for prefix in ([], [rng.randrange(m)]):
+            prefixes = ([[y] for y in range(m)] if graph.kind == CYCLE
+                        else [[rng.randrange(m)]])
+            for prefix in [[]] + prefixes:
                 if len(prefix) >= s:
                     continue
-                roots = [(x, rng.choice([-1, 0, 3, 40, 400]))
-                         for x in rng.sample(range(m), rng.randint(1, m))]
+                graph_sym = _graph_symmetry(
+                    graph, incidence, s,
+                    0 if graph.kind == CYCLE else len(prefix), None)
                 fixed = (m, add_t, s, *bounds, *structures)
-                want, nodes = (pure.EXHAUSTED, None), 0
-                for x, share in roots:
-                    r = pure.solve_generic(*fixed, prefix + [x], share)
-                    nodes += r[2]
-                    if r[0] != pure.EXHAUSTED:
-                        want = r[:2]
-                        break
-                got = pure.solve_generic(*fixed, prefix, -1, None, None,
-                                         roots)
-                assert got == (*want, nodes), (factors, graph.edges, prefix,
-                                               roots)
-                checked[got[0]] += 1
+                for symmetries in ((None, None), (table, None),
+                                   (None, graph_sym), (table, graph_sym)):
+                    roots = [(x, rng.choice([-1, 0, 3, 40, 400]))
+                             for x in rng.sample(range(m), rng.randint(1, m))]
+                    want, nodes = (pure.EXHAUSTED, None), 0
+                    for x, share in roots:
+                        r = pure.solve_generic(*fixed, prefix + [x], share,
+                                               *symmetries)
+                        nodes += r[2]
+                        if r[0] != pure.EXHAUSTED:
+                            want = r[:2]
+                            break
+                    got = pure.solve_generic(*fixed, prefix, -1, *symmetries,
+                                             roots)
+                    assert got == (*want, nodes), (factors, graph.edges,
+                                                   prefix, roots, symmetries)
+                    checked[got[0]] += 1
     assert min(checked.values()) >= 5, checked
 
 
