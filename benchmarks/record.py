@@ -372,7 +372,10 @@ def kernel_walks(path) -> list:
     first line, last line, the line of its ``nodes += x - prev``, run once
     per label tried).  A walk is named by its function and the tests of
     the branches it lies in, an ``elif`` by its own test and an ``else``
-    as ``else``: ``dfs[edge is None]``, ``bounded[cap_one]``."""
+    as ``else``.  There are seven: ``dfs[edge is None]``, ``dfs[nclose ==
+    1 and cap_one]``, ``dfs[nclose == 1]``, ``dfs[else]``,
+    ``bounded[nclose == 1 and cap_one]``, ``bounded[cap_one]`` and
+    ``bounded[else]``; the last slot runs in ``dfs``'s."""
     walks = []
 
     def visit(stmts, fn, where):

@@ -1020,7 +1020,7 @@ done:
 
 /* ------------------------------------------------------------------------
  * sequencing kernel: nonzero elements with distinct cyclic differences
- * and a star position */
+ * and a star position, beginning with the 1 (see pure.solve_rstar) */
 
 typedef struct {
     int m, length;
@@ -1059,13 +1059,10 @@ rstar_dfs(RStar *r, int i)
         r->nodes++;
         if (r->used[x] || (mk != NULL && !mk[x]))
             continue;
-        int d = -1;
-        if (i >= 1) {
-            d = r->add_t[x * m + r->neg_t[r->seq[i - 1]]];
-            if (r->dused[d])
-                continue;
-            r->dused[d] = 1;
-        }
+        int d = r->add_t[x * m + r->neg_t[r->seq[i - 1]]];
+        if (r->dused[d])
+            continue;
+        r->dused[d] = 1;
         r->used[x] = 1;
         r->seq[i] = x;
         r->state[i + 1] = to != NULL ? to[x] : -1;
@@ -1074,8 +1071,7 @@ rstar_dfs(RStar *r, int i)
             return FOUND;
         r->used[x] = 0;
         r->seq[i] = -1;
-        if (d >= 0)
-            r->dused[d] = 0;
+        r->dused[d] = 0;
         if (res == BUDGET)
             return BUDGET;
     }
@@ -1085,14 +1081,13 @@ rstar_dfs(RStar *r, int i)
 static PyObject *
 solve_rstar(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"m", "add_t", "neg_t", "prefix", "budget",
-                             "table", NULL};
+    static char *kwlist[] = {"m", "add_t", "neg_t", "budget", "table", NULL};
     RStar r;
     memset(&r, 0, sizeof r);
-    PyObject *add_t, *neg_t, *prefix, *table = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOOL|O:solve_rstar",
-                                     kwlist, &r.m, &add_t, &neg_t, &prefix,
-                                     &r.budget, &table))
+    PyObject *add_t, *neg_t, *table = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOL|O:solve_rstar",
+                                     kwlist, &r.m, &add_t, &neg_t, &r.budget,
+                                     &table))
         return NULL;
     int m = r.m;
     r.length = m - 1;
@@ -1101,21 +1096,11 @@ solve_rstar(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "m must be at least 2");
         return NULL;
     }
-    Py_ssize_t p = PyObject_Length(prefix);
-    if (p < 0)
-        return NULL;
-    if (p > r.length) {
-        PyErr_SetString(PyExc_ValueError, "prefix longer than the sequence");
-        return NULL;
-    }
 
     PyObject *result = NULL;
-    int *pfx = NULL;
     if ((r.add_t = copy_ints(add_t, "add_t", (Py_ssize_t)m * m, 0, m - 1,
                              NULL)) == NULL
         || (r.neg_t = copy_ints(neg_t, "neg_t", m, 0, m - 1, NULL)) == NULL
-        || (pfx = copy_ints(prefix, "prefix", p, INT_MIN, INT_MAX,
-                            NULL)) == NULL
         || copy_table(table, m, &r.marks, &r.succ) < 0)
         goto done;
     r.seq = malloc((size_t)r.length * sizeof(int));
@@ -1130,25 +1115,12 @@ solve_rstar(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         r.seq[i] = -1;
     for (int i = 0; i <= r.length; i++)
         r.state[i] = -1;
-    int st = r.marks != NULL ? 0 : -1;
-
-    for (int i = 0; i < p; i++) {
-        int x = pfx[i];
-        if (x < 1 || x >= m || r.used[x])
-            goto rejected;
-        if (i >= 1) {
-            int d = r.add_t[x * m + r.neg_t[r.seq[i - 1]]];
-            if (r.dused[d])
-                goto rejected;
-            r.dused[d] = 1;
-        }
-        r.used[x] = 1;
-        r.seq[i] = x;
-        if (st >= 0)
-            st = r.succ[(size_t)st * m + x];
-    }
-    r.state[p] = st;
-    int status = rstar_dfs(&r, (int)p);
+    /* the pinned 1, from state 0 */
+    r.seq[0] = 1;
+    r.used[1] = 1;
+    if (r.marks != NULL)
+        r.state[1] = r.succ[1];
+    int status = rstar_dfs(&r, 1);
     if (status == FOUND) {
         PyObject *list = int_list(r.seq, r.length);
         if (list != NULL)
@@ -1157,11 +1129,7 @@ solve_rstar(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     else {
         result = Py_BuildValue("(iOiL)", status, Py_None, -1, r.nodes);
     }
-    goto done;
-rejected:
-    result = Py_BuildValue("(iOii)", EXHAUSTED, Py_None, -1, 0);
 done:
-    free(pfx);
     free(r.add_t);
     free(r.neg_t);
     free(r.seq);

@@ -7,19 +7,20 @@ travel down the recursion as arguments, the key updated by each field's
 change.  Other slots (the ends of vertex-labeled paths, the vertices of
 trees) go through ``place``.  Under the leaf-room bound (see
 ``solve_generic``) an edge slot with leaf slots after it runs in
-``bounded``, the edge loops with the leaf room kept as well, and a last
-slot after it in ``final``; ``place`` checks the bound for the others and
-for a prefix.  Searches without the bound run the loops without it.  The
-labels below a slot's twin bound cost no node: the walk starts at the
-bound.  ``dfs`` walks an edge slot completing one item in a walk of its
-own, and ``bounded`` has one general walk; that walk of ``dfs`` has a
-twin for cap-one instances that skips the class counts' arithmetic, and
-``bounded``'s general walk two, for one completion and for none or two
-(see ``solve_generic``).  One helper, ``enter``, is every walk's
-symmetry step: it settles the graph symmetries due and sets the next
-slot's symmetry state.  The symmetries a label leaves tied are held by
-its slot, and popped before its next label, at the end of its walk and
-between root branches.
+``bounded``, the edge loops with the leaf room kept as well; ``place``
+checks the bound for the others and for a prefix.  Searches without the
+bound, and the last slot, which has no leaf slot after it, run the loops
+without it, as ``_speed.c`` does.  The labels below a slot's twin bound
+cost no node: the walk starts at the bound.  There are seven walks.
+``dfs`` has three: slots through ``place``, edge slots completing one
+item, and other edge slots; ``bounded`` has one general walk.  ``dfs``'s
+one-completion walk has a twin for cap-one instances that skips the class
+counts' arithmetic, and ``bounded``'s general walk two, for one
+completion and for none or two (see ``solve_generic``).  One helper,
+``enter``, is every walk's symmetry step: it settles the graph
+symmetries due and sets the next slot's symmetry state.  The symmetries
+a label leaves tied are held by its slot, and popped before its next
+label, at the end of its walk and between root branches.
 
 ``dfs`` refers to itself, and that reference cycle would keep the memo
 (tens of thousands of keys) alive until the cyclic garbage collector
@@ -145,8 +146,9 @@ def solve_generic(
     the edge of a K2 component completes two of them with one label.  The
     bound is on when two or more leaf slots come after slot 0, which
     paths, cycles and vertex labelings never have: they keep the loops
-    without it.  A placement keeps the leaf room current by one unit per
-    class whose room shrinks where it is the smaller of the two: the
+    without it, as does the last slot of every instance, with no leaf
+    slot after it.  A placement keeps the leaf room current by one unit
+    per class whose room shrinks where it is the smaller of the two: the
     label x's when its label room is at most its sum room, and then each
     completed sum v's when its sum room is at most its label room.
 
@@ -892,67 +894,14 @@ def solve_generic(
             return limit
         return nodes
 
-    def final(i, sdef, ddef, t, nodes):
-        """``dfs`` at the last slot, an edge slot after a bounded one:
-        it has no memo key and no graph symmetry due, so the first label
-        within every bound completes the solution."""
-        nonlocal stop
-        walk = nxt
-        if i <= top and at[i] >= 0:
-            walk = _allowed(nxt, m, marks, at[i] * m)
-        x = m
-        prev = -1
-        if due is not None and low[i] >= 0:
-            prev = assign[low[i]] - 1
-            while walk[x] <= prev:
-                x = walk[x]
-        d1, d2, nclose = edges[i]
-        row1 = psum[d1] * m
-        row2 = psum[d2] * m
-        while True:
-            x = walk[x]
-            if x == m:
-                break
-            nodes += x - prev
-            if nodes > limit:
-                stop = BUDGET
-                return limit
-            prev = x
-            if sdef - (scount[x] < slot_floor[x]) > 0:
-                continue
-            nd = ddef
-            if nclose:
-                v = add_t[row1 + x]
-                dv = dcount[v]
-                if dv >= dcap[v]:
-                    continue
-                nd -= dv < dfloor[v]
-                if nclose == 2:
-                    w = add_t[row2 + x]
-                    dw = dcount[w] + 1 if w == v else dcount[w]
-                    if dw >= dcap[w]:
-                        continue
-                    nd -= dw < dfloor[w]
-            if nd > 0:
-                continue
-            assign[i] = x
-            stop = FOUND
-            return nodes
-        nodes += m - 1 - prev
-        if nodes > limit:
-            stop = BUDGET
-            return limit
-        return nodes
-
     if room is not None:
         # bounded: the edge slots with leaf slots after them.  Each gets
         # its completions plus 3 in edges[i], which sends dfs to bounded,
         # and in bounds[i] its items and completions, the slots and
         # completions after it, the leaf slots after it, the search of the
-        # next slot (final for the last slot), its items' key tables and
-        # its twin bound.
+        # next slot, its items' key tables and its twin bound.
         bounds = [None] * s
-        below = final if edges[last] is not None else dfs
+        below = dfs
         for i in range(s - 2, -1, -1):
             if need[i] and edges[i] is not None:
                 d1, d2, nclose = edges[i]
@@ -1024,7 +973,7 @@ def solve_generic(
             release(p)
             unplace(p, x, saved)
     # break the search's cycles through itself: frees the memo now
-    dfs = bounded = final = bounds = None
+    dfs = bounded = bounds = None
     if stop == FOUND:
         return (FOUND, list(assign), nodes)
     return (stop, None, nodes)

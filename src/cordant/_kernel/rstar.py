@@ -5,26 +5,44 @@ from __future__ import annotations
 from .pure import BUDGET, EXHAUSTED, FOUND, _allowed
 
 
-def solve_rstar(m, add_t, neg_t, prefix, budget, table=None):
+def solve_rstar(m, add_t, neg_t, budget, table=None):
     """Search for an ordering of the nonzero elements whose cyclic
     consecutive differences are pairwise distinct and which contains a
     position equal to the sum of its two cyclic neighbours.
 
-    Returns ``(status, sequence, star_index, nodes)`` where ``star_index``
-    is the first qualifying position (cyclic) of the found sequence.
-    ``table`` (None: off) prunes as in ``solve_generic``: every
-    automorphism maps such an ordering to one.
+    Only orderings beginning with element 1 are searched: every rotation
+    of such an ordering is one, so the lex-first one begins with it, and
+    the 1 is pinned at position 0 as ``solve_sigma`` pins 0.  Returns
+    ``(status, sequence, star_index, nodes)`` where ``star_index`` is the
+    first qualifying position (cyclic) of the found sequence.  ``table``
+    (None: off) prunes as in ``solve_generic``, from the state after the
+    pinned 1: every automorphism maps such an ordering to one.
     """
+    if m < 2:
+        raise ValueError("m must be at least 2")
     length = m - 1
     seq = [-1] * length
-    used = bytearray(m)
+    seq[0] = 1
     dused = bytearray(m)
     limit = budget if budget >= 0 else 1 << 64
     nodes = 0
     star_at = -1
     marks, succ = table if table is not None else (None, None)
     at = [-1] * (length + 1)  # symmetry states, as in solve_generic
-    top = -1
+    if table is not None:
+        at[1] = succ[1]
+    top = 1
+    # the labels other than the 1, linked as in solve_generic; 0 is the
+    # sentinel
+    nxt = [0] * m
+    prv = [0] * m
+    tail = 0
+    for x in range(2, m):
+        nxt[tail] = x
+        prv[x] = tail
+        tail = x
+    nxt[tail] = 0
+    prv[0] = tail
 
     def dfs(i):
         nonlocal nodes, star_at, top
@@ -53,12 +71,10 @@ def solve_rstar(m, add_t, neg_t, prefix, budget, table=None):
                 nodes = limit
                 return BUDGET
             prev = x
-            d = -1
-            if i >= 1:
-                d = add_t[x * m + neg_t[seq[i - 1]]]
-                if dused[d]:
-                    continue
-                dused[d] = 1
+            d = add_t[x * m + neg_t[seq[i - 1]]]
+            if dused[d]:
+                continue
+            dused[d] = 1
             nxt[prv[x]] = nxt[x]
             prv[nxt[x]] = prv[x]
             seq[i] = x
@@ -71,8 +87,7 @@ def solve_rstar(m, add_t, neg_t, prefix, budget, table=None):
             nxt[prv[x]] = x
             prv[nxt[x]] = x
             seq[i] = -1
-            if d >= 0:
-                dused[d] = 0
+            dused[d] = 0
             if r == BUDGET:
                 return BUDGET
         nodes += m - 1 - prev
@@ -81,37 +96,7 @@ def solve_rstar(m, add_t, neg_t, prefix, budget, table=None):
             return BUDGET
         return EXHAUSTED
 
-    p = len(prefix)
-    if p > length:
-        raise ValueError("prefix longer than the sequence")
-    st = -1 if table is None else 0
-    for i in range(p):
-        x = prefix[i]
-        if x < 1 or x >= m or used[x]:
-            return (EXHAUSTED, None, -1, 0)
-        if i >= 1:
-            d = add_t[x * m + neg_t[seq[i - 1]]]
-            if dused[d]:
-                return (EXHAUSTED, None, -1, 0)
-            dused[d] = 1
-        used[x] = 1
-        seq[i] = x
-        if st >= 0:
-            st = succ[st * m + x]
-    at[p] = st
-    top = p
-    # the unused labels, linked as in solve_generic; 0 is the sentinel
-    nxt = [0] * m
-    prv = [0] * m
-    tail = 0
-    for x in range(1, m):
-        if not used[x]:
-            nxt[tail] = x
-            prv[x] = tail
-            tail = x
-    nxt[tail] = 0
-    prv[0] = tail
-    status = dfs(p)
+    status = dfs(1)
     if status == FOUND:
         return (FOUND, list(seq), star_at, nodes)
     return (status, None, -1, nodes)

@@ -119,12 +119,12 @@ def search_rstar_sequence(spec: GroupSpec,
     a star position (one term the sum of its cyclic neighbours).
 
     Degenerate below three nonzero elements: NotExists without a search.
-    Only sequences starting with element 1 are searched: every rotation of
-    a solution is one, so the lex-first sequence starts with it.  That one
-    kernel call gets the share of the budget the 1 has among the m - 1
-    nonzero first elements.  Every automorphism maps a solution to one, so
-    below the 1 the kernel prunes by the symmetry table as the labeling
-    searches do.
+    The kernel searches only sequences starting with element 1: every
+    rotation of a solution is one, so the lex-first sequence starts with
+    it.  That one kernel call gets the share of the budget the 1 has
+    among the m - 1 nonzero first elements.  Every automorphism maps a
+    solution to one, so below the 1 the kernel prunes by the symmetry
+    table as the labeling searches do.
     """
     check_searchable(spec)
     _check_depth(spec.order)
@@ -133,7 +133,7 @@ def search_rstar_sequence(spec: GroupSpec,
         return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
     add_t, neg_t = op_tables(spec)
     share = _shares(_norm_budget(budget), m - 1)[0]
-    r = _run_branch(("rstar", (m, add_t, neg_t, [1], share,
+    r = _run_branch(("rstar", (m, add_t, neg_t, share,
                                stabilizer_table(spec))))
     if r[0] != FOUND:
         return SearchOutcome(_STATUS_NAME[r[0]], None, r[-1])

@@ -16,8 +16,8 @@ of a superset, and a Found is still verified once as zero-free.  Every
 other zero-free row is searched.
 
 A survey sets each search up once per part, within the call: a tree's
-graph side (``search._graph_side``: its incidence, the kernel's CSR
-structures, its graph symmetry) once for both notions and every group,
+graph side (``search._graph_side``: the kernel's CSR structures, its
+shape, its graph symmetry) once for both notions and every group,
 and a group side (``search._group_side``: class bounds, tables, root
 labels) once per group, notion and graph shape.  ``search`` is imported
 by the first survey, not with this module.  Each search runs through
@@ -174,7 +174,7 @@ def _search(search, tree, spec: GroupSpec, notion: str, side: tuple,
     """The ``notion`` search of ``tree`` over ``spec`` from the tree's
     graph side ``side``, with the group side taken from ``groups`` (keyed
     by notion and graph shape), built there on first use."""
-    key = notion, side[4]
+    key = notion, side[2]
     group = groups.get(key)
     if group is None:
         group = groups[key] = search._group_side(spec, notion, side)

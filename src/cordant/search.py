@@ -232,7 +232,7 @@ def _symmetry_table(spec: GroupSpec, bounds: tuple = ()) -> tuple | None:
     return stabilizer_table(spec)
 
 
-def _root_labels(spec: GroupSpec, bounds: tuple, derived_sizes: set[int],
+def _root_labels(spec: GroupSpec, bounds: tuple, one_size: bool,
                  prefix: list[int]
                  ) -> tuple[range | list[int], tuple | None, bool]:
     """The labels the first free slot of a labeling search has to try, the
@@ -247,7 +247,7 @@ def _root_labels(spec: GroupSpec, bounds: tuple, derived_sizes: set[int],
 
     * Translation c -> c + g of every label shifts a derived sum of k
       slots by kg.  It is a symmetry when every bound is uniform and every
-      derived item sums the same number of slots (``derived_sizes``); all
+      derived item sums the same number of slots (``one_size``); all
       labels then share the orbit of 0.
     * An automorphism of the group applied to every label is a symmetry
       when every bound is constant on each of its orbits.  The lex-first
@@ -268,7 +268,7 @@ def _root_labels(spec: GroupSpec, bounds: tuple, derived_sizes: set[int],
     table = _symmetry_table(spec, bounds)
     if table is None:
         return range(m), None, False
-    if not prefix and _translates(bounds, derived_sizes):
+    if not prefix and _translates(bounds, one_size):
         return [0], table, True
     marks, succ = table
     state = 0
@@ -279,11 +279,11 @@ def _root_labels(spec: GroupSpec, bounds: tuple, derived_sizes: set[int],
     return [x for x in range(m) if marks[state * m + x]], table, False
 
 
-def _translates(bounds: tuple, derived_sizes: set[int]) -> bool:
+def _translates(bounds: tuple, one_size: bool) -> bool:
     """Whether translating every label is a symmetry of the instance:
     every bound (per label, as in ``bounds``) uniform, and every derived
-    item the sum of the same number of slots."""
-    return len(derived_sizes) <= 1 and all(len(set(b)) == 1 for b in bounds)
+    item the sum of the same number of slots (``one_size``)."""
+    return one_size and all(len(set(b)) == 1 for b in bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -435,22 +435,21 @@ def _graph_symmetry(graph: SimpleGraph, incidence: list | None, s: int,
 
 def _graph_side(graph: SimpleGraph, notion: str, fixed: int = 0) -> tuple:
     """The set-up of a ``notion`` labeling search on ``graph`` that the
-    group does not enter, for a prefix of ``fixed`` labels: (slots,
-    derived items, the kernel's CSR structures, the derived items'
-    sizes, the shape, the graph symmetry).  The shape (slots, items,
-    items no slot feeds, whether every item has one size) is all that
-    ``_group_side`` reads of it.  The graph symmetry is
+    group does not enter, for a prefix of ``fixed`` labels: (slots, the
+    kernel's CSR structures, the shape, the graph symmetry).  The shape
+    (slots, items, items no slot feeds, whether every item has one size)
+    is all that ``_group_side`` reads of it.  The graph symmetry is
     ``_graph_symmetry``'s untranslated one; ``_run_labeling`` composes it
     with translation where the group side says so."""
     s, members = _slots(graph, notion)
-    sizes = {len(x) for x in members}
-    shape = (s, len(members), sum(not x for x in members), len(sizes) <= 1)
+    shape = (s, len(members), sum(not x for x in members),
+             len({len(x) for x in members}) <= 1)
     sym = None
     if fixed < s:
         sym = _graph_symmetry(
             graph, None if notion == NOTION_A_CORDIAL else members, s, fixed,
             None)
-    return s, members, _generic_structures(members, s), sizes, shape, sym
+    return s, _generic_structures(members, s), shape, sym
 
 
 def _group_side(spec: GroupSpec, notion: str, side: tuple,
@@ -462,7 +461,7 @@ def _group_side(spec: GroupSpec, notion: str, side: tuple,
     the symmetry table of ``_root_labels``).  It reads only the shape of
     ``side``, so it serves every graph of that shape.  None when no
     labeling exists by counting alone."""
-    s, _, _, sizes, (_, items, empty, _), _ = side
+    _, _, (s, items, empty, one_size), _ = side
     bounds = _class_bounds(spec, notion, s, items, empty)
     if bounds is None:
         return None
@@ -470,8 +469,7 @@ def _group_side(spec: GroupSpec, notion: str, side: tuple,
     kept = table = None
     translated = False
     if len(prefix) < s:
-        # _root_labels reads the sizes only as whether they are one size
-        kept, table, translated = _root_labels(spec, bounds, sizes, prefix)
+        kept, table, translated = _root_labels(spec, bounds, one_size, prefix)
     return bounds, add_t, neg_t if translated else None, kept, table
 
 
@@ -486,7 +484,7 @@ def _run_labeling(graph: SimpleGraph, spec: GroupSpec, notion: str,
     (``_root_labels``) and of the graph (``_graph_symmetry``)."""
     if group is None:
         return SearchOutcome(STATUS_NOT_EXISTS, None, 0)
-    s, _, structures, _, _, sym = side
+    s, structures, _, sym = side
     bounds, add_t, neg_t, kept, table = group
     if sym is not None and neg_t is not None:
         sym = (*sym[:2], neg_t)
@@ -575,7 +573,8 @@ def _find_any(graph: SimpleGraph, spec: GroupSpec, notion: str,
     s, bounds, members = instance
     m = spec.order
     fixed = (s, *bounds, *_generic_structures(members, s))
-    prefix = [0] if _translates(bounds, {len(x) for x in members}) else []
+    one_size = len({len(x) for x in members}) <= 1
+    prefix = [0] if _translates(bounds, one_size) else []
     # the first and largest of the shares ``_shares`` would plan
     cap = _norm_budget(budget)
     if cap >= 0:

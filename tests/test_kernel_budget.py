@@ -129,9 +129,9 @@ def test_rstar_and_sigma_kernels_stop_exactly_at_their_budgets():
         m = spec.order
         add_t, neg_t = op_tables(spec)[:2]
         table = stabilizer_table(spec)
-        _check(lambda b: pure.solve_rstar(m, add_t, neg_t, [], b),
+        _check(lambda b: pure.solve_rstar(m, add_t, neg_t, b),
                lambda r: r[3])
-        _check(lambda b: pure.solve_rstar(m, add_t, neg_t, [1], b, table),
+        _check(lambda b: pure.solve_rstar(m, add_t, neg_t, b, table),
                lambda r: r[3])
         _check(lambda b: pure.solve_sigma(m, add_t, b), lambda r: r[3])
         _check(lambda b: pure.solve_sigma(m, add_t, b, table),

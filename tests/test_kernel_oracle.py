@@ -12,13 +12,17 @@ import random
 from cordant import (
     NOTION_A_STAR_ANTIMAGIC,
     NOTION_EA_CORDIAL,
+    STATUS_FOUND,
+    STATUS_NOT_EXISTS,
     GroupSpec,
     cycle_graph,
     enumerate_trees,
     path_graph,
+    search_ea_cordial,
     star_graph,
     tree_graph,
 )
+from cordant import _kernel
 from cordant._kernel import generic, pure
 from cordant._stabilizers import stabilizer_table
 from cordant.graphs import CYCLE, SimpleGraph
@@ -294,6 +298,37 @@ def test_leaf_room_bound_prunes():
         got = pure.solve_generic(spec.order, op_tables(spec)[0], s, *bounds,
                                  *_generic_structures(members, s), [], -1)
         assert got == want
+
+
+def test_leaf_room_general_walk_node_counts(monkeypatch):
+    """Equitable edge labelings of trees with two or more leaf slots, over
+    groups smaller than the edge count: no class is capped at one, so the
+    bounded slots run ``bounded``'s general walk, and the last slot, a
+    twin leaf, runs ``dfs``.  The node counts and labelings are pinned,
+    so a leaf room kept one unit too large, or a last slot that ignores
+    its twin bound, shows as more nodes."""
+    monkeypatch.setattr(_kernel, "_active", pure)
+    for edges, factors, nodes, labels in (
+            (((0, 1), (1, 2), (2, 3), (1, 4), (0, 5), (5, 6), (0, 7),
+              (0, 8)), (3,), 86, (0, 1, 0, 1, 2, 1, 2, 2)),
+            (((0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7),
+              (0, 8)), (4,), 75, (0, 0, 1, 3, 1, 2, 2, 3)),
+            (((0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6), (0, 7),
+              (0, 8)), (2, 2), 70,
+             ((0, 0), (0, 1), (0, 1), (1, 0), (0, 0), (1, 0), (1, 1),
+              (1, 1))),
+            (((0, 1), (1, 2), (2, 3), (1, 4), (0, 5), (5, 6), (5, 7),
+              (0, 8), (0, 9)), (3,), 128, (0, 1, 0, 1, 2, 0, 1, 2, 2)),
+            (((0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (5, 7),
+              (5, 8), (5, 9)), (2, 2), 2549, None)):
+        out = search_ea_cordial(tree_graph(len(edges) + 1, edges),
+                                GroupSpec(factors))
+        got = out.certificate and list(out.certificate.labels)
+        want = labels and [a if isinstance(a, tuple) else (a,)
+                           for a in labels]
+        status = STATUS_FOUND if labels else STATUS_NOT_EXISTS
+        assert (out.status, out.nodes_explored, got) == (
+            status, nodes, want), (edges, factors)
 
 
 def test_root_branches_run_as_separate_calls():

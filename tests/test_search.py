@@ -257,6 +257,8 @@ def test_rstar_search_small_groups():
     assert out.status == STATUS_FOUND and out.nodes_explored == 5
     rs = out.certificate
     assert sorted(rs.seq) == sorted(enumerate_elements(E2)[1:])
+    # the kernel pins element 1, the first nonzero one, at position 0
+    assert rs.seq[0] == enumerate_elements(E2)[1]
     out = search_rstar_sequence(E3)
     assert out.status == STATUS_NOT_EXISTS
     out = search_rstar_sequence(GroupSpec((2,)))
@@ -517,11 +519,11 @@ def root_splits(monkeypatch):
         result = _real_run_branch(task)
         kind, args = task
         if kind == "rstar":
-            # prefix [1] with its share of the budget among the m - 1
-            # nonzero first elements
-            m, _, _, first, share, *tail = args
+            # the kernel pins first element 1, with its share of the
+            # budget among the m - 1 nonzero first elements
+            m, _, _, share, *tail = args
             assert share == real_shares(planned[-1], m - 1)[0]
-            calls.append([kind, args[:3], [], range(1, m), first,
+            calls.append([kind, args[:3], [], range(1, m), [1],
                           planned[-1], tail, {},
                           (result[0], result, result[-1])])
             return result
@@ -552,7 +554,6 @@ def test_kept_root_labels(root_splits):
     # Z3xZ3: 0 is fixed, the nonzero elements form one orbit
     assert kept(search_a_star_antimagic, path_graph(9),
                 GroupSpec((3, 3))) == [0, 1]
-    assert kept(search_rstar_sequence, E3) == [1]
     # a prefix keeps the automorphisms fixing its labels: all of Aut(Z6)
     # fixes 0 and 3, none but the identity fixes 1 in Z3 or 3 in Z4
     assert kept(search_ea_cordial, path_graph(6), Z6,
@@ -567,7 +568,7 @@ def test_kept_root_labels(root_splits):
     # no automorphism symmetry, and mixed derived sizes no translation
     caps = [1, 2, 1, 1, 1, 1]
     labels, table, translated = search._root_labels(
-        Z6, (caps, [0] * 6, [1] * 6, [0] * 6), {1, 2}, [])
+        Z6, (caps, [0] * 6, [1] * 6, [0] * 6), False, [])
     assert (list(labels), table, translated) == (list(range(6)), None, False)
 
 
@@ -601,6 +602,27 @@ def test_orbit_marks_below_the_root(root_splits):
     assert search._symmetry_table(GroupSpec(())) == ([2], [0])
 
 
+def _rstar_from(first, m, add_t, neg_t, budget):
+    """The pure R*-sequence search from first element ``first``, with no
+    symmetry table: the kernel runs on the tables relabeled by the
+    bijection swapping 1 and ``first`` (an isomorphic Cayley table, not an
+    automorphism), so its pinned 1 stands for ``first``, and the sequence
+    it finds is mapped back."""
+    swap = list(range(m))
+    swap[1], swap[first] = first, 1
+    add_s = [0] * (m * m)
+    neg_s = [0] * m
+    for a in range(m):
+        neg_s[swap[a]] = swap[neg_t[a]]
+        for b in range(m):
+            add_s[swap[a] * m + swap[b]] = swap[add_t[a * m + b]]
+    status, seq, star, nodes = _kernel.pure.solve_rstar(m, add_s, neg_s,
+                                                        budget)
+    if seq is not None:
+        seq = [swap[x] for x in seq]
+    return status, seq, star, nodes
+
+
 def _unpruned(kind, fixed_args, prefix, labels, budget, ran):
     """The root split without any symmetry: every first-slot label in
     ``labels``, in order, each with its share of the budget and no
@@ -608,13 +630,17 @@ def _unpruned(kind, fixed_args, prefix, labels, budget, ran):
     that branch's result and the nodes spent.
 
     A branch the pruned search ran with the same prefix and share and no
-    table (in ``ran``) is not run again: the kernels are deterministic."""
+    table (in ``ran``) is not run again: the kernels are deterministic.
+    The R*-sequence kernel pins its first element to 1 itself, so each of
+    its branches runs on relabeled tables (see ``_rstar_from``)."""
     solve = getattr(_kernel.pure, "solve_" + kind)
     shares = search._shares(budget, len(labels))
     nodes = 0
     for x, share in zip(labels, shares):
         r = ran.get((tuple(prefix) + (x,), share))
-        if r is None:
+        if r is None and kind == "rstar":
+            r = _rstar_from(x, *fixed_args, share)
+        elif r is None:
             r = solve(*fixed_args, prefix + [x], share)
         nodes += r[-1]
         if r[0] != EXHAUSTED:
@@ -685,8 +711,9 @@ def test_pruning_keeps_tree_outcomes(root_splits):
 
 
 def test_pruning_keeps_rstar_outcomes(root_splits):
-    # one kernel call on first element 1, held to the unpruned search over
-    # the first elements 1..m-1
+    # one kernel call on first element 1, held to the unpruned search from
+    # each first element 1..m-1 in turn, so a solution the pin to 1 missed
+    # would show as a status the two searches disagree on
     calls = [lambda w, g=spec: search_rstar_sequence(g)
              for n in range(4, 17) for spec in abelian_groups_of_order(n)]
     _assert_pruning_keeps_outcomes(root_splits, calls)
