@@ -24,15 +24,23 @@ by a newline, in sweep order, and ``outcomes_sha256``, the same over
 (factors, status, route, labels): a change that only searches less
 keeps it; per route, the status counts, the nodes and the
 ``outcomes_sha256`` of that route's rows, so a change to one route shows
-which digests it leaves alone).  The ``antimagic_128`` and
-``antimagic_192`` rows run ``construct_path_antimagic`` on every group
-of that order (seconds, nodes, status counts, and the status and route
-of each group); ``pinned`` counts the rainbow-cycle groups Found with 0
-nodes, that is, through a pinned core.  The ``graph_symmetry`` row gives the
-status, nodes and seconds (the median of ``SYMMETRY_RUNS`` runs) of the
-searches the graph symmetries prune most: a-cordial C20/Z4, C10/Z10 and
-C8/Z8, and the exhaust workload's three seeded order-10 trees with their
-pinned first labels, built by ``perfbench/workloads.py`` from the seed.
+which digests it leaves alone).  The ``antimagic_128``,
+``antimagic_192`` and ``antimagic_256`` rows run
+``construct_path_antimagic`` on every group of that order (seconds,
+nodes, status counts, and the status and route of each group);
+``pinned`` counts the rainbow-cycle groups Found with 0 nodes, that is,
+through a pinned core or one lifted from a pin.  The ``lift_pins`` row
+orders each pinned rainbow-cycle core with the pins emptied, as
+``tools/pin_cores.py`` does, so lifted from its seed's search (the
+median seconds of ``LIFT_RUNS`` runs, status, nodes and the seed), and
+gives the seconds of all the lifts together (``lifted_seconds``, the
+cores that are not their own seed) and the median seconds of looking
+all the cores up with the pins in place.  The ``graph_symmetry`` row
+gives the status, nodes and seconds (the median of ``SYMMETRY_RUNS``
+runs) of the searches the graph symmetries prune most: a-cordial
+C20/Z4, C10/Z10 and C8/Z8, and the exhaust workload's three seeded
+order-10 trees with their pinned first labels, built by
+``perfbench/workloads.py`` from the seed.
 It times ``explore_conjecture(10)`` (seconds, the zero-allowed and
 the zero-free nodes summed over the rows, the number of zero-free
 searches run, rows, Unknown rows, violations, and ``outcomes_sha256``
@@ -102,6 +110,7 @@ ROUND_TRIP_RUNS = 9
 FIXED_COST_RUNS = 9
 FIXED_COST_NUMBER = 200
 SYMMETRY_RUNS = 5
+LIFT_RUNS = 5
 SURVEY_FIXED_RUNS = 9
 # perfbench's default --seconds; not passed, so every point has this length
 SECONDS = 20
@@ -244,6 +253,45 @@ def antimagic_order_row(order: int) -> dict:
                           and res.nodes_explored == 0 for _, res in results),
             "by_group": {str(spec): [res.status, res.route]
                          for spec, res in results}}
+
+
+def lift_pins_row() -> dict:
+    """Each pinned rainbow-cycle core ordered with and without the pins
+    (see the module docstring)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from cordant import DEFAULT_BUDGET, GroupSpec, constructions
+
+    constructions._pinned("rainbow-cycle", GroupSpec((2,)))  # reads the pins
+    pins = constructions._pins
+    cores = [GroupSpec(factors) for route, factors in pins
+             if route == "rainbow-cycle"]
+
+    def timed(cores) -> tuple[float, list]:
+        start = time.perf_counter()
+        out = [constructions._harmonious_order(core, DEFAULT_BUDGET)
+               for core in cores]
+        return time.perf_counter() - start, out
+
+    lookup = statistics.median(timed(cores)[0] for _ in range(LIFT_RUNS))
+    rows = {}
+    constructions._pins = {}
+    try:
+        for core in cores:
+            runs = [timed([core]) for _ in range(LIFT_RUNS)]
+            status, _, nodes = runs[0][1][0]
+            seed = core
+            while (step := constructions._quotient(seed)) is not None:
+                seed = step[0]
+            rows[str(core)] = {
+                "seed": str(seed), "status": status, "nodes": nodes,
+                "seconds": round(statistics.median(t for t, _ in runs), 4)}
+    finally:
+        constructions._pins = pins
+    # the cores a lift reaches, not those that are their own seed
+    lifted = sum(row["seconds"] for core, row in rows.items()
+                 if row["seed"] != core)
+    return {"lookup_seconds": round(lookup, 5),
+            "lifted_seconds": round(lifted, 4), "cores": rows}
 
 
 def graph_symmetry_row(seed: int) -> dict:
@@ -661,8 +709,9 @@ def main(argv=None) -> int:
               f"{traced['verdict']['correct']}  "
               f"wall_s {plain['metrics'].get('wall_s')}", flush=True)
     doc["direct"] = {"op_tables": op_tables_row(), **direct_rows()}
-    for order in (128, 192):
+    for order in (128, 192, 256):
         doc["direct"][f"antimagic_{order}"] = antimagic_order_row(order)
+    doc["direct"]["lift_pins"] = lift_pins_row()
     doc["direct"]["graph_symmetry"] = graph_symmetry_row(args.seed)
     doc["direct"]["explore_10"] = explore_row()
     doc["direct"]["survey_fixed_cost"] = survey_fixed_cost_row()

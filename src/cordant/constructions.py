@@ -27,7 +27,9 @@ they search, both look up the package data ``fixtures/cores.json``
 (read once per process, on their first call): the answers their search
 cannot find within its default budget share, each found once by an
 unbounded find-any search and written, with that call and its node
-count, by ``tools/pin_cores.py``.
+count, by ``tools/pin_cores.py``.  The ``rainbow-cycle`` route searches
+only its seeds: a core past order 16 is lifted from a quotient's
+ordering by ``_lift``, which it imports only when it lifts.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from ._vocab import (
     STATUS_FOUND,
     STATUS_NOT_EXISTS,
     STATUS_UNKNOWN,
+    TABLE_CAP,
     Record,
     set_field,
 )
@@ -437,6 +440,86 @@ def _harmonious_core(spec: GroupSpec) -> tuple[GroupSpec, list[int]]:
     return two, rest
 
 
+def _harmonious(factors: tuple[int, ...]) -> bool:
+    """Whether the group with these canonical factors has a harmonious
+    ordering: its Sylow 2-subgroup is trivial or noncyclic, and it is
+    not an elementary 2-group (Beals, Gallian, Headley and Jungreis)."""
+    return (sum(d % 2 == 0 for d in factors) != 1
+            and set(factors) != {2})
+
+
+def _quotient(core: GroupSpec) -> tuple[GroupSpec, int] | None:
+    """(A/<z>, i) for the lift of the canonical ``core`` A, where z has
+    order 2 in factor i, or None when A is a seed.
+
+    A seed has order at most 16, or past ``TABLE_CAP``, or no harmonious
+    quotient of this form, as Z2xZ2xZ_p, whose only one is cyclic.
+    Otherwise drop a Z2 factor when the rest is harmonious, and else
+    halve the first of the largest even factors; both keep the factors
+    canonical.
+    """
+    if not 16 < core.order <= TABLE_CAP:
+        return None
+    f = core.factors
+    top = max(d for d in f if d % 2 == 0)
+    for i in (0, f.index(top)) if f[0] == 2 else (f.index(top),):
+        base = f[:i] + ((f[i] // 2,) if f[i] > 2 else ()) + f[i + 1:]
+        if _harmonious(base):
+            return GroupSpec(base), i
+    return None
+
+
+def _carried(order: tuple[Element, ...], src: GroupSpec, dst: GroupSpec
+             ) -> tuple[Element, ...]:
+    """``order`` over ``src`` carried to ``dst`` by ``isomorphism``."""
+    if src == dst:
+        return order
+    carry = isomorphism(src, dst)
+    return tuple(zip(*carry.columns(list(zip(*order)))))
+
+
+def _searched_order(spec: GroupSpec, budget: int | None, split: int
+                    ) -> tuple[str, tuple[Element, ...] | None, int]:
+    """A harmonious ordering of ``spec`` by the find-any search of its
+    cycle within the budget share of one of ``split`` branches."""
+    from .search import _find_any
+
+    out = _find_any(cycle_graph(spec.order), spec, NOTION_A_CORDIAL,
+                    budget, split=split)
+    order = out.certificate.labels if out.status == STATUS_FOUND else None
+    return out.status, order, out.nodes_explored
+
+
+def _core_order(core: GroupSpec, asked: GroupSpec, budget: int | None,
+                split: int) -> tuple[str, tuple[Element, ...] | None, int]:
+    """A harmonious ordering of the canonical ``core``, over ``asked``
+    (``core`` in some presentation), as (status, ordering, nodes): the
+    pin, or the lift from ``_quotient``'s quotient, or for a seed the
+    find-any search of ``asked``.  A lift with no solving candidate
+    falls back to the search, within what the share has left."""
+    order = _pinned("rainbow-cycle", core)
+    nodes = 0
+    if order is None:
+        step = _quotient(core)
+        if step is None:
+            return _searched_order(asked, budget, split)
+        base, i = step
+        status, order, nodes = _core_order(base, base, budget, split)
+        if status != STATUS_FOUND:
+            return status, None, nodes
+        from ._lift import lift
+
+        order = lift(core, i, base, order)
+        if order is None:
+            from ._runner import _norm_budget
+
+            cap = _norm_budget(budget)
+            left = None if cap < 0 else max(0, -(-cap // split) - nodes)
+            status, order, more = _searched_order(asked, left, 1)
+            return status, order, nodes + more
+    return STATUS_FOUND, _carried(order, core, asked), nodes
+
+
 def _harmonious_order(spec: GroupSpec, budget: int | None
                       ) -> tuple[str, tuple[Element, ...] | None, int]:
     """A harmonious ordering of ``spec``, as (status, ordering, nodes).
@@ -461,37 +544,32 @@ def _harmonious_order(spec: GroupSpec, budget: int | None
     come from the product, and ``isomorphism`` carries the result to
     ``spec``.
 
+    The core's ordering (``_core_order``) is pinned, lifted or searched.
     A pinned core (``_pinned``, keyed by isomorphism class) is taken as
-    it is, with 0 nodes: the 12 cores up to order 64 whose search cannot
-    finish within its share, each found once by an unbounded find-any
-    search on the cycle of its order.  Any other core is searched, in the
-    presentation asked for when there is no product to build, and all
-    searching spends at most the budget share of a search over ``spec``
-    itself.  ``budget`` bounds search nodes only, so a pinned core comes
-    out Found even at budget 0.
+    it is: the 12 cores up to order 64 whose search cannot finish within
+    its share, each found once by an unbounded find-any search on the
+    cycle of its order.  A core of order past 16 with a harmonious
+    quotient A/<z> by an element of order 2 (``_quotient``) is lifted
+    from that quotient's ordering, itself pinned, lifted or searched, by
+    solving GF(2) rows (``_lift``), with no search.  What is left, the
+    seeds, is searched: the cores of order up to 16, and Z2xZ2xZ_p.  A
+    seed with no product to build is searched in the presentation asked
+    for.  All searching spends at most the budget share of a search over
+    ``spec`` itself, and ``budget`` bounds search nodes only, so a core
+    pinned or lifted from a pin comes out Found with 0 nodes even at
+    budget 0.
     """
     if spec.order % 2 == 1:
         return STATUS_FOUND, _enumeration(spec), 0
     core, rest = _harmonious_core(spec)
-    order = _pinned("rainbow-cycle", core)
-    nodes = 0
-    if order is None:
-        from .search import _find_any
-
-        if not rest:
-            core = spec  # no product to build: search the presentation asked for
-        out = _find_any(cycle_graph(core.order), core, NOTION_A_CORDIAL,
-                        budget, split=spec.order)
-        if out.status != STATUS_FOUND:
-            return out.status, None, out.nodes_explored
-        order, nodes = out.certificate.labels, out.nodes_explored
+    asked = core if rest else spec
+    status, order, nodes = _core_order(core, asked, budget, spec.order)
+    if status != STATUS_FOUND or not rest:
+        return status, order, nodes
     for k in rest:
         order = tuple(g + (j,) for j in range(k) for g in order)
     built = GroupSpec(core.factors + tuple(rest))
-    if built != spec:
-        carry = isomorphism(built, spec)
-        order = tuple(zip(*carry.columns(list(zip(*order)))))
-    return STATUS_FOUND, order, nodes
+    return STATUS_FOUND, _carried(order, built, spec), nodes
 
 
 def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET
@@ -507,17 +585,18 @@ def construct_path_antimagic(spec, budget: int | None = DEFAULT_BUDGET
     named after the R*-sequences it once took.  The harmonious step is
     one route under two names: ``odd-cycle-search`` for odd orders, where
     it writes down the element enumeration and no longer searches despite
-    the historical name, and ``rainbow-cycle`` otherwise, where the
-    find-any search finds a core ordering.  Both searches return a fixed
-    labeling, not the lex-first one, and run in this process alone.
+    the historical name, and ``rainbow-cycle`` otherwise, where a core
+    ordering is pinned, lifted from a quotient's, or for a seed found by
+    the find-any search.  Both searches return a fixed labeling, not the
+    lex-first one, and run in this process alone.
 
     Both searching routes first look up a pinned answer (``_pinned``):
     the 12 harmonious cores and the (Z2)^6 path labeling of order up to
-    64 whose search runs out of its default share.  A pinned answer
-    reports 0 nodes and is verified once like any other.  ``budget``
-    bounds search nodes only, so these groups are Found even at budget
-    0, and every group of order up to 64 is Found or Impossible at the
-    default budget.
+    64 whose search runs out of its default share.  A pinned answer, or
+    a core lifted from one, reports 0 nodes and is verified once like
+    any other.  ``budget`` bounds search nodes only, so these groups are
+    Found even at budget 0, and every group of order up to 64 is Found
+    or Impossible at the default budget.
     """
     spec = group(spec)
     n = spec.order

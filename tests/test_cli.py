@@ -117,6 +117,20 @@ def test_construct_unknown_on_tiny_budget(capsys):
     assert out == "unknown (budget exhausted after 1 nodes)\n"
 
 
+def test_construct_antimagic_path_lifts_an_order_128_core(capsys, tmp_path):
+    # Z2^3xZ16 is lifted from the pinned Z2xZ2xZ16, with no search
+    code, out, _ = run(capsys, ["construct", "antimagic-path", "--group",
+                                "Z2xZ2xZ2xZ16", "--format", "json"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["route"], doc["nodes_explored"]) == ("rainbow-cycle", 0)
+    assert doc["graph"] == {"kind": "path", "n": 128}
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, ["verify", "--certificate", str(path)])
+    assert code == EXIT_OK and out.startswith("valid\n")
+
+
 def test_construct_ant_path_json_document(capsys):
     code, out, _ = run(capsys, ["construct", "ant-path", "--group", "Z8xZ3",
                                 "--format", "json"])
@@ -974,6 +988,8 @@ def test_workload_commands_load_neither_dataclasses_nor_inspect():
                      + [EXIT_NO, EXIT_OK, EXIT_OK, EXIT_NO])
     assert loads(after, "cordant.search")
     assert [m for m in ("dataclasses", "inspect") if loads(after, m)] == []
+    # the antimagic-path group is a seed: nothing is lifted
+    assert not loads(after, "cordant._lift")
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+import random
 import time
 from importlib import resources
 from math import prod
@@ -52,7 +53,13 @@ from cordant import (
     verify_a_antimagic,
     verify_ea_cordial,
 )
-from cordant.constructions import _harmonious_core, _harmonious_order, _pinned
+from cordant._lift import solve
+from cordant.constructions import (
+    _harmonious_core,
+    _harmonious_order,
+    _pinned,
+    _quotient,
+)
 from cordant.search import _find_any, _shares
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -513,8 +520,9 @@ def test_rainbow_route_builds_products_from_a_searched_core():
 
 def test_searched_routes_are_deterministic_and_take_no_workers():
     # the find-any searches run one branch in this process: no worker
-    # count to take
-    for fac in ((2, 2, 2, 2), (2, 2, 2, 2, 2)):
+    # count to take; a lift draws its automorphisms from a fixed seed
+    for fac in ((2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 2, 4),
+                (2, 2, 2, 2, 2, 4)):
         results = [construct_path_antimagic(GroupSpec(fac)) for _ in range(2)]
         assert len({(r.status, r.labeling, r.nodes_explored)
                     for r in results}) == 1, fac
@@ -544,16 +552,19 @@ def test_routes_other_than_sequence_keep_their_outcomes():
     # the 110 groups of order 2..64 that are not elementary 2-groups, and
     # every construct_path_ek(n, k) for n 3..60, k 2..16: statuses,
     # routes, node counts and labels, frozen when the sequence route
-    # moved to the find-any search and again when the rainbow cores were
+    # moved to the find-any search, again when the rainbow cores were
     # pinned, which turned 12 rows from Unknown to Found and left the
-    # other 98 as they were
+    # other 98 as they were, and again when the cores past order 16 were
+    # lifted from their quotients, which changed the labels and node
+    # counts of the seven searched ones (Z2^3xZ3, Z2^3xZ4, Z2xZ2xZ8,
+    # Z2xZ4xZ4, Z2xZ16, Z4xZ8 and Z2^3xZ5), Found before and after
     rows = [(spec.factors, construct_path_antimagic(spec))
             for n in range(2, 65) for spec in abelian_groups_of_order(n)
             if not is_elementary_two(spec)]
     assert len(rows) == 110
     assert _outcome_digest(rows) == (
-        "d93cefff6f785413cf178f863613bfde"
-        "bf5bb32cbe0061b6e9f4da25ebbbf9e4")
+        "2a0b236fa50e629f9aef436532d8da37"
+        "87805585b7facac5db1ac802b9c05b1b")
     rows = [((n, k), construct_path_ek(n, k))
             for n in range(3, 61) for k in range(2, 17)]
     assert len(rows) == 870
@@ -665,7 +676,9 @@ def test_pinned_path_labeling_is_antimagic():
 
 
 def test_pins_are_exactly_the_route_calls_the_default_share_leaves_unknown():
-    # no pin on a group the search settles, and none missing
+    # no pin on a group the search settles, and none missing: a route
+    # call's search is the one a pin stands in for, the core's for the
+    # rainbow-cycle route, whose lift would settle the call without it
     pinned = {(pin["route"], tuple(pin["group"])) for pin in _pin_entries()}
     unsettled = {(route, core.factors)
                  for route, core in _pin_tool().unsettled()}
@@ -685,9 +698,10 @@ def test_pin_tool_reproduces_its_cheapest_entry():
 def test_pinned_cores_serve_every_presentation_and_product():
     # keyed by isomorphism class and carried to the presentation asked
     # for; odd cyclic factors multiply a pinned core as they do a
-    # searched one, past order 64
+    # searched one, past order 64, and a core lifted from a pinned one,
+    # as (Z2)^6xZ3 from (Z2)^4xZ3, takes no search either
     for fac in ((32, 2), (16, 2, 2), (8, 4, 2), (2, 32, 3), (8, 8, 3),
-                (2, 2, 2, 2, 3, 5)):
+                (2, 2, 2, 2, 3, 5), (2,) * 6 + (3,), (2,) * 5 + (6,)):
         spec = GroupSpec(fac)
         res = construct_path_antimagic(spec)
         assert (res.status, res.route, res.nodes_explored) == (
@@ -730,6 +744,80 @@ def test_harmonious_order_of_odd_groups_is_the_enumeration(monkeypatch):
         for spec in abelian_groups_of_order(n):
             assert _harmonious_order(spec, DEFAULT_BUDGET) == (
                 STATUS_FOUND, tuple(enumerate_elements(spec)), 0), spec
+
+
+# ---------------------------------------------------------------------------
+# lifted cores: constructions._quotient and cordant._lift
+
+def _harmonious_from_zero(spec, order) -> bool:
+    n = spec.order
+    sums = {add(spec, order[i - 1], order[i]) for i in range(n)}
+    return (order[0] == spec.zero()
+            and sorted(order) == enumerate_elements(spec) and len(sums) == n)
+
+
+def test_gf2_solver_agrees_with_brute_force():
+    rng = random.Random(39)
+    solved = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        rows = [rng.getrandbits(n + 1) for _ in range(rng.randint(0, n + 2))]
+        brute = [x for x in range(1 << n)
+                 if all((row >> 1 & x).bit_count() % 2 == row & 1
+                        for row in rows)]
+        x = solve(iter(rows), n)
+        assert (x is None) == (not brute), rows
+        solved += x is not None
+        assert x is None or x in brute, rows
+    assert 100 < solved < 500
+    # x_0 = 1, then x_0 = 0: the third row is never read
+    rows = iter([0b11, 0b10, 0b101])
+    assert solve(rows, 2) is None
+    assert list(rows) == [0b101]
+
+
+def test_lift_orders_every_rainbow_core_up_to_order_128():
+    # every core with a quotient to lift from: 26 lifted, 11 pinned
+    cores = {}
+    for n in range(4, 129, 4):
+        for spec in abelian_groups_of_order(n):
+            if ant_decomposition(spec) is None and not is_elementary_two(spec):
+                core = _harmonious_core(spec)[0]
+                if _quotient(core) is not None:
+                    cores[core.factors] = core
+    assert len(cores) == 37
+    unknown = []
+    for core in cores.values():
+        status, order, _ = _harmonious_order(core, DEFAULT_BUDGET)
+        if status == STATUS_UNKNOWN:
+            unknown.append(core.factors)
+            continue
+        assert status == STATUS_FOUND, core
+        assert _harmonious_from_zero(core, order), core
+        f = EdgeLabeling(core, order[1:])
+        assert verify_a_antimagic(path_graph(core.order), f).ok, core
+    # lifted from the seeds Z2xZ2xZ9 and Z2xZ2xZ11, whose searches run out
+    # of the share of a search over the core
+    assert unknown == [(2, 2, 2, 9), (2, 2, 2, 11)]
+
+
+def test_a_step_no_candidate_solves_falls_back_to_the_search(monkeypatch):
+    from cordant import _lift
+
+    monkeypatch.setattr(_lift, "_automorphisms", lambda spec: [])
+    spec, base = GroupSpec((4, 8)), GroupSpec((4, 4))
+    # the find-any search of the core itself, after its seed's
+    seed = _find_any(cycle_graph(16), base, NOTION_A_CORDIAL, split=32)
+    alone = _find_any(cycle_graph(32), spec, NOTION_A_CORDIAL, split=32)
+    res = construct_path_antimagic(spec)
+    assert (res.status, res.route) == (STATUS_FOUND, "rainbow-cycle")
+    assert res.nodes_explored == seed.nodes_explored + alone.nodes_explored
+    assert res.labeling.labels == alone.certificate.labels[1:]
+    # the search gets what the seed left of the share, and no more
+    budget = 32 * 2 * seed.nodes_explored
+    res = construct_path_antimagic(spec, budget=budget)
+    assert (res.status, res.nodes_explored) == (
+        STATUS_UNKNOWN, 2 * seed.nodes_explored)
 
 
 def test_odd_routes_beyond_the_search_caps():

@@ -199,7 +199,7 @@ def test_the_library_loads_no_dataclasses_or_inspect():
                "certificates", "deciders", "constructions", "search",
                "explore", "trees", "cli", "_kernel", "_kernel.generic",
                "_kernel.rstar", "_kernel.sigma", "_orderings", "_runner",
-               "_stabilizers")
+               "_stabilizers", "_lift")
     code = ("import importlib, sys\n"
             f"for m in {modules!r}:\n"
             "    importlib.import_module('cordant.' + m)\n"

@@ -1,11 +1,15 @@
 """Regenerate the pinned searches in src/cordant/fixtures/cores.json.
 
 The ``rainbow-cycle`` and ``sequence`` routes of
-``construct_path_antimagic`` search for a harmonious core ordering or a
-path labeling within a share of the default budget.  For every group of
-order 2..64 where that share runs out, this runs the same search once
-with no budget and pins what it finds, with the call and its node count
-as provenance:
+``construct_path_antimagic`` stand on find-any searches within a share
+of the default budget: of a harmonious core ordering, which the
+rainbow-cycle route searches for a seed and otherwise lifts from a
+quotient's ordering, and of a path labeling.  For every route call of
+order 2..64 whose search runs out of that share, this runs the same
+search once with no budget and pins what it finds, with the call and its
+node count as provenance.  A pinned core spares its lift too, so the
+rainbow-cycle pins are decided by the core's search, not by the route,
+which the lift settles without them:
 
 * ``rainbow-cycle``: a find-any a-cordial search on the cycle of the
   core's order, over the core in canonical form (see
@@ -54,21 +58,27 @@ ABOUT = ("Searches the construct_path_antimagic routes cannot finish within "
 
 
 def unsettled() -> list[tuple[str, object]]:
-    """(route, group searched) for every route call of order 2..64 that
-    comes out Unknown at the default budget with no pins."""
-    saved, constructions._pins = constructions._pins, {}
-    try:
-        out = []
-        for n in ORDERS:
-            for spec in abelian_groups_of_order(n):
-                res = construct_path_antimagic(spec)
-                if res.status == STATUS_UNKNOWN:
-                    core = (_harmonious_core(spec)[0]
-                            if res.route == "rainbow-cycle" else spec)
-                    out.append((res.route, core))
-        return out
-    finally:
-        constructions._pins = saved
+    """(route, group searched) for every route call of order 2..64 whose
+    find-any search comes out Unknown within the call's default share:
+    the search of the core for ``rainbow-cycle`` (see
+    ``constructions._harmonious_core``), of the path for ``sequence``."""
+    out = []
+    for n in ORDERS:
+        for spec in abelian_groups_of_order(n):
+            # at budget 0 the call only names its route: it spends no node
+            route = construct_path_antimagic(spec, budget=0).route
+            if route == "rainbow-cycle":
+                core = _harmonious_core(spec)[0]
+                res = _find_any(cycle_graph(core.order), core,
+                                NOTION_A_CORDIAL, split=n)
+            elif route == "sequence":
+                core = spec
+                res = _find_any(path_graph(n), spec, NOTION_A_ANTIMAGIC)
+            else:
+                continue
+            if res.status == STATUS_UNKNOWN:
+                out.append((route, core))
+    return out
 
 
 def pin(route: str, spec) -> dict:
